@@ -1,6 +1,8 @@
 """Closed-form bound evaluation: stationary-bias constants, dynamic decay
 envelopes, the continuous-time Poisson-series bound, and the one-step
-l_inf contraction bound.
+l_inf contraction bound.  The Poisson series over the neighbourhood chain
+takes its weights from the kernel shared with the hierarchy module
+(_poisson.stopped_weights).
 
 Every evaluator returns a BoundReport.  Parameter-domain violations set
 valid=False with a reason instead of raising, so harness sweeps can walk
@@ -28,8 +30,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
+from ._poisson import stopped_weights
 from .graph import InteractionGraph
 from .subsets import as_mask, size
 
@@ -267,10 +269,8 @@ def continuous_time_bound(
     rate = gamma * beta**2 / (2.0 * alpha)
     mu = rate * t / eps
     J = graph.stabilization_index(u_mask)
-    series = 0.0
-    for j in range(J):
-        series += float(stats.poisson.pmf(j, mu)) * H0(graph.neighborhood_mask(u_mask, j))
-    series += float(stats.poisson.sf(J - 1, mu)) * H0(graph.neighborhood_mask(u_mask, J))
+    values = np.array([H0(graph.neighborhood_mask(u_mask, j)) for j in range(J + 1)])
+    series = float(stopped_weights(mu, J) @ values)
     value = math.exp(-2.0 * alpha * (1.0 - eps) * t) * series
     outputs = {"bound_value": value, "poisson_rate": rate, "series": series, "stabilization": J}
     return BoundReport("continuous-time", inputs, outputs, True)

@@ -78,10 +78,10 @@ class InteractionGraph:
         if cached is not None:
             return cached
         chain = [u_mask]
-        cur = u_mask
+        cur = rest = u_mask
         while True:
+            # adj(N_{k-1}) lies in N_k, so only the frontier N_k \ N_{k-1} can grow it
             nxt = cur
-            rest = cur
             while rest:
                 i = (rest & -rest).bit_length() - 1
                 nxt |= self.adj_masks[i]
@@ -89,7 +89,7 @@ class InteractionGraph:
             if nxt == cur:
                 break
             chain.append(nxt)
-            cur = nxt
+            cur, rest = nxt, nxt & ~cur
         self._chains[u_mask] = chain
         return chain
 

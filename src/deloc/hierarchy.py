@@ -10,8 +10,11 @@ act on them:
 
 In the sparse case A and N commute and e^{tA}F(u) = E F(N_{Lambda(t)}(u))
 collapses to an exact finite Poisson series, because neighbourhoods
-stabilize.  In the weak case the operators do not commute; e^{tA} is
-evaluated by uniformization on the reachable lattice of growing subsets.
+stabilize; on the chain N_0(u) .. N_J(u) it is one matvec with a cached
+index-shift kernel.  In the weak case the operators do not commute; e^{tA}
+is evaluated by uniformization on the reachable lattice of growing subsets,
+with the jump matrix and N assembled once per lattice as sparse matrices.
+The Poisson weights of both come from the shared kernel in _poisson.
 
 certified_entropy_trajectory evaluates the exact discrete-step entropy
 recursion
@@ -32,10 +35,11 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import sparse
 
+from ._poisson import shift_kernel, stopped_weights, truncated_pmf
 from .graph import InteractionGraph
-from .potential import StructuredPotential
+from .potential import StructuredPotential, interaction_constants
 from .subsets import as_mask, indices_from, size
 
 __all__ = [
@@ -137,19 +141,8 @@ def weights_from_potential(pot: StructuredPotential) -> tuple[tuple[int, float],
 
 def weak_interaction_constants(weights) -> tuple[float, float, float]:
     """(M0, M1, R1) recomputed from a weight list."""
-    m0: dict[int, float] = {}
-    m1: dict[int, float] = {}
-    r1: dict[int, float] = {}
-    for w, L in weights:
-        k = size(w)
-        for i in indices_from(w):
-            m0[i] = m0.get(i, 0.0) + L
-            m1[i] = m1.get(i, 0.0) + L * k
-            if k >= 2:
-                r1[i] = r1.get(i, 0.0) + L * (k - 1)
-    if not m0:
-        return 0.0, 0.0, 0.0
-    return max(m0.values()), max(m1.values()), max(r1.values()) if r1 else 0.0
+    c = interaction_constants([indices_from(w) for w, _ in weights], [L for _, L in weights])
+    return c.M0, c.M1, c.R1
 
 
 # -- pointwise operator applications ------------------------------------------
@@ -198,14 +191,9 @@ def semigroup_sparse(gen: SparseGenerator, t: float, F, u) -> float:
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
     m = as_mask(u, gen.graph.n)
-    chain = [gen.graph.neighborhood_mask(m, j) for j in range(gen.graph.stabilization_index(m) + 1)]
-    J = len(chain) - 1
-    mu = gen.rate * t
-    total = 0.0
-    for j in range(J):
-        total += float(stats.poisson.pmf(j, mu)) * F(chain[j])
-    total += float(stats.poisson.sf(J - 1, mu)) * F(chain[J])
-    return total
+    J = gen.graph.stabilization_index(m)
+    values = np.array([F(gen.graph.neighborhood_mask(m, j)) for j in range(J + 1)])
+    return float(stopped_weights(gen.rate * t, J) @ values)
 
 
 def _weak_reachable(gen: WeakGenerator, u_mask: int, max_states: int, seed_supports: bool):
@@ -238,8 +226,9 @@ def _weak_reachable(gen: WeakGenerator, u_mask: int, max_states: int, seed_suppo
     return states, index
 
 
-def _weak_transitions(gen: WeakGenerator, states, index):
-    """Flat (src, dst, rate) arrays of the jump rates v -> v | w."""
+def _uniformized_matrix(gen: WeakGenerator, states, index):
+    """(P, theta): the jump matrix P = I + Q/theta of the rates v -> v | w
+    as CSR, theta the largest exit rate.  P is None when theta = 0."""
     src, dst, rate = [], [], []
     for i, v in enumerate(states):
         for w, L in gen.weights:
@@ -247,36 +236,28 @@ def _weak_transitions(gen: WeakGenerator, states, index):
                 src.append(i)
                 dst.append(index[v | w])
                 rate.append(gen.rate_factor * L)
-    return (
-        np.asarray(src, dtype=np.intp),
-        np.asarray(dst, dtype=np.intp),
-        np.asarray(rate, dtype=float),
-    )
+    shape = (len(states), len(states))
+    src = np.asarray(src, dtype=np.intp)
+    rate = np.asarray(rate, dtype=float)
+    exit_rates = np.bincount(src, weights=rate, minlength=shape[0])
+    theta = float(exit_rates.max())
+    if theta == 0.0:
+        return None, 0.0
+    diag = np.arange(shape[0])
+    jumps = sparse.csr_array((rate / theta, (src, dst)), shape=shape)
+    stays = sparse.csr_array((1.0 - exit_rates / theta, (diag, diag)), shape=shape)
+    return jumps + stays, theta
 
 
-def _uniformized_apply(src, dst, rate, theta, nstates):
-    def q_apply(v: np.ndarray) -> np.ndarray:
-        if src.size == 0:
-            return np.zeros_like(v)
-        return np.bincount(src, weights=rate * (v[dst] - v[src]), minlength=nstates)
-
-    def p_apply(v: np.ndarray) -> np.ndarray:
-        return v + q_apply(v) / theta
-
-    return p_apply
-
-
-def _expm_series(p_apply, theta, t, f, tail_tol):
-    """e^{tQ} f by uniformization: sum_m pmf(m; theta t) P^m f, truncated
-    when the remaining Poisson mass drops below tail_tol."""
-    mu = theta * t
-    M = int(stats.poisson.isf(tail_tol, mu)) + 1
-    pmf = stats.poisson.pmf(np.arange(M + 1), mu)
+def _expm_series(P, mu, f, tail_tol):
+    """e^{tQ} f by uniformization with mu = theta t: sum_m pmf(m; mu) P^m f,
+    truncated once the remaining Poisson mass is at most tail_tol."""
+    pmf = truncated_pmf(mu, tail_tol)
     acc = pmf[0] * f
     v = f
-    for m in range(1, M + 1):
-        v = p_apply(v)
-        acc = acc + pmf[m] * v
+    for p in pmf[1:]:
+        v = P @ v
+        acc += p * v
     return acc
 
 
@@ -294,15 +275,11 @@ def semigroup_weak(
         raise ValueError(f"time must be >= 0, got {t}")
     m = as_mask(u)
     states, index = _weak_reachable(gen, m, max_states, seed_supports=False)
-    src, dst, rate = _weak_transitions(gen, states, index)
-    exit_rates = np.bincount(src, weights=rate, minlength=len(states)) if src.size else np.zeros(len(states))
-    theta = float(exit_rates.max()) if exit_rates.size else 0.0
+    P, theta = _uniformized_matrix(gen, states, index)
     f = np.array([F(s) for s in states])
     if theta == 0.0 or t == 0.0:
         return float(f[index[m]])
-    p_apply = _uniformized_apply(src, dst, rate, theta, len(states))
-    out = _expm_series(p_apply, theta, t, f, tail_tol)
-    return float(out[index[m]])
+    return float(_expm_series(P, theta * t, f, tail_tol)[index[m]])
 
 
 # -- certified entropy trajectories --------------------------------------------
@@ -384,22 +361,6 @@ class WeakParams:
         return self.alpha * eta**1.5 / (5.0 * M0 * M1)
 
 
-def _sparse_chain_semigroup(v: np.ndarray, mu: float) -> np.ndarray:
-    """(e^{tA}F)(N_m(u)) on the chain representation: index-shift mixture
-    with the Poisson tail absorbed at the stabilized end."""
-    J = v.shape[0] - 1
-    out = np.empty_like(v)
-    for m in range(J + 1):
-        span = J - m
-        acc = 0.0
-        if span > 0:
-            pmf = stats.poisson.pmf(np.arange(span), mu)
-            acc = float(pmf @ v[m:J])
-        acc += float(stats.poisson.sf(span - 1, mu)) * v[J]
-        out[m] = acc
-    return out
-
-
 def _shift(v: np.ndarray, s: int) -> np.ndarray:
     J = v.shape[0] - 1
     idx = np.minimum(np.arange(J + 1) + s, J)
@@ -449,7 +410,9 @@ def _certified_sparse(params: SparseParams, graph: InteractionGraph, H0, h, k_ma
     g = (beta**2 * h / (1.0 - eps)) * (beta * h + 1.0) * sizes
     ng = _shift(g, 1)
     coeff = (1.0 - a) / alpha
-    mu_h = lam * h
+    # e^{hA} on the chain representation: index-shift mixture with the
+    # Poisson tail absorbed at the stabilized end
+    K = shift_kernel(lam * h, J)
 
     def B(v):
         return a * v + q * _shift(v, 2)
@@ -462,8 +425,8 @@ def _certified_sparse(params: SparseParams, graph: InteractionGraph, H0, h, k_ma
     y = None
     acc2 = 0.0
     for k in range(1, k_max + 1):
-        w = B(_sparse_chain_semigroup(w, mu_h))
-        y = _sparse_chain_semigroup(ng, mu_h) if y is None else B(_sparse_chain_semigroup(y, mu_h))
+        w = B(K @ w)
+        y = K @ ng if y is None else B(K @ y)
         acc2 += y[0]
         out[k] = w[0] + coeff * acc2
     return out
@@ -489,11 +452,9 @@ def _certified_weak(params: WeakParams, structure, H0, h, k_max, u):
     states, index = _weak_reachable(gen, m, MAX_WEAK_STATES, seed_supports=True)
     iu = index[m]
     nstates = len(states)
-    src, dst, rate = _weak_transitions(gen, states, index)
-    exit_rates = np.bincount(src, weights=rate, minlength=nstates) if src.size else np.zeros(nstates)
-    theta = float(exit_rates.max()) if exit_rates.size else 0.0
+    P, theta = _uniformized_matrix(gen, states, index)
 
-    # N as flat (state, support-state, L) triples
+    # (N F)(v) = sum_{w cap v != 0} L_w F(w), one CSR row per state
     nsrc, ndst, nl = [], [], []
     for i, v in enumerate(states):
         for w, L in weights:
@@ -501,42 +462,33 @@ def _certified_weak(params: WeakParams, structure, H0, h, k_max, u):
                 nsrc.append(i)
                 ndst.append(index[w])
                 nl.append(L)
-    nsrc = np.asarray(nsrc, dtype=np.intp)
-    ndst = np.asarray(ndst, dtype=np.intp)
-    nl = np.asarray(nl, dtype=float)
-
-    def n_apply(v):
-        if nsrc.size == 0:
-            return np.zeros_like(v)
-        return np.bincount(nsrc, weights=nl * v[ndst], minlength=nstates)
+    N = sparse.csr_array((nl, (nsrc, ndst)), shape=(nstates, nstates))
 
     if theta == 0.0:
         u_apply = lambda v: v
     else:
-        p_apply = _uniformized_apply(src, dst, rate, theta, nstates)
-        u_apply = lambda v: _expm_series(p_apply, theta, h, v, POISSON_TAIL)
+        u_apply = lambda v: _expm_series(P, theta * h, v, POISSON_TAIL)
 
     a = math.exp(-alpha * h)
     q = (2.0 * h**2 * M0**2 / (alpha**2 * (1.0 - eps))) * (1.0 - a)
     coeff = (1.0 - a) / alpha
 
     sizes = np.array([float(size(s)) for s in states])
-    ns = n_apply(sizes)
-    g = (h * M0 / (1.0 - eps)) * ((M0 / alpha) * h * n_apply(ns) + ns)
+    ns = N @ sizes
+    g = (h * M0 / (1.0 - eps)) * ((M0 / alpha) * h * (N @ ns) + ns)
 
     def B(v):
         # e^{-ah} e^{hA} v + q e^{hA} N^2 v = e^{hA}(a v + q N^2 v)
-        return u_apply(a * v + q * n_apply(n_apply(v)))
+        return u_apply(a * v + q * (N @ (N @ v)))
 
     h0 = np.array([H0(s) for s in states])
     out = np.empty(k_max + 1)
     out[0] = h0[iu]
-    w = h0.copy()
-    y = None
+    # columns w_k = B^k H0 and y_{k+1} = B^k e^{hA} G, advanced together
+    wy = np.column_stack([h0, u_apply(g)])
     acc2 = 0.0
     for k in range(1, k_max + 1):
-        w = B(w)
-        y = u_apply(g) if y is None else B(y)
-        acc2 += y[iu]
-        out[k] = w[iu] + coeff * acc2
+        acc2 += wy[iu, 1]
+        wy = B(wy)
+        out[k] = wy[iu, 0] + coeff * acc2
     return out

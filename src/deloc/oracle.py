@@ -7,7 +7,7 @@ stationary covariance solves the discrete Lyapunov equation
     S = (I - hA) S (I - hA) + 2h I.
 
 For symmetric A the solution has the closed form S = (A (I - hA/2))^{-1};
-the fixed-point iteration below is kept as an independent oracle for it.
+the doubling iteration below is kept as an independent oracle for it.
 Continuous-time (overdamped Langevin / OU) laws, Gaussian 2-Wasserstein
 (Bures) and KL round out the ground-truth toolkit.
 
@@ -127,9 +127,10 @@ def lmc_stationary_law(A, h: float) -> GaussianLaw:
 
 
 def lyapunov_fixed_point(A, h: float, tol: float = 1e-14, max_iter: int = 200_000) -> np.ndarray:
-    """Independent oracle for the stationary covariance: iterate
-    S <- (I - hA) S (I - hA) + 2h I until the spectral norm of the update
-    falls below tol (relative)."""
+    """Independent oracle for the stationary covariance S = sum_k M^k (2h I) M^k',
+    M = I - hA, by Smith's doubling iteration: S <- S + M S M', M <- M^2, so
+    step j adds the next 2^j terms.  Stops when the Frobenius norm of the
+    update falls below tol (relative); max_iter bounds the doubling steps."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     n = A.shape[0]
     M = np.eye(n) - h * A
@@ -137,11 +138,11 @@ def lyapunov_fixed_point(A, h: float, tol: float = 1e-14, max_iter: int = 200_00
         raise ValueError("fixed-point iteration diverges: |1 - h lambda| >= 1 for some mode")
     S = 2.0 * h * np.eye(n)
     for _ in range(max_iter):
-        S_next = M @ S @ M.T + 2.0 * h * np.eye(n)
-        delta = np.linalg.norm(S_next - S, ord=2)
-        S = _sym(S_next)
-        if delta <= tol * max(1.0, np.linalg.norm(S, ord=2)):
+        update = M @ S @ M.T
+        S = _sym(S + update)
+        if np.linalg.norm(update) <= tol * max(1.0, np.linalg.norm(S)):
             return S
+        M = M @ M
     raise RuntimeError(f"Lyapunov iteration did not reach tol={tol} in {max_iter} steps")
 
 

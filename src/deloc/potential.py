@@ -22,6 +22,7 @@ __all__ = [
     "FactorTerm",
     "SmoothnessParams",
     "InteractionConstants",
+    "interaction_constants",
     "StructuredPotential",
     "PairwiseSpec",
     "quadratic_term",
@@ -143,6 +144,27 @@ class InteractionConstants:
     R1: float
 
 
+def interaction_constants(
+    supports: Sequence[Sequence[int]], weights: Sequence[float]
+) -> InteractionConstants:
+    """M0, M1, R0, R1 of factors with the given supports and weights L_w.
+    Coordinates no factor touches contribute 0; without factors all are 0.
+    Each coordinate's sums run in factor order."""
+    lengths = np.array([len(w) for w in supports], dtype=np.intp)
+    if not lengths.size:
+        return InteractionConstants(0.0, 0.0, 0.0, 0.0)
+    coords = np.concatenate([np.asarray(w, dtype=np.intp) for w in supports])
+    L = np.repeat(np.asarray(weights, dtype=float), lengths)
+    k = np.repeat(lengths, lengths)
+
+    def top(x: np.ndarray) -> float:
+        return float(np.bincount(coords, weights=x).max())
+
+    return InteractionConstants(
+        M0=top(L), M1=top(L * k), R0=top(np.where(k >= 2, L, 0.0)), R1=top(L * (k - 1))
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class StructuredPotential:
     n: int
@@ -206,24 +228,8 @@ class StructuredPotential:
 
     @cached_property
     def interaction_constants(self) -> InteractionConstants:
-        m0 = np.zeros(self.n)
-        m1 = np.zeros(self.n)
-        r0 = np.zeros(self.n)
-        r1 = np.zeros(self.n)
-        for t in self.active_terms:
-            w = len(t.support)
-            for i in t.support:
-                m0[i] += t.lipschitz
-                m1[i] += t.lipschitz * w
-                if w >= 2:
-                    r0[i] += t.lipschitz
-                    r1[i] += t.lipschitz * (w - 1)
-        return InteractionConstants(
-            M0=float(m0.max()) if self.n else 0.0,
-            M1=float(m1.max()) if self.n else 0.0,
-            R0=float(r0.max()) if self.n else 0.0,
-            R1=float(r1.max()) if self.n else 0.0,
-        )
+        terms = self.active_terms
+        return interaction_constants([t.support for t in terms], [t.lipschitz for t in terms])
 
     @property
     def beta(self) -> float:
@@ -318,13 +324,11 @@ class PairwiseSpec:
         object.__setattr__(self, "interaction_bounds", 0.5 * (ib + ib.T))
 
     def interaction_constants(self) -> InteractionConstants:
-        row = self.interaction_bounds.sum(axis=1)
-        return InteractionConstants(
-            M0=float((self.confine_bounds + row).max()),
-            M1=float((self.confine_bounds + 2.0 * row).max()),
-            R0=float(row.max()),
-            R1=float(row.max()),
-        )
+        singles = np.flatnonzero(self.confine_bounds)
+        pairs = np.argwhere(np.triu(self.interaction_bounds, 1))
+        supports = [(i,) for i in singles] + [tuple(p) for p in pairs]
+        weights = [*self.confine_bounds[singles], *self.interaction_bounds[tuple(pairs.T)]]
+        return interaction_constants(supports, weights)
 
     @classmethod
     def quadratic(cls, confine, coupling) -> "PairwiseSpec":

@@ -158,3 +158,25 @@ def test_property_stabilization_is_fixed_point(n, seed):
     assert g.neighborhood_mask(u, J) == g.neighborhood_mask(u, J + 1)
     if J > 0:
         assert g.neighborhood_mask(u, J - 1) != g.neighborhood_mask(u, J)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_chain_matches_bfs_up_to_stabilization(seed):
+    rng = np.random.default_rng(seed)
+    n = 24
+    # two components plus isolated vertices: edges only inside [0, 10) and [10, 20)
+    edges = [
+        (i, j)
+        for lo, hi in ((0, 10), (10, 20))
+        for i in range(lo, hi)
+        for j in range(i + 1, hi)
+        if rng.random() < 0.2
+    ]
+    g = InteractionGraph.from_edges(n, edges)
+    three = tuple(int(i) for i in rng.choice(n, 3, replace=False))
+    for u in [(int(rng.integers(n)),), three, (3, 15, 22)]:
+        chain = g._chain(mask_from(u))
+        J = len(chain) - 1
+        for k in range(J + 2):
+            assert frozenset(indices_from(chain[min(k, J)])) == bfs_neighborhood(edges, n, u, k)
+        assert all(a != b for a, b in zip(chain, chain[1:]))

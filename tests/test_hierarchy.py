@@ -1,9 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import linalg
+from scipy import linalg, stats
+
+import deloc
+from deloc import _poisson
 
 from deloc.bounds import sparse_exp_constants, sparse_poly_constants, weak_constants
 from deloc.graph import InteractionGraph
@@ -135,6 +142,75 @@ def test_weak_operators_do_not_commute():
     gen = WeakGenerator(weights, 1.0)
     res = commutation_residual_weak(gen, SubsetFunction.size(), (0,))
     assert res == pytest.approx(1.0)
+
+
+# -------------------------------------------------------- Poisson chain kernel
+
+MU_GRID = (0.1, 1.0, 3.7, 25.0, 200.0)
+
+
+@pytest.mark.parametrize("mu", MU_GRID)
+def test_poisson_weights_match_scipy_stats(mu):
+    J = 40
+    w = _poisson.stopped_weights(mu, J)
+    np.testing.assert_array_equal(w[:J], stats.poisson.pmf(np.arange(J), mu))
+    tails = [_poisson.stopped_weights(mu, s)[s] for s in range(J + 1)]
+    assert tails[0] == 1.0
+    np.testing.assert_array_equal(tails[1:], stats.poisson.sf(np.arange(J), mu))
+
+
+@pytest.mark.parametrize("mu", MU_GRID)
+def test_uniformization_truncation_matches_scipy_stats(mu):
+    tol = 1e-12
+    pmf = _poisson.truncated_pmf(mu, tol)
+    M = pmf.shape[0] - 1
+    assert M == int(stats.poisson.isf(tol, mu)) + 1
+    assert stats.poisson.sf(M - 1, mu) <= tol
+    assert M == 1 or stats.poisson.sf(M - 2, mu) > tol
+    np.testing.assert_array_equal(pmf, stats.poisson.pmf(np.arange(M + 1), mu))
+
+
+def test_poisson_kernel_edge_cases():
+    # mu = 0: Lambda = 0 surely, so nothing moves along the chain
+    np.testing.assert_array_equal(_poisson.stopped_weights(0.0, 3), [1.0, 0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(_poisson.shift_kernel(0.0, 3), np.eye(4))
+    np.testing.assert_array_equal(_poisson.truncated_pmf(0.0, 1e-12), [1.0, 0.0])
+    # J = 0: the chain has stabilized at u, all mass sits on it
+    for mu in (0.0, 0.5, 30.0):
+        np.testing.assert_array_equal(_poisson.stopped_weights(mu, 0), [1.0])
+        np.testing.assert_array_equal(_poisson.shift_kernel(mu, 0), [[1.0]])
+
+
+def test_shift_kernel_matches_per_row_series(rng):
+    for mu, J in ((0.3, 1), (1.7, 6), (12.0, 25)):
+        K = _poisson.shift_kernel(mu, J)
+        v = rng.uniform(0.0, 5.0, J + 1)
+        want = np.empty(J + 1)
+        for m in range(J + 1):
+            span = J - m
+            acc = float(stats.poisson.pmf(np.arange(span), mu) @ v[m:J]) if span else 0.0
+            want[m] = acc + float(stats.poisson.sf(span - 1, mu)) * v[J]
+        np.testing.assert_allclose(K @ v, want, rtol=1e-14)
+        np.testing.assert_allclose(K.sum(axis=1), 1.0, rtol=1e-14)
+        assert np.all(np.tril(K, -1) == 0.0)
+
+
+def test_poisson_kernel_is_cached_and_read_only():
+    K = _poisson.shift_kernel(2.5, 7)
+    assert _poisson.shift_kernel(2.5, 7) is K
+    for a in (K, _poisson.stopped_weights(2.5, 7), _poisson.truncated_pmf(2.5, 1e-12)):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = "import sys, deloc; print('scipy.stats' in sys.modules)"
+    src = str(Path(deloc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert proc.stdout.strip() == "False"
 
 
 # ------------------------------------------------------------------ semigroups

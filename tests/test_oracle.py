@@ -67,6 +67,16 @@ def test_stationary_matches_lyapunov_iteration(rng):
         np.testing.assert_allclose(closed, fixed, atol=1e-11)
 
 
+def test_lyapunov_doubling_on_slow_mode():
+    # |1 - h lambda_min| = 1 - 1e-5: plain iteration would need ~10^6 steps
+    A = np.diag([1e-3, 0.5, 1.0])
+    h = 1e-2
+    S = lyapunov_fixed_point(A, h)
+    np.testing.assert_allclose(S, lmc_stationary_law(A, h).cov, rtol=1e-10)
+    with pytest.raises(RuntimeError):
+        lyapunov_fixed_point(A, h, max_iter=3)
+
+
 def test_stationary_bias_identity():
     # Sigma_h - Sigma = (h/2) (I - hA/2)^{-1} exactly
     A = tridiagonal_precision(5)

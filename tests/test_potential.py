@@ -12,6 +12,7 @@ from deloc.potential import (
     chain_pairwise,
     gaussian_potential,
     grid_pairwise,
+    interaction_constants,
     mean_field,
     potential_from_dict,
     potential_to_dict,
@@ -165,6 +166,24 @@ def test_pairwise_constants_match_display():
     assert c.M1 == pytest.approx(np.max(kappa + 2 * rows))
     assert c.R1 == pytest.approx(np.max(rows))
     assert c.R0 == pytest.approx(np.max(rows))
+
+
+def test_interaction_constants_from_supports_and_weights():
+    # the hand example above as raw (supports, weights); coordinate 4 is untouched
+    c = interaction_constants([(0,), (0, 1), (1, 2, 3)], [1.0, 2.0, 0.5])
+    assert (c.M0, c.M1, c.R0, c.R1) == (3.0, 5.5, 2.5, 3.0)
+    assert interaction_constants([], []) == interaction_constants([(2,)], [0.0])
+    assert interaction_constants([(2,)], [4.0]) == type(c)(4.0, 4.0, 0.0, 0.0)
+
+
+def test_pairwise_constants_match_structured_potential(rng):
+    # both descriptions of one pairwise potential give the same constants
+    coupling = np.triu(rng.uniform(0.0, 0.4, (5, 5)), 1)
+    coupling[1, 3] = 0.0
+    spec = PairwiseSpec.quadratic(confine=rng.uniform(0.5, 2.0, 5), coupling=coupling + coupling.T)
+    pot = spec.to_structured(SmoothnessParams(alpha=0.1))
+    a, b = spec.interaction_constants(), pot.interaction_constants
+    np.testing.assert_allclose([a.M0, a.M1, a.R0, a.R1], [b.M0, b.M1, b.R0, b.R1], rtol=1e-15)
 
 
 def test_pairwise_to_structured_matches_quadratic(rng):
