@@ -268,8 +268,9 @@ def continuous_time_bound(
         return BoundReport("continuous-time", inputs, {}, False, reason)
     rate = gamma * beta**2 / (2.0 * alpha)
     mu = rate * t / eps
-    J = graph.stabilization_index(u_mask)
-    values = np.array([H0(graph.neighborhood_mask(u_mask, j)) for j in range(J + 1)])
+    chain = graph.chain(u_mask)
+    J = len(chain) - 1
+    values = np.array([H0(cm) for cm in chain])
     series = float(stopped_weights(mu, J) @ values)
     value = math.exp(-2.0 * alpha * (1.0 - eps) * t) * series
     outputs = {"bound_value": value, "poisson_rate": rate, "series": series, "stabilization": J}

@@ -8,7 +8,7 @@ graph all bound machinery consumes.
 Neighbourhoods N_k(u) expand along edges: N_0(u) = u and N_{k+1}(u) is
 N_k(u) together with everything adjacent to it.  Subsets travel as
 bitmasks (see subsets.py), and per-subset neighbourhood chains are
-memoized up to their stabilization index.
+memoized up to their stabilization index (InteractionGraph.chain).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class InteractionGraph:
             for j in indices_from(m):
                 if not self.adj_masks[j] & (1 << i):
                     raise ValueError(f"asymmetric adjacency between {i} and {j}")
-        self._chains: dict[int, list[int]] = {}
+        self._chains: dict[int, tuple[int, ...]] = {}
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "InteractionGraph":
@@ -72,8 +72,9 @@ class InteractionGraph:
 
     # -- neighbourhoods ------------------------------------------------------
 
-    def _chain(self, u_mask: int) -> list[int]:
-        """Masks [N_0(u), N_1(u), ..., N_J(u)] up to stabilization."""
+    def chain(self, u) -> tuple[int, ...]:
+        """Masks (N_0(u), N_1(u), ..., N_J(u)) up to stabilization, cached."""
+        u_mask = as_mask(u, self.n)
         cached = self._chains.get(u_mask)
         if cached is not None:
             return cached
@@ -90,16 +91,13 @@ class InteractionGraph:
                 break
             chain.append(nxt)
             cur, rest = nxt, nxt & ~cur
-        self._chains[u_mask] = chain
+        self._chains[u_mask] = chain = tuple(chain)
         return chain
 
     def neighborhood_mask(self, u, k: int) -> int:
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
-        m = as_mask(u, self.n)
-        if m == 0:
-            return 0
-        chain = self._chain(m)
+        chain = self.chain(u)
         return chain[min(k, len(chain) - 1)]
 
     def neighborhood(self, u, k: int) -> tuple[int, ...]:
@@ -110,7 +108,7 @@ class InteractionGraph:
         m = as_mask(u, self.n)
         if m == 0:
             raise ValueError("stabilization index of the empty set is undefined")
-        return len(self._chain(m)) - 1
+        return len(self.chain(m)) - 1
 
     # -- export ---------------------------------------------------------------
 
@@ -172,7 +170,7 @@ def verify_growth(g: InteractionGraph, cert: GrowthCertificate) -> GrowthReport:
     """
     checked = 0
     for i in range(g.n):
-        chain = g._chain(1 << i)
+        chain = g.chain(1 << i)
         J = len(chain) - 1
         checked = max(checked, J)
         for k in range(J + 1):

@@ -38,6 +38,7 @@ import numpy as np
 from scipy import sparse
 
 from ._poisson import shift_kernel, stopped_weights, truncated_pmf
+from .bounds import sparse_exp_constants, sparse_poly_constants, weak_constants
 from .graph import InteractionGraph
 from .potential import StructuredPotential, interaction_constants
 from .subsets import as_mask, indices_from, size
@@ -192,13 +193,15 @@ def semigroup_sparse(gen: SparseGenerator, t: float, F, u) -> float:
         raise ValueError(f"time must be >= 0, got {t}")
     m = as_mask(u, gen.graph.n)
     J = gen.graph.stabilization_index(m)
-    values = np.array([F(gen.graph.neighborhood_mask(m, j)) for j in range(J + 1)])
+    values = np.array([F(cm) for cm in gen.graph.chain(m)])
     return float(stopped_weights(gen.rate * t, J) @ values)
 
 
-def _weak_reachable(gen: WeakGenerator, u_mask: int, max_states: int, seed_supports: bool):
+def _weak_lattice(gen: WeakGenerator, u_mask: int, max_states: int, seed_supports: bool):
     """BFS closure of {u} (plus the supports when seeding) under
-    v -> v | w for intersecting supports w.  Returns (states, index map)."""
+    v -> v | w for intersecting supports w.  Returns (states, index, pairs):
+    pairs holds one row (state, factor, index of v | w) per intersecting
+    (state, factor) pair, ordered by state and then by factor."""
     seeds = [u_mask]
     if seed_supports:
         seeds.extend(w for w, _ in gen.weights)
@@ -210,40 +213,40 @@ def _weak_reachable(gen: WeakGenerator, u_mask: int, max_states: int, seed_suppo
             index[s] = len(states)
             states.append(s)
             stack.append(s)
+    pairs = []
     while stack:
         v = stack.pop()
-        for w, _ in gen.weights:
+        i = index[v]
+        for f, (w, _) in enumerate(gen.weights):
             if w & v:
                 nv = v | w
-                if nv not in index:
+                j = index.get(nv)
+                if j is None:
                     if len(states) >= max_states:
                         raise ValueError(
                             f"reachable subset lattice exceeds {max_states} states"
                         )
-                    index[nv] = len(states)
+                    j = index[nv] = len(states)
                     states.append(nv)
                     stack.append(nv)
-    return states, index
+                pairs += (i, f, j)
+    pairs = np.fromiter(pairs, dtype=np.intp, count=len(pairs)).reshape(-1, 3)
+    return states, index, pairs[np.argsort(pairs[:, 0], kind="stable")]
 
 
-def _uniformized_matrix(gen: WeakGenerator, states, index):
+def _uniformized_matrix(gen: WeakGenerator, pairs, nstates: int):
     """(P, theta): the jump matrix P = I + Q/theta of the rates v -> v | w
     as CSR, theta the largest exit rate.  P is None when theta = 0."""
-    src, dst, rate = [], [], []
-    for i, v in enumerate(states):
-        for w, L in gen.weights:
-            if w & v and (v | w) != v:
-                src.append(i)
-                dst.append(index[v | w])
-                rate.append(gen.rate_factor * L)
-    shape = (len(states), len(states))
-    src = np.asarray(src, dtype=np.intp)
-    rate = np.asarray(rate, dtype=float)
-    exit_rates = np.bincount(src, weights=rate, minlength=shape[0])
+    src, fac, dst = pairs.T
+    moves = src != dst
+    src, dst = src[moves], dst[moves]
+    rate = gen.rate_factor * np.array([L for _, L in gen.weights])[fac[moves]]
+    exit_rates = np.bincount(src, weights=rate, minlength=nstates)
     theta = float(exit_rates.max())
     if theta == 0.0:
         return None, 0.0
-    diag = np.arange(shape[0])
+    shape = (nstates, nstates)
+    diag = np.arange(nstates)
     jumps = sparse.csr_array((rate / theta, (src, dst)), shape=shape)
     stays = sparse.csr_array((1.0 - exit_rates / theta, (diag, diag)), shape=shape)
     return jumps + stays, theta
@@ -274,8 +277,8 @@ def semigroup_weak(
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
     m = as_mask(u)
-    states, index = _weak_reachable(gen, m, max_states, seed_supports=False)
-    P, theta = _uniformized_matrix(gen, states, index)
+    states, index, pairs = _weak_lattice(gen, m, max_states, seed_supports=False)
+    P, theta = _uniformized_matrix(gen, pairs, len(states))
     f = np.array([F(s) for s in states])
     if theta == 0.0 or t == 0.0:
         return float(f[index[m]])
@@ -324,12 +327,12 @@ class SparseParams:
         return eps
 
     def h_star(self) -> float:
+        """Step ceiling of the matching theorem (bounds.sparse_*_constants)."""
         if self.mode == "polynomial":
-            return self.alpha / (4.0 * self.c * self.beta**2)
-        eta = 1.0 - (self.gamma * self.beta**2 / self.alpha**2) * (self.r - 1.0)
-        if eta <= 0:
-            raise ValueError(f"supercritical growth rate r={self.r}: eta={eta} <= 0")
-        return self.alpha * eta**1.5 / (5.0 * self.beta**2 * self.c)
+            rep = sparse_poly_constants(self.alpha, self.beta, self.gamma, self.c, self.p)
+        else:
+            rep = sparse_exp_constants(self.alpha, self.beta, self.gamma, self.c, self.r)
+        return _h_star(rep)
 
 
 @dataclass(frozen=True)
@@ -355,10 +358,14 @@ class WeakParams:
         return eps
 
     def h_star(self, M0: float, M1: float, R1: float) -> float:
-        eta = 1.0 - self.gamma * M0 * R1 / self.alpha**2
-        if eta <= 0:
-            raise ValueError(f"weak-interaction condition fails: eta={eta} <= 0")
-        return self.alpha * eta**1.5 / (5.0 * M0 * M1)
+        """Step ceiling of the weak theorem (bounds.weak_constants)."""
+        return _h_star(weak_constants(self.alpha, self.gamma, M0, M1, R1))
+
+
+def _h_star(report) -> float:
+    if not report.valid:
+        raise ValueError(report.reason)
+    return report["h_star"]
 
 
 def _shift(v: np.ndarray, s: int) -> np.ndarray:
@@ -401,7 +408,7 @@ def _certified_sparse(params: SparseParams, graph: InteractionGraph, H0, h, k_ma
 
     m = as_mask(u, graph.n)
     J = graph.stabilization_index(m)
-    chain = [graph.neighborhood_mask(m, j) for j in range(J + 1)]
+    chain = graph.chain(m)
     h0 = np.array([H0(cm) for cm in chain])
     sizes = np.array([float(size(cm)) for cm in chain])
 
@@ -449,20 +456,16 @@ def _certified_weak(params: WeakParams, structure, H0, h, k_max, u):
     gen = WeakGenerator.from_params(weights, alpha, params.gamma, M0, eps)
 
     m = as_mask(u)
-    states, index = _weak_reachable(gen, m, MAX_WEAK_STATES, seed_supports=True)
+    states, index, pairs = _weak_lattice(gen, m, MAX_WEAK_STATES, seed_supports=True)
     iu = index[m]
     nstates = len(states)
-    P, theta = _uniformized_matrix(gen, states, index)
+    P, theta = _uniformized_matrix(gen, pairs, nstates)
 
     # (N F)(v) = sum_{w cap v != 0} L_w F(w), one CSR row per state
-    nsrc, ndst, nl = [], [], []
-    for i, v in enumerate(states):
-        for w, L in weights:
-            if w & v:
-                nsrc.append(i)
-                ndst.append(index[w])
-                nl.append(L)
-    N = sparse.csr_array((nl, (nsrc, ndst)), shape=(nstates, nstates))
+    src, fac = pairs[:, 0], pairs[:, 1]
+    support_index = np.array([index[w] for w, _ in weights], dtype=np.intp)
+    lip = np.array([L for _, L in weights])
+    N = sparse.csr_array((lip[fac], (src, support_index[fac])), shape=(nstates, nstates))
 
     if theta == 0.0:
         u_apply = lambda v: v

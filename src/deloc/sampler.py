@@ -2,13 +2,16 @@
 
 One LMC step is x <- x - h grad V(x) + sqrt(2h) z with z standard normal.
 "langevin-reference" mode runs m Euler substeps of size h/m per recorded
-step, approximating the continuous-time flow at matched wall-clock time.
+step, approximating the continuous-time flow at matched wall-clock time;
+lmc is its m = 1 case, and both run the same step loop.  A quadratic
+potential steps by the assembled matrix I - (h/m) A, any other by its
+gradient.
 
 Noise stream layout (documented so composed-map tests can replay it):
 each chain owns an independent generator spawned from the config seed;
-per recorded step the chain draws one (n,) normal block in lmc mode and
-one (m, n) block in langevin-reference mode.  Chain c's stream depends
-only on (seed, c), never on the number of chains.
+per recorded step the chain draws one (m, n) normal block, with m = 1 in
+lmc mode, and substep j uses row j.  Chain c's stream depends only on
+(seed, c), never on the number of chains.
 """
 
 from __future__ import annotations
@@ -34,13 +37,17 @@ __all__ = [
 ]
 
 
+DIVERGENCE_LIMIT = 1e8  # a chain whose |x|_inf reaches this has diverged
+
+
 class DivergenceError(RuntimeError):
     def __init__(self, chain: int, step: int, sup: float):
         self.chain = chain
         self.step = step
         self.sup = sup
         super().__init__(
-            f"chain {chain} diverged at iterate {step}: |x|_inf = {sup:.3e} exceeds 1e8"
+            f"chain {chain} diverged at iterate {step}: "
+            f"|x|_inf = {sup:.3e} exceeds {DIVERGENCE_LIMIT:.0e}"
         )
 
 
@@ -55,7 +62,6 @@ class SamplerConfig:
     substeps: int = 1
     thinning: int = 1
     h_star: float | None = None  # theorem step ceiling, warn when exceeded
-    divergence_limit: float = 1e8
 
     def __post_init__(self):
         if self.h <= 0:
@@ -66,6 +72,10 @@ class SamplerConfig:
             raise ValueError("num_chains, thinning and substeps must be >= 1")
         if self.mode not in ("lmc", "langevin-reference"):
             raise ValueError(f"unknown sampler mode {self.mode!r}")
+        if self.mode == "lmc" and self.substeps != 1:
+            raise ValueError(
+                f"substeps={self.substeps} needs mode='langevin-reference'; lmc takes one step"
+            )
         if self.effective_burn_in >= self.iterations:
             raise ValueError(
                 f"burn_in={self.effective_burn_in} leaves no samples from "
@@ -157,58 +167,29 @@ def lmc_step(pot: StructuredPotential, x: np.ndarray, h: float, noise: np.ndarra
 
 def _simulate_chain(pot, config, x0, rng, chain_index) -> np.ndarray:
     n = pot.n
-    h = config.h
+    m = config.substeps  # validated to be 1 in lmc mode
+    hs = config.h / m
+    A = pot.quadratic_matrix
+    if A is not None:
+        M = np.eye(n) - hs * A
+        sigma = math.sqrt(2.0 * hs)
+        substep = lambda x, z: M @ x + sigma * z
+    else:
+        substep = lambda x, z: lmc_step(pot, x, hs, z)
+
     kept = np.empty((config.kept_per_chain, n))
     burn = config.effective_burn_in
     thin = config.thinning
-    limit = config.divergence_limit
-
-    A = pot.quadratic_matrix
     x = np.array(x0, dtype=float, copy=True)
-    out = 0
-
-    if config.mode == "lmc":
-        sigma = math.sqrt(2.0 * h)
-        if A is not None:
-            M = np.eye(n) - h * A
-            for k in range(1, config.iterations + 1):
-                z = rng.standard_normal(n)
-                x = M @ x + sigma * z
-                sup = float(np.max(np.abs(x)))
-                if not sup < limit:
-                    raise DivergenceError(chain_index, k, sup)
-                if k > burn and (k - burn - 1) % thin == 0:
-                    kept[out] = x
-                    out += 1
-        else:
-            for k in range(1, config.iterations + 1):
-                z = rng.standard_normal(n)
-                x = lmc_step(pot, x, h, z)
-                sup = float(np.max(np.abs(x)))
-                if not sup < limit:
-                    raise DivergenceError(chain_index, k, sup)
-                if k > burn and (k - burn - 1) % thin == 0:
-                    kept[out] = x
-                    out += 1
-    else:  # langevin-reference
-        m = config.substeps
-        hs = h / m
-        sigma = math.sqrt(2.0 * hs)
-        Ms = np.eye(n) - hs * A if A is not None else None
-        for k in range(1, config.iterations + 1):
-            z = rng.standard_normal((m, n))
-            if Ms is not None:
-                for j in range(m):
-                    x = Ms @ x + sigma * z[j]
-            else:
-                for j in range(m):
-                    x = lmc_step(pot, x, hs, z[j])
-            sup = float(np.max(np.abs(x)))
-            if not sup < limit:
-                raise DivergenceError(chain_index, k, sup)
-            if k > burn and (k - burn - 1) % thin == 0:
-                kept[out] = x
-                out += 1
+    for k in range(1, config.iterations + 1):
+        z = rng.standard_normal((m, n))
+        for j in range(m):
+            x = substep(x, z[j])
+        sup = float(np.abs(x).max())
+        if not sup < DIVERGENCE_LIMIT:
+            raise DivergenceError(chain_index, k, sup)
+        if k > burn and (k - burn - 1) % thin == 0:
+            kept[(k - burn - 1) // thin] = x
     return kept
 
 

@@ -160,6 +160,17 @@ def test_property_stabilization_is_fixed_point(n, seed):
         assert g.neighborhood_mask(u, J - 1) != g.neighborhood_mask(u, J)
 
 
+def test_chain_is_cached_tuple_of_nested_masks():
+    g = InteractionGraph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
+    chain = g.chain((0,))
+    assert chain == (0b001, 0b011, 0b111)
+    assert g.chain(0b001) is chain
+    assert g.chain((3,)) == (0b01000, 0b11000)
+    assert g.chain(()) == (0,)
+    with pytest.raises(ValueError):
+        g.chain((5,))
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_chain_matches_bfs_up_to_stabilization(seed):
     rng = np.random.default_rng(seed)
@@ -175,7 +186,7 @@ def test_chain_matches_bfs_up_to_stabilization(seed):
     g = InteractionGraph.from_edges(n, edges)
     three = tuple(int(i) for i in rng.choice(n, 3, replace=False))
     for u in [(int(rng.integers(n)),), three, (3, 15, 22)]:
-        chain = g._chain(mask_from(u))
+        chain = g.chain(u)
         J = len(chain) - 1
         for k in range(J + 2):
             assert frozenset(indices_from(chain[min(k, J)])) == bfs_neighborhood(edges, n, u, k)

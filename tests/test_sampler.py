@@ -37,6 +37,8 @@ def test_config_defaults_and_validation():
         SamplerConfig(h=0.01, iterations=10, burn_in=10)
     with pytest.raises(ValueError):
         SamplerConfig(h=0.01, iterations=10, mode="metropolis")
+    with pytest.raises(ValueError, match="substeps"):
+        SamplerConfig(h=0.01, iterations=10, mode="lmc", substeps=4)
 
 
 def test_config_thinning_kept_count():
@@ -130,6 +132,14 @@ def test_divergence_raises():
     with pytest.raises(DivergenceError) as err:
         run_chain(pot, cfg, np.array([1.0]))
     assert err.value.sup >= 1e8
+    # reference mode checks once per recorded step, after all 4 substeps;
+    # each multiplies x by 1 + 10 h/4 = 2.25 before noise, so the chain
+    # crosses 1e8 after about log(1e8)/(4 log 2.25) ~ 5.7 recorded steps
+    ref = SamplerConfig(h=0.5, iterations=2000, seed=0, mode="langevin-reference", substeps=4)
+    with pytest.raises(DivergenceError) as err:
+        run_chain(pot, ref, np.array([1.0]))
+    assert err.value.sup >= 1e8
+    assert 4 <= err.value.step <= 8
 
 
 def test_burn_in_and_thinning_recording(small_pot):
@@ -148,8 +158,50 @@ def test_langevin_reference_mode_matches_lmc_at_one_substep(small_pot):
     ref = SamplerConfig(h=0.05, iterations=200, seed=5, mode="langevin-reference", substeps=1)
     a = run_chain(small_pot, base, np.zeros(3))
     b = run_chain(small_pot, ref, np.zeros(3))
-    # identical noise per recorded step (one (n,) draw vs one (1, n) draw)
-    np.testing.assert_allclose(a.samples, b.samples, atol=1e-12)
+    # both modes run the same loop with one (1, n) noise block per step
+    np.testing.assert_array_equal(a.samples, b.samples)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_noise_layout_replays_bit_for_bit(m):
+    # the documented layout: chain c draws from SeedSequence(seed).spawn(C)[c],
+    # one (m, n) block per recorded step, substep j of size h/m using row j
+    n = 4
+    pot = StructuredPotential(
+        n,
+        tuple(
+            callable_term(
+                (i, (i + 1) % n),
+                lambda z: 0.5 * (z[0] ** 2 + z[1] ** 2) + 0.1 * np.cos(z[0] - z[1]),
+                lambda z: np.array(
+                    [z[0] - 0.1 * np.sin(z[0] - z[1]), z[1] + 0.1 * np.sin(z[0] - z[1])]
+                ),
+                1.2,
+            )
+            for i in range(n)
+        ),
+        SmoothnessParams(alpha=1.6, beta=2.4),
+    )
+    assert pot.quadratic_matrix is None
+    mode = "lmc" if m == 1 else "langevin-reference"
+    cfg = SamplerConfig(
+        h=0.07, iterations=23, burn_in=5, thinning=4, num_chains=2, seed=31, mode=mode, substeps=m
+    )
+    x0 = np.linspace(-1.0, 1.0, n)
+    store = run_chain(pot, cfg, x0)
+
+    expected = []
+    for seq in np.random.SeedSequence(31).spawn(2):
+        rng = np.random.default_rng(seq)
+        x, kept = x0.copy(), []
+        for k in range(1, cfg.iterations + 1):
+            z = rng.standard_normal((m, n))
+            for j in range(m):
+                x = lmc_step(pot, x, cfg.h / m, z[j])
+            if k > cfg.effective_burn_in and (k - cfg.effective_burn_in - 1) % cfg.thinning == 0:
+                kept.append(x)
+        expected.append(kept)
+    np.testing.assert_array_equal(store.samples, np.array(expected))
 
 
 def test_langevin_reference_substeps_reduce_bias(small_pot):
