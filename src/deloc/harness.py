@@ -305,7 +305,8 @@ def _exp_bound_vs_truth(config: ExperimentConfig) -> list[ReportRow]:
     for h in h_grid:
         law_h = orc.lmc_stationary_law(tgt, h)
         for u in panel:
-            kl = orc.kl_gaussian(orc.marginal(law_h, u), orc.marginal(law, u))
+            pair = (orc.marginal(law_h, u), orc.marginal(law, u))
+            kl = orc.kl_gaussian(*pair)
             kl_bound = C * h * len(u)
             rows.append(
                 ReportRow(
@@ -313,7 +314,7 @@ def _exp_bound_vs_truth(config: ExperimentConfig) -> list[ReportRow]:
                     kl, bound=kl_bound, theorem="sparse-poly", valid=kl <= kl_bound,
                 )
             )
-            w2 = orc.w2sq_gaussian(orc.marginal(law_h, u), orc.marginal(law, u))
+            w2 = orc.w2sq_gaussian(*pair)
             tal = (2.0 / alpha) * kl
             rows.append(
                 ReportRow(

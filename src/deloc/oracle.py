@@ -11,16 +11,20 @@ the doubling iteration below is kept as an independent oracle for it.
 Continuous-time (overdamped Langevin / OU) laws, Gaussian 2-Wasserstein
 (Bures) and KL round out the ground-truth toolkit.
 
+A GaussianLaw requires a positive-definite covariance and keeps its lower
+Cholesky factor, taken once on construction; W2, KL and sampling reuse it.
+
 W_{2,linf} between Gaussians has no closed form and is deliberately
 absent; it is estimated empirically in the metrics module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 __all__ = [
     "GaussianLaw",
@@ -35,14 +39,15 @@ __all__ = [
     "sample",
 ]
 
-_PSD_CLIP = 1e-14
-_PSD_REL = 1e-10
-
 
 @dataclass(frozen=True, eq=False)
 class GaussianLaw:
+    """N(mean, cov); cov must be symmetric positive definite.  `chol`, its lower
+    Cholesky factor, is taken once on construction and reused by W2, KL and sample."""
+
     mean: np.ndarray
     cov: np.ndarray
+    chol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
@@ -54,8 +59,11 @@ class GaussianLaw:
             raise ValueError(f"cov shape {cov.shape} does not match mean length {n}")
         if not np.allclose(cov, cov.T, atol=1e-12, rtol=0):
             raise ValueError("covariance must be symmetric (tol 1e-12)")
-        if np.linalg.eigvalsh(cov)[0] <= 0:
-            raise ValueError("covariance must be positive definite")
+        try:
+            chol = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            raise ValueError("covariance must be positive definite") from None
+        object.__setattr__(self, "chol", chol)
 
     @property
     def dim(self) -> int:
@@ -64,16 +72,6 @@ class GaussianLaw:
 
 def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
-
-def _psd_sqrt(M: np.ndarray) -> np.ndarray:
-    """Symmetric square root via eigendecomposition.  Eigenvalues are
-    clipped at 1e-14; clipping more than 1e-10 relative mass is an error."""
-    lam, Q = np.linalg.eigh(_sym(M))
-    top = float(lam[-1]) if lam.size else 0.0
-    clipped = np.clip(lam, _PSD_CLIP, None)
-    if top > 0 and float(np.max(clipped - lam)) > _PSD_REL * top:
-        raise ValueError(f"matrix is not PSD: min eigenvalue {lam[0]} vs scale {top}")
-    return (Q * np.sqrt(clipped)) @ Q.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,12 +183,13 @@ def marginal(law: GaussianLaw, u) -> GaussianLaw:
 
 def w2sq_gaussian(law1: GaussianLaw, law2: GaussianLaw) -> float:
     """Squared 2-Wasserstein distance (Bures):
-    |m1 - m2|^2 + tr(S1 + S2 - 2 (S2^{1/2} S1 S2^{1/2})^{1/2})."""
+    |m1 - m2|^2 + tr(S1 + S2 - 2 (S2^{1/2} S1 S2^{1/2})^{1/2}); the last
+    matrix is similar to L2' S1 L2 (S2 = L2 L2'), whose eigenvalues are used."""
     if law1.dim != law2.dim:
         raise ValueError(f"dimension mismatch: {law1.dim} vs {law2.dim}")
     d2 = float(np.sum((law1.mean - law2.mean) ** 2))
-    root2 = _psd_sqrt(law2.cov)
-    inner = _sym(root2 @ law1.cov @ root2)
+    L2 = law2.chol
+    inner = _sym(L2.T @ law1.cov @ L2)
     lam = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
     cross = float(np.sum(np.sqrt(lam)))
     val = d2 + float(np.trace(law1.cov) + np.trace(law2.cov)) - 2.0 * cross
@@ -199,24 +198,20 @@ def w2sq_gaussian(law1: GaussianLaw, law2: GaussianLaw) -> float:
 
 def kl_gaussian(law1: GaussianLaw, law2: GaussianLaw) -> float:
     """KL(law1 || law2) for Gaussians:
-    (tr(S2^{-1} S1) - k + (m2-m1)' S2^{-1} (m2-m1) + lndet S2 - lndet S1) / 2."""
+    (tr(S2^{-1} S1) - k + (m2-m1)' S2^{-1} (m2-m1) + lndet S2 - lndet S1) / 2,
+    each term from the Cholesky factors L1, L2."""
     if law1.dim != law2.dim:
         raise ValueError(f"dimension mismatch: {law1.dim} vs {law2.dim}")
     k = law1.dim
-    try:
-        L = np.linalg.cholesky(law2.cov)
-    except np.linalg.LinAlgError:
-        raise ValueError("law2 covariance is not positive definite") from None
-    sol = np.linalg.solve(law2.cov, law1.cov)
-    dm = law2.mean - law1.mean
-    quad = float(dm @ np.linalg.solve(law2.cov, dm))
-    _, ld1 = np.linalg.slogdet(law1.cov)
-    ld2 = 2.0 * float(np.sum(np.log(np.diag(L))))
-    val = 0.5 * (float(np.trace(sol)) - k + quad + ld2 - ld1)
+    L1, L2 = law1.chol, law2.chol
+    tr = float(np.sum(solve_triangular(L2, L1, lower=True) ** 2))
+    z = solve_triangular(L2, law2.mean - law1.mean, lower=True)
+    ld1 = 2.0 * float(np.sum(np.log(np.diag(L1))))
+    ld2 = 2.0 * float(np.sum(np.log(np.diag(L2))))
+    val = 0.5 * (tr - k + float(z @ z) + ld2 - ld1)
     return max(val, 0.0)
 
 
 def sample(law: GaussianLaw, m: int, rng: np.random.Generator) -> np.ndarray:
-    """m exact draws, shape (m, dim), via Cholesky of the covariance."""
-    L = np.linalg.cholesky(law.cov)
-    return law.mean + rng.standard_normal((m, law.dim)) @ L.T
+    """m exact draws, shape (m, dim): mean + z L' with the stored Cholesky factor."""
+    return law.mean + rng.standard_normal((m, law.dim)) @ law.chol.T

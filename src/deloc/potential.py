@@ -64,6 +64,8 @@ class FactorTerm:
             raise ValueError("factor support must be nonempty")
         if list(self.support) != sorted(set(self.support)):
             raise ValueError(f"support must be sorted and duplicate-free, got {self.support}")
+        if self.support[0] < 0:
+            raise ValueError(f"support indices must be >= 0, got {self.support}")
         if self.lipschitz < 0:
             raise ValueError(f"lipschitz weight must be >= 0, got {self.lipschitz}")
         if self.kind not in ("quadratic", "callable"):
@@ -165,6 +167,15 @@ def interaction_constants(
     )
 
 
+def _assemble(n: int, terms: Sequence[FactorTerm]) -> np.ndarray:
+    """The n-by-n matrix A with x'Ax/2 = sum of the quadratic terms, summed in term order."""
+    A = np.zeros((n, n))
+    for t in terms:
+        idx = np.asarray(t.support)
+        A[np.ix_(idx, idx)] += t.matrix
+    return A
+
+
 @dataclass(frozen=True, eq=False)
 class StructuredPotential:
     n: int
@@ -251,11 +262,7 @@ class StructuredPotential:
         quadratic, else None.  Lets samplers and oracles take the fast path."""
         if any(t.kind != "quadratic" for t in self.terms):
             return None
-        A = np.zeros((self.n, self.n))
-        for t in self.terms:
-            idx = np.asarray(t.support)
-            A[np.ix_(idx, idx)] += t.matrix
-        return A
+        return _assemble(self.n, self.terms)
 
     def content_hash(self) -> str:
         """Hash of the structural description (supports, kinds, weights,
@@ -440,18 +447,13 @@ def _pair_coupling_matrix(c: float) -> list[list[float]]:
 
 def _assembled_pair_potential(n, singleton_coefs, pairs, gamma) -> StructuredPotential:
     terms = []
-    A = np.zeros((n, n))
     for i, a in enumerate(singleton_coefs):
         if a != 0.0:
             terms.append(quadratic_term((i,), [[a]]))
-            A[i, i] += a
     for (i, j), c in pairs:
         if c != 0.0:
             terms.append(quadratic_term((i, j), _pair_coupling_matrix(c)))
-            A[i, i] += c
-            A[j, j] += c
-            A[i, j] -= c
-            A[j, i] -= c
+    A = _assemble(n, terms)
     return StructuredPotential(
         n=n, terms=tuple(terms), smoothness=_gaussian_smoothness(A, gamma, None)
     )

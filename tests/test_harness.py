@@ -389,3 +389,17 @@ def test_cli_validate(tmp_path, capsys):
     bad = write_potential(tmp_path / "bad.json", alpha=100.0)  # alpha above beta
     rc = main(["validate", bad])
     assert rc == 2
+    assert cli_json(capsys)["valid"] is False
+
+    # a negative index would wrap onto coordinate n-1
+    negative = tmp_path / "negative.json"
+    negative.write_text(json.dumps({
+        "n": 3,
+        "smoothness": {"alpha": 0.5, "beta": 2.0},
+        "terms": [{"kind": "quadratic", "support": [-1, 0],
+                   "params": {"matrix": [[1.0, -0.5], [-0.5, 1.0]]}}],
+    }))
+    rc = main(["validate", str(negative)])
+    payload = cli_json(capsys)
+    assert rc == 2
+    assert payload["valid"] is False

@@ -25,6 +25,14 @@ def test_law_validation():
         GaussianLaw(np.zeros(2), np.array([[1.0, 0.2], [0.0, 1.0]]))  # asymmetric
     with pytest.raises(ValueError):
         GaussianLaw(np.zeros(2), -np.eye(2))  # not PD
+    with pytest.raises(ValueError):
+        GaussianLaw(np.zeros(2), np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+
+def test_law_keeps_cholesky_factor(rng):
+    law = GaussianLaw(rng.standard_normal(5), random_spd(rng, 5))
+    np.testing.assert_array_equal(law.chol, np.tril(law.chol))
+    np.testing.assert_allclose(law.chol @ law.chol.T, law.cov, rtol=0, atol=1e-14)
 
 
 def test_target_spectrum():
@@ -181,6 +189,39 @@ def test_kl_gaussian_1d_formula():
     assert kl_gaussian(a, b) == pytest.approx(0.5 * (s2 - 1.0 - np.log(s2)))
 
 
+def test_kl_gaussian_1d_mean_shift():
+    s1, s2, m1, m2 = 0.7, 1.9, 0.4, -1.1
+    a = GaussianLaw(np.array([m1]), np.array([[s1]]))
+    b = GaussianLaw(np.array([m2]), np.array([[s2]]))
+    expected = 0.5 * (s1 / s2 - 1.0 - np.log(s1 / s2) + (m1 - m2) ** 2 / s2)
+    assert kl_gaussian(a, b) == pytest.approx(expected, rel=1e-14)
+
+
+def _w2sq_reference(a, b):
+    # Bures formula with the symmetric square root of S2 from eigh
+    lam, Q = np.linalg.eigh(b.cov)
+    root = (Q * np.sqrt(lam)) @ Q.T
+    inner = root @ a.cov @ root
+    cross = np.sum(np.sqrt(np.clip(np.linalg.eigvalsh(0.5 * (inner + inner.T)), 0.0, None)))
+    return np.sum((a.mean - b.mean) ** 2) + np.trace(a.cov) + np.trace(b.cov) - 2.0 * cross
+
+
+def _kl_reference(a, b):
+    dm = b.mean - a.mean
+    tr = np.trace(np.linalg.solve(b.cov, a.cov))
+    quad = dm @ np.linalg.solve(b.cov, dm)
+    return 0.5 * (tr - a.dim + quad + np.linalg.slogdet(b.cov)[1] - np.linalg.slogdet(a.cov)[1])
+
+
+def test_factor_formulas_match_dense_references(rng):
+    for n in (1, 2, 3, 5, 8):
+        for _ in range(4):
+            a = GaussianLaw(rng.standard_normal(n), random_spd(rng, n) if n > 1 else [[0.3]])
+            b = GaussianLaw(rng.standard_normal(n), random_spd(rng, n) if n > 1 else [[1.7]])
+            assert w2sq_gaussian(a, b) == pytest.approx(_w2sq_reference(a, b), rel=1e-12)
+            assert kl_gaussian(a, b) == pytest.approx(_kl_reference(a, b), rel=1e-12)
+
+
 def test_kl_gaussian_asymmetric(rng):
     a = GaussianLaw(np.zeros(3), random_spd(rng, 3))
     b = GaussianLaw(np.zeros(3), random_spd(rng, 3))
@@ -216,6 +257,13 @@ def test_sample_moments(rng):
     x = sample(law, 200_000, rng)
     np.testing.assert_allclose(x.mean(axis=0), law.mean, atol=0.02)
     np.testing.assert_allclose(np.cov(x.T), law.cov, atol=0.03)
+
+
+def test_sample_uses_cholesky_draws_bit_for_bit(rng):
+    law = GaussianLaw(rng.standard_normal(4), random_spd(rng, 4))
+    x = sample(law, 50, np.random.default_rng(9))
+    z = np.random.default_rng(9).standard_normal((50, 4))
+    np.testing.assert_array_equal(x, law.mean + z @ np.linalg.cholesky(law.cov).T)
 
 
 @settings(max_examples=20, deadline=None)

@@ -50,6 +50,8 @@ def test_factor_support_must_be_sorted_unique():
         FactorTerm(support=(1, 0), kind="quadratic", lipschitz=0.0, matrix=np.zeros((2, 2)))
     with pytest.raises(ValueError, match="sorted"):
         callable_term((0, 0), lambda z: 0.0, lambda z: z * 0, 1.0)
+    with pytest.raises(ValueError, match=">= 0"):
+        quadratic_term((-1, 0), np.eye(2))
     # the convenience constructor sorts on its own
     t = quadratic_term((1, 0), np.zeros((2, 2)))
     assert t.support == (0, 1)
