@@ -70,6 +70,7 @@ from .bounds import (
     sparse_exp_constants,
     sparse_poly_constants,
     subgaussian_grad_linf_bound,
+    theorem_constants,
     weak_constants,
 )
 from .hierarchy import (

@@ -21,13 +21,15 @@ Constants implemented:
                 h* = alpha eta^{3/2} / (5 M0 M1)
 
 with the decay rate tau = alpha eta^2 / (2 (2 - eta)) for the exp/weak
-dynamic envelopes.
+dynamic envelopes.  THEOREMS maps each name to its routine and parameter
+names; theorem_constants(name, params) is how the dynamic envelopes, the
+hierarchy and the CLI reach them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +42,8 @@ __all__ = [
     "sparse_poly_constants",
     "sparse_exp_constants",
     "weak_constants",
+    "THEOREMS",
+    "theorem_constants",
     "onestep_linf_bound",
     "dynamic_bound",
     "continuous_time_bound",
@@ -143,6 +147,22 @@ def weak_constants(alpha: float, gamma: float, M0: float, M1: float, R1: float) 
     )
 
 
+THEOREMS = {
+    "sparse-poly": (sparse_poly_constants, ("alpha", "beta", "gamma", "c", "p")),
+    "sparse-exp": (sparse_exp_constants, ("alpha", "beta", "gamma", "c", "r")),
+    "weak": (weak_constants, ("alpha", "gamma", "M0", "M1", "R1")),
+}
+
+
+def theorem_constants(theorem: str, params) -> BoundReport:
+    """Report of the named stationary theorem; params maps each of its
+    parameter names (THEOREMS[theorem][1]) to a value, extra keys are ignored."""
+    if theorem not in THEOREMS:
+        raise ValueError(f"unknown theorem {theorem!r}, expected one of {tuple(THEOREMS)}")
+    routine, names = THEOREMS[theorem]
+    return routine(*(params[name] for name in names))
+
+
 def onestep_linf_bound(
     alpha: float, alpha0: float, beta: float, h: float, n: int, usize: int | None = None
 ) -> BoundReport:
@@ -173,9 +193,9 @@ def dynamic_bound(
 ) -> BoundReport:
     """Per-step decay envelope H_{kh}(u) <= transient(k) |u| + C h |u|.
 
-    theorem:  "sparse-dyn-poly"  params alpha, beta, gamma, c, p
-              "sparse-dyn-exp"   params alpha, beta, gamma, c, r
-              "weak-dyn"         params alpha, gamma, M0, M1, R1
+    theorem:  "sparse-dyn-poly", "sparse-dyn-exp" or "weak-dyn"; params maps
+              the names of the stationary theorem without "-dyn" (THEOREMS)
+              to values, and only those are read and echoed in inputs.
     Valid only for h <= h* of the matching stationary theorem.
     """
     if theorem not in DYNAMIC_THEOREMS:
@@ -186,20 +206,11 @@ def dynamic_bound(
         raise ValueError(f"subset size must be >= 1, got {usize}")
     if C0 < 0:
         raise ValueError(f"C0 must be >= 0, got {C0}")
-    inputs = dict(theorem=theorem, params=dict(params), k=k, h=h, usize=usize, C0=C0)
+    stationary = theorem.replace("-dyn", "")
+    params = {name: params[name] for name in THEOREMS[stationary][1]}
+    inputs = dict(theorem=theorem, params=params, k=k, h=h, usize=usize, C0=C0)
 
-    if theorem == "sparse-dyn-poly":
-        base = sparse_poly_constants(
-            params["alpha"], params["beta"], params["gamma"], params["c"], params["p"]
-        )
-    elif theorem == "sparse-dyn-exp":
-        base = sparse_exp_constants(
-            params["alpha"], params["beta"], params["gamma"], params["c"], params["r"]
-        )
-    else:
-        base = weak_constants(
-            params["alpha"], params["gamma"], params["M0"], params["M1"], params["R1"]
-        )
+    base = theorem_constants(stationary, params)
     if not base.valid:
         return BoundReport(theorem, inputs, dict(base.outputs), False, base.reason)
 

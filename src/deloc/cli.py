@@ -82,12 +82,8 @@ def _report_payload(rep: bnd.BoundReport) -> dict:
 
 def _cmd_bounds(args) -> int:
     t = args.theorem
-    if t == "sparse-poly":
-        rep = bnd.sparse_poly_constants(args.alpha, args.beta, args.gamma, args.c, args.p)
-    elif t == "sparse-exp":
-        rep = bnd.sparse_exp_constants(args.alpha, args.beta, args.gamma, args.c, args.r)
-    elif t == "weak":
-        rep = bnd.weak_constants(args.alpha, args.gamma, args.M0, args.M1, args.R1)
+    if t in bnd.THEOREMS:
+        rep = bnd.theorem_constants(t, vars(args))
     elif t == "onestep-linf":
         rep = bnd.onestep_linf_bound(
             args.alpha, args.alpha0, args.beta, args.h, args.n, usize=args.usize
@@ -101,14 +97,7 @@ def _cmd_bounds(args) -> int:
         _emit({"theorem": t, "outputs": {"bound": val}, "valid": True})
         return EXIT_OK
     elif t in bnd.DYNAMIC_THEOREMS:
-        params = {"alpha": args.alpha, "beta": args.beta, "gamma": args.gamma}
-        if t == "sparse-dyn-poly":
-            params.update(c=args.c, p=args.p)
-        elif t == "sparse-dyn-exp":
-            params.update(c=args.c, r=args.r)
-        else:
-            params.update(M0=args.M0, M1=args.M1, R1=args.R1)
-        rep = bnd.dynamic_bound(t, params, args.k, args.h, args.usize, args.C0)
+        rep = bnd.dynamic_bound(t, vars(args), args.k, args.h, args.usize, args.C0)
     else:  # continuous-time over a loaded potential
         pot = load_potential(args.potential)
         graph = build_graph(pot)
@@ -131,26 +120,26 @@ def _cmd_hierarchy(args) -> int:
     pot = load_potential(args.potential)
     graph = build_graph(pot)
     sm = pot.smoothness
+    consts = pot.interaction_constants
     u = mask_from(args.subset)
     if args.certify:
-        if args.case == "weak":
-            params = hie.WeakParams(alpha=sm.alpha, gamma=sm.gamma, epsilon=args.eps)
-            structure = hie.weights_from_potential(pot)
-            M0, M1, R1 = hie.weak_interaction_constants(structure)
-            h_star = params.h_star(M0, M1, R1)
-        else:
-            kw = dict(alpha=sm.alpha, beta=pot.beta, gamma=sm.gamma, c=args.c, epsilon=args.eps)
-            if args.case == "sparse-exp":
-                kw["r"] = args.r
-            else:
-                kw["p"] = args.p
-            params = hie.SparseParams(**kw)
-            structure = graph
-            h_star = params.h_star()
-        case = "sparse" if args.case.startswith("sparse") else "weak"
         C0 = 1.0 if args.C0 is None else args.C0
         H0 = hie.SubsetFunction(lambda m: C0 * size(m), "scaled-size")
-        curve = hie.certified_entropy_curve(case, params, structure, H0, args.h, args.k, u)
+        try:
+            if args.case == "weak":
+                params = hie.WeakParams(alpha=sm.alpha, gamma=sm.gamma, epsilon=args.eps)
+                h_star = params.h_star(consts.M0, consts.M1, consts.R1)
+                curve = hie.certified_entropy_curve("weak", params, pot, H0, args.h, args.k, u)
+            else:
+                growth = {"r": args.r} if args.case == "sparse-exp" else {"p": args.p}
+                params = hie.SparseParams(
+                    sm.alpha, pot.beta, sm.gamma, args.c, epsilon=args.eps, **growth
+                )
+                h_star = params.h_star()
+                curve = hie.certified_entropy_curve("sparse", params, graph, H0, args.h, args.k, u)
+        except ValueError as e:
+            _emit({"case": args.case, "h": args.h, "valid": False, "reason": str(e)})
+            return EXIT_CHECK_FAILED
         _emit({"case": args.case, "h": args.h, "h_star": h_star, "curve": curve.tolist()})
         return EXIT_OK
     # semigroup evaluation of e^{tA} applied to the size function
@@ -158,8 +147,7 @@ def _cmd_hierarchy(args) -> int:
     eps = 0.5 if args.eps is None else args.eps
     if args.case == "weak":
         weights = hie.weights_from_potential(pot)
-        M0, _, _ = hie.weak_interaction_constants(weights)
-        gen = hie.WeakGenerator.from_params(weights, sm.alpha, sm.gamma, M0, eps)
+        gen = hie.WeakGenerator.from_params(weights, sm.alpha, sm.gamma, consts.M0, eps)
         val = hie.semigroup_weak(gen, args.t, F, u)
     else:
         gen = hie.SparseGenerator.from_params(graph, sm.alpha, pot.beta, sm.gamma, eps)
@@ -209,8 +197,9 @@ def _cmd_validate(args) -> int:
     check("gradient-matches-value", fd_ok)
     graph = build_graph(pot)
     check("graph-buildable", True, f"edges={len(graph.edges())}")
-    ok, eta = pot.weak_condition()
-    check("weak-condition", True, f"holds={ok} eta={eta:.6g}")
+    weak = bnd.theorem_constants("weak", {"alpha": sm.alpha, "gamma": sm.gamma, **vars(consts)})
+    eta = weak.outputs.get("eta", float("nan"))
+    check("weak-condition", True, f"holds={weak.valid} eta={eta:.6g}")
 
     all_ok = all(ok for _, ok, _ in checks)
     _emit(

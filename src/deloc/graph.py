@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable
 
-import numpy as np
-
 from .potential import StructuredPotential
 from .subsets import as_mask, indices_from, mask_from, size
 

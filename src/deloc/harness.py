@@ -16,8 +16,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field, asdict
-from typing import Iterable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -250,6 +249,14 @@ def _target_from_options(n: int, options: dict) -> orc.GaussianTarget:
     return orc.GaussianTarget(A)
 
 
+def _singleton_w2(law_h: orc.GaussianLaw, law: orc.GaussianLaw) -> list[float]:
+    """Exact W2^2 between the coordinate marginals of law_h and law, one per coordinate."""
+    return [
+        orc.w2sq_gaussian(orc.marginal(law_h, (i,)), orc.marginal(law, (i,)))
+        for i in range(law.dim)
+    ]
+
+
 def _exp_gaussian_scaling(config: ExperimentConfig) -> list[ReportRow]:
     rows = []
     for n in config.dims or (16, 64, 256):
@@ -257,10 +264,7 @@ def _exp_gaussian_scaling(config: ExperimentConfig) -> list[ReportRow]:
         law = tgt.law()
         for h in config.h_values or (0.01,):
             law_h = orc.lmc_stationary_law(tgt, h)
-            per_coord = [
-                orc.w2sq_gaussian(orc.marginal(law_h, (i,)), orc.marginal(law, (i,)))
-                for i in range(n)
-            ]
+            per_coord = _singleton_w2(law_h, law)
             for i, v in enumerate(per_coord):
                 rows.append(
                     ReportRow(config.experiment, n, h, str(i), "w2sq-marginal", v, theorem="oracle")
@@ -468,11 +472,10 @@ def _exp_sampler_vs_oracle(config: ExperimentConfig) -> list[ReportRow]:
     thin = int(opts.get("thin", 20))
     m_cmp = int(opts.get("marginal_samples", 100_000))
     rng = np.random.default_rng([config.seed, 1])
-    for i in range(n):
+    for i, ref in enumerate(_singleton_w2(law_h, law)):
         lmc_i = marginal_samples(store, (i,))[::thin, 0][:m_cmp]
         exact_i = orc.sample(orc.marginal(law, (i,)), lmc_i.shape[0], rng)[:, 0]
         est = mtr.w2sq_1d(lmc_i, exact_i, rng=rng)
-        ref = orc.w2sq_gaussian(orc.marginal(law_h, (i,)), orc.marginal(law, (i,)))
         rows.append(
             ReportRow(
                 config.experiment, n, h, str(i), "w2sq-marginal",
@@ -516,10 +519,7 @@ def _exp_delocalization_failure(config: ExperimentConfig) -> list[ReportRow]:
             tgt = orc.GaussianTarget(A)
             law_h = orc.lmc_stationary_law(tgt, h)
             law = tgt.law()
-            per = [
-                orc.w2sq_gaussian(orc.marginal(law_h, (i,)), orc.marginal(law, (i,)))
-                for i in range(n)
-            ]
+            per = _singleton_w2(law_h, law)
             top = float(np.max(per))
             (rot_max if rotate else prod_max).append(top)
             rows.append(

@@ -26,19 +26,25 @@ recursion
 
 with no closed-form relaxation, so it sits between the exact trajectory
 and the closed-form dynamic envelope.
+
+SparseParams and WeakParams take h* and the margin eta from the matching
+theorem in bounds (bounds.theorem_constants).  Unless epsilon is given it
+defaults to 1 - eta/2, the midpoint of (1 - eta, 1), with eta = 1 under
+polynomial growth (so epsilon = 1/2); a theorem whose domain fails (e.g.
+supercritical growth) raises its report's reason.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy import sparse
 
 from ._poisson import shift_kernel, stopped_weights, truncated_pmf
-from .bounds import sparse_exp_constants, sparse_poly_constants, weak_constants
+from .bounds import BoundReport, theorem_constants
 from .graph import InteractionGraph
 from .potential import StructuredPotential, interaction_constants
 from .subsets import as_mask, indices_from, size
@@ -291,8 +297,7 @@ def semigroup_weak(
 @dataclass(frozen=True)
 class SparseParams:
     """Analytic constants plus a growth certificate: polynomial (p set) or
-    exponential (r set).  epsilon defaults to 1/2 for polynomial growth and
-    to the midpoint 1/2 + gamma beta^2 (r-1)/(2 alpha^2) for exponential."""
+    exponential (r set).  epsilon defaults to 1 - eta/2."""
 
     alpha: float
     beta: float
@@ -314,29 +319,23 @@ class SparseParams:
     def mode(self) -> str:
         return "polynomial" if self.p is not None else "exponential"
 
+    def constants(self) -> BoundReport:
+        """Report of the matching theorem (bounds.sparse_*_constants)."""
+        theorem = "sparse-poly" if self.mode == "polynomial" else "sparse-exp"
+        return theorem_constants(theorem, vars(self))
+
     def resolved_epsilon(self) -> float:
-        if self.epsilon is not None:
-            return self.epsilon
-        if self.mode == "polynomial":
-            return 0.5
-        eps = 0.5 + self.gamma * self.beta**2 * (self.r - 1.0) / (2.0 * self.alpha**2)
-        if eps >= 1.0:
-            raise ValueError(
-                f"default epsilon = {eps} >= 1: growth rate r={self.r} is supercritical"
-            )
-        return eps
+        return _resolve(self.constants(), self.epsilon)[1]
 
     def h_star(self) -> float:
-        """Step ceiling of the matching theorem (bounds.sparse_*_constants)."""
-        if self.mode == "polynomial":
-            rep = sparse_poly_constants(self.alpha, self.beta, self.gamma, self.c, self.p)
-        else:
-            rep = sparse_exp_constants(self.alpha, self.beta, self.gamma, self.c, self.r)
-        return _h_star(rep)
+        return _resolve(self.constants(), self.epsilon)[0]
 
 
 @dataclass(frozen=True)
 class WeakParams:
+    """alpha and gamma of the weak theorem; M0, M1, R1 come from the weights.
+    epsilon defaults to 1 - eta/2."""
+
     alpha: float
     gamma: float
     epsilon: float | None = None
@@ -347,25 +346,24 @@ class WeakParams:
         if self.epsilon is not None and not 0 < self.epsilon < 1:
             raise ValueError(f"epsilon must lie in (0,1), got {self.epsilon}")
 
-    def resolved_epsilon(self, M0: float, R1: float) -> float:
-        if self.epsilon is not None:
-            return self.epsilon
-        eps = 0.5 + self.gamma * M0 * R1 / (2.0 * self.alpha**2)
-        if eps >= 1.0:
-            raise ValueError(
-                f"default epsilon = {eps} >= 1: weak-interaction condition fails"
-            )
-        return eps
+    def constants(self, M0: float, M1: float, R1: float) -> BoundReport:
+        """Report of the weak theorem (bounds.weak_constants)."""
+        return theorem_constants("weak", {**vars(self), "M0": M0, "M1": M1, "R1": R1})
+
+    def resolved_epsilon(self, M0: float, M1: float, R1: float) -> float:
+        return _resolve(self.constants(M0, M1, R1), self.epsilon)[1]
 
     def h_star(self, M0: float, M1: float, R1: float) -> float:
-        """Step ceiling of the weak theorem (bounds.weak_constants)."""
-        return _h_star(weak_constants(self.alpha, self.gamma, M0, M1, R1))
+        return _resolve(self.constants(M0, M1, R1), self.epsilon)[0]
 
 
-def _h_star(report) -> float:
+def _resolve(report: BoundReport, epsilon: float | None) -> tuple[float, float]:
+    """(h*, epsilon) of a valid theorem report; an invalid one raises its reason."""
     if not report.valid:
         raise ValueError(report.reason)
-    return report["h_star"]
+    if epsilon is None:
+        epsilon = 1.0 - report.outputs.get("eta", 1.0) / 2.0
+    return report["h_star"], epsilon
 
 
 def _shift(v: np.ndarray, s: int) -> np.ndarray:
@@ -399,12 +397,11 @@ def certified_entropy_trajectory(case: str, params, structure, H0, h: float, k: 
 
 
 def _certified_sparse(params: SparseParams, graph: InteractionGraph, H0, h, k_max, u):
-    h_star = params.h_star()
+    h_star, eps = _resolve(params.constants(), params.epsilon)
     if h > h_star * (1.0 + 1e-12):
         raise ValueError(f"h={h} exceeds h* = {h_star} of the matching theorem")
-    eps = params.resolved_epsilon()
     alpha, beta = params.alpha, params.beta
-    lam = params.gamma * beta**2 / (alpha * eps)
+    lam = SparseGenerator.from_params(graph, alpha, beta, params.gamma, eps).rate
 
     m = as_mask(u, graph.n)
     J = graph.stabilization_index(m)
@@ -448,10 +445,9 @@ def _certified_weak(params: WeakParams, structure, H0, h, k_max, u):
     M0, M1, R1 = weak_interaction_constants(weights)
     if M0 <= 0:
         raise ValueError("weight list has no active factors")
-    h_star = params.h_star(M0, M1, R1)
+    h_star, eps = _resolve(params.constants(M0, M1, R1), params.epsilon)
     if h > h_star * (1.0 + 1e-12):
         raise ValueError(f"h={h} exceeds h* = {h_star} of the matching theorem")
-    eps = params.resolved_epsilon(M0, R1)
     alpha = params.alpha
     gen = WeakGenerator.from_params(weights, alpha, params.gamma, M0, eps)
 

@@ -42,8 +42,9 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class GaussianLaw:
-    """N(mean, cov); cov must be symmetric positive definite.  `chol`, its lower
-    Cholesky factor, is taken once on construction and reused by W2, KL and sample."""
+    """N(mean, cov); mean and cov must be finite, cov symmetric positive definite.
+    `chol`, the lower Cholesky factor of cov, is taken once on construction and
+    reused by W2, KL and sample."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -57,6 +58,8 @@ class GaussianLaw:
         n = mean.shape[0]
         if cov.shape != (n, n):
             raise ValueError(f"cov shape {cov.shape} does not match mean length {n}")
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValueError("mean and covariance must be finite")
         if not np.allclose(cov, cov.T, atol=1e-12, rtol=0):
             raise ValueError("covariance must be symmetric (tol 1e-12)")
         try:
@@ -82,6 +85,8 @@ class GaussianTarget:
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.precision, dtype=float))
+        if not np.isfinite(A).all():
+            raise ValueError("precision must be finite")
         if not np.allclose(A, A.T, atol=1e-10, rtol=0):
             raise ValueError("precision must be symmetric")
         object.__setattr__(self, "precision", _sym(A))

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -248,13 +247,6 @@ class StructuredPotential:
         if self.smoothness.beta is not None:
             return self.smoothness.beta
         return self.interaction_constants.M0
-
-    def weak_condition(self) -> tuple[bool, float]:
-        """Check gamma * M0 * R1 < alpha^2; returns (holds, eta)."""
-        c = self.interaction_constants
-        s = self.smoothness
-        eta = 1.0 - s.gamma * c.M0 * c.R1 / s.alpha**2
-        return eta > 0.0, eta
 
     @cached_property
     def quadratic_matrix(self) -> np.ndarray | None:

@@ -14,6 +14,7 @@ from deloc.bounds import (
     sparse_exp_constants,
     sparse_poly_constants,
     subgaussian_grad_linf_bound,
+    theorem_constants,
     weak_constants,
 )
 from deloc.graph import InteractionGraph
@@ -102,6 +103,19 @@ def test_onestep_preconditions():
     assert onestep_linf_bound(2.0, 0.5, 3.0, 1.0 / 3.0, 4).valid  # h = 1/beta ok
     with pytest.raises(ValueError):
         onestep_linf_bound(2.0, 0.5, 3.0, 0.1, 0)
+
+
+def test_theorem_constants_match_direct_routines():
+    params = dict(alpha=0.9, beta=1.4, gamma=0.5, c=2.0, p=1.5, r=1.2, M0=1.1, M1=1.9, R1=0.4)
+    poly = sparse_poly_constants(0.9, 1.4, 0.5, 2.0, 1.5)
+    assert theorem_constants("sparse-poly", params) == poly
+    assert theorem_constants("sparse-exp", params) == sparse_exp_constants(0.9, 1.4, 0.5, 2.0, 1.2)
+    assert theorem_constants("weak", params) == weak_constants(0.9, 0.5, 1.1, 1.9, 0.4)
+    supercritical = sparse_exp_constants(0.9, 1.4, 0.5, 2.0, 3.0)
+    assert not supercritical.valid
+    assert theorem_constants("sparse-exp", {**params, "r": 3.0}) == supercritical
+    with pytest.raises(ValueError, match="unknown theorem"):
+        theorem_constants("sparse-dyn-poly", params)
 
 
 # ------------------------------------------------------------ dynamic decay

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from deloc.bounds import dynamic_bound, weak_constants
 from deloc.cli import main
-from deloc.graph import InteractionGraph
+from deloc.graph import InteractionGraph, build_graph
 from deloc.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -19,6 +20,16 @@ from deloc.harness import (
     resolve_panel,
     run_experiment,
 )
+from deloc.hierarchy import (
+    SparseParams,
+    SubsetFunction,
+    WeakGenerator,
+    WeakParams,
+    certified_entropy_curve,
+    semigroup_weak,
+    weights_from_potential,
+)
+from deloc.potential import load_potential, mean_field, potential_to_dict
 
 
 def path_graph(n):
@@ -376,6 +387,87 @@ def test_cli_hierarchy_semigroup_and_certify(tmp_path, capsys):
     assert len(payload["curve"]) == 11
     assert payload["curve"][0] == 1.0  # default C0 |u|
     assert payload["h_star"] == pytest.approx(1.0 / 108.0)
+
+
+BOUNDS_ARGS = ["--alpha", "0.8", "--beta", "1.7", "--gamma", "0.4", "--c", "2", "--r", "1.2",
+               "--M0", "1.2", "--M1", "2.0", "--R1", "0.3", "--h", "0.001", "--k", "50",
+               "--usize", "2", "--C0", "1.5"]
+
+
+def test_cli_bounds_match_direct_calls(capsys):
+    rc = main(["bounds", "weak", *BOUNDS_ARGS])
+    payload = cli_json(capsys)
+    rep = weak_constants(0.8, 0.4, 1.2, 2.0, 0.3)
+    assert rc == 0
+    assert (payload["inputs"], payload["outputs"], payload["valid"]) == (
+        rep.inputs, rep.outputs, rep.valid
+    )
+    for theorem, params in (
+        ("sparse-dyn-exp", dict(alpha=0.8, beta=1.7, gamma=0.4, c=2.0, r=1.2)),
+        ("weak-dyn", dict(alpha=0.8, gamma=0.4, M0=1.2, M1=2.0, R1=0.3)),
+    ):
+        rc = main(["bounds", theorem, *BOUNDS_ARGS])
+        payload = cli_json(capsys)
+        rep = dynamic_bound(theorem, params, 50, 0.001, 2, 1.5)
+        assert rc == 0
+        assert (payload["outputs"], payload["valid"], payload["reason"]) == (
+            rep.outputs, rep.valid, rep.reason
+        )
+
+
+def write_mean_field(path, strength):
+    path.write_text(json.dumps(potential_to_dict(mean_field(6, strength=strength))))
+    return str(path)
+
+
+def test_cli_hierarchy_matches_direct_calls(tmp_path, capsys):
+    path = write_mean_field(tmp_path / "mf.json", strength=0.1)
+    pot = load_potential(path)
+    sm, consts = pot.smoothness, pot.interaction_constants
+    weights = weights_from_potential(pot)
+
+    rc = main(["hierarchy", path, "--case", "weak", "--subset", "1", "--t", "0.5"])
+    gen = WeakGenerator.from_params(weights, sm.alpha, sm.gamma, consts.M0, 0.5)
+    assert rc == 0
+    assert cli_json(capsys)["value"] == semigroup_weak(gen, 0.5, SubsetFunction.size(), (1,))
+
+    H0 = SubsetFunction.size()
+    rc = main(["hierarchy", path, "--case", "weak", "--certify", "--h", "0.01", "--k", "8"])
+    params = WeakParams(sm.alpha, sm.gamma)
+    payload = cli_json(capsys)
+    assert rc == 0
+    assert payload["h_star"] == params.h_star(consts.M0, consts.M1, consts.R1)
+    assert payload["curve"] == certified_entropy_curve(
+        "weak", params, weights, H0, 0.01, 8, (0,)
+    ).tolist()
+
+    rc = main(["hierarchy", path, "--case", "sparse-exp", "--certify", "--c", "2",
+               "--r", "1.05", "--h", "0.001", "--k", "8"])
+    params = SparseParams(sm.alpha, pot.beta, sm.gamma, 2.0, r=1.05)
+    payload = cli_json(capsys)
+    assert rc == 0
+    assert payload["h_star"] == params.h_star()
+    assert payload["curve"] == certified_entropy_curve(
+        "sparse", params, build_graph(pot), H0, 0.001, 8, (0,)
+    ).tolist()
+
+
+def test_cli_hierarchy_certify_reports_domain_violation(tmp_path, capsys):
+    strong = write_mean_field(tmp_path / "strong.json", strength=0.5)  # gamma M0 R1 >= alpha^2
+    rc = main(["hierarchy", strong, "--case", "weak", "--certify"])
+    payload = cli_json(capsys)
+    assert rc == 2
+    assert payload["valid"] is False
+    assert payload["case"] == "weak"
+    assert "weak-interaction condition fails" in payload["reason"]
+
+    pot = write_potential(tmp_path / "pot.json")
+    rc = main(["hierarchy", pot, "--case", "sparse-poly", "--certify", "--h", "0.5"])
+    payload = cli_json(capsys)
+    assert rc == 2
+    assert set(payload) == {"case", "h", "valid", "reason"}
+    assert (payload["case"], payload["h"], payload["valid"]) == ("sparse-poly", 0.5, False)
+    assert "exceeds h*" in payload["reason"]
 
 
 def test_cli_validate(tmp_path, capsys):

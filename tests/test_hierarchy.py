@@ -318,12 +318,22 @@ def test_weak_params_validation_and_h_star():
     with pytest.raises(ValueError):
         WeakParams(1.0, 1.0, epsilon=0.0)
     wp = WeakParams(2.0, 1.0)
-    assert wp.resolved_epsilon(1.0, 1.0) == pytest.approx(0.5 + 1.0 / 8.0)
+    assert wp.resolved_epsilon(1.0, 2.0, 1.0) == pytest.approx(0.5 + 1.0 / 8.0)
     assert wp.h_star(1.0, 2.0, 1.0) == weak_constants(2.0, 1.0, 1.0, 2.0, 1.0)["h_star"]
     with pytest.raises(ValueError):
-        WeakParams(1.0, 1.0).resolved_epsilon(2.0, 1.0)  # gamma M0 R1 >= alpha^2
+        WeakParams(1.0, 1.0).resolved_epsilon(2.0, 3.0, 1.0)  # gamma M0 R1 >= alpha^2
     with pytest.raises(ValueError):
         WeakParams(1.0, 1.0).h_star(2.0, 3.0, 1.0)
+
+
+def test_default_epsilon_is_one_minus_half_eta():
+    # the midpoint of (1 - eta, 1), with the eta of the matching theorem
+    ex = SparseParams(1.0, 1.2, 0.7, 2.0, r=1.3)
+    eta = sparse_exp_constants(1.0, 1.2, 0.7, 2.0, 1.3)["eta"]
+    assert ex.resolved_epsilon() == pytest.approx(1.0 - eta / 2.0, rel=1e-15, abs=0)
+    eta = weak_constants(2.0, 0.6, 1.5, 2.5, 0.8)["eta"]
+    eps = WeakParams(2.0, 0.6).resolved_epsilon(1.5, 2.5, 0.8)
+    assert eps == pytest.approx(1.0 - eta / 2.0, rel=1e-15, abs=0)
 
 
 # ---------------------------------------------------------- certified curves
@@ -410,7 +420,7 @@ def test_certified_weak_matches_dense_operator_reference():
     H0 = SubsetFunction(lambda m: 0.7 * size(m))
     curve = certified_entropy_curve("weak", params, weights, H0, h, k_max, u)
 
-    eps = params.resolved_epsilon(M0, R1)
+    eps = params.resolved_epsilon(M0, M1, R1)
     rate_factor = gamma * M0 / (alpha * eps)
     u_mask = mask_from(u)
     states, index, Q = weak_lattice_reference(weights, rate_factor, u_mask, True)

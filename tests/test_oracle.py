@@ -27,6 +27,12 @@ def test_law_validation():
         GaussianLaw(np.zeros(2), -np.eye(2))  # not PD
     with pytest.raises(ValueError):
         GaussianLaw(np.zeros(2), np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    with pytest.raises(ValueError):
+        GaussianLaw(np.zeros(2), np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError):
+        GaussianLaw(np.array([np.nan, 0.0]), np.eye(2))
+    with pytest.raises(ValueError):
+        GaussianLaw(np.array([0.0, np.inf]), np.eye(2))
 
 
 def test_law_keeps_cholesky_factor(rng):
@@ -42,6 +48,17 @@ def test_target_spectrum():
     assert tgt.alpha == pytest.approx(lam[0])
     assert tgt.beta == pytest.approx(lam[-1])
     np.testing.assert_allclose(tgt.law().cov @ A, np.eye(4), atol=1e-12)
+
+
+def test_target_validation():
+    with pytest.raises(ValueError):
+        GaussianTarget(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError):
+        GaussianTarget(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    with pytest.raises(ValueError):
+        GaussianTarget(np.array([[1.0, 0.5], [0.0, 1.0]]))  # asymmetric
+    with pytest.raises(ValueError):
+        GaussianTarget(-np.eye(2))  # not PD
 
 
 def test_stationary_law_1d_closed_form():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from deloc.bounds import weak_constants
 from deloc.potential import (
     PairwiseSpec,
     SmoothnessParams,
@@ -150,11 +151,12 @@ def test_beta_defaults_to_M0():
 
 def test_weak_condition_eta():
     pot = gaussian_potential(tridiagonal_precision(4))
-    ok, eta = pot.weak_condition()
     sm = pot.smoothness
     c = pot.interaction_constants
+    rep = weak_constants(sm.alpha, sm.gamma, c.M0, c.M1, c.R1)
+    eta = rep["eta"]
     assert eta == pytest.approx(1.0 - sm.gamma * c.M0 * c.R1 / sm.alpha**2)
-    assert ok == (eta > 0)
+    assert rep.valid == (eta > 0)
 
 
 def test_pairwise_constants_match_display():
