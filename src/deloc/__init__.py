@@ -80,7 +80,6 @@ from .hierarchy import (
     WeakGenerator,
     WeakParams,
     certified_entropy_curve,
-    certified_entropy_trajectory,
     semigroup_sparse,
     semigroup_weak,
 )

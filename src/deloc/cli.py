@@ -24,7 +24,7 @@ from . import hierarchy as hie
 from .graph import build_graph
 from .harness import config_from_dict, run_experiment
 from .potential import load_potential
-from .subsets import mask_from, size
+from .subsets import as_mask, size
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
@@ -99,61 +99,69 @@ def _cmd_bounds(args) -> int:
     elif t in bnd.DYNAMIC_THEOREMS:
         rep = bnd.dynamic_bound(t, vars(args), args.k, args.h, args.usize, args.C0)
     else:  # continuous-time over a loaded potential
+        if args.potential is None:
+            args.usage_error("continuous-time needs --potential")
         pot = load_potential(args.potential)
-        graph = build_graph(pot)
         sm = pot.smoothness
-        rep = bnd.continuous_time_bound(
-            graph,
-            mask_from(args.subset),
-            args.t,
-            args.eps,
-            sm.alpha,
-            pot.beta,
-            sm.gamma,
-            C0=args.C0,
-        )
+        try:
+            rep = bnd.continuous_time_bound(
+                build_graph(pot),
+                args.subset,
+                args.t,
+                args.eps,
+                sm.alpha,
+                pot.beta,
+                sm.gamma,
+                C0=args.C0,
+            )
+        except ValueError as e:
+            _emit({"theorem": t, "valid": False, "reason": str(e)})
+            return EXIT_CHECK_FAILED
     _emit(_report_payload(rep))
     return EXIT_OK if rep.valid else EXIT_CHECK_FAILED
 
 
 def _cmd_hierarchy(args) -> int:
     pot = load_potential(args.potential)
-    graph = build_graph(pot)
+    at = {"h": args.h} if args.certify else {"t": args.t}
+    try:
+        out = _hierarchy(args, pot, as_mask(args.subset, pot.n))
+    except ValueError as e:
+        _emit({"case": args.case, **at, "valid": False, "reason": str(e)})
+        return EXIT_CHECK_FAILED
+    _emit({"case": args.case, **at, **out})
+    return EXIT_OK
+
+
+def _hierarchy(args, pot, u) -> dict:
+    """h* and the certified curve with --certify, else e^{tA} of the size
+    function at u; a domain violation raises ValueError."""
     sm = pot.smoothness
-    consts = pot.interaction_constants
-    u = mask_from(args.subset)
     if args.certify:
         C0 = 1.0 if args.C0 is None else args.C0
         H0 = hie.SubsetFunction(lambda m: C0 * size(m), "scaled-size")
-        try:
-            if args.case == "weak":
-                params = hie.WeakParams(alpha=sm.alpha, gamma=sm.gamma, epsilon=args.eps)
-                h_star = params.h_star(consts.M0, consts.M1, consts.R1)
-                curve = hie.certified_entropy_curve("weak", params, pot, H0, args.h, args.k, u)
-            else:
-                growth = {"r": args.r} if args.case == "sparse-exp" else {"p": args.p}
-                params = hie.SparseParams(
-                    sm.alpha, pot.beta, sm.gamma, args.c, epsilon=args.eps, **growth
-                )
-                h_star = params.h_star()
-                curve = hie.certified_entropy_curve("sparse", params, graph, H0, args.h, args.k, u)
-        except ValueError as e:
-            _emit({"case": args.case, "h": args.h, "valid": False, "reason": str(e)})
-            return EXIT_CHECK_FAILED
-        _emit({"case": args.case, "h": args.h, "h_star": h_star, "curve": curve.tolist()})
-        return EXIT_OK
-    # semigroup evaluation of e^{tA} applied to the size function
+        if args.case == "weak":
+            params = hie.WeakParams(alpha=sm.alpha, gamma=sm.gamma, epsilon=args.eps)
+            consts = pot.interaction_constants
+            h_star = params.h_star(consts.M0, consts.M1, consts.R1)
+            curve = hie.certified_entropy_curve("weak", params, pot, H0, args.h, args.k, u)
+        else:
+            growth = {"r": args.r} if args.case == "sparse-exp" else {"p": args.p}
+            params = hie.SparseParams(
+                sm.alpha, pot.beta, sm.gamma, args.c, epsilon=args.eps, **growth
+            )
+            h_star = params.h_star()
+            curve = hie.certified_entropy_curve(
+                "sparse", params, build_graph(pot), H0, args.h, args.k, u
+            )
+        return {"h_star": h_star, "curve": curve.tolist()}
     F = hie.SubsetFunction.size()
     eps = 0.5 if args.eps is None else args.eps
     if args.case == "weak":
-        weights = hie.weights_from_potential(pot)
-        gen = hie.WeakGenerator.from_params(weights, sm.alpha, sm.gamma, consts.M0, eps)
-        val = hie.semigroup_weak(gen, args.t, F, u)
-    else:
-        gen = hie.SparseGenerator.from_params(graph, sm.alpha, pot.beta, sm.gamma, eps)
-        val = hie.semigroup_sparse(gen, args.t, F, u)
-    _emit({"case": args.case, "t": args.t, "value": val})
-    return EXIT_OK
+        gen = hie.WeakGenerator.from_params(pot, sm.alpha, sm.gamma, eps)
+        return {"value": hie.semigroup_weak(gen, args.t, F, u)}
+    gen = hie.SparseGenerator.from_params(build_graph(pot), sm.alpha, pot.beta, sm.gamma, eps)
+    return {"value": hie.semigroup_sparse(gen, args.t, F, u)}
 
 
 def _cmd_validate(args) -> int:
@@ -252,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_b.add_argument("--rate", type=float, default=1.0)
     p_b.add_argument("--subset", type=int, nargs="+", default=[0])
     p_b.add_argument("--potential", help="potential JSON (continuous-time only)")
-    p_b.set_defaults(func=_cmd_bounds)
+    p_b.set_defaults(func=_cmd_bounds, usage_error=p_b.error)
 
     p_h = sub.add_parser("hierarchy", help="semigroup values and certified curves")
     p_h.add_argument("potential")

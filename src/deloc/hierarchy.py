@@ -8,24 +8,26 @@ act on them:
   weak:    (A F)(u) = rho * sum_{w cap u != 0} L_w (F(w u u) - F(u)),
            (N F)(u) = sum_{w cap u != 0} L_w F(w),  rho = gamma M0/(alpha eps)
 
-In the sparse case A and N commute and e^{tA}F(u) = E F(N_{Lambda(t)}(u))
-collapses to an exact finite Poisson series, because neighbourhoods
-stabilize; on the chain N_0(u) .. N_J(u) it is one matvec with a cached
-index-shift kernel.  In the weak case the operators do not commute; e^{tA}
-is evaluated by uniformization on the reachable lattice of growing subsets,
-with the jump matrix and N assembled once per lattice as sparse matrices.
-The Poisson weights of both come from the shared kernel in _poisson.
+In the sparse case e^{tA}F(u) = E F(N_{Lambda(t)}(u)) collapses to an exact
+finite Poisson series, because neighbourhoods stabilize; on the chain
+N_0(u) .. N_J(u) it is one matvec with a cached index-shift kernel.  In the
+weak case e^{tA} is evaluated by uniformization on the reachable lattice of
+growing subsets, with the jump matrix and N assembled once per lattice as
+sparse matrices.  The Poisson weights of both come from the shared kernel
+in _poisson.
 
-certified_entropy_trajectory evaluates the exact discrete-step entropy
-recursion
+certified_entropy_curve evaluates the exact discrete-step entropy recursion
+of both theorems as one iteration over a finite set of subsets,
 
-  sparse: H_kh <= (e^{-ah} I + q N^2)^k e^{khA} H_0
-                  + (1-e^{-ah})/a * sum_j (e^{-ah} I + q N^2)^j e^{(j+1)hA} N G
-  weak:   H_kh <= (e^{-ah} e^{hA} + q e^{hA} N^2)^k H_0
-                  + (1-e^{-ah})/a * sum_j (...)^j e^{hA} G
+  H_kh <= T^k H_0 + (1-e^{-ah})/a * sum_{j<k} T^j e^{hA} G,
+  T = e^{hA} (e^{-ah} I + q N^2),
 
 with no closed-form relaxation, so it sits between the exact trajectory
-and the closed-form dynamic envelope.
+and the closed-form dynamic envelope.  The two cases differ only in the
+states, A, N, G and the constant q.  The sparse theorem is stated in chain
+form, (e^{-ah} I + q N^2)^k e^{khA}; that equals T^k because A and N
+commute there, and its G is N applied to the size term.  The weak
+operators do not commute, and T is the weak theorem's step as stated.
 
 SparseParams and WeakParams take h* and the margin eta from the matching
 theorem in bounds (bounds.theorem_constants).  Unless epsilon is given it
@@ -46,7 +48,7 @@ from scipy import sparse
 from ._poisson import shift_kernel, stopped_weights, truncated_pmf
 from .bounds import BoundReport, theorem_constants
 from .graph import InteractionGraph
-from .potential import StructuredPotential, interaction_constants
+from .potential import InteractionConstants, StructuredPotential, interaction_constants
 from .subsets import as_mask, indices_from, size
 
 __all__ = [
@@ -63,10 +65,7 @@ __all__ = [
     "semigroup_weak",
     "commutation_residual_sparse",
     "commutation_residual_weak",
-    "certified_entropy_trajectory",
     "certified_entropy_curve",
-    "weights_from_potential",
-    "weak_interaction_constants",
 ]
 
 MAX_WEAK_STATES = 1 << 16
@@ -134,22 +133,24 @@ class WeakGenerator:
                 raise ValueError(f"weights must be positive, got {L}")
 
     @classmethod
-    def from_params(cls, weights, alpha, gamma, M0, eps) -> "WeakGenerator":
+    def from_params(cls, structure, alpha, gamma, eps) -> "WeakGenerator":
+        """structure is a StructuredPotential or a weight list; M0 comes from it."""
         if not 0 < eps < 1:
             raise ValueError(f"eps must lie in (0,1), got {eps}")
-        return cls(tuple(weights), gamma * M0 / (alpha * eps))
+        weights, consts = _weak_structure(structure)
+        return cls(weights, gamma * consts.M0 / (alpha * eps))
 
 
-def weights_from_potential(pot: StructuredPotential) -> tuple[tuple[int, float], ...]:
-    return tuple(
-        (as_mask(t.support), t.lipschitz) for t in pot.active_terms
+def _weak_structure(structure) -> tuple[tuple[tuple[int, float], ...], InteractionConstants]:
+    """(weights, constants) of a StructuredPotential (its factors with L > 0)
+    or of a weight list ((support_mask, L_w), ...)."""
+    if isinstance(structure, StructuredPotential):
+        weights = tuple((as_mask(t.support), t.lipschitz) for t in structure.active_terms)
+        return weights, structure.interaction_constants
+    weights = tuple(structure)
+    return weights, interaction_constants(
+        [indices_from(w) for w, _ in weights], [L for _, L in weights]
     )
-
-
-def weak_interaction_constants(weights) -> tuple[float, float, float]:
-    """(M0, M1, R1) recomputed from a weight list."""
-    c = interaction_constants([indices_from(w) for w, _ in weights], [L for _, L in weights])
-    return c.M0, c.M1, c.R1
 
 
 # -- pointwise operator applications ------------------------------------------
@@ -366,12 +367,6 @@ def _resolve(report: BoundReport, epsilon: float | None) -> tuple[float, float]:
     return report["h_star"], epsilon
 
 
-def _shift(v: np.ndarray, s: int) -> np.ndarray:
-    J = v.shape[0] - 1
-    idx = np.minimum(np.arange(J + 1) + s, J)
-    return v[idx]
-
-
 def certified_entropy_curve(case: str, params, structure, H0, h: float, k_max: int, u) -> np.ndarray:
     """Exact RHS of the operator iteration for k = 0 .. k_max.
 
@@ -386,108 +381,83 @@ def certified_entropy_curve(case: str, params, structure, H0, h: float, k_max: i
     if h <= 0:
         raise ValueError(f"h must be > 0, got {h}")
     if case == "sparse":
-        return _certified_sparse(params, structure, H0, h, k_max, u)
-    if case == "weak":
-        return _certified_weak(params, structure, H0, h, k_max, u)
-    raise ValueError(f"unknown case {case!r} (use 'sparse' or 'weak')")
-
-
-def certified_entropy_trajectory(case: str, params, structure, H0, h: float, k: int, u) -> float:
-    return float(certified_entropy_curve(case, params, structure, H0, h, k, u)[k])
-
-
-def _certified_sparse(params: SparseParams, graph: InteractionGraph, H0, h, k_max, u):
-    h_star, eps = _resolve(params.constants(), params.epsilon)
+        report = params.constants()
+        build = lambda eps: _sparse_operators(params, structure, eps, h, u)
+    elif case == "weak":
+        weights, c = _weak_structure(structure)
+        report = params.constants(c.M0, c.M1, c.R1)
+        build = lambda eps: _weak_operators(params, weights, c.M0, eps, h, u)
+    else:
+        raise ValueError(f"unknown case {case!r} (use 'sparse' or 'weak')")
+    h_star, eps = _resolve(report, params.epsilon)
     if h > h_star * (1.0 + 1e-12):
         raise ValueError(f"h={h} exceeds h* = {h_star} of the matching theorem")
-    alpha, beta = params.alpha, params.beta
-    lam = SparseGenerator.from_params(graph, alpha, beta, params.gamma, eps).rate
+    states, iu, expm_h, N, g, q = build(eps)
 
-    m = as_mask(u, graph.n)
-    J = graph.stabilization_index(m)
-    chain = graph.chain(m)
-    h0 = np.array([H0(cm) for cm in chain])
-    sizes = np.array([float(size(cm)) for cm in chain])
-
+    alpha = params.alpha
     a = math.exp(-alpha * h)
-    q = (2.0 * beta**4 * h**2 / (alpha**2 * (1.0 - eps))) * (1.0 - a)
-    g = (beta**2 * h / (1.0 - eps)) * (beta * h + 1.0) * sizes
-    ng = _shift(g, 1)
+    q *= 1.0 - a
     coeff = (1.0 - a) / alpha
-    # e^{hA} on the chain representation: index-shift mixture with the
-    # Poisson tail absorbed at the stabilized end
-    K = shift_kernel(lam * h, J)
 
-    def B(v):
-        return a * v + q * _shift(v, 2)
+    def T(v):
+        # e^{-ah} e^{hA} v + q e^{hA} N^2 v = e^{hA}(a v + q N^2 v)
+        return expm_h(a * v + q * N(N(v)))
 
+    h0 = np.array([H0(s) for s in states])
     out = np.empty(k_max + 1)
-    out[0] = h0[0]
-    # first term: w_k = (B e^{hA})^k H0 = B^k e^{khA} H0 (operators commute)
-    w = h0.copy()
-    # second term: y_j = B^j e^{(j+1)hA} N G, accumulated
-    y = None
+    out[0] = h0[iu]
+    # columns w_k = T^k H0 and y_{k+1} = T^k e^{hA} G, advanced together
+    wy = np.column_stack([h0, expm_h(g)])
     acc2 = 0.0
     for k in range(1, k_max + 1):
-        w = B(K @ w)
-        y = K @ ng if y is None else B(K @ y)
-        acc2 += y[0]
-        out[k] = w[0] + coeff * acc2
+        acc2 += wy[iu, 1]
+        wy = T(wy)
+        out[k] = wy[iu, 0] + coeff * acc2
     return out
 
 
-def _certified_weak(params: WeakParams, structure, H0, h, k_max, u):
-    weights = (
-        weights_from_potential(structure)
-        if isinstance(structure, StructuredPotential)
-        else tuple(structure)
-    )
-    M0, M1, R1 = weak_interaction_constants(weights)
-    if M0 <= 0:
-        raise ValueError("weight list has no active factors")
-    h_star, eps = _resolve(params.constants(M0, M1, R1), params.epsilon)
-    if h > h_star * (1.0 + 1e-12):
-        raise ValueError(f"h={h} exceeds h* = {h_star} of the matching theorem")
-    alpha = params.alpha
-    gen = WeakGenerator.from_params(weights, alpha, params.gamma, M0, eps)
+# Each builder returns (states, index of u, v -> e^{hA} v, v -> N v, G, q / (1 - e^{-ah})).
 
+
+def _sparse_operators(params: SparseParams, graph: InteractionGraph, eps, h, u):
+    """The chain N_0(u) .. N_J(u); e^{hA} is the cached index-shift kernel
+    (Poisson tail absorbed at the stabilized end), N the 0/1 shift by one."""
+    alpha, beta = params.alpha, params.beta
+    lam = SparseGenerator.from_params(graph, alpha, beta, params.gamma, eps).rate
+    m = as_mask(u, graph.n)
+    J = graph.stabilization_index(m)
+    chain = graph.chain(m)
+    K = shift_kernel(lam * h, J)
+    shift = np.minimum(np.arange(J + 1) + 1, J)
+    N = lambda v: v[shift]
+    sizes = np.array([float(size(cm)) for cm in chain])
+    g = N((beta**2 * h / (1.0 - eps)) * (beta * h + 1.0) * sizes)
+    q = 2.0 * beta**4 * h**2 / (alpha**2 * (1.0 - eps))
+    return chain, 0, lambda v: K @ v, N, g, q
+
+
+def _weak_operators(params: WeakParams, weights, M0, eps, h, u):
+    """The reachable lattice of u and the supports; e^{hA} by uniformization,
+    (N F)(v) = sum_{w cap v != 0} L_w F(w) as one CSR row per state."""
+    alpha = params.alpha
+    gen = WeakGenerator.from_params(weights, alpha, params.gamma, eps)
     m = as_mask(u)
     states, index, pairs = _weak_lattice(gen, m, MAX_WEAK_STATES, seed_supports=True)
-    iu = index[m]
     nstates = len(states)
     P, theta = _uniformized_matrix(gen, pairs, nstates)
 
-    # (N F)(v) = sum_{w cap v != 0} L_w F(w), one CSR row per state
     src, fac = pairs[:, 0], pairs[:, 1]
     support_index = np.array([index[w] for w, _ in weights], dtype=np.intp)
     lip = np.array([L for _, L in weights])
     N = sparse.csr_array((lip[fac], (src, support_index[fac])), shape=(nstates, nstates))
 
     if theta == 0.0:
-        u_apply = lambda v: v
+        expm_h = lambda v: v
     else:
-        u_apply = lambda v: _expm_series(P, theta * h, v, POISSON_TAIL)
-
-    a = math.exp(-alpha * h)
-    q = (2.0 * h**2 * M0**2 / (alpha**2 * (1.0 - eps))) * (1.0 - a)
-    coeff = (1.0 - a) / alpha
+        expm_h = lambda v: _expm_series(P, theta * h, v, POISSON_TAIL)
 
     sizes = np.array([float(size(s)) for s in states])
     ns = N @ sizes
     g = (h * M0 / (1.0 - eps)) * ((M0 / alpha) * h * (N @ ns) + ns)
-
-    def B(v):
-        # e^{-ah} e^{hA} v + q e^{hA} N^2 v = e^{hA}(a v + q N^2 v)
-        return u_apply(a * v + q * (N @ (N @ v)))
-
-    h0 = np.array([H0(s) for s in states])
-    out = np.empty(k_max + 1)
-    out[0] = h0[iu]
-    # columns w_k = B^k H0 and y_{k+1} = B^k e^{hA} G, advanced together
-    wy = np.column_stack([h0, u_apply(g)])
-    acc2 = 0.0
-    for k in range(1, k_max + 1):
-        acc2 += wy[iu, 1]
-        wy = B(wy)
-        out[k] = wy[iu, 0] + coeff * acc2
-    return out
+    q = 2.0 * h**2 * M0**2 / (alpha**2 * (1.0 - eps))
+    return states, index[m], expm_h, lambda v: N @ v, g, q

@@ -291,13 +291,12 @@ class PairwiseSpec:
 
     `confine_bounds[i]` is sup|V_i''| and `interaction_bounds[i, j]` is
     sup|V_ij''| (symmetric, zero diagonal).  With weights L_i = sup|V_i''|
-    and L_ij = sup|V_ij''| the constants reduce to
+    and L_ij = sup|V_ij''| the constants of `to_structured` reduce to
 
         M0 = max_i (||V_i''|| + sum_{j != i} ||V_ij''||),
         R1 = max_i sum_{j != i} ||V_ij''||.
 
-    Scalar callables are optional; without them the spec is a pure
-    constants container.
+    Scalar callables are optional; `to_structured` needs them.
     """
 
     n: int
@@ -321,13 +320,6 @@ class PairwiseSpec:
             raise ValueError("curvature bounds must be >= 0")
         object.__setattr__(self, "confine_bounds", cb)
         object.__setattr__(self, "interaction_bounds", 0.5 * (ib + ib.T))
-
-    def interaction_constants(self) -> InteractionConstants:
-        singles = np.flatnonzero(self.confine_bounds)
-        pairs = np.argwhere(np.triu(self.interaction_bounds, 1))
-        supports = [(i,) for i in singles] + [tuple(p) for p in pairs]
-        weights = [*self.confine_bounds[singles], *self.interaction_bounds[tuple(pairs.T)]]
-        return interaction_constants(supports, weights)
 
     @classmethod
     def quadratic(cls, confine, coupling) -> "PairwiseSpec":

@@ -27,9 +27,9 @@ from deloc.hierarchy import (
     WeakParams,
     certified_entropy_curve,
     semigroup_weak,
-    weights_from_potential,
 )
-from deloc.potential import load_potential, mean_field, potential_to_dict
+from deloc.potential import chain_pairwise, load_potential, mean_field, potential_to_dict
+from deloc.subsets import mask_from
 
 
 def path_graph(n):
@@ -372,6 +372,18 @@ def test_cli_bounds_continuous_time_with_potential(tmp_path, capsys):
     assert rc == 0
     assert payload["outputs"]["bound_value"] > 0
 
+    with pytest.raises(SystemExit) as exc:  # argparse usage error
+        main(["bounds", "continuous-time", "--subset", "1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+    rc = main(["bounds", "continuous-time", "--potential", pot, "--subset", "1", "--eps", "1.5"])
+    payload = cli_json(capsys)
+    assert rc == 2
+    assert set(payload) == {"theorem", "valid", "reason"}
+    assert (payload["theorem"], payload["valid"]) == ("continuous-time", False)
+    assert "eps must lie in (0, 1)" in payload["reason"]
+
 
 def test_cli_hierarchy_semigroup_and_certify(tmp_path, capsys):
     pot = write_potential(tmp_path / "pot.json")
@@ -424,10 +436,10 @@ def test_cli_hierarchy_matches_direct_calls(tmp_path, capsys):
     path = write_mean_field(tmp_path / "mf.json", strength=0.1)
     pot = load_potential(path)
     sm, consts = pot.smoothness, pot.interaction_constants
-    weights = weights_from_potential(pot)
+    weights = tuple((mask_from(t.support), t.lipschitz) for t in pot.active_terms)
 
     rc = main(["hierarchy", path, "--case", "weak", "--subset", "1", "--t", "0.5"])
-    gen = WeakGenerator.from_params(weights, sm.alpha, sm.gamma, consts.M0, 0.5)
+    gen = WeakGenerator.from_params(weights, sm.alpha, sm.gamma, 0.5)
     assert rc == 0
     assert cli_json(capsys)["value"] == semigroup_weak(gen, 0.5, SubsetFunction.size(), (1,))
 
@@ -468,6 +480,22 @@ def test_cli_hierarchy_certify_reports_domain_violation(tmp_path, capsys):
     assert set(payload) == {"case", "h", "valid", "reason"}
     assert (payload["case"], payload["h"], payload["valid"]) == ("sparse-poly", 0.5, False)
     assert "exceeds h*" in payload["reason"]
+
+    # the semigroup path (no --certify) reports bad input the same way
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps(potential_to_dict(chain_pairwise(4))))
+    for argv, case, t, reason in (
+        (["--eps", "1.5"], "sparse-poly", 1.0, "eps must lie in (0,1)"),
+        (["--case", "weak", "--eps", "0"], "weak", 1.0, "eps must lie in (0,1)"),
+        (["--t", "-1"], "sparse-poly", -1.0, "time must be >= 0"),
+        (["--subset", "9"], "sparse-poly", 1.0, "not contained in range(4)"),
+    ):
+        rc = main(["hierarchy", str(chain), *argv])
+        payload = cli_json(capsys)
+        assert rc == 2
+        assert set(payload) == {"case", "t", "valid", "reason"}
+        assert (payload["case"], payload["t"], payload["valid"]) == (case, t, False)
+        assert reason in payload["reason"]
 
 
 def test_cli_validate(tmp_path, capsys):

@@ -1,5 +1,7 @@
+import importlib
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -25,16 +27,13 @@ from deloc.hierarchy import (
     apply_n_sparse,
     apply_n_weak,
     certified_entropy_curve,
-    certified_entropy_trajectory,
     commutation_residual_sparse,
     commutation_residual_weak,
     semigroup_sparse,
     semigroup_weak,
-    weak_interaction_constants,
-    weights_from_potential,
 )
-from deloc.potential import gaussian_potential, tridiagonal_precision
-from deloc.subsets import as_mask, mask_from, size
+from deloc.potential import gaussian_potential, interaction_constants, tridiagonal_precision
+from deloc.subsets import as_mask, indices_from, mask_from, size
 
 from conftest import bfs_neighborhood, weak_lattice_reference
 
@@ -80,25 +79,33 @@ def test_generator_validation():
         WeakGenerator(((0, 1.0),), 1.0)  # empty support
     with pytest.raises(ValueError):
         WeakGenerator(((3, 0.0),), 1.0)  # zero weight
-    wgen = WeakGenerator.from_params(((3, 1.0),), 2.0, 1.0, 1.0, 0.5)
+    wgen = WeakGenerator.from_params(((3, 1.0),), 2.0, 1.0, 0.5)  # M0 = 1 from the weights
     assert wgen.rate_factor == pytest.approx(1.0 / (2.0 * 0.5))
+    with pytest.raises(ValueError):
+        WeakGenerator.from_params(((3, 1.0),), 2.0, 1.0, 1.0)
 
 
 def test_weak_interaction_constants_hand_example():
-    weights = ((mask_from((0,)), 1.0), (mask_from((0, 1)), 2.0), (mask_from((1, 2)), 0.5))
-    M0, M1, R1 = weak_interaction_constants(weights)
-    assert M0 == 3.0  # vertex 0 carries 1.0 + 2.0
-    assert M1 == 5.0  # both 0 and 1 reach 5
-    assert R1 == 2.5  # vertex 1: 2.0 + 0.5, each support minus one
-    assert weak_interaction_constants(()) == (0.0, 0.0, 0.0)
-    assert weak_interaction_constants(((mask_from((2,)), 4.0),)) == (4.0, 4.0, 0.0)
+    c = interaction_constants([(0,), (0, 1), (1, 2)], [1.0, 2.0, 0.5])
+    assert c.M0 == 3.0  # vertex 0 carries 1.0 + 2.0
+    assert c.M1 == 5.0  # both 0 and 1 reach 5
+    assert c.R1 == 2.5  # vertex 1: 2.0 + 0.5, each support minus one
+    zero = interaction_constants([], [])
+    assert (zero.M0, zero.M1, zero.R1) == (0.0, 0.0, 0.0)
+    single = interaction_constants([(2,)], [4.0])
+    assert (single.M0, single.M1, single.R1) == (4.0, 4.0, 0.0)
 
 
 def test_weights_from_potential_match_interaction_constants():
+    # from_params reads the factors with L > 0 of a potential as its weight
+    # list, and M0 from the potential's interaction constants
     pot = gaussian_potential(tridiagonal_precision(4, diag=2.0, off=-0.5))
-    weights = weights_from_potential(pot)
-    consts = pot.interaction_constants
-    assert weak_interaction_constants(weights) == (consts.M0, consts.M1, consts.R1)
+    weights = tuple((mask_from(t.support), t.lipschitz) for t in pot.active_terms)
+    a = WeakGenerator.from_params(pot, 2.0, 0.7, 0.4)
+    b = WeakGenerator.from_params(weights, 2.0, 0.7, 0.4)
+    assert a == b
+    assert a.weights == weights
+    assert a.rate_factor == 0.7 * pot.interaction_constants.M0 / (2.0 * 0.4)
 
 
 # ------------------------------------------------------- pointwise operators
@@ -211,6 +218,18 @@ def test_import_leaves_scipy_stats_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert proc.stdout.strip() == "False"
+
+
+def test_public_names_resolve():
+    # a stale __all__ entry breaks only `from deloc.<module> import *`
+    for info in pkgutil.iter_modules(deloc.__path__):
+        module = importlib.import_module(f"deloc.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"deloc.{info.name}.__all__ lists missing {name!r}"
+    for name in ("weights_from_potential", "weak_interaction_constants", "certified_entropy_trajectory"):
+        assert not hasattr(deloc, name)
+        assert not hasattr(deloc.hierarchy, name)
+    assert not hasattr(deloc.PairwiseSpec, "interaction_constants")
 
 
 # ------------------------------------------------------------------ semigroups
@@ -354,33 +373,25 @@ def test_certified_curve_argument_errors():
         certified_entropy_curve("weak", WeakParams(2.0, 1.0), (), H0, 0.01, 5, (1,))
 
 
-def test_certified_trajectory_is_curve_entry():
-    g = path_graph(5)
-    params = SparseParams(1.0, 1.2, 0.8, 3.0, p=1.0)
-    H0 = SubsetFunction.size()
-    h = params.h_star() / 2.0
-    curve = certified_entropy_curve("sparse", params, g, H0, h, 12, (2,))
-    assert curve[0] == H0(as_mask((2,)))
-    for k in (0, 3, 12):
-        traj = certified_entropy_trajectory("sparse", params, g, H0, h, k, (2,))
-        assert traj == curve[k]
-
-
-def test_certified_sparse_matches_dense_operator_reference():
+@pytest.mark.parametrize(
+    "params",
+    [SparseParams(1.0, 1.2, 0.8, 3.0, p=1.0), SparseParams(1.0, 1.2, 0.5, 2.0, r=1.1)],
+    ids=["polynomial", "exponential"],
+)
+def test_certified_sparse_matches_dense_operator_reference(params):
     # rebuild the iteration over the full 2^n subset lattice with dense
     # matrices and scipy.expm; the chain recursion must agree, which also
     # checks the (B e^{hA})^k = B^k e^{khA} commutation collapse
     n = 4
     edges = [(0, 1), (1, 2), (2, 3)]
     g = InteractionGraph.from_edges(n, edges)
-    alpha, beta, gamma, c = 1.0, 1.2, 0.8, 3.0
-    params = SparseParams(alpha, beta, gamma, c, p=1.0)
+    alpha, beta, gamma = params.alpha, params.beta, params.gamma
     h = params.h_star() / 2.0
     C0, u, k_max = 0.8, (1,), 15
     H0 = SubsetFunction(lambda m: C0 * size(m))
     curve = certified_entropy_curve("sparse", params, g, H0, h, k_max, u)
 
-    eps = 0.5
+    eps = params.resolved_epsilon()
     lam = gamma * beta**2 / (alpha * eps)
     nmask = 1 << n
     N1 = np.zeros((nmask, nmask))
@@ -414,7 +425,8 @@ def test_certified_weak_matches_dense_operator_reference():
     weights = ((mask_from((0, 1)), 0.6), (mask_from((1, 2)), 0.4))
     alpha, gamma = 2.0, 1.0
     params = WeakParams(alpha, gamma)
-    M0, M1, R1 = weak_interaction_constants(weights)
+    c = interaction_constants([indices_from(w) for w, _ in weights], [L for _, L in weights])
+    M0, M1, R1 = c.M0, c.M1, c.R1
     h = params.h_star(M0, M1, R1) / 2.0
     u, k_max = (0,), 10
     H0 = SubsetFunction(lambda m: 0.7 * size(m))
@@ -456,7 +468,8 @@ def test_certified_weak_accepts_potential_or_weights():
     h = params.h_star(consts.M0, consts.M1, consts.R1) / 2.0
     H0 = SubsetFunction.size()
     a = certified_entropy_curve("weak", params, pot, H0, h, 5, (1,))
-    b = certified_entropy_curve("weak", params, weights_from_potential(pot), H0, h, 5, (1,))
+    weights = tuple((mask_from(t.support), t.lipschitz) for t in pot.active_terms)
+    b = certified_entropy_curve("weak", params, weights, H0, h, 5, (1,))
     assert np.array_equal(a, b)
 
 

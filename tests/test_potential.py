@@ -163,8 +163,8 @@ def test_pairwise_constants_match_display():
     # V_i'' bounded by kappa, V_ij'' bounded by J_ij
     kappa = np.array([1.0, 2.0, 1.5])
     J = np.array([[0.0, 0.3, 0.1], [0.3, 0.0, 0.2], [0.1, 0.2, 0.0]])
-    spec = PairwiseSpec(3, kappa, J)
-    c = spec.interaction_constants()
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    c = interaction_constants([(0,), (1,), (2,), *pairs], [*kappa, *(J[p] for p in pairs)])
     rows = J.sum(axis=1)
     assert c.M0 == pytest.approx(np.max(kappa + rows))
     assert c.M1 == pytest.approx(np.max(kappa + 2 * rows))
@@ -186,7 +186,12 @@ def test_pairwise_constants_match_structured_potential(rng):
     coupling[1, 3] = 0.0
     spec = PairwiseSpec.quadratic(confine=rng.uniform(0.5, 2.0, 5), coupling=coupling + coupling.T)
     pot = spec.to_structured(SmoothnessParams(alpha=0.1))
-    a, b = spec.interaction_constants(), pot.interaction_constants
+    singles = [(i,) for i in range(5)]
+    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5) if coupling[i, j] > 0]
+    a = interaction_constants(
+        singles + pairs, [*spec.confine_bounds, *(spec.interaction_bounds[p] for p in pairs)]
+    )
+    b = pot.interaction_constants
     np.testing.assert_allclose([a.M0, a.M1, a.R0, a.R1], [b.M0, b.M1, b.R0, b.R1], rtol=1e-15)
 
 
