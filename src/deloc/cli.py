@@ -81,6 +81,21 @@ def _report_payload(rep: bnd.BoundReport) -> dict:
 
 
 def _cmd_bounds(args) -> int:
+    pot = None
+    if args.theorem == "continuous-time":
+        if args.potential is None:
+            args.usage_error("continuous-time needs --potential")
+        pot = load_potential(args.potential)
+    try:
+        payload = _bound(args, pot)
+    except ValueError as e:
+        payload = {"theorem": args.theorem, "valid": False, "reason": str(e)}
+    _emit(payload)
+    return EXIT_OK if payload["valid"] else EXIT_CHECK_FAILED
+
+
+def _bound(args, pot) -> dict:
+    """The report of one theorem; an input outside its domain raises ValueError."""
     t = args.theorem
     if t in bnd.THEOREMS:
         rep = bnd.theorem_constants(t, vars(args))
@@ -89,36 +104,20 @@ def _cmd_bounds(args) -> int:
             args.alpha, args.alpha0, args.beta, args.h, args.n, usize=args.usize
         )
     elif t == "poisson-moment":
-        val = bnd.poisson_moment_bound(args.rate, args.t, int(args.p))
-        _emit({"theorem": t, "outputs": {"moment_bound": val}, "valid": True})
-        return EXIT_OK
+        val = bnd.poisson_moment_bound(args.rate, args.t, args.p)
+        return {"theorem": t, "outputs": {"moment_bound": val}, "valid": True}
     elif t == "subgaussian-linf":
         val = bnd.subgaussian_grad_linf_bound(args.beta, args.n)
-        _emit({"theorem": t, "outputs": {"bound": val}, "valid": True})
-        return EXIT_OK
+        return {"theorem": t, "outputs": {"bound": val}, "valid": True}
     elif t in bnd.DYNAMIC_THEOREMS:
         rep = bnd.dynamic_bound(t, vars(args), args.k, args.h, args.usize, args.C0)
-    else:  # continuous-time over a loaded potential
-        if args.potential is None:
-            args.usage_error("continuous-time needs --potential")
-        pot = load_potential(args.potential)
+    else:  # continuous-time over the loaded potential
         sm = pot.smoothness
-        try:
-            rep = bnd.continuous_time_bound(
-                build_graph(pot),
-                args.subset,
-                args.t,
-                args.eps,
-                sm.alpha,
-                pot.beta,
-                sm.gamma,
-                C0=args.C0,
-            )
-        except ValueError as e:
-            _emit({"theorem": t, "valid": False, "reason": str(e)})
-            return EXIT_CHECK_FAILED
-    _emit(_report_payload(rep))
-    return EXIT_OK if rep.valid else EXIT_CHECK_FAILED
+        rep = bnd.continuous_time_bound(
+            build_graph(pot), args.subset, args.t, args.eps, sm.alpha, pot.beta, sm.gamma,
+            C0=args.C0,
+        )
+    return _report_payload(rep)
 
 
 def _cmd_hierarchy(args) -> int:

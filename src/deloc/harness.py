@@ -26,7 +26,7 @@ from . import oracle as orc
 from .graph import GrowthCertificate, InteractionGraph, build_graph, verify_growth
 from .hierarchy import SubsetFunction
 from .potential import gaussian_potential, tridiagonal_precision
-from .sampler import SamplerConfig, marginal_samples, run_chain
+from .sampler import DivergenceError, SamplerConfig, marginal_samples, run_chain
 from .subsets import mask_from, indices_from
 
 __all__ = [
@@ -449,7 +449,16 @@ def _exp_sampler_vs_oracle(config: ExperimentConfig) -> list[ReportRow]:
         num_chains=int(opts.get("chains", 4)),
         seed=config.seed,
     )
-    store = run_chain(pot, scfg, np.zeros(n))
+    try:
+        store = run_chain(pot, scfg, np.zeros(n))
+    except DivergenceError as e:
+        # value: the first iterate at which a chain's sup-norm reached the limit
+        return [
+            ReportRow(
+                config.experiment, n, h, f"chain={e.chain}", "divergence",
+                float(e.step), theorem="lmc", valid=False,
+            )
+        ]
     law_h = orc.lmc_stationary_law(tgt, h)
     law = tgt.law()
     rows = []

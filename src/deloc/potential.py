@@ -10,6 +10,7 @@ callables with an analytic gradient.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -209,11 +210,15 @@ class StructuredPotential:
         x = self._check_point(x)
         if self.quadratic_matrix is not None:
             return self.quadratic_matrix @ x
-        out = np.zeros(self.n)
-        for t in self.terms:
-            idx = list(t.support)
-            out[idx] += t.grad(x[idx])
-        return out
+        # one gather of every term's support, one scatter-add in term order:
+        # the same sums as out[support] += grad term by term
+        idx, bounds = self._flat_supports
+        z = x[idx]
+        parts = [t.grad(z[a:b]) for t, a, b in zip(self.terms, bounds[:-1], bounds[1:])]
+        if list(itertools.accumulate([g.size for g in parts], initial=0)) != bounds:
+            raise ValueError("a factor gradient must have one entry per support coordinate")
+        # axis=None takes a one-coordinate factor's scalar gradient as well
+        return np.bincount(idx, weights=np.concatenate(parts, axis=None), minlength=self.n)
 
     def partial_gradient(self, x, u) -> np.ndarray:
         """Restriction of the full gradient to the coordinates in u."""
@@ -230,6 +235,14 @@ class StructuredPotential:
         return x
 
     # -- derived structure --------------------------------------------------
+
+    @cached_property
+    def _flat_supports(self) -> tuple[np.ndarray, list[int]]:
+        """Every term's support in one index array, and term t's slice
+        bounds[t]:bounds[t + 1] in it."""
+        sizes = [len(t.support) for t in self.terms]
+        idx = np.fromiter((i for t in self.terms for i in t.support), np.intp, sum(sizes))
+        return idx, list(itertools.accumulate(sizes, initial=0))
 
     @cached_property
     def active_terms(self) -> tuple[FactorTerm, ...]:
@@ -366,12 +379,22 @@ class PairwiseSpec:
                 callable_term(
                     (i, j),
                     lambda z, v=v: v(z[0] - z[1]),
-                    lambda z, dv=dv: np.array([dv(z[0] - z[1]), -dv(z[0] - z[1])]),
+                    _pair_grad(dv),
                     lipschitz=float(self.interaction_bounds[i, j]),
                     label=f"pair:{i}-{j}",
                 )
             )
         return StructuredPotential(n=self.n, terms=tuple(terms), smoothness=smoothness)
+
+
+def _pair_grad(dv):
+    """Gradient of v(z_0 - z_1) from the scalar derivative dv, called once."""
+
+    def grad(z):
+        g = dv(z[0] - z[1])
+        return np.array([g, -g])
+
+    return grad
 
 
 # -- builders ----------------------------------------------------------------

@@ -3,15 +3,28 @@
 One LMC step is x <- x - h grad V(x) + sqrt(2h) z with z standard normal.
 "langevin-reference" mode runs m Euler substeps of size h/m per recorded
 step, approximating the continuous-time flow at matched wall-clock time;
-lmc is its m = 1 case, and both run the same step loop.  A quadratic
-potential steps by the assembled matrix I - (h/m) A, any other by its
-gradient.
+lmc is its m = 1 case, and both run the same step loop.
+
+All chains step together as one block.  The drift x - (h/m) grad V(x) is
+applied to the whole block at once and picks its path from the potential:
+
+  dense quadratic   I - (h/m) A times each chain, a (C, n) block stepped
+                    by a stacked matmul
+  sparse quadratic  the same matrix in CSR when at most one of its entries
+                    in 16 is nonzero, times an (n, C) block
+  callable          the gradient, chain by chain over a (C, n) block
+
+Each path does the same arithmetic on a chain whatever the number of
+chains C.  The block's sup-norm is checked after every recorded step, and
+a chain that reaches DIVERGENCE_LIMIT stops the run.
 
 Noise stream layout (documented so composed-map tests can replay it):
 each chain owns an independent generator spawned from the config seed;
 per recorded step the chain draws one (m, n) normal block, with m = 1 in
 lmc mode, and substep j uses row j.  Chain c's stream depends only on
-(seed, c), never on the number of chains.
+(seed, c), never on the number of chains.  The sampler draws t recorded
+steps at once as one (t, m, n) block, which yields the same numbers as t
+successive (m, n) draws.
 """
 
 from __future__ import annotations
@@ -23,6 +36,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
+from scipy import sparse
 
 from .potential import StructuredPotential
 
@@ -38,6 +52,14 @@ __all__ = [
 
 
 DIVERGENCE_LIMIT = 1e8  # a chain whose |x|_inf reaches this has diverged
+# Noise is drawn in chunks of whole recorded steps holding about this many
+# normals over all chains together: 64 KB, small enough for malloc to reuse
+# one heap block instead of mapping fresh pages for every chunk.
+_NOISE_CHUNK = 1 << 13
+# A quadratic steps by a CSR matrix when at most 1 in this many entries of
+# I - hA is nonzero, which needs n >= 16; denser or smaller ones step faster
+# dense, where the sparse product's call overhead outweighs its savings.
+_SPARSE_RATIO = 16
 
 
 class DivergenceError(RuntimeError):
@@ -159,37 +181,72 @@ def load_store(path) -> tuple[np.ndarray, dict]:
 
 def lmc_step(pot: StructuredPotential, x: np.ndarray, h: float, noise: np.ndarray) -> np.ndarray:
     """x - h grad V(x) + sqrt(2h) noise, with a finiteness guard on the gradient."""
+    return _descent(pot, x, h) + math.sqrt(2.0 * h) * noise
+
+
+def _descent(pot: StructuredPotential, x: np.ndarray, h: float) -> np.ndarray:
     g = pot.gradient(x)
     if not np.all(np.isfinite(g)):
         raise FloatingPointError(f"non-finite gradient at x with |x|_inf={np.max(np.abs(x)):.3e}")
-    return x - h * g + math.sqrt(2.0 * h) * noise
+    return x - h * g
 
 
-def _simulate_chain(pot, config, x0, rng, chain_index) -> np.ndarray:
-    n = pot.n
+def _step_matrix(A: np.ndarray, h: float):
+    """I - hA with the entries of the dense np.eye(n) - h * A bit for bit,
+    in CSR when A is sparse enough.  The CSR form is built from the
+    nonzeros of A, without a dense n-by-n temporary."""
+    n = A.shape[0]
+    if (np.count_nonzero(A) + n) * _SPARSE_RATIO > n * n:
+        return np.eye(n) - h * A
+    i = np.arange(n)
+    return sparse.csr_array((np.ones(n), (i, i)), shape=(n, n)) - h * sparse.csr_array(A)
+
+
+def _block_drift(pot: StructuredPotential, h: float):
+    """(drift, columns): drift maps a block of chains X to X - h grad V(X)
+    chain by chain; the block holds chains as columns, (n, C), when
+    `columns` is true and as rows, (C, n), otherwise."""
+    A = pot.quadratic_matrix
+    if A is None:
+        return (lambda X: np.array([_descent(pot, x, h) for x in X])), False
+    M = _step_matrix(A, h)
+    if sparse.issparse(M):
+        # CSR times a dense block: every column gets the matvec's arithmetic
+        return M.__matmul__, True
+    # a stacked matmul, unlike X @ M.T, computes each row as M @ x does
+    return (lambda X: np.matmul(M, X[:, :, None])[:, :, 0]), False
+
+
+def _simulate(pot: StructuredPotential, config: SamplerConfig, starts: np.ndarray) -> np.ndarray:
+    """Kept states (C, kept, n) of the chains started at the rows of `starts`."""
+    C, n = starts.shape
     m = config.substeps  # validated to be 1 in lmc mode
     hs = config.h / m
-    A = pot.quadratic_matrix
-    if A is not None:
-        M = np.eye(n) - hs * A
-        sigma = math.sqrt(2.0 * hs)
-        substep = lambda x, z: M @ x + sigma * z
-    else:
-        substep = lambda x, z: lmc_step(pot, x, hs, z)
+    sigma = math.sqrt(2.0 * hs)
+    drift, columns = _block_drift(pot, hs)
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(C)]
 
-    kept = np.empty((config.kept_per_chain, n))
+    kept = np.empty((C, config.kept_per_chain, n))
     burn = config.effective_burn_in
     thin = config.thinning
-    x = np.array(x0, dtype=float, copy=True)
-    for k in range(1, config.iterations + 1):
-        z = rng.standard_normal((m, n))
-        for j in range(m):
-            x = substep(x, z[j])
-        sup = float(np.abs(x).max())
-        if not sup < DIVERGENCE_LIMIT:
-            raise DivergenceError(chain_index, k, sup)
-        if k > burn and (k - burn - 1) % thin == 0:
-            kept[(k - burn - 1) // thin] = x
+    X = np.array(starts.T if columns else starts, dtype=float)
+    chunk = max(1, _NOISE_CHUNK // (C * m * n))
+    for k0 in range(0, config.iterations, chunk):
+        # sigma z for the next t recorded steps, chain by chain: (C, t, m, n)
+        sz = np.empty((C, min(chunk, config.iterations - k0), m, n))
+        for c, rng in enumerate(rngs):
+            rng.standard_normal(out=sz[c])
+        sz *= sigma
+        for i in range(sz.shape[1]):
+            k = k0 + i + 1
+            for j in range(m):
+                X = drift(X) + (sz[:, i, j].T if columns else sz[:, i, j])
+            if not float(np.abs(X).max()) < DIVERGENCE_LIMIT:
+                sups = np.abs(X).max(axis=0 if columns else 1)
+                c = int(np.flatnonzero(~(sups < DIVERGENCE_LIMIT))[0])
+                raise DivergenceError(c, k, float(sups[c]))
+            if k > burn and (k - burn - 1) % thin == 0:
+                kept[:, (k - burn - 1) // thin] = X.T if columns else X
     return kept
 
 
@@ -198,7 +255,9 @@ def run_chain(pot: StructuredPotential, config: SamplerConfig, x0) -> SampleStor
 
     x0 may be a single (n,) start shared by all chains or a (num_chains, n)
     array of per-chain starts.  Deterministic: identical (potential, config,
-    x0) give bit-identical stores.
+    x0) give bit-identical stores.  A chain that diverges raises
+    DivergenceError naming the first iterate at which any chain reached the
+    limit and the lowest such chain.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape == (pot.n,):
@@ -209,11 +268,7 @@ def run_chain(pot: StructuredPotential, config: SamplerConfig, x0) -> SampleStor
         raise ValueError(
             f"x0 shape {x0.shape} matches neither ({pot.n},) nor ({config.num_chains}, {pot.n})"
         )
-    seeds = np.random.SeedSequence(config.seed).spawn(config.num_chains)
-    chains = np.empty((config.num_chains, config.kept_per_chain, pot.n))
-    for c in range(config.num_chains):
-        rng = np.random.default_rng(seeds[c])
-        chains[c] = _simulate_chain(pot, config, starts[c], rng, c)
+    chains = _simulate(pot, config, starts)
     return SampleStore(samples=chains, config=config, potential_hash=pot.content_hash())
 
 

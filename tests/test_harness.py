@@ -338,6 +338,24 @@ def test_cli_run_reports_failures_with_exit_2(tmp_path, capsys):
     assert payload["failed_metrics"] == ["rotated-bias-growth"]
 
 
+def test_cli_run_reports_divergence_with_exit_2(tmp_path, capsys):
+    # h = 1 is unstable for the default 2-d target: the chains diverge,
+    # and the run reports one invalid row instead of a traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"experiment": "sampler-vs-oracle", "h_values": [1.0], "options": {"iterations": 2000}}
+    ))
+    out = tmp_path / "rep.csv"
+    rc = main(["run", str(cfg), "--output", str(out)])
+    payload = cli_json(capsys)
+    assert rc == 2
+    assert (payload["rows"], payload["failures"]) == (1, 1)
+    assert payload["failed_metrics"] == ["divergence"]
+    row = out.read_text().splitlines()[1].split(",")
+    assert row[3].startswith("chain=") and row[4] == "divergence"
+    assert float(row[5]) >= 1 and row[-1] == "false"
+
+
 def test_cli_bounds_constants(capsys):
     rc = main(["bounds", "sparse-poly", "--alpha", "1", "--beta", "1",
                "--gamma", "1", "--c", "1", "--p", "1"])
@@ -362,6 +380,23 @@ def test_cli_bounds_scalar_theorems(capsys):
     rc = main(["bounds", "subgaussian-linf", "--beta", "2", "--n", "8"])
     assert rc == 0
     assert cli_json(capsys)["outputs"]["bound"] == pytest.approx(8.0 * math.log(16.0))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poisson-moment", "--rate", "-1"],
+        ["poisson-moment", "--p", "1.5"],
+        ["subgaussian-linf", "--n", "0"],
+        ["sparse-dyn-poly", "--k", "-1"],
+    ],
+)
+def test_cli_bounds_domain_errors_exit_2(argv, capsys):
+    rc = main(["bounds", *argv])
+    payload = cli_json(capsys)
+    assert rc == 2
+    assert set(payload) == {"theorem", "valid", "reason"}
+    assert (payload["theorem"], payload["valid"]) == (argv[0], False)
 
 
 def test_cli_bounds_continuous_time_with_potential(tmp_path, capsys):

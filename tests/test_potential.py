@@ -78,6 +78,49 @@ def test_gradient_matches_term_sum_and_finite_differences(rng):
     )
 
 
+def test_flat_gradient_matches_per_term_loop():
+    # overlapping supports of sizes 1-3 in no particular order; the flat
+    # gather and bincount must give the per-term scatter-add bit for bit
+    rng = np.random.default_rng(5)
+    n = 7
+    terms = []
+    for k in range(25):
+        support = tuple(sorted(rng.choice(n, size=1 + k % 3, replace=False).tolist()))
+        w = rng.standard_normal(len(support))
+        terms.append(
+            callable_term(
+                support,
+                lambda z, w=w: float(np.sum(np.log(np.cosh(w * z)))),
+                lambda z, w=w: w * np.tanh(w * z) + np.sin(z),
+                lipschitz=float(np.sum(w * w)) + 1.0,
+            )
+        )
+    pot = StructuredPotential(n, tuple(terms), SmoothnessParams(alpha=0.1, beta=100.0))
+    for _ in range(5):
+        x = rng.standard_normal(n)
+        np.testing.assert_array_equal(pot.gradient(x), brute_force_gradient(pot, x))
+
+
+def test_gradient_rejects_a_factor_gradient_of_the_wrong_length():
+    # 3 + 1 entries for two pair terms: the total matches, the terms do not
+    terms = (
+        callable_term((0, 1), lambda z: 0.0, lambda z: np.ones(3), 1.0),
+        callable_term((1, 2), lambda z: 0.0, lambda z: np.ones(1), 1.0),
+    )
+    pot = StructuredPotential(3, terms, SmoothnessParams(alpha=0.5, beta=2.0))
+    with pytest.raises(ValueError, match="one entry per support coordinate"):
+        pot.gradient(np.zeros(3))
+
+
+def test_gradient_takes_a_scalar_for_a_one_coordinate_factor():
+    terms = (
+        callable_term((0,), lambda z: z[0] ** 2, lambda z: 2.0 * z[0], 2.0),
+        callable_term((0, 1), lambda z: 0.0, lambda z: np.array([1.0, -1.0]), 1.0),
+    )
+    pot = StructuredPotential(2, terms, SmoothnessParams(alpha=0.5, beta=3.0))
+    np.testing.assert_array_equal(pot.gradient(np.array([3.0, 0.0])), [7.0, -1.0])
+
+
 def test_quadratic_matrix_assembles_precision():
     A = tridiagonal_precision(5, 2.0, -0.5)
     pot = gaussian_potential(A)

@@ -3,18 +3,21 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from deloc.oracle import GaussianTarget, lmc_stationary_law
 from deloc.potential import (
     SmoothnessParams,
     StructuredPotential,
     callable_term,
+    chain_pairwise,
     gaussian_potential,
     tridiagonal_precision,
 )
 from deloc.sampler import (
     DivergenceError,
     SamplerConfig,
+    _step_matrix,
     lmc_step,
     load_store,
     marginal_samples,
@@ -68,13 +71,59 @@ def test_run_chain_deterministic(small_pot):
     assert a.potential_hash == small_pot.content_hash()
 
 
-def test_chain_streams_independent_of_chain_count(small_pot):
+def _cos_ring(n):
+    # callable pair terms on a ring: no assembled matrix, so the sampler
+    # steps by the gradient
+    return StructuredPotential(
+        n,
+        tuple(
+            callable_term(
+                (i, (i + 1) % n),
+                lambda z: 0.5 * (z[0] ** 2 + z[1] ** 2) + 0.1 * np.cos(z[0] - z[1]),
+                lambda z: np.array(
+                    [z[0] - 0.1 * np.sin(z[0] - z[1]), z[1] + 0.1 * np.sin(z[0] - z[1])]
+                ),
+                1.2,
+            )
+            for i in range(n)
+        ),
+        SmoothnessParams(alpha=1.6, beta=2.4),
+    )
+
+
+# one potential per drift path of the sampler
+DRIFT_PATHS = {
+    "dense": lambda: gaussian_potential(tridiagonal_precision(3)),
+    "csr": lambda: chain_pairwise(64),
+    "callable": lambda: _cos_ring(4),
+}
+
+
+def _replay_substep(pot, h):
+    """One substep of a single chain with the arithmetic of pot's drift path."""
+    if pot.quadratic_matrix is None:
+        return lambda x, z: lmc_step(pot, x, h, z)
+    M = np.eye(pot.n) - h * pot.quadratic_matrix
+    if sparse.issparse(_step_matrix(pot.quadratic_matrix, h)):
+        M = sparse.csr_array(M)
+    return lambda x, z: M @ x + math.sqrt(2.0 * h) * z
+
+
+def test_drift_paths_are_the_ones_named():
+    h = 0.05
+    assert not sparse.issparse(_step_matrix(DRIFT_PATHS["dense"]().quadratic_matrix, h))
+    assert sparse.issparse(_step_matrix(DRIFT_PATHS["csr"]().quadratic_matrix, h))
+    assert DRIFT_PATHS["callable"]().quadratic_matrix is None
+
+
+@pytest.mark.parametrize("path", DRIFT_PATHS)
+def test_chain_streams_independent_of_chain_count(path):
     # chain c's trajectory depends only on (seed, c): adding chains must
     # not perturb earlier ones
-    one = run_chain(small_pot, SamplerConfig(h=0.05, iterations=300, seed=3), np.zeros(3))
-    three = run_chain(
-        small_pot, SamplerConfig(h=0.05, iterations=300, seed=3, num_chains=3), np.zeros(3)
-    )
+    pot = DRIFT_PATHS[path]()
+    x0 = np.zeros(pot.n)
+    one = run_chain(pot, SamplerConfig(h=0.05, iterations=300, seed=3), x0)
+    three = run_chain(pot, SamplerConfig(h=0.05, iterations=300, seed=3, num_chains=3), x0)
     np.testing.assert_array_equal(one.samples[0], three.samples[0])
 
 
@@ -163,26 +212,12 @@ def test_langevin_reference_mode_matches_lmc_at_one_substep(small_pot):
 
 
 @pytest.mark.parametrize("m", [1, 3])
-def test_noise_layout_replays_bit_for_bit(m):
+@pytest.mark.parametrize("path", DRIFT_PATHS)
+def test_noise_layout_replays_bit_for_bit(path, m):
     # the documented layout: chain c draws from SeedSequence(seed).spawn(C)[c],
     # one (m, n) block per recorded step, substep j of size h/m using row j
-    n = 4
-    pot = StructuredPotential(
-        n,
-        tuple(
-            callable_term(
-                (i, (i + 1) % n),
-                lambda z: 0.5 * (z[0] ** 2 + z[1] ** 2) + 0.1 * np.cos(z[0] - z[1]),
-                lambda z: np.array(
-                    [z[0] - 0.1 * np.sin(z[0] - z[1]), z[1] + 0.1 * np.sin(z[0] - z[1])]
-                ),
-                1.2,
-            )
-            for i in range(n)
-        ),
-        SmoothnessParams(alpha=1.6, beta=2.4),
-    )
-    assert pot.quadratic_matrix is None
+    pot = DRIFT_PATHS[path]()
+    n = pot.n
     mode = "lmc" if m == 1 else "langevin-reference"
     cfg = SamplerConfig(
         h=0.07, iterations=23, burn_in=5, thinning=4, num_chains=2, seed=31, mode=mode, substeps=m
@@ -190,6 +225,7 @@ def test_noise_layout_replays_bit_for_bit(m):
     x0 = np.linspace(-1.0, 1.0, n)
     store = run_chain(pot, cfg, x0)
 
+    substep = _replay_substep(pot, cfg.h / m)
     expected = []
     for seq in np.random.SeedSequence(31).spawn(2):
         rng = np.random.default_rng(seq)
@@ -197,11 +233,48 @@ def test_noise_layout_replays_bit_for_bit(m):
         for k in range(1, cfg.iterations + 1):
             z = rng.standard_normal((m, n))
             for j in range(m):
-                x = lmc_step(pot, x, cfg.h / m, z[j])
+                x = substep(x, z[j])
             if k > cfg.effective_burn_in and (k - cfg.effective_burn_in - 1) % cfg.thinning == 0:
                 kept.append(x)
         expected.append(kept)
     np.testing.assert_array_equal(store.samples, np.array(expected))
+
+
+def test_csr_path_matches_dense_loop():
+    # sparse stepping sums each row in another order than the dense matvec:
+    # equal to rounding, over 2 chains x 200 steps at n = 1024
+    pot = chain_pairwise(1024)
+    h = 0.05
+    assert sparse.issparse(_step_matrix(pot.quadratic_matrix, h))
+    cfg = SamplerConfig(h=h, iterations=200, burn_in=0, num_chains=2, seed=8)
+    x0 = np.random.default_rng(0).standard_normal((2, 1024))
+    store = run_chain(pot, cfg, x0)
+    M = np.eye(1024) - h * pot.quadratic_matrix
+    for c, seq in enumerate(np.random.SeedSequence(8).spawn(2)):
+        rng = np.random.default_rng(seq)
+        x = x0[c]
+        for k in range(cfg.iterations):
+            x = M @ x + math.sqrt(2.0 * h) * rng.standard_normal((1, 1024))[0]
+            np.testing.assert_allclose(store.samples[c, k], x, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("path", DRIFT_PATHS)
+def test_divergence_reports_the_chain_that_diverged(path):
+    # h = 1.5 is unstable for every path's potential; chain 1 starts far out
+    # and crosses the limit long before chain 0, which starts at 0
+    pot = DRIFT_PATHS[path]()
+    h, seed = 1.5, 4
+    x0 = np.zeros((2, pot.n))
+    x0[1] = 1e4 * np.random.default_rng(1).standard_normal(pot.n)
+    with pytest.raises(DivergenceError) as err:
+        run_chain(pot, SamplerConfig(h=h, iterations=1000, num_chains=2, seed=seed), x0)
+
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
+    substep, x, step = _replay_substep(pot, h), x0[1], 0
+    while np.abs(x).max() < 1e8:
+        x, step = substep(x, rng.standard_normal((1, pot.n))[0]), step + 1
+    assert (err.value.chain, err.value.step) == (1, step)
+    assert err.value.sup >= 1e8
 
 
 def test_langevin_reference_substeps_reduce_bias(small_pot):
