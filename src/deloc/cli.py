@@ -46,10 +46,14 @@ def _coerce(obj):
 def _cmd_run(args) -> int:
     with open(args.config) as f:
         spec = json.load(f)
-    cfg = config_from_dict(spec)
     if args.output:
-        cfg = config_from_dict({**spec, "output": args.output})
-    report = run_experiment(cfg)
+        spec = {**spec, "output": args.output}
+    try:
+        cfg = config_from_dict(spec)
+        report = run_experiment(cfg)
+    except ValueError as e:
+        _emit({"experiment": spec.get("experiment"), "valid": False, "reason": str(e)})
+        return EXIT_CHECK_FAILED
     written = []
     if cfg.output:
         written = [cfg.output, cfg.output + ".json"]

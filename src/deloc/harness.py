@@ -16,7 +16,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -69,10 +69,11 @@ class ExperimentConfig:
 
 
 def config_from_dict(spec: dict) -> ExperimentConfig:
-    known = {"experiment", "dims", "h_values", "seed", "subsets", "options", "output"}
-    extra = set(spec) - known
+    extra = set(spec) - {f.name for f in fields(ExperimentConfig)}
     if extra:
         raise ValueError(f"unknown config keys {sorted(extra)}")
+    if "experiment" not in spec:
+        raise ValueError("config needs an 'experiment' key")
     return ExperimentConfig(
         experiment=spec["experiment"],
         dims=tuple(spec.get("dims", ())),
@@ -249,12 +250,19 @@ def _target_from_options(n: int, options: dict) -> orc.GaussianTarget:
     return orc.GaussianTarget(A)
 
 
+def _single(config: ExperimentConfig, name: str, default):
+    """The one entry of config.dims or config.h_values, or the default when empty."""
+    values = getattr(config, name)
+    if len(values) > 1:
+        raise ValueError(f"{config.experiment} takes one entry in {name}, got {list(values)}")
+    return values[0] if values else default
+
+
 def _singleton_w2(law_h: orc.GaussianLaw, law: orc.GaussianLaw) -> list[float]:
-    """Exact W2^2 between the coordinate marginals of law_h and law, one per coordinate."""
-    return [
-        orc.w2sq_gaussian(orc.marginal(law_h, (i,)), orc.marginal(law, (i,)))
-        for i in range(law.dim)
-    ]
+    """Exact W2^2 between the coordinate marginals of law_h and law, one per
+    coordinate: in one dimension (mean difference)^2 + (sd difference)^2."""
+    sd_h, sd = np.sqrt(np.diag(law_h.cov)), np.sqrt(np.diag(law.cov))
+    return ((law_h.mean - law.mean) ** 2 + (sd_h - sd) ** 2).tolist()
 
 
 def _exp_gaussian_scaling(config: ExperimentConfig) -> list[ReportRow]:
@@ -286,7 +294,7 @@ def _exp_gaussian_scaling(config: ExperimentConfig) -> list[ReportRow]:
 
 def _exp_bound_vs_truth(config: ExperimentConfig) -> list[ReportRow]:
     opts = config.options
-    n = config.dims[0] if config.dims else 8
+    n = _single(config, "dims", 8)
     tgt = _target_from_options(n, opts)
     pot = gaussian_potential(tgt.precision)
     graph = build_graph(pot)
@@ -330,9 +338,9 @@ def _exp_bound_vs_truth(config: ExperimentConfig) -> list[ReportRow]:
 
 
 def _exp_subadditivity(config: ExperimentConfig) -> list[ReportRow]:
-    n = config.dims[0] if config.dims else 8
+    n = _single(config, "dims", 8)
     tgt = _target_from_options(n, config.options)
-    h = config.h_values[0] if config.h_values else 1.0 / tgt.beta
+    h = _single(config, "h_values", 1.0 / tgt.beta)
     law_h = orc.lmc_stationary_law(tgt, h)
     law = tgt.law()
     rows = []
@@ -350,7 +358,7 @@ def _exp_subadditivity(config: ExperimentConfig) -> list[ReportRow]:
 
 def _exp_continuous_time(config: ExperimentConfig) -> list[ReportRow]:
     opts = config.options
-    n = config.dims[0] if config.dims else 6
+    n = _single(config, "dims", 6)
     tgt = _target_from_options(n, opts)
     pot = gaussian_potential(tgt.precision)
     graph = build_graph(pot)
@@ -398,7 +406,7 @@ def _exp_onestep_linf(config: ExperimentConfig) -> list[ReportRow]:
         A = tgt.precision
         alpha0 = float(np.max(np.sum(np.abs(A - np.diag(np.diag(A))), axis=1)))
         alpha, beta = tgt.alpha, tgt.beta
-        h = config.h_values[0] if config.h_values else 1.0 / (2.0 * beta)
+        h = _single(config, "h_values", 1.0 / (2.0 * beta))
         law_h = orc.lmc_stationary_law(tgt, h)
         law = tgt.law()
         rng = np.random.default_rng([config.seed, counter])
@@ -438,11 +446,10 @@ def _batch_mean_se(x: np.ndarray, batches: int) -> float:
 
 def _exp_sampler_vs_oracle(config: ExperimentConfig) -> list[ReportRow]:
     opts = config.options
-    n = config.dims[0] if config.dims else 2
-    tgt = _target_from_options(n, opts if "precision" in opts else {"precision": [[3.0, 0.5], [0.5, 3.0]]})
-    n = tgt.dim
+    n = _single(config, "dims", 2)
+    tgt = _target_from_options(n, {"diag": 3.0, "off": 0.5, **opts})
     pot = gaussian_potential(tgt.precision)
-    h = config.h_values[0] if config.h_values else 0.05
+    h = _single(config, "h_values", 0.05)
     scfg = SamplerConfig(
         h=h,
         iterations=int(opts.get("iterations", 500_000)),
@@ -510,7 +517,7 @@ def _all_ones_householder(n: int) -> np.ndarray:
 
 def _exp_delocalization_failure(config: ExperimentConfig) -> list[ReportRow]:
     opts = config.options
-    h = config.h_values[0] if config.h_values else 0.02
+    h = _single(config, "h_values", 0.02)
     soft = float(opts.get("soft", 1.0))
     stiff = float(opts.get("stiff", 50.0))
     dims = config.dims or (8, 32, 128)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -334,32 +334,6 @@ class PairwiseSpec:
         object.__setattr__(self, "confine_bounds", cb)
         object.__setattr__(self, "interaction_bounds", 0.5 * (ib + ib.T))
 
-    @classmethod
-    def quadratic(cls, confine, coupling) -> "PairwiseSpec":
-        """V_i(s) = confine[i] s^2 / 2 and V_ij(s) = coupling[i, j] s^2 / 2."""
-        confine = np.asarray(confine, dtype=float)
-        coupling = np.asarray(coupling, dtype=float)
-        n = confine.shape[0]
-        confine_fns = tuple(
-            (lambda s, a=a: 0.5 * a * s * s, lambda s, a=a: a * s) for a in confine
-        )
-        interaction_fns = {
-            (i, j): (
-                lambda s, c=coupling[i, j]: 0.5 * c * s * s,
-                lambda s, c=coupling[i, j]: c * s,
-            )
-            for i in range(n)
-            for j in range(i + 1, n)
-            if coupling[i, j] != 0
-        }
-        return cls(
-            n=n,
-            confine_bounds=np.abs(confine),
-            interaction_bounds=np.abs(coupling),
-            confine_fns=confine_fns,
-            interaction_fns=interaction_fns,
-        )
-
     def to_structured(self, smoothness: SmoothnessParams) -> StructuredPotential:
         if self.confine_fns is None:
             raise ValueError("scalar callables required to build an evaluable potential")
@@ -410,27 +384,63 @@ def tridiagonal_precision(n: int, diag: float = 2.0, off: float = -0.5) -> np.nd
 
 
 def _gaussian_terms(A: np.ndarray) -> list[FactorTerm]:
-    """Decompose x'Ax/2 into singleton terms A_ii x_i^2/2 and pair terms
-    A_ij x_i x_j, so the interaction graph has an edge exactly where A_ij != 0."""
-    n = A.shape[0]
-    terms = []
-    for i in range(n):
-        if A[i, i] != 0.0:
-            terms.append(quadratic_term((i,), [[A[i, i]]]))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if A[i, j] != 0.0:
-                terms.append(quadratic_term((i, j), [[0.0, A[i, j]], [A[i, j], 0.0]]))
-    return terms
+    """Decompose x'Ax/2 into singleton terms A_ii x_i^2/2 (ascending i) and
+    pair terms A_ij x_i x_j (upper triangle, row by row), so the interaction
+    graph has an edge exactly where A_ij != 0."""
+    d = np.diag(A)
+    singles = [quadratic_term((i,), [[d[i]]]) for i in np.flatnonzero(d).tolist()]
+    rows, cols = np.nonzero(np.triu(A, 1))
+    pairs = [
+        quadratic_term((i, j), [[0.0, A[i, j]], [A[i, j], 0.0]])
+        for i, j in zip(rows.tolist(), cols.tolist())
+    ]
+    return singles + pairs
 
 
-def _gaussian_smoothness(A: np.ndarray, gamma: float, alpha0: float | None) -> SmoothnessParams:
-    eigs = np.linalg.eigvalsh(0.5 * (A + A.T))
+def _pair_terms(n: int, confine: float, pairs) -> list[FactorTerm]:
+    """Terms of sum_i confine x_i^2/2 + sum_{((i, j), c) in pairs} c (x_i - x_j)^2/2."""
+    terms = [quadratic_term((i,), [[confine]]) for i in range(n) if confine != 0.0]
+    return terms + [quadratic_term(ij, [[c, -c], [-c, c]]) for ij, c in pairs if c != 0.0]
+
+
+def _chain_pairs(n: int, couple: float) -> list:
+    return [((i, i + 1), couple) for i in range(n - 1)]
+
+
+def _grid_pairs(rows: int, cols: int, couple: float) -> list:
+    """Right then down neighbour of each vertex v = r * cols + c, in label order."""
+    pairs = []
+    for v in range(rows * cols):
+        if (v + 1) % cols:
+            pairs.append(((v, v + 1), couple))
+        if v + cols < rows * cols:
+            pairs.append(((v, v + cols), couple))
+    return pairs
+
+
+def _mean_field_pairs(n: int, strength: float) -> list:
+    return [((i, j), strength / n) for i in range(n) for j in range(i + 1, n)]
+
+
+def _symmetric_precision(A) -> np.ndarray:
+    A = np.asarray(A, dtype=float)
+    if not np.allclose(A, A.T, atol=1e-10, rtol=0):
+        raise ValueError("precision matrix must be symmetric")
+    return 0.5 * (A + A.T)
+
+
+def _quadratic_potential(
+    n: int, terms: list[FactorTerm], gamma: float, alpha0: float | None = None
+) -> StructuredPotential:
+    """The potential with these quadratic terms; alpha and beta are the extreme
+    eigenvalues of the assembled matrix, which must be positive definite."""
+    eigs = np.linalg.eigvalsh(_assemble(n, terms))
     if eigs[0] <= 0:
         raise ValueError(f"precision matrix must be positive definite, lambda_min={eigs[0]}")
-    return SmoothnessParams(
+    smoothness = SmoothnessParams(
         alpha=float(eigs[0]), beta=float(eigs[-1]), gamma=gamma, alpha0=alpha0
     )
+    return StructuredPotential(n=n, terms=tuple(terms), smoothness=smoothness)
 
 
 def gaussian_potential(A, gamma: float = 1.0, alpha0: float | None = None) -> StructuredPotential:
@@ -438,40 +448,15 @@ def gaussian_potential(A, gamma: float = 1.0, alpha0: float | None = None) -> St
 
     alpha = lambda_min(A) (exact log-Sobolev constant), beta = lambda_max(A).
     """
-    A = np.asarray(A, dtype=float)
-    if not np.allclose(A, A.T, atol=1e-10, rtol=0):
-        raise ValueError("precision matrix must be symmetric")
-    A = 0.5 * (A + A.T)
-    return StructuredPotential(
-        n=A.shape[0], terms=tuple(_gaussian_terms(A)), smoothness=_gaussian_smoothness(A, gamma, alpha0)
-    )
-
-
-def _pair_coupling_matrix(c: float) -> list[list[float]]:
-    # (x_i - x_j)^2 c / 2 as a quadratic form
-    return [[c, -c], [-c, c]]
-
-
-def _assembled_pair_potential(n, singleton_coefs, pairs, gamma) -> StructuredPotential:
-    terms = []
-    for i, a in enumerate(singleton_coefs):
-        if a != 0.0:
-            terms.append(quadratic_term((i,), [[a]]))
-    for (i, j), c in pairs:
-        if c != 0.0:
-            terms.append(quadratic_term((i, j), _pair_coupling_matrix(c)))
-    A = _assemble(n, terms)
-    return StructuredPotential(
-        n=n, terms=tuple(terms), smoothness=_gaussian_smoothness(A, gamma, None)
-    )
+    A = _symmetric_precision(A)
+    return _quadratic_potential(A.shape[0], _gaussian_terms(A), gamma, alpha0)
 
 
 def chain_pairwise(
     n: int, confine: float = 1.0, couple: float = 0.5, gamma: float = 1.0
 ) -> StructuredPotential:
     """V(x) = sum_i confine x_i^2/2 + sum_i couple (x_i - x_{i+1})^2/2."""
-    pairs = [((i, i + 1), couple) for i in range(n - 1)]
-    return _assembled_pair_potential(n, [confine] * n, pairs, gamma)
+    return _quadratic_potential(n, _pair_terms(n, confine, _chain_pairs(n, couple)), gamma)
 
 
 def grid_pairwise(
@@ -479,15 +464,7 @@ def grid_pairwise(
 ) -> StructuredPotential:
     """Nearest-neighbour coupling on a rows-by-cols grid (row-major labels)."""
     n = rows * cols
-    pairs = []
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                pairs.append(((v, v + 1), couple))
-            if r + 1 < rows:
-                pairs.append(((v, v + cols), couple))
-    return _assembled_pair_potential(n, [confine] * n, pairs, gamma)
+    return _quadratic_potential(n, _pair_terms(n, confine, _grid_pairs(rows, cols, couple)), gamma)
 
 
 def mean_field(
@@ -495,8 +472,7 @@ def mean_field(
 ) -> StructuredPotential:
     """All-pairs coupling with 1/n scaling:
     V(x) = sum_i confine x_i^2/2 + (strength/n) sum_{i<j} (x_i - x_j)^2/2."""
-    pairs = [((i, j), strength / n) for i in range(n) for j in range(i + 1, n)]
-    return _assembled_pair_potential(n, [confine] * n, pairs, gamma)
+    return _quadratic_potential(n, _pair_terms(n, confine, _mean_field_pairs(n, strength)), gamma)
 
 
 # -- JSON serialization -------------------------------------------------------
@@ -524,8 +500,9 @@ def potential_to_dict(pot: StructuredPotential) -> dict:
     return {"n": pot.n, "terms": terms, "smoothness": sm}
 
 
-def _expand_builtin(name: str, support: list[int], params: dict) -> list[FactorTerm]:
-    k = len(support)
+def _builtin_terms(name: str, k: int, params: dict) -> list[FactorTerm]:
+    """The terms of builtin `name` on the local coordinates 0..k-1."""
+    confine = params.get("confine", 1.0)
     if name == "gaussian":
         if "precision" in params:
             A = np.asarray(params["precision"], dtype=float)
@@ -536,28 +513,17 @@ def _expand_builtin(name: str, support: list[int], params: dict) -> list[FactorT
             raise ValueError("builtin:gaussian needs 'precision' or 'tridiagonal' params")
         if A.shape != (k, k):
             raise ValueError(f"precision shape {A.shape} does not match support size {k}")
-        inner = _gaussian_terms(0.5 * (A + A.T))
-    elif name == "chain-pairwise":
-        pot = chain_pairwise(k, params.get("confine", 1.0), params.get("couple", 0.5))
-        inner = list(pot.terms)
-    elif name == "grid-pairwise":
+        return _gaussian_terms(_symmetric_precision(A))
+    if name == "chain-pairwise":
+        return _pair_terms(k, confine, _chain_pairs(k, params.get("couple", 0.5)))
+    if name == "grid-pairwise":
         rows, cols = params["rows"], params["cols"]
         if rows * cols != k:
             raise ValueError(f"grid {rows}x{cols} does not match support size {k}")
-        pot = grid_pairwise(rows, cols, params.get("confine", 1.0), params.get("couple", 0.25))
-        inner = list(pot.terms)
-    elif name == "mean-field":
-        pot = mean_field(k, params.get("confine", 1.0), params.get("strength", 1.0))
-        inner = list(pot.terms)
-    else:
-        raise ValueError(f"unknown builtin {name!r}")
-    # remap local coordinates onto the declared support
-    remap = dict(enumerate(support))
-    out = []
-    for t in inner:
-        sup = tuple(sorted(remap[i] for i in t.support))
-        out.append(quadratic_term(sup, t.matrix))
-    return out
+        return _pair_terms(k, confine, _grid_pairs(rows, cols, params.get("couple", 0.25)))
+    if name == "mean-field":
+        return _pair_terms(k, confine, _mean_field_pairs(k, params.get("strength", 1.0)))
+    raise ValueError(f"unknown builtin {name!r}")
 
 
 def potential_from_dict(spec: dict) -> StructuredPotential:
@@ -583,7 +549,11 @@ def potential_from_dict(spec: dict) -> StructuredPotential:
                 quadratic_term(support, params["matrix"], lipschitz=entry.get("lipschitz"))
             )
         elif kind.startswith("builtin:"):
-            terms.extend(_expand_builtin(kind.split(":", 1)[1], support, params))
+            # local coordinate i of the builtin is support[i]
+            local = _builtin_terms(kind.split(":", 1)[1], len(support), params)
+            terms.extend(
+                replace(t, support=tuple(support[i] for i in t.support)) for t in local
+            )
         else:
             raise ValueError(f"unknown term kind {kind!r}")
     return StructuredPotential(n=n, terms=tuple(terms), smoothness=smoothness)

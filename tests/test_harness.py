@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from deloc.bounds import dynamic_bound, weak_constants
+from deloc import oracle as orc
 from deloc.cli import main
 from deloc.graph import InteractionGraph, build_graph
 from deloc.harness import (
     CSV_COLUMNS,
+    EXPERIMENTS,
     ExperimentConfig,
     ExperimentReport,
     ReportRow,
@@ -28,7 +30,13 @@ from deloc.hierarchy import (
     certified_entropy_curve,
     semigroup_weak,
 )
-from deloc.potential import chain_pairwise, load_potential, mean_field, potential_to_dict
+from deloc.potential import (
+    chain_pairwise,
+    load_potential,
+    mean_field,
+    potential_to_dict,
+    tridiagonal_precision,
+)
 from deloc.subsets import mask_from
 
 
@@ -68,6 +76,8 @@ def test_config_validation():
 def test_config_from_dict_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys"):
         config_from_dict({"experiment": "subadditivity", "step": 0.1})
+    with pytest.raises(ValueError, match="'experiment'"):
+        config_from_dict({"dims": [4]})
     cfg = config_from_dict({"experiment": "subadditivity", "dims": [4], "seed": 7})
     assert cfg.dims == (4,)
     assert cfg.seed == 7
@@ -296,6 +306,49 @@ def test_sampler_vs_oracle_smoke():
     assert rep.failures() == []
 
 
+def test_sampler_vs_oracle_takes_n_from_dims():
+    # without a precision option the target is tridiagonal(3, 0.5) of size dims[0]
+    rep = run_experiment(
+        ExperimentConfig(
+            experiment="sampler-vs-oracle",
+            dims=(4,),
+            options={"iterations": 2000, "chains": 2, "batches": 10, "marginal_samples": 200},
+        )
+    )
+    assert {r.n for r in rep.rows} == {4}
+    assert len(rep.select(metric="cov-entry")) == 10
+    assert [r.subset for r in rep.select(metric="w2sq-marginal")] == ["0", "1", "2", "3"]
+
+
+def test_singleton_w2_rows_match_bures_of_marginals():
+    # the closed-form coordinate W2^2 against the general Gaussian W2^2
+    h = 0.05
+    scaling = run_experiment(
+        ExperimentConfig(
+            experiment="gaussian-scaling", dims=(5,), h_values=(h,),
+            options={"diag": 2.0, "off": -0.7},
+        )
+    )
+    sampler = run_experiment(
+        ExperimentConfig(
+            experiment="sampler-vs-oracle", dims=(3,), h_values=(h,),
+            options={"iterations": 2000, "chains": 2, "batches": 10, "marginal_samples": 200},
+        )
+    )
+    for rep, A, col in [
+        (scaling, tridiagonal_precision(5, 2.0, -0.7), "value"),
+        (sampler, tridiagonal_precision(3, 3.0, 0.5), "bound"),
+    ]:
+        tgt = orc.GaussianTarget(A)
+        law, law_h = tgt.law(), orc.lmc_stationary_law(tgt, h)
+        rows = rep.select(metric="w2sq-marginal")
+        assert len(rows) == A.shape[0]
+        for r in rows:
+            i = int(r.subset)
+            ref = orc.w2sq_gaussian(orc.marginal(law_h, (i,)), orc.marginal(law, (i,)))
+            assert getattr(r, col) == pytest.approx(ref, rel=1e-9, abs=0)
+
+
 def test_delocalization_demo_small():
     rep = delocalization_failure_demo(dims=(4, 8))
     growth = rep.select(metric="rotated-bias-growth")[0]
@@ -354,6 +407,60 @@ def test_cli_run_reports_divergence_with_exit_2(tmp_path, capsys):
     row = out.read_text().splitlines()[1].split(",")
     assert row[3].startswith("chain=") and row[4] == "divergence"
     assert float(row[5]) >= 1 and row[-1] == "false"
+
+
+TINY_CONFIGS = {
+    "gaussian-scaling": {"dims": [3, 4], "h_values": [0.01]},
+    "bound-vs-truth": {"dims": [3], "h_values": [0.01], "subsets": "singletons"},
+    "subadditivity": {"dims": [3]},
+    "continuous-time": {
+        "dims": [3], "subsets": "singletons", "options": {"eps": [0.5], "times": [0.5]}
+    },
+    "onestep-linf": {"dims": [2], "options": {"samples": 64, "n_boot": 2}},
+    "sampler-vs-oracle": {
+        "options": {"iterations": 2000, "chains": 2, "batches": 10, "marginal_samples": 200}
+    },
+    "delocalization-failure": {"dims": [4, 8]},
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_cli_run_every_experiment_prints_json(experiment, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": experiment, **TINY_CONFIGS[experiment]}))
+    rc = main(["run", str(cfg)])
+    payload = cli_json(capsys)
+    assert payload["experiment"] == experiment
+    assert payload["rows"] > 0
+    assert rc == (2 if payload["failures"] else 0)
+
+
+@pytest.mark.parametrize(
+    "spec,reason",
+    [
+        ({"experiment": "gaussian-scaling", "dims": [4], "h_values": [1.5]}, "stability region"),
+        ({"experiment": "subadditivity", "dims": [12]}, "capped at n=10"),
+        ({"experiment": "bound-vs-truth", "dims": [4], "options": {"c": 0.5}},
+         "growth certificate"),
+        ({"experiment": "bound-vs-truth", "dims": [4, 64]}, "takes one entry in dims"),
+        ({"experiment": "subadditivity", "h_values": [0.1, 0.2]}, "takes one entry in h_values"),
+        ({"experiment": "delocalization-failure", "h_values": [0.01, 0.02]},
+         "takes one entry in h_values"),
+        ({"experiment": "sampler-vs-oracle", "dims": [4],
+          "options": {"precision": [[3.0, 0.5], [0.5, 3.0]]}}, "does not match n=4"),
+        ({"dims": [4]}, "'experiment'"),
+        ({"experiment": "no-such-experiment"}, "unknown experiment"),
+    ],
+)
+def test_cli_run_reports_domain_errors_with_exit_2(spec, reason, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(spec))
+    rc = main(["run", str(cfg)])
+    payload = cli_json(capsys)
+    assert rc == 2
+    assert set(payload) == {"experiment", "valid", "reason"}
+    assert (payload["experiment"], payload["valid"]) == (spec.get("experiment"), False)
+    assert reason in payload["reason"]
 
 
 def test_cli_bounds_constants(capsys):
@@ -558,3 +665,16 @@ def test_cli_validate(tmp_path, capsys):
     payload = cli_json(capsys)
     assert rc == 2
     assert payload["valid"] is False
+
+    asymmetric = tmp_path / "asymmetric.json"
+    asymmetric.write_text(json.dumps({
+        "n": 2,
+        "smoothness": {"alpha": 0.5},
+        "terms": [{"kind": "builtin:gaussian", "support": [0, 1],
+                   "params": {"precision": [[2.0, 0.5], [0.0, 2.0]]}}],
+    }))
+    rc = main(["validate", str(asymmetric)])
+    payload = cli_json(capsys)
+    assert rc == 2
+    assert payload["valid"] is False
+    assert "symmetric" in payload["error"]

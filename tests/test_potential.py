@@ -225,12 +225,23 @@ def test_interaction_constants_from_supports_and_weights():
 
 def test_pairwise_constants_match_structured_potential(rng):
     # both descriptions of one pairwise potential give the same constants
+    # V_i(s) = a_i s^2 / 2 and V_ij(s) = J_ij s^2 / 2
     coupling = np.triu(rng.uniform(0.0, 0.4, (5, 5)), 1)
     coupling[1, 3] = 0.0
-    spec = PairwiseSpec.quadratic(confine=rng.uniform(0.5, 2.0, 5), coupling=coupling + coupling.T)
+    confine = rng.uniform(0.5, 2.0, 5)
+    J = coupling + coupling.T
+    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5) if coupling[i, j] > 0]
+    spec = PairwiseSpec(
+        n=5,
+        confine_bounds=confine,
+        interaction_bounds=J,
+        confine_fns=tuple((lambda s, a=a: 0.5 * a * s * s, lambda s, a=a: a * s) for a in confine),
+        interaction_fns={
+            p: (lambda s, c=J[p]: 0.5 * c * s * s, lambda s, c=J[p]: c * s) for p in pairs
+        },
+    )
     pot = spec.to_structured(SmoothnessParams(alpha=0.1))
     singles = [(i,) for i in range(5)]
-    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5) if coupling[i, j] > 0]
     a = interaction_constants(
         singles + pairs, [*spec.confine_bounds, *(spec.interaction_bounds[p] for p in pairs)]
     )
@@ -239,9 +250,14 @@ def test_pairwise_constants_match_structured_potential(rng):
 
 
 def test_pairwise_to_structured_matches_quadratic(rng):
-    # quadratic pairwise chain: both construction routes agree pointwise
-    spec = PairwiseSpec.quadratic(
-        confine=np.full(4, 1.0), coupling=0.5 * (np.diag(np.ones(3), 1) + np.diag(np.ones(3), -1))
+    # quadratic pairwise chain: V_i(s) = s^2 / 2 and V_{i,i+1}(s) = 0.5 s^2 / 2
+    # as scalar callables agree pointwise with the closed form
+    spec = PairwiseSpec(
+        n=4,
+        confine_bounds=np.full(4, 1.0),
+        interaction_bounds=0.5 * (np.diag(np.ones(3), 1) + np.diag(np.ones(3), -1)),
+        confine_fns=((lambda s: 0.5 * s * s, lambda s: s),) * 4,
+        interaction_fns={(i, i + 1): (lambda s: 0.25 * s * s, lambda s: 0.5 * s) for i in range(3)},
     )
     pot = spec.to_structured(SmoothnessParams(alpha=0.25))
     x = rng.standard_normal(4)
@@ -334,6 +350,57 @@ def test_builtin_support_remap(rng):
     A3 = tridiagonal_precision(3)
     expected = 0.5 * x[2:5] @ A3 @ x[2:5] + 0.5 * (x[0] ** 2 + x[1] ** 2 + x[5] ** 2)
     assert pot.value(x) == pytest.approx(expected)
+
+
+SHIFTED = [9, 1, 4, 3, 8, 6]  # declared out of order; sorted it is the builtin's coordinates
+
+
+def _dense_precision():
+    A = tridiagonal_precision(6, 3.0, -0.5)
+    A[0, 4] = A[4, 0] = 0.2
+    return A
+
+
+@pytest.mark.parametrize(
+    "kind,params,build",
+    [
+        ("gaussian", {"precision": _dense_precision().tolist()},
+         lambda: gaussian_potential(_dense_precision())),
+        ("gaussian", {"tridiagonal": {"diag": 2.5, "off": 0.3}},
+         lambda: gaussian_potential(tridiagonal_precision(6, 2.5, 0.3))),
+        ("chain-pairwise", {"confine": 1.5, "couple": 0.7}, lambda: chain_pairwise(6, 1.5, 0.7)),
+        ("grid-pairwise", {"rows": 2, "cols": 3, "couple": 0.4},
+         lambda: grid_pairwise(2, 3, 1.0, 0.4)),
+        ("mean-field", {"confine": 0.5, "strength": 2.0}, lambda: mean_field(6, 0.5, 2.0)),
+    ],
+)
+def test_builtin_on_shifted_support_equals_builder_terms(kind, params, build):
+    spec = {
+        "n": 10,
+        "smoothness": {"alpha": 0.1, "beta": 10.0},
+        "terms": [{"kind": f"builtin:{kind}", "support": SHIFTED, "params": params}],
+    }
+    got, want = potential_from_dict(spec).terms, build().terms
+    support = sorted(SHIFTED)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.support == tuple(support[i] for i in w.support)
+        assert all(type(i) is int for i in g.support)
+        assert (g.kind, g.lipschitz, g.label) == (w.kind, w.lipschitz, w.label)
+        assert g.matrix.tobytes() == w.matrix.tobytes()
+
+
+def test_builtin_gaussian_rejects_asymmetric_precision():
+    spec = {
+        "n": 2,
+        "smoothness": {"alpha": 0.5},
+        "terms": [{"kind": "builtin:gaussian", "support": [0, 1],
+                   "params": {"precision": [[2.0, 0.5], [0.0, 2.0]]}}],
+    }
+    with pytest.raises(ValueError, match="precision matrix must be symmetric"):
+        potential_from_dict(spec)
+    with pytest.raises(ValueError, match="precision matrix must be symmetric"):
+        gaussian_potential(spec["terms"][0]["params"]["precision"])
 
 
 def test_potential_from_dict_error_paths():
