@@ -7,15 +7,18 @@ Subcommands:
   deloc hierarchy ...          semigroup evaluation and certified curves
   deloc validate <pot.json>    sanity-check a potential file
 
-All subcommands print a JSON document to stdout.  Exit status is 0 on
-success and 2 if any check failed (a report row with valid=false, an
-invalid bound, or a potential that fails validation)."""
+Each subcommand returns its report and `main` prints it as one JSON
+document.  Input outside a theorem's or an experiment's domain (a
+ValueError) is reported as the command's head plus valid=false and the
+reason.  Exit status is 0 on success and 2 if any check failed (a report
+with valid=false or a run with failed rows)."""
 
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -43,62 +46,35 @@ def _coerce(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
-def _cmd_run(args) -> int:
-    with open(args.config) as f:
-        spec = json.load(f)
-    if args.output:
-        spec = {**spec, "output": args.output}
+def _read_json(path: str):
+    """The JSON document in the file at path; an unreadable file is a usage error."""
     try:
-        cfg = config_from_dict(spec)
-        report = run_experiment(cfg)
-    except ValueError as e:
-        _emit({"experiment": spec.get("experiment"), "valid": False, "reason": str(e)})
-        return EXIT_CHECK_FAILED
-    written = []
-    if cfg.output:
-        written = [cfg.output, cfg.output + ".json"]
+        with open(path) as f:
+            return json.load(f)
+    except (OSError, ValueError) as e:
+        raise argparse.ArgumentTypeError(f"cannot read JSON from {path!r}: {e}") from None
+
+
+def _cmd_run(args) -> dict:
+    cfg = config_from_dict(args.config)
+    if args.output:
+        cfg = replace(cfg, output=args.output)
+    report = run_experiment(cfg)
+    written = [cfg.output, cfg.output + ".json"] if cfg.output else []
     if args.gnuplot:
-        prefix = cfg.output or f"{cfg.experiment}"
-        written += report.to_gnuplot(prefix)
+        written += report.to_gnuplot(cfg.output or cfg.experiment)
     failures = report.failures()
-    _emit(
-        {
-            "experiment": cfg.experiment,
-            "rows": len(report.rows),
-            "failures": len(failures),
-            "failed_metrics": sorted({r.metric for r in failures}),
-            "files": written,
-            "metadata": report.metadata,
-        }
-    )
-    return EXIT_CHECK_FAILED if failures else EXIT_OK
-
-
-def _report_payload(rep: bnd.BoundReport) -> dict:
     return {
-        "theorem": rep.theorem,
-        "inputs": rep.inputs,
-        "outputs": rep.outputs,
-        "valid": rep.valid,
-        "reason": rep.reason,
+        "experiment": cfg.experiment,
+        "rows": len(report.rows),
+        "failures": len(failures),
+        "failed_metrics": sorted({r.metric for r in failures}),
+        "files": written,
+        "metadata": report.metadata,
     }
 
 
-def _cmd_bounds(args) -> int:
-    pot = None
-    if args.theorem == "continuous-time":
-        if args.potential is None:
-            args.usage_error("continuous-time needs --potential")
-        pot = load_potential(args.potential)
-    try:
-        payload = _bound(args, pot)
-    except ValueError as e:
-        payload = {"theorem": args.theorem, "valid": False, "reason": str(e)}
-    _emit(payload)
-    return EXIT_OK if payload["valid"] else EXIT_CHECK_FAILED
-
-
-def _bound(args, pot) -> dict:
+def _cmd_bounds(args) -> dict:
     """The report of one theorem; an input outside its domain raises ValueError."""
     t = args.theorem
     if t in bnd.THEOREMS:
@@ -116,33 +92,31 @@ def _bound(args, pot) -> dict:
     elif t in bnd.DYNAMIC_THEOREMS:
         rep = bnd.dynamic_bound(t, vars(args), args.k, args.h, args.usize, args.C0)
     else:  # continuous-time over the loaded potential
+        if args.potential is None:
+            args.usage_error("continuous-time needs --potential")
+        pot = load_potential(args.potential)
         sm = pot.smoothness
         rep = bnd.continuous_time_bound(
             build_graph(pot), args.subset, args.t, args.eps, sm.alpha, pot.beta, sm.gamma,
             C0=args.C0,
         )
-    return _report_payload(rep)
+    return {
+        "theorem": rep.theorem,
+        "inputs": rep.inputs,
+        "outputs": rep.outputs,
+        "valid": rep.valid,
+        "reason": rep.reason,
+    }
 
 
-def _cmd_hierarchy(args) -> int:
-    pot = load_potential(args.potential)
-    at = {"h": args.h} if args.certify else {"t": args.t}
-    try:
-        out = _hierarchy(args, pot, as_mask(args.subset, pot.n))
-    except ValueError as e:
-        _emit({"case": args.case, **at, "valid": False, "reason": str(e)})
-        return EXIT_CHECK_FAILED
-    _emit({"case": args.case, **at, **out})
-    return EXIT_OK
-
-
-def _hierarchy(args, pot, u) -> dict:
+def _cmd_hierarchy(args) -> dict:
     """h* and the certified curve with --certify, else e^{tA} of the size
-    function at u; a domain violation raises ValueError."""
+    function at the subset; a domain violation raises ValueError."""
+    pot = load_potential(args.potential)
+    u = as_mask(args.subset, pot.n)
     sm = pot.smoothness
     if args.certify:
-        C0 = 1.0 if args.C0 is None else args.C0
-        H0 = hie.SubsetFunction(lambda m: C0 * size(m), "scaled-size")
+        H0 = hie.SubsetFunction(lambda m: args.C0 * size(m), "scaled-size")
         if args.case == "weak":
             params = hie.WeakParams(alpha=sm.alpha, gamma=sm.gamma, epsilon=args.eps)
             consts = pot.interaction_constants
@@ -157,17 +131,19 @@ def _hierarchy(args, pot, u) -> dict:
             curve = hie.certified_entropy_curve(
                 "sparse", params, build_graph(pot), H0, args.h, args.k, u
             )
-        return {"h_star": h_star, "curve": curve.tolist()}
+        return {**args.head(args), "h_star": h_star, "curve": curve.tolist()}
     F = hie.SubsetFunction.size()
     eps = 0.5 if args.eps is None else args.eps
     if args.case == "weak":
         gen = hie.WeakGenerator.from_params(pot, sm.alpha, sm.gamma, eps)
-        return {"value": hie.semigroup_weak(gen, args.t, F, u)}
-    gen = hie.SparseGenerator.from_params(build_graph(pot), sm.alpha, pot.beta, sm.gamma, eps)
-    return {"value": hie.semigroup_sparse(gen, args.t, F, u)}
+        value = hie.semigroup_weak(gen, args.t, F, u)
+    else:
+        gen = hie.SparseGenerator.from_params(build_graph(pot), sm.alpha, pot.beta, sm.gamma, eps)
+        value = hie.semigroup_sparse(gen, args.t, F, u)
+    return {**args.head(args), "value": value}
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> dict:
     checks: list[tuple[str, bool, str]] = []
 
     def check(name: str, ok: bool, detail: str = "") -> None:
@@ -176,18 +152,13 @@ def _cmd_validate(args) -> int:
     try:
         pot = load_potential(args.potential)
     except Exception as e:  # noqa: BLE001 - report, don't crash
-        _emit({"valid": False, "error": f"{type(e).__name__}: {e}"})
-        return EXIT_CHECK_FAILED
+        return {"valid": False, "error": f"{type(e).__name__}: {e}"}
 
     check("loads", True)
     sm = pot.smoothness
     check("alpha-positive", sm.alpha > 0, f"alpha={sm.alpha}")
-    try:
-        beta = pot.beta
-        check("beta-defined", True, f"beta={beta}")
-        check("alpha-le-beta", sm.alpha <= beta + 1e-12)
-    except ValueError as e:
-        check("beta-defined", False, str(e))
+    check("beta-defined", True, f"beta={pot.beta}")
+    check("alpha-le-beta", sm.alpha <= pot.beta + 1e-12)
 
     consts = pot.interaction_constants
     check("constants-finite", all(np.isfinite([consts.M0, consts.M1, consts.R0, consts.R1])))
@@ -197,9 +168,8 @@ def _cmd_validate(args) -> int:
     check("gradient-finite", bool(np.all(np.isfinite(g))))
     # finite-difference spot check of the gradient at one point
     eps = 1e-6
-    idx = list(range(min(pot.n, 4)))
     fd_ok = True
-    for i in idx:
+    for i in range(min(pot.n, 4)):
         e = np.zeros(pot.n)
         e[i] = eps
         fd = (pot.value(x + e) - pot.value(x - e)) / (2 * eps)
@@ -212,16 +182,21 @@ def _cmd_validate(args) -> int:
     eta = weak.outputs.get("eta", float("nan"))
     check("weak-condition", True, f"holds={weak.valid} eta={eta:.6g}")
 
-    all_ok = all(ok for _, ok, _ in checks)
-    _emit(
-        {
-            "valid": all_ok,
-            "n": pot.n,
-            "terms": len(pot.terms),
-            "checks": [{"name": n, "ok": ok, "detail": d} for n, ok, d in checks],
-        }
-    )
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    return {
+        "valid": all(ok for _, ok, _ in checks),
+        "n": pot.n,
+        "terms": len(pot.terms),
+        "checks": [{"name": n, "ok": ok, "detail": d} for n, ok, d in checks],
+    }
+
+
+def _run_head(args) -> dict:
+    spec = args.config
+    return {"experiment": spec.get("experiment") if isinstance(spec, dict) else None}
+
+
+def _hierarchy_head(args) -> dict:
+    return {"case": args.case, **({"h": args.h} if args.certify else {"t": args.t})}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,10 +204,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run an experiment from a JSON config")
-    p_run.add_argument("config")
+    p_run.add_argument("config", type=_read_json)
     p_run.add_argument("--output", help="CSV path (overrides config)")
     p_run.add_argument("--gnuplot", action="store_true", help="also write per-metric .dat files")
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(func=_cmd_run, head=_run_head)
 
     p_b = sub.add_parser("bounds", help="evaluate theorem constants and bounds")
     p_b.add_argument(
@@ -263,7 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_b.add_argument("--rate", type=float, default=1.0)
     p_b.add_argument("--subset", type=int, nargs="+", default=[0])
     p_b.add_argument("--potential", help="potential JSON (continuous-time only)")
-    p_b.set_defaults(func=_cmd_bounds, usage_error=p_b.error)
+    p_b.set_defaults(
+        func=_cmd_bounds, head=lambda a: {"theorem": a.theorem}, usage_error=p_b.error
+    )
 
     p_h = sub.add_parser("hierarchy", help="semigroup values and certified curves")
     p_h.add_argument("potential")
@@ -277,18 +254,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_h.add_argument("--c", type=float, default=1.0)
     p_h.add_argument("--p", type=float, default=1.0)
     p_h.add_argument("--r", type=float, default=1.5)
-    p_h.add_argument("--C0", type=float, default=None)
-    p_h.set_defaults(func=_cmd_hierarchy)
+    p_h.add_argument("--C0", type=float, default=1.0)
+    p_h.set_defaults(func=_cmd_hierarchy, head=_hierarchy_head)
 
     p_v = sub.add_parser("validate", help="check a potential JSON file")
     p_v.add_argument("potential")
-    p_v.set_defaults(func=_cmd_validate)
+    p_v.set_defaults(func=_cmd_validate, head=lambda a: {})
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        payload = args.func(args)
+    except ValueError as e:
+        payload = {**args.head(args), "valid": False, "reason": str(e)}
+    _emit(payload)
+    failed = payload.get("valid") is False or payload.get("failures")
+    return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -56,7 +56,7 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        if not isinstance(self.experiment, str) or self.experiment not in EXPERIMENTS:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; known: {sorted(EXPERIMENTS)}"
             )
@@ -68,12 +68,28 @@ class ExperimentConfig:
             raise ValueError("step sizes must be positive")
 
 
+# the JSON type of each optional config field, and its name in an error
+_CONFIG_TYPES = {
+    "dims": (list, "a list"), "h_values": (list, "a list"), "options": (dict, "an object"),
+    "subsets": ((str, list, dict), "a string, list or object"),
+}
+
+
 def config_from_dict(spec: dict) -> ExperimentConfig:
+    if not isinstance(spec, dict):
+        raise ValueError("config must be a JSON object")
     extra = set(spec) - {f.name for f in fields(ExperimentConfig)}
     if extra:
         raise ValueError(f"unknown config keys {sorted(extra)}")
     if "experiment" not in spec:
         raise ValueError("config needs an 'experiment' key")
+    for key, (types, what) in _CONFIG_TYPES.items():
+        if key in spec and not isinstance(spec[key], types):
+            raise ValueError(f"config {key!r} must be {what}, got {spec[key]!r}")
+    for key in ("dims", "h_values"):
+        # int() and float() take numbers and numeric strings, and raise TypeError on the rest
+        if not all(isinstance(v, (int, float, str)) for v in spec.get(key, ())):
+            raise ValueError(f"config {key!r} entries must be numbers, got {spec[key]!r}")
     return ExperimentConfig(
         experiment=spec["experiment"],
         dims=tuple(spec.get("dims", ())),
@@ -130,12 +146,7 @@ class ExperimentReport:
         with open(path, "w") as f:
             f.write(",".join(CSV_COLUMNS) + "\n")
             for r in self.rows:
-                f.write(
-                    ",".join(
-                        _fmt(getattr(r, c)) for c in CSV_COLUMNS
-                    )
-                    + "\n"
-                )
+                f.write(",".join(_fmt(getattr(r, c)) for c in CSV_COLUMNS) + "\n")
 
     def to_json_sidecar(self, path) -> None:
         payload = {
@@ -197,9 +208,10 @@ def fit_scaling(x, y) -> ScalingFit:
     return ScalingFit(float(slope), float(intercept), r2)
 
 
-def fit_scaling_rows(report: ExperimentReport, metric: str, predictor: str = "n") -> ScalingFit:
+def fit_scaling_rows(report: ExperimentReport, metric: str) -> ScalingFit:
+    """fit_scaling of the metric's values against n."""
     rows = report.select(metric=metric)
-    return fit_scaling([getattr(r, predictor) for r in rows], [r.value for r in rows])
+    return fit_scaling([r.n for r in rows], [r.value for r in rows])
 
 
 # -- subset panels -------------------------------------------------------------

@@ -259,10 +259,10 @@ def _uniformized_matrix(gen: WeakGenerator, pairs, nstates: int):
     return jumps + stays, theta
 
 
-def _expm_series(P, mu, f, tail_tol):
+def _expm_series(P, mu, f):
     """e^{tQ} f by uniformization with mu = theta t: sum_m pmf(m; mu) P^m f,
-    truncated once the remaining Poisson mass is at most tail_tol."""
-    pmf = truncated_pmf(mu, tail_tol)
+    truncated once the remaining Poisson mass is at most POISSON_TAIL."""
+    pmf = truncated_pmf(mu, POISSON_TAIL)
     acc = pmf[0] * f
     v = f
     for p in pmf[1:]:
@@ -276,7 +276,6 @@ def semigroup_weak(
     t: float,
     F,
     u,
-    tail_tol: float = POISSON_TAIL,
     max_states: int = MAX_WEAK_STATES,
 ) -> float:
     """e^{tA}F(u) for the weak generator by uniformization over the
@@ -289,7 +288,7 @@ def semigroup_weak(
     f = np.array([F(s) for s in states])
     if theta == 0.0 or t == 0.0:
         return float(f[index[m]])
-    return float(_expm_series(P, theta * t, f, tail_tol)[index[m]])
+    return float(_expm_series(P, theta * t, f)[index[m]])
 
 
 # -- certified entropy trajectories --------------------------------------------
@@ -454,7 +453,7 @@ def _weak_operators(params: WeakParams, weights, M0, eps, h, u):
     if theta == 0.0:
         expm_h = lambda v: v
     else:
-        expm_h = lambda v: _expm_series(P, theta * h, v, POISSON_TAIL)
+        expm_h = lambda v: _expm_series(P, theta * h, v)
 
     sizes = np.array([float(size(s)) for s in states])
     ns = N @ sizes

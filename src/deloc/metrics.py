@@ -37,6 +37,7 @@ MAX_ASSIGNMENT_SAMPLES = 4096
 MAX_ASSIGNMENT_DIM = 8
 DEFAULT_BOOTSTRAP = 200
 SUBADDITIVITY_MAX_SAMPLES = 512
+_SUBADDITIVITY_SE = 3.0  # empirical check's tolerance, in combined standard errors
 
 
 @dataclass(frozen=True)
@@ -188,7 +189,7 @@ def _exact_subadditivity(law_a: GaussianLaw, law_b: GaussianLaw, k: int, tol: fl
     )
 
 
-def _empirical_subadditivity(a: np.ndarray, b: np.ndarray, k: int, panel, n_boot, rng, tol_se):
+def _empirical_subadditivity(a: np.ndarray, b: np.ndarray, k: int, panel, n_boot, rng):
     n = a.shape[1]
     if rng is None:
         rng = np.random.default_rng(0)
@@ -226,8 +227,8 @@ def _empirical_subadditivity(a: np.ndarray, b: np.ndarray, k: int, panel, n_boot
         lhs_average=lhs,
         rhs_share=rhs,
         slack=rhs - lhs,
-        passed=lhs <= rhs + tol_se * combined,
-        tolerance=tol_se * combined,
+        passed=lhs <= rhs + _SUBADDITIVITY_SE * combined,
+        tolerance=_SUBADDITIVITY_SE * combined,
         num_subsets=len(combos),
         exact=False,
     )
@@ -241,7 +242,6 @@ def subadditivity_check(
     tol: float = 1e-9,
     n_boot: int = DEFAULT_BOOTSTRAP,
     rng=None,
-    tol_se: float = 3.0,
 ) -> SubadditivityReport:
     """Exact path for a pair of GaussianLaw (all (n choose k) subsets,
     n <= 10, slack tolerance `tol`); empirical path for a pair of sample
@@ -262,4 +262,4 @@ def subadditivity_check(
         raise ValueError("sample arrays must share a dimension")
     if k > a.shape[1]:
         raise ValueError(f"k={k} exceeds dimension {a.shape[1]}")
-    return _empirical_subadditivity(a, b, k, panel, n_boot, rng, tol_se)
+    return _empirical_subadditivity(a, b, k, panel, n_boot, rng)

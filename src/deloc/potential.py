@@ -116,13 +116,11 @@ def callable_term(support, value_fn, grad_fn, lipschitz: float, label: str = "")
 @dataclass(frozen=True)
 class SmoothnessParams:
     """Analytic inputs: LSI constant alpha, gradient Lipschitz constant beta
-    (defaults to M_0 when omitted), semigroup commutation constant gamma,
-    and optional off-diagonal l_inf bound alpha0 for the one-step theorem."""
+    (defaults to M_0 when omitted) and semigroup commutation constant gamma."""
 
     alpha: float
     beta: float | None = None
     gamma: float = 1.0
-    alpha0: float | None = None
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -131,8 +129,6 @@ class SmoothnessParams:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
         if self.beta is not None and self.beta < self.alpha:
             raise ValueError(f"need alpha <= beta, got alpha={self.alpha}, beta={self.beta}")
-        if self.alpha0 is not None and self.alpha0 < 0:
-            raise ValueError("alpha0 must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -278,7 +274,6 @@ class StructuredPotential:
                 "alpha": self.smoothness.alpha,
                 "beta": self.smoothness.beta,
                 "gamma": self.smoothness.gamma,
-                "alpha0": self.smoothness.alpha0,
             },
             "terms": [
                 {
@@ -316,7 +311,7 @@ class PairwiseSpec:
     confine_bounds: np.ndarray
     interaction_bounds: np.ndarray
     confine_fns: tuple | None = None  # ((v_i, dv_i), ...) scalar callables
-    interaction_fns: dict | None = None  # {(i, j): (v_ij, dv_ij)} for i < j
+    interaction_fns: dict | None = None  # {(i, j): (v_ij, dv_ij)} for 0 <= i < j < n
 
     def __post_init__(self):
         cb = np.asarray(self.confine_bounds, dtype=float)
@@ -331,6 +326,10 @@ class PairwiseSpec:
             raise ValueError("interaction_bounds diagonal must be zero")
         if np.any(cb < 0) or np.any(ib < 0):
             raise ValueError("curvature bounds must be >= 0")
+        for i, j in self.interaction_fns or {}:
+            # v_ij takes x_i - x_j, and the term's support is sorted
+            if not 0 <= i < j < self.n:
+                raise ValueError(f"interaction key {(i, j)} needs 0 <= i < j < n={self.n}")
         object.__setattr__(self, "confine_bounds", cb)
         object.__setattr__(self, "interaction_bounds", 0.5 * (ib + ib.T))
 
@@ -429,27 +428,23 @@ def _symmetric_precision(A) -> np.ndarray:
     return 0.5 * (A + A.T)
 
 
-def _quadratic_potential(
-    n: int, terms: list[FactorTerm], gamma: float, alpha0: float | None = None
-) -> StructuredPotential:
+def _quadratic_potential(n: int, terms: list[FactorTerm], gamma: float) -> StructuredPotential:
     """The potential with these quadratic terms; alpha and beta are the extreme
     eigenvalues of the assembled matrix, which must be positive definite."""
     eigs = np.linalg.eigvalsh(_assemble(n, terms))
     if eigs[0] <= 0:
         raise ValueError(f"precision matrix must be positive definite, lambda_min={eigs[0]}")
-    smoothness = SmoothnessParams(
-        alpha=float(eigs[0]), beta=float(eigs[-1]), gamma=gamma, alpha0=alpha0
-    )
+    smoothness = SmoothnessParams(alpha=float(eigs[0]), beta=float(eigs[-1]), gamma=gamma)
     return StructuredPotential(n=n, terms=tuple(terms), smoothness=smoothness)
 
 
-def gaussian_potential(A, gamma: float = 1.0, alpha0: float | None = None) -> StructuredPotential:
+def gaussian_potential(A, gamma: float = 1.0) -> StructuredPotential:
     """Gaussian target N(0, A^{-1}) as a structured potential.
 
     alpha = lambda_min(A) (exact log-Sobolev constant), beta = lambda_max(A).
     """
     A = _symmetric_precision(A)
-    return _quadratic_potential(A.shape[0], _gaussian_terms(A), gamma, alpha0)
+    return _quadratic_potential(A.shape[0], _gaussian_terms(A), gamma)
 
 
 def chain_pairwise(
@@ -495,9 +490,16 @@ def potential_to_dict(pot: StructuredPotential) -> dict:
     sm = {"alpha": s.alpha, "gamma": s.gamma}
     if s.beta is not None:
         sm["beta"] = s.beta
-    if s.alpha0 is not None:
-        sm["alpha0"] = s.alpha0
     return {"n": pot.n, "terms": terms, "smoothness": sm}
+
+
+def _field(obj, key: str, where: str):
+    """obj[key]; ValueError naming `where` if obj is no JSON object or lacks key."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    if key not in obj:
+        raise ValueError(f"{where} missing required key {key!r}")
+    return obj[key]
 
 
 def _builtin_terms(name: str, k: int, params: dict) -> list[FactorTerm]:
@@ -517,7 +519,8 @@ def _builtin_terms(name: str, k: int, params: dict) -> list[FactorTerm]:
     if name == "chain-pairwise":
         return _pair_terms(k, confine, _chain_pairs(k, params.get("couple", 0.5)))
     if name == "grid-pairwise":
-        rows, cols = params["rows"], params["cols"]
+        where = "builtin:grid-pairwise params"
+        rows, cols = _field(params, "rows", where), _field(params, "cols", where)
         if rows * cols != k:
             raise ValueError(f"grid {rows}x{cols} does not match support size {k}")
         return _pair_terms(k, confine, _grid_pairs(rows, cols, params.get("couple", 0.25)))
@@ -527,28 +530,32 @@ def _builtin_terms(name: str, k: int, params: dict) -> list[FactorTerm]:
 
 
 def potential_from_dict(spec: dict) -> StructuredPotential:
-    try:
-        n = int(spec["n"])
-        raw_terms = spec["terms"]
-        sm = spec["smoothness"]
-    except KeyError as e:
-        raise ValueError(f"potential spec missing required key {e.args[0]!r}") from None
+    n = int(_field(spec, "n", "potential spec"))
+    raw_terms = _field(spec, "terms", "potential spec")
+    sm = _field(spec, "smoothness", "potential spec")
+    if not isinstance(raw_terms, list):
+        raise ValueError("potential spec 'terms' must be a list")
     smoothness = SmoothnessParams(
-        alpha=float(sm["alpha"]),
-        beta=float(sm["beta"]) if "beta" in sm and sm["beta"] is not None else None,
+        alpha=float(_field(sm, "alpha", "smoothness")),
+        beta=float(sm["beta"]) if sm.get("beta") is not None else None,
         gamma=float(sm.get("gamma", 1.0)),
-        alpha0=float(sm["alpha0"]) if sm.get("alpha0") is not None else None,
     )
     terms: list[FactorTerm] = []
     for entry in raw_terms:
-        support = sorted(int(i) for i in entry["support"])
-        kind = entry["kind"]
+        support = _field(entry, "support", "term")
+        if not isinstance(support, list):
+            raise ValueError("term 'support' must be a list")
+        if not support:
+            raise ValueError("factor support must be nonempty")
+        support = sorted(int(i) for i in support)
+        kind = _field(entry, "kind", "term")
         params = entry.get("params", {})
+        if not isinstance(params, dict):
+            raise ValueError("term params must be a JSON object")
         if kind == "quadratic":
-            terms.append(
-                quadratic_term(support, params["matrix"], lipschitz=entry.get("lipschitz"))
-            )
-        elif kind.startswith("builtin:"):
+            matrix = _field(params, "matrix", "quadratic term params")
+            terms.append(quadratic_term(support, matrix, lipschitz=entry.get("lipschitz")))
+        elif isinstance(kind, str) and kind.startswith("builtin:"):
             # local coordinate i of the builtin is support[i]
             local = _builtin_terms(kind.split(":", 1)[1], len(support), params)
             terms.extend(

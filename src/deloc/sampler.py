@@ -5,14 +5,14 @@ One LMC step is x <- x - h grad V(x) + sqrt(2h) z with z standard normal.
 step, approximating the continuous-time flow at matched wall-clock time;
 lmc is its m = 1 case, and both run the same step loop.
 
-All chains step together as one block.  The drift x - (h/m) grad V(x) is
-applied to the whole block at once and picks its path from the potential:
+All chains step together as one (C, n) block, one chain per row.  The
+drift x - (h/m) grad V(x) is applied to the whole block at once and picks
+its path from the potential:
 
-  dense quadratic   I - (h/m) A times each chain, a (C, n) block stepped
-                    by a stacked matmul
+  dense quadratic   I - (h/m) A times each chain, by a stacked matmul
   sparse quadratic  the same matrix in CSR when at most one of its entries
-                    in 16 is nonzero, times an (n, C) block
-  callable          the gradient, chain by chain over a (C, n) block
+                    in 16 is nonzero, times the transposed block
+  callable          the gradient, chain by chain
 
 Each path does the same arithmetic on a chain whatever the number of
 chains C.  The block's sup-norm is checked after every recorded step, and
@@ -203,18 +203,16 @@ def _step_matrix(A: np.ndarray, h: float):
 
 
 def _block_drift(pot: StructuredPotential, h: float):
-    """(drift, columns): drift maps a block of chains X to X - h grad V(X)
-    chain by chain; the block holds chains as columns, (n, C), when
-    `columns` is true and as rows, (C, n), otherwise."""
+    """The map from a (C, n) block of chains X to X - h grad V(X), chain by chain."""
     A = pot.quadratic_matrix
     if A is None:
-        return (lambda X: np.array([_descent(pot, x, h) for x in X])), False
+        return lambda X: np.array([_descent(pot, x, h) for x in X])
     M = _step_matrix(A, h)
     if sparse.issparse(M):
         # CSR times a dense block: every column gets the matvec's arithmetic
-        return M.__matmul__, True
+        return lambda X: (M @ X.T).T
     # a stacked matmul, unlike X @ M.T, computes each row as M @ x does
-    return (lambda X: np.matmul(M, X[:, :, None])[:, :, 0]), False
+    return lambda X: np.matmul(M, X[:, :, None])[:, :, 0]
 
 
 def _simulate(pot: StructuredPotential, config: SamplerConfig, starts: np.ndarray) -> np.ndarray:
@@ -223,13 +221,13 @@ def _simulate(pot: StructuredPotential, config: SamplerConfig, starts: np.ndarra
     m = config.substeps  # validated to be 1 in lmc mode
     hs = config.h / m
     sigma = math.sqrt(2.0 * hs)
-    drift, columns = _block_drift(pot, hs)
+    drift = _block_drift(pot, hs)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(C)]
 
     kept = np.empty((C, config.kept_per_chain, n))
     burn = config.effective_burn_in
     thin = config.thinning
-    X = np.array(starts.T if columns else starts, dtype=float)
+    X = np.array(starts, dtype=float)
     chunk = max(1, _NOISE_CHUNK // (C * m * n))
     for k0 in range(0, config.iterations, chunk):
         # sigma z for the next t recorded steps, chain by chain: (C, t, m, n)
@@ -240,13 +238,13 @@ def _simulate(pot: StructuredPotential, config: SamplerConfig, starts: np.ndarra
         for i in range(sz.shape[1]):
             k = k0 + i + 1
             for j in range(m):
-                X = drift(X) + (sz[:, i, j].T if columns else sz[:, i, j])
+                X = drift(X) + sz[:, i, j]
             if not float(np.abs(X).max()) < DIVERGENCE_LIMIT:
-                sups = np.abs(X).max(axis=0 if columns else 1)
+                sups = np.abs(X).max(axis=1)
                 c = int(np.flatnonzero(~(sups < DIVERGENCE_LIMIT))[0])
                 raise DivergenceError(c, k, float(sups[c]))
             if k > burn and (k - burn - 1) % thin == 0:
-                kept[:, (k - burn - 1) // thin] = X.T if columns else X
+                kept[:, (k - burn - 1) // thin] = X
     return kept
 
 

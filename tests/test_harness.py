@@ -463,6 +463,81 @@ def test_cli_run_reports_domain_errors_with_exit_2(spec, reason, tmp_path, capsy
     assert reason in payload["reason"]
 
 
+@pytest.mark.parametrize(
+    "spec,reason",
+    [
+        ({"experiment": "subadditivity", "dims": 4}, "'dims' must be a list"),
+        ({"experiment": "subadditivity", "h_values": 0.1}, "'h_values' must be a list"),
+        ({"experiment": "gaussian-scaling", "options": 3}, "'options' must be an object"),
+        ({"experiment": "subadditivity", "dims": [[3]]}, "'dims' entries must be numbers"),
+        ({"experiment": "subadditivity", "h_values": [None]}, "'h_values' entries must be"),
+        ({"experiment": "bound-vs-truth", "subsets": 3}, "'subsets' must be a string, list"),
+        ({"experiment": ["subadditivity"]}, "unknown experiment"),
+        ([{"experiment": "subadditivity"}], "config must be a JSON object"),
+    ],
+)
+def test_cli_run_reports_mistyped_config_with_exit_2(spec, reason, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(spec))
+    rc = main(["run", str(cfg)])
+    payload = cli_json(capsys)
+    assert rc == 2
+    assert set(payload) == {"experiment", "valid", "reason"}
+    experiment = spec.get("experiment") if isinstance(spec, dict) else None
+    assert (payload["experiment"], payload["valid"]) == (experiment, False)
+    assert reason in payload["reason"]
+
+
+@pytest.mark.parametrize("text", ["not json", None])
+def test_cli_run_unreadable_config_is_a_usage_error(text, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(cfg)])
+    assert exc.value.code == 2
+    assert "cannot read JSON" in capsys.readouterr().err
+
+
+UNLOADABLE_POTENTIALS = [
+    ({"n": 2, "smoothness": {"alpha": 0.5},
+      "terms": [{"kind": "builtin:gaussian", "support": [0, 1],
+                 "params": {"precision": [[2.0, 0.5], [0.0, 2.0]]}}]},
+     "precision matrix must be symmetric"),
+    ({"n": 3, "smoothness": {"alpha": 0.5, "beta": 2.0},
+      "terms": [{"kind": "builtin:chain-pairwise", "support": []}]},
+     "factor support must be nonempty"),
+    ({"n": 3, "terms": [], "smoothness": {}}, "missing required key 'alpha'"),
+    ({"n": 3, "smoothness": {"alpha": 0.5}, "terms": [{"kind": "quadratic"}]},
+     "missing required key 'support'"),
+    ({"n": 3, "smoothness": {"alpha": 0.5}, "terms": [{"support": [0]}]},
+     "missing required key 'kind'"),
+    ({"n": 3, "smoothness": {"alpha": 0.5}, "terms": [{"kind": "quadratic", "support": [0]}]},
+     "missing required key 'matrix'"),
+]
+
+
+@pytest.mark.parametrize("spec,reason", UNLOADABLE_POTENTIALS)
+def test_cli_reports_unloadable_potential_with_exit_2(spec, reason, tmp_path, capsys):
+    path = tmp_path / "pot.json"
+    path.write_text(json.dumps(spec))
+    for argv, head in (
+        (["hierarchy", str(path)], {"case": "sparse-poly", "t": 1.0}),
+        (["hierarchy", str(path), "--certify"], {"case": "sparse-poly", "h": 0.01}),
+        (["bounds", "continuous-time", "--potential", str(path)], {"theorem": "continuous-time"}),
+    ):
+        rc = main(argv)
+        payload = cli_json(capsys)
+        assert rc == 2
+        assert payload == {**head, "valid": False, "reason": payload["reason"]}
+        assert reason in payload["reason"]
+    rc = main(["validate", str(path)])
+    payload = cli_json(capsys)
+    assert rc == 2
+    assert payload == {"valid": False, "error": payload["error"]}
+    assert payload["error"].startswith("ValueError: ") and reason in payload["error"]
+
+
 def test_cli_bounds_constants(capsys):
     rc = main(["bounds", "sparse-poly", "--alpha", "1", "--beta", "1",
                "--gamma", "1", "--c", "1", "--p", "1"])

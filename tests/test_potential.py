@@ -268,6 +268,61 @@ def test_pairwise_to_structured_matches_quadratic(rng):
     )
 
 
+def test_pairwise_rejects_interaction_keys_outside_i_lt_j():
+    # v(x_i - x_j) is asymmetric, so a key (j, i) would evaluate v at the
+    # negated difference on the sorted support
+    v = (lambda s: s**3 / 3 + s**2 / 2, lambda s: s**2 + s)
+
+    def spec(key, n=2):
+        return PairwiseSpec(
+            n=n, confine_bounds=np.zeros(n), interaction_bounds=np.zeros((n, n)),
+            confine_fns=((lambda s: 0.0, lambda s: 0.0),) * n, interaction_fns={key: v},
+        )
+
+    for key in ((1, 0), (0, 0), (-1, 1), (0, 2)):
+        with pytest.raises(ValueError, match="needs 0 <= i < j < n"):
+            spec(key)
+    pot = spec((0, 1)).to_structured(SmoothnessParams(alpha=0.1, beta=1.0))
+    assert pot.value([0.3, 1.2]) == pytest.approx(v[0](0.3 - 1.2))
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ({"n": 3, "terms": [], "smoothness": {}}, "smoothness missing required key 'alpha'"),
+        ({"n": 1, "smoothness": {"alpha": 1.0}, "terms": [{"kind": "quadratic"}]},
+         "term missing required key 'support'"),
+        ({"n": 1, "smoothness": {"alpha": 1.0}, "terms": [{"support": [0]}]},
+         "term missing required key 'kind'"),
+        ({"n": 1, "smoothness": {"alpha": 1.0},
+          "terms": [{"kind": "quadratic", "support": [0], "params": {}}]},
+         "quadratic term params missing required key 'matrix'"),
+        ({"n": 4, "smoothness": {"alpha": 0.5},
+          "terms": [{"kind": "builtin:grid-pairwise", "support": [0, 1, 2, 3],
+                     "params": {"cols": 2}}]},
+         "missing required key 'rows'"),
+        ({"n": 3, "smoothness": {"alpha": 1.0}, "terms": 3}, "'terms' must be a list"),
+        ({"n": 3, "smoothness": {"alpha": 1.0}, "terms": [{"kind": "quadratic", "support": 0}]},
+         "'support' must be a list"),
+        ({"n": 3, "smoothness": 1.0, "terms": []}, "smoothness must be a JSON object"),
+        ([3], "potential spec must be a JSON object"),
+    ],
+)
+def test_potential_from_dict_names_missing_or_mistyped_keys(spec, message):
+    with pytest.raises(ValueError, match=message):
+        potential_from_dict(spec)
+
+
+@pytest.mark.parametrize(
+    "kind", ["quadratic", "builtin:gaussian", "builtin:chain-pairwise", "builtin:mean-field"]
+)
+def test_potential_from_dict_rejects_empty_support_for_every_kind(kind):
+    spec = {"n": 2, "smoothness": {"alpha": 0.5, "beta": 1.0},
+            "terms": [{"kind": kind, "support": [], "params": {"matrix": []}}]}
+    with pytest.raises(ValueError, match="factor support must be nonempty"):
+        potential_from_dict(spec)
+
+
 @pytest.mark.parametrize("builder,n", [(chain_pairwise, 5), (mean_field, 4)])
 def test_builders_produce_valid_potentials(builder, n, rng):
     pot = builder(n)
