@@ -13,7 +13,7 @@ memoized up to their stabilization index (InteractionGraph.chain).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 from .potential import StructuredPotential
@@ -133,12 +133,11 @@ def build_graph(pot: StructuredPotential) -> InteractionGraph:
 class GrowthCertificate:
     """Claim |N_{k+1}(i)| <= c (1 + k^p) (polynomial) or <= c r^k
     (exponential) for every vertex i and every k >= 0.  c, and p or r,
-    must be >= 1.  verified_up_to is stamped by verify_growth."""
+    must be >= 1."""
 
     mode: str  # "polynomial" | "exponential"
     c: float
     exponent: float  # p or r
-    verified_up_to: int = -1
 
     def __post_init__(self):
         if self.mode not in ("polynomial", "exponential"):
@@ -156,7 +155,7 @@ class GrowthCertificate:
 class GrowthReport:
     passed: bool
     first_violation: tuple[int, int] | None  # (vertex, k)
-    checked_up_to: int
+    checked_up_to: int  # largest stabilization index, the k range checked
     certificate: GrowthCertificate
 
 
@@ -175,7 +174,7 @@ def verify_growth(g: InteractionGraph, cert: GrowthCertificate) -> GrowthReport:
             got = size(chain[min(k + 1, J)])
             if got > cert.vertex_bound(k) + 1e-12:
                 return GrowthReport(False, (i, k), checked, cert)
-    return GrowthReport(True, None, checked, replace(cert, verified_up_to=checked))
+    return GrowthReport(True, None, checked, cert)
 
 
 def union_growth_bound(cert: GrowthCertificate, u, k: int) -> float:

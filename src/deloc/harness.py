@@ -71,8 +71,9 @@ class ExperimentConfig:
 # the JSON type of each optional config field, and its name in an error
 _CONFIG_TYPES = {
     "dims": (list, "a list"), "h_values": (list, "a list"), "options": (dict, "an object"),
-    "subsets": ((str, list, dict), "a string, list or object"),
+    "subsets": ((str, list, dict), "a string, list or object"), "seed": (int, "an integer"),
 }
+_RANDOM_PANEL = '{"random": {"size": k, "count": c}} of integers, with an optional "seed"'
 
 
 def config_from_dict(spec: dict) -> ExperimentConfig:
@@ -90,12 +91,19 @@ def config_from_dict(spec: dict) -> ExperimentConfig:
         # int() and float() take numbers and numeric strings, and raise TypeError on the rest
         if not all(isinstance(v, (int, float, str)) for v in spec.get(key, ())):
             raise ValueError(f"config {key!r} entries must be numbers, got {spec[key]!r}")
+    subsets = spec.get("subsets", "singletons")
+    draw = subsets.get("random") if isinstance(subsets, dict) else None
+    if isinstance(subsets, dict) and not (
+        isinstance(draw, dict) and {"size", "count"} <= set(draw)
+        and all(isinstance(v, int) for v in draw.values())
+    ):
+        raise ValueError(f"config 'subsets' object must be {_RANDOM_PANEL}, got {subsets!r}")
     return ExperimentConfig(
         experiment=spec["experiment"],
         dims=tuple(spec.get("dims", ())),
         h_values=tuple(spec.get("h_values", ())),
         seed=int(spec.get("seed", 0)),
-        subsets=spec.get("subsets", "singletons"),
+        subsets=subsets,
         options=dict(spec.get("options", {})),
         output=spec.get("output"),
     )
@@ -220,7 +228,8 @@ def fit_scaling_rows(report: ExperimentReport, metric: str) -> ScalingFit:
 def resolve_panel(graph: InteractionGraph, spec) -> list[tuple[int, ...]]:
     """Expand a panel spec into subsets: "singletons", "pairs" (graph
     edges), "all-pairs", combinations via "+", an explicit list, or
-    {"random": {"size": k, "count": c}} using a fixed draw."""
+    {"random": {"size": k, "count": c}} using a fixed draw.  An empty
+    panel is a ValueError."""
     if isinstance(spec, str):
         panel: list[tuple[int, ...]] = []
         for part in spec.split("+"):
@@ -233,16 +242,18 @@ def resolve_panel(graph: InteractionGraph, spec) -> list[tuple[int, ...]]:
                 panel.extend(itertools.combinations(range(graph.n), 2))
             else:
                 raise ValueError(f"unknown panel spec {part!r}")
-        return panel
-    if isinstance(spec, dict) and "random" in spec:
+    elif isinstance(spec, dict) and "random" in spec:
         k = int(spec["random"]["size"])
         count = int(spec["random"]["count"])
         rng = np.random.default_rng(int(spec["random"].get("seed", 0)))
         panel = []
         for _ in range(count):
             panel.append(tuple(sorted(rng.choice(graph.n, size=k, replace=False).tolist())))
-        return panel
-    return [tuple(sorted(int(i) for i in u)) for u in spec]
+    else:
+        panel = [tuple(sorted(int(i) for i in u)) for u in spec]
+    if not panel:
+        raise ValueError(f"subset panel {spec!r} is empty")
+    return panel
 
 
 def _subset_label(u) -> str:
@@ -324,7 +335,7 @@ def _exp_bound_vs_truth(config: ExperimentConfig) -> list[ReportRow]:
         raise ValueError(f"constants invalid: {consts.reason}")
     C, h_star = consts["C"], consts["h_star"]
     law = tgt.law()
-    panel = resolve_panel(graph, config.subsets or "singletons+all-pairs")
+    panel = resolve_panel(graph, config.subsets)
     h_grid = config.h_values or tuple(h_star * i / 20.0 for i in range(1, 21))
     for h in h_grid:
         law_h = orc.lmc_stationary_law(tgt, h)
@@ -385,7 +396,7 @@ def _exp_continuous_time(config: ExperimentConfig) -> list[ReportRow]:
         ),
         "initial-kl",
     )
-    panel = resolve_panel(graph, config.subsets or "singletons+all-pairs")
+    panel = resolve_panel(graph, config.subsets)
     rows = []
     for eps in opts.get("eps", (0.25, 0.5, 0.9)):
         for t in opts.get("times", (0.1, 0.5, 1.0, 2.0)):
@@ -436,14 +447,13 @@ def _exp_onestep_linf(config: ExperimentConfig) -> list[ReportRow]:
             )
         )
         # bias-corrected variant: Richardson step from m/2 to m assuming
-        # O(m^{-1/2}) estimator bias
+        # O(m^{-1/2}) estimator bias; no SE of it is computed
         half = mtr.w2sq_assignment(a[: m // 2], b[: m // 2], norm="linf", n_boot=0, rng=rng)
         extrap = est.value + (est.value - half.value) / (math.sqrt(2.0) - 1.0)
         rows.append(
             ReportRow(
                 config.experiment, n, h, "full", "w2sq-linf-full-extrap",
-                extrap, se=est.standard_error, bound=rep["full_linf"],
-                theorem="onestep-linf",
+                extrap, bound=rep["full_linf"], theorem="onestep-linf",
             )
         )
     return rows

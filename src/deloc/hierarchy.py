@@ -68,7 +68,7 @@ __all__ = [
     "certified_entropy_curve",
 ]
 
-MAX_WEAK_STATES = 1 << 16
+MAX_WEAK_STATES = 1 << 16  # cap on a weak lattice, read when one is built
 POISSON_TAIL = 1e-12
 
 
@@ -204,7 +204,7 @@ def semigroup_sparse(gen: SparseGenerator, t: float, F, u) -> float:
     return float(stopped_weights(gen.rate * t, J) @ values)
 
 
-def _weak_lattice(gen: WeakGenerator, u_mask: int, max_states: int, seed_supports: bool):
+def _weak_lattice(gen: WeakGenerator, u_mask: int, seed_supports: bool):
     """BFS closure of {u} (plus the supports when seeding) under
     v -> v | w for intersecting supports w.  Returns (states, index, pairs):
     pairs holds one row (state, factor, index of v | w) per intersecting
@@ -229,9 +229,9 @@ def _weak_lattice(gen: WeakGenerator, u_mask: int, max_states: int, seed_support
                 nv = v | w
                 j = index.get(nv)
                 if j is None:
-                    if len(states) >= max_states:
+                    if len(states) >= MAX_WEAK_STATES:
                         raise ValueError(
-                            f"reachable subset lattice exceeds {max_states} states"
+                            f"reachable subset lattice exceeds {MAX_WEAK_STATES} states"
                         )
                     j = index[nv] = len(states)
                     states.append(nv)
@@ -271,19 +271,13 @@ def _expm_series(P, mu, f):
     return acc
 
 
-def semigroup_weak(
-    gen: WeakGenerator,
-    t: float,
-    F,
-    u,
-    max_states: int = MAX_WEAK_STATES,
-) -> float:
+def semigroup_weak(gen: WeakGenerator, t: float, F, u) -> float:
     """e^{tA}F(u) for the weak generator by uniformization over the
     reachable growing-subset lattice."""
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
     m = as_mask(u)
-    states, index, pairs = _weak_lattice(gen, m, max_states, seed_supports=False)
+    states, index, pairs = _weak_lattice(gen, m, seed_supports=False)
     P, theta = _uniformized_matrix(gen, pairs, len(states))
     f = np.array([F(s) for s in states])
     if theta == 0.0 or t == 0.0:
@@ -441,7 +435,7 @@ def _weak_operators(params: WeakParams, weights, M0, eps, h, u):
     alpha = params.alpha
     gen = WeakGenerator.from_params(weights, alpha, params.gamma, eps)
     m = as_mask(u)
-    states, index, pairs = _weak_lattice(gen, m, MAX_WEAK_STATES, seed_supports=True)
+    states, index, pairs = _weak_lattice(gen, m, seed_supports=True)
     nstates = len(states)
     P, theta = _uniformized_matrix(gen, pairs, nstates)
 

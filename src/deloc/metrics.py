@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -153,17 +153,22 @@ def w2sq_assignment(
 
 @dataclass(frozen=True)
 class SubadditivityReport:
-    """Check of  avg_{|u|=k} W2^2(mu^u, nu^u) <= (k/n) W2^2(mu, nu)."""
+    """Check of  avg_{|u|=k} W2^2(mu^u, nu^u) <= (k/n) W2^2(mu, nu); slack
+    and passed are derived from the two sides and the tolerance."""
 
     n: int
     k: int
     lhs_average: float
     rhs_share: float
-    slack: float  # rhs - lhs
-    passed: bool
+    slack: float = field(init=False)  # rhs - lhs
+    passed: bool = field(init=False)  # lhs <= rhs + tolerance
     tolerance: float
     num_subsets: int
     exact: bool
+
+    def __post_init__(self):
+        object.__setattr__(self, "slack", self.rhs_share - self.lhs_average)
+        object.__setattr__(self, "passed", self.lhs_average <= self.rhs_share + self.tolerance)
 
 
 def _exact_subadditivity(law_a: GaussianLaw, law_b: GaussianLaw, k: int, tol: float):
@@ -176,20 +181,10 @@ def _exact_subadditivity(law_a: GaussianLaw, law_b: GaussianLaw, k: int, tol: fl
     ]
     lhs = float(np.mean(vals))
     rhs = (k / n) * w2sq_gaussian(law_a, law_b)
-    return SubadditivityReport(
-        n=n,
-        k=k,
-        lhs_average=lhs,
-        rhs_share=rhs,
-        slack=rhs - lhs,
-        passed=lhs <= rhs + tol,
-        tolerance=tol,
-        num_subsets=len(vals),
-        exact=True,
-    )
+    return SubadditivityReport(n, k, lhs, rhs, tolerance=tol, num_subsets=len(vals), exact=True)
 
 
-def _empirical_subadditivity(a: np.ndarray, b: np.ndarray, k: int, panel, n_boot, rng):
+def _empirical_subadditivity(a: np.ndarray, b: np.ndarray, k: int, n_boot, rng):
     n = a.shape[1]
     if rng is None:
         rng = np.random.default_rng(0)
@@ -200,13 +195,10 @@ def _empirical_subadditivity(a: np.ndarray, b: np.ndarray, k: int, panel, n_boot
     if b.shape[0] > SUBADDITIVITY_MAX_SAMPLES:
         b = b[rng.choice(b.shape[0], SUBADDITIVITY_MAX_SAMPLES, replace=False)]
     n_boot = min(n_boot, 32)
-    if panel is None:
-        combos = list(itertools.combinations(range(n), k))
-        if len(combos) > 64:
-            pick = rng.choice(len(combos), size=64, replace=False)
-            combos = [combos[i] for i in sorted(pick)]
-    else:
-        combos = [tuple(sorted(u)) for u in panel]
+    combos = list(itertools.combinations(range(n), k))
+    if len(combos) > 64:
+        pick = rng.choice(len(combos), size=64, replace=False)
+        combos = [combos[i] for i in sorted(pick)]
     vals, ses = [], []
     for u in combos:
         if k == 1:
@@ -220,34 +212,19 @@ def _empirical_subadditivity(a: np.ndarray, b: np.ndarray, k: int, panel, n_boot
     full = w2sq_assignment(a, b, n_boot=n_boot, rng=rng)
     rhs = (k / n) * full.value
     rhs_se = (k / n) * full.standard_error
-    combined = math.hypot(lhs_se, rhs_se)
-    return SubadditivityReport(
-        n=n,
-        k=k,
-        lhs_average=lhs,
-        rhs_share=rhs,
-        slack=rhs - lhs,
-        passed=lhs <= rhs + _SUBADDITIVITY_SE * combined,
-        tolerance=_SUBADDITIVITY_SE * combined,
-        num_subsets=len(combos),
-        exact=False,
-    )
+    tol = _SUBADDITIVITY_SE * math.hypot(lhs_se, rhs_se)
+    return SubadditivityReport(n, k, lhs, rhs, tolerance=tol, num_subsets=len(combos), exact=False)
 
 
 def subadditivity_check(
-    full_a,
-    full_b,
-    k: int,
-    panel=None,
-    tol: float = 1e-9,
-    n_boot: int = DEFAULT_BOOTSTRAP,
-    rng=None,
+    full_a, full_b, k: int, tol: float = 1e-9, n_boot: int = DEFAULT_BOOTSTRAP, rng=None
 ) -> SubadditivityReport:
     """Exact path for a pair of GaussianLaw (all (n choose k) subsets,
     n <= 10, slack tolerance `tol`); empirical path for a pair of sample
-    arrays (panel or random subsets, 3-combined-SE tolerance).  The
-    empirical path subsamples to 512 points per side and at most 32
-    bootstrap replicates: it flags gross violations, nothing finer."""
+    arrays (all subsets, or 64 of them drawn from rng; 3-combined-SE
+    tolerance).  The empirical path subsamples to 512 points per side and
+    at most 32 bootstrap replicates: it flags gross violations, nothing
+    finer."""
     if k < 1:
         raise ValueError(f"subset size must be >= 1, got {k}")
     if isinstance(full_a, GaussianLaw) and isinstance(full_b, GaussianLaw):
@@ -262,4 +239,4 @@ def subadditivity_check(
         raise ValueError("sample arrays must share a dimension")
     if k > a.shape[1]:
         raise ValueError(f"k={k} exceeds dimension {a.shape[1]}")
-    return _empirical_subadditivity(a, b, k, panel, n_boot, rng)
+    return _empirical_subadditivity(a, b, k, n_boot, rng)

@@ -39,6 +39,9 @@ __all__ = [
     "sample",
 ]
 
+LYAPUNOV_TOL = 1e-14  # Smith doubling stops at this relative Frobenius norm of the update
+LYAPUNOV_MAX_ITER = 200_000  # or raises after this many doubling steps
+
 
 @dataclass(frozen=True, eq=False)
 class GaussianLaw:
@@ -129,24 +132,24 @@ def lmc_stationary_law(A, h: float) -> GaussianLaw:
     return GaussianLaw(np.zeros(tgt.dim), cov)
 
 
-def lyapunov_fixed_point(A, h: float, tol: float = 1e-14, max_iter: int = 200_000) -> np.ndarray:
+def lyapunov_fixed_point(A, h: float) -> np.ndarray:
     """Independent oracle for the stationary covariance S = sum_k M^k (2h I) M^k',
     M = I - hA, by Smith's doubling iteration: S <- S + M S M', M <- M^2, so
-    step j adds the next 2^j terms.  Stops when the Frobenius norm of the
-    update falls below tol (relative); max_iter bounds the doubling steps."""
+    step j adds the next 2^j terms.  LYAPUNOV_TOL and LYAPUNOV_MAX_ITER,
+    read at call time, stop it."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     n = A.shape[0]
     M = np.eye(n) - h * A
     if np.max(np.abs(np.linalg.eigvalsh(_sym(M)))) >= 1.0:
         raise ValueError("fixed-point iteration diverges: |1 - h lambda| >= 1 for some mode")
     S = 2.0 * h * np.eye(n)
-    for _ in range(max_iter):
+    for _ in range(LYAPUNOV_MAX_ITER):
         update = M @ S @ M.T
         S = _sym(S + update)
-        if np.linalg.norm(update) <= tol * max(1.0, np.linalg.norm(S)):
+        if np.linalg.norm(update) <= LYAPUNOV_TOL * max(1.0, np.linalg.norm(S)):
             return S
         M = M @ M
-    raise RuntimeError(f"Lyapunov iteration did not reach tol={tol} in {max_iter} steps")
+    raise RuntimeError(f"Lyapunov doubling missed tol={LYAPUNOV_TOL} in {LYAPUNOV_MAX_ITER} steps")
 
 
 def lmc_transient_law(A, h: float, k: int, law0: GaussianLaw) -> GaussianLaw:

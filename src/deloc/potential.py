@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -45,19 +45,20 @@ _LIPSCHITZ_TOL = 1e-10
 class FactorTerm:
     """A single factor V_u acting on the coordinates in `support`.
 
-    kind is "quadratic" (V_u(z) = z' M z / 2, gradient M z) or "callable"
-    (user-supplied value/gradient on the support coordinates).  L_u = 0 is
-    permitted only for factors with constant gradient; for quadratic terms
-    this is automatic since L_u equals the operator norm of M.
+    The payload is either a matrix M (V_u(z) = z' M z / 2, gradient M z) or
+    the pair value_fn, grad_fn (user-supplied value and gradient on the
+    support coordinates); kind, "quadratic" or "callable", is set from it.
+    L_u = 0 is permitted only for factors with constant gradient; for
+    quadratic terms this is automatic since L_u equals the operator norm of M.
     """
 
     support: tuple[int, ...]
-    kind: str
     lipschitz: float
     matrix: np.ndarray | None = None
     value_fn: Callable[[np.ndarray], float] | None = None
     grad_fn: Callable[[np.ndarray], np.ndarray] | None = None
     label: str = ""
+    kind: str = field(init=False)
 
     def __post_init__(self):
         if len(self.support) == 0:
@@ -68,8 +69,12 @@ class FactorTerm:
             raise ValueError(f"support indices must be >= 0, got {self.support}")
         if self.lipschitz < 0:
             raise ValueError(f"lipschitz weight must be >= 0, got {self.lipschitz}")
-        if self.kind not in ("quadratic", "callable"):
-            raise ValueError(f"unknown factor kind {self.kind!r}")
+        fns = (self.value_fn, self.grad_fn)
+        if self.matrix is not None and fns != (None, None):
+            raise ValueError("a factor takes a matrix or callables, not both")
+        if self.matrix is None and None in fns:
+            raise ValueError("a factor needs a matrix or both value_fn and grad_fn")
+        object.__setattr__(self, "kind", "callable" if self.matrix is None else "quadratic")
 
     def value(self, x_u: np.ndarray) -> float:
         if self.kind == "quadratic":
@@ -99,13 +104,12 @@ def quadratic_term(support: Sequence[int], matrix, lipschitz: float | None = Non
         raise ValueError(
             f"declared lipschitz {lipschitz} inconsistent with operator norm {opnorm}"
         )
-    return FactorTerm(support=support, kind="quadratic", lipschitz=opnorm, matrix=M)
+    return FactorTerm(support=support, lipschitz=opnorm, matrix=M)
 
 
 def callable_term(support, value_fn, grad_fn, lipschitz: float, label: str = "") -> FactorTerm:
     return FactorTerm(
         support=tuple(sorted(support)),
-        kind="callable",
         lipschitz=float(lipschitz),
         value_fn=value_fn,
         grad_fn=grad_fn,
@@ -428,46 +432,43 @@ def _symmetric_precision(A) -> np.ndarray:
     return 0.5 * (A + A.T)
 
 
-def _quadratic_potential(n: int, terms: list[FactorTerm], gamma: float) -> StructuredPotential:
+def _quadratic_potential(n: int, terms: list[FactorTerm]) -> StructuredPotential:
     """The potential with these quadratic terms; alpha and beta are the extreme
-    eigenvalues of the assembled matrix, which must be positive definite."""
+    eigenvalues of the assembled matrix, which must be positive definite, and
+    gamma is 1 (dataclasses.replace on the smoothness, or a JSON file, sets another)."""
     eigs = np.linalg.eigvalsh(_assemble(n, terms))
     if eigs[0] <= 0:
         raise ValueError(f"precision matrix must be positive definite, lambda_min={eigs[0]}")
-    smoothness = SmoothnessParams(alpha=float(eigs[0]), beta=float(eigs[-1]), gamma=gamma)
+    smoothness = SmoothnessParams(alpha=float(eigs[0]), beta=float(eigs[-1]))
     return StructuredPotential(n=n, terms=tuple(terms), smoothness=smoothness)
 
 
-def gaussian_potential(A, gamma: float = 1.0) -> StructuredPotential:
+def gaussian_potential(A) -> StructuredPotential:
     """Gaussian target N(0, A^{-1}) as a structured potential.
 
     alpha = lambda_min(A) (exact log-Sobolev constant), beta = lambda_max(A).
     """
     A = _symmetric_precision(A)
-    return _quadratic_potential(A.shape[0], _gaussian_terms(A), gamma)
+    return _quadratic_potential(A.shape[0], _gaussian_terms(A))
 
 
-def chain_pairwise(
-    n: int, confine: float = 1.0, couple: float = 0.5, gamma: float = 1.0
-) -> StructuredPotential:
+def chain_pairwise(n: int, confine: float = 1.0, couple: float = 0.5) -> StructuredPotential:
     """V(x) = sum_i confine x_i^2/2 + sum_i couple (x_i - x_{i+1})^2/2."""
-    return _quadratic_potential(n, _pair_terms(n, confine, _chain_pairs(n, couple)), gamma)
+    return _quadratic_potential(n, _pair_terms(n, confine, _chain_pairs(n, couple)))
 
 
 def grid_pairwise(
-    rows: int, cols: int, confine: float = 1.0, couple: float = 0.25, gamma: float = 1.0
+    rows: int, cols: int, confine: float = 1.0, couple: float = 0.25
 ) -> StructuredPotential:
     """Nearest-neighbour coupling on a rows-by-cols grid (row-major labels)."""
     n = rows * cols
-    return _quadratic_potential(n, _pair_terms(n, confine, _grid_pairs(rows, cols, couple)), gamma)
+    return _quadratic_potential(n, _pair_terms(n, confine, _grid_pairs(rows, cols, couple)))
 
 
-def mean_field(
-    n: int, confine: float = 1.0, strength: float = 1.0, gamma: float = 1.0
-) -> StructuredPotential:
+def mean_field(n: int, confine: float = 1.0, strength: float = 1.0) -> StructuredPotential:
     """All-pairs coupling with 1/n scaling:
     V(x) = sum_i confine x_i^2/2 + (strength/n) sum_{i<j} (x_i - x_j)^2/2."""
-    return _quadratic_potential(n, _pair_terms(n, confine, _mean_field_pairs(n, strength)), gamma)
+    return _quadratic_potential(n, _pair_terms(n, confine, _mean_field_pairs(n, strength)))
 
 
 # -- JSON serialization -------------------------------------------------------
@@ -502,49 +503,65 @@ def _field(obj, key: str, where: str):
     return obj[key]
 
 
+def _number(obj, key: str, where: str, default=None, convert=float):
+    """obj[key] through `convert`; a missing key takes the default when one is
+    given.  A missing required key, or a value that is no number or numeric
+    string, is a ValueError naming `where` and the key."""
+    if isinstance(obj, dict) and default is not None:
+        value = obj.get(key, default)
+    else:
+        value = _field(obj, key, where)
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where} {key!r} must be a number, got {value!r}") from None
+
+
 def _builtin_terms(name: str, k: int, params: dict) -> list[FactorTerm]:
     """The terms of builtin `name` on the local coordinates 0..k-1."""
-    confine = params.get("confine", 1.0)
+    where = f"builtin:{name} params"
     if name == "gaussian":
         if "precision" in params:
             A = np.asarray(params["precision"], dtype=float)
         elif "tridiagonal" in params:
-            td = params["tridiagonal"]
-            A = tridiagonal_precision(k, td.get("diag", 2.0), td.get("off", -0.5))
+            td, td_where = params["tridiagonal"], f"{where} 'tridiagonal'"
+            diag, off = _number(td, "diag", td_where, 2.0), _number(td, "off", td_where, -0.5)
+            A = tridiagonal_precision(k, diag, off)
         else:
             raise ValueError("builtin:gaussian needs 'precision' or 'tridiagonal' params")
         if A.shape != (k, k):
             raise ValueError(f"precision shape {A.shape} does not match support size {k}")
         return _gaussian_terms(_symmetric_precision(A))
     if name == "chain-pairwise":
-        return _pair_terms(k, confine, _chain_pairs(k, params.get("couple", 0.5)))
-    if name == "grid-pairwise":
-        where = "builtin:grid-pairwise params"
-        rows, cols = _field(params, "rows", where), _field(params, "cols", where)
+        pairs = _chain_pairs(k, _number(params, "couple", where, 0.5))
+    elif name == "grid-pairwise":
+        rows, cols = (_number(params, key, where, convert=int) for key in ("rows", "cols"))
         if rows * cols != k:
             raise ValueError(f"grid {rows}x{cols} does not match support size {k}")
-        return _pair_terms(k, confine, _grid_pairs(rows, cols, params.get("couple", 0.25)))
-    if name == "mean-field":
-        return _pair_terms(k, confine, _mean_field_pairs(k, params.get("strength", 1.0)))
-    raise ValueError(f"unknown builtin {name!r}")
+        pairs = _grid_pairs(rows, cols, _number(params, "couple", where, 0.25))
+    elif name == "mean-field":
+        pairs = _mean_field_pairs(k, _number(params, "strength", where, 1.0))
+    else:
+        raise ValueError(f"unknown builtin {name!r}")
+    return _pair_terms(k, _number(params, "confine", where, 1.0), pairs)
 
 
 def potential_from_dict(spec: dict) -> StructuredPotential:
-    n = int(_field(spec, "n", "potential spec"))
+    n = _number(spec, "n", "potential spec", convert=int)
     raw_terms = _field(spec, "terms", "potential spec")
     sm = _field(spec, "smoothness", "potential spec")
     if not isinstance(raw_terms, list):
         raise ValueError("potential spec 'terms' must be a list")
     smoothness = SmoothnessParams(
-        alpha=float(_field(sm, "alpha", "smoothness")),
-        beta=float(sm["beta"]) if sm.get("beta") is not None else None,
-        gamma=float(sm.get("gamma", 1.0)),
+        alpha=_number(sm, "alpha", "smoothness"),
+        beta=None if sm.get("beta") is None else _number(sm, "beta", "smoothness"),
+        gamma=_number(sm, "gamma", "smoothness", 1.0),
     )
     terms: list[FactorTerm] = []
     for entry in raw_terms:
         support = _field(entry, "support", "term")
-        if not isinstance(support, list):
-            raise ValueError("term 'support' must be a list")
+        if not isinstance(support, list) or not all(isinstance(i, int) for i in support):
+            raise ValueError(f"term 'support' must be a list of integers, got {support!r}")
         if not support:
             raise ValueError("factor support must be nonempty")
         support = sorted(int(i) for i in support)
@@ -554,7 +571,8 @@ def potential_from_dict(spec: dict) -> StructuredPotential:
             raise ValueError("term params must be a JSON object")
         if kind == "quadratic":
             matrix = _field(params, "matrix", "quadratic term params")
-            terms.append(quadratic_term(support, matrix, lipschitz=entry.get("lipschitz")))
+            lip = None if entry.get("lipschitz") is None else _number(entry, "lipschitz", "term")
+            terms.append(quadratic_term(support, matrix, lipschitz=lip))
         elif isinstance(kind, str) and kind.startswith("builtin:"):
             # local coordinate i of the builtin is support[i]
             local = _builtin_terms(kind.split(":", 1)[1], len(support), params)
@@ -567,5 +585,10 @@ def potential_from_dict(spec: dict) -> StructuredPotential:
 
 
 def load_potential(path) -> StructuredPotential:
-    with open(path) as f:
-        return potential_from_dict(json.load(f))
+    """The potential in the JSON file at path; an unreadable file is a ValueError."""
+    try:
+        with open(path) as f:
+            spec = json.load(f)
+    except OSError as e:
+        raise ValueError(f"cannot read potential file {str(path)!r}: {e.strerror}") from None
+    return potential_from_dict(spec)

@@ -1,9 +1,10 @@
 """Langevin Monte Carlo driver.
 
 One LMC step is x <- x - h grad V(x) + sqrt(2h) z with z standard normal.
-"langevin-reference" mode runs m Euler substeps of size h/m per recorded
-step, approximating the continuous-time flow at matched wall-clock time;
-lmc is its m = 1 case, and both run the same step loop.
+With substeps m > 1 (the "langevin-reference" mode) each recorded step is m
+Euler substeps of size h/m, approximating the continuous-time flow at
+matched wall-clock time; lmc is its m = 1 case, and both run the same step
+loop.
 
 All chains step together as one (C, n) block, one chain per row.  The
 drift x - (h/m) grad V(x) is applied to the whole block at once and picks
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -80,10 +80,8 @@ class SamplerConfig:
     burn_in: int | None = None  # default: ceil(iterations / 10)
     num_chains: int = 1
     seed: int = 0
-    mode: str = "lmc"  # "lmc" | "langevin-reference"
-    substeps: int = 1
+    substeps: int = 1  # Euler substeps per recorded step; m > 1 is langevin-reference
     thinning: int = 1
-    h_star: float | None = None  # theorem step ceiling, warn when exceeded
 
     def __post_init__(self):
         if self.h <= 0:
@@ -92,22 +90,16 @@ class SamplerConfig:
             raise ValueError("iterations must be > 0")
         if self.num_chains <= 0 or self.thinning <= 0 or self.substeps <= 0:
             raise ValueError("num_chains, thinning and substeps must be >= 1")
-        if self.mode not in ("lmc", "langevin-reference"):
-            raise ValueError(f"unknown sampler mode {self.mode!r}")
-        if self.mode == "lmc" and self.substeps != 1:
-            raise ValueError(
-                f"substeps={self.substeps} needs mode='langevin-reference'; lmc takes one step"
-            )
         if self.effective_burn_in >= self.iterations:
             raise ValueError(
                 f"burn_in={self.effective_burn_in} leaves no samples from "
                 f"{self.iterations} iterations"
             )
-        if self.h_star is not None and self.h > self.h_star:
-            warnings.warn(
-                f"step h={self.h} exceeds the certified ceiling h*={self.h_star}",
-                stacklevel=2,
-            )
+
+    @property
+    def mode(self) -> str:
+        """Derived from substeps: "lmc" at one substep, else "langevin-reference"."""
+        return "lmc" if self.substeps == 1 else "langevin-reference"
 
     @property
     def effective_burn_in(self) -> int:
@@ -218,7 +210,7 @@ def _block_drift(pot: StructuredPotential, h: float):
 def _simulate(pot: StructuredPotential, config: SamplerConfig, starts: np.ndarray) -> np.ndarray:
     """Kept states (C, kept, n) of the chains started at the rows of `starts`."""
     C, n = starts.shape
-    m = config.substeps  # validated to be 1 in lmc mode
+    m = config.substeps
     hs = config.h / m
     sigma = math.sqrt(2.0 * hs)
     drift = _block_drift(pot, hs)

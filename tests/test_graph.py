@@ -90,7 +90,7 @@ def test_growth_certificate_path_polynomial():
     report = verify_growth(g, GrowthCertificate("polynomial", 3.0, 1.0))
     assert report.passed
     assert report.first_violation is None
-    assert report.certificate.verified_up_to >= 0
+    assert report.checked_up_to >= 0
 
 
 def test_growth_certificate_violation_detected():

@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import deloc
 from deloc.bounds import dynamic_bound, weak_constants
 from deloc import oracle as orc
 from deloc.cli import main
@@ -285,6 +290,8 @@ def test_onestep_experiment_is_deterministic():
     assert a.rows == b.rows
     metrics = [r.metric for r in a.rows]
     assert metrics == ["w2sq-linf-full", "w2sq-linf-full-extrap"]
+    # the extrapolated value comes without an SE of its own
+    assert a.rows[0].se > 0 and a.rows[1].se is None
 
 
 def test_sampler_vs_oracle_smoke():
@@ -450,6 +457,8 @@ def test_cli_run_every_experiment_prints_json(experiment, tmp_path, capsys):
           "options": {"precision": [[3.0, 0.5], [0.5, 3.0]]}}, "does not match n=4"),
         ({"dims": [4]}, "'experiment'"),
         ({"experiment": "no-such-experiment"}, "unknown experiment"),
+        ({"experiment": "bound-vs-truth", "dims": [3], "subsets": []}, "subset panel [] is empty"),
+        ({"experiment": "continuous-time", "dims": [3], "subsets": []}, "subset panel [] is empty"),
     ],
 )
 def test_cli_run_reports_domain_errors_with_exit_2(spec, reason, tmp_path, capsys):
@@ -474,6 +483,9 @@ def test_cli_run_reports_domain_errors_with_exit_2(spec, reason, tmp_path, capsy
         ({"experiment": "bound-vs-truth", "subsets": 3}, "'subsets' must be a string, list"),
         ({"experiment": ["subadditivity"]}, "unknown experiment"),
         ([{"experiment": "subadditivity"}], "config must be a JSON object"),
+        ({"experiment": "subadditivity", "seed": [1]}, "'seed' must be an integer"),
+        ({"experiment": "subadditivity", "seed": 1.5}, "'seed' must be an integer"),
+        ({"experiment": "bound-vs-truth", "subsets": {"random": 3}}, "'subsets' object must be"),
     ],
 )
 def test_cli_run_reports_mistyped_config_with_exit_2(spec, reason, tmp_path, capsys):
@@ -514,13 +526,15 @@ UNLOADABLE_POTENTIALS = [
      "missing required key 'kind'"),
     ({"n": 3, "smoothness": {"alpha": 0.5}, "terms": [{"kind": "quadratic", "support": [0]}]},
      "missing required key 'matrix'"),
+    (None, "cannot read potential file"),  # no file at the path
 ]
 
 
 @pytest.mark.parametrize("spec,reason", UNLOADABLE_POTENTIALS)
 def test_cli_reports_unloadable_potential_with_exit_2(spec, reason, tmp_path, capsys):
     path = tmp_path / "pot.json"
-    path.write_text(json.dumps(spec))
+    if spec is not None:
+        path.write_text(json.dumps(spec))
     for argv, head in (
         (["hierarchy", str(path)], {"case": "sparse-poly", "t": 1.0}),
         (["hierarchy", str(path), "--certify"], {"case": "sparse-poly", "h": 0.01}),
@@ -753,3 +767,17 @@ def test_cli_validate(tmp_path, capsys):
     assert rc == 2
     assert payload["valid"] is False
     assert "symmetric" in payload["error"]
+
+
+def test_python_m_deloc_cli_exits_with_the_status_main_returns(tmp_path):
+    src = str(Path(deloc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    good = write_potential(tmp_path / "good.json")
+    for path, code in ((good, 0), (str(tmp_path / "missing.json"), 2)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "deloc.cli", "hierarchy", path],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == code, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert ("value" in payload) if code == 0 else (payload["valid"] is False)

@@ -284,7 +284,7 @@ def test_weak_semigroup_matches_dense_expm():
             assert semigroup_weak(gen, t, F, u) == pytest.approx(ref, abs=1e-9)
 
 
-def test_weak_semigroup_conserves_constants_and_validates():
+def test_weak_semigroup_conserves_constants_and_validates(monkeypatch):
     weights = ((mask_from((0, 1)), 0.7), (mask_from((1, 2)), 0.4))
     gen = WeakGenerator(weights, 1.3)
     one = SubsetFunction.constant(1.0)
@@ -295,8 +295,9 @@ def test_weak_semigroup_conserves_constants_and_validates():
     # a chain of supports grows the reachable lattice past a tiny cap
     chain = tuple((mask_from((i, i + 1)), 1.0) for i in range(12))
     cgen = WeakGenerator(chain, 1.0)
-    with pytest.raises(ValueError):
-        semigroup_weak(cgen, 1.0, one, (0,), max_states=4)
+    monkeypatch.setattr(deloc.hierarchy, "MAX_WEAK_STATES", 4)
+    with pytest.raises(ValueError, match="exceeds 4 states"):
+        semigroup_weak(cgen, 1.0, one, (0,))
 
 
 # ------------------------------------------------------------------ parameters

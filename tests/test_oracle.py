@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
+from deloc import oracle
 from deloc.oracle import (
     GaussianLaw,
     GaussianTarget,
@@ -92,14 +93,15 @@ def test_stationary_matches_lyapunov_iteration(rng):
         np.testing.assert_allclose(closed, fixed, atol=1e-11)
 
 
-def test_lyapunov_doubling_on_slow_mode():
+def test_lyapunov_doubling_on_slow_mode(monkeypatch):
     # |1 - h lambda_min| = 1 - 1e-5: plain iteration would need ~10^6 steps
     A = np.diag([1e-3, 0.5, 1.0])
     h = 1e-2
     S = lyapunov_fixed_point(A, h)
     np.testing.assert_allclose(S, lmc_stationary_law(A, h).cov, rtol=1e-10)
+    monkeypatch.setattr(oracle, "LYAPUNOV_MAX_ITER", 3)
     with pytest.raises(RuntimeError):
-        lyapunov_fixed_point(A, h, max_iter=3)
+        lyapunov_fixed_point(A, h)
 
 
 def test_stationary_bias_identity():

@@ -48,7 +48,7 @@ def test_factor_support_must_be_sorted_unique():
     from deloc.potential import FactorTerm
 
     with pytest.raises(ValueError, match="sorted"):
-        FactorTerm(support=(1, 0), kind="quadratic", lipschitz=0.0, matrix=np.zeros((2, 2)))
+        FactorTerm(support=(1, 0), lipschitz=0.0, matrix=np.zeros((2, 2)))
     with pytest.raises(ValueError, match="sorted"):
         callable_term((0, 0), lambda z: 0.0, lambda z: z * 0, 1.0)
     with pytest.raises(ValueError, match=">= 0"):
@@ -56,6 +56,22 @@ def test_factor_support_must_be_sorted_unique():
     # the convenience constructor sorts on its own
     t = quadratic_term((1, 0), np.zeros((2, 2)))
     assert t.support == (0, 1)
+
+
+def test_factor_kind_is_set_from_a_single_payload():
+    from deloc.potential import FactorTerm
+
+    f = (lambda z: 0.0, lambda z: z * 0)
+    assert FactorTerm((0,), 1.0, matrix=np.eye(1)).kind == "quadratic"
+    assert FactorTerm((0,), 1.0, value_fn=f[0], grad_fn=f[1]).kind == "callable"
+    with pytest.raises(ValueError, match="needs a matrix"):
+        FactorTerm(support=(0,), lipschitz=1.0)
+    with pytest.raises(ValueError, match="needs a matrix"):
+        FactorTerm(support=(0,), lipschitz=1.0, grad_fn=f[1])
+    with pytest.raises(ValueError, match="not both"):
+        FactorTerm((0,), 1.0, matrix=np.eye(1), value_fn=f[0], grad_fn=f[1])
+    with pytest.raises(TypeError):
+        FactorTerm(support=(0,), kind="quadratic", lipschitz=1.0, matrix=np.eye(1))
 
 
 def test_smoothness_validation():
@@ -306,6 +322,18 @@ def test_pairwise_rejects_interaction_keys_outside_i_lt_j():
          "'support' must be a list"),
         ({"n": 3, "smoothness": 1.0, "terms": []}, "smoothness must be a JSON object"),
         ([3], "potential spec must be a JSON object"),
+        ({"n": [3], "smoothness": {"alpha": 1.0}, "terms": []},
+         "potential spec 'n' must be a number"),
+        ({"n": 3, "smoothness": {"alpha": 1.0, "gamma": None}, "terms": []},
+         "smoothness 'gamma' must be a number"),
+        ({"n": 3, "smoothness": {"alpha": 0.5},
+          "terms": [{"kind": "builtin:chain-pairwise", "support": [0, 1, 2],
+                     "params": {"couple": "x"}}]},
+         "builtin:chain-pairwise params 'couple' must be a number"),
+        ({"n": 3, "smoothness": {"alpha": 0.5},
+          "terms": [{"kind": "builtin:gaussian", "support": [0, 1, 2],
+                     "params": {"tridiagonal": 3}}]},
+         "builtin:gaussian params 'tridiagonal' must be a JSON object"),
     ],
 )
 def test_potential_from_dict_names_missing_or_mistyped_keys(spec, message):

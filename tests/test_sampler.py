@@ -38,20 +38,11 @@ def test_config_defaults_and_validation():
         SamplerConfig(h=0.0, iterations=10)
     with pytest.raises(ValueError):
         SamplerConfig(h=0.01, iterations=10, burn_in=10)
-    with pytest.raises(ValueError):
-        SamplerConfig(h=0.01, iterations=10, mode="metropolis")
-    with pytest.raises(ValueError, match="substeps"):
-        SamplerConfig(h=0.01, iterations=10, mode="lmc", substeps=4)
 
 
 def test_config_thinning_kept_count():
     cfg = SamplerConfig(h=0.01, iterations=105, burn_in=5, thinning=10)
     assert cfg.kept_per_chain == 10
-
-
-def test_config_warns_above_h_star():
-    with pytest.warns(UserWarning, match="exceeds the certified ceiling"):
-        SamplerConfig(h=0.2, iterations=10, h_star=0.1)
 
 
 def test_lmc_step_formula(small_pot):
@@ -184,7 +175,7 @@ def test_divergence_raises():
     # reference mode checks once per recorded step, after all 4 substeps;
     # each multiplies x by 1 + 10 h/4 = 2.25 before noise, so the chain
     # crosses 1e8 after about log(1e8)/(4 log 2.25) ~ 5.7 recorded steps
-    ref = SamplerConfig(h=0.5, iterations=2000, seed=0, mode="langevin-reference", substeps=4)
+    ref = SamplerConfig(h=0.5, iterations=2000, seed=0, substeps=4)
     with pytest.raises(DivergenceError) as err:
         run_chain(pot, ref, np.array([1.0]))
     assert err.value.sup >= 1e8
@@ -202,13 +193,11 @@ def test_burn_in_and_thinning_recording(small_pot):
     np.testing.assert_array_equal(store.samples[0], full.samples[0][[4, 9, 14, 19]])
 
 
-def test_langevin_reference_mode_matches_lmc_at_one_substep(small_pot):
-    base = SamplerConfig(h=0.05, iterations=200, seed=5)
-    ref = SamplerConfig(h=0.05, iterations=200, seed=5, mode="langevin-reference", substeps=1)
-    a = run_chain(small_pot, base, np.zeros(3))
-    b = run_chain(small_pot, ref, np.zeros(3))
-    # both modes run the same loop with one (1, n) noise block per step
-    np.testing.assert_array_equal(a.samples, b.samples)
+def test_mode_is_derived_from_substeps():
+    # lmc is the one-substep case of the reference loop, so substeps alone picks the mode
+    assert SamplerConfig(h=0.05, iterations=200).mode == "lmc"
+    for m in (2, 16):
+        assert SamplerConfig(h=0.05, iterations=200, substeps=m).mode == "langevin-reference"
 
 
 @pytest.mark.parametrize("m", [1, 3])
@@ -218,9 +207,8 @@ def test_noise_layout_replays_bit_for_bit(path, m):
     # one (m, n) block per recorded step, substep j of size h/m using row j
     pot = DRIFT_PATHS[path]()
     n = pot.n
-    mode = "lmc" if m == 1 else "langevin-reference"
     cfg = SamplerConfig(
-        h=0.07, iterations=23, burn_in=5, thinning=4, num_chains=2, seed=31, mode=mode, substeps=m
+        h=0.07, iterations=23, burn_in=5, thinning=4, num_chains=2, seed=31, substeps=m
     )
     x0 = np.linspace(-1.0, 1.0, n)
     store = run_chain(pot, cfg, x0)
@@ -289,7 +277,7 @@ def test_langevin_reference_substeps_reduce_bias(small_pot):
     )
     fine = run_chain(
         small_pot,
-        SamplerConfig(h=h, iterations=60_000, seed=9, mode="langevin-reference", substeps=16),
+        SamplerConfig(h=h, iterations=60_000, seed=9, substeps=16),
         np.zeros(3),
     )
     v_coarse = coarse.rows()[:, 1].var()
