@@ -30,14 +30,12 @@ from .graph import (
     GrowthReport,
     InteractionGraph,
     build_graph,
-    union_growth_bound,
     verify_growth,
 )
 from .sampler import (
     DivergenceError,
     SampleStore,
     SamplerConfig,
-    lmc_step,
     load_store,
     marginal_samples,
     run_chain,

@@ -209,7 +209,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--gnuplot", action="store_true", help="also write per-metric .dat files")
     p_run.set_defaults(func=_cmd_run, head=_run_head)
 
-    p_b = sub.add_parser("bounds", help="evaluate theorem constants and bounds")
+    # the flags that bounds and hierarchy share, with the same defaults
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--subset", type=int, nargs="+", default=[0])
+    shared.add_argument("--t", type=float, default=1.0)
+    shared.add_argument("--h", type=float, default=0.01)
+    shared.add_argument("--k", type=int, default=100)
+    shared.add_argument("--c", type=float, default=1.0)
+    shared.add_argument("--p", type=float, default=1.0)
+    shared.add_argument("--r", type=float, default=1.5)
+    shared.add_argument("--C0", type=float, default=1.0)
+
+    p_b = sub.add_parser("bounds", parents=[shared], help="evaluate theorem constants and bounds")
     p_b.add_argument(
         "theorem",
         choices=[
@@ -222,39 +233,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_b.add_argument("--alpha0", type=float, default=0.0)
     p_b.add_argument("--beta", type=float, default=1.0)
     p_b.add_argument("--gamma", type=float, default=1.0)
-    p_b.add_argument("--c", type=float, default=1.0)
-    p_b.add_argument("--p", type=float, default=1.0)
-    p_b.add_argument("--r", type=float, default=1.5)
     p_b.add_argument("--M0", type=float, default=1.0)
     p_b.add_argument("--M1", type=float, default=1.0)
     p_b.add_argument("--R1", type=float, default=0.0)
-    p_b.add_argument("--h", type=float, default=0.01)
-    p_b.add_argument("--k", type=int, default=100)
     p_b.add_argument("--n", type=int, default=2)
-    p_b.add_argument("--t", type=float, default=1.0)
     p_b.add_argument("--eps", type=float, default=0.5)
     p_b.add_argument("--usize", type=int, default=1)
-    p_b.add_argument("--C0", type=float, default=1.0)
     p_b.add_argument("--rate", type=float, default=1.0)
-    p_b.add_argument("--subset", type=int, nargs="+", default=[0])
     p_b.add_argument("--potential", help="potential JSON (continuous-time only)")
     p_b.set_defaults(
         func=_cmd_bounds, head=lambda a: {"theorem": a.theorem}, usage_error=p_b.error
     )
 
-    p_h = sub.add_parser("hierarchy", help="semigroup values and certified curves")
+    p_h = sub.add_parser(
+        "hierarchy", parents=[shared], help="semigroup values and certified curves"
+    )
     p_h.add_argument("potential")
     p_h.add_argument("--case", choices=["sparse-poly", "sparse-exp", "weak"], default="sparse-poly")
-    p_h.add_argument("--subset", type=int, nargs="+", default=[0])
-    p_h.add_argument("--t", type=float, default=1.0)
     p_h.add_argument("--eps", type=float, default=None)
     p_h.add_argument("--certify", action="store_true", help="certified entropy curve instead")
-    p_h.add_argument("--h", type=float, default=0.01)
-    p_h.add_argument("--k", type=int, default=100)
-    p_h.add_argument("--c", type=float, default=1.0)
-    p_h.add_argument("--p", type=float, default=1.0)
-    p_h.add_argument("--r", type=float, default=1.5)
-    p_h.add_argument("--C0", type=float, default=1.0)
     p_h.set_defaults(func=_cmd_hierarchy, head=_hierarchy_head)
 
     p_v = sub.add_parser("validate", help="check a potential JSON file")

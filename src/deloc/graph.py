@@ -25,7 +25,6 @@ __all__ = [
     "GrowthReport",
     "build_graph",
     "verify_growth",
-    "union_growth_bound",
 ]
 
 
@@ -65,9 +64,6 @@ class InteractionGraph:
                     out.append((i, j))
         return out
 
-    def adjacency(self, i: int) -> tuple[int, ...]:
-        return indices_from(self.adj_masks[i])
-
     # -- neighbourhoods ------------------------------------------------------
 
     def chain(self, u) -> tuple[int, ...]:
@@ -97,9 +93,6 @@ class InteractionGraph:
             raise ValueError(f"k must be >= 0, got {k}")
         chain = self.chain(u)
         return chain[min(k, len(chain) - 1)]
-
-    def neighborhood(self, u, k: int) -> tuple[int, ...]:
-        return indices_from(self.neighborhood_mask(u, k))
 
     def stabilization_index(self, u) -> int:
         """Smallest J with N_J(u) = N_{J+1}(u) (component closure reached)."""
@@ -176,9 +169,3 @@ def verify_growth(g: InteractionGraph, cert: GrowthCertificate) -> GrowthReport:
                 return GrowthReport(False, (i, k), checked, cert)
     return GrowthReport(True, None, checked, cert)
 
-
-def union_growth_bound(cert: GrowthCertificate, u, k: int) -> float:
-    """Bound |N_{k+1}(u)| <= sum_{i in u} |N_{k+1}(i)| <= c |u| (1 + k^p)
-    (or c |u| r^k)."""
-    m = as_mask(u)
-    return size(m) * cert.vertex_bound(k)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields
 
@@ -72,8 +73,18 @@ class ExperimentConfig:
 _CONFIG_TYPES = {
     "dims": (list, "a list"), "h_values": (list, "a list"), "options": (dict, "an object"),
     "subsets": ((str, list, dict), "a string, list or object"), "seed": (int, "an integer"),
+    "output": (str, "a string"),
 }
 _RANDOM_PANEL = '{"random": {"size": k, "count": c}} of integers, with an optional "seed"'
+
+
+def _is_number(v) -> bool:
+    """An int or float, but not a bool, which Python counts as an int."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def config_from_dict(spec: dict) -> ExperimentConfig:
@@ -85,19 +96,26 @@ def config_from_dict(spec: dict) -> ExperimentConfig:
     if "experiment" not in spec:
         raise ValueError("config needs an 'experiment' key")
     for key, (types, what) in _CONFIG_TYPES.items():
-        if key in spec and not isinstance(spec[key], types):
+        # a JSON true or false is a bool, which Python counts as an int
+        if key in spec and (isinstance(spec[key], bool) or not isinstance(spec[key], types)):
             raise ValueError(f"config {key!r} must be {what}, got {spec[key]!r}")
     for key in ("dims", "h_values"):
         # int() and float() take numbers and numeric strings, and raise TypeError on the rest
-        if not all(isinstance(v, (int, float, str)) for v in spec.get(key, ())):
+        if not all(isinstance(v, str) or _is_number(v) for v in spec.get(key, ())):
             raise ValueError(f"config {key!r} entries must be numbers, got {spec[key]!r}")
+    if not all(isinstance(n, (int, str)) or n.is_integer() for n in spec.get("dims", ())):
+        raise ValueError(f"config 'dims' entries must be whole numbers, got {spec['dims']!r}")
     subsets = spec.get("subsets", "singletons")
     draw = subsets.get("random") if isinstance(subsets, dict) else None
     if isinstance(subsets, dict) and not (
         isinstance(draw, dict) and {"size", "count"} <= set(draw)
-        and all(isinstance(v, int) for v in draw.values())
+        and all(_is_int(v) for v in draw.values())
     ):
         raise ValueError(f"config 'subsets' object must be {_RANDOM_PANEL}, got {subsets!r}")
+    if isinstance(subsets, list) and not all(
+        isinstance(u, list) and all(_is_int(i) for i in u) for u in subsets
+    ):
+        raise ValueError(f"config 'subsets' entries must be lists of integers, got {subsets!r}")
     return ExperimentConfig(
         experiment=spec["experiment"],
         dims=tuple(spec.get("dims", ())),
@@ -263,13 +281,31 @@ def _subset_label(u) -> str:
 # -- experiments ---------------------------------------------------------------
 
 
+def _option(options: dict, key: str, default):
+    """options[key], or the default when the key is absent.  The value must
+    have the default's type: a list of numbers for a tuple default, an
+    integer for an int and a number for a float; anything else is a
+    ValueError naming the key."""
+    value = options.get(key, default)
+    if isinstance(default, tuple):
+        ok = isinstance(value, (list, tuple)) and all(_is_number(v) for v in value)
+        what = "a list of numbers"
+    elif isinstance(default, int):
+        ok, what = _is_int(value), "an integer"
+    else:
+        ok, what = _is_number(value), "a number"
+    if not ok:
+        raise ValueError(f"option {key!r} must be {what}, got {value!r}")
+    return type(default)(value)
+
+
 def _target_from_options(n: int, options: dict) -> orc.GaussianTarget:
     if "precision" in options:
         A = np.asarray(options["precision"], dtype=float)
         if A.shape != (n, n):
             raise ValueError(f"precision shape {A.shape} does not match n={n}")
     else:
-        A = tridiagonal_precision(n, options.get("diag", 2.0), options.get("off", -0.5))
+        A = tridiagonal_precision(n, _option(options, "diag", 2.0), _option(options, "off", -0.5))
     return orc.GaussianTarget(A)
 
 
@@ -321,7 +357,7 @@ def _exp_bound_vs_truth(config: ExperimentConfig) -> list[ReportRow]:
     tgt = _target_from_options(n, opts)
     pot = gaussian_potential(tgt.precision)
     graph = build_graph(pot)
-    cert = GrowthCertificate("polynomial", opts.get("c", 3.0), opts.get("p", 1.0))
+    cert = GrowthCertificate("polynomial", _option(opts, "c", 3.0), _option(opts, "p", 1.0))
     growth = verify_growth(graph, cert)
     rows = [
         ReportRow(
@@ -329,7 +365,7 @@ def _exp_bound_vs_truth(config: ExperimentConfig) -> list[ReportRow]:
             float(growth.passed), theorem="polynomial", valid=growth.passed,
         )
     ]
-    alpha, beta, gamma = tgt.alpha, tgt.beta, opts.get("gamma", 1.0)
+    alpha, beta, gamma = tgt.alpha, tgt.beta, _option(opts, "gamma", 1.0)
     consts = bnd.sparse_poly_constants(alpha, beta, gamma, cert.c, cert.exponent)
     if not consts.valid:
         raise ValueError(f"constants invalid: {consts.reason}")
@@ -368,7 +404,7 @@ def _exp_subadditivity(config: ExperimentConfig) -> list[ReportRow]:
     law = tgt.law()
     rows = []
     for k in range(1, n + 1):
-        rep = mtr.subadditivity_check(law_h, law, k, tol=config.options.get("tol", 1e-9))
+        rep = mtr.subadditivity_check(law_h, law, k, tol=_option(config.options, "tol", 1e-9))
         rows.append(
             ReportRow(
                 config.experiment, n, h, f"k={k}", "subadditivity-lhs",
@@ -385,9 +421,9 @@ def _exp_continuous_time(config: ExperimentConfig) -> list[ReportRow]:
     tgt = _target_from_options(n, opts)
     pot = gaussian_potential(tgt.precision)
     graph = build_graph(pot)
-    alpha, beta, gamma = tgt.alpha, tgt.beta, opts.get("gamma", 1.0)
+    alpha, beta, gamma = tgt.alpha, tgt.beta, _option(opts, "gamma", 1.0)
     law = tgt.law()
-    cov0 = opts.get("cov0_scale", 2.0) * law.cov
+    cov0 = _option(opts, "cov0_scale", 2.0) * law.cov
     law0 = orc.GaussianLaw(np.zeros(n), cov0)
 
     H0 = SubsetFunction(
@@ -398,8 +434,8 @@ def _exp_continuous_time(config: ExperimentConfig) -> list[ReportRow]:
     )
     panel = resolve_panel(graph, config.subsets)
     rows = []
-    for eps in opts.get("eps", (0.25, 0.5, 0.9)):
-        for t in opts.get("times", (0.1, 0.5, 1.0, 2.0)):
+    for eps in _option(opts, "eps", (0.25, 0.5, 0.9)):
+        for t in _option(opts, "times", (0.1, 0.5, 1.0, 2.0)):
             law_t = orc.ou_law(tgt, cov0, t)
             for u in panel:
                 exact = orc.kl_gaussian(orc.marginal(law_t, u), orc.marginal(law, u))
@@ -418,14 +454,14 @@ def _exp_continuous_time(config: ExperimentConfig) -> list[ReportRow]:
 
 def _exp_onestep_linf(config: ExperimentConfig) -> list[ReportRow]:
     opts = config.options
-    m = int(opts.get("samples", 2048))
+    m = _option(opts, "samples", 2048)
     # each bootstrap replicate re-solves a full m x m assignment (~2 s at
     # m = 2048), so the default replicate count stays small
-    n_boot = int(opts.get("n_boot", 10))
+    n_boot = _option(opts, "n_boot", 10)
     rows = []
     counter = 0
     for n in config.dims or (4, 8):
-        tgt = _target_from_options(n, {**opts, "off": opts.get("off", -0.3)})
+        tgt = _target_from_options(n, {"off": -0.3, **opts})
         A = tgt.precision
         alpha0 = float(np.max(np.sum(np.abs(A - np.diag(np.diag(A))), axis=1)))
         alpha, beta = tgt.alpha, tgt.beta
@@ -474,8 +510,8 @@ def _exp_sampler_vs_oracle(config: ExperimentConfig) -> list[ReportRow]:
     h = _single(config, "h_values", 0.05)
     scfg = SamplerConfig(
         h=h,
-        iterations=int(opts.get("iterations", 500_000)),
-        num_chains=int(opts.get("chains", 4)),
+        iterations=_option(opts, "iterations", 500_000),
+        num_chains=_option(opts, "chains", 4),
         seed=config.seed,
     )
     try:
@@ -493,7 +529,7 @@ def _exp_sampler_vs_oracle(config: ExperimentConfig) -> list[ReportRow]:
     rows = []
     kept = store.rows()
     centered = kept - kept.mean(axis=0)
-    nb = int(opts.get("batches", 200))
+    nb = _option(opts, "batches", 200)
     for i in range(n):
         for j in range(i, n):
             series = centered[:, i] * centered[:, j]
@@ -507,8 +543,8 @@ def _exp_sampler_vs_oracle(config: ExperimentConfig) -> list[ReportRow]:
                     valid=abs(emp - ref) <= 4.0 * se,
                 )
             )
-    thin = int(opts.get("thin", 20))
-    m_cmp = int(opts.get("marginal_samples", 100_000))
+    thin = _option(opts, "thin", 20)
+    m_cmp = _option(opts, "marginal_samples", 100_000)
     rng = np.random.default_rng([config.seed, 1])
     for i, ref in enumerate(_singleton_w2(law_h, law)):
         lmc_i = marginal_samples(store, (i,))[::thin, 0][:m_cmp]
@@ -524,42 +560,30 @@ def _exp_sampler_vs_oracle(config: ExperimentConfig) -> list[ReportRow]:
     return rows
 
 
-def _all_ones_householder(n: int) -> np.ndarray:
-    """Symmetric orthogonal H with H e_1 = (1,...,1)/sqrt(n)."""
-    v = np.full(n, 1.0 / math.sqrt(n))
-    w = np.zeros(n)
-    w[0] = 1.0
-    w -= v
-    nw = np.linalg.norm(w)
-    if nw < 1e-14:
-        return np.eye(n)
-    w /= nw
-    return np.eye(n) - 2.0 * np.outer(w, w)
+def _rotated_precision(n: int, soft: float, stiff: float) -> np.ndarray:
+    """Q diag(soft, stiff, ..., stiff) Q' for every orthogonal Q with
+    Q e_1 = (1,...,1)/sqrt(n): stiff I + (soft - stiff)/n 11'."""
+    return stiff * np.eye(n) + (soft - stiff) / n
 
 
 def _exp_delocalization_failure(config: ExperimentConfig) -> list[ReportRow]:
     opts = config.options
     h = _single(config, "h_values", 0.02)
-    soft = float(opts.get("soft", 1.0))
-    stiff = float(opts.get("stiff", 50.0))
+    soft = _option(opts, "soft", 1.0)
+    stiff = _option(opts, "stiff", 50.0)
     dims = config.dims or (8, 32, 128)
     rot_max, prod_max = [], []
     rows = []
     for n in dims:
         d = np.full(n, stiff)
         d[0] = soft
-        for label, rotate in (("product", False), ("rotated", True)):
-            if rotate:
-                Q = _all_ones_householder(n)
-                A = Q @ np.diag(d) @ Q.T
-            else:
-                A = np.diag(d)
+        for label, A in (("product", np.diag(d)), ("rotated", _rotated_precision(n, soft, stiff))):
             tgt = orc.GaussianTarget(A)
             law_h = orc.lmc_stationary_law(tgt, h)
             law = tgt.law()
             per = _singleton_w2(law_h, law)
             top = float(np.max(per))
-            (rot_max if rotate else prod_max).append(top)
+            (rot_max if label == "rotated" else prod_max).append(top)
             rows.append(
                 ReportRow(
                     config.experiment, n, h, "singletons", f"w2sq-marginal-max-{label}",

@@ -95,10 +95,6 @@ class SubsetFunction:
     def constant(cls, c: float) -> "SubsetFunction":
         return cls(lambda m: c, f"const:{c}")
 
-    @classmethod
-    def from_indices(cls, fn, name: str = "") -> "SubsetFunction":
-        return cls(lambda m: fn(indices_from(m)), name)
-
 
 @dataclass(frozen=True)
 class SparseGenerator:

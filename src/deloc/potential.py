@@ -220,14 +220,6 @@ class StructuredPotential:
         # axis=None takes a one-coordinate factor's scalar gradient as well
         return np.bincount(idx, weights=np.concatenate(parts, axis=None), minlength=self.n)
 
-    def partial_gradient(self, x, u) -> np.ndarray:
-        """Restriction of the full gradient to the coordinates in u."""
-        g = self.gradient(x)
-        idx = sorted(set(u))
-        if idx and (idx[0] < 0 or idx[-1] >= self.n):
-            raise ValueError(f"subset {idx} out of range for n={self.n}")
-        return g[idx]
-
     def _check_point(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):

@@ -44,7 +44,6 @@ __all__ = [
     "SamplerConfig",
     "SampleStore",
     "DivergenceError",
-    "lmc_step",
     "run_chain",
     "marginal_samples",
     "load_store",
@@ -171,12 +170,8 @@ def load_store(path) -> tuple[np.ndarray, dict]:
     return raw.reshape((rows, header["n"]), order="F").copy(), header
 
 
-def lmc_step(pot: StructuredPotential, x: np.ndarray, h: float, noise: np.ndarray) -> np.ndarray:
-    """x - h grad V(x) + sqrt(2h) noise, with a finiteness guard on the gradient."""
-    return _descent(pot, x, h) + math.sqrt(2.0 * h) * noise
-
-
 def _descent(pot: StructuredPotential, x: np.ndarray, h: float) -> np.ndarray:
+    """x - h grad V(x), with a finiteness guard on the gradient."""
     g = pot.gradient(x)
     if not np.all(np.isfinite(g)):
         raise FloatingPointError(f"non-finite gradient at x with |x|_inf={np.max(np.abs(x)):.3e}")

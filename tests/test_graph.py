@@ -8,7 +8,6 @@ from deloc.graph import (
     GrowthCertificate,
     InteractionGraph,
     build_graph,
-    union_growth_bound,
     verify_growth,
 )
 from deloc.potential import gaussian_potential, mean_field, tridiagonal_precision
@@ -24,8 +23,8 @@ def path_graph(n):
 def test_from_edges_and_adjacency():
     g = path_graph(4)
     assert g.edges() == [(0, 1), (1, 2), (2, 3)]
-    assert g.adjacency(1) == (0, 2)
-    assert g.adjacency(3) == (2,)
+    assert indices_from(g.adj_masks[1]) == (0, 2)
+    assert indices_from(g.adj_masks[3]) == (2,)
 
 
 def test_rejects_self_loops():
@@ -46,7 +45,7 @@ def test_neighborhood_against_bfs_reference():
     g = InteractionGraph.from_edges(6, edges)
     for u in [(0,), (2,), (0, 5), (4,)]:
         for k in range(4):
-            got = frozenset(g.neighborhood(u, k))
+            got = frozenset(indices_from(g.neighborhood_mask(u, k)))
             assert got == bfs_neighborhood(edges, 6, u, k)
 
 
@@ -54,7 +53,7 @@ def test_neighborhood_nested_and_monotone():
     g = path_graph(7)
     prev = None
     for k in range(7):
-        cur = set(g.neighborhood((3,), k))
+        cur = set(indices_from(g.neighborhood_mask((3,), k)))
         if prev is not None:
             assert prev <= cur
         prev = cur
@@ -112,15 +111,6 @@ def test_growth_exponential_mode():
     assert not tight.passed  # |N_1| = 3 > 1 already at k = 0
 
 
-def test_union_growth_bound():
-    g = path_graph(9)
-    cert = verify_growth(g, GrowthCertificate("polynomial", 3.0, 1.0)).certificate
-    u = mask_from((0, 4))
-    for k in range(5):
-        actual = len(g.neighborhood(u, k))
-        assert actual <= union_growth_bound(cert, u, k)
-
-
 def test_certificate_validation():
     with pytest.raises(ValueError):
         GrowthCertificate("polynomial", 0.5, 1.0)  # c >= 1
@@ -141,7 +131,8 @@ def test_property_neighborhoods_match_bfs(n, seed):
     g = InteractionGraph.from_edges(n, edges)
     u = (int(rng.integers(n)),)
     for k in range(n):
-        assert frozenset(g.neighborhood(u, k)) == bfs_neighborhood(edges, n, u, k)
+        got = frozenset(indices_from(g.neighborhood_mask(u, k)))
+        assert got == bfs_neighborhood(edges, n, u, k)
 
 
 @settings(max_examples=25, deadline=None)

@@ -20,6 +20,7 @@ from deloc.harness import (
     ExperimentConfig,
     ExperimentReport,
     ReportRow,
+    _rotated_precision,
     config_from_dict,
     delocalization_failure_demo,
     fit_scaling,
@@ -365,6 +366,29 @@ def test_delocalization_demo_small():
     assert rep.failures() == []
 
 
+def _householder_to_ones(n):
+    """The reflection H = I - 2ww'/|w|^2 with w = e_1 - (1,...,1)/sqrt(n), so
+    H e_1 = (1,...,1)/sqrt(n); the identity when that is e_1 already."""
+    w = -np.full(n, 1.0 / math.sqrt(n))
+    w[0] += 1.0
+    nw = np.linalg.norm(w)
+    if nw < 1e-14:
+        return np.eye(n)
+    w /= nw
+    return np.eye(n) - 2.0 * np.outer(w, w)
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 128])
+def test_rotated_precision_is_householder_rotation(n):
+    soft, stiff = 1.0, 50.0
+    d = np.full(n, stiff)
+    d[0] = soft
+    H = _householder_to_ones(n)
+    ref = H @ np.diag(d) @ H
+    got = _rotated_precision(n, soft, stiff)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 # ----------------------------------------------------------------------- cli
 
 def cli_json(capsys):
@@ -486,6 +510,15 @@ def test_cli_run_reports_domain_errors_with_exit_2(spec, reason, tmp_path, capsy
         ({"experiment": "subadditivity", "seed": [1]}, "'seed' must be an integer"),
         ({"experiment": "subadditivity", "seed": 1.5}, "'seed' must be an integer"),
         ({"experiment": "bound-vs-truth", "subsets": {"random": 3}}, "'subsets' object must be"),
+        ({"experiment": "bound-vs-truth", "dims": [3], "subsets": [0, 1]},
+         "'subsets' entries must be lists of integers"),
+        ({"experiment": "gaussian-scaling", "dims": [3.5]}, "'dims' entries must be whole numbers"),
+        ({"experiment": "subadditivity", "dims": [3], "output": 1}, "'output' must be a string"),
+        ({"experiment": "subadditivity", "dims": [3], "seed": True}, "'seed' must be an integer"),
+        ({"experiment": "continuous-time", "dims": [3], "options": {"eps": 0.5, "times": [0.5]}},
+         "option 'eps' must be a list of numbers"),
+        ({"experiment": "onestep-linf", "dims": [4], "options": {"samples": 64.7}},
+         "option 'samples' must be an integer"),
     ],
 )
 def test_cli_run_reports_mistyped_config_with_exit_2(spec, reason, tmp_path, capsys):

@@ -59,8 +59,6 @@ def test_subset_function_memoizes():
 def test_subset_function_builders():
     assert SubsetFunction.size()(mask_from((0, 2, 3))) == 3.0
     assert SubsetFunction.constant(2.5)(0) == 2.5
-    F = SubsetFunction.from_indices(lambda idx: float(len(idx)) ** 2)
-    assert F(mask_from((1, 3))) == 4.0
 
 
 # ----------------------------------------------------------------- generators
@@ -230,6 +228,16 @@ def test_public_names_resolve():
         assert not hasattr(deloc, name)
         assert not hasattr(deloc.hierarchy, name)
     assert not hasattr(deloc.PairwiseSpec, "interaction_constants")
+    for owner, name in (
+        (deloc.sampler, "lmc_step"),
+        (deloc.graph, "union_growth_bound"),
+        (deloc.InteractionGraph, "adjacency"),
+        (deloc.InteractionGraph, "neighborhood"),
+        (deloc.StructuredPotential, "partial_gradient"),
+        (deloc.SubsetFunction, "from_indices"),
+    ):
+        assert not hasattr(owner, name)
+        assert not hasattr(deloc, name)
 
 
 # ------------------------------------------------------------------ semigroups

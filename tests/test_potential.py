@@ -151,14 +151,6 @@ def test_gaussian_potential_gradient_is_Ax(rng):
     assert pot.value(x) == pytest.approx(0.5 * x @ A @ x)
 
 
-def test_partial_gradient_is_restriction(rng):
-    pot = gaussian_potential(tridiagonal_precision(6))
-    x = rng.standard_normal(6)
-    np.testing.assert_allclose(pot.partial_gradient(x, (1, 4)), pot.gradient(x)[[1, 4]])
-    with pytest.raises(ValueError):
-        pot.partial_gradient(x, (7,))
-
-
 def test_interaction_constants_tridiagonal():
     # interior vertex of the path: one singleton of weight 2 = |diag|,
     # two pair factors of weight 0.5 = |off| each

@@ -18,7 +18,6 @@ from deloc.sampler import (
     DivergenceError,
     SamplerConfig,
     _step_matrix,
-    lmc_step,
     load_store,
     marginal_samples,
     run_chain,
@@ -43,15 +42,6 @@ def test_config_defaults_and_validation():
 def test_config_thinning_kept_count():
     cfg = SamplerConfig(h=0.01, iterations=105, burn_in=5, thinning=10)
     assert cfg.kept_per_chain == 10
-
-
-def test_lmc_step_formula(small_pot):
-    x = np.array([1.0, -1.0, 0.5])
-    z = np.array([0.3, 0.1, -0.2])
-    h = 0.05
-    got = lmc_step(small_pot, x, h, z)
-    expected = x - h * small_pot.gradient(x) + math.sqrt(2 * h) * z
-    np.testing.assert_allclose(got, expected, atol=1e-15)
 
 
 def test_run_chain_deterministic(small_pot):
@@ -93,7 +83,7 @@ DRIFT_PATHS = {
 def _replay_substep(pot, h):
     """One substep of a single chain with the arithmetic of pot's drift path."""
     if pot.quadratic_matrix is None:
-        return lambda x, z: lmc_step(pot, x, h, z)
+        return lambda x, z: x - h * pot.gradient(x) + math.sqrt(2.0 * h) * z
     M = np.eye(pot.n) - h * pot.quadratic_matrix
     if sparse.issparse(_step_matrix(pot.quadratic_matrix, h)):
         M = sparse.csr_array(M)
