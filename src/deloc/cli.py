@@ -24,6 +24,7 @@ import numpy as np
 
 from . import bounds as bnd
 from . import hierarchy as hie
+from ._json import load
 from .graph import build_graph
 from .harness import config_from_dict, run_experiment
 from .potential import load_potential
@@ -49,10 +50,9 @@ def _coerce(obj):
 def _read_json(path: str):
     """The JSON document in the file at path; an unreadable file is a usage error."""
     try:
-        with open(path) as f:
-            return json.load(f)
-    except (OSError, ValueError) as e:
-        raise argparse.ArgumentTypeError(f"cannot read JSON from {path!r}: {e}") from None
+        return load(path)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _cmd_run(args) -> dict:
@@ -100,13 +100,7 @@ def _cmd_bounds(args) -> dict:
             build_graph(pot), args.subset, args.t, args.eps, sm.alpha, pot.beta, sm.gamma,
             C0=args.C0,
         )
-    return {
-        "theorem": rep.theorem,
-        "inputs": rep.inputs,
-        "outputs": rep.outputs,
-        "valid": rep.valid,
-        "reason": rep.reason,
-    }
+    return vars(rep)
 
 
 def _cmd_hierarchy(args) -> dict:

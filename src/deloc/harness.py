@@ -15,15 +15,16 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, fields
+from typing import Iterator
 
 import numpy as np
 
 from . import bounds as bnd
 from . import metrics as mtr
 from . import oracle as orc
+from ._json import read
 from .graph import GrowthCertificate, InteractionGraph, build_graph, verify_growth
 from .hierarchy import SubsetFunction
 from .potential import gaussian_potential, tridiagonal_precision
@@ -69,61 +70,20 @@ class ExperimentConfig:
             raise ValueError("step sizes must be positive")
 
 
-# the JSON type of each optional config field, and its name in an error
-_CONFIG_TYPES = {
-    "dims": (list, "a list"), "h_values": (list, "a list"), "options": (dict, "an object"),
-    "subsets": ((str, list, dict), "a string, list or object"), "seed": (int, "an integer"),
-    "output": (str, "a string"),
-}
-_RANDOM_PANEL = '{"random": {"size": k, "count": c}} of integers, with an optional "seed"'
-
-
-def _is_number(v) -> bool:
-    """An int or float, but not a bool, which Python counts as an int."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+# a subset panel: a name, a list of subsets or a {"random": ...} draw (see resolve_panel)
+_PANEL = ("string", ["indices"], {"random"})
 
 
 def config_from_dict(spec: dict) -> ExperimentConfig:
-    if not isinstance(spec, dict):
-        raise ValueError("config must be a JSON object")
-    extra = set(spec) - {f.name for f in fields(ExperimentConfig)}
-    if extra:
-        raise ValueError(f"unknown config keys {sorted(extra)}")
-    if "experiment" not in spec:
-        raise ValueError("config needs an 'experiment' key")
-    for key, (types, what) in _CONFIG_TYPES.items():
-        # a JSON true or false is a bool, which Python counts as an int
-        if key in spec and (isinstance(spec[key], bool) or not isinstance(spec[key], types)):
-            raise ValueError(f"config {key!r} must be {what}, got {spec[key]!r}")
-    for key in ("dims", "h_values"):
-        # int() and float() take numbers and numeric strings, and raise TypeError on the rest
-        if not all(isinstance(v, str) or _is_number(v) for v in spec.get(key, ())):
-            raise ValueError(f"config {key!r} entries must be numbers, got {spec[key]!r}")
-    if not all(isinstance(n, (int, str)) or n.is_integer() for n in spec.get("dims", ())):
-        raise ValueError(f"config 'dims' entries must be whole numbers, got {spec['dims']!r}")
-    subsets = spec.get("subsets", "singletons")
-    draw = subsets.get("random") if isinstance(subsets, dict) else None
-    if isinstance(subsets, dict) and not (
-        isinstance(draw, dict) and {"size", "count"} <= set(draw)
-        and all(_is_int(v) for v in draw.values())
-    ):
-        raise ValueError(f"config 'subsets' object must be {_RANDOM_PANEL}, got {subsets!r}")
-    if isinstance(subsets, list) and not all(
-        isinstance(u, list) and all(_is_int(i) for i in u) for u in subsets
-    ):
-        raise ValueError(f"config 'subsets' entries must be lists of integers, got {subsets!r}")
+    spec = read(spec, None, "config", {f.name for f in fields(ExperimentConfig)})
     return ExperimentConfig(
-        experiment=spec["experiment"],
-        dims=tuple(spec.get("dims", ())),
-        h_values=tuple(spec.get("h_values", ())),
-        seed=int(spec.get("seed", 0)),
-        subsets=subsets,
-        options=dict(spec.get("options", {})),
-        output=spec.get("output"),
+        experiment=read(spec, "experiment", "config"),
+        dims=read(spec, "dims", "config", ["integer"], ()),
+        h_values=read(spec, "h_values", "config", ["number"], ()),
+        seed=read(spec, "seed", "config", "integer", 0),
+        subsets=read(spec, "subsets", "config", _PANEL, "singletons"),
+        options=read(spec, "options", "config", "object", {}),
+        output=read(spec, "output", "config", "string", None),
     )
 
 
@@ -176,14 +136,7 @@ class ExperimentReport:
 
     def to_json_sidecar(self, path) -> None:
         payload = {
-            "config": {
-                "experiment": self.config.experiment,
-                "dims": list(self.config.dims),
-                "h_values": list(self.config.h_values),
-                "seed": self.config.seed,
-                "subsets": self.config.subsets,
-                "options": self.config.options,
-            },
+            "config": {k: v for k, v in vars(self.config).items() if k != "output"},
             "metadata": self.metadata,
             "num_rows": len(self.rows),
             "num_failures": len(self.failures()),
@@ -260,15 +213,15 @@ def resolve_panel(graph: InteractionGraph, spec) -> list[tuple[int, ...]]:
                 panel.extend(itertools.combinations(range(graph.n), 2))
             else:
                 raise ValueError(f"unknown panel spec {part!r}")
-    elif isinstance(spec, dict) and "random" in spec:
-        k = int(spec["random"]["size"])
-        count = int(spec["random"]["count"])
-        rng = np.random.default_rng(int(spec["random"].get("seed", 0)))
-        panel = []
-        for _ in range(count):
-            panel.append(tuple(sorted(rng.choice(graph.n, size=k, replace=False).tolist())))
+    elif isinstance(spec, dict):
+        draw = read(spec, "random", "subsets", {"size", "count", "seed"})
+        where = "subsets 'random'"
+        k, count = (read(draw, key, where, "integer") for key in ("size", "count"))
+        rng = np.random.default_rng(read(draw, "seed", where, "integer", 0))
+        draws = (rng.choice(graph.n, size=k, replace=False).tolist() for _ in range(count))
+        panel = [tuple(sorted(u)) for u in draws]
     else:
-        panel = [tuple(sorted(int(i) for i in u)) for u in spec]
+        panel = [tuple(sorted(u)) for u in read(spec, None, "subsets", ["indices"])]
     if not panel:
         raise ValueError(f"subset panel {spec!r} is empty")
     return panel
@@ -282,30 +235,18 @@ def _subset_label(u) -> str:
 
 
 def _option(options: dict, key: str, default):
-    """options[key], or the default when the key is absent.  The value must
-    have the default's type: a list of numbers for a tuple default, an
-    integer for an int and a number for a float; anything else is a
-    ValueError naming the key."""
-    value = options.get(key, default)
-    if isinstance(default, tuple):
-        ok = isinstance(value, (list, tuple)) and all(_is_number(v) for v in value)
-        what = "a list of numbers"
-    elif isinstance(default, int):
-        ok, what = _is_int(value), "an integer"
-    else:
-        ok, what = _is_number(value), "a number"
-    if not ok:
-        raise ValueError(f"option {key!r} must be {what}, got {value!r}")
-    return type(default)(value)
+    """options[key], or the default when the key is absent, read by the rule of
+    the default's type: numbers for a tuple, an integer for an int, else a number."""
+    kind = "integer" if isinstance(default, int) else "number"
+    return read(options, key, "option", [kind] if isinstance(default, tuple) else kind, default)
 
 
 def _target_from_options(n: int, options: dict) -> orc.GaussianTarget:
-    if "precision" in options:
-        A = np.asarray(options["precision"], dtype=float)
-        if A.shape != (n, n):
-            raise ValueError(f"precision shape {A.shape} does not match n={n}")
-    else:
+    A = read(options, "precision", "option", "matrix", None)
+    if A is None:
         A = tridiagonal_precision(n, _option(options, "diag", 2.0), _option(options, "off", -0.5))
+    elif A.shape != (n, n):
+        raise ValueError(f"precision shape {A.shape} does not match n={n}")
     return orc.GaussianTarget(A)
 
 
@@ -324,8 +265,7 @@ def _singleton_w2(law_h: orc.GaussianLaw, law: orc.GaussianLaw) -> list[float]:
     return ((law_h.mean - law.mean) ** 2 + (sd_h - sd) ** 2).tolist()
 
 
-def _exp_gaussian_scaling(config: ExperimentConfig) -> list[ReportRow]:
-    rows = []
+def _exp_gaussian_scaling(config: ExperimentConfig) -> Iterator[ReportRow]:
     for n in config.dims or (16, 64, 256):
         tgt = _target_from_options(n, config.options)
         law = tgt.law()
@@ -333,25 +273,20 @@ def _exp_gaussian_scaling(config: ExperimentConfig) -> list[ReportRow]:
             law_h = orc.lmc_stationary_law(tgt, h)
             per_coord = _singleton_w2(law_h, law)
             for i, v in enumerate(per_coord):
-                rows.append(
-                    ReportRow(config.experiment, n, h, str(i), "w2sq-marginal", v, theorem="oracle")
+                yield ReportRow(
+                    config.experiment, n, h, str(i), "w2sq-marginal", v, theorem="oracle"
                 )
-            rows.append(
-                ReportRow(
-                    config.experiment, n, h, "singletons", "w2sq-marginal-max",
-                    float(np.max(per_coord)), theorem="oracle",
-                )
+            yield ReportRow(
+                config.experiment, n, h, "singletons", "w2sq-marginal-max",
+                float(np.max(per_coord)), theorem="oracle",
             )
-            rows.append(
-                ReportRow(
-                    config.experiment, n, h, "full", "w2sq-full",
-                    orc.w2sq_gaussian(law_h, law), theorem="oracle",
-                )
+            yield ReportRow(
+                config.experiment, n, h, "full", "w2sq-full",
+                orc.w2sq_gaussian(law_h, law), theorem="oracle",
             )
-    return rows
 
 
-def _exp_bound_vs_truth(config: ExperimentConfig) -> list[ReportRow]:
+def _exp_bound_vs_truth(config: ExperimentConfig) -> Iterator[ReportRow]:
     opts = config.options
     n = _single(config, "dims", 8)
     tgt = _target_from_options(n, opts)
@@ -359,12 +294,10 @@ def _exp_bound_vs_truth(config: ExperimentConfig) -> list[ReportRow]:
     graph = build_graph(pot)
     cert = GrowthCertificate("polynomial", _option(opts, "c", 3.0), _option(opts, "p", 1.0))
     growth = verify_growth(graph, cert)
-    rows = [
-        ReportRow(
-            config.experiment, n, None, "vertices", "growth-certificate",
-            float(growth.passed), theorem="polynomial", valid=growth.passed,
-        )
-    ]
+    yield ReportRow(
+        config.experiment, n, None, "vertices", "growth-certificate",
+        float(growth.passed), theorem="polynomial", valid=growth.passed,
+    )
     alpha, beta, gamma = tgt.alpha, tgt.beta, _option(opts, "gamma", 1.0)
     consts = bnd.sparse_poly_constants(alpha, beta, gamma, cert.c, cert.exponent)
     if not consts.valid:
@@ -379,43 +312,34 @@ def _exp_bound_vs_truth(config: ExperimentConfig) -> list[ReportRow]:
             pair = (orc.marginal(law_h, u), orc.marginal(law, u))
             kl = orc.kl_gaussian(*pair)
             kl_bound = C * h * len(u)
-            rows.append(
-                ReportRow(
-                    config.experiment, n, h, _subset_label(u), "kl-marginal",
-                    kl, bound=kl_bound, theorem="sparse-poly", valid=kl <= kl_bound,
-                )
+            yield ReportRow(
+                config.experiment, n, h, _subset_label(u), "kl-marginal",
+                kl, bound=kl_bound, theorem="sparse-poly", valid=kl <= kl_bound,
             )
             w2 = orc.w2sq_gaussian(*pair)
             tal = (2.0 / alpha) * kl
-            rows.append(
-                ReportRow(
-                    config.experiment, n, h, _subset_label(u), "w2sq-marginal",
-                    w2, bound=tal, theorem="talagrand", valid=w2 <= tal + 1e-12,
-                )
+            yield ReportRow(
+                config.experiment, n, h, _subset_label(u), "w2sq-marginal",
+                w2, bound=tal, theorem="talagrand", valid=w2 <= tal + 1e-12,
             )
-    return rows
 
 
-def _exp_subadditivity(config: ExperimentConfig) -> list[ReportRow]:
+def _exp_subadditivity(config: ExperimentConfig) -> Iterator[ReportRow]:
     n = _single(config, "dims", 8)
     tgt = _target_from_options(n, config.options)
     h = _single(config, "h_values", 1.0 / tgt.beta)
     law_h = orc.lmc_stationary_law(tgt, h)
     law = tgt.law()
-    rows = []
     for k in range(1, n + 1):
         rep = mtr.subadditivity_check(law_h, law, k, tol=_option(config.options, "tol", 1e-9))
-        rows.append(
-            ReportRow(
-                config.experiment, n, h, f"k={k}", "subadditivity-lhs",
-                rep.lhs_average, bound=rep.rhs_share, theorem="subadditivity",
-                valid=rep.passed,
-            )
+        yield ReportRow(
+            config.experiment, n, h, f"k={k}", "subadditivity-lhs",
+            rep.lhs_average, bound=rep.rhs_share, theorem="subadditivity",
+            valid=rep.passed,
         )
-    return rows
 
 
-def _exp_continuous_time(config: ExperimentConfig) -> list[ReportRow]:
+def _exp_continuous_time(config: ExperimentConfig) -> Iterator[ReportRow]:
     opts = config.options
     n = _single(config, "dims", 6)
     tgt = _target_from_options(n, opts)
@@ -433,7 +357,6 @@ def _exp_continuous_time(config: ExperimentConfig) -> list[ReportRow]:
         "initial-kl",
     )
     panel = resolve_panel(graph, config.subsets)
-    rows = []
     for eps in _option(opts, "eps", (0.25, 0.5, 0.9)):
         for t in _option(opts, "times", (0.1, 0.5, 1.0, 2.0)):
             law_t = orc.ou_law(tgt, cov0, t)
@@ -442,23 +365,19 @@ def _exp_continuous_time(config: ExperimentConfig) -> list[ReportRow]:
                 rep = bnd.continuous_time_bound(
                     graph, mask_from(u), t, eps, alpha, beta, gamma, H0=H0
                 )
-                rows.append(
-                    ReportRow(
-                        config.experiment, n, None, _subset_label(u), f"kl-t={t}-eps={eps}",
-                        exact, bound=rep["bound_value"], theorem="continuous-time",
-                        valid=exact <= rep["bound_value"] + 1e-12,
-                    )
+                yield ReportRow(
+                    config.experiment, n, None, _subset_label(u), f"kl-t={t}-eps={eps}",
+                    exact, bound=rep["bound_value"], theorem="continuous-time",
+                    valid=exact <= rep["bound_value"] + 1e-12,
                 )
-    return rows
 
 
-def _exp_onestep_linf(config: ExperimentConfig) -> list[ReportRow]:
+def _exp_onestep_linf(config: ExperimentConfig) -> Iterator[ReportRow]:
     opts = config.options
     m = _option(opts, "samples", 2048)
     # each bootstrap replicate re-solves a full m x m assignment (~2 s at
     # m = 2048), so the default replicate count stays small
     n_boot = _option(opts, "n_boot", 10)
-    rows = []
     counter = 0
     for n in config.dims or (4, 8):
         tgt = _target_from_options(n, {"off": -0.3, **opts})
@@ -475,24 +394,19 @@ def _exp_onestep_linf(config: ExperimentConfig) -> list[ReportRow]:
         est = mtr.w2sq_assignment(a, b, norm="linf", n_boot=n_boot, rng=rng)
         rep = bnd.onestep_linf_bound(alpha, alpha0, beta, h, n)
         ok = rep.valid and est.value <= rep["full_linf"] + 3.0 * est.standard_error
-        rows.append(
-            ReportRow(
-                config.experiment, n, h, "full", "w2sq-linf-full",
-                est.value, se=est.standard_error, bound=rep["full_linf"],
-                theorem="onestep-linf", valid=ok,
-            )
+        yield ReportRow(
+            config.experiment, n, h, "full", "w2sq-linf-full",
+            est.value, se=est.standard_error, bound=rep["full_linf"],
+            theorem="onestep-linf", valid=ok,
         )
         # bias-corrected variant: Richardson step from m/2 to m assuming
         # O(m^{-1/2}) estimator bias; no SE of it is computed
         half = mtr.w2sq_assignment(a[: m // 2], b[: m // 2], norm="linf", n_boot=0, rng=rng)
         extrap = est.value + (est.value - half.value) / (math.sqrt(2.0) - 1.0)
-        rows.append(
-            ReportRow(
-                config.experiment, n, h, "full", "w2sq-linf-full-extrap",
-                extrap, bound=rep["full_linf"], theorem="onestep-linf",
-            )
+        yield ReportRow(
+            config.experiment, n, h, "full", "w2sq-linf-full-extrap",
+            extrap, bound=rep["full_linf"], theorem="onestep-linf",
         )
-    return rows
 
 
 def _batch_mean_se(x: np.ndarray, batches: int) -> float:
@@ -502,7 +416,7 @@ def _batch_mean_se(x: np.ndarray, batches: int) -> float:
     return float(bm.std(ddof=1) / math.sqrt(batches))
 
 
-def _exp_sampler_vs_oracle(config: ExperimentConfig) -> list[ReportRow]:
+def _exp_sampler_vs_oracle(config: ExperimentConfig) -> Iterator[ReportRow]:
     opts = config.options
     n = _single(config, "dims", 2)
     tgt = _target_from_options(n, {"diag": 3.0, "off": 0.5, **opts})
@@ -518,15 +432,13 @@ def _exp_sampler_vs_oracle(config: ExperimentConfig) -> list[ReportRow]:
         store = run_chain(pot, scfg, np.zeros(n))
     except DivergenceError as e:
         # value: the first iterate at which a chain's sup-norm reached the limit
-        return [
-            ReportRow(
-                config.experiment, n, h, f"chain={e.chain}", "divergence",
-                float(e.step), theorem="lmc", valid=False,
-            )
-        ]
+        yield ReportRow(
+            config.experiment, n, h, f"chain={e.chain}", "divergence",
+            float(e.step), theorem="lmc", valid=False,
+        )
+        return
     law_h = orc.lmc_stationary_law(tgt, h)
     law = tgt.law()
-    rows = []
     kept = store.rows()
     centered = kept - kept.mean(axis=0)
     nb = _option(opts, "batches", 200)
@@ -536,12 +448,10 @@ def _exp_sampler_vs_oracle(config: ExperimentConfig) -> list[ReportRow]:
             emp = float(series.mean())
             se = _batch_mean_se(series, nb)
             ref = float(law_h.cov[i, j])
-            rows.append(
-                ReportRow(
-                    config.experiment, n, h, _subset_label((i, j)), "cov-entry",
-                    emp, se=se, bound=ref, theorem="lyapunov",
-                    valid=abs(emp - ref) <= 4.0 * se,
-                )
+            yield ReportRow(
+                config.experiment, n, h, _subset_label((i, j)), "cov-entry",
+                emp, se=se, bound=ref, theorem="lyapunov",
+                valid=abs(emp - ref) <= 4.0 * se,
             )
     thin = _option(opts, "thin", 20)
     m_cmp = _option(opts, "marginal_samples", 100_000)
@@ -550,14 +460,11 @@ def _exp_sampler_vs_oracle(config: ExperimentConfig) -> list[ReportRow]:
         lmc_i = marginal_samples(store, (i,))[::thin, 0][:m_cmp]
         exact_i = orc.sample(orc.marginal(law, (i,)), lmc_i.shape[0], rng)[:, 0]
         est = mtr.w2sq_1d(lmc_i, exact_i, rng=rng)
-        rows.append(
-            ReportRow(
-                config.experiment, n, h, str(i), "w2sq-marginal",
-                est.value, se=est.standard_error, bound=ref, theorem="oracle",
-                valid=abs(est.value - ref) <= 3.0 * est.standard_error,
-            )
+        yield ReportRow(
+            config.experiment, n, h, str(i), "w2sq-marginal",
+            est.value, se=est.standard_error, bound=ref, theorem="oracle",
+            valid=abs(est.value - ref) <= 3.0 * est.standard_error,
         )
-    return rows
 
 
 def _rotated_precision(n: int, soft: float, stiff: float) -> np.ndarray:
@@ -566,14 +473,13 @@ def _rotated_precision(n: int, soft: float, stiff: float) -> np.ndarray:
     return stiff * np.eye(n) + (soft - stiff) / n
 
 
-def _exp_delocalization_failure(config: ExperimentConfig) -> list[ReportRow]:
+def _exp_delocalization_failure(config: ExperimentConfig) -> Iterator[ReportRow]:
     opts = config.options
     h = _single(config, "h_values", 0.02)
     soft = _option(opts, "soft", 1.0)
     stiff = _option(opts, "stiff", 50.0)
     dims = config.dims or (8, 32, 128)
     rot_max, prod_max = [], []
-    rows = []
     for n in dims:
         d = np.full(n, stiff)
         d[0] = soft
@@ -584,27 +490,20 @@ def _exp_delocalization_failure(config: ExperimentConfig) -> list[ReportRow]:
             per = _singleton_w2(law_h, law)
             top = float(np.max(per))
             (rot_max if label == "rotated" else prod_max).append(top)
-            rows.append(
-                ReportRow(
-                    config.experiment, n, h, "singletons", f"w2sq-marginal-max-{label}",
-                    top, theorem="oracle",
-                )
+            yield ReportRow(
+                config.experiment, n, h, "singletons", f"w2sq-marginal-max-{label}",
+                top, theorem="oracle",
             )
     ratio = rot_max[-1] / rot_max[0]
-    rows.append(
-        ReportRow(
-            config.experiment, dims[-1], h, "singletons", "rotated-bias-growth",
-            ratio, bound=2.0, theorem="counterexample", valid=ratio >= 2.0,
-        )
+    yield ReportRow(
+        config.experiment, dims[-1], h, "singletons", "rotated-bias-growth",
+        ratio, bound=2.0, theorem="counterexample", valid=ratio >= 2.0,
     )
     spread = (max(prod_max) - min(prod_max)) / min(prod_max)
-    rows.append(
-        ReportRow(
-            config.experiment, dims[-1], h, "singletons", "product-bias-variation",
-            spread, bound=0.05, theorem="counterexample", valid=spread < 0.05,
-        )
+    yield ReportRow(
+        config.experiment, dims[-1], h, "singletons", "product-bias-variation",
+        spread, bound=0.05, theorem="counterexample", valid=spread < 0.05,
     )
-    return rows
 
 
 def delocalization_failure_demo(
@@ -636,12 +535,8 @@ EXPERIMENTS = {
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     t0 = time.time()
-    rows = EXPERIMENTS[config.experiment](config)
-    meta = {
-        "seed": config.seed,
-        "elapsed_seconds": round(time.time() - t0, 3),
-        "rows": len(rows),
-    }
+    rows = list(EXPERIMENTS[config.experiment](config))
+    meta = {"seed": config.seed, "elapsed_seconds": round(time.time() - t0, 3), "rows": len(rows)}
     report = ExperimentReport(config=config, rows=rows, metadata=meta)
     if config.output:
         report.to_csv(config.output)

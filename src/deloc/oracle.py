@@ -26,6 +26,8 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from .subsets import sorted_indices
+
 __all__ = [
     "GaussianLaw",
     "GaussianTarget",
@@ -181,11 +183,7 @@ def ou_law(A, cov0, t: float, mean0=None) -> GaussianLaw:
 
 
 def marginal(law: GaussianLaw, u) -> GaussianLaw:
-    idx = sorted(set(int(i) for i in u))
-    if not idx:
-        raise ValueError("marginal over the empty set is undefined")
-    if idx[0] < 0 or idx[-1] >= law.dim:
-        raise ValueError(f"subset {idx} out of range for dimension {law.dim}")
+    idx = sorted_indices(u, law.dim)
     return GaussianLaw(law.mean[idx], law.cov[np.ix_(idx, idx)])
 
 

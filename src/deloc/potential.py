@@ -18,6 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._json import load, read
+
 __all__ = [
     "FactorTerm",
     "SmoothnessParams",
@@ -486,101 +488,77 @@ def potential_to_dict(pot: StructuredPotential) -> dict:
     return {"n": pot.n, "terms": terms, "smoothness": sm}
 
 
-def _field(obj, key: str, where: str):
-    """obj[key]; ValueError naming `where` if obj is no JSON object or lacks key."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where} must be a JSON object")
-    if key not in obj:
-        raise ValueError(f"{where} missing required key {key!r}")
-    return obj[key]
-
-
-def _number(obj, key: str, where: str, default=None, convert=float):
-    """obj[key] through `convert`; a missing key takes the default when one is
-    given.  A missing required key, or a value that is no number or numeric
-    string, is a ValueError naming `where` and the key."""
-    if isinstance(obj, dict) and default is not None:
-        value = obj.get(key, default)
-    else:
-        value = _field(obj, key, where)
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{where} {key!r} must be a number, got {value!r}") from None
+_PARAM_KEYS = {  # the params keys of each term kind
+    "quadratic": {"matrix"}, "builtin:gaussian": {"precision", "tridiagonal"},
+    "builtin:chain-pairwise": {"confine", "couple"}, "builtin:mean-field": {"confine", "strength"},
+    "builtin:grid-pairwise": {"rows", "cols", "confine", "couple"},
+}
 
 
 def _builtin_terms(name: str, k: int, params: dict) -> list[FactorTerm]:
     """The terms of builtin `name` on the local coordinates 0..k-1."""
     where = f"builtin:{name} params"
     if name == "gaussian":
+        if ("precision" in params) == ("tridiagonal" in params):
+            raise ValueError("builtin:gaussian needs 'precision' or 'tridiagonal' params, not both")
         if "precision" in params:
-            A = np.asarray(params["precision"], dtype=float)
-        elif "tridiagonal" in params:
-            td, td_where = params["tridiagonal"], f"{where} 'tridiagonal'"
-            diag, off = _number(td, "diag", td_where, 2.0), _number(td, "off", td_where, -0.5)
-            A = tridiagonal_precision(k, diag, off)
+            A = read(params, "precision", where, "matrix")
         else:
-            raise ValueError("builtin:gaussian needs 'precision' or 'tridiagonal' params")
+            td = read(params, "tridiagonal", where, {"diag", "off"})
+            td_where = f"{where} 'tridiagonal'"
+            diag = read(td, "diag", td_where, "number", 2.0)
+            A = tridiagonal_precision(k, diag, read(td, "off", td_where, "number", -0.5))
         if A.shape != (k, k):
             raise ValueError(f"precision shape {A.shape} does not match support size {k}")
         return _gaussian_terms(_symmetric_precision(A))
     if name == "chain-pairwise":
-        pairs = _chain_pairs(k, _number(params, "couple", where, 0.5))
+        pairs = _chain_pairs(k, read(params, "couple", where, "number", 0.5))
     elif name == "grid-pairwise":
-        rows, cols = (_number(params, key, where, convert=int) for key in ("rows", "cols"))
-        if rows * cols != k:
+        rows, cols = (read(params, key, where, "integer") for key in ("rows", "cols"))
+        if rows < 1 or rows * cols != k:
             raise ValueError(f"grid {rows}x{cols} does not match support size {k}")
-        pairs = _grid_pairs(rows, cols, _number(params, "couple", where, 0.25))
-    elif name == "mean-field":
-        pairs = _mean_field_pairs(k, _number(params, "strength", where, 1.0))
-    else:
-        raise ValueError(f"unknown builtin {name!r}")
-    return _pair_terms(k, _number(params, "confine", where, 1.0), pairs)
+        pairs = _grid_pairs(rows, cols, read(params, "couple", where, "number", 0.25))
+    else:  # mean-field
+        pairs = _mean_field_pairs(k, read(params, "strength", where, "number", 1.0))
+    return _pair_terms(k, read(params, "confine", where, "number", 1.0), pairs)
 
 
 def potential_from_dict(spec: dict) -> StructuredPotential:
-    n = _number(spec, "n", "potential spec", convert=int)
-    raw_terms = _field(spec, "terms", "potential spec")
-    sm = _field(spec, "smoothness", "potential spec")
-    if not isinstance(raw_terms, list):
-        raise ValueError("potential spec 'terms' must be a list")
+    spec = read(spec, None, "potential spec", {"n", "terms", "smoothness"})
+    n = read(spec, "n", "potential spec", "integer")
+    sm = read(spec, "smoothness", "potential spec")
+    read(sm, None, "smoothness", {"alpha", "beta", "gamma"})
     smoothness = SmoothnessParams(
-        alpha=_number(sm, "alpha", "smoothness"),
-        beta=None if sm.get("beta") is None else _number(sm, "beta", "smoothness"),
-        gamma=_number(sm, "gamma", "smoothness", 1.0),
+        alpha=read(sm, "alpha", "smoothness", "number"),
+        beta=read(sm, "beta", "smoothness", "number", None),
+        gamma=read(sm, "gamma", "smoothness", "number", 1.0),
     )
     terms: list[FactorTerm] = []
-    for entry in raw_terms:
-        support = _field(entry, "support", "term")
-        if not isinstance(support, list) or not all(isinstance(i, int) for i in support):
-            raise ValueError(f"term 'support' must be a list of integers, got {support!r}")
+    for entry in read(spec, "terms", "potential spec", "list"):
+        # the support is checked first: an empty one is the error whatever the kind
+        support = sorted(read(entry, "support", "term", "indices"))
         if not support:
             raise ValueError("factor support must be nonempty")
-        support = sorted(int(i) for i in support)
-        kind = _field(entry, "kind", "term")
-        params = entry.get("params", {})
-        if not isinstance(params, dict):
-            raise ValueError("term params must be a JSON object")
+        kind = read(entry, "kind", "term", "string")
+        if kind not in _PARAM_KEYS:
+            raise ValueError(f"unknown term kind {kind!r}")
+        # a quadratic term may state its lipschitz weight; a builtin derives its own
+        lipschitz = ["lipschitz"] if kind == "quadratic" else []
+        read(entry, None, "term", {"support", "kind", "params", *lipschitz})
+        params = read(entry, "params", "term", _PARAM_KEYS[kind], {})
         if kind == "quadratic":
-            matrix = _field(params, "matrix", "quadratic term params")
-            lip = None if entry.get("lipschitz") is None else _number(entry, "lipschitz", "term")
+            matrix = read(params, "matrix", "quadratic term params", "matrix")
+            lip = read(entry, "lipschitz", "term", "number", None)
             terms.append(quadratic_term(support, matrix, lipschitz=lip))
-        elif isinstance(kind, str) and kind.startswith("builtin:"):
+        else:
             # local coordinate i of the builtin is support[i]
             local = _builtin_terms(kind.split(":", 1)[1], len(support), params)
             terms.extend(
                 replace(t, support=tuple(support[i] for i in t.support)) for t in local
             )
-        else:
-            raise ValueError(f"unknown term kind {kind!r}")
     return StructuredPotential(n=n, terms=tuple(terms), smoothness=smoothness)
 
 
 def load_potential(path) -> StructuredPotential:
     """The potential in the JSON file at path; an unreadable file is a ValueError."""
-    try:
-        with open(path) as f:
-            spec = json.load(f)
-    except OSError as e:
-        raise ValueError(f"cannot read potential file {str(path)!r}: {e.strerror}") from None
-    return potential_from_dict(spec)
+    return potential_from_dict(load(path, "potential file"))

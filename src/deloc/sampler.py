@@ -39,6 +39,7 @@ import numpy as np
 from scipy import sparse
 
 from .potential import StructuredPotential
+from .subsets import sorted_indices
 
 __all__ = [
     "SamplerConfig",
@@ -259,9 +260,5 @@ def run_chain(pot: StructuredPotential, config: SamplerConfig, x0) -> SampleStor
 
 def marginal_samples(store: SampleStore, u: Iterable[int]) -> np.ndarray:
     """Column-sliced copy of the retained states; sample order preserved."""
-    idx = sorted(set(int(i) for i in u))
-    if not idx:
-        raise ValueError("marginal over the empty set is undefined")
-    if idx[0] < 0 or idx[-1] >= store.n:
-        raise ValueError(f"subset {idx} out of range for n={store.n}")
+    idx = sorted_indices(u, store.n)
     return store.rows()[:, idx].copy()

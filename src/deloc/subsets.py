@@ -40,3 +40,14 @@ def as_mask(u, n: int | None = None) -> int:
     if n is not None and m >> n:
         raise ValueError(f"subset {indices_from(m)} not contained in range({n})")
     return m
+
+
+def sorted_indices(u: Iterable[int], n: int) -> list[int]:
+    """The distinct members of u in ascending order; a ValueError if u is
+    empty or has a member outside range(n)."""
+    idx = sorted(set(int(i) for i in u))
+    if not idx:
+        raise ValueError("marginal over the empty set is undefined")
+    if idx[0] < 0 or idx[-1] >= n:
+        raise ValueError(f"subset {idx} out of range for dimension {n}")
+    return idx

@@ -40,6 +40,7 @@ from deloc.potential import (
     chain_pairwise,
     load_potential,
     mean_field,
+    potential_from_dict,
     potential_to_dict,
     tridiagonal_precision,
 )
@@ -501,7 +502,7 @@ def test_cli_run_reports_domain_errors_with_exit_2(spec, reason, tmp_path, capsy
     [
         ({"experiment": "subadditivity", "dims": 4}, "'dims' must be a list"),
         ({"experiment": "subadditivity", "h_values": 0.1}, "'h_values' must be a list"),
-        ({"experiment": "gaussian-scaling", "options": 3}, "'options' must be an object"),
+        ({"experiment": "gaussian-scaling", "options": 3}, "'options' must be a JSON object"),
         ({"experiment": "subadditivity", "dims": [[3]]}, "'dims' entries must be numbers"),
         ({"experiment": "subadditivity", "h_values": [None]}, "'h_values' entries must be"),
         ({"experiment": "bound-vs-truth", "subsets": 3}, "'subsets' must be a string, list"),
@@ -509,7 +510,8 @@ def test_cli_run_reports_domain_errors_with_exit_2(spec, reason, tmp_path, capsy
         ([{"experiment": "subadditivity"}], "config must be a JSON object"),
         ({"experiment": "subadditivity", "seed": [1]}, "'seed' must be an integer"),
         ({"experiment": "subadditivity", "seed": 1.5}, "'seed' must be an integer"),
-        ({"experiment": "bound-vs-truth", "subsets": {"random": 3}}, "'subsets' object must be"),
+        ({"experiment": "bound-vs-truth", "subsets": {"random": 3}},
+         "subsets 'random' must be a JSON object"),
         ({"experiment": "bound-vs-truth", "dims": [3], "subsets": [0, 1]},
          "'subsets' entries must be lists of integers"),
         ({"experiment": "gaussian-scaling", "dims": [3.5]}, "'dims' entries must be whole numbers"),
@@ -519,6 +521,18 @@ def test_cli_run_reports_domain_errors_with_exit_2(spec, reason, tmp_path, capsy
          "option 'eps' must be a list of numbers"),
         ({"experiment": "onestep-linf", "dims": [4], "options": {"samples": 64.7}},
          "option 'samples' must be an integer"),
+        ({"experiment": "gaussian-scaling", "dims": ["8"]}, "'dims' entries must be numbers"),
+        ({"experiment": "gaussian-scaling", "dims": [4], "h_values": ["0.01"]},
+         "'h_values' entries must be numbers"),
+        ({"experiment": "sampler-vs-oracle", "dims": [2],
+          "options": {"precision": [["2", True], [True, "2"]]}},
+         "option 'precision' must be a square list of number lists"),
+        # |u| would count the repeated index, and the kl-marginal bound double
+        ({"experiment": "bound-vs-truth", "dims": [3], "h_values": [0.01],
+          "subsets": [[0, 0], [0]]},
+         "'subsets' entries must be lists of integers, distinct and non-negative"),
+        ({"experiment": "bound-vs-truth", "dims": [3], "subsets": {"draw": 3}},
+         "unknown config 'subsets' keys ['draw']"),
     ],
 )
 def test_cli_run_reports_mistyped_config_with_exit_2(spec, reason, tmp_path, capsys):
@@ -542,6 +556,36 @@ def test_cli_run_unreadable_config_is_a_usage_error(text, tmp_path, capsys):
         main(["run", str(cfg)])
     assert exc.value.code == 2
     assert "cannot read JSON" in capsys.readouterr().err
+
+
+def test_cli_rejects_non_finite_potential_constants(tmp_path, capsys):
+    path = tmp_path / "pot.json"
+    path.write_text('{"n": 2, "smoothness": {"alpha": NaN, "gamma": Infinity},'
+                    ' "terms": [{"kind": "builtin:chain-pairwise", "support": [0, 1]}]}')
+    rc = main(["hierarchy", str(path), "--t", "0.5", "--subset", "0"])
+    payload = cli_json(capsys)
+    assert rc == 2
+    assert payload == {"case": "sparse-poly", "t": 0.5, "valid": False,
+                       "reason": payload["reason"]}
+    assert "NaN is not a finite number" in payload["reason"]
+    rc = main(["validate", str(path)])
+    assert rc == 2
+    assert cli_json(capsys) == {
+        "valid": False, "error": f"ValueError: {payload['reason']}"
+    }
+
+
+def test_readme_potential_example_loads_and_validates(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### File formats", 1)[1]
+    block = section.split("```json", 1)[1].split("```", 1)[0]
+    pot = potential_from_dict(json.loads(block))
+    path = tmp_path / "readme.json"
+    path.write_text(block)
+    rc = main(["validate", str(path)])
+    payload = cli_json(capsys)
+    assert rc == 0 and payload["valid"] is True
+    assert (payload["n"], payload["terms"]) == (pot.n, len(pot.terms))
 
 
 UNLOADABLE_POTENTIALS = [

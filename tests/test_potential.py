@@ -315,7 +315,7 @@ def test_pairwise_rejects_interaction_keys_outside_i_lt_j():
         ({"n": 3, "smoothness": 1.0, "terms": []}, "smoothness must be a JSON object"),
         ([3], "potential spec must be a JSON object"),
         ({"n": [3], "smoothness": {"alpha": 1.0}, "terms": []},
-         "potential spec 'n' must be a number"),
+         "potential spec 'n' must be an integer"),
         ({"n": 3, "smoothness": {"alpha": 1.0, "gamma": None}, "terms": []},
          "smoothness 'gamma' must be a number"),
         ({"n": 3, "smoothness": {"alpha": 0.5},
@@ -326,6 +326,72 @@ def test_pairwise_rejects_interaction_keys_outside_i_lt_j():
           "terms": [{"kind": "builtin:gaussian", "support": [0, 1, 2],
                      "params": {"tridiagonal": 3}}]},
          "builtin:gaussian params 'tridiagonal' must be a JSON object"),
+        # a value that a cast would turn into another problem, and a key the
+        # reader would drop, name the field instead
+        ({"n": 2.7, "smoothness": {"alpha": 0.5}, "terms": []},
+         "potential spec 'n' must be an integer, got 2.7"),
+        ({"n": True, "smoothness": {"alpha": 0.5}, "terms": []},
+         "potential spec 'n' must be an integer, got True"),
+        ({"n": 2, "smoothness": {"alpha": 0.5},
+          "terms": [{"kind": "builtin:grid-pairwise", "support": [0, 1],
+                     "params": {"rows": 1.9, "cols": 2}}]},
+         "builtin:grid-pairwise params 'rows' must be an integer, got 1.9"),
+        ({"n": 2, "smoothness": {"alpha": "1.0"}, "terms": []},
+         "smoothness 'alpha' must be a number, got '1.0'"),
+        ({"n": 2, "smoothness": {"alpha": 1.0, "gamma": True}, "terms": []},
+         "smoothness 'gamma' must be a number, got True"),
+        ({"n": 2, "smoothness": {"alpha": float("nan")}, "terms": []},
+         "smoothness 'alpha' must be a number, got nan"),
+        ({"n": 2, "smoothness": {"alpha": 0.5, "gamma": float("inf")}, "terms": []},
+         "smoothness 'gamma' must be a number, got inf"),
+        ({"n": 2, "smoothness": {"alpha": 0.5},
+          "terms": [{"kind": "builtin:chain-pairwise", "support": [0, 1],
+                     "params": {"couple": "0.3"}}]},
+         "builtin:chain-pairwise params 'couple' must be a number, got '0.3'"),
+        ({"n": 2, "smoothness": {"alpha": 0.5},
+          "terms": [{"kind": "builtin:gaussian", "support": [0, 1],
+                     "params": {"tridiagonal": {"diag": True}}}]},
+         "builtin:gaussian params 'tridiagonal' 'diag' must be a number, got True"),
+        ({"n": 2, "smoothness": {"alpha": 0.5},
+          "terms": [{"kind": "builtin:gaussian", "support": [0, 1],
+                     "params": {"precision": [["2", True], [True, "2"]]}}]},
+         "builtin:gaussian params 'precision' must be a square list of number lists"),
+        ({"n": 1, "smoothness": {"alpha": 0.5},
+          "terms": [{"kind": "quadratic", "support": [0], "params": {"matrix": [["1"]]}}]},
+         "quadratic term params 'matrix' must be a square list of number lists"),
+        ({"n": 2, "smoothness": {"alpha": 0.5},
+          "terms": [{"kind": "builtin:chain-pairwise", "support": [0, 1],
+                     "parms": {"couple": 0.9}}]},
+         r"unknown term keys \['parms'\]"),
+        ({"n": 2, "smoothness": {"alpha": 0.5, "gama": 3.0},
+          "terms": [{"kind": "builtin:chain-pairwise", "support": [0, 1]}]},
+         r"unknown smoothness keys \['gama'\]"),
+        ({"n": 2, "smoothness": {"alpha": 0.5}, "terms": [], "beta": 2.0},
+         r"unknown potential spec keys \['beta'\]"),
+        ({"n": 2, "smoothness": {"alpha": 0.5},
+          "terms": [{"kind": "builtin:mean-field", "support": [0, 1],
+                     "params": {"couple": 0.9}}]},
+         r"unknown term 'params' keys \['couple'\]"),
+        ({"n": 2, "smoothness": {"alpha": 0.5},
+          "terms": [{"kind": "builtin:chain-pairwise", "support": [0, 1], "lipschitz": 1.0}]},
+         r"unknown term keys \['lipschitz'\]"),
+        ({"n": 2, "smoothness": {"alpha": 0.5},
+          "terms": [{"kind": "quadratic", "support": [0, 0],
+                     "params": {"matrix": [[1.0, 0.0], [0.0, 1.0]]}}]},
+         "term 'support' must be a list of integers, distinct and non-negative"),
+        ({"n": 4, "smoothness": {"alpha": 0.5},
+          "terms": [{"kind": "builtin:grid-pairwise", "support": [0, 1, 2, 3],
+                     "params": {"rows": -2, "cols": -2}}]},
+         "grid -2x-2 does not match support size 4"),
+        # the precision would win and the tridiagonal block be dropped
+        ({"n": 2, "smoothness": {"alpha": 0.5},
+          "terms": [{"kind": "builtin:gaussian", "support": [0, 1],
+                     "params": {"precision": [[2.0, 0.0], [0.0, 2.0]],
+                                "tridiagonal": {"diag": 5.0}}}]},
+         "builtin:gaussian needs 'precision' or 'tridiagonal' params, not both"),
+        ({"n": 2, "smoothness": {"alpha": 0.5},
+          "terms": [{"kind": "builtin:chain-pairwise", "support": [[0], 1]}]},
+         "term 'support' must be a list of integers, distinct and non-negative"),
     ],
 )
 def test_potential_from_dict_names_missing_or_mistyped_keys(spec, message):
@@ -476,6 +542,18 @@ def test_builtin_gaussian_rejects_asymmetric_precision():
         potential_from_dict(spec)
     with pytest.raises(ValueError, match="precision matrix must be symmetric"):
         gaussian_potential(spec["terms"][0]["params"]["precision"])
+
+
+def test_potential_from_dict_reads_whole_floats_as_integers():
+    def spec(n, alpha, support, rows):
+        return {"n": n, "smoothness": {"alpha": alpha, "beta": None},
+                "terms": [{"kind": "builtin:grid-pairwise", "support": support,
+                           "params": {"rows": rows, "cols": 3}}]}
+
+    pot = potential_from_dict(spec(3.0, 1, [2.0, 0, 1], 1.0))
+    assert type(pot.n) is int and type(pot.smoothness.alpha) is float
+    assert all(type(i) is int for t in pot.terms for i in t.support)
+    assert pot.content_hash() == potential_from_dict(spec(3, 1.0, [0, 1, 2], 1)).content_hash()
 
 
 def test_potential_from_dict_error_paths():
