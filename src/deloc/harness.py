@@ -261,7 +261,7 @@ def _single(config: ExperimentConfig, name: str, default):
 def _singleton_w2(law_h: orc.GaussianLaw, law: orc.GaussianLaw) -> list[float]:
     """Exact W2^2 between the coordinate marginals of law_h and law, one per
     coordinate: in one dimension (mean difference)^2 + (sd difference)^2."""
-    sd_h, sd = np.sqrt(np.diag(law_h.cov)), np.sqrt(np.diag(law.cov))
+    sd_h, sd = np.sqrt(law_h.variances), np.sqrt(law.variances)
     return ((law_h.mean - law.mean) ** 2 + (sd_h - sd) ** 2).tolist()
 
 

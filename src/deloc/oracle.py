@@ -12,7 +12,11 @@ Continuous-time (overdamped Langevin / OU) laws, Gaussian 2-Wasserstein
 (Bures) and KL round out the ground-truth toolkit.
 
 A GaussianLaw requires a positive-definite covariance and keeps its lower
-Cholesky factor, taken once on construction; W2, KL and sampling reuse it.
+Cholesky factor; W2, KL and sampling reuse it.  A law built from a target
+(GaussianTarget.law, lmc_stationary_law) keeps the target's eigenbasis and
+spectrum instead, and forms its dense covariance and Cholesky factor on
+first use: W2 between two laws on one basis is then an eigenvalue sum, and
+marginals and coordinate variances read the basis rows.
 
 W_{2,linf} between Gaussians has no closed form and is deliberately
 absent; it is estimated empirically in the metrics module.
@@ -20,12 +24,13 @@ absent; it is estimated empirically in the metrics module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from ._linalg import is_symmetric
 from .subsets import sorted_indices
 
 __all__ = [
@@ -45,37 +50,66 @@ LYAPUNOV_TOL = 1e-14  # Smith doubling stops at this relative Frobenius norm of 
 LYAPUNOV_MAX_ITER = 200_000  # or raises after this many doubling steps
 
 
-@dataclass(frozen=True, eq=False)
 class GaussianLaw:
-    """N(mean, cov); mean and cov must be finite, cov symmetric positive definite.
-    `chol`, the lower Cholesky factor of cov, is taken once on construction and
-    reused by W2, KL and sample."""
+    """N(mean, cov), immutable.  GaussianLaw(mean, cov) requires a finite mean and
+    a finite, symmetric positive-definite cov, and takes `chol`, its lower
+    Cholesky factor, on construction; W2, KL and sample reuse it.
 
-    mean: np.ndarray
-    cov: np.ndarray
-    chol: np.ndarray = field(init=False, repr=False)
+    A law built from a GaussianTarget is spectral: N(0, Q diag(1/d) Q') with the
+    target's eigenbasis Q and a positive divisor d.  Its `cov`, _sym((Q / d) @ Q'),
+    and then `chol` are formed on first read; until then W2 against a law on the
+    same Q, `marginal` and `variances` work from Q and d."""
 
-    def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+    def __init__(self, mean, cov):
+        mean = np.atleast_1d(np.asarray(mean, dtype=float))
+        cov = np.atleast_2d(np.asarray(cov, dtype=float))
         n = mean.shape[0]
         if cov.shape != (n, n):
             raise ValueError(f"cov shape {cov.shape} does not match mean length {n}")
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise ValueError("mean and covariance must be finite")
-        if not np.allclose(cov, cov.T, atol=1e-12, rtol=0):
+        if not is_symmetric(cov, 1e-12):
             raise ValueError("covariance must be symmetric (tol 1e-12)")
-        try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            raise ValueError("covariance must be positive definite") from None
-        object.__setattr__(self, "chol", chol)
+        vars(self).update(mean=mean, cov=cov, chol=_cholesky(cov), _basis=None, _divisor=None)
+
+    @classmethod
+    def _spectral(cls, basis: np.ndarray, divisor: np.ndarray) -> GaussianLaw:
+        if not (np.isfinite(divisor).all() and (divisor > 0).all()):
+            raise ValueError("covariance must be positive definite")
+        law = cls.__new__(cls)
+        vars(law).update(mean=np.zeros(basis.shape[0]), _basis=basis, _divisor=divisor)
+        return law
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GaussianLaw is immutable: cannot set {name!r}")
+
+    @cached_property
+    def cov(self) -> np.ndarray:
+        return _sym((self._basis / self._divisor) @ self._basis.T)
+
+    @cached_property
+    def chol(self) -> np.ndarray:
+        return _cholesky(self.cov)
+
+    @cached_property
+    def variances(self) -> np.ndarray:
+        """The diagonal of cov, read-only."""
+        if self._basis is None:
+            return np.diag(self.cov)
+        var = np.square(self._basis) @ (1.0 / self._divisor)
+        var.flags.writeable = False
+        return var
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
+
+
+def _cholesky(cov: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise ValueError("covariance must be positive definite") from None
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
@@ -89,10 +123,13 @@ class GaussianTarget:
     precision: np.ndarray
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.precision, dtype=float))
+        raw = np.asarray(self.precision, dtype=float)
+        A = np.atleast_2d(raw)
+        if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+            raise ValueError(f"precision must be a non-empty square matrix, got shape {raw.shape}")
         if not np.isfinite(A).all():
             raise ValueError("precision must be finite")
-        if not np.allclose(A, A.T, atol=1e-10, rtol=0):
+        if not is_symmetric(A, 1e-10):
             raise ValueError("precision must be symmetric")
         object.__setattr__(self, "precision", _sym(A))
         if self._eigs[0][0] <= 0:
@@ -117,7 +154,7 @@ class GaussianTarget:
 
     def law(self) -> GaussianLaw:
         lam, Q = self._eigs
-        return GaussianLaw(np.zeros(self.dim), _sym((Q / lam) @ Q.T))
+        return GaussianLaw._spectral(Q, lam)
 
 
 def lmc_stationary_law(A, h: float) -> GaussianLaw:
@@ -130,8 +167,7 @@ def lmc_stationary_law(A, h: float) -> GaussianLaw:
         raise ValueError(
             f"step h={h} outside the stability region (0, 2/lambda_max) = (0, {hmax})"
         )
-    cov = _sym((Q / (lam * (1.0 - 0.5 * h * lam))) @ Q.T)
-    return GaussianLaw(np.zeros(tgt.dim), cov)
+    return GaussianLaw._spectral(Q, lam * (1.0 - 0.5 * h * lam))
 
 
 def lyapunov_fixed_point(A, h: float) -> np.ndarray:
@@ -158,12 +194,18 @@ def lmc_transient_law(A, h: float, k: int, law0: GaussianLaw) -> GaussianLaw:
     """Exact law of the LMC chain after k steps from a Gaussian start:
     mean_{j+1} = (I - hA) mean_j, cov_{j+1} = (I-hA) cov_j (I-hA) + 2h I."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    M = np.eye(A.shape[0]) - h * A
+    n = A.shape[0]
+    if k < 0:
+        raise ValueError(f"step count k must be >= 0, got {k}")
+    if law0.dim != n:
+        raise ValueError(f"law0 has dimension {law0.dim} but A is {n} x {n}")
+    M = np.eye(n) - h * A
+    noise = 2.0 * h * np.eye(n)
     mean = law0.mean.copy()
     cov = law0.cov.copy()
     for _ in range(k):
         mean = M @ mean
-        cov = _sym(M @ cov @ M.T + 2.0 * h * np.eye(A.shape[0]))
+        cov = _sym(M @ cov @ M.T + noise)
     return GaussianLaw(mean, cov)
 
 
@@ -183,17 +225,26 @@ def ou_law(A, cov0, t: float, mean0=None) -> GaussianLaw:
 
 
 def marginal(law: GaussianLaw, u) -> GaussianLaw:
+    """The law of the coordinates u; a spectral law's u-block comes from the basis rows Q[u]."""
     idx = sorted_indices(u, law.dim)
-    return GaussianLaw(law.mean[idx], law.cov[np.ix_(idx, idx)])
+    if law._basis is None:
+        return GaussianLaw(law.mean[idx], law.cov[np.ix_(idx, idx)])
+    rows = law._basis[idx]
+    return GaussianLaw(law.mean[idx], _sym((rows / law._divisor) @ rows.T))
 
 
 def w2sq_gaussian(law1: GaussianLaw, law2: GaussianLaw) -> float:
     """Squared 2-Wasserstein distance (Bures):
     |m1 - m2|^2 + tr(S1 + S2 - 2 (S2^{1/2} S1 S2^{1/2})^{1/2}); the last
-    matrix is similar to L2' S1 L2 (S2 = L2 L2'), whose eigenvalues are used."""
+    matrix is similar to L2' S1 L2 (S2 = L2 L2'), whose eigenvalues are used.
+    Two laws on the same eigenbasis object commute, and the trace term is
+    sum_i (s1_i^{1/2} - s2_i^{1/2})^2 over their eigenvalues s = 1/d."""
     if law1.dim != law2.dim:
         raise ValueError(f"dimension mismatch: {law1.dim} vs {law2.dim}")
     d2 = float(np.sum((law1.mean - law2.mean) ** 2))
+    if law1._basis is not None and law1._basis is law2._basis:
+        gap = np.sqrt(1.0 / law1._divisor) - np.sqrt(1.0 / law2._divisor)
+        return d2 + float(np.sum(gap**2))
     L2 = law2.chol
     inner = _sym(L2.T @ law1.cov @ L2)
     lam = np.clip(np.linalg.eigvalsh(inner), 0.0, None)

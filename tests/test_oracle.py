@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from deloc import oracle
+from deloc._linalg import is_symmetric
 from deloc.oracle import (
     GaussianLaw,
     GaussianTarget,
@@ -60,6 +61,12 @@ def test_target_validation():
         GaussianTarget(np.array([[1.0, 0.5], [0.0, 1.0]]))  # asymmetric
     with pytest.raises(ValueError):
         GaussianTarget(-np.eye(2))  # not PD
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (2, 3), (0, 0)])
+def test_target_rejects_non_square_precision(shape):
+    with pytest.raises(ValueError, match=rf"square matrix, got shape \({shape[0]}, {shape[1]}\)"):
+        GaussianTarget(np.ones(shape))
 
 
 def test_stationary_law_1d_closed_form():
@@ -133,6 +140,14 @@ def test_transient_law_single_step_recursion(rng):
     M = np.eye(3) - h * A
     np.testing.assert_allclose(one.mean, M @ law0.mean, atol=1e-14)
     np.testing.assert_allclose(one.cov, M @ law0.cov @ M.T + 2 * h * np.eye(3), atol=1e-14)
+
+
+def test_transient_law_rejects_negative_steps_and_wrong_dimension():
+    A = tridiagonal_precision(3)
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        lmc_transient_law(A, 0.1, -2, GaussianLaw(np.zeros(3), np.eye(3)))
+    with pytest.raises(ValueError, match="dimension 2"):
+        lmc_transient_law(A, 0.1, 1, GaussianLaw(np.zeros(2), np.eye(2)))
 
 
 def test_ou_law_against_expm(rng):
@@ -311,3 +326,100 @@ def test_property_w2sq_symmetry_and_triangleish(seed):
     assert ab == pytest.approx(w2sq_gaussian(b, a), rel=1e-8, abs=1e-12)
     assert ab >= 0
     assert np.sqrt(ab) >= abs(np.linalg.norm(a.mean - b.mean)) - 1e-8 - np.trace(a.cov + b.cov)
+
+
+_ODD = np.array([[1.0, 2.0], [2.0 + 1e-11, 3.0]])
+
+
+@pytest.mark.parametrize(
+    "M",
+    [
+        np.eye(3),
+        _ODD,
+        _ODD.T,
+        np.array([[1.0, 2.0], [2.0 + 1e-13, 3.0]]),
+        np.array([[np.inf, 1.0], [1.0, 0.0]]),
+        np.array([[0.0, np.inf], [np.inf, 0.0]]),
+        np.array([[0.0, np.inf], [-np.inf, 0.0]]),
+        np.array([[0.0, np.inf], [1e300, 0.0]]),
+        np.array([[np.nan, 0.0], [0.0, 1.0]]),
+        np.array([[0.0, np.nan], [np.nan, 0.0]]),
+        np.ones((1, 3)),
+        np.array([[1.0, 2.0, 1.0]]),
+        np.ones((3, 1)),
+        np.ones((2, 3)),
+        np.zeros((0, 0)),
+        np.array([1.0, np.nan]),
+        np.array(2.0),
+    ],
+)
+@pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-10])
+def test_symmetry_check_gives_the_allclose_verdict(M, tol):
+    try:
+        want = np.allclose(M, M.T, atol=tol, rtol=0)
+    except ValueError:
+        with pytest.raises(ValueError):
+            is_symmetric(M, tol)
+        return
+    assert is_symmetric(M, tol) is want
+
+
+def _targets():
+    rng = np.random.default_rng(2024)
+    for n in (1, 2, 3, 5, 8, 16, 33, 64):
+        yield random_spd(rng, n)
+    for n in (2, 9, 64):
+        yield tridiagonal_precision(n)
+
+
+@pytest.mark.parametrize("A", list(_targets()), ids=lambda A: f"n={A.shape[0]}")
+def test_spectral_laws_match_dense_laws(A):
+    tgt = GaussianTarget(A)
+    lam, Q = np.linalg.eigh(tgt.precision)
+    h = 0.9 / tgt.beta
+    for d, law in ((lam, tgt.law()), (lam * (1.0 - 0.5 * h * lam), lmc_stationary_law(tgt, h))):
+        n = law.dim
+        cov = (Q / d) @ Q.T
+        cov = 0.5 * (cov + cov.T)
+        dense = GaussianLaw(np.zeros(n), cov)
+        np.testing.assert_allclose(law.variances, np.diag(cov), rtol=1e-12, atol=0)
+        assert not law.variances.flags.writeable
+        for u in [(0,), (n - 1,), tuple(range(0, n, 2)), tuple(range(n))]:
+            got, want = marginal(law, u), marginal(dense, u)
+            np.testing.assert_array_equal(got.mean, want.mean)
+            np.testing.assert_allclose(got.cov, want.cov, rtol=0, atol=1e-14 * np.max(1.0 / d))
+        # the dense forms, once read, are the dense constructor's to the bit
+        np.testing.assert_array_equal(law.cov, cov)
+        np.testing.assert_array_equal(law.chol, np.linalg.cholesky(cov))
+        np.testing.assert_array_equal(
+            sample(law, 9, np.random.default_rng(n)), sample(dense, 9, np.random.default_rng(n))
+        )
+
+
+@pytest.mark.parametrize("A", list(_targets()), ids=lambda A: f"n={A.shape[0]}")
+def test_w2sq_on_one_eigenbasis_matches_bures(A):
+    tgt = GaussianTarget(A)
+    h = 0.9 / tgt.beta
+    pairs = [
+        (lmc_stationary_law(tgt, h), tgt.law()),
+        (lmc_stationary_law(tgt, h), lmc_stationary_law(tgt, 0.3 * h)),
+    ]
+    for a, b in pairs:
+        fast = w2sq_gaussian(a, b)
+        assert "cov" not in vars(a) and "cov" not in vars(b)  # no dense form was needed
+        bures = w2sq_gaussian(GaussianLaw(a.mean, a.cov), GaussianLaw(b.mean, b.cov))
+        assert fast == pytest.approx(bures, rel=1e-10, abs=0)
+
+
+def test_w2sq_across_two_targets_takes_the_bures_path(rng):
+    A = random_spd(rng, 6)
+    a, b = lmc_stationary_law(GaussianTarget(A), 0.5), GaussianTarget(A).law()
+    got = w2sq_gaussian(a, b)
+    assert "cov" in vars(a) and "cov" in vars(b)
+    assert got == w2sq_gaussian(GaussianLaw(a.mean, a.cov), GaussianLaw(b.mean, b.cov))
+
+
+def test_law_is_immutable():
+    for law in (GaussianLaw(np.zeros(2), np.eye(2)), GaussianTarget(np.eye(2)).law()):
+        with pytest.raises(AttributeError):
+            law.mean = np.ones(2)
