@@ -16,7 +16,7 @@ Cholesky factor; W2, KL and sampling reuse it.  A law built from a target
 (GaussianTarget.law, lmc_stationary_law) keeps the target's eigenbasis and
 spectrum instead, and forms its dense covariance and Cholesky factor on
 first use: W2 between two laws on one basis is then an eigenvalue sum, and
-marginals and coordinate variances read the basis rows.
+coordinate variances read the basis rows.
 
 W_{2,linf} between Gaussians has no closed form and is deliberately
 absent; it is estimated empirically in the metrics module.
@@ -30,7 +30,6 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from ._linalg import is_symmetric
 from .subsets import sorted_indices
 
 __all__ = [
@@ -58,7 +57,7 @@ class GaussianLaw:
     A law built from a GaussianTarget is spectral: N(0, Q diag(1/d) Q') with the
     target's eigenbasis Q and a positive divisor d.  Its `cov`, _sym((Q / d) @ Q'),
     and then `chol` are formed on first read; until then W2 against a law on the
-    same Q, `marginal` and `variances` work from Q and d."""
+    same Q and `variances` work from Q and d."""
 
     def __init__(self, mean, cov):
         mean = np.atleast_1d(np.asarray(mean, dtype=float))
@@ -68,7 +67,7 @@ class GaussianLaw:
             raise ValueError(f"cov shape {cov.shape} does not match mean length {n}")
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise ValueError("mean and covariance must be finite")
-        if not is_symmetric(cov, 1e-12):
+        if not np.allclose(cov, cov.T, atol=1e-12, rtol=0):
             raise ValueError("covariance must be symmetric (tol 1e-12)")
         vars(self).update(mean=mean, cov=cov, chol=_cholesky(cov), _basis=None, _divisor=None)
 
@@ -76,12 +75,18 @@ class GaussianLaw:
     def _spectral(cls, basis: np.ndarray, divisor: np.ndarray) -> GaussianLaw:
         if not (np.isfinite(divisor).all() and (divisor > 0).all()):
             raise ValueError("covariance must be positive definite")
+        with np.errstate(over="ignore"):  # 1/d of a subnormal d
+            if not np.isfinite(1.0 / divisor).all():
+                raise ValueError("mean and covariance must be finite")
         law = cls.__new__(cls)
         vars(law).update(mean=np.zeros(basis.shape[0]), _basis=basis, _divisor=divisor)
         return law
 
     def __setattr__(self, name, value):
         raise AttributeError(f"GaussianLaw is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GaussianLaw is immutable: cannot delete {name!r}")
 
     @cached_property
     def cov(self) -> np.ndarray:
@@ -129,7 +134,7 @@ class GaussianTarget:
             raise ValueError(f"precision must be a non-empty square matrix, got shape {raw.shape}")
         if not np.isfinite(A).all():
             raise ValueError("precision must be finite")
-        if not is_symmetric(A, 1e-10):
+        if not np.allclose(A, A.T, atol=1e-10, rtol=0):
             raise ValueError("precision must be symmetric")
         object.__setattr__(self, "precision", _sym(A))
         if self._eigs[0][0] <= 0:
@@ -225,12 +230,8 @@ def ou_law(A, cov0, t: float, mean0=None) -> GaussianLaw:
 
 
 def marginal(law: GaussianLaw, u) -> GaussianLaw:
-    """The law of the coordinates u; a spectral law's u-block comes from the basis rows Q[u]."""
     idx = sorted_indices(u, law.dim)
-    if law._basis is None:
-        return GaussianLaw(law.mean[idx], law.cov[np.ix_(idx, idx)])
-    rows = law._basis[idx]
-    return GaussianLaw(law.mean[idx], _sym((rows / law._divisor) @ rows.T))
+    return GaussianLaw(law.mean[idx], law.cov[np.ix_(idx, idx)])
 
 
 def w2sq_gaussian(law1: GaussianLaw, law2: GaussianLaw) -> float:

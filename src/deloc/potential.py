@@ -19,7 +19,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._json import load, read
-from ._linalg import is_symmetric
 
 __all__ = [
     "FactorTerm",
@@ -99,7 +98,7 @@ def quadratic_term(support: Sequence[int], matrix, lipschitz: float | None = Non
     M = np.asarray(matrix, dtype=float)
     if M.shape != (len(support), len(support)):
         raise ValueError(f"matrix shape {M.shape} does not match support size {len(support)}")
-    if not is_symmetric(M, _SYM_TOL):
+    if not np.allclose(M, M.T, atol=_SYM_TOL, rtol=0):
         raise ValueError("quadratic factor matrix must be symmetric")
     M = 0.5 * (M + M.T)
     opnorm = float(np.max(np.abs(np.linalg.eigvalsh(M)))) if len(support) else 0.0
@@ -319,7 +318,7 @@ class PairwiseSpec:
             raise ValueError(f"confine_bounds shape {cb.shape}, expected ({self.n},)")
         if ib.shape != (self.n, self.n):
             raise ValueError(f"interaction_bounds shape {ib.shape}, expected square")
-        if not is_symmetric(ib, _SYM_TOL):
+        if not np.allclose(ib, ib.T, atol=_SYM_TOL, rtol=0):
             raise ValueError("interaction_bounds must be symmetric")
         if np.any(np.diag(ib) != 0):
             raise ValueError("interaction_bounds diagonal must be zero")
@@ -422,7 +421,7 @@ def _mean_field_pairs(n: int, strength: float) -> list:
 
 def _symmetric_precision(A) -> np.ndarray:
     A = np.asarray(A, dtype=float)
-    if not is_symmetric(A, 1e-10):
+    if not np.allclose(A, A.T, atol=1e-10, rtol=0):
         raise ValueError("precision matrix must be symmetric")
     return 0.5 * (A + A.T)
 

@@ -533,6 +533,9 @@ def test_cli_run_reports_domain_errors_with_exit_2(spec, reason, tmp_path, capsy
          "'subsets' entries must be lists of integers, distinct and non-negative"),
         ({"experiment": "bound-vs-truth", "dims": [3], "subsets": {"draw": 3}},
          "unknown config 'subsets' keys ['draw']"),
+        # finite and positive, but its inverse, the covariance, overflows to inf
+        ({"experiment": "gaussian-scaling", "dims": [1], "options": {"precision": [[1e-310]]}},
+         "mean and covariance must be finite"),
     ],
 )
 def test_cli_run_reports_mistyped_config_with_exit_2(spec, reason, tmp_path, capsys):
