@@ -14,6 +14,7 @@ from deloc.graph import GrowthCertificate, build_graph, verify_growth
 from deloc.hierarchy import SparseParams, SubsetFunction, certified_entropy_curve
 from deloc.oracle import GaussianTarget, kl_gaussian, lmc_transient_law, marginal
 from deloc.potential import gaussian_potential, tridiagonal_precision
+from deloc.subsets import size
 
 
 def main():
@@ -43,12 +44,10 @@ def main():
     u = (0,)
 
     # C0 so that H0(w) = C0 |w| dominates the initial marginal entropies
-    from deloc.subsets import indices_from
-
     C0 = max(
         kl_gaussian(marginal(law0, (i,)), marginal(law, (i,))) for i in range(args.n)
     ) * args.cov0_scale
-    H0 = SubsetFunction(lambda m: C0 * len(indices_from(m)), "c0-size")
+    H0 = SubsetFunction(lambda m: C0 * size(m), "c0-size")
     certified = certified_entropy_curve("sparse", params, graph, H0, h, args.k, u)
 
     print(f"\n{'k':>5} {'exact KL':>12} {'certified':>12} {'dynamic':>12}")

@@ -62,8 +62,9 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; known: {sorted(EXPERIMENTS)}"
             )
-        object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
-        object.__setattr__(self, "h_values", tuple(float(h) for h in self.h_values))
+        for name, kind in (("dims", ["integer"]), ("h_values", ["number"]), ("seed", "integer")):
+            value = read(vars(self), name, "config", kind)
+            object.__setattr__(self, name, tuple(value) if isinstance(kind, list) else value)
         if any(n <= 0 for n in self.dims):
             raise ValueError("dimensions must be positive")
         if any(h <= 0 for h in self.h_values):
@@ -78,9 +79,9 @@ def config_from_dict(spec: dict) -> ExperimentConfig:
     spec = read(spec, None, "config", {f.name for f in fields(ExperimentConfig)})
     return ExperimentConfig(
         experiment=read(spec, "experiment", "config"),
-        dims=read(spec, "dims", "config", ["integer"], ()),
-        h_values=read(spec, "h_values", "config", ["number"], ()),
-        seed=read(spec, "seed", "config", "integer", 0),
+        dims=spec.get("dims", ()),
+        h_values=spec.get("h_values", ()),
+        seed=spec.get("seed", 0),
         subsets=read(spec, "subsets", "config", _PANEL, "singletons"),
         options=read(spec, "options", "config", "object", {}),
         output=read(spec, "output", "config", "string", None),
@@ -347,8 +348,7 @@ def _exp_continuous_time(config: ExperimentConfig) -> Iterator[ReportRow]:
     graph = build_graph(pot)
     alpha, beta, gamma = tgt.alpha, tgt.beta, _option(opts, "gamma", 1.0)
     law = tgt.law()
-    cov0 = _option(opts, "cov0_scale", 2.0) * law.cov
-    law0 = orc.GaussianLaw(np.zeros(n), cov0)
+    law0 = orc.GaussianLaw(np.zeros(n), _option(opts, "cov0_scale", 2.0) * law.cov)
 
     H0 = SubsetFunction(
         lambda m: orc.kl_gaussian(
@@ -357,9 +357,9 @@ def _exp_continuous_time(config: ExperimentConfig) -> Iterator[ReportRow]:
         "initial-kl",
     )
     panel = resolve_panel(graph, config.subsets)
+    laws = [(t, orc.ou_law(tgt, t, law0)) for t in _option(opts, "times", (0.1, 0.5, 1.0, 2.0))]
     for eps in _option(opts, "eps", (0.25, 0.5, 0.9)):
-        for t in _option(opts, "times", (0.1, 0.5, 1.0, 2.0)):
-            law_t = orc.ou_law(tgt, cov0, t)
+        for t, law_t in laws:
             for u in panel:
                 exact = orc.kl_gaussian(orc.marginal(law_t, u), orc.marginal(law, u))
                 rep = bnd.continuous_time_bound(

@@ -1,25 +1,18 @@
 """Exact Gaussian ground truth for Langevin Monte Carlo experiments.
 
 For a Gaussian target pi = N(0, A^{-1}) the LMC chain
-x_{k+1} = (I - hA) x_k + sqrt(2h) xi is itself Gaussian, and its
-stationary covariance solves the discrete Lyapunov equation
+x_{k+1} = (I - hA) x_k + sqrt(2h) xi is itself Gaussian, and its stationary
+covariance S = (I - hA) S (I - hA) + 2h I has the closed form
+S = (A (I - hA/2))^{-1}; Smith's doubling iteration is kept as an independent
+oracle for it.  One reader, _precision, checks every A that comes in.
 
-    S = (I - hA) S (I - hA) + 2h I.
+Every law here lives in A's eigenbasis Q.  A stationary covariance is
+Q diag(1/d) Q' with the divisor d = lambda for pi and lambda (1 - h lambda/2)
+for LMC, 0 < h < 2/lambda_max.  A law evolved from x0 ~ law0 is
+E x0 + N(0, S - E S E) with E = Q diag(e) Q', the decay e being exp(-lambda t)
+for the OU process and (1 - h lambda)^k after k LMC steps.
 
-For symmetric A the solution has the closed form S = (A (I - hA/2))^{-1};
-the doubling iteration below is kept as an independent oracle for it.
-Continuous-time (overdamped Langevin / OU) laws, Gaussian 2-Wasserstein
-(Bures) and KL round out the ground-truth toolkit.
-
-A GaussianLaw requires a positive-definite covariance and keeps its lower
-Cholesky factor; W2, KL and sampling reuse it.  A law built from a target
-(GaussianTarget.law, lmc_stationary_law) keeps the target's eigenbasis and
-spectrum instead, and forms its dense covariance and Cholesky factor on
-first use: W2 between two laws on one basis is then an eigenvalue sum, and
-coordinate variances read the basis rows.
-
-W_{2,linf} between Gaussians has no closed form and is deliberately
-absent; it is estimated empirically in the metrics module.
+W_{2,linf} between Gaussians has no closed form; the metrics module estimates it.
 """
 
 from __future__ import annotations
@@ -62,9 +55,8 @@ class GaussianLaw:
     def __init__(self, mean, cov):
         mean = np.atleast_1d(np.asarray(mean, dtype=float))
         cov = np.atleast_2d(np.asarray(cov, dtype=float))
-        n = mean.shape[0]
-        if cov.shape != (n, n):
-            raise ValueError(f"cov shape {cov.shape} does not match mean length {n}")
+        if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
+            raise ValueError(f"need mean (n,) and cov (n, n), got shapes {mean.shape}, {cov.shape}")
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise ValueError("mean and covariance must be finite")
         if not np.allclose(cov, cov.T, atol=1e-12, rtol=0):
@@ -121,6 +113,20 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
+def _precision(A) -> np.ndarray:
+    """A read as a precision matrix: a non-empty square, finite matrix that is
+    symmetric to 1e-10, returned exactly symmetric."""
+    raw = np.asarray(A, dtype=float)
+    A = np.atleast_2d(raw)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+        raise ValueError(f"precision must be a non-empty square matrix, got shape {raw.shape}")
+    if not np.isfinite(A).all():
+        raise ValueError("precision must be finite")
+    if not np.allclose(A, A.T, atol=1e-10, rtol=0):
+        raise ValueError("precision matrix must be symmetric")
+    return _sym(A)
+
+
 @dataclass(frozen=True, eq=False)
 class GaussianTarget:
     """Target N(0, A^{-1}) described by its precision matrix."""
@@ -128,22 +134,13 @@ class GaussianTarget:
     precision: np.ndarray
 
     def __post_init__(self):
-        raw = np.asarray(self.precision, dtype=float)
-        A = np.atleast_2d(raw)
-        if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
-            raise ValueError(f"precision must be a non-empty square matrix, got shape {raw.shape}")
-        if not np.isfinite(A).all():
-            raise ValueError("precision must be finite")
-        if not np.allclose(A, A.T, atol=1e-10, rtol=0):
-            raise ValueError("precision must be symmetric")
-        object.__setattr__(self, "precision", _sym(A))
+        object.__setattr__(self, "precision", _precision(self.precision))
         if self._eigs[0][0] <= 0:
             raise ValueError("precision must be positive definite")
 
     @cached_property
     def _eigs(self):
-        lam, Q = np.linalg.eigh(self.precision)
-        return lam, Q
+        return np.linalg.eigh(self.precision)  # (lam, Q)
 
     @property
     def alpha(self) -> float:
@@ -158,21 +155,37 @@ class GaussianTarget:
         return self.precision.shape[0]
 
     def law(self) -> GaussianLaw:
-        lam, Q = self._eigs
-        return GaussianLaw._spectral(Q, lam)
+        return GaussianLaw._spectral(self._eigs[1], self._eigs[0])
+
+
+def _target(A) -> GaussianTarget:
+    return A if isinstance(A, GaussianTarget) else GaussianTarget(A)
+
+
+def _lmc_divisor(tgt: GaussianTarget, h: float) -> np.ndarray:
+    """LMC's divisor d = lambda (1 - h lambda / 2), for h in (0, 2 / lambda_max)."""
+    hmax = 2.0 / tgt.beta
+    if not 0.0 < h < hmax:
+        raise ValueError(f"step h={h} outside the stability region (0, 2/lambda_max) = (0, {hmax})")
+    lam = tgt._eigs[0]
+    return lam * (1.0 - 0.5 * h * lam)
+
+
+def _evolve(tgt: GaussianTarget, decay: np.ndarray, divisor: np.ndarray, law0) -> GaussianLaw:
+    """E x0 + N(0, S - E S E), x0 ~ law0, E = Q diag(decay) Q', S = Q diag(1/divisor) Q'."""
+    if law0.dim != tgt.dim:
+        raise ValueError(f"law0 has dimension {law0.dim} but A is {tgt.dim} x {tgt.dim}")
+    Q = tgt._eigs[1]
+    E = (Q * decay) @ Q.T
+    noise = (Q * ((1.0 - decay**2) / divisor)) @ Q.T
+    return GaussianLaw(E @ law0.mean, _sym(E @ law0.cov @ E + noise))
 
 
 def lmc_stationary_law(A, h: float) -> GaussianLaw:
-    """Closed-form stationary law of LMC on N(0, A^{-1}):
-    S_h = (A (I - hA/2))^{-1}, valid for 0 < h < 2 / lambda_max(A)."""
-    tgt = A if isinstance(A, GaussianTarget) else GaussianTarget(A)
-    lam, Q = tgt._eigs
-    hmax = 2.0 / tgt.beta
-    if not 0.0 < h < hmax:
-        raise ValueError(
-            f"step h={h} outside the stability region (0, 2/lambda_max) = (0, {hmax})"
-        )
-    return GaussianLaw._spectral(Q, lam * (1.0 - 0.5 * h * lam))
+    """Closed-form stationary law of LMC on N(0, A^{-1}), A a GaussianTarget or
+    a precision matrix: S_h = (A (I - hA/2))^{-1}, for 0 < h < 2 / lambda_max(A)."""
+    tgt = _target(A)
+    return GaussianLaw._spectral(tgt._eigs[1], _lmc_divisor(tgt, h))
 
 
 def lyapunov_fixed_point(A, h: float) -> np.ndarray:
@@ -180,10 +193,10 @@ def lyapunov_fixed_point(A, h: float) -> np.ndarray:
     M = I - hA, by Smith's doubling iteration: S <- S + M S M', M <- M^2, so
     step j adds the next 2^j terms.  LYAPUNOV_TOL and LYAPUNOV_MAX_ITER,
     read at call time, stop it."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
+    A = _precision(A)
     n = A.shape[0]
     M = np.eye(n) - h * A
-    if np.max(np.abs(np.linalg.eigvalsh(_sym(M)))) >= 1.0:
+    if np.max(np.abs(np.linalg.eigvalsh(M))) >= 1.0:
         raise ValueError("fixed-point iteration diverges: |1 - h lambda| >= 1 for some mode")
     S = 2.0 * h * np.eye(n)
     for _ in range(LYAPUNOV_MAX_ITER):
@@ -196,37 +209,26 @@ def lyapunov_fixed_point(A, h: float) -> np.ndarray:
 
 
 def lmc_transient_law(A, h: float, k: int, law0: GaussianLaw) -> GaussianLaw:
-    """Exact law of the LMC chain after k steps from a Gaussian start:
-    mean_{j+1} = (I - hA) mean_j, cov_{j+1} = (I-hA) cov_j (I-hA) + 2h I."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    n = A.shape[0]
+    """Exact law of the LMC chain on N(0, A^{-1}) after k steps from law0, A a
+    GaussianTarget or a precision matrix and 0 < h < 2 / lambda_max(A): mean
+    (I - hA)^k m0, covariance (I - hA)^k (cov0 - S_h) (I - hA)^k + S_h."""
     if k < 0:
         raise ValueError(f"step count k must be >= 0, got {k}")
-    if law0.dim != n:
-        raise ValueError(f"law0 has dimension {law0.dim} but A is {n} x {n}")
-    M = np.eye(n) - h * A
-    noise = 2.0 * h * np.eye(n)
-    mean = law0.mean.copy()
-    cov = law0.cov.copy()
-    for _ in range(k):
-        mean = M @ mean
-        cov = _sym(M @ cov @ M.T + noise)
-    return GaussianLaw(mean, cov)
+    tgt = _target(A)
+    hl = h * tgt._eigs[0]
+    # below h lambda = 1/2, 1 - h lambda rounds, and its k-th power would grow that k-fold
+    decay = np.where(hl < 0.5, np.exp(k * np.log1p(-np.minimum(hl, 0.5))), (1.0 - hl) ** k)
+    return _evolve(tgt, decay, _lmc_divisor(tgt, h), law0)
 
 
-def ou_law(A, cov0, t: float, mean0=None) -> GaussianLaw:
-    """Law at time t of dX = -A X dt + sqrt(2) dW from N(mean0, cov0):
-    mean e^{-At} m0, covariance e^{-At} cov0 e^{-At} + A^{-1}(I - e^{-2At})."""
+def ou_law(A, t: float, law0: GaussianLaw) -> GaussianLaw:
+    """Law at time t of dX = -A X dt + sqrt(2) dW from law0, A a GaussianTarget or a
+    precision matrix: mean e^{-At} m0, covariance e^{-At} cov0 e^{-At} + A^{-1}(I - e^{-2At})."""
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
-    tgt = A if isinstance(A, GaussianTarget) else GaussianTarget(A)
-    lam, Q = tgt._eigs
-    cov0 = np.atleast_2d(np.asarray(cov0, dtype=float))
-    n = tgt.dim
-    mean0 = np.zeros(n) if mean0 is None else np.asarray(mean0, dtype=float)
-    E = (Q * np.exp(-lam * t)) @ Q.T
-    eq = (Q * ((1.0 - np.exp(-2.0 * lam * t)) / lam)) @ Q.T
-    return GaussianLaw(E @ mean0, _sym(E @ cov0 @ E + eq))
+    tgt = _target(A)
+    lam = tgt._eigs[0]
+    return _evolve(tgt, np.exp(-lam * t), lam, law0)
 
 
 def marginal(law: GaussianLaw, u) -> GaussianLaw:

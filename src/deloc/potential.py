@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._json import load, read
+from .oracle import _precision
 
 __all__ = [
     "FactorTerm",
@@ -419,13 +420,6 @@ def _mean_field_pairs(n: int, strength: float) -> list:
     return [((i, j), strength / n) for i in range(n) for j in range(i + 1, n)]
 
 
-def _symmetric_precision(A) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    if not np.allclose(A, A.T, atol=1e-10, rtol=0):
-        raise ValueError("precision matrix must be symmetric")
-    return 0.5 * (A + A.T)
-
-
 def _quadratic_potential(n: int, terms: list[FactorTerm]) -> StructuredPotential:
     """The potential with these quadratic terms; alpha and beta are the extreme
     eigenvalues of the assembled matrix, which must be positive definite, and
@@ -442,7 +436,7 @@ def gaussian_potential(A) -> StructuredPotential:
 
     alpha = lambda_min(A) (exact log-Sobolev constant), beta = lambda_max(A).
     """
-    A = _symmetric_precision(A)
+    A = _precision(A)
     return _quadratic_potential(A.shape[0], _gaussian_terms(A))
 
 
@@ -510,7 +504,7 @@ def _builtin_terms(name: str, k: int, params: dict) -> list[FactorTerm]:
             A = tridiagonal_precision(k, diag, read(td, "off", td_where, "number", -0.5))
         if A.shape != (k, k):
             raise ValueError(f"precision shape {A.shape} does not match support size {k}")
-        return _gaussian_terms(_symmetric_precision(A))
+        return _gaussian_terms(_precision(A))
     if name == "chain-pairwise":
         pairs = _chain_pairs(k, read(params, "couple", where, "number", 0.5))
     elif name == "grid-pairwise":

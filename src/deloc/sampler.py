@@ -38,6 +38,7 @@ from typing import Iterable
 import numpy as np
 from scipy import sparse
 
+from ._json import read
 from .potential import StructuredPotential
 from .subsets import sorted_indices
 
@@ -84,6 +85,9 @@ class SamplerConfig:
     thinning: int = 1
 
     def __post_init__(self):
+        for name in ("iterations", "burn_in", "num_chains", "seed", "substeps", "thinning"):
+            if name != "burn_in" or self.burn_in is not None:
+                object.__setattr__(self, name, read(vars(self), name, "sampler config", "integer"))
         if self.h <= 0:
             raise ValueError(f"step size must be > 0, got {self.h}")
         if self.iterations <= 0:

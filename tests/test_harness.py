@@ -80,6 +80,23 @@ def test_config_validation():
     assert cfg.dims == (4,) and isinstance(cfg.dims[0], int)
 
 
+@pytest.mark.parametrize(
+    "field, value, reason",
+    [
+        ("dims", (3.5,), "config 'dims' entries must be whole numbers"),
+        ("dims", (True,), "config 'dims' entries must be numbers"),
+        ("h_values", ("0.01",), "config 'h_values' entries must be numbers"),
+        ("seed", 1.5, "config 'seed' must be an integer"),
+    ],
+)
+def test_config_from_python_reads_fields_as_json_does(field, value, reason):
+    with pytest.raises(ValueError, match=reason):
+        ExperimentConfig(experiment="gaussian-scaling", **{field: value})
+    as_json = list(value) if isinstance(value, tuple) else value
+    with pytest.raises(ValueError, match=reason):
+        config_from_dict({"experiment": "gaussian-scaling", field: as_json})
+
+
 def test_config_from_dict_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys"):
         config_from_dict({"experiment": "subadditivity", "step": 0.1})

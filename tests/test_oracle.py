@@ -16,7 +16,7 @@ from deloc.oracle import (
     sample,
     w2sq_gaussian,
 )
-from deloc.potential import tridiagonal_precision
+from deloc.potential import gaussian_potential, potential_from_dict, tridiagonal_precision
 
 from conftest import random_spd
 
@@ -34,6 +34,8 @@ def test_law_validation():
         GaussianLaw(np.array([np.nan, 0.0]), np.eye(2))
     with pytest.raises(ValueError):
         GaussianLaw(np.array([0.0, np.inf]), np.eye(2))
+    with pytest.raises(ValueError, match=r"got shapes \(2, 2\), \(2, 2\)"):
+        GaussianLaw(np.zeros((2, 2)), np.eye(2))
 
 
 def test_law_keeps_cholesky_factor(rng):
@@ -147,6 +149,37 @@ def test_transient_law_rejects_negative_steps_and_wrong_dimension():
         lmc_transient_law(A, 0.1, -2, GaussianLaw(np.zeros(3), np.eye(3)))
     with pytest.raises(ValueError, match="dimension 2"):
         lmc_transient_law(A, 0.1, 1, GaussianLaw(np.zeros(2), np.eye(2)))
+    # the stationary law's step domain: the divisor lambda (1 - h lambda / 2) must stay positive
+    with pytest.raises(ValueError, match="stability"):
+        lmc_transient_law(A, 2.0 / GaussianTarget(A).beta, 1, GaussianLaw(np.zeros(3), np.eye(3)))
+
+
+def _k_step_reference(A, h, k, law0):
+    """The LMC law after k steps by the dense recursion, O(k n^3):
+    mean <- M mean, cov <- M cov M' + 2h I with M = I - hA."""
+    n = A.shape[0]
+    M = np.eye(n) - h * A
+    mean, cov = law0.mean, law0.cov
+    for _ in range(k):
+        mean = M @ mean
+        cov = M @ cov @ M.T + 2.0 * h * np.eye(n)
+        cov = 0.5 * (cov + cov.T)
+    return mean, cov
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21, 32])
+def test_transient_law_matches_k_step_recursion(n):
+    rng = np.random.default_rng(n)
+    A = random_spd(rng, n)
+    law0 = GaussianLaw(rng.standard_normal(n), random_spd(rng, n))
+    beta = np.linalg.eigvalsh(A)[-1]
+    for h in np.array([1e-3, 0.3, 0.5, 1.0, 1.2, 1.99]) / beta:
+        for k in (0, 1, 2, 10, 100, 1000):
+            law = lmc_transient_law(A, h, k, law0)
+            mean, cov = _k_step_reference(A, h, k, law0)
+            # the mean decays, so its error is measured against the start's
+            assert np.linalg.norm(law.mean - mean) <= 1e-12 * np.linalg.norm(law0.mean)
+            assert np.linalg.norm(law.cov - cov) <= 1e-12 * np.linalg.norm(cov)
 
 
 def test_ou_law_against_expm(rng):
@@ -154,19 +187,24 @@ def test_ou_law_against_expm(rng):
     cov0 = random_spd(rng, 4)
     m0 = rng.standard_normal(4)
     t = 0.7
-    law = ou_law(A, cov0, t, m0)
+    law = ou_law(A, t, GaussianLaw(m0, cov0))
     E = expm(-A * t)
     np.testing.assert_allclose(law.mean, E @ m0, atol=1e-12)
     expected = E @ cov0 @ E.T + np.linalg.inv(A) @ (np.eye(4) - expm(-2 * A * t))
     np.testing.assert_allclose(law.cov, expected, atol=1e-11)
 
 
+def test_ou_law_rejects_a_start_of_another_dimension():
+    with pytest.raises(ValueError, match="law0 has dimension 2 but A is 3 x 3"):
+        ou_law(np.eye(3), 0.5, GaussianLaw(np.zeros(2), np.eye(2)))
+
+
 def test_ou_law_limits():
     A = tridiagonal_precision(3)
-    cov0 = 2.0 * np.eye(3)
-    at0 = ou_law(A, cov0, 0.0)
-    np.testing.assert_allclose(at0.cov, cov0, atol=1e-14)
-    late = ou_law(A, cov0, 60.0)
+    law0 = GaussianLaw(np.zeros(3), 2.0 * np.eye(3))
+    at0 = ou_law(A, 0.0, law0)
+    np.testing.assert_allclose(at0.cov, law0.cov, atol=1e-14)
+    late = ou_law(A, 60.0, law0)
     np.testing.assert_allclose(late.cov, GaussianTarget(A).law().cov, atol=1e-12)
 
 
@@ -175,7 +213,7 @@ def test_ou_law_double_cov_initial():
     A = tridiagonal_precision(4)
     Ainv = np.linalg.inv(A)
     t = 0.4
-    law = ou_law(A, 2.0 * Ainv, t)
+    law = ou_law(A, t, GaussianLaw(np.zeros(4), 2.0 * Ainv))
     np.testing.assert_allclose(law.cov, Ainv @ (np.eye(4) + expm(-2 * A * t)), atol=1e-12)
 
 
@@ -402,3 +440,45 @@ def test_laws_reject_a_covariance_that_overflows():
         lmc_stationary_law(tgt, 0.1)
     with pytest.raises(ValueError, match="must be finite"):
         GaussianLaw(np.zeros(1), [[np.inf]])
+
+
+def _builtin_gaussian(A):
+    """A through a JSON potential file's builtin:gaussian term."""
+    k = max(len(A), 1)
+    term = {"kind": "builtin:gaussian", "support": list(range(k)),
+            "params": {"precision": np.asarray(A).tolist()}}
+    return potential_from_dict({"n": k, "smoothness": {"alpha": 1.0}, "terms": [term]})
+
+
+_START = GaussianLaw(np.zeros(2), np.eye(2))
+PRECISION_ENTRY_POINTS = {
+    "GaussianTarget": GaussianTarget,
+    "lmc_stationary_law": lambda A: lmc_stationary_law(A, 0.1),
+    "lmc_transient_law": lambda A: lmc_transient_law(A, 0.1, 1, _START),
+    "ou_law": lambda A: ou_law(A, 0.5, _START),
+    "lyapunov_fixed_point": lambda A: lyapunov_fixed_point(A, 0.1),
+    "gaussian_potential": gaussian_potential,
+    "builtin:gaussian": _builtin_gaussian,
+}
+PRECISION_FAULTS = {
+    "non-square": (np.ones((1, 3)), r"non-empty square matrix, got shape \(1, 3\)"),
+    "empty": (np.ones((0, 0)), r"non-empty square matrix, got shape \(0, 0\)"),
+    "non-finite": ([[np.inf]], "precision must be finite"),
+    "asymmetric": ([[1.0, 0.5], [0.0, 1.0]], "precision matrix must be symmetric"),
+    "not positive definite": (-np.eye(2), "positive definite"),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, fault",
+    [(e, f) for e in PRECISION_ENTRY_POINTS for f in PRECISION_FAULTS
+     # only a target is positive definite: lyapunov_fixed_point reads A alone, and a
+     # builtin term is one factor of a sum
+     if f != "not positive definite" or e not in ("lyapunov_fixed_point", "builtin:gaussian")],
+)
+def test_every_entry_point_rejects_each_precision_fault(entry, fault):
+    A, message = PRECISION_FAULTS[fault]
+    if entry == "builtin:gaussian" and fault != "asymmetric":
+        message = "must be a square list of number lists"  # the JSON reader's rule comes first
+    with pytest.raises(ValueError, match=message):
+        PRECISION_ENTRY_POINTS[entry](A)

@@ -39,6 +39,16 @@ def test_config_defaults_and_validation():
         SamplerConfig(h=0.01, iterations=10, burn_in=10)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("iterations", 10.5), ("num_chains", 2.5), ("num_chains", True), ("thinning", 2.5),
+     ("substeps", 1.5), ("burn_in", 0.5), ("seed", 1.5)],
+)
+def test_config_rejects_counts_that_are_not_integers(field, value):
+    with pytest.raises(ValueError, match=f"sampler config '{field}' must be an integer"):
+        SamplerConfig(h=0.01, **{"iterations": 100, field: value})
+
+
 def test_config_thinning_kept_count():
     cfg = SamplerConfig(h=0.01, iterations=105, burn_in=5, thinning=10)
     assert cfg.kept_per_chain == 10
