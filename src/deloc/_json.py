@@ -1,8 +1,10 @@
-"""The one reader of the JSON that deloc takes from outside: potential files,
-run configs and experiment options.  `load` parses a file; `read` checks one
-value against one rule, its kind: a name in _RULES; a set of names, for a
-JSON object with no other keys; [kind], for a list of kind entries; a tuple
-of kinds, for the one whose JSON type the value has; or None, for any value."""
+"""The one rule for every value deloc takes, from a JSON file or a Python call.
+`load` parses a file; `read` checks one value against one rule, its kind: a
+name in _RULES; a set of names, for a JSON object with no other keys; [kind],
+for a list of kind entries; a tuple of kinds, for the one whose JSON type the
+value has; or None, for any value.  `_check` checks a bare value and `_flaw`
+reports instead of raising.  A domain kind (positive, count, ...) extends
+number or integer, so NaN, infinities, bools and strings break it."""
 
 from __future__ import annotations
 
@@ -32,15 +34,18 @@ def _reject_constant(name: str):
 
 
 def _is_number(v) -> bool:
-    # a bool is an int to Python, and a huge JSON int has no float to test
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and (
-        isinstance(v, numbers.Integral) or math.isfinite(v)
+    # a float (numpy's float64 too) or an int skips the slower ABC checks; a
+    # bool is an int to Python, and a huge JSON int has no float to test
+    if isinstance(v, float):
+        return math.isfinite(v)
+    return isinstance(v, (int, numbers.Real)) and not isinstance(v, bool) and (
+        isinstance(v, (int, numbers.Integral)) or math.isfinite(v)
     )
 
 
 def _is_indices(v) -> bool:
     return isinstance(v, _SEQUENCE) and all(
-        _failed(i, "integer") is None and i >= 0 for i in v
+        _failed(i, "count") is None for i in v
     ) and len(set(v)) == len(v)
 
 
@@ -56,9 +61,15 @@ def _is_matrix(v) -> bool:
 _RULES = {
     "number": (None, _is_number, float, "a number", "numbers"),
     "integer": (
-        "number", lambda v: isinstance(v, numbers.Integral) or float(v).is_integer(), int,
+        "number", lambda v: isinstance(v, (int, numbers.Integral)) or float(v).is_integer(), int,
         "an integer", "whole numbers",
     ),
+    "positive": ("number", lambda v: v > 0, float, "a number > 0", "numbers > 0"),
+    "non-negative": ("number", lambda v: v >= 0, float, "a number >= 0", "numbers >= 0"),
+    "at-least-1": ("number", lambda v: v >= 1, float, "a number >= 1", "numbers >= 1"),
+    "fraction": ("number", lambda v: 0 < v < 1, float, "a number in (0, 1)", "numbers in (0, 1)"),
+    "count": ("integer", lambda v: v >= 0, int, "an integer >= 0", "integers >= 0"),
+    "positive-integer": ("integer", lambda v: v >= 1, int, "an integer >= 1", "integers >= 1"),
     "indices": (
         None, _is_indices, lambda v: [int(i) for i in v],
         "a list of integers, distinct and non-negative",
@@ -77,9 +88,8 @@ _RULES = {
 def _failed(value, kind: str) -> str | None:
     """The first rule, extended rules first, that value breaks; None if none."""
     base, test = _RULES[kind][:2]
-    if base is not None and _failed(value, base) is not None:
-        return base
-    return None if test(value) else kind
+    failed = None if base is None else _failed(value, base)
+    return failed or (None if test(value) else kind)
 
 
 def _check(value, kind, label: str):
@@ -110,6 +120,16 @@ def _check(value, kind, label: str):
         raise ValueError(f"{label} must be {_RULES[kind][3]}, got {value!r}")
     cast = _RULES[kind][2]
     return value if cast is None else cast(value)
+
+
+def _flaw(values: dict, **kinds) -> str:
+    """_check's message for the first values[name] that breaks rule kinds[name]; "" if none."""
+    for name, kind in kinds.items():
+        try:
+            _check(values[name], kind, name)
+        except ValueError as e:
+            return str(e)
+    return ""
 
 
 def read(obj, key, where: str, kind=None, default=_REQUIRED):

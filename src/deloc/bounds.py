@@ -4,10 +4,11 @@ l_inf contraction bound.  The Poisson series over the neighbourhood chain
 takes its weights from the kernel shared with the hierarchy module
 (_poisson.stopped_weights).
 
-Every evaluator returns a BoundReport.  Parameter-domain violations set
-valid=False with a reason instead of raising, so harness sweeps can walk
-through invalid regions and report them; genuinely malformed input
-(wrong types, negative dimensions) still raises.
+Every scalar input is read by a rule of _json, which NaN, infinities and
+bools break.  A theorem's parameters, h and a cross-parameter rule (alpha <=
+beta, eta > 0, h <= h*, h <= 1/beta) are reported as valid=False with the
+rule's message, so harness sweeps walk through invalid regions; a count, a
+time, eps, C0 or a dimension out of its domain raises that message instead.
 
 Constants implemented:
 
@@ -33,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._json import _check, _flaw
 from ._poisson import stopped_weights
 from .graph import InteractionGraph
 from .subsets import as_mask, size
@@ -67,22 +69,21 @@ class BoundReport:
         return self.outputs[key]
 
 
-def _check_positive(**kwargs) -> str:
-    for name, v in kwargs.items():
-        if not v > 0:
-            return f"{name}={v} must be > 0"
-    return ""
+_SPARSE_RULES = dict(alpha="positive", beta="positive", gamma="positive", c="at-least-1")
+
+
+def _above_h_star(h: float, h_star: float) -> str:
+    """The reason h breaks h <= h*, with 1e-12 relative slack; "" if it keeps it."""
+    return f"h={h} exceeds h* = {h_star}" if h > h_star * (1.0 + 1e-12) else ""
 
 
 def sparse_poly_constants(
     alpha: float, beta: float, gamma: float, c: float, p: float
 ) -> BoundReport:
     inputs = dict(alpha=alpha, beta=beta, gamma=gamma, c=c, p=p)
-    reason = _check_positive(alpha=alpha, beta=beta, gamma=gamma)
+    reason = _flaw(inputs, **_SPARSE_RULES, p="at-least-1")
     if not reason and alpha > beta:
         reason = f"need alpha <= beta, got alpha={alpha} > beta={beta}"
-    if not reason and (c < 1 or p < 1):
-        reason = f"growth certificate needs c >= 1 and p >= 1, got c={c}, p={p}"
     if reason:
         return BoundReport("sparse-poly", inputs, {}, False, reason)
     C = 40.0 * c**2 * p**p * (beta**2 / alpha) * (8.0 * gamma * beta**2 / alpha**2 + 1.0) ** p
@@ -94,11 +95,9 @@ def sparse_exp_constants(
     alpha: float, beta: float, gamma: float, c: float, r: float
 ) -> BoundReport:
     inputs = dict(alpha=alpha, beta=beta, gamma=gamma, c=c, r=r)
-    reason = _check_positive(alpha=alpha, beta=beta, gamma=gamma)
+    reason = _flaw(inputs, **_SPARSE_RULES, r="at-least-1")
     if not reason and alpha > beta:
         reason = f"need alpha <= beta, got alpha={alpha} > beta={beta}"
-    if not reason and (c < 1 or r < 1):
-        reason = f"growth certificate needs c >= 1 and r >= 1, got c={c}, r={r}"
     if reason:
         return BoundReport("sparse-exp", inputs, {}, False, reason)
     r_crit = 1.0 + alpha**2 / (gamma * beta**2)
@@ -124,9 +123,8 @@ def sparse_exp_constants(
 
 def weak_constants(alpha: float, gamma: float, M0: float, M1: float, R1: float) -> BoundReport:
     inputs = dict(alpha=alpha, gamma=gamma, M0=M0, M1=M1, R1=R1)
-    reason = _check_positive(alpha=alpha, gamma=gamma, M0=M0, M1=M1)
-    if not reason and R1 < 0:
-        reason = f"R1={R1} must be >= 0"
+    reason = _flaw(inputs, alpha="positive", gamma="positive", M0="positive", M1="positive",
+                   R1="non-negative")
     if reason:
         return BoundReport("weak", inputs, {}, False, reason)
     eta = 1.0 - gamma * M0 * R1 / alpha**2
@@ -170,21 +168,18 @@ def onestep_linf_bound(
     Hessian decomposition D + M with diagonal D >= alpha - alpha0... more
     precisely beta > alpha > alpha0 >= 0 and ||M||_{inf->inf} <= alpha0,
     for h <= 1/beta.  Marginals of size |u| carry the extra |u| factor."""
+    _check(n, "positive-integer", "n")
     inputs = dict(alpha=alpha, alpha0=alpha0, beta=beta, h=h, n=n, usize=usize)
-    reason = ""
+    reason = _flaw(inputs, h="positive")
     if not (beta > alpha > alpha0 >= 0):
         reason = f"need beta > alpha > alpha0 >= 0, got beta={beta}, alpha={alpha}, alpha0={alpha0}"
-    elif h <= 0:
-        reason = f"h={h} must be > 0"
-    elif h > 1.0 / beta:
+    elif not reason and h > 1.0 / beta:
         reason = f"h={h} exceeds 1/beta = {1.0 / beta}"
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    gap = alpha - alpha0
-    full = h * math.log(2.0 * n) * (4.0 * beta / gap) ** 2 if gap > 0 else math.inf
-    outputs = {"bound_value": full if usize is None else usize * full, "full_linf": full}
+    # no bound without a gap alpha - alpha0 > 0, where the report is invalid
+    full = h * math.log(2.0 * n) * (4.0 * beta / (alpha - alpha0)) ** 2 if alpha > alpha0 else None
+    outputs = {"bound_value": full, "full_linf": full}
     if usize is not None:
-        outputs["marginal"] = usize * full
+        outputs["bound_value"] = outputs["marginal"] = None if full is None else usize * full
     return BoundReport("onestep-linf", inputs, outputs, not reason, reason)
 
 
@@ -200,19 +195,17 @@ def dynamic_bound(
     """
     if theorem not in DYNAMIC_THEOREMS:
         raise ValueError(f"unknown dynamic theorem {theorem!r}, expected one of {DYNAMIC_THEOREMS}")
-    if k < 0:
-        raise ValueError(f"step count k must be >= 0, got {k}")
-    if usize < 1:
-        raise ValueError(f"subset size must be >= 1, got {usize}")
-    if C0 < 0:
-        raise ValueError(f"C0 must be >= 0, got {C0}")
+    _check(k, "count", "k")
+    _check(usize, "positive-integer", "usize")
+    _check(C0, "non-negative", "C0")
     stationary = theorem.replace("-dyn", "")
     params = {name: params[name] for name in THEOREMS[stationary][1]}
     inputs = dict(theorem=theorem, params=params, k=k, h=h, usize=usize, C0=C0)
 
     base = theorem_constants(stationary, params)
-    if not base.valid:
-        return BoundReport(theorem, inputs, dict(base.outputs), False, base.reason)
+    reason = base.reason or _flaw(inputs, h="positive")
+    if reason:  # no envelope outside the theorem's domain or for h <= 0
+        return BoundReport(theorem, inputs, dict(base.outputs), False, reason)
 
     outputs = dict(base.outputs)
     alpha = params["alpha"]
@@ -229,13 +222,8 @@ def dynamic_bound(
     outputs["transient"] = transient * usize
     outputs["stationary"] = base["C"] * h * usize
     outputs["bound_value"] = outputs["transient"] + outputs["stationary"]
-
-    valid, reason = True, ""
-    if h <= 0:
-        valid, reason = False, f"h={h} must be > 0"
-    elif h > base["h_star"]:
-        valid, reason = False, f"h={h} exceeds h* = {base['h_star']}"
-    return BoundReport(theorem, inputs, outputs, valid, reason)
+    reason = _above_h_star(h, base["h_star"])
+    return BoundReport(theorem, inputs, outputs, not reason, reason)
 
 
 def continuous_time_bound(
@@ -260,21 +248,16 @@ def continuous_time_bound(
     H0 is a callable on subset bitmasks, monotone under set inclusion;
     when omitted, the size-linear default H0(w) = C0 |w| is used.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    reason = _check_positive(alpha=alpha, beta=beta, gamma=gamma)
+    _check(eps, "fraction", "eps")
+    _check(t, "non-negative", "t")
     u_mask = as_mask(u, graph.n)
     if size(u_mask) == 0:
         raise ValueError("subset must be nonempty")
-    if H0 is None:
-        if C0 is None:
-            raise ValueError("provide either H0 (callable on masks) or C0 for the linear default")
+    if H0 is None:  # the size-linear default needs C0
+        _check(C0, "non-negative", "C0")
         H0 = lambda w: C0 * size(w)
-    inputs = dict(
-        u=u_mask, t=t, eps=eps, alpha=alpha, beta=beta, gamma=gamma, n=graph.n
-    )
+    inputs = dict(u=u_mask, t=t, eps=eps, alpha=alpha, beta=beta, gamma=gamma, n=graph.n)
+    reason = _flaw(inputs, alpha="positive", beta="positive", gamma="positive")
     if reason:
         return BoundReport("continuous-time", inputs, {}, False, reason)
     rate = gamma * beta**2 / (2.0 * alpha)
@@ -291,18 +274,15 @@ def continuous_time_bound(
 def poisson_moment_bound(lam: float, t: float, p: int) -> float:
     """E Lambda(t)^p <= (lam t + p)^p for a rate-lam Poisson process and
     integer p >= 1."""
-    if lam < 0 or t < 0:
-        raise ValueError("rate and time must be >= 0")
-    if p < 1 or int(p) != p:
-        raise ValueError(f"p must be an integer >= 1, got {p}")
+    _check(lam, "non-negative", "rate")
+    _check(t, "non-negative", "t")
+    _check(p, "positive-integer", "p")
     return (lam * t + p) ** p
 
 
 def subgaussian_grad_linf_bound(beta: float, n: int) -> float:
     """<pi, |grad V|_inf^2> <= 4 beta log(2n) for beta-smooth strongly
     log-concave pi."""
-    if beta <= 0:
-        raise ValueError(f"beta must be > 0, got {beta}")
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    _check(beta, "positive", "beta")
+    _check(n, "positive-integer", "n")
     return 4.0 * beta * math.log(2.0 * n)

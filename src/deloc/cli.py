@@ -7,11 +7,11 @@ Subcommands:
   deloc hierarchy ...          semigroup evaluation and certified curves
   deloc validate <pot.json>    sanity-check a potential file
 
-Each subcommand returns its report and `main` prints it as one JSON
-document.  Input outside a theorem's or an experiment's domain (a
-ValueError) is reported as the command's head plus valid=false and the
-reason.  Exit status is 0 on success and 2 if any check failed (a report
-with valid=false or a run with failed rows)."""
+Each subcommand returns its report and `main` prints it as one strict JSON
+document.  Input outside a theorem's or an experiment's domain, or a
+result holding NaN or an infinity (a ValueError), is reported as the
+command's head plus valid=false and the reason.  Exit status is 0 on success
+and 2 if any check failed (a report with valid=false or a run with failed rows)."""
 
 from __future__ import annotations
 
@@ -19,12 +19,13 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
 from . import bounds as bnd
 from . import hierarchy as hie
-from ._json import load
+from ._json import _check, load
 from .graph import build_graph
 from .harness import config_from_dict, run_experiment
 from .potential import load_potential
@@ -35,8 +36,9 @@ EXIT_CHECK_FAILED = 2
 
 
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True, default=_coerce)
-    sys.stdout.write("\n")
+    """Print payload as strict JSON; a NaN or infinity is a ValueError, printing nothing."""
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_coerce, allow_nan=False)
+    sys.stdout.write(text + "\n")
 
 
 def _coerce(obj):
@@ -47,12 +49,15 @@ def _coerce(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
-def _read_json(path: str):
-    """The JSON document in the file at path; an unreadable file is a usage error."""
+def _usage(read, text: str):
+    """read(text), for an argparse type; a ValueError it raises is a usage error."""
     try:
-        return load(path)
+        return read(text)
     except ValueError as e:
         raise argparse.ArgumentTypeError(str(e)) from None
+
+
+_number = partial(_usage, lambda text: _check(float(text), "number", "value"))
 
 
 def _cmd_run(args) -> dict:
@@ -198,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run an experiment from a JSON config")
-    p_run.add_argument("config", type=_read_json)
+    p_run.add_argument("config", type=partial(_usage, load))
     p_run.add_argument("--output", help="CSV path (overrides config)")
     p_run.add_argument("--gnuplot", action="store_true", help="also write per-metric .dat files")
     p_run.set_defaults(func=_cmd_run, head=_run_head)
@@ -206,13 +211,13 @@ def build_parser() -> argparse.ArgumentParser:
     # the flags that bounds and hierarchy share, with the same defaults
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--subset", type=int, nargs="+", default=[0])
-    shared.add_argument("--t", type=float, default=1.0)
-    shared.add_argument("--h", type=float, default=0.01)
+    shared.add_argument("--t", type=_number, default=1.0)
+    shared.add_argument("--h", type=_number, default=0.01)
     shared.add_argument("--k", type=int, default=100)
-    shared.add_argument("--c", type=float, default=1.0)
-    shared.add_argument("--p", type=float, default=1.0)
-    shared.add_argument("--r", type=float, default=1.5)
-    shared.add_argument("--C0", type=float, default=1.0)
+    shared.add_argument("--c", type=_number, default=1.0)
+    shared.add_argument("--p", type=_number, default=1.0)
+    shared.add_argument("--r", type=_number, default=1.5)
+    shared.add_argument("--C0", type=_number, default=1.0)
 
     p_b = sub.add_parser("bounds", parents=[shared], help="evaluate theorem constants and bounds")
     p_b.add_argument(
@@ -223,17 +228,17 @@ def build_parser() -> argparse.ArgumentParser:
             "onestep-linf", "continuous-time", "poisson-moment", "subgaussian-linf",
         ],
     )
-    p_b.add_argument("--alpha", type=float, default=1.0)
-    p_b.add_argument("--alpha0", type=float, default=0.0)
-    p_b.add_argument("--beta", type=float, default=1.0)
-    p_b.add_argument("--gamma", type=float, default=1.0)
-    p_b.add_argument("--M0", type=float, default=1.0)
-    p_b.add_argument("--M1", type=float, default=1.0)
-    p_b.add_argument("--R1", type=float, default=0.0)
+    p_b.add_argument("--alpha", type=_number, default=1.0)
+    p_b.add_argument("--alpha0", type=_number, default=0.0)
+    p_b.add_argument("--beta", type=_number, default=1.0)
+    p_b.add_argument("--gamma", type=_number, default=1.0)
+    p_b.add_argument("--M0", type=_number, default=1.0)
+    p_b.add_argument("--M1", type=_number, default=1.0)
+    p_b.add_argument("--R1", type=_number, default=0.0)
     p_b.add_argument("--n", type=int, default=2)
-    p_b.add_argument("--eps", type=float, default=0.5)
+    p_b.add_argument("--eps", type=_number, default=0.5)
     p_b.add_argument("--usize", type=int, default=1)
-    p_b.add_argument("--rate", type=float, default=1.0)
+    p_b.add_argument("--rate", type=_number, default=1.0)
     p_b.add_argument("--potential", help="potential JSON (continuous-time only)")
     p_b.set_defaults(
         func=_cmd_bounds, head=lambda a: {"theorem": a.theorem}, usage_error=p_b.error
@@ -244,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_h.add_argument("potential")
     p_h.add_argument("--case", choices=["sparse-poly", "sparse-exp", "weak"], default="sparse-poly")
-    p_h.add_argument("--eps", type=float, default=None)
+    p_h.add_argument("--eps", type=_number, default=None)
     p_h.add_argument("--certify", action="store_true", help="certified entropy curve instead")
     p_h.set_defaults(func=_cmd_hierarchy, head=_hierarchy_head)
 
@@ -257,10 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        payload = args.func(args)
+        _emit(payload := args.func(args))
     except ValueError as e:
-        payload = {**args.head(args), "valid": False, "reason": str(e)}
-    _emit(payload)
+        _emit(payload := {**args.head(args), "valid": False, "reason": str(e)})
     failed = payload.get("valid") is False or payload.get("failures")
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 

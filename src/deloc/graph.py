@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from ._json import _check
 from .potential import StructuredPotential
 from .subsets import as_mask, indices_from, mask_from, size
 
@@ -89,8 +90,7 @@ class InteractionGraph:
         return chain
 
     def neighborhood_mask(self, u, k: int) -> int:
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
+        k = _check(k, "count", "k")
         chain = self.chain(u)
         return chain[min(k, len(chain) - 1)]
 
@@ -135,8 +135,8 @@ class GrowthCertificate:
     def __post_init__(self):
         if self.mode not in ("polynomial", "exponential"):
             raise ValueError(f"unknown growth mode {self.mode!r}")
-        if self.c < 1 or self.exponent < 1:
-            raise ValueError("growth certificate requires c >= 1 and exponent >= 1")
+        _check(self.c, "at-least-1", "growth certificate c")
+        _check(self.exponent, "at-least-1", "growth certificate exponent")
 
     def vertex_bound(self, k: int) -> float:
         if self.mode == "polynomial":

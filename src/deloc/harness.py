@@ -62,13 +62,12 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; known: {sorted(EXPERIMENTS)}"
             )
-        for name, kind in (("dims", ["integer"]), ("h_values", ["number"]), ("seed", "integer")):
+        kinds = {"dims": ["positive-integer"], "h_values": ["positive"], "seed": "integer",
+                 "subsets": _PANEL, "options": set(_OPTIONS[self.experiment])}
+        for name, kind in kinds.items():
             value = read(vars(self), name, "config", kind)
             object.__setattr__(self, name, tuple(value) if isinstance(kind, list) else value)
-        if any(n <= 0 for n in self.dims):
-            raise ValueError("dimensions must be positive")
-        if any(h <= 0 for h in self.h_values):
-            raise ValueError("step sizes must be positive")
+        read(vars(self), "output", "config", "string", None)
 
 
 # a subset panel: a name, a list of subsets or a {"random": ...} draw (see resolve_panel)
@@ -76,16 +75,10 @@ _PANEL = ("string", ["indices"], {"random"})
 
 
 def config_from_dict(spec: dict) -> ExperimentConfig:
+    """The config of a JSON object; ExperimentConfig reads each field by its rule."""
     spec = read(spec, None, "config", {f.name for f in fields(ExperimentConfig)})
-    return ExperimentConfig(
-        experiment=read(spec, "experiment", "config"),
-        dims=spec.get("dims", ()),
-        h_values=spec.get("h_values", ()),
-        seed=spec.get("seed", 0),
-        subsets=read(spec, "subsets", "config", _PANEL, "singletons"),
-        options=read(spec, "options", "config", "object", {}),
-        output=read(spec, "output", "config", "string", None),
-    )
+    read(spec, "experiment", "config")  # a missing one is a ValueError, not a TypeError
+    return ExperimentConfig(**spec)
 
 
 @dataclass(frozen=True)
@@ -235,17 +228,19 @@ def _subset_label(u) -> str:
 # -- experiments ---------------------------------------------------------------
 
 
-def _option(options: dict, key: str, default):
-    """options[key], or the default when the key is absent, read by the rule of
-    the default's type: numbers for a tuple, an integer for an int, else a number."""
-    kind = "integer" if isinstance(default, int) else "number"
-    return read(options, key, "option", [kind] if isinstance(default, tuple) else kind, default)
+def _option(config: ExperimentConfig, key: str):
+    """config.options[key], or its _OPTIONS default when absent, read by the rule of the
+    default's type: a matrix for None, numbers for a tuple, an integer for an int, else a number."""
+    default = _OPTIONS[config.experiment][key]
+    kind = "matrix" if default is None else "integer" if isinstance(default, int) else "number"
+    kind = [kind] if isinstance(default, tuple) else kind
+    return read(config.options, key, "option", kind, default)
 
 
-def _target_from_options(n: int, options: dict) -> orc.GaussianTarget:
-    A = read(options, "precision", "option", "matrix", None)
+def _target_from_options(n: int, config: ExperimentConfig) -> orc.GaussianTarget:
+    A = _option(config, "precision")
     if A is None:
-        A = tridiagonal_precision(n, _option(options, "diag", 2.0), _option(options, "off", -0.5))
+        A = tridiagonal_precision(n, _option(config, "diag"), _option(config, "off"))
     elif A.shape != (n, n):
         raise ValueError(f"precision shape {A.shape} does not match n={n}")
     return orc.GaussianTarget(A)
@@ -268,7 +263,7 @@ def _singleton_w2(law_h: orc.GaussianLaw, law: orc.GaussianLaw) -> list[float]:
 
 def _exp_gaussian_scaling(config: ExperimentConfig) -> Iterator[ReportRow]:
     for n in config.dims or (16, 64, 256):
-        tgt = _target_from_options(n, config.options)
+        tgt = _target_from_options(n, config)
         law = tgt.law()
         for h in config.h_values or (0.01,):
             law_h = orc.lmc_stationary_law(tgt, h)
@@ -288,18 +283,17 @@ def _exp_gaussian_scaling(config: ExperimentConfig) -> Iterator[ReportRow]:
 
 
 def _exp_bound_vs_truth(config: ExperimentConfig) -> Iterator[ReportRow]:
-    opts = config.options
     n = _single(config, "dims", 8)
-    tgt = _target_from_options(n, opts)
+    tgt = _target_from_options(n, config)
     pot = gaussian_potential(tgt.precision)
     graph = build_graph(pot)
-    cert = GrowthCertificate("polynomial", _option(opts, "c", 3.0), _option(opts, "p", 1.0))
+    cert = GrowthCertificate("polynomial", _option(config, "c"), _option(config, "p"))
     growth = verify_growth(graph, cert)
     yield ReportRow(
         config.experiment, n, None, "vertices", "growth-certificate",
         float(growth.passed), theorem="polynomial", valid=growth.passed,
     )
-    alpha, beta, gamma = tgt.alpha, tgt.beta, _option(opts, "gamma", 1.0)
+    alpha, beta, gamma = tgt.alpha, tgt.beta, _option(config, "gamma")
     consts = bnd.sparse_poly_constants(alpha, beta, gamma, cert.c, cert.exponent)
     if not consts.valid:
         raise ValueError(f"constants invalid: {consts.reason}")
@@ -327,12 +321,12 @@ def _exp_bound_vs_truth(config: ExperimentConfig) -> Iterator[ReportRow]:
 
 def _exp_subadditivity(config: ExperimentConfig) -> Iterator[ReportRow]:
     n = _single(config, "dims", 8)
-    tgt = _target_from_options(n, config.options)
+    tgt = _target_from_options(n, config)
     h = _single(config, "h_values", 1.0 / tgt.beta)
     law_h = orc.lmc_stationary_law(tgt, h)
     law = tgt.law()
     for k in range(1, n + 1):
-        rep = mtr.subadditivity_check(law_h, law, k, tol=_option(config.options, "tol", 1e-9))
+        rep = mtr.subadditivity_check(law_h, law, k, tol=_option(config, "tol"))
         yield ReportRow(
             config.experiment, n, h, f"k={k}", "subadditivity-lhs",
             rep.lhs_average, bound=rep.rhs_share, theorem="subadditivity",
@@ -341,14 +335,15 @@ def _exp_subadditivity(config: ExperimentConfig) -> Iterator[ReportRow]:
 
 
 def _exp_continuous_time(config: ExperimentConfig) -> Iterator[ReportRow]:
-    opts = config.options
     n = _single(config, "dims", 6)
-    tgt = _target_from_options(n, opts)
+    if config.h_values:
+        raise ValueError(f"continuous-time takes no h_values, got {list(config.h_values)}")
+    tgt = _target_from_options(n, config)
     pot = gaussian_potential(tgt.precision)
     graph = build_graph(pot)
-    alpha, beta, gamma = tgt.alpha, tgt.beta, _option(opts, "gamma", 1.0)
+    alpha, beta, gamma = tgt.alpha, tgt.beta, _option(config, "gamma")
     law = tgt.law()
-    law0 = orc.GaussianLaw(np.zeros(n), _option(opts, "cov0_scale", 2.0) * law.cov)
+    law0 = orc.GaussianLaw(np.zeros(n), _option(config, "cov0_scale") * law.cov)
 
     H0 = SubsetFunction(
         lambda m: orc.kl_gaussian(
@@ -357,8 +352,8 @@ def _exp_continuous_time(config: ExperimentConfig) -> Iterator[ReportRow]:
         "initial-kl",
     )
     panel = resolve_panel(graph, config.subsets)
-    laws = [(t, orc.ou_law(tgt, t, law0)) for t in _option(opts, "times", (0.1, 0.5, 1.0, 2.0))]
-    for eps in _option(opts, "eps", (0.25, 0.5, 0.9)):
+    laws = [(t, orc.ou_law(tgt, t, law0)) for t in _option(config, "times")]
+    for eps in _option(config, "eps"):
         for t, law_t in laws:
             for u in panel:
                 exact = orc.kl_gaussian(orc.marginal(law_t, u), orc.marginal(law, u))
@@ -373,14 +368,13 @@ def _exp_continuous_time(config: ExperimentConfig) -> Iterator[ReportRow]:
 
 
 def _exp_onestep_linf(config: ExperimentConfig) -> Iterator[ReportRow]:
-    opts = config.options
-    m = _option(opts, "samples", 2048)
+    m = _option(config, "samples")
     # each bootstrap replicate re-solves a full m x m assignment (~2 s at
     # m = 2048), so the default replicate count stays small
-    n_boot = _option(opts, "n_boot", 10)
+    n_boot = _option(config, "n_boot")
     counter = 0
     for n in config.dims or (4, 8):
-        tgt = _target_from_options(n, {"off": -0.3, **opts})
+        tgt = _target_from_options(n, config)
         A = tgt.precision
         alpha0 = float(np.max(np.sum(np.abs(A - np.diag(np.diag(A))), axis=1)))
         alpha, beta = tgt.alpha, tgt.beta
@@ -417,15 +411,14 @@ def _batch_mean_se(x: np.ndarray, batches: int) -> float:
 
 
 def _exp_sampler_vs_oracle(config: ExperimentConfig) -> Iterator[ReportRow]:
-    opts = config.options
     n = _single(config, "dims", 2)
-    tgt = _target_from_options(n, {"diag": 3.0, "off": 0.5, **opts})
+    tgt = _target_from_options(n, config)
     pot = gaussian_potential(tgt.precision)
     h = _single(config, "h_values", 0.05)
     scfg = SamplerConfig(
         h=h,
-        iterations=_option(opts, "iterations", 500_000),
-        num_chains=_option(opts, "chains", 4),
+        iterations=_option(config, "iterations"),
+        num_chains=_option(config, "chains"),
         seed=config.seed,
     )
     try:
@@ -441,7 +434,7 @@ def _exp_sampler_vs_oracle(config: ExperimentConfig) -> Iterator[ReportRow]:
     law = tgt.law()
     kept = store.rows()
     centered = kept - kept.mean(axis=0)
-    nb = _option(opts, "batches", 200)
+    nb = _option(config, "batches")
     for i in range(n):
         for j in range(i, n):
             series = centered[:, i] * centered[:, j]
@@ -453,8 +446,8 @@ def _exp_sampler_vs_oracle(config: ExperimentConfig) -> Iterator[ReportRow]:
                 emp, se=se, bound=ref, theorem="lyapunov",
                 valid=abs(emp - ref) <= 4.0 * se,
             )
-    thin = _option(opts, "thin", 20)
-    m_cmp = _option(opts, "marginal_samples", 100_000)
+    thin = _option(config, "thin")
+    m_cmp = _option(config, "marginal_samples")
     rng = np.random.default_rng([config.seed, 1])
     for i, ref in enumerate(_singleton_w2(law_h, law)):
         lmc_i = marginal_samples(store, (i,))[::thin, 0][:m_cmp]
@@ -474,10 +467,9 @@ def _rotated_precision(n: int, soft: float, stiff: float) -> np.ndarray:
 
 
 def _exp_delocalization_failure(config: ExperimentConfig) -> Iterator[ReportRow]:
-    opts = config.options
     h = _single(config, "h_values", 0.02)
-    soft = _option(opts, "soft", 1.0)
-    stiff = _option(opts, "stiff", 50.0)
+    soft = _option(config, "soft")
+    stiff = _option(config, "stiff")
     dims = config.dims or (8, 32, 128)
     rot_max, prod_max = [], []
     for n in dims:
@@ -530,6 +522,19 @@ EXPERIMENTS = {
     "onestep-linf": _exp_onestep_linf,
     "sampler-vs-oracle": _exp_sampler_vs_oracle,
     "delocalization-failure": _exp_delocalization_failure,
+}
+
+_TARGET = {"precision": None, "diag": 2.0, "off": -0.5}
+_OPTIONS = {  # each experiment's option keys and their defaults, read by _option
+    "gaussian-scaling": _TARGET,
+    "bound-vs-truth": {**_TARGET, "c": 3.0, "p": 1.0, "gamma": 1.0},
+    "subadditivity": {**_TARGET, "tol": 1e-9},
+    "continuous-time": {**_TARGET, "gamma": 1.0, "cov0_scale": 2.0, "eps": (0.25, 0.5, 0.9),
+                        "times": (0.1, 0.5, 1.0, 2.0)},
+    "onestep-linf": {**_TARGET, "off": -0.3, "samples": 2048, "n_boot": 10},
+    "sampler-vs-oracle": {**_TARGET, "diag": 3.0, "off": 0.5, "iterations": 500_000, "chains": 4,
+                          "batches": 200, "thin": 20, "marginal_samples": 100_000},
+    "delocalization-failure": {"soft": 1.0, "stiff": 50.0},
 }
 
 

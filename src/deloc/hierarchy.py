@@ -46,7 +46,8 @@ import numpy as np
 from scipy import sparse
 
 from ._poisson import shift_kernel, stopped_weights, truncated_pmf
-from .bounds import BoundReport, theorem_constants
+from ._json import _check, read
+from .bounds import BoundReport, _above_h_star, theorem_constants
 from .graph import InteractionGraph
 from .potential import InteractionConstants, StructuredPotential, interaction_constants
 from .subsets import as_mask, indices_from, size
@@ -102,13 +103,11 @@ class SparseGenerator:
     rate: float
 
     def __post_init__(self):
-        if self.rate < 0:
-            raise ValueError(f"rate must be >= 0, got {self.rate}")
+        _check(self.rate, "non-negative", "rate")
 
     @classmethod
     def from_params(cls, graph, alpha, beta, gamma, eps) -> "SparseGenerator":
-        if not 0 < eps < 1:
-            raise ValueError(f"eps must lie in (0,1), got {eps}")
+        _check(eps, "fraction", "eps")
         return cls(graph, gamma * beta**2 / (alpha * eps))
 
 
@@ -120,19 +119,16 @@ class WeakGenerator:
     rate_factor: float
 
     def __post_init__(self):
-        if self.rate_factor < 0:
-            raise ValueError(f"rate factor must be >= 0, got {self.rate_factor}")
+        _check(self.rate_factor, "non-negative", "rate factor")
         for w, L in self.weights:
             if w == 0:
                 raise ValueError("empty support in weight list")
-            if L <= 0:
-                raise ValueError(f"weights must be positive, got {L}")
+            _check(L, "positive", "weight")
 
     @classmethod
     def from_params(cls, structure, alpha, gamma, eps) -> "WeakGenerator":
         """structure is a StructuredPotential or a weight list; M0 comes from it."""
-        if not 0 < eps < 1:
-            raise ValueError(f"eps must lie in (0,1), got {eps}")
+        _check(eps, "fraction", "eps")
         weights, consts = _weak_structure(structure)
         return cls(weights, gamma * consts.M0 / (alpha * eps))
 
@@ -192,8 +188,7 @@ def commutation_residual_weak(gen: WeakGenerator, F, u) -> float:
 def semigroup_sparse(gen: SparseGenerator, t: float, F, u) -> float:
     """e^{tA}F(u) = E F(N_{Lambda(t)}(u)) as an exact finite series:
     sum_{j<J} pmf(j; rate t) F(N_j(u)) + P(Lambda >= J) F(N_J(u))."""
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
+    _check(t, "non-negative", "t")
     m = as_mask(u, gen.graph.n)
     J = gen.graph.stabilization_index(m)
     values = np.array([F(cm) for cm in gen.graph.chain(m)])
@@ -270,8 +265,7 @@ def _expm_series(P, mu, f):
 def semigroup_weak(gen: WeakGenerator, t: float, F, u) -> float:
     """e^{tA}F(u) for the weak generator by uniformization over the
     reachable growing-subset lattice."""
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
+    _check(t, "non-negative", "t")
     m = as_mask(u)
     states, index, pairs = _weak_lattice(gen, m, seed_supports=False)
     P, theta = _uniformized_matrix(gen, pairs, len(states))
@@ -300,10 +294,9 @@ class SparseParams:
     def __post_init__(self):
         if (self.p is None) == (self.r is None):
             raise ValueError("set exactly one of p (polynomial) or r (exponential)")
-        if self.alpha <= 0 or self.beta < self.alpha or self.gamma <= 0 or self.c < 1:
-            raise ValueError("need 0 < alpha <= beta, gamma > 0, c >= 1")
-        if self.epsilon is not None and not 0 < self.epsilon < 1:
-            raise ValueError(f"epsilon must lie in (0,1), got {self.epsilon}")
+        _read_params(self, c="at-least-1", beta="positive", p="at-least-1", r="at-least-1")
+        if self.beta < self.alpha:
+            raise ValueError(f"need alpha <= beta, got alpha={self.alpha} > beta={self.beta}")
 
     @property
     def mode(self) -> str:
@@ -331,10 +324,7 @@ class WeakParams:
     epsilon: float | None = None
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.gamma <= 0:
-            raise ValueError("need alpha > 0 and gamma > 0")
-        if self.epsilon is not None and not 0 < self.epsilon < 1:
-            raise ValueError(f"epsilon must lie in (0,1), got {self.epsilon}")
+        _read_params(self)
 
     def constants(self, M0: float, M1: float, R1: float) -> BoundReport:
         """Report of the weak theorem (bounds.weak_constants)."""
@@ -345,6 +335,14 @@ class WeakParams:
 
     def h_star(self, M0: float, M1: float, R1: float) -> float:
         return _resolve(self.constants(M0, M1, R1), self.epsilon)[0]
+
+
+def _read_params(params, **kinds) -> None:
+    """Read alpha, gamma, epsilon and the fields in kinds by rule; epsilon, p, r may be None."""
+    kinds.update(alpha="positive", gamma="positive", epsilon="fraction")
+    for name, kind in kinds.items():
+        if vars(params)[name] is not None or name not in ("epsilon", "p", "r"):
+            read(vars(params), name, type(params).__name__, kind)
 
 
 def _resolve(report: BoundReport, epsilon: float | None) -> tuple[float, float]:
@@ -365,10 +363,11 @@ def certified_entropy_curve(case: str, params, structure, H0, h: float, k_max: i
     H0 is a callable on subset bitmasks (monotone under inclusion).
     Requires h <= h* of the invoked theorem.
     """
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
-    if h <= 0:
-        raise ValueError(f"h must be > 0, got {h}")
+    k_max = _check(k_max, "count", "k_max")
+    _check(h, "positive", "h")
+    want = {"sparse": SparseParams, "weak": WeakParams}.get(case)
+    if want is not None and not isinstance(params, want):
+        raise ValueError(f"case {case!r} takes {want.__name__}, got {type(params).__name__}")
     if case == "sparse":
         report = params.constants()
         build = lambda eps: _sparse_operators(params, structure, eps, h, u)
@@ -379,8 +378,8 @@ def certified_entropy_curve(case: str, params, structure, H0, h: float, k_max: i
     else:
         raise ValueError(f"unknown case {case!r} (use 'sparse' or 'weak')")
     h_star, eps = _resolve(report, params.epsilon)
-    if h > h_star * (1.0 + 1e-12):
-        raise ValueError(f"h={h} exceeds h* = {h_star} of the matching theorem")
+    if reason := _above_h_star(h, h_star):
+        raise ValueError(f"{reason} of the matching theorem")
     states, iu, expm_h, N, g, q = build(eps)
 
     alpha = params.alpha

@@ -21,6 +21,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
+from ._json import _check
 from .oracle import GaussianLaw, marginal as law_marginal, w2sq_gaussian
 
 __all__ = [
@@ -225,8 +226,7 @@ def subadditivity_check(
     tolerance).  The empirical path subsamples to 512 points per side and
     at most 32 bootstrap replicates: it flags gross violations, nothing
     finer."""
-    if k < 1:
-        raise ValueError(f"subset size must be >= 1, got {k}")
+    k = _check(k, "positive-integer", "k")
     if isinstance(full_a, GaussianLaw) and isinstance(full_b, GaussianLaw):
         if full_a.dim != full_b.dim:
             raise ValueError("laws must share a dimension")

@@ -23,6 +23,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from ._json import _check
 from .subsets import sorted_indices
 
 __all__ = [
@@ -212,8 +213,7 @@ def lmc_transient_law(A, h: float, k: int, law0: GaussianLaw) -> GaussianLaw:
     """Exact law of the LMC chain on N(0, A^{-1}) after k steps from law0, A a
     GaussianTarget or a precision matrix and 0 < h < 2 / lambda_max(A): mean
     (I - hA)^k m0, covariance (I - hA)^k (cov0 - S_h) (I - hA)^k + S_h."""
-    if k < 0:
-        raise ValueError(f"step count k must be >= 0, got {k}")
+    k = _check(k, "count", "k")
     tgt = _target(A)
     hl = h * tgt._eigs[0]
     # below h lambda = 1/2, 1 - h lambda rounds, and its k-th power would grow that k-fold
@@ -224,8 +224,7 @@ def lmc_transient_law(A, h: float, k: int, law0: GaussianLaw) -> GaussianLaw:
 def ou_law(A, t: float, law0: GaussianLaw) -> GaussianLaw:
     """Law at time t of dX = -A X dt + sqrt(2) dW from law0, A a GaussianTarget or a
     precision matrix: mean e^{-At} m0, covariance e^{-At} cov0 e^{-At} + A^{-1}(I - e^{-2At})."""
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
+    _check(t, "non-negative", "t")
     tgt = _target(A)
     lam = tgt._eigs[0]
     return _evolve(tgt, np.exp(-lam * t), lam, law0)

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._json import load, read
+from ._json import _check, load, read
 from .oracle import _precision
 
 __all__ = [
@@ -70,8 +70,7 @@ class FactorTerm:
             raise ValueError(f"support must be sorted and duplicate-free, got {self.support}")
         if self.support[0] < 0:
             raise ValueError(f"support indices must be >= 0, got {self.support}")
-        if self.lipschitz < 0:
-            raise ValueError(f"lipschitz weight must be >= 0, got {self.lipschitz}")
+        object.__setattr__(self, "lipschitz", _check(self.lipschitz, "non-negative", "lipschitz"))
         fns = (self.value_fn, self.grad_fn)
         if self.matrix is not None and fns != (None, None):
             raise ValueError("a factor takes a matrix or callables, not both")
@@ -113,7 +112,7 @@ def quadratic_term(support: Sequence[int], matrix, lipschitz: float | None = Non
 def callable_term(support, value_fn, grad_fn, lipschitz: float, label: str = "") -> FactorTerm:
     return FactorTerm(
         support=tuple(sorted(support)),
-        lipschitz=float(lipschitz),
+        lipschitz=lipschitz,
         value_fn=value_fn,
         grad_fn=grad_fn,
         label=label,
@@ -130,10 +129,9 @@ class SmoothnessParams:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        read(vars(self), "alpha", "smoothness", "positive")
+        read(vars(self), "gamma", "smoothness", "positive")
+        read(vars(self), "beta", "smoothness", "positive", None)
         if self.beta is not None and self.beta < self.alpha:
             raise ValueError(f"need alpha <= beta, got alpha={self.alpha}, beta={self.beta}")
 
@@ -186,8 +184,7 @@ class StructuredPotential:
     smoothness: SmoothnessParams
 
     def __post_init__(self):
-        if self.n <= 0:
-            raise ValueError(f"dimension must be positive, got {self.n}")
+        _check(self.n, "positive-integer", "n")
         object.__setattr__(self, "terms", tuple(self.terms))
         for t in self.terms:
             if t.support[-1] >= self.n:

@@ -85,15 +85,11 @@ class SamplerConfig:
     thinning: int = 1
 
     def __post_init__(self):
+        read(vars(self), "h", "sampler config", "positive")
         for name in ("iterations", "burn_in", "num_chains", "seed", "substeps", "thinning"):
+            kind = {"burn_in": "count", "seed": "integer"}.get(name, "positive-integer")
             if name != "burn_in" or self.burn_in is not None:
-                object.__setattr__(self, name, read(vars(self), name, "sampler config", "integer"))
-        if self.h <= 0:
-            raise ValueError(f"step size must be > 0, got {self.h}")
-        if self.iterations <= 0:
-            raise ValueError("iterations must be > 0")
-        if self.num_chains <= 0 or self.thinning <= 0 or self.substeps <= 0:
-            raise ValueError("num_chains, thinning and substeps must be >= 1")
+                object.__setattr__(self, name, read(vars(self), name, "sampler config", kind))
         if self.effective_burn_in >= self.iterations:
             raise ValueError(
                 f"burn_in={self.effective_burn_in} leaves no samples from "

@@ -409,8 +409,13 @@ def test_rotated_precision_is_householder_rotation(n):
 
 # ----------------------------------------------------------------------- cli
 
+def _reject_constant(name):
+    raise ValueError(f"deloc printed {name}, which strict JSON does not have")
+
+
 def cli_json(capsys):
-    return json.loads(capsys.readouterr().out)
+    """The JSON document the command printed, parsed strictly: NaN and Infinity fail."""
+    return json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
 
 
 def test_cli_run_ok(tmp_path, capsys):
@@ -501,6 +506,16 @@ def test_cli_run_every_experiment_prints_json(experiment, tmp_path, capsys):
         ({"experiment": "no-such-experiment"}, "unknown experiment"),
         ({"experiment": "bound-vs-truth", "dims": [3], "subsets": []}, "subset panel [] is empty"),
         ({"experiment": "continuous-time", "dims": [3], "subsets": []}, "subset panel [] is empty"),
+        # an option or a step list that the experiment never reads
+        ({"experiment": "gaussian-scaling", "options": {"diagonal": 5}},
+         "unknown config 'options' keys ['diagonal']"),
+        ({"experiment": "onestep-linf", "options": {"soft": 1.0, "samples": 64}},
+         "unknown config 'options' keys ['soft']"),
+        ({"experiment": "continuous-time", "dims": [3], "h_values": [0.01]},
+         "continuous-time takes no h_values, got [0.01]"),
+        ({"experiment": "gaussian-scaling", "dims": [0]}, "'dims' entries must be integers >= 1"),
+        ({"experiment": "gaussian-scaling", "h_values": [-0.1]},
+         "'h_values' entries must be numbers > 0"),
     ],
 )
 def test_cli_run_reports_domain_errors_with_exit_2(spec, reason, tmp_path, capsys):
@@ -710,7 +725,49 @@ def test_cli_bounds_continuous_time_with_potential(tmp_path, capsys):
     assert rc == 2
     assert set(payload) == {"theorem", "valid", "reason"}
     assert (payload["theorem"], payload["valid"]) == ("continuous-time", False)
-    assert "eps must lie in (0, 1)" in payload["reason"]
+    assert "eps must be a number in (0, 1)" in payload["reason"]
+
+
+def test_cli_float_flags_reject_nan_and_infinity(tmp_path, capsys):
+    pot = write_potential(tmp_path / "pot.json")
+    for argv in (
+        ["bounds", "continuous-time", "--potential", pot, "--subset", "1", "--t", "inf"],
+        ["hierarchy", pot, "--certify", "--h", "nan"],
+        ["bounds", "sparse-poly", "--alpha=-inf"],
+        ["bounds", "weak", "--R1", "nan"],
+        ["hierarchy", pot, "--eps", "NaN"],
+    ):
+        with pytest.raises(SystemExit) as exc:  # argparse usage error
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be a number, got" in captured.err
+
+
+def test_cli_prints_strict_json_only(capsys):
+    # in the domain, but C = 10 M0 M1 / ... overflows to inf
+    rc = main(["bounds", "weak", "--M0", "1e200", "--M1", "1e200"])
+    payload = cli_json(capsys)
+    assert rc == 2 and payload["valid"] is False
+    assert "not JSON compliant" in payload["reason"]
+    # without a gap alpha - alpha0 the one-step bound has no value
+    rc = main(["bounds", "onestep-linf", "--alpha", "1", "--alpha0", "1", "--beta", "2"])
+    payload = cli_json(capsys)
+    assert rc == 2 and payload["valid"] is False
+    assert payload["outputs"] == {"bound_value": None, "full_linf": None, "marginal": None}
+    # h < 0 with p = 1.5 made the envelope (lam k h + 1)^p a complex number
+    rc = main(["bounds", "sparse-dyn-poly", "--h=-1", "--p", "1.5"])
+    payload = cli_json(capsys)
+    assert rc == 2 and payload["reason"] == "h must be a number > 0, got -1.0"
+    assert "transient" not in payload["outputs"]
+
+
+def test_experiment_ignores_the_config_fields_it_does_not_read():
+    """seed and subsets are config fields, not options: gaussian-scaling takes them."""
+    cfg = ExperimentConfig("gaussian-scaling", dims=(4,), seed=5, subsets="pairs")
+    plain = ExperimentConfig("gaussian-scaling", dims=(4,))
+    rows, plain_rows = run_experiment(cfg).rows, run_experiment(plain).rows
+    assert [vars(r) for r in rows] == [vars(r) for r in plain_rows]
 
 
 def test_cli_hierarchy_semigroup_and_certify(tmp_path, capsys):
@@ -813,9 +870,9 @@ def test_cli_hierarchy_certify_reports_domain_violation(tmp_path, capsys):
     chain = tmp_path / "chain.json"
     chain.write_text(json.dumps(potential_to_dict(chain_pairwise(4))))
     for argv, case, t, reason in (
-        (["--eps", "1.5"], "sparse-poly", 1.0, "eps must lie in (0,1)"),
-        (["--case", "weak", "--eps", "0"], "weak", 1.0, "eps must lie in (0,1)"),
-        (["--t", "-1"], "sparse-poly", -1.0, "time must be >= 0"),
+        (["--eps", "1.5"], "sparse-poly", 1.0, "eps must be a number in (0, 1)"),
+        (["--case", "weak", "--eps", "0"], "weak", 1.0, "eps must be a number in (0, 1)"),
+        (["--t", "-1"], "sparse-poly", -1.0, "t must be a number >= 0"),
         (["--subset", "9"], "sparse-poly", 1.0, "not contained in range(4)"),
     ):
         rc = main(["hierarchy", str(chain), *argv])

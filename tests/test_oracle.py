@@ -145,7 +145,7 @@ def test_transient_law_single_step_recursion(rng):
 
 def test_transient_law_rejects_negative_steps_and_wrong_dimension():
     A = tridiagonal_precision(3)
-    with pytest.raises(ValueError, match="k must be >= 0"):
+    with pytest.raises(ValueError, match="k must be an integer >= 0"):
         lmc_transient_law(A, 0.1, -2, GaussianLaw(np.zeros(3), np.eye(3)))
     with pytest.raises(ValueError, match="dimension 2"):
         lmc_transient_law(A, 0.1, 1, GaussianLaw(np.zeros(2), np.eye(2)))
