@@ -21,7 +21,6 @@ from .potential import (
     load_potential,
     mean_field,
     potential_from_dict,
-    potential_to_dict,
     quadratic_term,
     tridiagonal_precision,
 )
@@ -36,7 +35,6 @@ from .sampler import (
     DivergenceError,
     SampleStore,
     SamplerConfig,
-    load_store,
     marginal_samples,
     run_chain,
 )

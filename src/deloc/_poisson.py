@@ -2,9 +2,12 @@
 
 The sparse bounds all evaluate E F(N_{min(Lambda, J)}(u)) for Lambda
 Poisson(mu): neighbourhoods stop growing at index J, so the Poisson tail
-mass P(Lambda >= J) multiplies F(N_J(u)).  The weak semigroup uses the
-same weights, truncated at a tail tolerance, for uniformization.  Every
-array is built once per argument tuple, cached and returned read-only.
+mass P(Lambda >= J) multiplies F(N_J(u)).  chain_mean is that series, read
+by the sparse semigroup and the continuous-time bound; shift_kernel holds
+it for every start index of the chain at once, for the certified curve.
+The weak semigroup uses the same weights, truncated at a tail tolerance,
+for uniformization.  Every array is built once per argument tuple, cached
+and returned read-only.
 
 pmf and tail come from scipy.special, the same expressions scipy's
 Poisson distribution evaluates, so importing deloc does not load scipy's
@@ -38,6 +41,11 @@ def stopped_weights(mu: float, J: int) -> np.ndarray:
     w[:J] = _pmf(mu, J)
     w[J] = pdtrc(J - 1, mu) if J > 0 else 1.0
     return _frozen(w)
+
+
+def chain_mean(chain, mu: float, F) -> float:
+    """E F(chain[min(Lambda, J)]) for Lambda Poisson(mu), J = len(chain) - 1."""
+    return float(stopped_weights(mu, len(chain) - 1) @ np.array([F(m) for m in chain]))
 
 
 @lru_cache(maxsize=16)

@@ -1,14 +1,15 @@
 """Closed-form bound evaluation: stationary-bias constants, dynamic decay
 envelopes, the continuous-time Poisson-series bound, and the one-step
 l_inf contraction bound.  The Poisson series over the neighbourhood chain
-takes its weights from the kernel shared with the hierarchy module
-(_poisson.stopped_weights).
+is the one the sparse semigroup of the hierarchy module evaluates
+(_poisson.chain_mean).
 
 Every scalar input is read by a rule of _json, which NaN, infinities and
 bools break.  A theorem's parameters, h and a cross-parameter rule (alpha <=
 beta, eta > 0, h <= h*, h <= 1/beta) are reported as valid=False with the
-rule's message, so harness sweeps walk through invalid regions; a count, a
-time, eps, C0 or a dimension out of its domain raises that message instead.
+rule's message, and so is a theorem constant that overflows, so harness
+sweeps walk through invalid regions; a count, a time, eps, C0 or a
+dimension out of its domain raises that message instead.
 
 Constants implemented:
 
@@ -32,10 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._json import _check, _flaw
-from ._poisson import stopped_weights
+from ._poisson import chain_mean
 from .graph import InteractionGraph
 from .subsets import as_mask, size
 
@@ -77,72 +76,79 @@ def _above_h_star(h: float, h_star: float) -> str:
     return f"h={h} exceeds h* = {h_star}" if h > h_star * (1.0 + 1e-12) else ""
 
 
+def _report(theorem: str, inputs: dict, reason: str, constants) -> BoundReport:
+    """The report of a stationary theorem: invalid with reason when the inputs
+    break a rule, else (outputs, reason) = constants().  A constant that
+    overflows or is not finite makes it invalid too, with no outputs."""
+    outputs = {}
+    if not reason:
+        try:
+            outputs, reason = constants()
+            flaw = _flaw(outputs, **dict.fromkeys(outputs, "number"))
+        except (OverflowError, ZeroDivisionError):
+            flaw = "a constant overflows"
+        if flaw:
+            at = ", ".join(f"{k}={v!r}" for k, v in inputs.items())
+            outputs, reason = {}, reason or f"{flaw} at {at}"
+    return BoundReport(theorem, inputs, outputs, not reason, reason)
+
+
+def _ordered(alpha: float, beta: float) -> str:
+    return f"need alpha <= beta, got alpha={alpha} > beta={beta}" if alpha > beta else ""
+
+
 def sparse_poly_constants(
     alpha: float, beta: float, gamma: float, c: float, p: float
 ) -> BoundReport:
     inputs = dict(alpha=alpha, beta=beta, gamma=gamma, c=c, p=p)
-    reason = _flaw(inputs, **_SPARSE_RULES, p="at-least-1")
-    if not reason and alpha > beta:
-        reason = f"need alpha <= beta, got alpha={alpha} > beta={beta}"
-    if reason:
-        return BoundReport("sparse-poly", inputs, {}, False, reason)
-    C = 40.0 * c**2 * p**p * (beta**2 / alpha) * (8.0 * gamma * beta**2 / alpha**2 + 1.0) ** p
-    h_star = alpha / (4.0 * c * beta**2)
-    return BoundReport("sparse-poly", inputs, {"C": C, "h_star": h_star}, True)
+
+    def constants():
+        C = 40.0 * c**2 * p**p * (beta**2 / alpha) * (8.0 * gamma * beta**2 / alpha**2 + 1.0) ** p
+        return {"C": C, "h_star": alpha / (4.0 * c * beta**2)}, ""
+
+    reason = _flaw(inputs, **_SPARSE_RULES, p="at-least-1") or _ordered(alpha, beta)
+    return _report("sparse-poly", inputs, reason, constants)
 
 
 def sparse_exp_constants(
     alpha: float, beta: float, gamma: float, c: float, r: float
 ) -> BoundReport:
     inputs = dict(alpha=alpha, beta=beta, gamma=gamma, c=c, r=r)
-    reason = _flaw(inputs, **_SPARSE_RULES, r="at-least-1")
-    if not reason and alpha > beta:
-        reason = f"need alpha <= beta, got alpha={alpha} > beta={beta}"
-    if reason:
-        return BoundReport("sparse-exp", inputs, {}, False, reason)
-    r_crit = 1.0 + alpha**2 / (gamma * beta**2)
-    eta = 1.0 - (gamma * beta**2 / alpha**2) * (r - 1.0)
-    if eta <= 0.0:
-        return BoundReport(
-            "sparse-exp",
-            inputs,
-            {"eta": eta, "r_critical": r_crit},
-            False,
-            f"subcritical growth required: r={r} >= 1 + alpha^2/(gamma beta^2) = {r_crit}",
-        )
-    C = (10.0 * beta**2 * c**2 / (alpha * eta**3)) * math.exp(gamma * (r - 1.0) / c)
-    h_star = alpha * eta**1.5 / (5.0 * beta**2 * c)
-    tau = alpha * eta**2 / (2.0 * (2.0 - eta))
-    return BoundReport(
-        "sparse-exp",
-        inputs,
-        {"C": C, "h_star": h_star, "eta": eta, "tau": tau, "r_critical": r_crit},
-        True,
-    )
+
+    def constants():
+        r_crit = 1.0 + alpha**2 / (gamma * beta**2)
+        eta = 1.0 - (gamma * beta**2 / alpha**2) * (r - 1.0)
+        if eta <= 0.0:
+            return {"eta": eta, "r_critical": r_crit}, (
+                f"subcritical growth required: r={r} >= 1 + alpha^2/(gamma beta^2) = {r_crit}"
+            )
+        C = (10.0 * beta**2 * c**2 / (alpha * eta**3)) * math.exp(gamma * (r - 1.0) / c)
+        h_star = alpha * eta**1.5 / (5.0 * beta**2 * c)
+        tau = alpha * eta**2 / (2.0 * (2.0 - eta))
+        return {"C": C, "h_star": h_star, "eta": eta, "tau": tau, "r_critical": r_crit}, ""
+
+    reason = _flaw(inputs, **_SPARSE_RULES, r="at-least-1") or _ordered(alpha, beta)
+    return _report("sparse-exp", inputs, reason, constants)
 
 
 def weak_constants(alpha: float, gamma: float, M0: float, M1: float, R1: float) -> BoundReport:
     inputs = dict(alpha=alpha, gamma=gamma, M0=M0, M1=M1, R1=R1)
+
+    def constants():
+        eta = 1.0 - gamma * M0 * R1 / alpha**2
+        if eta <= 0.0:
+            return {"eta": eta}, (
+                f"weak-interaction condition fails: gamma M0 R1 = {gamma * M0 * R1} "
+                f">= alpha^2 = {alpha**2}"
+            )
+        C = (10.0 * M0 * M1 / (alpha * eta**3)) * math.exp(gamma)
+        h_star = alpha * eta**1.5 / (5.0 * M0 * M1)
+        tau = alpha * eta**2 / (2.0 * (2.0 - eta))
+        return {"C": C, "h_star": h_star, "eta": eta, "tau": tau}, ""
+
     reason = _flaw(inputs, alpha="positive", gamma="positive", M0="positive", M1="positive",
                    R1="non-negative")
-    if reason:
-        return BoundReport("weak", inputs, {}, False, reason)
-    eta = 1.0 - gamma * M0 * R1 / alpha**2
-    if eta <= 0.0:
-        return BoundReport(
-            "weak",
-            inputs,
-            {"eta": eta},
-            False,
-            f"weak-interaction condition fails: gamma M0 R1 = {gamma * M0 * R1} "
-            f">= alpha^2 = {alpha**2}",
-        )
-    C = (10.0 * M0 * M1 / (alpha * eta**3)) * math.exp(gamma)
-    h_star = alpha * eta**1.5 / (5.0 * M0 * M1)
-    tau = alpha * eta**2 / (2.0 * (2.0 - eta))
-    return BoundReport(
-        "weak", inputs, {"C": C, "h_star": h_star, "eta": eta, "tau": tau}, True
-    )
+    return _report("weak", inputs, reason, constants)
 
 
 THEOREMS = {
@@ -261,13 +267,11 @@ def continuous_time_bound(
     if reason:
         return BoundReport("continuous-time", inputs, {}, False, reason)
     rate = gamma * beta**2 / (2.0 * alpha)
-    mu = rate * t / eps
     chain = graph.chain(u_mask)
-    J = len(chain) - 1
-    values = np.array([H0(cm) for cm in chain])
-    series = float(stopped_weights(mu, J) @ values)
+    series = chain_mean(chain, rate * t / eps, H0)
     value = math.exp(-2.0 * alpha * (1.0 - eps) * t) * series
-    outputs = {"bound_value": value, "poisson_rate": rate, "series": series, "stabilization": J}
+    outputs = {"bound_value": value, "poisson_rate": rate, "series": series,
+               "stabilization": len(chain) - 1}
     return BoundReport("continuous-time", inputs, outputs, True)
 
 

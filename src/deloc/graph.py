@@ -89,25 +89,12 @@ class InteractionGraph:
         self._chains[u_mask] = chain = tuple(chain)
         return chain
 
-    def neighborhood_mask(self, u, k: int) -> int:
-        k = _check(k, "count", "k")
-        chain = self.chain(u)
-        return chain[min(k, len(chain) - 1)]
-
     def stabilization_index(self, u) -> int:
         """Smallest J with N_J(u) = N_{J+1}(u) (component closure reached)."""
         m = as_mask(u, self.n)
         if m == 0:
             raise ValueError("stabilization index of the empty set is undefined")
         return len(self.chain(m)) - 1
-
-    # -- export ---------------------------------------------------------------
-
-    def export_edge_list(self, path) -> None:
-        """Plain text: one '<i> <j>' line per edge, 0-indexed, i < j."""
-        with open(path, "w") as f:
-            for i, j in self.edges():
-                f.write(f"{i} {j}\n")
 
 
 def build_graph(pot: StructuredPotential) -> InteractionGraph:

@@ -8,13 +8,15 @@ act on them:
   weak:    (A F)(u) = rho * sum_{w cap u != 0} L_w (F(w u u) - F(u)),
            (N F)(u) = sum_{w cap u != 0} L_w F(w),  rho = gamma M0/(alpha eps)
 
-In the sparse case e^{tA}F(u) = E F(N_{Lambda(t)}(u)) collapses to an exact
-finite Poisson series, because neighbourhoods stabilize; on the chain
-N_0(u) .. N_J(u) it is one matvec with a cached index-shift kernel.  In the
-weak case e^{tA} is evaluated by uniformization on the reachable lattice of
-growing subsets, with the jump matrix and N assembled once per lattice as
-sparse matrices.  The Poisson weights of both come from the shared kernel
-in _poisson.
+Each is defined once, as arrays over a finite set of subsets.  In the
+sparse case e^{tA}F(u) = E F(N_{Lambda(t)}(u)) collapses to an exact finite
+Poisson series over the chain N_0(u) .. N_J(u), because neighbourhoods
+stabilize: _poisson.chain_mean for one start (the semigroup, and the
+continuous-time bound in bounds), _poisson.shift_kernel for every start at
+once (the certified curve).  In the weak case e^{tA} is uniformization on
+the reachable lattice of growing subsets, built by _weak_expm for both the
+semigroup and the curve, with the jump matrix and N assembled once per
+lattice as sparse matrices.
 
 certified_entropy_curve evaluates the exact discrete-step entropy recursion
 of both theorems as one iteration over a finite set of subsets,
@@ -45,7 +47,7 @@ from typing import Callable
 import numpy as np
 from scipy import sparse
 
-from ._poisson import shift_kernel, stopped_weights, truncated_pmf
+from ._poisson import chain_mean, shift_kernel, truncated_pmf
 from ._json import _check, read
 from .bounds import BoundReport, _above_h_star, theorem_constants
 from .graph import InteractionGraph
@@ -58,14 +60,8 @@ __all__ = [
     "WeakGenerator",
     "SparseParams",
     "WeakParams",
-    "apply_n_sparse",
-    "apply_a_sparse",
-    "apply_n_weak",
-    "apply_a_weak",
     "semigroup_sparse",
     "semigroup_weak",
-    "commutation_residual_sparse",
-    "commutation_residual_weak",
     "certified_entropy_curve",
 ]
 
@@ -92,10 +88,6 @@ class SubsetFunction:
     def size(cls) -> "SubsetFunction":
         return cls(lambda m: float(size(m)), "size")
 
-    @classmethod
-    def constant(cls, c: float) -> "SubsetFunction":
-        return cls(lambda m: c, f"const:{c}")
-
 
 @dataclass(frozen=True)
 class SparseGenerator:
@@ -107,7 +99,7 @@ class SparseGenerator:
 
     @classmethod
     def from_params(cls, graph, alpha, beta, gamma, eps) -> "SparseGenerator":
-        _check(eps, "fraction", "eps")
+        _read_rate(eps, alpha=alpha, beta=beta, gamma=gamma)
         return cls(graph, gamma * beta**2 / (alpha * eps))
 
 
@@ -128,9 +120,16 @@ class WeakGenerator:
     @classmethod
     def from_params(cls, structure, alpha, gamma, eps) -> "WeakGenerator":
         """structure is a StructuredPotential or a weight list; M0 comes from it."""
-        _check(eps, "fraction", "eps")
+        _read_rate(eps, alpha=alpha, gamma=gamma)
         weights, consts = _weak_structure(structure)
         return cls(weights, gamma * consts.M0 / (alpha * eps))
+
+
+def _read_rate(eps, **positive) -> None:
+    """Read the parameters of a generator's rate: eps in (0, 1), the others > 0."""
+    for name, value in positive.items():
+        _check(value, "positive", name)
+    _check(eps, "fraction", "eps")
 
 
 def _weak_structure(structure) -> tuple[tuple[tuple[int, float], ...], InteractionConstants]:
@@ -145,43 +144,6 @@ def _weak_structure(structure) -> tuple[tuple[tuple[int, float], ...], Interacti
     )
 
 
-# -- pointwise operator applications ------------------------------------------
-
-
-def apply_n_sparse(graph: InteractionGraph, F, u) -> float:
-    return F(graph.neighborhood_mask(as_mask(u, graph.n), 1))
-
-
-def apply_a_sparse(gen: SparseGenerator, F, u) -> float:
-    m = as_mask(u, gen.graph.n)
-    return gen.rate * (F(gen.graph.neighborhood_mask(m, 1)) - F(m))
-
-
-def apply_n_weak(weights, F, u) -> float:
-    m = as_mask(u)
-    return sum(L * F(w) for w, L in weights if w & m)
-
-
-def apply_a_weak(gen: WeakGenerator, F, u) -> float:
-    m = as_mask(u)
-    return gen.rate_factor * sum(L * (F(w | m) - F(m)) for w, L in gen.weights if w & m)
-
-
-def commutation_residual_sparse(gen: SparseGenerator, F, u) -> float:
-    """|ANF(u) - NAF(u)|; identically zero because N_1(N_1(u)) is all that
-    either order evaluates."""
-    AN = apply_a_sparse(gen, lambda v: apply_n_sparse(gen.graph, F, v), u)
-    NA = apply_n_sparse(gen.graph, lambda v: apply_a_sparse(gen, F, v), u)
-    return abs(AN - NA)
-
-
-def commutation_residual_weak(gen: WeakGenerator, F, u) -> float:
-    """|ANF(u) - NAF(u)| for the weak operators; generally nonzero."""
-    AN = apply_a_weak(gen, lambda v: apply_n_weak(gen.weights, F, v), u)
-    NA = apply_n_weak(gen.weights, lambda v: apply_a_weak(gen, F, v), u)
-    return abs(AN - NA)
-
-
 # -- semigroups ----------------------------------------------------------------
 
 
@@ -190,9 +152,9 @@ def semigroup_sparse(gen: SparseGenerator, t: float, F, u) -> float:
     sum_{j<J} pmf(j; rate t) F(N_j(u)) + P(Lambda >= J) F(N_J(u))."""
     _check(t, "non-negative", "t")
     m = as_mask(u, gen.graph.n)
-    J = gen.graph.stabilization_index(m)
-    values = np.array([F(cm) for cm in gen.graph.chain(m)])
-    return float(stopped_weights(gen.rate * t, J) @ values)
+    if m == 0:
+        raise ValueError("subset must be nonempty")
+    return chain_mean(gen.graph.chain(m), gen.rate * t, F)
 
 
 def _weak_lattice(gen: WeakGenerator, u_mask: int, seed_supports: bool):
@@ -232,34 +194,36 @@ def _weak_lattice(gen: WeakGenerator, u_mask: int, seed_supports: bool):
     return states, index, pairs[np.argsort(pairs[:, 0], kind="stable")]
 
 
-def _uniformized_matrix(gen: WeakGenerator, pairs, nstates: int):
-    """(P, theta): the jump matrix P = I + Q/theta of the rates v -> v | w
-    as CSR, theta the largest exit rate.  P is None when theta = 0."""
+def _weak_expm(gen: WeakGenerator, u_mask: int, t: float, seed_supports: bool):
+    """(states, index, pairs, v -> e^{tA} v) on the lattice of _weak_lattice.
+    e^{tA} is uniformized: with theta the largest exit rate and P = I + A/theta
+    the jump matrix (CSR), e^{tA} v = sum_m pmf(m; theta t) P^m v, truncated
+    once the remaining Poisson mass is at most POISSON_TAIL.  It is the
+    identity when theta t = 0."""
+    states, index, pairs = _weak_lattice(gen, u_mask, seed_supports)
+    nstates = len(states)
     src, fac, dst = pairs.T
     moves = src != dst
     src, dst = src[moves], dst[moves]
     rate = gen.rate_factor * np.array([L for _, L in gen.weights])[fac[moves]]
     exit_rates = np.bincount(src, weights=rate, minlength=nstates)
     theta = float(exit_rates.max())
-    if theta == 0.0:
-        return None, 0.0
+    if theta == 0.0 or t == 0.0:
+        return states, index, pairs, lambda v: v
     shape = (nstates, nstates)
     diag = np.arange(nstates)
     jumps = sparse.csr_array((rate / theta, (src, dst)), shape=shape)
-    stays = sparse.csr_array((1.0 - exit_rates / theta, (diag, diag)), shape=shape)
-    return jumps + stays, theta
+    P = jumps + sparse.csr_array((1.0 - exit_rates / theta, (diag, diag)), shape=shape)
+    pmf = truncated_pmf(theta * t, POISSON_TAIL)
 
+    def expm(v):
+        acc = pmf[0] * v
+        for p in pmf[1:]:
+            v = P @ v
+            acc += p * v
+        return acc
 
-def _expm_series(P, mu, f):
-    """e^{tQ} f by uniformization with mu = theta t: sum_m pmf(m; mu) P^m f,
-    truncated once the remaining Poisson mass is at most POISSON_TAIL."""
-    pmf = truncated_pmf(mu, POISSON_TAIL)
-    acc = pmf[0] * f
-    v = f
-    for p in pmf[1:]:
-        v = P @ v
-        acc += p * v
-    return acc
+    return states, index, pairs, expm
 
 
 def semigroup_weak(gen: WeakGenerator, t: float, F, u) -> float:
@@ -267,12 +231,8 @@ def semigroup_weak(gen: WeakGenerator, t: float, F, u) -> float:
     reachable growing-subset lattice."""
     _check(t, "non-negative", "t")
     m = as_mask(u)
-    states, index, pairs = _weak_lattice(gen, m, seed_supports=False)
-    P, theta = _uniformized_matrix(gen, pairs, len(states))
-    f = np.array([F(s) for s in states])
-    if theta == 0.0 or t == 0.0:
-        return float(f[index[m]])
-    return float(_expm_series(P, theta * t, f)[index[m]])
+    states, index, _, expm = _weak_expm(gen, m, t, seed_supports=False)
+    return float(expm(np.array([F(s) for s in states]))[index[m]])
 
 
 # -- certified entropy trajectories --------------------------------------------
@@ -428,21 +388,15 @@ def _weak_operators(params: WeakParams, weights, M0, eps, h, u):
     """The reachable lattice of u and the supports; e^{hA} by uniformization,
     (N F)(v) = sum_{w cap v != 0} L_w F(w) as one CSR row per state."""
     alpha = params.alpha
-    gen = WeakGenerator.from_params(weights, alpha, params.gamma, eps)
+    gen = WeakGenerator(weights, params.gamma * M0 / (alpha * eps))
     m = as_mask(u)
-    states, index, pairs = _weak_lattice(gen, m, seed_supports=True)
+    states, index, pairs, expm_h = _weak_expm(gen, m, h, seed_supports=True)
     nstates = len(states)
-    P, theta = _uniformized_matrix(gen, pairs, nstates)
 
     src, fac = pairs[:, 0], pairs[:, 1]
     support_index = np.array([index[w] for w, _ in weights], dtype=np.intp)
     lip = np.array([L for _, L in weights])
     N = sparse.csr_array((lip[fac], (src, support_index[fac])), shape=(nstates, nstates))
-
-    if theta == 0.0:
-        expm_h = lambda v: v
-    else:
-        expm_h = lambda v: _expm_series(P, theta * h, v)
 
     sizes = np.array([float(size(s)) for s in states])
     ns = N @ sizes

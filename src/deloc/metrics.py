@@ -66,6 +66,7 @@ def w2sq_1d(a, b, n_boot: int = DEFAULT_BOOTSTRAP, rng=None) -> DistanceEstimate
     Unequal sizes are handled by evenly spaced order-statistic subsampling
     of the larger set.  Needs at least 2 samples per side.
     """
+    n_boot = _check(n_boot, "count", "n_boot")
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
     if a.shape[0] < 2 or b.shape[0] < 2:
@@ -111,6 +112,7 @@ def w2sq_assignment(
     first if over the caps; the cubic assignment solve dominates otherwise).
     Unequal m: the larger cloud is randomly subsampled without replacement.
     """
+    n_boot = _check(n_boot, "count", "n_boot")
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.shape[1] != b.shape[1]:

@@ -9,9 +9,7 @@ callables with an analytic gradient.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Sequence
@@ -37,7 +35,6 @@ __all__ = [
     "tridiagonal_precision",
     "load_potential",
     "potential_from_dict",
-    "potential_to_dict",
 ]
 
 _SYM_TOL = 1e-12
@@ -261,30 +258,6 @@ class StructuredPotential:
             return None
         return _assemble(self.n, self.terms)
 
-    def content_hash(self) -> str:
-        """Hash of the structural description (supports, kinds, weights,
-        matrices).  Callable bodies are identified by their label only."""
-        payload = {
-            "n": self.n,
-            "smoothness": {
-                "alpha": self.smoothness.alpha,
-                "beta": self.smoothness.beta,
-                "gamma": self.smoothness.gamma,
-            },
-            "terms": [
-                {
-                    "support": t.support,
-                    "kind": t.kind,
-                    "lipschitz": t.lipschitz,
-                    "matrix": None if t.matrix is None else np.round(t.matrix, 12).tolist(),
-                    "label": t.label,
-                }
-                for t in self.terms
-            ],
-        }
-        blob = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
-
 
 # -- pairwise specification --------------------------------------------------
 
@@ -456,27 +429,7 @@ def mean_field(n: int, confine: float = 1.0, strength: float = 1.0) -> Structure
     return _quadratic_potential(n, _pair_terms(n, confine, _mean_field_pairs(n, strength)))
 
 
-# -- JSON serialization -------------------------------------------------------
-
-
-def potential_to_dict(pot: StructuredPotential) -> dict:
-    terms = []
-    for t in pot.terms:
-        if t.kind != "quadratic":
-            raise ValueError("only quadratic factors are JSON-serializable")
-        terms.append(
-            {
-                "support": list(t.support),
-                "kind": "quadratic",
-                "params": {"matrix": t.matrix.tolist()},
-                "lipschitz": t.lipschitz,
-            }
-        )
-    s = pot.smoothness
-    sm = {"alpha": s.alpha, "gamma": s.gamma}
-    if s.beta is not None:
-        sm["beta"] = s.beta
-    return {"n": pot.n, "terms": terms, "smoothness": sm}
+# -- JSON reading ------------------------------------------------------------
 
 
 _PARAM_KEYS = {  # the params keys of each term kind

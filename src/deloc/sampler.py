@@ -30,7 +30,6 @@ successive (m, n) draws.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -48,7 +47,6 @@ __all__ = [
     "DivergenceError",
     "run_chain",
     "marginal_samples",
-    "load_store",
 ]
 
 
@@ -116,7 +114,6 @@ class SamplerConfig:
 class SampleStore:
     samples: np.ndarray  # (num_chains, kept, n)
     config: SamplerConfig
-    potential_hash: str
 
     @property
     def n(self) -> int:
@@ -130,45 +127,6 @@ class SampleStore:
         """(num_chains * kept, n) view, chains concatenated in order."""
         c, t, n = self.samples.shape
         return self.samples.reshape(c * t, n)
-
-    def save(self, path) -> None:
-        """Binary export: one JSON header line, then column-major float64."""
-        c, t, n = self.samples.shape
-        header = {
-            "format": "deloc-store",
-            "version": 1,
-            "n": n,
-            "chains": c,
-            "kept": t,
-            "dtype": "float64",
-            "order": "F",
-            "h": self.config.h,
-            "mode": self.config.mode,
-            "seed": self.config.seed,
-            "thinning": self.config.thinning,
-            "potential_hash": self.potential_hash,
-        }
-        with open(path, "wb") as f:
-            f.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-            f.write(self.rows().flatten(order="F").tobytes())
-
-    def save_csv(self, path) -> None:
-        c, t, n = self.samples.shape
-        with open(path, "w") as f:
-            f.write("chain,step," + ",".join(f"x{i}" for i in range(n)) + "\n")
-            for ci in range(c):
-                for ti in range(t):
-                    coords = ",".join(repr(float(v)) for v in self.samples[ci, ti])
-                    f.write(f"{ci},{ti},{coords}\n")
-
-
-def load_store(path) -> tuple[np.ndarray, dict]:
-    """Read a binary store export; returns (rows array, header dict)."""
-    with open(path, "rb") as f:
-        header = json.loads(f.readline().decode())
-        raw = np.frombuffer(f.read(), dtype=np.float64)
-    rows = header["chains"] * header["kept"]
-    return raw.reshape((rows, header["n"]), order="F").copy(), header
 
 
 def _descent(pot: StructuredPotential, x: np.ndarray, h: float) -> np.ndarray:
@@ -255,7 +213,7 @@ def run_chain(pot: StructuredPotential, config: SamplerConfig, x0) -> SampleStor
             f"x0 shape {x0.shape} matches neither ({pot.n},) nor ({config.num_chains}, {pot.n})"
         )
     chains = _simulate(pot, config, starts)
-    return SampleStore(samples=chains, config=config, potential_hash=pot.content_hash())
+    return SampleStore(samples=chains, config=config)
 
 
 def marginal_samples(store: SampleStore, u: Iterable[int]) -> np.ndarray:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from deloc.subsets import as_mask
+
 
 def finite_difference_gradient(f, x, eps=1e-6):
     """Central-difference gradient of a scalar function."""
@@ -39,6 +41,53 @@ def bfs_neighborhood(edges, n, u, k):
     return frozenset(cur)
 
 
+def neighborhood_mask(graph, u, k):
+    """N_k(u) as a bitmask, read off the graph's stabilizing chain."""
+    chain = graph.chain(u)
+    return chain[min(k, len(chain) - 1)]
+
+
+# Pointwise forms of the subset generators, the reference that the array
+# operators of deloc.hierarchy are checked against:
+#   sparse  (N F)(u) = F(N_1(u)),  (A F)(u) = rate (F(N_1(u)) - F(u))
+#   weak    (N F)(u) = sum_{w cap u != 0} L_w F(w),
+#           (A F)(u) = rate_factor sum_{w cap u != 0} L_w (F(w | u) - F(u))
+
+
+def apply_n_sparse(graph, F, u):
+    return F(neighborhood_mask(graph, as_mask(u, graph.n), 1))
+
+
+def apply_a_sparse(gen, F, u):
+    m = as_mask(u, gen.graph.n)
+    return gen.rate * (F(neighborhood_mask(gen.graph, m, 1)) - F(m))
+
+
+def apply_n_weak(weights, F, u):
+    m = as_mask(u)
+    return sum(L * F(w) for w, L in weights if w & m)
+
+
+def apply_a_weak(gen, F, u):
+    m = as_mask(u)
+    return gen.rate_factor * sum(L * (F(w | m) - F(m)) for w, L in gen.weights if w & m)
+
+
+def commutation_residual_sparse(gen, F, u):
+    """|ANF(u) - NAF(u)|; identically zero because N_1(N_1(u)) is all that
+    either order evaluates."""
+    AN = apply_a_sparse(gen, lambda v: apply_n_sparse(gen.graph, F, v), u)
+    NA = apply_n_sparse(gen.graph, lambda v: apply_a_sparse(gen, F, v), u)
+    return abs(AN - NA)
+
+
+def commutation_residual_weak(gen, F, u):
+    """|ANF(u) - NAF(u)| for the weak operators; generally nonzero."""
+    AN = apply_a_weak(gen, lambda v: apply_n_weak(gen.weights, F, v), u)
+    NA = apply_n_weak(gen.weights, lambda v: apply_a_weak(gen, F, v), u)
+    return abs(AN - NA)
+
+
 def weak_lattice_reference(weights, rate_factor, u_mask, seed_supports):
     """Independent BFS closure + dense rate matrix for a weak generator."""
     seeds = [u_mask] + ([w for w, _ in weights] if seed_supports else [])
@@ -61,6 +110,19 @@ def weak_lattice_reference(weights, rate_factor, u_mask, seed_supports):
                 Q[i, index[v | w]] += rate_factor * L
     np.fill_diagonal(Q, Q.diagonal() - Q.sum(axis=1))
     return states, index, Q
+
+
+def assert_same_potential(a, b):
+    """Same n, smoothness values and terms: support, kind, Lipschitz weight
+    and matrix, term by term."""
+    assert a.n == b.n
+    assert vars(a.smoothness) == vars(b.smoothness)
+    assert len(a.terms) == len(b.terms)
+    for s, t in zip(a.terms, b.terms):
+        assert (s.support, s.kind, s.lipschitz) == (t.support, t.kind, t.lipschitz)
+        assert (s.matrix is None) == (t.matrix is None)
+        if s.matrix is not None:
+            assert s.matrix.tobytes() == t.matrix.tobytes()
 
 
 def random_spd(rng, n, cond_max=50.0):

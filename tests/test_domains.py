@@ -12,7 +12,7 @@ from deloc import hierarchy as hie
 from deloc import oracle as orc
 from deloc.graph import GrowthCertificate, build_graph, verify_growth
 from deloc.harness import ExperimentConfig
-from deloc.metrics import subadditivity_check
+from deloc.metrics import subadditivity_check, w2sq_1d, w2sq_assignment
 from deloc.potential import (
     FactorTerm,
     SmoothnessParams,
@@ -32,6 +32,7 @@ H0 = hie.SubsetFunction.size()
 A = tridiagonal_precision(3)
 LAW0 = orc.GaussianLaw(np.zeros(3), np.eye(3))
 WEAK_DYN = dict(alpha=1.0, gamma=1.0, M0=2.0, M1=3.0, R1=0.25)
+CLOUD = np.random.default_rng(0).standard_normal((8, 2))
 
 
 def _sparse(**kw):
@@ -62,6 +63,13 @@ ENTRY_POINTS = [
     ("weak_constants M0", lambda v: bnd.weak_constants(1.0, 1.0, v, 3.0, 0.25), 1.2, 0.0, 0),
     ("weak_constants M1", lambda v: bnd.weak_constants(1.0, 1.0, 2.0, v, 0.25), 1.2, -3.0, 0),
     ("weak_constants R1", lambda v: bnd.weak_constants(1.0, 1.0, 2.0, 3.0, v), 0.25, -0.1, 0),
+    # a theorem constant that overflows: beta**2, or a division by alpha**2 = 0
+    ("sparse_poly_constants finite C",
+     lambda v: bnd.sparse_poly_constants(1.0, v, 1.0, 1.0, 1.0), 1.4, 1e200, 0),
+    ("sparse_exp_constants finite C",
+     lambda v: bnd.sparse_exp_constants(1.0, v, 1.0, 1.0, 1.0), 1.4, 1e200, 0),
+    ("weak_constants finite eta",
+     lambda v: bnd.weak_constants(v, 1.0, 1.0, 1.0, 0.0), 1.2, 1e-200, 0),
     ("onestep_linf_bound h", lambda v: bnd.onestep_linf_bound(1.0, 0.5, 2.0, v, 4), 0.1, 0.0, 0),
     ("onestep_linf_bound n", lambda v: bnd.onestep_linf_bound(1.0, 0.5, 2.0, 0.1, v), 2, 0, 1),
     ("dynamic_bound k",
@@ -91,10 +99,20 @@ ENTRY_POINTS = [
      lambda v: bnd.subgaussian_grad_linf_bound(v, 3), 1.2, 0.0, 0),
     ("subgaussian_grad_linf_bound n", lambda v: bnd.subgaussian_grad_linf_bound(1.0, v), 2, 0, 1),
     ("SparseGenerator rate", lambda v: hie.SparseGenerator(GRAPH, v), 1.2, -1.0, 0),
+    ("SparseGenerator.from_params alpha",
+     lambda v: hie.SparseGenerator.from_params(GRAPH, v, 2.0, 1.0, 0.5), 1.2, 0.0, 0),
+    ("SparseGenerator.from_params beta",
+     lambda v: hie.SparseGenerator.from_params(GRAPH, 1.0, v, 1.0, 0.5), 1.2, -2.0, 0),
+    ("SparseGenerator.from_params gamma",
+     lambda v: hie.SparseGenerator.from_params(GRAPH, 1.0, 2.0, v, 0.5), 1.2, 0.0, 0),
     ("SparseGenerator.from_params eps",
      lambda v: hie.SparseGenerator.from_params(GRAPH, 1.0, 2.0, 1.0, v), 0.5, 1.0, 0),
     ("WeakGenerator rate_factor", lambda v: hie.WeakGenerator(WEIGHTS, v), 1.2, -1.0, 0),
     ("WeakGenerator weight", lambda v: hie.WeakGenerator(((0b11, v),), 1.0), 1.2, 0.0, 0),
+    ("WeakGenerator.from_params alpha",
+     lambda v: hie.WeakGenerator.from_params(WEIGHTS, v, 1.0, 0.5), 1.2, 0.0, 0),
+    ("WeakGenerator.from_params gamma",
+     lambda v: hie.WeakGenerator.from_params(WEIGHTS, 1.0, v, 0.5), 1.2, -1.0, 0),
     ("WeakGenerator.from_params eps",
      lambda v: hie.WeakGenerator.from_params(WEIGHTS, 1.0, 1.0, v), 0.5, 0.0, 0),
     ("semigroup_sparse t",
@@ -117,7 +135,6 @@ ENTRY_POINTS = [
      lambda v: hie.certified_entropy_curve("weak", WEAK, WEIGHTS, H0, v, 5, (0,)), 1e-3, 0.0, 0),
     ("GrowthCertificate c", lambda v: GrowthCertificate("polynomial", v, 1.0), 1.2, 0.5, 0),
     ("GrowthCertificate exponent", lambda v: GrowthCertificate("exponential", 1.0, v), 1.2, 0.9, 0),
-    ("neighborhood_mask k", lambda v: GRAPH.neighborhood_mask((1,), v), 2, -1, 1),
     ("FactorTerm lipschitz",
      lambda v: FactorTerm(support=(0,), lipschitz=v, matrix=np.eye(1)), 1.2, -1.0, 0),
     ("SmoothnessParams alpha", lambda v: SmoothnessParams(alpha=v), 1.2, 0.0, 0),
@@ -135,6 +152,8 @@ ENTRY_POINTS = [
     ("lmc_transient_law k", lambda v: orc.lmc_transient_law(A, 0.1, v, LAW0), 2, -2, 1),
     ("ou_law t", lambda v: orc.ou_law(A, v, LAW0), 1.2, -0.5, 0),
     ("subadditivity_check k", lambda v: subadditivity_check(LAW0, LAW0, v), 2, 0, 1),
+    ("w2sq_1d n_boot", lambda v: w2sq_1d(CLOUD[:, 0], CLOUD[:, 1], n_boot=v), 2, -1, 1),
+    ("w2sq_assignment n_boot", lambda v: w2sq_assignment(CLOUD, CLOUD, n_boot=v), 2, -1, 1),
     ("ExperimentConfig dims", lambda v: ExperimentConfig("gaussian-scaling", dims=(v,)), 2, 0, 1),
     ("ExperimentConfig h_values",
      lambda v: ExperimentConfig("gaussian-scaling", h_values=(v,)), 1.2, -0.01, 0),

@@ -13,7 +13,7 @@ from deloc.graph import (
 from deloc.potential import gaussian_potential, mean_field, tridiagonal_precision
 from deloc.subsets import indices_from, mask_from
 
-from conftest import bfs_neighborhood
+from conftest import bfs_neighborhood, neighborhood_mask
 
 
 def path_graph(n):
@@ -45,7 +45,7 @@ def test_neighborhood_against_bfs_reference():
     g = InteractionGraph.from_edges(6, edges)
     for u in [(0,), (2,), (0, 5), (4,)]:
         for k in range(4):
-            got = frozenset(indices_from(g.neighborhood_mask(u, k)))
+            got = frozenset(indices_from(neighborhood_mask(g, u, k)))
             assert got == bfs_neighborhood(edges, 6, u, k)
 
 
@@ -53,7 +53,7 @@ def test_neighborhood_nested_and_monotone():
     g = path_graph(7)
     prev = None
     for k in range(7):
-        cur = set(indices_from(g.neighborhood_mask((3,), k)))
+        cur = set(indices_from(neighborhood_mask(g, (3,), k)))
         if prev is not None:
             assert prev <= cur
         prev = cur
@@ -65,7 +65,7 @@ def test_stabilization_index_path():
     assert g.stabilization_index(mask_from((0,))) == 4
     # from the middle, 2 hops reach both ends
     assert g.stabilization_index(mask_from((2,))) == 2
-    after = g.neighborhood_mask(mask_from((0,)), 4)
+    after = neighborhood_mask(g, mask_from((0,)), 4)
     assert indices_from(after) == tuple(range(5))
 
 
@@ -73,14 +73,6 @@ def test_stabilization_empty_set_rejected():
     g = path_graph(3)
     with pytest.raises(ValueError):
         g.stabilization_index(0)
-
-
-def test_export_edge_list(tmp_path):
-    g = path_graph(4)
-    out = tmp_path / "edges.txt"
-    g.export_edge_list(out)
-    lines = out.read_text().strip().splitlines()
-    assert lines == ["0 1", "1 2", "2 3"]
 
 
 def test_growth_certificate_path_polynomial():
@@ -131,7 +123,7 @@ def test_property_neighborhoods_match_bfs(n, seed):
     g = InteractionGraph.from_edges(n, edges)
     u = (int(rng.integers(n)),)
     for k in range(n):
-        got = frozenset(indices_from(g.neighborhood_mask(u, k)))
+        got = frozenset(indices_from(neighborhood_mask(g, u, k)))
         assert got == bfs_neighborhood(edges, n, u, k)
 
 
@@ -146,9 +138,9 @@ def test_property_stabilization_is_fixed_point(n, seed):
     g = InteractionGraph.from_edges(n, edges)
     u = mask_from((int(rng.integers(n)),))
     J = g.stabilization_index(u)
-    assert g.neighborhood_mask(u, J) == g.neighborhood_mask(u, J + 1)
+    assert neighborhood_mask(g, u, J) == neighborhood_mask(g, u, J + 1)
     if J > 0:
-        assert g.neighborhood_mask(u, J - 1) != g.neighborhood_mask(u, J)
+        assert neighborhood_mask(g, u, J - 1) != neighborhood_mask(g, u, J)
 
 
 def test_chain_is_cached_tuple_of_nested_masks():

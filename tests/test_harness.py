@@ -36,14 +36,7 @@ from deloc.hierarchy import (
     certified_entropy_curve,
     semigroup_weak,
 )
-from deloc.potential import (
-    chain_pairwise,
-    load_potential,
-    mean_field,
-    potential_from_dict,
-    potential_to_dict,
-    tridiagonal_precision,
-)
+from deloc.potential import load_potential, potential_from_dict, tridiagonal_precision
 from deloc.subsets import mask_from
 
 
@@ -745,8 +738,13 @@ def test_cli_float_flags_reject_nan_and_infinity(tmp_path, capsys):
 
 
 def test_cli_prints_strict_json_only(capsys):
-    # in the domain, but C = 10 M0 M1 / ... overflows to inf
+    # in the domain, but C = 10 M0 M1 / ... overflows to inf: the theorem reports it
     rc = main(["bounds", "weak", "--M0", "1e200", "--M1", "1e200"])
+    payload = cli_json(capsys)
+    assert rc == 2 and payload["valid"] is False and payload["outputs"] == {}
+    assert payload["reason"].startswith("C must be a number, got inf at alpha=1.0")
+    # an envelope C0 |u| e^{-tau k h} that overflows to inf is caught by the printer
+    rc = main(["bounds", "weak-dyn", "--C0", "1e308", "--usize", "10"])
     payload = cli_json(capsys)
     assert rc == 2 and payload["valid"] is False
     assert "not JSON compliant" in payload["reason"]
@@ -813,7 +811,14 @@ def test_cli_bounds_match_direct_calls(capsys):
 
 
 def write_mean_field(path, strength):
-    path.write_text(json.dumps(potential_to_dict(mean_field(6, strength=strength))))
+    """mean_field(6, strength=strength) as a builtin term; its spectrum is {1, 1 + strength}."""
+    spec = {
+        "n": 6,
+        "smoothness": {"alpha": 1.0, "beta": 1.0 + strength, "gamma": 1.0},
+        "terms": [{"kind": "builtin:mean-field", "support": list(range(6)),
+                   "params": {"strength": strength}}],
+    }
+    path.write_text(json.dumps(spec))
     return str(path)
 
 
@@ -868,7 +873,10 @@ def test_cli_hierarchy_certify_reports_domain_violation(tmp_path, capsys):
 
     # the semigroup path (no --certify) reports bad input the same way
     chain = tmp_path / "chain.json"
-    chain.write_text(json.dumps(potential_to_dict(chain_pairwise(4))))
+    chain.write_text(json.dumps({
+        "n": 4, "smoothness": {"alpha": 1.0, "gamma": 1.0},
+        "terms": [{"kind": "builtin:chain-pairwise", "support": [0, 1, 2, 3]}],
+    }))
     for argv, case, t, reason in (
         (["--eps", "1.5"], "sparse-poly", 1.0, "eps must be a number in (0, 1)"),
         (["--case", "weak", "--eps", "0"], "weak", 1.0, "eps must be a number in (0, 1)"),

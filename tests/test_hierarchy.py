@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import linalg, stats
 
 import deloc
-from deloc import _poisson
+from deloc import _poisson, hierarchy
 
 from deloc.bounds import sparse_exp_constants, sparse_poly_constants, weak_constants
 from deloc.graph import InteractionGraph
@@ -22,20 +22,33 @@ from deloc.hierarchy import (
     SubsetFunction,
     WeakGenerator,
     WeakParams,
+    certified_entropy_curve,
+    semigroup_sparse,
+    semigroup_weak,
+)
+from deloc.bounds import continuous_time_bound
+from deloc.graph import build_graph
+from deloc.potential import (
+    chain_pairwise,
+    gaussian_potential,
+    interaction_constants,
+    tridiagonal_precision,
+)
+from deloc.subsets import as_mask, indices_from, mask_from, size
+
+from conftest import (
     apply_a_sparse,
     apply_a_weak,
     apply_n_sparse,
     apply_n_weak,
-    certified_entropy_curve,
+    bfs_neighborhood,
     commutation_residual_sparse,
     commutation_residual_weak,
-    semigroup_sparse,
-    semigroup_weak,
+    neighborhood_mask,
+    weak_lattice_reference,
 )
-from deloc.potential import gaussian_potential, interaction_constants, tridiagonal_precision
-from deloc.subsets import as_mask, indices_from, mask_from, size
 
-from conftest import bfs_neighborhood, weak_lattice_reference
+ONE = SubsetFunction(lambda m: 1.0)
 
 
 def path_graph(n):
@@ -58,7 +71,6 @@ def test_subset_function_memoizes():
 
 def test_subset_function_builders():
     assert SubsetFunction.size()(mask_from((0, 2, 3))) == 3.0
-    assert SubsetFunction.constant(2.5)(0) == 2.5
 
 
 # ----------------------------------------------------------------- generators
@@ -107,6 +119,7 @@ def test_weights_from_potential_match_interaction_constants():
 
 
 # ------------------------------------------------------- pointwise operators
+# The pointwise forms (conftest) are the reference for the array operators.
 
 def test_sparse_operator_hand_values():
     g = path_graph(5)
@@ -147,6 +160,33 @@ def test_weak_operators_do_not_commute():
     gen = WeakGenerator(weights, 1.0)
     res = commutation_residual_weak(gen, SubsetFunction.size(), (0,))
     assert res == pytest.approx(1.0)
+
+
+def test_array_operators_match_pointwise_reference():
+    # N of each curve builder, state by state, and A as the slope of e^{tA} at t = 0
+    F = SubsetFunction(lambda m: float(size(m)) ** 2 + 0.25 * m)
+    g = InteractionGraph.from_edges(6, [(i, i + 1) for i in range(5)] + [(0, 3)])
+    sp = SparseParams(1.0, 1.2, 0.8, 3.0, p=1.0)
+    chain, _, _, N, _, _ = hierarchy._sparse_operators(sp, g, 0.5, 0.01, (1,))
+    Nf = N(np.array([F(s) for s in chain]))
+    assert Nf.tolist() == [apply_n_sparse(g, F, s) for s in chain]
+
+    weights = ((mask_from((0, 1)), 0.7), (mask_from((1, 2)), 0.4), (mask_from((2, 3)), 1.1))
+    M0 = interaction_constants([indices_from(w) for w, _ in weights], [L for _, L in weights]).M0
+    wp = WeakParams(2.0, 0.3)
+    states, _, _, N, _, _ = hierarchy._weak_operators(wp, weights, M0, 0.5, 0.01, (0,))
+    Nf = N(np.array([F(s) for s in states]))
+    np.testing.assert_allclose(Nf, [apply_n_weak(weights, F, s) for s in states], rtol=1e-15)
+
+    t = 1e-7
+    gen = SparseGenerator.from_params(g, 1.0, 1.2, 0.8, 0.5)
+    wgen = WeakGenerator(weights, 1.3)
+    for u in ((0,), (2, 5)):
+        slope = (semigroup_sparse(gen, t, F, u) - F(as_mask(u))) / t
+        assert slope == pytest.approx(apply_a_sparse(gen, F, u), rel=1e-5)
+    for u in ((0,), (1, 3)):
+        slope = (semigroup_weak(wgen, t, F, u) - F(as_mask(u))) / t
+        assert slope == pytest.approx(apply_a_weak(wgen, F, u), rel=1e-5)
 
 
 # -------------------------------------------------------- Poisson chain kernel
@@ -235,6 +275,18 @@ def test_public_names_resolve():
         (deloc.InteractionGraph, "neighborhood"),
         (deloc.StructuredPotential, "partial_gradient"),
         (deloc.SubsetFunction, "from_indices"),
+        (deloc.SubsetFunction, "constant"),
+        (deloc.sampler, "load_store"),
+        (deloc.SampleStore, "save"),
+        (deloc.SampleStore, "save_csv"),
+        (deloc.StructuredPotential, "content_hash"),
+        (deloc.potential, "potential_to_dict"),
+        (deloc.InteractionGraph, "export_edge_list"),
+        (deloc.InteractionGraph, "neighborhood_mask"),
+        (deloc.hierarchy, "apply_a_sparse"),
+        (deloc.hierarchy, "apply_n_weak"),
+        (deloc.hierarchy, "commutation_residual_sparse"),
+        (deloc.hierarchy, "commutation_residual_weak"),
     ):
         assert not hasattr(owner, name)
         assert not hasattr(deloc, name)
@@ -247,11 +299,12 @@ def test_sparse_semigroup_at_zero_time_and_conservation():
     gen = SparseGenerator(g, 1.7)
     F = SubsetFunction.size()
     assert semigroup_sparse(gen, 0.0, F, (1,)) == F(as_mask((1,)))
-    one = SubsetFunction.constant(1.0)
     for t in (0.0, 0.3, 1.0, 4.0):
-        assert semigroup_sparse(gen, t, one, (2,)) == pytest.approx(1.0, abs=1e-12)
+        assert semigroup_sparse(gen, t, ONE, (2,)) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         semigroup_sparse(gen, -0.1, F, (1,))
+    with pytest.raises(ValueError, match="subset must be nonempty"):
+        semigroup_sparse(gen, 0.5, F, ())
 
 
 def test_sparse_semigroup_matches_monte_carlo(rng):
@@ -295,17 +348,16 @@ def test_weak_semigroup_matches_dense_expm():
 def test_weak_semigroup_conserves_constants_and_validates(monkeypatch):
     weights = ((mask_from((0, 1)), 0.7), (mask_from((1, 2)), 0.4))
     gen = WeakGenerator(weights, 1.3)
-    one = SubsetFunction.constant(1.0)
     for t in (0.0, 0.5, 3.0):
-        assert semigroup_weak(gen, t, one, (0,)) == pytest.approx(1.0, abs=1e-12)
+        assert semigroup_weak(gen, t, ONE, (0,)) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
-        semigroup_weak(gen, -1.0, one, (0,))
+        semigroup_weak(gen, -1.0, ONE, (0,))
     # a chain of supports grows the reachable lattice past a tiny cap
     chain = tuple((mask_from((i, i + 1)), 1.0) for i in range(12))
     cgen = WeakGenerator(chain, 1.0)
     monkeypatch.setattr(deloc.hierarchy, "MAX_WEAK_STATES", 4)
     with pytest.raises(ValueError, match="exceeds 4 states"):
-        semigroup_weak(cgen, 1.0, one, (0,))
+        semigroup_weak(cgen, 1.0, ONE, (0,))
 
 
 # ------------------------------------------------------------------ parameters
@@ -497,7 +549,7 @@ def test_sparse_semigroup_stays_in_chain_range(seed, t):
     out = semigroup_sparse(gen, t, F, u)
     m = as_mask(u, n)
     chain = [
-        F(g.neighborhood_mask(m, j)) for j in range(g.stabilization_index(m) + 1)
+        F(neighborhood_mask(g, m, j)) for j in range(g.stabilization_index(m) + 1)
     ]
     assert min(chain) - 1e-12 <= out <= max(chain) + 1e-12
 
@@ -511,5 +563,80 @@ def test_weak_semigroup_conserves_constants_property(t, vertex):
         (mask_from((2, 3)), 1.1),
     )
     gen = WeakGenerator(weights, 1.3)
-    out = semigroup_weak(gen, t, SubsetFunction.constant(1.0), (vertex,))
+    out = semigroup_weak(gen, t, ONE, (vertex,))
     assert out == pytest.approx(1.0, abs=1e-12)
+
+
+# --------------------------------------------------------------- golden values
+# Recorded before the semigroups, the continuous-time bound and the curve
+# builders were made to share one chain series and one uniformization
+# builder; every value must stay bit for bit.
+
+GOLDEN_GRAPH = InteractionGraph.from_edges(6, [(i, i + 1) for i in range(5)] + [(0, 3)])
+GOLDEN_WEIGHTS = (
+    (mask_from((0, 1)), 0.7),
+    (mask_from((1, 2)), 0.4),
+    (mask_from((2, 3)), 1.1),
+    (mask_from((0, 3)), 0.9),
+)
+
+
+def golden_f():
+    return SubsetFunction(lambda m: float(size(m)) ** 2 + 0.25 * m)
+
+
+def test_semigroups_are_bit_identical_to_recorded_values():
+    gen = SparseGenerator.from_params(GOLDEN_GRAPH, 1.0, 1.2, 0.8, 0.5)
+    F = golden_f()
+    points = ((0.0, (1,)), (0.5, (1,)), (2.0, (0, 4)), (7.5, (5,)))
+    got = [semigroup_sparse(gen, t, F, u) for t, u in points]
+    assert got == [1.5, 12.705497023597774, 50.76483179106345, 51.74953559521677]
+    wgen = WeakGenerator(GOLDEN_WEIGHTS, 1.3)
+    points = ((0.0, (0,)), (0.2, (0,)), (0.9, (1, 3)), (2.5, (1, 3)))
+    got = [semigroup_weak(wgen, t, F, u) for t, u in points]
+    assert got == [1.25, 3.1886491695101693, 17.304769778107094, 19.649008393172398]
+    assert semigroup_weak(WeakGenerator(GOLDEN_WEIGHTS, 0.0), 1.0, F, (0,)) == 1.25
+
+
+def test_continuous_time_series_is_bit_identical_to_recorded_values():
+    graph = build_graph(chain_pairwise(8))
+    series = [
+        continuous_time_bound(graph, (3,), t, 0.5, 1.0, 1.5, 0.8, C0=0.7)["series"]
+        for t in (0.0, 0.5, 2.0)
+    ]
+    assert series == [0.7, 1.9467479939178594, 4.601285156084521]
+    rep = continuous_time_bound(graph, (3, 4), 1.0, 0.4, 1.0, 1.5, 0.8, H0=golden_f())
+    assert rep["series"] == 76.32094243390344
+
+
+def test_certified_curves_are_bit_identical_to_recorded_values():
+    sp = SparseParams(1.0, 1.2, 0.8, 3.0, p=1.0)
+    h = sp.h_star() / 2
+    curve = certified_entropy_curve("sparse", sp, GOLDEN_GRAPH, golden_f(), h, 8, (2,))
+    assert curve.tolist() == [
+        2.0,
+        2.657939814075532,
+        3.315451718873398,
+        3.9677720117305317,
+        4.610591738711301,
+        5.240061636133406,
+        5.852787701323774,
+        6.445819496016504,
+        7.01663294018729,
+    ]
+    pot = gaussian_potential(tridiagonal_precision(5, 2.0, -0.5))
+    wp = WeakParams(2.0, 0.3)
+    c = pot.interaction_constants
+    h = wp.h_star(c.M0, c.M1, c.R1) / 2
+    curve = certified_entropy_curve("weak", wp, pot, golden_f(), h, 8, (1,))
+    assert curve.tolist() == [
+        1.5,
+        1.5011301645039632,
+        1.501649847801716,
+        1.5015840765715505,
+        1.5009571000741135,
+        1.499792411721072,
+        1.4981127700774866,
+        1.495940219312422,
+        1.4932961091119508,
+    ]

@@ -14,14 +14,19 @@ from deloc.potential import (
     gaussian_potential,
     grid_pairwise,
     interaction_constants,
+    load_potential,
     mean_field,
     potential_from_dict,
-    potential_to_dict,
     quadratic_term,
     tridiagonal_precision,
 )
 
-from conftest import brute_force_gradient, brute_force_value, finite_difference_gradient
+from conftest import (
+    assert_same_potential,
+    brute_force_gradient,
+    brute_force_value,
+    finite_difference_gradient,
+)
 
 
 def test_quadratic_term_value_and_grad():
@@ -441,17 +446,28 @@ def test_tridiagonal_precision_structure():
 
 
 def test_json_round_trip(rng, tmp_path):
-    A = tridiagonal_precision(5)
-    pot = gaussian_potential(A)
-    spec = potential_to_dict(pot)
+    # a file of literal quadratic terms reads back as the potential built from them
+    M, L = [[2.0, -0.5], [-0.5, 1.0]], [[1.5]]
+    spec = {
+        "n": 3,
+        "smoothness": {"alpha": 0.5, "beta": 2.5, "gamma": 0.8},
+        "terms": [
+            {"support": [0, 1], "kind": "quadratic", "params": {"matrix": M}},
+            {"support": [2], "kind": "quadratic", "params": {"matrix": L}, "lipschitz": 1.5},
+        ],
+    }
     path = tmp_path / "pot.json"
     path.write_text(json.dumps(spec))
-    pot2 = potential_from_dict(json.loads(path.read_text()))
-    assert pot2.n == pot.n
-    assert pot2.content_hash() == pot.content_hash()
-    x = rng.standard_normal(5)
-    assert pot2.value(x) == pytest.approx(pot.value(x))
-    np.testing.assert_allclose(pot2.gradient(x), pot.gradient(x), atol=1e-12)
+    pot = load_potential(path)
+    want = StructuredPotential(
+        n=3,
+        terms=(quadratic_term((0, 1), M), quadratic_term((2,), L)),
+        smoothness=SmoothnessParams(alpha=0.5, beta=2.5, gamma=0.8),
+    )
+    assert_same_potential(pot, want)
+    x = rng.standard_normal(3)
+    assert pot.value(x) == want.value(x)
+    np.testing.assert_array_equal(pot.gradient(x), want.gradient(x))
 
 
 def test_builtin_json_forms(tmp_path):
@@ -553,7 +569,7 @@ def test_potential_from_dict_reads_whole_floats_as_integers():
     pot = potential_from_dict(spec(3.0, 1, [2.0, 0, 1], 1.0))
     assert type(pot.n) is int and type(pot.smoothness.alpha) is float
     assert all(type(i) is int for t in pot.terms for i in t.support)
-    assert pot.content_hash() == potential_from_dict(spec(3, 1.0, [0, 1, 2], 1)).content_hash()
+    assert_same_potential(pot, potential_from_dict(spec(3, 1.0, [0, 1, 2], 1)))
 
 
 def test_potential_from_dict_error_paths():
@@ -565,11 +581,11 @@ def test_potential_from_dict_error_paths():
         )
 
 
-def test_content_hash_distinguishes_weights():
+def test_rebuilt_potential_is_the_same_and_other_weights_differ():
     a = gaussian_potential(tridiagonal_precision(4, 2.0, -0.5))
-    b = gaussian_potential(tridiagonal_precision(4, 2.0, -0.4))
-    assert a.content_hash() != b.content_hash()
-    assert a.content_hash() == gaussian_potential(tridiagonal_precision(4, 2.0, -0.5)).content_hash()
+    assert_same_potential(a, gaussian_potential(tridiagonal_precision(4, 2.0, -0.5)))
+    with pytest.raises(AssertionError):
+        assert_same_potential(a, gaussian_potential(tridiagonal_precision(4, 2.0, -0.4)))
 
 
 @settings(max_examples=30, deadline=None)

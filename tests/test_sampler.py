@@ -18,7 +18,6 @@ from deloc.sampler import (
     DivergenceError,
     SamplerConfig,
     _step_matrix,
-    load_store,
     marginal_samples,
     run_chain,
 )
@@ -59,7 +58,6 @@ def test_run_chain_deterministic(small_pot):
     a = run_chain(small_pot, cfg, np.zeros(3))
     b = run_chain(small_pot, cfg, np.zeros(3))
     np.testing.assert_array_equal(a.samples, b.samples)
-    assert a.potential_hash == small_pot.content_hash()
 
 
 def _cos_ring(n):
@@ -284,35 +282,6 @@ def test_langevin_reference_substeps_reduce_bias(small_pot):
     v_fine = fine.rows()[:, 1].var()
     assert abs(v_coarse - var_h) < abs(v_coarse - var_0)
     assert abs(v_fine - var_0) < abs(v_fine - var_h)
-
-
-def test_store_save_load_binary(small_pot, tmp_path):
-    cfg = SamplerConfig(h=0.05, iterations=150, seed=4, num_chains=2)
-    store = run_chain(small_pot, cfg, np.zeros(3))
-    path = tmp_path / "chain.bin"
-    store.save(path)
-    rows, header = load_store(path)
-    np.testing.assert_array_equal(rows, store.rows())
-    assert header["format"] == "deloc-store"
-    assert header["n"] == 3
-    assert header["chains"] == 2
-    assert header["potential_hash"] == small_pot.content_hash()
-    assert header["h"] == 0.05
-
-
-def test_store_save_csv(small_pot, tmp_path):
-    cfg = SamplerConfig(h=0.05, iterations=30, burn_in=20, seed=4)
-    store = run_chain(small_pot, cfg, np.zeros(3))
-    path = tmp_path / "chain.csv"
-    store.save_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "chain,step,x0,x1,x2"
-    assert len(lines) == 1 + 10
-    first = lines[1].split(",")
-    assert first[0] == "0" and first[1] == "0"
-    np.testing.assert_allclose(
-        [float(v) for v in first[2:]], store.samples[0, 0], atol=0
-    )
 
 
 def test_marginal_samples_slice(small_pot):
