@@ -76,20 +76,23 @@ def _above_h_star(h: float, h_star: float) -> str:
     return f"h={h} exceeds h* = {h_star}" if h > h_star * (1.0 + 1e-12) else ""
 
 
-def _report(theorem: str, inputs: dict, reason: str, constants) -> BoundReport:
-    """The report of a stationary theorem: invalid with reason when the inputs
-    break a rule, else (outputs, reason) = constants().  A constant that
-    overflows or is not finite makes it invalid too, with no outputs."""
+def _at(inputs: dict) -> str:
+    return ", ".join(f"{k}={v!r}" for k, v in inputs.items())
+
+
+def _report(theorem: str, inputs: dict, reason: str, formula) -> BoundReport:
+    """The report of a theorem: invalid with reason and no outputs when reason is
+    given, else (outputs, reason) = formula().  A formula that overflows, or an
+    output that is not None and not finite, makes it invalid too, with no outputs."""
     outputs = {}
     if not reason:
         try:
-            outputs, reason = constants()
-            flaw = _flaw(outputs, **dict.fromkeys(outputs, "number"))
+            outputs, reason = formula()
+            flaw = _flaw(outputs, **{k: "number" for k, v in outputs.items() if v is not None})
         except (OverflowError, ZeroDivisionError):
             flaw = "a constant overflows"
         if flaw:
-            at = ", ".join(f"{k}={v!r}" for k, v in inputs.items())
-            outputs, reason = {}, reason or f"{flaw} at {at}"
+            outputs, reason = {}, reason or f"{flaw} at {_at(inputs)}"
     return BoundReport(theorem, inputs, outputs, not reason, reason)
 
 
@@ -181,12 +184,17 @@ def onestep_linf_bound(
         reason = f"need beta > alpha > alpha0 >= 0, got beta={beta}, alpha={alpha}, alpha0={alpha0}"
     elif not reason and h > 1.0 / beta:
         reason = f"h={h} exceeds 1/beta = {1.0 / beta}"
-    # no bound without a gap alpha - alpha0 > 0, where the report is invalid
-    full = h * math.log(2.0 * n) * (4.0 * beta / (alpha - alpha0)) ** 2 if alpha > alpha0 else None
-    outputs = {"bound_value": full, "full_linf": full}
-    if usize is not None:
-        outputs["bound_value"] = outputs["marginal"] = None if full is None else usize * full
-    return BoundReport("onestep-linf", inputs, outputs, not reason, reason)
+
+    def bound():
+        # no bound without a gap alpha - alpha0 > 0, where the report is invalid
+        gap = alpha > alpha0
+        full = h * math.log(2.0 * n) * (4.0 * beta / (alpha - alpha0)) ** 2 if gap else None
+        outputs = {"bound_value": full, "full_linf": full}
+        if usize is not None:
+            outputs["bound_value"] = outputs["marginal"] = None if full is None else usize * full
+        return outputs, reason
+
+    return _report("onestep-linf", inputs, "", bound)
 
 
 def dynamic_bound(
@@ -213,23 +221,24 @@ def dynamic_bound(
     if reason:  # no envelope outside the theorem's domain or for h <= 0
         return BoundReport(theorem, inputs, dict(base.outputs), False, reason)
 
-    outputs = dict(base.outputs)
-    alpha = params["alpha"]
-    kh = k * h
-    if theorem == "sparse-dyn-poly":
-        lam = 2.0 * params["gamma"] * params["beta"] ** 2 / alpha
-        transient = (
-            2.0 * params["c"] * C0 * math.exp(-alpha * kh / 2.0) * (lam * kh + 1.0) ** params["p"]
-        )
-    elif theorem == "sparse-dyn-exp":
-        transient = params["c"] * C0 * math.exp(-base["tau"] * kh)
-    else:
-        transient = C0 * math.exp(-base["tau"] * kh)
-    outputs["transient"] = transient * usize
-    outputs["stationary"] = base["C"] * h * usize
-    outputs["bound_value"] = outputs["transient"] + outputs["stationary"]
-    reason = _above_h_star(h, base["h_star"])
-    return BoundReport(theorem, inputs, outputs, not reason, reason)
+    def envelope():
+        outputs = dict(base.outputs)
+        alpha = params["alpha"]
+        kh = k * h
+        if theorem == "sparse-dyn-poly":
+            lam = 2.0 * params["gamma"] * params["beta"] ** 2 / alpha
+            growth = (lam * kh + 1.0) ** params["p"]
+            transient = 2.0 * params["c"] * C0 * math.exp(-alpha * kh / 2.0) * growth
+        elif theorem == "sparse-dyn-exp":
+            transient = params["c"] * C0 * math.exp(-base["tau"] * kh)
+        else:
+            transient = C0 * math.exp(-base["tau"] * kh)
+        outputs["transient"] = transient * usize
+        outputs["stationary"] = base["C"] * h * usize
+        outputs["bound_value"] = outputs["transient"] + outputs["stationary"]
+        return outputs, _above_h_star(h, base["h_star"])
+
+    return _report(theorem, inputs, "", envelope)
 
 
 def continuous_time_bound(
@@ -266,10 +275,16 @@ def continuous_time_bound(
     reason = _flaw(inputs, alpha="positive", beta="positive", gamma="positive")
     if reason:
         return BoundReport("continuous-time", inputs, {}, False, reason)
-    rate = gamma * beta**2 / (2.0 * alpha)
     chain = graph.chain(u_mask)
-    series = chain_mean(chain, rate * t / eps, H0)
-    value = math.exp(-2.0 * alpha * (1.0 - eps) * t) * series
+    try:
+        rate = gamma * beta**2 / (2.0 * alpha)
+        series = chain_mean(chain, rate * t / eps, H0)
+        value = math.exp(-2.0 * alpha * (1.0 - eps) * t) * series
+    except OverflowError:
+        rate = value = math.inf
+    if not (math.isfinite(value) and math.isfinite(rate)):  # a finite value has a finite series
+        at = _at({**inputs, "C0": C0} if C0 is not None else inputs)
+        return BoundReport("continuous-time", inputs, {}, False, f"the bound overflows at {at}")
     outputs = {"bound_value": value, "poisson_rate": rate, "series": series,
                "stabilization": len(chain) - 1}
     return BoundReport("continuous-time", inputs, outputs, True)

@@ -26,10 +26,10 @@ from . import metrics as mtr
 from . import oracle as orc
 from ._json import read
 from .graph import GrowthCertificate, InteractionGraph, build_graph, verify_growth
-from .hierarchy import SubsetFunction
+from .hierarchy import SparseParams, SubsetFunction, certified_entropy_curve
 from .potential import gaussian_potential, tridiagonal_precision
 from .sampler import DivergenceError, SamplerConfig, marginal_samples, run_chain
-from .subsets import mask_from, indices_from
+from .subsets import indices_from, mask_from, size
 
 __all__ = [
     "ExperimentConfig",
@@ -38,7 +38,6 @@ __all__ = [
     "ScalingFit",
     "run_experiment",
     "fit_scaling",
-    "fit_scaling_rows",
     "delocalization_failure_demo",
     "config_from_dict",
     "EXPERIMENTS",
@@ -181,12 +180,6 @@ def fit_scaling(x, y) -> ScalingFit:
     return ScalingFit(float(slope), float(intercept), r2)
 
 
-def fit_scaling_rows(report: ExperimentReport, metric: str) -> ScalingFit:
-    """fit_scaling of the metric's values against n."""
-    rows = report.select(metric=metric)
-    return fit_scaling([r.n for r in rows], [r.value for r in rows])
-
-
 # -- subset panels -------------------------------------------------------------
 
 
@@ -254,6 +247,10 @@ def _single(config: ExperimentConfig, name: str, default):
     return values[0] if values else default
 
 
+def _marginal_kl(law_a: orc.GaussianLaw, law: orc.GaussianLaw, u) -> float:
+    return orc.kl_gaussian(orc.marginal(law_a, u), orc.marginal(law, u))
+
+
 def _singleton_w2(law_h: orc.GaussianLaw, law: orc.GaussianLaw) -> list[float]:
     """Exact W2^2 between the coordinate marginals of law_h and law, one per
     coordinate: in one dimension (mean difference)^2 + (sd difference)^2."""
@@ -262,44 +259,69 @@ def _singleton_w2(law_h: orc.GaussianLaw, law: orc.GaussianLaw) -> list[float]:
 
 
 def _exp_gaussian_scaling(config: ExperimentConfig) -> Iterator[ReportRow]:
-    for n in config.dims or (16, 64, 256):
+    dims, h_values = config.dims or (16, 64, 256), config.h_values or (0.01,)
+    tops, fulls = [[] for _ in h_values], [[] for _ in h_values]
+    for n in dims:
         tgt = _target_from_options(n, config)
         law = tgt.law()
-        for h in config.h_values or (0.01,):
+        for j, h in enumerate(h_values):
             law_h = orc.lmc_stationary_law(tgt, h)
             per_coord = _singleton_w2(law_h, law)
             for i, v in enumerate(per_coord):
                 yield ReportRow(
                     config.experiment, n, h, str(i), "w2sq-marginal", v, theorem="oracle"
                 )
+            tops[j].append(float(np.max(per_coord)))
+            fulls[j].append(orc.w2sq_gaussian(law_h, law))
             yield ReportRow(
                 config.experiment, n, h, "singletons", "w2sq-marginal-max",
-                float(np.max(per_coord)), theorem="oracle",
+                tops[j][-1], theorem="oracle",
             )
             yield ReportRow(
-                config.experiment, n, h, "full", "w2sq-full",
-                orc.w2sq_gaussian(law_h, law), theorem="oracle",
+                config.experiment, n, h, "full", "w2sq-full", fulls[j][-1], theorem="oracle"
             )
+    if len(set(dims)) < 2:
+        return
+    # the claim over n, per h: the max marginal bias is flat, the full bias grows like n
+    for h, top, full in zip(h_values, tops, fulls):
+        if min(top) <= 0.0 or min(full) <= 0.0:
+            raise ValueError(f"the bias at h={h} underflows to 0: no scaling in n to check")
+        spread = (max(top) - min(top)) / min(top)
+        slope = fit_scaling(dims, full).slope
+        yield ReportRow(
+            config.experiment, dims[-1], h, "singletons", "w2sq-marginal-max-spread",
+            spread, bound=0.05, theorem="dimension-free", valid=spread < 0.05,
+        )
+        yield ReportRow(
+            config.experiment, dims[-1], h, "full", "w2sq-full-slope",
+            slope, bound=1.0, theorem="dimension-free", valid=abs(slope - 1.0) <= 0.05,
+        )
 
 
-def _exp_bound_vs_truth(config: ExperimentConfig) -> Iterator[ReportRow]:
+def _sparse_poly_setup(config: ExperimentConfig, gamma: float, p: float):
+    """Build the target on one n (8 by default) and its graph, and yield the row of
+    the polynomial growth certificate (c from the options, exponent p).  Returns
+    (n, target, graph, panel, sparse-poly report); invalid constants raise."""
     n = _single(config, "dims", 8)
     tgt = _target_from_options(n, config)
-    pot = gaussian_potential(tgt.precision)
-    graph = build_graph(pot)
-    cert = GrowthCertificate("polynomial", _option(config, "c"), _option(config, "p"))
+    graph = build_graph(gaussian_potential(tgt.precision))
+    cert = GrowthCertificate("polynomial", _option(config, "c"), p)
     growth = verify_growth(graph, cert)
     yield ReportRow(
         config.experiment, n, None, "vertices", "growth-certificate",
         float(growth.passed), theorem="polynomial", valid=growth.passed,
     )
-    alpha, beta, gamma = tgt.alpha, tgt.beta, _option(config, "gamma")
-    consts = bnd.sparse_poly_constants(alpha, beta, gamma, cert.c, cert.exponent)
+    consts = bnd.sparse_poly_constants(tgt.alpha, tgt.beta, gamma, cert.c, cert.exponent)
     if not consts.valid:
         raise ValueError(f"constants invalid: {consts.reason}")
+    return n, tgt, graph, resolve_panel(graph, config.subsets), consts
+
+
+def _exp_bound_vs_truth(config: ExperimentConfig) -> Iterator[ReportRow]:
+    setup = _sparse_poly_setup(config, _option(config, "gamma"), _option(config, "p"))
+    n, tgt, graph, panel, consts = yield from setup
     C, h_star = consts["C"], consts["h_star"]
     law = tgt.law()
-    panel = resolve_panel(graph, config.subsets)
     h_grid = config.h_values or tuple(h_star * i / 20.0 for i in range(1, 21))
     for h in h_grid:
         law_h = orc.lmc_stationary_law(tgt, h)
@@ -312,11 +334,45 @@ def _exp_bound_vs_truth(config: ExperimentConfig) -> Iterator[ReportRow]:
                 kl, bound=kl_bound, theorem="sparse-poly", valid=kl <= kl_bound,
             )
             w2 = orc.w2sq_gaussian(*pair)
-            tal = (2.0 / alpha) * kl
+            tal = (2.0 / tgt.alpha) * kl
             yield ReportRow(
                 config.experiment, n, h, _subset_label(u), "w2sq-marginal",
                 w2, bound=tal, theorem="talagrand", valid=w2 <= tal + 1e-12,
             )
+
+
+def _exp_certified_trajectory(config: ExperimentConfig) -> Iterator[ReportRow]:
+    """Exact transient KL <= certified curve <= dynamic envelope, with p = gamma = 1."""
+    n, tgt, graph, panel, consts = yield from _sparse_poly_setup(config, 1.0, 1.0)
+    c, k_max = _option(config, "c"), _option(config, "k")
+    params = SparseParams(tgt.alpha, tgt.beta, 1.0, c, p=1.0)
+    envelope = dict(alpha=tgt.alpha, beta=tgt.beta, gamma=1.0, c=c, p=1.0)
+    law = tgt.law()
+    law0 = orc.GaussianLaw(np.zeros(n), _option(config, "cov0_scale") * law.cov)
+    # H0(w) = C0 |w| dominates the start's marginal KL on every w a curve reads
+    chains = {w for u in panel for w in graph.chain(mask_from(u))}
+    C0 = max(_marginal_kl(law0, law, indices_from(w)) / size(w) for w in chains)
+    H0 = SubsetFunction(lambda m: C0 * size(m), "c0-size")
+    for h in config.h_values or (consts["h_star"] / 2.0,):
+        curves = [certified_entropy_curve("sparse", params, graph, H0, h, k_max, u) for u in panel]
+        laws = (law0 if k == 0 else orc.lmc_transient_law(tgt, h, k, law0)
+                for k in range(k_max + 1))
+        exact = [[_marginal_kl(law_k, law, u) for u in panel] for law_k in laws]
+        for i, (u, curve) in enumerate(zip(panel, curves)):
+            for k, bound in enumerate(curve.tolist()):
+                dyn = bnd.dynamic_bound("sparse-dyn-poly", envelope, k, h, len(u), C0)
+                if not dyn.valid:
+                    raise ValueError(dyn.reason)
+                yield ReportRow(
+                    config.experiment, n, h, _subset_label(u), "kl-transient",
+                    exact[k][i], bound=bound, theorem="certified-curve",
+                    valid=exact[k][i] <= bound + 1e-12,
+                )
+                yield ReportRow(
+                    config.experiment, n, h, _subset_label(u), "certified-curve",
+                    bound, bound=dyn["bound_value"], theorem="sparse-dyn-poly",
+                    valid=bound <= dyn["bound_value"] + 1e-12,
+                )
 
 
 def _exp_subadditivity(config: ExperimentConfig) -> Iterator[ReportRow]:
@@ -339,27 +395,22 @@ def _exp_continuous_time(config: ExperimentConfig) -> Iterator[ReportRow]:
     if config.h_values:
         raise ValueError(f"continuous-time takes no h_values, got {list(config.h_values)}")
     tgt = _target_from_options(n, config)
-    pot = gaussian_potential(tgt.precision)
-    graph = build_graph(pot)
+    graph = build_graph(gaussian_potential(tgt.precision))
     alpha, beta, gamma = tgt.alpha, tgt.beta, _option(config, "gamma")
     law = tgt.law()
     law0 = orc.GaussianLaw(np.zeros(n), _option(config, "cov0_scale") * law.cov)
-
-    H0 = SubsetFunction(
-        lambda m: orc.kl_gaussian(
-            orc.marginal(law0, indices_from(m)), orc.marginal(law, indices_from(m))
-        ),
-        "initial-kl",
-    )
+    H0 = SubsetFunction(lambda m: _marginal_kl(law0, law, indices_from(m)), "initial-kl")
     panel = resolve_panel(graph, config.subsets)
     laws = [(t, orc.ou_law(tgt, t, law0)) for t in _option(config, "times")]
     for eps in _option(config, "eps"):
         for t, law_t in laws:
             for u in panel:
-                exact = orc.kl_gaussian(orc.marginal(law_t, u), orc.marginal(law, u))
+                exact = _marginal_kl(law_t, law, u)
                 rep = bnd.continuous_time_bound(
                     graph, mask_from(u), t, eps, alpha, beta, gamma, H0=H0
                 )
+                if not rep.valid:
+                    raise ValueError(rep.reason)
                 yield ReportRow(
                     config.experiment, n, None, _subset_label(u), f"kl-t={t}-eps={eps}",
                     exact, bound=rep["bound_value"], theorem="continuous-time",
@@ -517,6 +568,7 @@ def delocalization_failure_demo(
 EXPERIMENTS = {
     "gaussian-scaling": _exp_gaussian_scaling,
     "bound-vs-truth": _exp_bound_vs_truth,
+    "certified-trajectory": _exp_certified_trajectory,
     "subadditivity": _exp_subadditivity,
     "continuous-time": _exp_continuous_time,
     "onestep-linf": _exp_onestep_linf,
@@ -528,6 +580,7 @@ _TARGET = {"precision": None, "diag": 2.0, "off": -0.5}
 _OPTIONS = {  # each experiment's option keys and their defaults, read by _option
     "gaussian-scaling": _TARGET,
     "bound-vs-truth": {**_TARGET, "c": 3.0, "p": 1.0, "gamma": 1.0},
+    "certified-trajectory": {**_TARGET, "c": 3.0, "cov0_scale": 2.0, "k": 200},
     "subadditivity": {**_TARGET, "tol": 1e-9},
     "continuous-time": {**_TARGET, "gamma": 1.0, "cov0_scale": 2.0, "eps": (0.25, 0.5, 0.9),
                         "times": (0.1, 0.5, 1.0, 2.0)},

@@ -267,9 +267,6 @@ class SparseParams:
         theorem = "sparse-poly" if self.mode == "polynomial" else "sparse-exp"
         return theorem_constants(theorem, vars(self))
 
-    def resolved_epsilon(self) -> float:
-        return _resolve(self.constants(), self.epsilon)[1]
-
     def h_star(self) -> float:
         return _resolve(self.constants(), self.epsilon)[0]
 
@@ -289,9 +286,6 @@ class WeakParams:
     def constants(self, M0: float, M1: float, R1: float) -> BoundReport:
         """Report of the weak theorem (bounds.weak_constants)."""
         return theorem_constants("weak", {**vars(self), "M0": M0, "M1": M1, "R1": R1})
-
-    def resolved_epsilon(self, M0: float, M1: float, R1: float) -> float:
-        return _resolve(self.constants(M0, M1, R1), self.epsilon)[1]
 
     def h_star(self, M0: float, M1: float, R1: float) -> float:
         return _resolve(self.constants(M0, M1, R1), self.epsilon)[0]

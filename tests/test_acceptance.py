@@ -20,7 +20,7 @@ from deloc.graph import InteractionGraph, build_graph
 from deloc.harness import (
     ExperimentConfig,
     delocalization_failure_demo,
-    fit_scaling_rows,
+    fit_scaling,
     run_experiment,
 )
 from deloc.potential import gaussian_potential, tridiagonal_precision
@@ -42,14 +42,14 @@ def gate(name: str, ok: bool, detail: str) -> None:
 
 def test_acceptance_marginal_bias_is_dimension_free():
     t0 = time.monotonic()
-    rep = run_experiment(
-        ExperimentConfig("gaussian-scaling", dims=(16, 64, 256), h_values=(0.01,))
-    )
-    tops = [rep.select(metric="w2sq-marginal-max", n=n)[0].value for n in (16, 64, 256)]
+    dims = (16, 64, 256)
+    rep = run_experiment(ExperimentConfig("gaussian-scaling", dims=dims, h_values=(0.01,)))
+    tops = [rep.select(metric="w2sq-marginal-max", n=n)[0].value for n in dims]
+    fulls = [rep.select(metric="w2sq-full", n=n)[0].value for n in dims]
     spread = (max(tops) - min(tops)) / min(tops)
-    fit = fit_scaling_rows(rep, "w2sq-full")
+    fit = fit_scaling(dims, fulls)
     el = time.monotonic() - t0
-    ok = spread < 0.05 and abs(fit.slope - 1.0) <= 0.05 and el < 10.0
+    ok = not rep.failures() and spread < 0.05 and abs(fit.slope - 1.0) <= 0.05 and el < 10.0
     gate(
         "dimension-free marginal bias",
         ok,

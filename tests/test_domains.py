@@ -32,6 +32,7 @@ H0 = hie.SubsetFunction.size()
 A = tridiagonal_precision(3)
 LAW0 = orc.GaussianLaw(np.zeros(3), np.eye(3))
 WEAK_DYN = dict(alpha=1.0, gamma=1.0, M0=2.0, M1=3.0, R1=0.25)
+SPARSE_DYN = dict(alpha=1.0, beta=2.0, gamma=1.0, c=1.0, p=2.0)
 CLOUD = np.random.default_rng(0).standard_normal((8, 2))
 
 
@@ -70,6 +71,16 @@ ENTRY_POINTS = [
      lambda v: bnd.sparse_exp_constants(1.0, v, 1.0, 1.0, 1.0), 1.4, 1e200, 0),
     ("weak_constants finite eta",
      lambda v: bnd.weak_constants(v, 1.0, 1.0, 1.0, 0.0), 1.2, 1e-200, 0),
+    # a bound or envelope that overflows: (4 beta / alpha)**2, k h with a huge k, C0 |u|
+    ("onestep_linf_bound finite bound",
+     lambda v: bnd.onestep_linf_bound(v, 0.0, 1e200, 1e-201, 2), 1e199, 1.0, 0),
+    ("dynamic_bound finite envelope k",
+     lambda v: bnd.dynamic_bound("sparse-dyn-poly", SPARSE_DYN, v, 0.01, 1, 1.0), 1, 10**300, 1),
+    ("dynamic_bound finite envelope C0",
+     lambda v: bnd.dynamic_bound("weak-dyn", WEAK_DYN, 3, 1e-3, 10, v), 1.2, 1e308, 0),
+    ("continuous_time_bound finite bound",
+     lambda v: bnd.continuous_time_bound(GRAPH, (1,), 0.5, 0.5, 1.0, 2.0, 1.0, C0=v),
+     1.2, 1e308, 0),
     ("onestep_linf_bound h", lambda v: bnd.onestep_linf_bound(1.0, 0.5, 2.0, v, 4), 0.1, 0.0, 0),
     ("onestep_linf_bound n", lambda v: bnd.onestep_linf_bound(1.0, 0.5, 2.0, 0.1, v), 2, 0, 1),
     ("dynamic_bound k",

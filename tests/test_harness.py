@@ -12,7 +12,7 @@ import pytest
 import deloc
 from deloc.bounds import dynamic_bound, weak_constants
 from deloc import oracle as orc
-from deloc.cli import main
+from deloc.cli import _emit, main
 from deloc.graph import InteractionGraph, build_graph
 from deloc.harness import (
     CSV_COLUMNS,
@@ -24,7 +24,6 @@ from deloc.harness import (
     config_from_dict,
     delocalization_failure_demo,
     fit_scaling,
-    fit_scaling_rows,
     resolve_panel,
     run_experiment,
 )
@@ -36,8 +35,13 @@ from deloc.hierarchy import (
     certified_entropy_curve,
     semigroup_weak,
 )
-from deloc.potential import load_potential, potential_from_dict, tridiagonal_precision
-from deloc.subsets import mask_from
+from deloc.potential import (
+    gaussian_potential,
+    load_potential,
+    potential_from_dict,
+    tridiagonal_precision,
+)
+from deloc.subsets import indices_from, mask_from, size
 
 
 def path_graph(n):
@@ -234,14 +238,79 @@ def test_gaussian_scaling_structure_and_slope():
     rep = run_experiment(
         ExperimentConfig(experiment="gaussian-scaling", dims=(4, 8, 16), h_values=(0.01,))
     )
-    assert len(rep.rows) == (4 + 2) + (8 + 2) + (16 + 2)
+    assert len(rep.rows) == (4 + 2) + (8 + 2) + (16 + 2) + 2
     for n in (4, 8, 16):
         per = [r.value for r in rep.select(metric="w2sq-marginal", n=n)]
         top = rep.select(metric="w2sq-marginal-max", n=n)[0].value
         assert top == max(per)
-    fit = fit_scaling_rows(rep, "w2sq-full")
+    fit = fit_scaling((4, 8, 16), [r.value for r in rep.select(metric="w2sq-full")])
     assert 0.9 < fit.slope < 1.1  # full-law bias is extensive in n
     assert fit.r2 > 0.999
+    assert not rep.failures()
+
+
+def test_gaussian_scaling_reports_its_check_per_h():
+    """After every per-n row: the max-marginal spread and the full-bias slope, per h."""
+    dims, hs = (16, 64, 256), (0.01, 0.05)
+    rep = run_experiment(ExperimentConfig("gaussian-scaling", dims=dims, h_values=hs))
+    summary = rep.rows[-4:]
+    assert [(r.metric, r.h) for r in summary] == [
+        ("w2sq-marginal-max-spread", 0.01), ("w2sq-full-slope", 0.01),
+        ("w2sq-marginal-max-spread", 0.05), ("w2sq-full-slope", 0.05),
+    ]
+    for spread, slope, h in (summary[:2] + [0.01], summary[2:] + [0.05]):
+        tops = [r.value for r in rep.select(metric="w2sq-marginal-max") if r.h == h]
+        fulls = [r.value for r in rep.select(metric="w2sq-full") if r.h == h]
+        assert spread.value == (max(tops) - min(tops)) / min(tops) and spread.bound == 0.05
+        assert slope.value == fit_scaling(dims, fulls).slope and slope.bound == 1.0
+        assert spread.valid is (spread.value < 0.05)
+        assert slope.valid is (abs(slope.value - 1.0) <= 0.05)
+        assert {spread.n, slope.n} == {256}
+    assert not rep.failures()
+    # one n gives no summary; at n = 1, 2 each check can fail on its own
+    one = run_experiment(ExperimentConfig("gaussian-scaling", dims=(8,), h_values=(0.01,)))
+    assert [r.metric for r in one.rows[-2:]] == ["w2sq-marginal-max", "w2sq-full"]
+    for h, failed in ((0.01, "w2sq-marginal-max-spread"), (0.3, "w2sq-full-slope")):
+        small = run_experiment(ExperimentConfig("gaussian-scaling", dims=(1, 2), h_values=(h,)))
+        assert [r.metric for r in small.failures()] == [failed]
+    # below float resolution the bias is 0 and there is nothing to fit
+    with pytest.raises(ValueError, match="the bias at h=1e-17 underflows to 0"):
+        run_experiment(ExperimentConfig("gaussian-scaling", dims=(4, 8), h_values=(1e-17,)))
+
+
+def test_certified_trajectory_rows_start_and_h_star(tmp_path, capsys):
+    """2 rows per (h, u, k) after the growth row; at k = 0 the exact KL of the start
+    law under the curve's start C0 |u|; an h above h* is a valid=false run."""
+    n, k = 5, 4
+    panel = [[0], [2], [1, 2]]
+    cfg = ExperimentConfig("certified-trajectory", dims=(n,), h_values=(0.002, 0.004),
+                           subsets=panel, options={"k": k, "cov0_scale": 3.0})
+    rep = run_experiment(cfg)
+    assert len(rep.rows) == 2 * len(panel) * 2 * (k + 1) + 1
+    assert rep.rows[0].metric == "growth-certificate" and not rep.failures()
+    assert [r.metric for r in rep.rows[1:5]] == ["kl-transient", "certified-curve"] * 2
+
+    tgt = orc.GaussianTarget(tridiagonal_precision(n))
+    law = tgt.law()
+    law0 = orc.GaussianLaw(np.zeros(n), 3.0 * law.cov)
+    graph = build_graph(gaussian_potential(tgt.precision))
+    chains = {w for u in panel for w in graph.chain(mask_from(u))}
+    C0 = max(
+        orc.kl_gaussian(orc.marginal(law0, indices_from(w)), orc.marginal(law, indices_from(w)))
+        / size(w)
+        for w in chains
+    )
+    starts = rep.select(metric="kl-transient")[:: k + 1]
+    assert [r.subset for r in starts] == ["0", "2", "1|2"] * 2
+    for r, u in zip(starts, panel * 2):
+        assert r.value == orc.kl_gaussian(orc.marginal(law0, u), orc.marginal(law, u))
+        assert r.bound == C0 * len(u)
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "certified-trajectory", "h_values": [0.1]}))
+    rc = main(["run", str(path)])
+    payload = cli_json(capsys)
+    assert rc == 2 and payload["valid"] is False and "exceeds h*" in payload["reason"]
 
 
 def test_bound_vs_truth_no_violations_at_smoke_scale():
@@ -456,9 +525,23 @@ def test_cli_run_reports_divergence_with_exit_2(tmp_path, capsys):
     assert float(row[5]) >= 1 and row[-1] == "false"
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_cli_run_reports_an_overflowing_continuous_time_bound(tmp_path, capsys):
+    # a start law so wide that its KL overflows to inf (numpy warns), and so does the bound
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"experiment": "continuous-time", "dims": [3], "options": {"cov0_scale": 1e308}}
+    ))
+    rc = main(["run", str(cfg)])
+    payload = cli_json(capsys)
+    assert rc == 2 and payload["valid"] is False
+    assert payload["reason"].startswith("the bound overflows at u=1")
+
+
 TINY_CONFIGS = {
     "gaussian-scaling": {"dims": [3, 4], "h_values": [0.01]},
     "bound-vs-truth": {"dims": [3], "h_values": [0.01], "subsets": "singletons"},
+    "certified-trajectory": {"dims": [3], "options": {"k": 3}},
     "subadditivity": {"dims": [3]},
     "continuous-time": {
         "dims": [3], "subsets": "singletons", "options": {"eps": [0.5], "times": [0.5]}
@@ -506,6 +589,10 @@ def test_cli_run_every_experiment_prints_json(experiment, tmp_path, capsys):
          "unknown config 'options' keys ['soft']"),
         ({"experiment": "continuous-time", "dims": [3], "h_values": [0.01]},
          "continuous-time takes no h_values, got [0.01]"),
+        ({"experiment": "certified-trajectory", "dims": [3],
+          "options": {"c": 10.0, "cov0_scale": 5e307, "k": 1}},
+         "transient must be a number, got inf"),
+        ({"experiment": "certified-trajectory", "h_values": [0.1]}, "exceeds h*"),
         ({"experiment": "gaussian-scaling", "dims": [0]}, "'dims' entries must be integers >= 1"),
         ({"experiment": "gaussian-scaling", "h_values": [-0.1]},
          "'h_values' entries must be numbers > 0"),
@@ -614,6 +701,21 @@ def test_readme_potential_example_loads_and_validates(tmp_path, capsys):
     payload = cli_json(capsys)
     assert rc == 0 and payload["valid"] is True
     assert (payload["n"], payload["terms"]) == (pot.n, len(pot.terms))
+
+
+def test_readme_studies_run_clean(tmp_path, capsys):
+    """Every JSON config under the README's Studies heading runs with no failed row."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Studies", 1)[1].split("\n### ", 1)[0]
+    blocks = [b.split("```", 1)[0] for b in section.split("```json")[1:]]
+    experiments = [json.loads(b)["experiment"] for b in blocks]
+    assert experiments == ["gaussian-scaling", "delocalization-failure", "certified-trajectory"]
+    for i, block in enumerate(blocks):
+        path = tmp_path / f"study{i}.json"
+        path.write_text(block)
+        rc = main(["run", str(path)])
+        payload = cli_json(capsys)
+        assert (rc, payload["failures"]) == (0, 0), payload
 
 
 UNLOADABLE_POTENTIALS = [
@@ -743,11 +845,11 @@ def test_cli_prints_strict_json_only(capsys):
     payload = cli_json(capsys)
     assert rc == 2 and payload["valid"] is False and payload["outputs"] == {}
     assert payload["reason"].startswith("C must be a number, got inf at alpha=1.0")
-    # an envelope C0 |u| e^{-tau k h} that overflows to inf is caught by the printer
+    # so does an envelope C0 |u| e^{-tau k h} that overflows to inf
     rc = main(["bounds", "weak-dyn", "--C0", "1e308", "--usize", "10"])
     payload = cli_json(capsys)
-    assert rc == 2 and payload["valid"] is False
-    assert "not JSON compliant" in payload["reason"]
+    assert rc == 2 and payload["valid"] is False and payload["outputs"] == {}
+    assert payload["reason"].startswith("transient must be a number, got inf at theorem='weak-dyn'")
     # without a gap alpha - alpha0 the one-step bound has no value
     rc = main(["bounds", "onestep-linf", "--alpha", "1", "--alpha0", "1", "--beta", "2"])
     payload = cli_json(capsys)
@@ -758,6 +860,13 @@ def test_cli_prints_strict_json_only(capsys):
     payload = cli_json(capsys)
     assert rc == 2 and payload["reason"] == "h must be a number > 0, got -1.0"
     assert "transient" not in payload["outputs"]
+
+
+def test_printer_refuses_nan_and_infinity(capsys):
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _emit({"valid": True, "outputs": {"bound_value": bad}})
+        assert capsys.readouterr().out == ""
 
 
 def test_experiment_ignores_the_config_fields_it_does_not_read():

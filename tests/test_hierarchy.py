@@ -287,6 +287,9 @@ def test_public_names_resolve():
         (deloc.hierarchy, "apply_n_weak"),
         (deloc.hierarchy, "commutation_residual_sparse"),
         (deloc.hierarchy, "commutation_residual_weak"),
+        (deloc.SparseParams, "resolved_epsilon"),
+        (deloc.WeakParams, "resolved_epsilon"),
+        (deloc.harness, "fit_scaling_rows"),
     ):
         assert not hasattr(owner, name)
         assert not hasattr(deloc, name)
@@ -379,15 +382,17 @@ def test_sparse_params_validation():
 
 def test_sparse_params_epsilon_and_h_star_match_constants():
     poly = SparseParams(1.0, 1.3, 0.8, 3.0, p=1.0)
-    assert poly.resolved_epsilon() == 0.5
+    assert hierarchy._resolve(poly.constants(), poly.epsilon)[1] == 0.5
     assert poly.h_star() == sparse_poly_constants(1.0, 1.3, 0.8, 3.0, 1.0)["h_star"]
 
     ex = SparseParams(1.0, 1.0, 1.0, 1.0, r=1.5)
-    assert ex.resolved_epsilon() == pytest.approx(0.75)  # midpoint toward 1
+    # midpoint toward 1
+    assert hierarchy._resolve(ex.constants(), ex.epsilon)[1] == pytest.approx(0.75)
     assert ex.h_star() == sparse_exp_constants(1.0, 1.0, 1.0, 1.0, 1.5)["h_star"]
 
     with pytest.raises(ValueError):
-        SparseParams(1.0, 1.0, 1.0, 1.0, r=2.0).resolved_epsilon()
+        bad = SparseParams(1.0, 1.0, 1.0, 1.0, r=2.0)
+        hierarchy._resolve(bad.constants(), bad.epsilon)[1]
     with pytest.raises(ValueError):
         SparseParams(1.0, 1.0, 1.0, 1.0, r=3.0).h_star()
 
@@ -398,10 +403,12 @@ def test_weak_params_validation_and_h_star():
     with pytest.raises(ValueError):
         WeakParams(1.0, 1.0, epsilon=0.0)
     wp = WeakParams(2.0, 1.0)
-    assert wp.resolved_epsilon(1.0, 2.0, 1.0) == pytest.approx(0.5 + 1.0 / 8.0)
+    eps = hierarchy._resolve(wp.constants(1.0, 2.0, 1.0), wp.epsilon)[1]
+    assert eps == pytest.approx(0.5 + 1.0 / 8.0)
     assert wp.h_star(1.0, 2.0, 1.0) == weak_constants(2.0, 1.0, 1.0, 2.0, 1.0)["h_star"]
     with pytest.raises(ValueError):
-        WeakParams(1.0, 1.0).resolved_epsilon(2.0, 3.0, 1.0)  # gamma M0 R1 >= alpha^2
+        bad = WeakParams(1.0, 1.0)  # gamma M0 R1 >= alpha^2
+        hierarchy._resolve(bad.constants(2.0, 3.0, 1.0), bad.epsilon)[1]
     with pytest.raises(ValueError):
         WeakParams(1.0, 1.0).h_star(2.0, 3.0, 1.0)
 
@@ -410,9 +417,11 @@ def test_default_epsilon_is_one_minus_half_eta():
     # the midpoint of (1 - eta, 1), with the eta of the matching theorem
     ex = SparseParams(1.0, 1.2, 0.7, 2.0, r=1.3)
     eta = sparse_exp_constants(1.0, 1.2, 0.7, 2.0, 1.3)["eta"]
-    assert ex.resolved_epsilon() == pytest.approx(1.0 - eta / 2.0, rel=1e-15, abs=0)
+    eps = hierarchy._resolve(ex.constants(), ex.epsilon)[1]
+    assert eps == pytest.approx(1.0 - eta / 2.0, rel=1e-15, abs=0)
     eta = weak_constants(2.0, 0.6, 1.5, 2.5, 0.8)["eta"]
-    eps = WeakParams(2.0, 0.6).resolved_epsilon(1.5, 2.5, 0.8)
+    wp = WeakParams(2.0, 0.6)
+    eps = hierarchy._resolve(wp.constants(1.5, 2.5, 0.8), wp.epsilon)[1]
     assert eps == pytest.approx(1.0 - eta / 2.0, rel=1e-15, abs=0)
 
 
@@ -452,7 +461,7 @@ def test_certified_sparse_matches_dense_operator_reference(params):
     H0 = SubsetFunction(lambda m: C0 * size(m))
     curve = certified_entropy_curve("sparse", params, g, H0, h, k_max, u)
 
-    eps = params.resolved_epsilon()
+    eps = hierarchy._resolve(params.constants(), params.epsilon)[1]
     lam = gamma * beta**2 / (alpha * eps)
     nmask = 1 << n
     N1 = np.zeros((nmask, nmask))
@@ -493,7 +502,7 @@ def test_certified_weak_matches_dense_operator_reference():
     H0 = SubsetFunction(lambda m: 0.7 * size(m))
     curve = certified_entropy_curve("weak", params, weights, H0, h, k_max, u)
 
-    eps = params.resolved_epsilon(M0, M1, R1)
+    eps = hierarchy._resolve(params.constants(M0, M1, R1), params.epsilon)[1]
     rate_factor = gamma * M0 / (alpha * eps)
     u_mask = mask_from(u)
     states, index, Q = weak_lattice_reference(weights, rate_factor, u_mask, True)
