@@ -179,9 +179,9 @@ def onestep_linf_bound(
     for h <= 1/beta.  Marginals of size |u| carry the extra |u| factor."""
     _check(n, "positive-integer", "n")
     inputs = dict(alpha=alpha, alpha0=alpha0, beta=beta, h=h, n=n, usize=usize)
-    reason = _flaw(inputs, h="positive")
-    if not (beta > alpha > alpha0 >= 0):
-        reason = f"need beta > alpha > alpha0 >= 0, got beta={beta}, alpha={alpha}, alpha0={alpha0}"
+    reason = _flaw(inputs, alpha="positive", alpha0="non-negative", beta="positive", h="positive")
+    if not reason and not beta > alpha > alpha0:
+        reason = f"need beta > alpha > alpha0, got beta={beta}, alpha={alpha}, alpha0={alpha0}"
     elif not reason and h > 1.0 / beta:
         reason = f"h={h} exceeds 1/beta = {1.0 / beta}"
 

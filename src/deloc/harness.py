@@ -420,8 +420,9 @@ def _exp_continuous_time(config: ExperimentConfig) -> Iterator[ReportRow]:
 
 def _exp_onestep_linf(config: ExperimentConfig) -> Iterator[ReportRow]:
     m = _option(config, "samples")
-    # each bootstrap replicate re-solves a full m x m assignment (~2 s at
-    # m = 2048), so the default replicate count stays small
+    # each bootstrap replicate re-solves a full m x m assignment (~0.65 s at
+    # m = 2048; a call with 10 replicates takes 4.5-6.2 s on 2 CPUs), so the
+    # default replicate count stays small
     n_boot = _option(config, "n_boot")
     counter = 0
     for n in config.dims or (4, 8):

@@ -8,13 +8,19 @@ equal-size clouds, under squared-l2 or squared-linf ground cost.
 Standard errors come from a bootstrap (default 200 resamples): the 1D
 estimator resamples both sides and re-sorts, so the variability of the
 coupling itself is captured; the assignment estimator re-solves on
-index-resampled clouds.
+index-resampled clouds.  Its replicate indices are drawn serially from the
+caller's generator, in one fixed order, and the full-sample assignment and
+every replicate are then solved concurrently on the CPUs the process may
+use; the solver releases the GIL, and the values do not depend on the
+number of CPUs.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,6 +109,12 @@ def _cost_matrix(a: np.ndarray, b: np.ndarray, norm: str) -> np.ndarray:
     raise ValueError(f"unknown ground norm {norm!r} (use 'l2' or 'linf')")
 
 
+def _assignment_cost(cost: np.ndarray) -> float:
+    """Mean matched cost of the optimal assignment on a square cost matrix."""
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].mean())
+
+
 def w2sq_assignment(
     a, b, norm: str = "l2", n_boot: int = DEFAULT_BOOTSTRAP, rng=None
 ) -> DistanceEstimate:
@@ -138,19 +150,18 @@ def w2sq_assignment(
         b = b[rng.choice(b.shape[0], size=m, replace=False)]
     metric = "w2sq" if norm == "l2" else "w2sq-linf"
     cost = _cost_matrix(a, b, norm)
-    rows, cols = linear_sum_assignment(cost)
-    value = float(cost[rows, cols].mean())
-    if n_boot > 0:
-        boots = np.empty(n_boot)
-        for t in range(n_boot):
-            ia = rng.integers(0, m, size=m)
-            ib = rng.integers(0, m, size=m)
-            sub = cost[np.ix_(ia, ib)]
-            r, c = linear_sum_assignment(sub)
-            boots[t] = sub[r, c].mean()
-        se = float(boots.std(ddof=1))
-    else:
-        se = float("nan")
+    # every replicate's indices first, in the serial order (ia, then ib), so
+    # the estimates and the generator's state do not depend on the solve order
+    draws = [(rng.integers(0, m, size=m), rng.integers(0, m, size=m)) for _ in range(n_boot)]
+
+    def solve(draw):
+        # a replicate's submatrix is built in its worker: at most one per worker is alive
+        return _assignment_cost(cost if draw is None else cost[np.ix_(*draw)])
+
+    with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
+        entries = list(pool.map(solve, [None, *draws]))
+    value = entries[0]
+    se = float(np.std(entries[1:], ddof=1)) if n_boot > 0 else float("nan")
     return DistanceEstimate(value, metric, (a.shape[0], b.shape[0]), se, "assignment")
 
 

@@ -17,6 +17,7 @@ W_{2,linf} between Gaussians has no closed form; the metrics module estimates it
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -258,16 +259,24 @@ def w2sq_gaussian(law1: GaussianLaw, law2: GaussianLaw) -> float:
 def kl_gaussian(law1: GaussianLaw, law2: GaussianLaw) -> float:
     """KL(law1 || law2) for Gaussians:
     (tr(S2^{-1} S1) - k + (m2-m1)' S2^{-1} (m2-m1) + lndet S2 - lndet S1) / 2,
-    each term from the Cholesky factors L1, L2."""
+    each term from the Cholesky factors L1, L2.  A KL that overflows is a
+    ValueError."""
     if law1.dim != law2.dim:
         raise ValueError(f"dimension mismatch: {law1.dim} vs {law2.dim}")
     k = law1.dim
     L1, L2 = law1.chol, law2.chol
-    tr = float(np.sum(solve_triangular(L2, L1, lower=True) ** 2))
-    z = solve_triangular(L2, law2.mean - law1.mean, lower=True)
+    with np.errstate(over="ignore"):
+        tr = float(np.sum(solve_triangular(L2, L1, lower=True) ** 2))
+        z = solve_triangular(L2, law2.mean - law1.mean, lower=True)
+        zz = float(z @ z)
     ld1 = 2.0 * float(np.sum(np.log(np.diag(L1))))
     ld2 = 2.0 * float(np.sum(np.log(np.diag(L2))))
-    val = 0.5 * (tr - k + float(z @ z) + ld2 - ld1)
+    val = 0.5 * (tr - k + zz + ld2 - ld1)
+    if not math.isfinite(val):
+        raise ValueError(
+            f"the KL divergence of two {k}-dim Gaussian laws overflows: "
+            f"trace term {tr}, mean term {zz}"
+        )
     return max(val, 0.0)
 
 

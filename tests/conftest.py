@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 from deloc.subsets import as_mask
 
@@ -123,6 +125,31 @@ def assert_same_potential(a, b):
         assert (s.matrix is None) == (t.matrix is None)
         if s.matrix is not None:
             assert s.matrix.tobytes() == t.matrix.tobytes()
+
+
+def serial_w2sq_assignment(a, b, norm, n_boot, rng):
+    """(value, SE) of the assignment estimator, solved one replicate after
+    another: the larger cloud subsampled without replacement, then for each
+    replicate ia, ib drawn and the resampled cost matrix solved."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    m = min(a.shape[0], b.shape[0])
+    if a.shape[0] > m:
+        a = a[rng.choice(a.shape[0], size=m, replace=False)]
+    if b.shape[0] > m:
+        b = b[rng.choice(b.shape[0], size=m, replace=False)]
+    cost = cdist(a, b, "sqeuclidean") if norm == "l2" else cdist(a, b, "chebyshev") ** 2
+    rows, cols = linear_sum_assignment(cost)
+    value = float(cost[rows, cols].mean())
+    if n_boot == 0:
+        return value, float("nan")
+    boots = np.empty(n_boot)
+    for t in range(n_boot):
+        ia = rng.integers(0, m, size=m)
+        ib = rng.integers(0, m, size=m)
+        sub = cost[np.ix_(ia, ib)]
+        r, c = linear_sum_assignment(sub)
+        boots[t] = sub[r, c].mean()
+    return value, float(boots.std(ddof=1))
 
 
 def random_spd(rng, n, cond_max=50.0):

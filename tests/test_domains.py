@@ -81,6 +81,12 @@ ENTRY_POINTS = [
     ("continuous_time_bound finite bound",
      lambda v: bnd.continuous_time_bound(GRAPH, (1,), 0.5, 0.5, 1.0, 2.0, 1.0, C0=v),
      1.2, 1e308, 0),
+    ("onestep_linf_bound alpha",
+     lambda v: bnd.onestep_linf_bound(v, 0.5, 2.0, 0.1, 4), 1.0, 0.0, 0),
+    ("onestep_linf_bound alpha0",
+     lambda v: bnd.onestep_linf_bound(1.0, v, 2.0, 0.1, 4), 0.5, -0.5, 0),
+    ("onestep_linf_bound beta",
+     lambda v: bnd.onestep_linf_bound(1.0, 0.5, v, 0.1, 4), 2.0, 0.0, 0),
     ("onestep_linf_bound h", lambda v: bnd.onestep_linf_bound(1.0, 0.5, 2.0, v, 4), 0.1, 0.0, 0),
     ("onestep_linf_bound n", lambda v: bnd.onestep_linf_bound(1.0, 0.5, 2.0, 0.1, v), 2, 0, 1),
     ("dynamic_bound k",

@@ -525,17 +525,17 @@ def test_cli_run_reports_divergence_with_exit_2(tmp_path, capsys):
     assert float(row[5]) >= 1 and row[-1] == "false"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_cli_run_reports_an_overflowing_continuous_time_bound(tmp_path, capsys):
-    # a start law so wide that its KL overflows to inf (numpy warns), and so does the bound
+@pytest.mark.parametrize("experiment", ["continuous-time", "certified-trajectory"])
+def test_cli_run_reports_an_overflowing_start_law_kl(experiment, tmp_path, capsys):
+    # a start law so wide that its KL to the target overflows: a ValueError, no numpy warning
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(
-        {"experiment": "continuous-time", "dims": [3], "options": {"cov0_scale": 1e308}}
+        {"experiment": experiment, "dims": [3], "options": {"cov0_scale": 1e308}}
     ))
     rc = main(["run", str(cfg)])
     payload = cli_json(capsys)
     assert rc == 2 and payload["valid"] is False
-    assert payload["reason"].startswith("the bound overflows at u=1")
+    assert payload["reason"].startswith("the KL divergence of two 2-dim Gaussian laws overflows")
 
 
 TINY_CONFIGS = {

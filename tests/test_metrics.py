@@ -1,3 +1,7 @@
+import math
+import threading
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +22,8 @@ from deloc.oracle import (
     w2sq_gaussian,
 )
 from deloc.potential import tridiagonal_precision
+
+from conftest import serial_w2sq_assignment
 
 
 def test_w2sq_1d_identical_samples_zero(rng):
@@ -140,6 +146,36 @@ def test_assignment_unequal_sizes_subsample(rng):
     # sizes record what was actually matched after subsampling
     assert est.sample_sizes == (200, 200)
     assert np.isfinite(est.value)
+
+
+@pytest.mark.parametrize("norm", ["l2", "linf"])
+@pytest.mark.parametrize("n_boot", [0, 1, 5])
+def test_assignment_matches_the_serial_reference_bit_for_bit(norm, n_boot):
+    # unequal sizes, so the subsampling draws come before the replicates' draws
+    x = np.random.default_rng(1).standard_normal((70, 3))
+    y = np.random.default_rng(2).standard_normal((90, 3))
+    rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+    # one replicate has no SE: numpy warns on both paths and gives NaN
+    with pytest.warns(RuntimeWarning) if n_boot == 1 else nullcontext():
+        est = w2sq_assignment(x, y, norm=norm, n_boot=n_boot, rng=rng)
+        value, se = serial_w2sq_assignment(x, y, norm, n_boot, ref_rng)
+    assert est.value == value
+    assert est.standard_error == se or math.isnan(est.standard_error) and math.isnan(se)
+    # the generator is left where the serial loop leaves it
+    assert rng.random() == ref_rng.random()
+
+
+def test_assignment_reports_a_nan_in_a_cloud_through_the_pool(rng):
+    x = rng.standard_normal((20, 2))
+    x[3, 1] = np.nan
+    with pytest.raises(ValueError, match="invalid numeric entries"):
+        w2sq_assignment(x, rng.standard_normal((20, 2)), n_boot=4, rng=rng)
+
+
+def test_assignment_leaves_no_worker_thread_behind(rng):
+    before = threading.active_count()
+    w2sq_assignment(rng.standard_normal((30, 2)), rng.standard_normal((30, 2)), n_boot=6, rng=rng)
+    assert threading.active_count() == before
 
 
 def test_assignment_consistent_with_gaussian_truth(rng):

@@ -268,6 +268,16 @@ def test_kl_gaussian_1d_mean_shift():
     assert kl_gaussian(a, b) == pytest.approx(expected, rel=1e-14)
 
 
+def test_kl_gaussian_names_an_overflow():
+    # every term finite, but the trace sum overflows; a far mean overflows z'z
+    wide = GaussianLaw(np.zeros(3), 1e308 * np.eye(3))
+    with pytest.raises(ValueError, match="overflows: trace term inf, mean term 0.0"):
+        kl_gaussian(wide, GaussianLaw(np.zeros(3), np.eye(3)))
+    far = GaussianLaw(np.full(2, 1e200), np.eye(2))
+    with pytest.raises(ValueError, match="trace term 2.0, mean term inf"):
+        kl_gaussian(far, GaussianLaw(np.zeros(2), np.eye(2)))
+
+
 def _w2sq_reference(a, b):
     # Bures formula with the symmetric square root of S2 from eigh
     lam, Q = np.linalg.eigh(b.cov)
