@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, fields
 from typing import Iterator
 
 import numpy as np
+from scipy import sparse
 
 from . import bounds as bnd
 from . import metrics as mtr
@@ -27,7 +28,7 @@ from . import oracle as orc
 from ._json import read
 from .graph import GrowthCertificate, InteractionGraph, build_graph, verify_growth
 from .hierarchy import SparseParams, SubsetFunction, certified_entropy_curve
-from .potential import gaussian_potential, tridiagonal_precision
+from .potential import gaussian_potential
 from .sampler import DivergenceError, SamplerConfig, marginal_samples, run_chain
 from .subsets import indices_from, mask_from, size
 
@@ -232,8 +233,9 @@ def _option(config: ExperimentConfig, key: str):
 
 def _target_from_options(n: int, config: ExperimentConfig) -> orc.GaussianTarget:
     A = _option(config, "precision")
-    if A is None:
-        A = tridiagonal_precision(n, _option(config, "diag"), _option(config, "off"))
+    if A is None:  # CSR, so the target takes the sine basis and forms no n x n array
+        diag, off = _option(config, "diag"), _option(config, "off")
+        A = sparse.diags_array([off, diag, off], offsets=(-1, 0, 1), shape=(n, n), format="csr")
     elif A.shape != (n, n):
         raise ValueError(f"precision shape {A.shape} does not match n={n}")
     return orc.GaussianTarget(A)
@@ -258,9 +260,18 @@ def _singleton_w2(law_h: orc.GaussianLaw, law: orc.GaussianLaw) -> list[float]:
     return ((law_h.mean - law.mean) ** 2 + (sd_h - sd) ** 2).tolist()
 
 
+def _singleton_kl(law_h: orc.GaussianLaw, law: orc.GaussianLaw) -> np.ndarray:
+    """Exact KL(law_h || law) between the coordinate marginals, one per coordinate:
+    in one dimension (r - 1 - log r + (mean difference)^2 / var) / 2, r = var_h / var."""
+    var_h, var = law_h.variances, law.variances
+    x = (var_h - var) / var  # r - 1
+    return 0.5 * (x - np.log1p(x) + (law_h.mean - law.mean) ** 2 / var)
+
+
 def _exp_gaussian_scaling(config: ExperimentConfig) -> Iterator[ReportRow]:
     dims, h_values = config.dims or (16, 64, 256), config.h_values or (0.01,)
-    tops, fulls = [[] for _ in h_values], [[] for _ in h_values]
+    # per h and metric: the per-n max single-coordinate bias and full-vector bias
+    series = [{"w2sq": ([], []), "kl": ([], [])} for _ in h_values]
     for n in dims:
         tgt = _target_from_options(n, config)
         law = tgt.law()
@@ -271,31 +282,37 @@ def _exp_gaussian_scaling(config: ExperimentConfig) -> Iterator[ReportRow]:
                 yield ReportRow(
                     config.experiment, n, h, str(i), "w2sq-marginal", v, theorem="oracle"
                 )
-            tops[j].append(float(np.max(per_coord)))
-            fulls[j].append(orc.w2sq_gaussian(law_h, law))
-            yield ReportRow(
-                config.experiment, n, h, "singletons", "w2sq-marginal-max",
-                tops[j][-1], theorem="oracle",
-            )
-            yield ReportRow(
-                config.experiment, n, h, "full", "w2sq-full", fulls[j][-1], theorem="oracle"
-            )
+            biases = {
+                "w2sq": (float(np.max(per_coord)), orc.w2sq_gaussian(law_h, law)),
+                "kl": (float(np.max(_singleton_kl(law_h, law))), orc.kl_gaussian(law_h, law)),
+            }
+            for metric, (top, full) in biases.items():
+                series[j][metric][0].append(top)
+                series[j][metric][1].append(full)
+                yield ReportRow(
+                    config.experiment, n, h, "singletons", f"{metric}-marginal-max",
+                    top, theorem="oracle",
+                )
+                yield ReportRow(
+                    config.experiment, n, h, "full", f"{metric}-full", full, theorem="oracle"
+                )
     if len(set(dims)) < 2:
         return
     # the claim over n, per h: the max marginal bias is flat, the full bias grows like n
-    for h, top, full in zip(h_values, tops, fulls):
-        if min(top) <= 0.0 or min(full) <= 0.0:
-            raise ValueError(f"the bias at h={h} underflows to 0: no scaling in n to check")
-        spread = (max(top) - min(top)) / min(top)
-        slope = fit_scaling(dims, full).slope
-        yield ReportRow(
-            config.experiment, dims[-1], h, "singletons", "w2sq-marginal-max-spread",
-            spread, bound=0.05, theorem="dimension-free", valid=spread < 0.05,
-        )
-        yield ReportRow(
-            config.experiment, dims[-1], h, "full", "w2sq-full-slope",
-            slope, bound=1.0, theorem="dimension-free", valid=abs(slope - 1.0) <= 0.05,
-        )
+    for h, by_metric in zip(h_values, series):
+        for metric, (top, full) in by_metric.items():
+            if min(top) <= 0.0 or min(full) <= 0.0:
+                raise ValueError(f"the bias at h={h} underflows to 0: no scaling in n to check")
+            spread = (max(top) - min(top)) / min(top)
+            slope = fit_scaling(dims, full).slope
+            yield ReportRow(
+                config.experiment, dims[-1], h, "singletons", f"{metric}-marginal-max-spread",
+                spread, bound=0.05, theorem="dimension-free", valid=spread < 0.05,
+            )
+            yield ReportRow(
+                config.experiment, dims[-1], h, "full", f"{metric}-full-slope",
+                slope, bound=1.0, theorem="dimension-free", valid=abs(slope - 1.0) <= 0.05,
+            )
 
 
 def _sparse_poly_setup(config: ExperimentConfig, gamma: float, p: float):
@@ -424,10 +441,14 @@ def _exp_onestep_linf(config: ExperimentConfig) -> Iterator[ReportRow]:
     # m = 2048; a call with 10 replicates takes 4.5-6.2 s on 2 CPUs), so the
     # default replicate count stays small
     n_boot = _option(config, "n_boot")
+    if n_boot < 2:
+        raise ValueError(
+            f"option 'n_boot' must be an integer >= 2 for a bootstrap SE, got {n_boot}"
+        )
     counter = 0
     for n in config.dims or (4, 8):
         tgt = _target_from_options(n, config)
-        A = tgt.precision
+        A = orc._dense(tgt.precision)
         alpha0 = float(np.max(np.sum(np.abs(A - np.diag(np.diag(A))), axis=1)))
         alpha, beta = tgt.alpha, tgt.beta
         h = _single(config, "h_values", 1.0 / (2.0 * beta))

@@ -4,13 +4,23 @@ For a Gaussian target pi = N(0, A^{-1}) the LMC chain
 x_{k+1} = (I - hA) x_k + sqrt(2h) xi is itself Gaussian, and its stationary
 covariance S = (I - hA) S (I - hA) + 2h I has the closed form
 S = (A (I - hA/2))^{-1}; Smith's doubling iteration is kept as an independent
-oracle for it.  One reader, _precision, checks every A that comes in.
+oracle for it.  One reader, _precision, checks every A that comes in, dense or
+scipy.sparse.
 
 Every law here lives in A's eigenbasis Q.  A stationary covariance is
 Q diag(1/d) Q' with the divisor d = lambda for pi and lambda (1 - h lambda/2)
 for LMC, 0 < h < 2/lambda_max.  A law evolved from x0 ~ law0 is
 E x0 + N(0, S - E S E) with E = Q diag(e) Q', the decay e being exp(-lambda t)
 for the OU process and (1 - h lambda)^k after k LMC steps.
+
+Q is a dense eigh of A, except for a sparse A that is constant tridiagonal
+(a on the diagonal, b beside it).  The discrete sine transform diagonalizes
+that one exactly (Strang, "The discrete cosine transform", SIAM Review 41,
+1999): lambda_k = a + 2b cos(pi k/(n+1)) and Q_ik = sqrt(2/(n+1)) sin(pi i k/(n+1)),
+i, k = 1..n.  Its laws hold no n x n array: variances are one real FFT of 1/d,
+W2 and KL between two of them are sums over their divisors, and a marginal
+reads the sine rows of its coordinates.  Only cov, chol, sample and the evolved
+laws form Q.
 
 W_{2,linf} between Gaussians has no closed form; the metrics module estimates it.
 """
@@ -22,6 +32,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.fft
+from scipy import sparse
 from scipy.linalg import solve_triangular
 
 from ._json import _check
@@ -50,9 +62,10 @@ class GaussianLaw:
     Cholesky factor, on construction; W2, KL and sample reuse it.
 
     A law built from a GaussianTarget is spectral: N(0, Q diag(1/d) Q') with the
-    target's eigenbasis Q and a positive divisor d.  Its `cov`, _sym((Q / d) @ Q'),
-    and then `chol` are formed on first read; until then W2 against a law on the
-    same Q and `variances` work from Q and d."""
+    target's eigenbasis Q (a _DenseBasis or a _SineBasis) and a positive divisor
+    d.  Its `cov`, _sym((Q / d) @ Q'), and then `chol` are formed on first read;
+    until then W2 and KL against a law on the same basis, `variances` and
+    `marginal` work from the basis and d."""
 
     def __init__(self, mean, cov):
         mean = np.atleast_1d(np.asarray(mean, dtype=float))
@@ -73,7 +86,7 @@ class GaussianLaw:
             if not np.isfinite(1.0 / divisor).all():
                 raise ValueError("mean and covariance must be finite")
         law = cls.__new__(cls)
-        vars(law).update(mean=np.zeros(basis.shape[0]), _basis=basis, _divisor=divisor)
+        vars(law).update(mean=np.zeros(basis.n), _basis=basis, _divisor=divisor)
         return law
 
     def __setattr__(self, name, value):
@@ -84,7 +97,8 @@ class GaussianLaw:
 
     @cached_property
     def cov(self) -> np.ndarray:
-        return _sym((self._basis / self._divisor) @ self._basis.T)
+        Q = self._basis.Q
+        return _sym((Q / self._divisor) @ Q.T)
 
     @cached_property
     def chol(self) -> np.ndarray:
@@ -95,13 +109,65 @@ class GaussianLaw:
         """The diagonal of cov, read-only."""
         if self._basis is None:
             return np.diag(self.cov)
-        var = np.square(self._basis) @ (1.0 / self._divisor)
+        var = self._basis.variances(1.0 / self._divisor)
         var.flags.writeable = False
         return var
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
+
+
+class _DenseBasis:
+    """An orthonormal eigenbasis held as its n x n array Q."""
+
+    def __init__(self, Q: np.ndarray):
+        self.n, self.Q = Q.shape[0], Q
+
+    def rows(self, idx) -> np.ndarray:
+        return self.Q[idx]
+
+    def variances(self, w: np.ndarray) -> np.ndarray:
+        """diag(Q diag(w) Q')."""
+        return np.square(self.Q) @ w
+
+
+class _SineBasis:
+    """Q_ik = sqrt(2/(n+1)) sin(pi i k/(n+1)), i, k = 1..n: the eigenbasis of every
+    constant tridiagonal matrix of order n, formed only when Q is read."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def rows(self, idx) -> np.ndarray:
+        N = self.n + 1
+        # i k reduced mod 2N in integers keeps the sine's argument in [0, 2 pi)
+        ik = np.outer(np.asarray(idx) + 1, np.arange(1, N)) % (2 * N)
+        return math.sqrt(2.0 / N) * np.sin(ik * (np.pi / N))
+
+    @cached_property
+    def Q(self) -> np.ndarray:
+        return self.rows(np.arange(self.n))
+
+    def variances(self, w: np.ndarray) -> np.ndarray:
+        """diag(Q diag(w) Q')_i = sum_k w_k (1 - cos(2 pi i k/N)) / N, N = n + 1: the
+        real parts of one real FFT of (0, w), read at i and at N - i."""
+        N = self.n + 1
+        re = scipy.fft.rfft(np.concatenate(([0.0], w))).real
+        i = np.arange(1, N)
+        return (re[0] - re[np.minimum(i, N - i)]) / N
+
+
+def _constant_band(A) -> tuple[float, float] | None:
+    """(a, b) when the symmetric sparse A has a on its diagonal, b on the two beside
+    it and zeros elsewhere; None otherwise."""
+    coo = A.tocoo()
+    if np.any(coo.data[np.abs(coo.row - coo.col) > 1]):
+        return None
+    diag, off = A.diagonal(), A.diagonal(1)
+    if np.any(diag != diag[0]) or np.any(off != off[:1]):
+        return None
+    return float(diag[0]), float(off[0]) if off.size else 0.0
 
 
 def _cholesky(cov: np.ndarray) -> np.ndarray:
@@ -115,42 +181,61 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def _precision(A) -> np.ndarray:
+def _precision(A):
     """A read as a precision matrix: a non-empty square, finite matrix that is
-    symmetric to 1e-10, returned exactly symmetric."""
-    raw = np.asarray(A, dtype=float)
-    A = np.atleast_2d(raw)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
-        raise ValueError(f"precision must be a non-empty square matrix, got shape {raw.shape}")
-    if not np.isfinite(A).all():
+    symmetric to 1e-10, returned exactly symmetric; a scipy.sparse A as CSR."""
+    if sparse.issparse(A):
+        A = sparse.csr_array(A, dtype=float)
+        values, shape = A.data, A.shape
+    else:
+        raw = np.asarray(A, dtype=float)
+        A = values = np.atleast_2d(raw)
+        shape = raw.shape
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
+        raise ValueError(f"precision must be a non-empty square matrix, got shape {shape}")
+    if not np.isfinite(values).all():
         raise ValueError("precision must be finite")
-    if not np.allclose(A, A.T, atol=1e-10, rtol=0):
+    if abs(A - A.T).max() > 1e-10:
         raise ValueError("precision matrix must be symmetric")
     return _sym(A)
 
 
+def _dense(A) -> np.ndarray:
+    """A checked precision as an array: a sparse one densified."""
+    return A.toarray() if sparse.issparse(A) else A
+
+
 @dataclass(frozen=True, eq=False)
 class GaussianTarget:
-    """Target N(0, A^{-1}) described by its precision matrix."""
+    """Target N(0, A^{-1}) described by its precision matrix A, an array or a
+    scipy.sparse matrix (kept as CSR).  A sparse constant tridiagonal A takes its
+    spectrum in closed form on the sine basis; any other A a dense eigh."""
 
     precision: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "precision", _precision(self.precision))
-        if self._eigs[0][0] <= 0:
+        if self.alpha <= 0:
             raise ValueError("precision must be positive definite")
 
     @cached_property
     def _eigs(self):
-        return np.linalg.eigh(self.precision)  # (lam, Q)
+        """(lambda, basis), lambda in the basis's column order."""
+        A, n = self.precision, self.dim
+        band = _constant_band(A) if sparse.issparse(A) else None
+        if band is None:
+            lam, Q = np.linalg.eigh(_dense(A))
+            return lam, _DenseBasis(Q)
+        a, b = band
+        return a + 2.0 * b * np.cos(np.arange(1, n + 1) * (np.pi / (n + 1))), _SineBasis(n)
 
     @property
     def alpha(self) -> float:
-        return float(self._eigs[0][0])
+        return float(np.min(self._eigs[0]))
 
     @property
     def beta(self) -> float:
-        return float(self._eigs[0][-1])
+        return float(np.max(self._eigs[0]))
 
     @property
     def dim(self) -> int:
@@ -177,7 +262,7 @@ def _evolve(tgt: GaussianTarget, decay: np.ndarray, divisor: np.ndarray, law0) -
     """E x0 + N(0, S - E S E), x0 ~ law0, E = Q diag(decay) Q', S = Q diag(1/divisor) Q'."""
     if law0.dim != tgt.dim:
         raise ValueError(f"law0 has dimension {law0.dim} but A is {tgt.dim} x {tgt.dim}")
-    Q = tgt._eigs[1]
+    Q = tgt._eigs[1].Q
     E = (Q * decay) @ Q.T
     noise = (Q * ((1.0 - decay**2) / divisor)) @ Q.T
     return GaussianLaw(E @ law0.mean, _sym(E @ law0.cov @ E + noise))
@@ -195,7 +280,7 @@ def lyapunov_fixed_point(A, h: float) -> np.ndarray:
     M = I - hA, by Smith's doubling iteration: S <- S + M S M', M <- M^2, so
     step j adds the next 2^j terms.  LYAPUNOV_TOL and LYAPUNOV_MAX_ITER,
     read at call time, stop it."""
-    A = _precision(A)
+    A = _dense(_precision(A))
     n = A.shape[0]
     M = np.eye(n) - h * A
     if np.max(np.abs(np.linalg.eigvalsh(M))) >= 1.0:
@@ -232,8 +317,13 @@ def ou_law(A, t: float, law0: GaussianLaw) -> GaussianLaw:
 
 
 def marginal(law: GaussianLaw, u) -> GaussianLaw:
+    """The law of the coordinates u; a spectral law reads only the basis rows
+    Q_u of u, as (Q_u / d) Q_u'."""
     idx = sorted_indices(u, law.dim)
-    return GaussianLaw(law.mean[idx], law.cov[np.ix_(idx, idx)])
+    if law._basis is None:
+        return GaussianLaw(law.mean[idx], law.cov[np.ix_(idx, idx)])
+    Q_u = law._basis.rows(idx)
+    return GaussianLaw(law.mean[idx], _sym((Q_u / law._divisor) @ Q_u.T))
 
 
 def w2sq_gaussian(law1: GaussianLaw, law2: GaussianLaw) -> float:
@@ -259,19 +349,27 @@ def w2sq_gaussian(law1: GaussianLaw, law2: GaussianLaw) -> float:
 def kl_gaussian(law1: GaussianLaw, law2: GaussianLaw) -> float:
     """KL(law1 || law2) for Gaussians:
     (tr(S2^{-1} S1) - k + (m2-m1)' S2^{-1} (m2-m1) + lndet S2 - lndet S1) / 2,
-    each term from the Cholesky factors L1, L2.  A KL that overflows is a
-    ValueError."""
+    each term from the Cholesky factors L1, L2.  Two laws on the same eigenbasis
+    object have mean 0, and the KL is sum_i (r_i - 1 - log r_i) / 2 over the ratios
+    r = d2/d1 of their divisors.  A KL that overflows is a ValueError."""
     if law1.dim != law2.dim:
         raise ValueError(f"dimension mismatch: {law1.dim} vs {law2.dim}")
     k = law1.dim
-    L1, L2 = law1.chol, law2.chol
-    with np.errstate(over="ignore"):
-        tr = float(np.sum(solve_triangular(L2, L1, lower=True) ** 2))
-        z = solve_triangular(L2, law2.mean - law1.mean, lower=True)
-        zz = float(z @ z)
-    ld1 = 2.0 * float(np.sum(np.log(np.diag(L1))))
-    ld2 = 2.0 * float(np.sum(np.log(np.diag(L2))))
-    val = 0.5 * (tr - k + zz + ld2 - ld1)
+    if law1._basis is not None and law1._basis is law2._basis:
+        d1, d2 = law1._divisor, law2._divisor
+        with np.errstate(over="ignore", invalid="ignore"):
+            tr, zz = float(np.sum(d2 / d1)), 0.0
+            x = (d2 - d1) / d1  # r - 1 without the rounding of r
+            val = 0.5 * float(np.sum(x - np.log1p(x)))
+    else:
+        L1, L2 = law1.chol, law2.chol
+        with np.errstate(over="ignore"):
+            tr = float(np.sum(solve_triangular(L2, L1, lower=True) ** 2))
+            z = solve_triangular(L2, law2.mean - law1.mean, lower=True)
+            zz = float(z @ z)
+        ld1 = 2.0 * float(np.sum(np.log(np.diag(L1))))
+        ld2 = 2.0 * float(np.sum(np.log(np.diag(L2))))
+        val = 0.5 * (tr - k + zz + ld2 - ld1)
     if not math.isfinite(val):
         raise ValueError(
             f"the KL divergence of two {k}-dim Gaussian laws overflows: "

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._json import _check, load, read
-from .oracle import _precision
+from .oracle import _dense, _precision
 
 __all__ = [
     "FactorTerm",
@@ -405,8 +405,9 @@ def gaussian_potential(A) -> StructuredPotential:
     """Gaussian target N(0, A^{-1}) as a structured potential.
 
     alpha = lambda_min(A) (exact log-Sobolev constant), beta = lambda_max(A).
+    A may be an array or a scipy.sparse matrix.
     """
-    A = _precision(A)
+    A = _dense(_precision(A))
     return _quadratic_potential(A.shape[0], _gaussian_terms(A))
 
 

@@ -58,6 +58,31 @@ def test_acceptance_marginal_bias_is_dimension_free():
     )
 
 
+def test_acceptance_marginal_bias_is_dimension_free_up_to_a_million():
+    """The default sparse target on the sine basis, in W2 and in KL, n = 10^3 .. 10^6."""
+    t0 = time.monotonic()
+    dims = (10**3, 10**4, 10**5, 10**6)
+    rep = run_experiment(ExperimentConfig("gaussian-scaling", dims=dims, h_values=(0.05,)))
+    value = {(r.metric, r.n): r.value for r in rep.rows if r.metric != "w2sq-marginal"}
+    checks = {}
+    for metric in ("w2sq", "kl"):
+        tops = [value[f"{metric}-marginal-max", n] for n in dims]
+        fulls = [value[f"{metric}-full", n] for n in dims]
+        checks[metric] = ((max(tops) - min(tops)) / min(tops), fit_scaling(dims, fulls).slope)
+    el = time.monotonic() - t0
+    ok = (
+        not rep.failures()
+        and all(spread < 0.05 and abs(slope - 1.0) <= 0.05 for spread, slope in checks.values())
+        and el < 22.5  # 3x the 7.1-7.7 s it takes on a 2-core x86 box
+    )
+    gate(
+        "dimension-free marginal bias up to n = 10^6",
+        ok,
+        ", ".join(f"{m} max-marginal spread {sp:.2e}, full slope {sl:.6f}"
+                  for m, (sp, sl) in checks.items()) + f", {el:.1f}s",
+    )
+
+
 def test_acceptance_stationary_law_closed_form(rng):
     t0 = time.monotonic()
     worst = 0.0

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import deloc
 from deloc.bounds import dynamic_bound, weak_constants
@@ -163,7 +164,7 @@ def test_csv_schema_and_round_trip(tmp_path):
     assert lines[0] == "experiment,n,h,subset,metric,value,se,bound,theorem,valid"
     with open(out) as f:
         rows = list(csv.DictReader(f))
-    assert len(rows) == len(rep.rows) == 5  # 3 marginals + max + full
+    assert len(rows) == len(rep.rows) == 7  # 3 marginals + max + full, in W2 and in KL
     for got, src in zip(rows, rep.rows):
         assert got["experiment"] == "gaussian-scaling"
         assert got["theorem"] == "oracle"
@@ -186,7 +187,7 @@ def test_json_sidecar(tmp_path):
     rep.to_json_sidecar(side)
     payload = json.loads(side.read_text())
     assert payload["config"]["experiment"] == "gaussian-scaling"
-    assert payload["num_rows"] == 5
+    assert payload["num_rows"] == 7
     assert payload["num_failures"] == 0
     assert "elapsed_seconds" in payload["metadata"]
 
@@ -199,6 +200,8 @@ def test_gnuplot_files(tmp_path):
         "plot.w2sq-marginal.dat",
         "plot.w2sq-marginal-max.dat",
         "plot.w2sq-full.dat",
+        "plot.kl-marginal-max.dat",
+        "plot.kl-full.dat",
     }
     body = open(written[0]).read().splitlines()
     assert body[0] == "# n h value se bound"
@@ -238,44 +241,98 @@ def test_gaussian_scaling_structure_and_slope():
     rep = run_experiment(
         ExperimentConfig(experiment="gaussian-scaling", dims=(4, 8, 16), h_values=(0.01,))
     )
-    assert len(rep.rows) == (4 + 2) + (8 + 2) + (16 + 2) + 2
+    assert len(rep.rows) == (4 + 4) + (8 + 4) + (16 + 4) + 4
     for n in (4, 8, 16):
         per = [r.value for r in rep.select(metric="w2sq-marginal", n=n)]
         top = rep.select(metric="w2sq-marginal-max", n=n)[0].value
         assert top == max(per)
-    fit = fit_scaling((4, 8, 16), [r.value for r in rep.select(metric="w2sq-full")])
-    assert 0.9 < fit.slope < 1.1  # full-law bias is extensive in n
-    assert fit.r2 > 0.999
+        assert [r.metric for r in rep.select(n=n)[n: n + 4]] == [
+            "w2sq-marginal-max", "w2sq-full", "kl-marginal-max", "kl-full"
+        ]
+    for metric in ("w2sq-full", "kl-full"):
+        fit = fit_scaling((4, 8, 16), [r.value for r in rep.select(metric=metric)])
+        assert 0.9 < fit.slope < 1.1  # full-law bias is extensive in n
+        assert fit.r2 > 0.999
     assert not rep.failures()
 
 
 def test_gaussian_scaling_reports_its_check_per_h():
-    """After every per-n row: the max-marginal spread and the full-bias slope, per h."""
+    """After every per-n row: the max-marginal spread and the full-bias slope, per h,
+    in W2 and then in KL."""
     dims, hs = (16, 64, 256), (0.01, 0.05)
     rep = run_experiment(ExperimentConfig("gaussian-scaling", dims=dims, h_values=hs))
-    summary = rep.rows[-4:]
+    summary = rep.rows[-8:]
     assert [(r.metric, r.h) for r in summary] == [
-        ("w2sq-marginal-max-spread", 0.01), ("w2sq-full-slope", 0.01),
-        ("w2sq-marginal-max-spread", 0.05), ("w2sq-full-slope", 0.05),
+        (f"{metric}-{check}", h) for h in hs for metric in ("w2sq", "kl")
+        for check in ("marginal-max-spread", "full-slope")
     ]
-    for spread, slope, h in (summary[:2] + [0.01], summary[2:] + [0.05]):
-        tops = [r.value for r in rep.select(metric="w2sq-marginal-max") if r.h == h]
-        fulls = [r.value for r in rep.select(metric="w2sq-full") if r.h == h]
+    for i, (h, metric) in enumerate((h, m) for h in hs for m in ("w2sq", "kl")):
+        spread, slope = summary[2 * i: 2 * i + 2]
+        tops = [r.value for r in rep.select(metric=f"{metric}-marginal-max") if r.h == h]
+        fulls = [r.value for r in rep.select(metric=f"{metric}-full") if r.h == h]
         assert spread.value == (max(tops) - min(tops)) / min(tops) and spread.bound == 0.05
         assert slope.value == fit_scaling(dims, fulls).slope and slope.bound == 1.0
         assert spread.valid is (spread.value < 0.05)
         assert slope.valid is (abs(slope.value - 1.0) <= 0.05)
         assert {spread.n, slope.n} == {256}
     assert not rep.failures()
-    # one n gives no summary; at n = 1, 2 each check can fail on its own
+    # one n gives no summary
     one = run_experiment(ExperimentConfig("gaussian-scaling", dims=(8,), h_values=(0.01,)))
-    assert [r.metric for r in one.rows[-2:]] == ["w2sq-marginal-max", "w2sq-full"]
+    assert [r.metric for r in one.rows[-2:]] == ["kl-marginal-max", "kl-full"]
+    # at n = 1, 2 each W2 check can fail on its own; the KL bias is not linear in n yet
     for h, failed in ((0.01, "w2sq-marginal-max-spread"), (0.3, "w2sq-full-slope")):
         small = run_experiment(ExperimentConfig("gaussian-scaling", dims=(1, 2), h_values=(h,)))
-        assert [r.metric for r in small.failures()] == [failed]
+        assert [r.metric for r in small.failures()] == [
+            failed, "kl-marginal-max-spread", "kl-full-slope"
+        ]
     # below float resolution the bias is 0 and there is nothing to fit
     with pytest.raises(ValueError, match="the bias at h=1e-17 underflows to 0"):
         run_experiment(ExperimentConfig("gaussian-scaling", dims=(4, 8), h_values=(1e-17,)))
+
+
+def _mp_inverse_diagonal(mpmath, n: int, a, b) -> list:
+    """The diagonal of the n x n tridiagonal Toeplitz (a, b) inverse in closed form:
+    sinh(i t) sinh((n + 1 - i) t) / (|b| sinh t sinh((n + 1) t)), cosh t = a / (2|b|)."""
+    if b == 0:
+        return [1 / a] * n
+    t = mpmath.acosh(a / (2 * abs(b)))
+    scale = abs(b) * mpmath.sinh(t) * mpmath.sinh((n + 1) * t)
+    return [mpmath.sinh(i * t) * mpmath.sinh((n + 1 - i) * t) / scale for i in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("diag, off", [(2.0, -0.5), (2.0, 0.0), (3.0, 0.5)])
+def test_gaussian_scaling_kl_rows_match_mpmath_and_cholesky(diag, off):
+    """kl-marginal-max and kl-full against a 40-digit closed form, with
+    S_h = (A (I - hA/2))^{-1} = A^{-1} + (2/h - A)^{-1}, and to 1e-10 against the
+    dense Cholesky kl_gaussian, whose tr - n + log-det sum cancels more digits."""
+    mpmath = pytest.importorskip("mpmath")
+    dims, h = (1, 2, 3, 17, 256, 1024), 0.05
+    rep = run_experiment(ExperimentConfig(
+        "gaussian-scaling", dims=dims, h_values=(h,), options={"diag": diag, "off": off}
+    ))
+    with mpmath.workdps(40):
+        a, b, hh = mpmath.mpf(diag), mpmath.mpf(off), mpmath.mpf(h)
+        for n in dims:
+            top = rep.select(metric="kl-marginal-max", n=n)[0].value
+            full = rep.select(metric="kl-full", n=n)[0].value
+            var = _mp_inverse_diagonal(mpmath, n, a, b)
+            shift = _mp_inverse_diagonal(mpmath, n, 2 / hh - a, -b)
+            ratios = [1 + s / v for v, s in zip(var, shift)]
+            lams = [a + 2 * b * mpmath.cos(mpmath.pi * k / (n + 1)) for k in range(1, n + 1)]
+            ratios_full = [1 / (1 - hh * lam / 2) for lam in lams]
+            for got, rs, fold in ((top, ratios, max), (full, ratios_full, mpmath.fsum)):
+                want = fold((r - 1 - mpmath.log(r)) / 2 for r in rs)
+                assert abs(got - want) <= 1e-13 * want, (n, got, want)
+            tgt = orc.GaussianTarget(tridiagonal_precision(n, diag, off))
+            law, law_h = tgt.law(), orc.lmc_stationary_law(tgt, h)
+            dense = orc.GaussianLaw(law.mean, law.cov)
+            dense_h = orc.GaussianLaw(law_h.mean, law_h.cov)
+            cholesky_top = max(
+                orc.kl_gaussian(orc.marginal(dense_h, (i,)), orc.marginal(dense, (i,)))
+                for i in range(n)
+            )
+            assert top == pytest.approx(cholesky_top, rel=1e-10, abs=0)
+            assert full == pytest.approx(orc.kl_gaussian(dense_h, dense), rel=1e-10, abs=0)
 
 
 def test_certified_trajectory_rows_start_and_h_star(tmp_path, capsys):
@@ -290,7 +347,7 @@ def test_certified_trajectory_rows_start_and_h_star(tmp_path, capsys):
     assert rep.rows[0].metric == "growth-certificate" and not rep.failures()
     assert [r.metric for r in rep.rows[1:5]] == ["kl-transient", "certified-curve"] * 2
 
-    tgt = orc.GaussianTarget(tridiagonal_precision(n))
+    tgt = orc.GaussianTarget(sparse.csr_array(tridiagonal_precision(n)))  # as the harness's
     law = tgt.law()
     law0 = orc.GaussianLaw(np.zeros(n), 3.0 * law.cov)
     graph = build_graph(gaussian_potential(tgt.precision))
@@ -596,6 +653,14 @@ def test_cli_run_every_experiment_prints_json(experiment, tmp_path, capsys):
         ({"experiment": "gaussian-scaling", "dims": [0]}, "'dims' entries must be integers >= 1"),
         ({"experiment": "gaussian-scaling", "h_values": [-0.1]},
          "'h_values' entries must be numbers > 0"),
+        # no bootstrap SE from fewer than two replicates
+        ({"experiment": "onestep-linf", "dims": [2], "options": {"samples": 64, "n_boot": 0}},
+         "option 'n_boot' must be an integer >= 2 for a bootstrap SE, got 0"),
+        ({"experiment": "onestep-linf", "dims": [2], "options": {"samples": 64, "n_boot": 1}},
+         "option 'n_boot' must be an integer >= 2 for a bootstrap SE, got 1"),
+        # the default sparse target: its sine spectrum has lambda_min < 0 at n = 8
+        ({"experiment": "gaussian-scaling", "dims": [8], "options": {"diag": 1.0, "off": -0.6}},
+         "precision must be positive definite"),
     ],
 )
 def test_cli_run_reports_domain_errors_with_exit_2(spec, reason, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 from scipy.linalg import expm
 
 from deloc import oracle
@@ -16,7 +17,9 @@ from deloc.oracle import (
     sample,
     w2sq_gaussian,
 )
-from deloc.potential import gaussian_potential, potential_from_dict, tridiagonal_precision
+from deloc.potential import (
+    chain_pairwise, gaussian_potential, potential_from_dict, tridiagonal_precision,
+)
 
 from conftest import random_spd
 
@@ -395,10 +398,13 @@ def test_spectral_laws_match_dense_laws(A):
         dense = GaussianLaw(np.zeros(n), cov)
         np.testing.assert_allclose(law.variances, np.diag(cov), rtol=1e-12, atol=0)
         assert not law.variances.flags.writeable
+        # a marginal's block sums the same n products Q_ik Q_jk / d_k as cov but in
+        # another order, and each sum is within n eps max(1/d) of the exact one
+        tol = 2 * n * np.finfo(float).eps * np.max(1.0 / d)
         for u in [(0,), (n - 1,), tuple(range(0, n, 2)), tuple(range(n))]:
             got, want = marginal(law, u), marginal(dense, u)
             np.testing.assert_array_equal(got.mean, want.mean)
-            np.testing.assert_array_equal(got.cov, want.cov)
+            np.testing.assert_allclose(got.cov, want.cov, rtol=0, atol=tol)
         # the dense forms, once read, are the dense constructor's to the bit
         np.testing.assert_array_equal(law.cov, cov)
         np.testing.assert_array_equal(law.chol, np.linalg.cholesky(cov))
@@ -476,6 +482,13 @@ PRECISION_FAULTS = {
     "non-finite": ([[np.inf]], "precision must be finite"),
     "asymmetric": ([[1.0, 0.5], [0.0, 1.0]], "precision matrix must be symmetric"),
     "not positive definite": (-np.eye(2), "positive definite"),
+    "sparse non-finite": (sparse.csr_array([[np.nan, 0.0], [0.0, 1.0]]),
+                          "precision must be finite"),
+    "sparse asymmetric": (sparse.csr_array([[1.0, 0.5], [0.0, 1.0]]),
+                          "precision matrix must be symmetric"),
+    # constant tridiagonal, so the sine spectrum finds lambda_min < 0
+    "sparse not positive definite": (sparse.csr_array(tridiagonal_precision(8, 1.0, -0.6)),
+                                     "positive definite"),
 }
 
 
@@ -483,8 +496,9 @@ PRECISION_FAULTS = {
     "entry, fault",
     [(e, f) for e in PRECISION_ENTRY_POINTS for f in PRECISION_FAULTS
      # only a target is positive definite: lyapunov_fixed_point reads A alone, and a
-     # builtin term is one factor of a sum
-     if f != "not positive definite" or e not in ("lyapunov_fixed_point", "builtin:gaussian")],
+     # builtin term is one factor of a sum; a JSON file holds no sparse matrix
+     if not (f.endswith("not positive definite") and e == "lyapunov_fixed_point")
+     and not (e == "builtin:gaussian" and (f == "not positive definite" or "sparse" in f))],
 )
 def test_every_entry_point_rejects_each_precision_fault(entry, fault):
     A, message = PRECISION_FAULTS[fault]
@@ -492,3 +506,76 @@ def test_every_entry_point_rejects_each_precision_fault(entry, fault):
         message = "must be a square list of number lists"  # the JSON reader's rule comes first
     with pytest.raises(ValueError, match=message):
         PRECISION_ENTRY_POINTS[entry](A)
+
+
+# -- the sine basis of a sparse constant tridiagonal precision -------------------------
+#
+# The sine path and the dense eigh path are two independent oracles: the sine
+# path runs here with np.linalg.eigh refused, and its answers must agree with
+# those of the dense path, built first, to 1e-13 relative.
+
+SINE_DIMS = (1, 2, 3, 17, 256, 1024)
+SINE_BANDS = ((2.0, -0.5), (2.0, 0.0), (3.0, 0.5))  # (3, 0.5): descending lambda_k
+SINE_H = 0.05
+
+
+def _refuse_eigh(*args, **kwargs):
+    raise AssertionError("np.linalg.eigh called on the sine path")
+
+
+def _relative_gap(got, want) -> float:
+    got, want = np.asarray(got), np.asarray(want)
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def _sine_quantities(tgt: GaussianTarget, n: int, blocks_of_cov: bool = False) -> dict:
+    """What the tests compare; blocks_of_cov takes each marginal from the dense cov."""
+    law, law_h = tgt.law(), lmc_stationary_law(tgt, SINE_H)
+    dense = (lambda law: GaussianLaw(law.mean, law.cov)) if blocks_of_cov else (lambda law: law)
+    out = {
+        "alpha": tgt.alpha, "beta": tgt.beta,
+        "variances": law.variances, "variances_h": law_h.variances,
+        "w2sq": w2sq_gaussian(law_h, law), "kl": kl_gaussian(law_h, law),
+    }
+    for u in {(0,), (n - 1,), (n // 2, min(n // 2 + 1, n - 1)), (0, n // 3, n - 1)}:
+        out[f"marginal {u}"] = marginal(dense(law), u).cov
+        out[f"marginal_h {u}"] = marginal(dense(law_h), u).cov
+    if n <= 256:  # the evolved laws form dense n x n products
+        law0 = GaussianLaw(np.linspace(-1.0, 1.0, n), 2.0 * np.eye(n))
+        transient = lmc_transient_law(tgt, SINE_H, 7, law0)
+        ou = ou_law(tgt, 0.3, law0)
+        out.update(transient_mean=transient.mean, transient_cov=transient.cov,
+                   ou_mean=ou.mean, ou_cov=ou.cov)
+    return out
+
+
+@pytest.mark.parametrize("band", SINE_BANDS, ids=lambda b: f"diag={b[0]},off={b[1]}")
+@pytest.mark.parametrize("n", SINE_DIMS)
+def test_sine_path_matches_the_dense_path_without_eigh(n, band, monkeypatch):
+    A = tridiagonal_precision(n, *band)
+    want = _sine_quantities(GaussianTarget(A), n, blocks_of_cov=True)
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigh", _refuse_eigh)
+        got = _sine_quantities(GaussianTarget(sparse.csr_array(A)), n)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert _relative_gap(got[key], want[key]) <= 1e-13, key
+
+
+def test_only_a_sparse_constant_tridiagonal_precision_skips_eigh(monkeypatch):
+    chain = chain_pairwise(6).quadratic_matrix
+    assert chain[0, 0] == chain[-1, -1] == 1.5 and chain[1, 1] == 2.0
+    pentadiagonal = sparse.diags_array([0.1, -0.5, 2.0, -0.5, 0.1], offsets=(-2, -1, 0, 1, 2),
+                                       shape=(6, 6), format="csr")
+    dense_path = [sparse.csr_array(chain), pentadiagonal, chain, tridiagonal_precision(6)]
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigh", _refuse_eigh)
+        GaussianTarget(sparse.csr_array(tridiagonal_precision(6)))
+        for A in dense_path:
+            with pytest.raises(AssertionError, match="eigh called"):
+                GaussianTarget(A)
+    # a sparse A off the sine path is densified: the same eigh, the same laws
+    for sparse_A, A in ((dense_path[0], chain), (pentadiagonal, pentadiagonal.toarray())):
+        np.testing.assert_array_equal(
+            GaussianTarget(sparse_A).law().variances, GaussianTarget(A).law().variances
+        )
