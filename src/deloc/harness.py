@@ -81,7 +81,7 @@ def config_from_dict(spec: dict) -> ExperimentConfig:
     return ExperimentConfig(**spec)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReportRow:
     experiment: str
     n: int

@@ -13,14 +13,21 @@ for LMC, 0 < h < 2/lambda_max.  A law evolved from x0 ~ law0 is
 E x0 + N(0, S - E S E) with E = Q diag(e) Q', the decay e being exp(-lambda t)
 for the OU process and (1 - h lambda)^k after k LMC steps.
 
-Q is a dense eigh of A, except for a sparse A that is constant tridiagonal
-(a on the diagonal, b beside it).  The discrete sine transform diagonalizes
-that one exactly (Strang, "The discrete cosine transform", SIAM Review 41,
-1999): lambda_k = a + 2b cos(pi k/(n+1)) and Q_ik = sqrt(2/(n+1)) sin(pi i k/(n+1)),
-i, k = 1..n.  Its laws hold no n x n array: variances are one real FFT of 1/d,
-W2 and KL between two of them are sums over their divisors, and a marginal
-reads the sine rows of its coordinates.  Only cov, chol, sample and the evolved
-laws form Q.
+Three structures have Q in closed form, and every other A takes a dense eigh:
+
+- a sparse A that is constant tridiagonal (a on the diagonal, b beside it) is
+  diagonalized by the discrete sine transform (Strang, "The discrete cosine
+  transform", SIAM Review 41, 1999): lambda_k = a + 2b cos(pi k/(n+1)) and
+  Q_ik = sqrt(2/(n+1)) sin(pi i k/(n+1)), i, k = 1..n;
+- a diagonal A (n = 1 included) by Q = I, with lambda = diag(A);
+- p I + q (11' - I), q != 0 (the mean-field precision, or a product target
+  rotated so that its odd axis is 1/sqrt(n)), by the orthonormal DCT-II, whose
+  first column is 1/sqrt(n): lambda_0 = p + (n-1) q and lambda_k = p - q.
+
+Laws on these bases hold no n x n array: variances are one real FFT of 1/d (or
+1/d itself for Q = I), W2 and KL between two of them are sums over their
+divisors, and a marginal reads the basis rows of its coordinates.  Only cov,
+chol, sample and the evolved laws form Q.
 
 W_{2,linf} between Gaussians has no closed form; the metrics module estimates it.
 """
@@ -62,8 +69,9 @@ class GaussianLaw:
     Cholesky factor, on construction; W2, KL and sample reuse it.
 
     A law built from a GaussianTarget is spectral: N(0, Q diag(1/d) Q') with the
-    target's eigenbasis Q (a _DenseBasis or a _SineBasis) and a positive divisor
-    d.  Its `cov`, _sym((Q / d) @ Q'), and then `chol` are formed on first read;
+    target's eigenbasis Q (a _DenseBasis, or a closed-form _SineBasis,
+    _IdentityBasis or _CosineBasis) and a positive divisor d.  Its `cov`,
+    _sym((Q / d) @ Q'), and then `chol` are formed on first read;
     until then W2 and KL against a law on the same basis, `variances` and
     `marginal` work from the basis and d."""
 
@@ -132,6 +140,59 @@ class _DenseBasis:
         return np.square(self.Q) @ w
 
 
+class _IdentityBasis:
+    """Q = I: the eigenbasis of every diagonal matrix of order n, formed only when
+    Q is read."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def rows(self, idx) -> np.ndarray:
+        idx = np.asarray(idx)
+        Q_u = np.zeros((idx.size, self.n))
+        Q_u[np.arange(idx.size), idx] = 1.0
+        return Q_u
+
+    @cached_property
+    def Q(self) -> np.ndarray:
+        return np.eye(self.n)
+
+    def variances(self, w: np.ndarray) -> np.ndarray:
+        """diag(Q diag(w) Q') = w."""
+        return w
+
+
+class _CosineBasis:
+    """Q_ik = c_k cos(pi (2i+1) k/(2n)), i, k = 0..n-1, c_0 = sqrt(1/n) and
+    c_k = sqrt(2/n) otherwise (the orthonormal DCT-II): its first column is
+    1/sqrt(n) and the rest span the complement of 11', so it is the eigenbasis of
+    every p I + q (11' - I) of order n.  Formed only when Q is read."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def rows(self, idx) -> np.ndarray:
+        n = self.n
+        # (2i+1) k reduced mod 4n in integers keeps the cosine's argument in [0, 2 pi)
+        ik = np.outer(2 * np.asarray(idx) + 1, np.arange(n)) % (4 * n)
+        Q_u = math.sqrt(2.0 / n) * np.cos(ik * (np.pi / (2 * n)))
+        Q_u[:, 0] = math.sqrt(1.0 / n)
+        return Q_u
+
+    @cached_property
+    def Q(self) -> np.ndarray:
+        return self.rows(np.arange(self.n))
+
+    def variances(self, w: np.ndarray) -> np.ndarray:
+        """diag(Q diag(w) Q')_i = (w_0 + sum_{k>0} w_k (1 + cos(pi (2i+1) k/n))) / n:
+        the real parts of one real FFT of length 2n of (0, w_1, .., w_{n-1}), read at
+        m = 2i+1 and at 2n - m."""
+        n = self.n
+        re = scipy.fft.rfft(np.concatenate(([0.0], w[1:])), 2 * n).real
+        m = 2 * np.arange(n) + 1
+        return (w[0] + re[0] + re[np.minimum(m, 2 * n - m)]) / n
+
+
 class _SineBasis:
     """Q_ik = sqrt(2/(n+1)) sin(pi i k/(n+1)), i, k = 1..n: the eigenbasis of every
     constant tridiagonal matrix of order n, formed only when Q is read."""
@@ -158,16 +219,38 @@ class _SineBasis:
         return (re[0] - re[np.minimum(i, N - i)]) / N
 
 
-def _constant_band(A) -> tuple[float, float] | None:
-    """(a, b) when the symmetric sparse A has a on its diagonal, b on the two beside
-    it and zeros elsewhere; None otherwise."""
-    coo = A.tocoo()
-    if np.any(coo.data[np.abs(coo.row - coo.col) > 1]):
+def _closed_form(A):
+    """(lambda, basis) of a checked precision A whose eigenbasis is known, lambda in
+    the basis's column order; None when A needs a dense eigh.
+
+    A sparse A with a on its diagonal, b on the two beside it and zeros elsewhere
+    takes the sine basis.  Otherwise A, densified, is read for off-diagonal entries
+    all equal to one q: q = 0 is a diagonal A on the identity basis, and q != 0 with
+    p on the whole diagonal is p I + q (11' - I) on the cosine basis, with
+    lambda = (p + (n-1) q, p - q, ..., p - q)."""
+    n = A.shape[0]
+    if sparse.issparse(A):
+        coo = A.tocoo()
+        diag, off = A.diagonal(), A.diagonal(1)
+        banded = not np.any(coo.data[np.abs(coo.row - coo.col) > 1])
+        if banded and np.all(diag == diag[0]) and np.all(off == off[:1]):
+            a, b = float(diag[0]), float(off[0]) if off.size else 0.0
+            return a + 2.0 * b * np.cos(np.arange(1, n + 1) * (np.pi / (n + 1))), _SineBasis(n)
+        A = A.toarray()
+    # the flat entries between two diagonal ones, n - 1 runs of n
+    off = A.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
+    q = off[0, 0] if off.size else 0.0
+    if np.any(off != q):
         return None
-    diag, off = A.diagonal(), A.diagonal(1)
-    if np.any(diag != diag[0]) or np.any(off != off[:1]):
+    diag = np.diag(A)
+    if q == 0.0:
+        return diag, _IdentityBasis(n)
+    p = diag[0]
+    if np.any(diag != p):
         return None
-    return float(diag[0]), float(off[0]) if off.size else 0.0
+    lam = np.full(n, p - q)
+    lam[0] = p + (n - 1) * q
+    return lam, _CosineBasis(n)
 
 
 def _cholesky(cov: np.ndarray) -> np.ndarray:
@@ -208,8 +291,10 @@ def _dense(A) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class GaussianTarget:
     """Target N(0, A^{-1}) described by its precision matrix A, an array or a
-    scipy.sparse matrix (kept as CSR).  A sparse constant tridiagonal A takes its
-    spectrum in closed form on the sine basis; any other A a dense eigh."""
+    scipy.sparse matrix (kept as CSR).  Three structures take their spectrum in
+    closed form: a sparse constant tridiagonal A on the sine basis, a diagonal A
+    on the identity and p I + q (11' - I) on the cosine basis.  Any other A takes
+    a dense eigh."""
 
     precision: np.ndarray
 
@@ -221,13 +306,11 @@ class GaussianTarget:
     @cached_property
     def _eigs(self):
         """(lambda, basis), lambda in the basis's column order."""
-        A, n = self.precision, self.dim
-        band = _constant_band(A) if sparse.issparse(A) else None
-        if band is None:
-            lam, Q = np.linalg.eigh(_dense(A))
-            return lam, _DenseBasis(Q)
-        a, b = band
-        return a + 2.0 * b * np.cos(np.arange(1, n + 1) * (np.pi / (n + 1))), _SineBasis(n)
+        closed = _closed_form(self.precision)
+        if closed is not None:
+            return closed
+        lam, Q = np.linalg.eigh(_dense(self.precision))
+        return lam, _DenseBasis(Q)
 
     @property
     def alpha(self) -> float:
@@ -348,10 +431,13 @@ def w2sq_gaussian(law1: GaussianLaw, law2: GaussianLaw) -> float:
 
 def kl_gaussian(law1: GaussianLaw, law2: GaussianLaw) -> float:
     """KL(law1 || law2) for Gaussians:
-    (tr(S2^{-1} S1) - k + (m2-m1)' S2^{-1} (m2-m1) + lndet S2 - lndet S1) / 2,
-    each term from the Cholesky factors L1, L2.  Two laws on the same eigenbasis
-    object have mean 0, and the KL is sum_i (r_i - 1 - log r_i) / 2 over the ratios
-    r = d2/d1 of their divisors.  A KL that overflows is a ValueError."""
+    (tr(S2^{-1} S1) - k + (m2-m1)' S2^{-1} (m2-m1) + lndet S2 - lndet S1) / 2.
+    With W = L2^{-1} L1 from the Cholesky factors, the trace and log-determinant
+    terms are sum_i (r_i - 1 - log r_i) over the eigenvalues r of W W', summed as
+    x - log1p(x), x = r - 1, so that no O(1) traces cancel; when some r < 1/2 the
+    terms are summed as written, with log-determinants from L1 and L2.  Two laws on
+    the same eigenbasis object have mean 0, and r = d2/d1 are the ratios of their
+    divisors.  A KL that overflows is a ValueError."""
     if law1.dim != law2.dim:
         raise ValueError(f"dimension mismatch: {law1.dim} vs {law2.dim}")
     k = law1.dim
@@ -364,12 +450,22 @@ def kl_gaussian(law1: GaussianLaw, law2: GaussianLaw) -> float:
     else:
         L1, L2 = law1.chol, law2.chol
         with np.errstate(over="ignore"):
-            tr = float(np.sum(solve_triangular(L2, L1, lower=True) ** 2))
+            W = solve_triangular(L2, L1, lower=True)
+            tr = float(np.sum(W**2))
             z = solve_triangular(L2, law2.mean - law1.mean, lower=True)
             zz = float(z @ z)
-        ld1 = 2.0 * float(np.sum(np.log(np.diag(L1))))
-        ld2 = 2.0 * float(np.sum(np.log(np.diag(L2))))
-        val = 0.5 * (tr - k + zz + ld2 - ld1)
+            val = math.inf
+            if math.isfinite(tr + zz):  # then every entry of W W' is finite too
+                x = np.linalg.eigvalsh(W @ W.T) - 1.0  # which reads the lower triangle
+                if x[0] > -0.5:
+                    val = 0.5 * (float(np.sum(x - np.log1p(x))) + zz)
+                else:
+                    # an r < 1/2 puts the KL above 0.09, so cancelling traces costs
+                    # little, and the Cholesky log-determinants keep the digits that
+                    # eigvalsh loses on a small r
+                    ld1 = 2.0 * float(np.sum(np.log(np.diag(L1))))
+                    ld2 = 2.0 * float(np.sum(np.log(np.diag(L2))))
+                    val = 0.5 * (tr - k + zz + ld2 - ld1)
     if not math.isfinite(val):
         raise ValueError(
             f"the KL divergence of two {k}-dim Gaussian laws overflows: "

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -939,7 +940,7 @@ def test_experiment_ignores_the_config_fields_it_does_not_read():
     cfg = ExperimentConfig("gaussian-scaling", dims=(4,), seed=5, subsets="pairs")
     plain = ExperimentConfig("gaussian-scaling", dims=(4,))
     rows, plain_rows = run_experiment(cfg).rows, run_experiment(plain).rows
-    assert [vars(r) for r in rows] == [vars(r) for r in plain_rows]
+    assert [astuple(r) for r in rows] == [astuple(r) for r in plain_rows]
 
 
 def test_cli_hierarchy_semigroup_and_certify(tmp_path, capsys):

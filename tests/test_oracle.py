@@ -17,8 +17,9 @@ from deloc.oracle import (
     sample,
     w2sq_gaussian,
 )
+from deloc.harness import _rotated_precision
 from deloc.potential import (
-    chain_pairwise, gaussian_potential, potential_from_dict, tridiagonal_precision,
+    chain_pairwise, gaussian_potential, mean_field, potential_from_dict, tridiagonal_precision,
 )
 
 from conftest import random_spd
@@ -281,6 +282,43 @@ def test_kl_gaussian_names_an_overflow():
         kl_gaussian(far, GaussianLaw(np.zeros(2), np.eye(2)))
 
 
+@pytest.mark.parametrize("h", [1e-3, 1e-2])
+def test_kl_gaussian_of_marginals_matches_mpmath(h):
+    """The dense KL of a marginal of the LMC law against the target's: a bias of
+    1e-7 or less, which tr - k + log-det differences would cancel to 1e-10."""
+    mpmath = pytest.importorskip("mpmath")
+    n = 8
+    A = tridiagonal_precision(n)
+    tgt = GaussianTarget(sparse.csr_array(A))
+    law, law_h = tgt.law(), lmc_stationary_law(tgt, h)
+    with mpmath.workdps(50):
+        Am, hh = mpmath.matrix(A.tolist()), mpmath.mpf(h)
+        S = Am**-1
+        S_h = (Am * (mpmath.eye(n) - hh / 2 * Am)) ** -1
+        for u in [(0,), (3,), (3, 4), (0, 7)]:
+            k = len(u)
+            S1 = mpmath.matrix([[S_h[i, j] for j in u] for i in u])
+            S2 = mpmath.matrix([[S[i, j] for j in u] for i in u])
+            M = S2**-1 * S1
+            want = (sum(M[i, i] for i in range(k)) - k - mpmath.log(mpmath.det(M))) / 2
+            got = kl_gaussian(marginal(law_h, u), marginal(law, u))
+            assert abs(got - want) <= 1e-12 * want, (u, got, want)
+
+
+def test_kl_gaussian_of_a_narrow_law_matches_mpmath():
+    """Covariance ratios down to 1e-8: eigvalsh knows the smallest only to 1e-8
+    relative, so the log-determinants come from the Cholesky factors."""
+    mpmath = pytest.importorskip("mpmath")
+    Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((5, 5)))
+    cov = (Q * np.logspace(0.0, -8.0, 5)) @ Q.T
+    narrow = GaussianLaw(np.zeros(5), 0.5 * (cov + cov.T))
+    with mpmath.workdps(50):
+        S1 = mpmath.matrix(narrow.cov.tolist())
+        want = (sum(S1[i, i] for i in range(5)) - 5 - mpmath.log(mpmath.det(S1))) / 2
+    got = kl_gaussian(narrow, GaussianLaw(np.zeros(5), np.eye(5)))
+    assert abs(got - want) <= 1e-11 * want, (got, want)
+
+
 def _w2sq_reference(a, b):
     # Bures formula with the symmetric square root of S2 from eigh
     lam, Q = np.linalg.eigh(b.cov)
@@ -389,7 +427,10 @@ def _targets():
 @pytest.mark.parametrize("A", list(_targets()), ids=lambda A: f"n={A.shape[0]}")
 def test_spectral_laws_match_dense_laws(A):
     tgt = GaussianTarget(A)
-    lam, Q = np.linalg.eigh(tgt.precision)
+    # the basis the target took: eigh's, or a closed form (n = 1 and the two-level
+    # tridiagonal n = 2); either way the laws must be the dense constructor's
+    lam, basis = tgt._eigs
+    Q = basis.Q
     h = 0.9 / tgt.beta
     for d, law in ((lam, tgt.law()), (lam * (1.0 - 0.5 * h * lam), lmc_stationary_law(tgt, h))):
         n = law.dim
@@ -508,11 +549,13 @@ def test_every_entry_point_rejects_each_precision_fault(entry, fault):
         PRECISION_ENTRY_POINTS[entry](A)
 
 
-# -- the sine basis of a sparse constant tridiagonal precision -------------------------
+# -- closed-form eigenbases ----------------------------------------------------------
 #
-# The sine path and the dense eigh path are two independent oracles: the sine
-# path runs here with np.linalg.eigh refused, and its answers must agree with
-# those of the dense path, built first, to 1e-13 relative.
+# A sparse constant tridiagonal precision takes the sine basis, a diagonal one the
+# identity and p I + q (11' - I) the cosine basis.  Each of these paths and the
+# dense eigh path are independent oracles: the closed form runs here with
+# np.linalg.eigh refused, the dense path with the closed forms refused, and their
+# answers must agree to 1e-13 relative.
 
 SINE_DIMS = (1, 2, 3, 17, 256, 1024)
 SINE_BANDS = ((2.0, -0.5), (2.0, 0.0), (3.0, 0.5))  # (3, 0.5): descending lambda_k
@@ -520,7 +563,24 @@ SINE_H = 0.05
 
 
 def _refuse_eigh(*args, **kwargs):
-    raise AssertionError("np.linalg.eigh called on the sine path")
+    raise AssertionError("np.linalg.eigh called on a closed-form path")
+
+
+def _dense_target(A) -> GaussianTarget:
+    """GaussianTarget(A) through the dense eigh, whatever A's structure."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(oracle, "_closed_form", lambda A: None)
+        tgt = GaussianTarget(A)  # which reads and caches _eigs
+    assert isinstance(tgt._eigs[1], oracle._DenseBasis)
+    return tgt
+
+
+def _closed_form_target(A, basis: type) -> GaussianTarget:
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(np.linalg, "eigh", _refuse_eigh)
+        tgt = GaussianTarget(A)
+    assert isinstance(tgt._eigs[1], basis)
+    return tgt
 
 
 def _relative_gap(got, want) -> float:
@@ -528,9 +588,9 @@ def _relative_gap(got, want) -> float:
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
-def _sine_quantities(tgt: GaussianTarget, n: int, blocks_of_cov: bool = False) -> dict:
+def _quantities(tgt: GaussianTarget, n: int, blocks_of_cov: bool = False, h=SINE_H) -> dict:
     """What the tests compare; blocks_of_cov takes each marginal from the dense cov."""
-    law, law_h = tgt.law(), lmc_stationary_law(tgt, SINE_H)
+    law, law_h = tgt.law(), lmc_stationary_law(tgt, h)
     dense = (lambda law: GaussianLaw(law.mean, law.cov)) if blocks_of_cov else (lambda law: law)
     out = {
         "alpha": tgt.alpha, "beta": tgt.beta,
@@ -540,42 +600,127 @@ def _sine_quantities(tgt: GaussianTarget, n: int, blocks_of_cov: bool = False) -
     for u in {(0,), (n - 1,), (n // 2, min(n // 2 + 1, n - 1)), (0, n // 3, n - 1)}:
         out[f"marginal {u}"] = marginal(dense(law), u).cov
         out[f"marginal_h {u}"] = marginal(dense(law_h), u).cov
-    if n <= 256:  # the evolved laws form dense n x n products
-        law0 = GaussianLaw(np.linspace(-1.0, 1.0, n), 2.0 * np.eye(n))
-        transient = lmc_transient_law(tgt, SINE_H, 7, law0)
+    if n <= 256:  # the evolved laws and the samples form dense n x n products
+        # a start mean along 1 as well: the rotated target's 1 - h lambda is 0 on 1's
+        # complement at h = 0.02, where a mean would vanish to rounding
+        law0 = GaussianLaw(np.linspace(2.0, 0.0, n), 2.0 * np.eye(n))
+        transient = lmc_transient_law(tgt, h, 7, law0)
         ou = ou_law(tgt, 0.3, law0)
         out.update(transient_mean=transient.mean, transient_cov=transient.cov,
-                   ou_mean=ou.mean, ou_cov=ou.cov)
+                   ou_mean=ou.mean, ou_cov=ou.cov,
+                   sample=sample(law_h, 9, np.random.default_rng(n)))
     return out
 
 
-@pytest.mark.parametrize("band", SINE_BANDS, ids=lambda b: f"diag={b[0]},off={b[1]}")
-@pytest.mark.parametrize("n", SINE_DIMS)
-def test_sine_path_matches_the_dense_path_without_eigh(n, band, monkeypatch):
-    A = tridiagonal_precision(n, *band)
-    want = _sine_quantities(GaussianTarget(A), n, blocks_of_cov=True)
-    with monkeypatch.context() as m:
-        m.setattr(np.linalg, "eigh", _refuse_eigh)
-        got = _sine_quantities(GaussianTarget(sparse.csr_array(A)), n)
+def _assert_paths_agree(got: dict, want: dict):
     assert got.keys() == want.keys()
     for key in want:
         assert _relative_gap(got[key], want[key]) <= 1e-13, key
 
 
-def test_only_a_sparse_constant_tridiagonal_precision_skips_eigh(monkeypatch):
-    chain = chain_pairwise(6).quadratic_matrix
-    assert chain[0, 0] == chain[-1, -1] == 1.5 and chain[1, 1] == 2.0
-    pentadiagonal = sparse.diags_array([0.1, -0.5, 2.0, -0.5, 0.1], offsets=(-2, -1, 0, 1, 2),
-                                       shape=(6, 6), format="csr")
-    dense_path = [sparse.csr_array(chain), pentadiagonal, chain, tridiagonal_precision(6)]
-    with monkeypatch.context() as m:
-        m.setattr(np.linalg, "eigh", _refuse_eigh)
-        GaussianTarget(sparse.csr_array(tridiagonal_precision(6)))
-        for A in dense_path:
-            with pytest.raises(AssertionError, match="eigh called"):
-                GaussianTarget(A)
-    # a sparse A off the sine path is densified: the same eigh, the same laws
-    for sparse_A, A in ((dense_path[0], chain), (pentadiagonal, pentadiagonal.toarray())):
+@pytest.mark.parametrize("band", SINE_BANDS, ids=lambda b: f"diag={b[0]},off={b[1]}")
+@pytest.mark.parametrize("n", SINE_DIMS)
+def test_sine_path_matches_the_dense_path_without_eigh(n, band):
+    A = tridiagonal_precision(n, *band)
+    want = _quantities(_dense_target(A), n, blocks_of_cov=True)
+    got = _quantities(_closed_form_target(sparse.csr_array(A), oracle._SineBasis), n)
+    _assert_paths_agree(got, want)
+
+
+def _two_level(n: int, p: float, q: float) -> np.ndarray:
+    return (p - q) * np.eye(n) + q * np.ones((n, n))
+
+
+# q scales like 1/n, as in mean field: with ||A|| growing like n, the dense eigh
+# spreads the (n-1)-fold eigenvalue p - q by eps ||A|| and its variances drift
+# (2e-13 relative at n = 1024, q = 0.4), while the cosine path stays exact; see
+# test_cosine_variances_are_exact_where_eigh_drifts
+CLOSED_FORMS = {  # precision of order n, the basis it takes for n > 1, and h
+    "diagonal": (lambda n: np.diag(np.linspace(1.0, 4.0, n)), oracle._IdentityBasis, SINE_H),
+    "q>0": (lambda n: _two_level(n, 2.0, 0.9 / n), oracle._CosineBasis, SINE_H),
+    "q<0": (lambda n: _two_level(n, 2.0, -0.9 / n), oracle._CosineBasis, SINE_H),
+    # delocalization-failure's default target and step
+    "rotated": (lambda n: _rotated_precision(n, 1.0, 50.0), oracle._CosineBasis, 0.02),
+    "mean-field": (lambda n: 2.0 * np.eye(n) - 1.0 / n, oracle._CosineBasis, SINE_H),
+}
+
+
+@pytest.mark.parametrize("kind", CLOSED_FORMS)
+@pytest.mark.parametrize("n", (1, 2, 3, 16, 128, 1024))
+def test_closed_form_paths_match_the_dense_path_without_eigh(n, kind):
+    build, basis, h = CLOSED_FORMS[kind]
+    A = build(n)
+    want = _quantities(_dense_target(A), n, blocks_of_cov=True, h=h)
+    got = _quantities(_closed_form_target(A, oracle._IdentityBasis if n == 1 else basis), n, h=h)
+    _assert_paths_agree(got, want)
+
+
+def test_cosine_variances_are_exact_where_eigh_drifts():
+    n, p, q = 1024, 3.0, 0.4
+    A = _two_level(n, p, q)
+    exact = (1.0 / (p + (n - 1) * q) + (n - 1) / (p - q)) / n
+    var = _closed_form_target(A, oracle._CosineBasis).law().variances
+    assert np.max(np.abs(var - exact)) <= 2 * np.finfo(float).eps * exact
+    dense = _dense_target(A).law().variances
+    assert np.max(np.abs(dense - exact)) > 1e-14 * exact
+
+
+@pytest.mark.parametrize("confine, strength", [(1.0, 1.0), (0.5, 3.0)])
+@pytest.mark.parametrize("n", (2, 3, 8, 17, 64))
+def test_mean_field_target_is_exact_on_the_cosine_basis(n, confine, strength):
+    A = mean_field(n, confine, strength).quadratic_matrix
+    off = A[~np.eye(n, dtype=bool)]
+    assert np.all(off == off[0]) and np.all(np.diag(A) == A[0, 0])  # two-level to the bit
+    tgt = _closed_form_target(A, oracle._CosineBasis)
+    lam = tgt._eigs[0]
+    # 1/sqrt(n) feels only the confinement; every contrast feels the coupling too
+    np.testing.assert_allclose(lam[0], confine, rtol=1e-14)
+    np.testing.assert_allclose(lam[1:], confine + strength, rtol=1e-14)
+    _assert_paths_agree(_quantities(tgt, n), _quantities(_dense_target(A), n, blocks_of_cov=True))
+
+
+_CHAIN = chain_pairwise(6).quadratic_matrix  # end entries 1.5, inner 2.0
+_PENTADIAGONAL = sparse.diags_array([0.1, -0.5, 2.0, -0.5, 0.1], offsets=(-2, -1, 0, 1, 2),
+                                    shape=(6, 6), format="csr")
+_ALMOST_TWO_LEVEL = _two_level(6, 2.0, -0.1)
+_ALMOST_TWO_LEVEL[0, 5] = _ALMOST_TWO_LEVEL[5, 0] = -0.2
+EIGH_SKIPS = {  # precision -> the basis it takes, None for the dense eigh
+    "sparse tridiagonal": (sparse.csr_array(tridiagonal_precision(6)), oracle._SineBasis),
+    "sparse constant diagonal": (sparse.csr_array(3.0 * np.eye(6)), oracle._SineBasis),
+    "dense tridiagonal": (tridiagonal_precision(6), None),
+    "dense tridiagonal n=2": (tridiagonal_precision(2), oracle._CosineBasis),
+    "sparse chain": (sparse.csr_array(_CHAIN), None),
+    "dense chain": (_CHAIN, None),
+    "sparse pentadiagonal": (_PENTADIAGONAL, None),
+    "1 x 1": (np.array([[2.5]]), oracle._IdentityBasis),
+    "diagonal": (np.diag([1.0, 50.0, 50.0, 3.0]), oracle._IdentityBasis),
+    "sparse diagonal": (sparse.diags_array([1.0, 2.0, 3.0], format="csr"), oracle._IdentityBasis),
+    "two-level": (_two_level(6, 2.0, -0.1), oracle._CosineBasis),
+    "sparse two-level": (sparse.csr_array(_two_level(6, 2.0, 0.1)), oracle._CosineBasis),
+    "rotated": (_rotated_precision(6, 1.0, 50.0), oracle._CosineBasis),
+    "mean field": (mean_field(6).quadratic_matrix, oracle._CosineBasis),
+    "constant off-diagonal, varying diagonal": (
+        _two_level(4, 2.0, 0.1) + np.diag([0.0, 0.0, 0.0, 1.0]), None),
+    "one off-diagonal pair apart": (_ALMOST_TWO_LEVEL, None),
+}
+
+
+@pytest.mark.parametrize("name", EIGH_SKIPS)
+def test_which_precisions_skip_eigh(name, monkeypatch):
+    A, basis = EIGH_SKIPS[name]
+    if basis is not None:
+        _closed_form_target(A, basis)
+    else:
+        monkeypatch.setattr(np.linalg, "eigh", _refuse_eigh)
+        with pytest.raises(AssertionError, match="eigh called"):
+            GaussianTarget(A)
+
+
+def test_a_sparse_precision_off_the_sine_path_is_densified():
+    """The same structure reader and the same eigh as its dense form: the same laws."""
+    for sparse_A in (sparse.csr_array(_CHAIN), _PENTADIAGONAL,
+                     sparse.diags_array([1.0, 2.0, 3.0], format="csr")):
         np.testing.assert_array_equal(
-            GaussianTarget(sparse_A).law().variances, GaussianTarget(A).law().variances
+            GaussianTarget(sparse_A).law().variances,
+            GaussianTarget(sparse_A.toarray()).law().variances,
         )
