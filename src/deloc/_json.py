@@ -85,6 +85,37 @@ _RULES = {
 }
 
 
+MATRIX_TOL = 1e-12  # the symmetry tolerance of factor blocks, pairwise bounds and covariances
+PRECISION_TOL = 1e-10  # and of precision matrices
+
+
+def _symmetric(value, what: str, tol: float):
+    """(M + M')/2 of a dense or scipy.sparse (kept as CSR) matrix M that is 2-D,
+    square, non-empty, finite and symmetric to tol; else "<what> must be ..."."""
+    from scipy import sparse  # on first use: imported with _json, it cost perfbench setup_s 5%
+    is_sparse = sparse.issparse(value)
+    M = sparse.csr_array(value, dtype=float) if is_sparse else np.asarray(value, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
+        raise ValueError(f"{what} must be a non-empty square matrix, got shape {M.shape}")
+    if not np.isfinite(M.data if is_sparse else M).all():
+        raise ValueError(f"{what} must be finite")
+    if is_sparse:
+        gap, out = abs(M - M.T).max(), 0.5 * (M + M.T)
+    else:  # 64 rows of M against 64 columns, so M' is read in cache-sized strips
+        gap, out = 0.0, np.empty_like(M)
+        for i in range(0, len(M), 64):
+            rows, cols, strip = M[i:i + 64], M[:, i:i + 64].T, out[i:i + 64]
+            strip_gap = np.abs(np.subtract(rows, cols, out=strip), out=strip).max()
+            if strip_gap:
+                np.multiply(np.add(rows, cols, out=strip), 0.5, out=strip)
+            else:  # (M + M')/2 is M here, and M + M' could overflow
+                strip[...] = rows
+            gap = max(gap, strip_gap)
+    if gap > tol:
+        raise ValueError(f"{what} must be symmetric to {tol:g}, got |M - M'| up to {gap:.3g}")
+    return out
+
+
 def _failed(value, kind: str) -> str | None:
     """The first rule, extended rules first, that value breaks; None if none."""
     base, test = _RULES[kind][:2]

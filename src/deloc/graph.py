@@ -13,12 +13,13 @@ memoized up to their stabilization index (InteractionGraph.chain).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
 from ._json import _check
 from .potential import StructuredPotential
-from .subsets import as_mask, indices_from, mask_from, size
+from .subsets import as_mask, indices_from, size
 
 __all__ = [
     "InteractionGraph",
@@ -58,12 +59,7 @@ class InteractionGraph:
         return cls(n, adj)
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for i in range(self.n):
-            for j in indices_from(self.adj_masks[i]):
-                if i < j:
-                    out.append((i, j))
-        return out
+        return [(i, j) for i, m in enumerate(self.adj_masks) for j in indices_from(m) if i < j]
 
     # -- neighbourhoods ------------------------------------------------------
 
@@ -78,10 +74,8 @@ class InteractionGraph:
         while True:
             # adj(N_{k-1}) lies in N_k, so only the frontier N_k \ N_{k-1} can grow it
             nxt = cur
-            while rest:
-                i = (rest & -rest).bit_length() - 1
+            for i in indices_from(rest):
                 nxt |= self.adj_masks[i]
-                rest &= rest - 1
             if nxt == cur:
                 break
             chain.append(nxt)
@@ -98,12 +92,8 @@ class InteractionGraph:
 
 
 def build_graph(pot: StructuredPotential) -> InteractionGraph:
-    adj = [0] * pot.n
-    for t in pot.active_terms:
-        m = mask_from(t.support)
-        for i in t.support:
-            adj[i] |= m & ~(1 << i)
-    return InteractionGraph(pot.n, adj)
+    pairs = (ij for t in pot.active_terms for ij in itertools.combinations(t.support, 2))
+    return InteractionGraph.from_edges(pot.n, pairs)
 
 
 # -- growth certificates -------------------------------------------------------

@@ -26,7 +26,7 @@ from . import bounds as bnd
 from . import metrics as mtr
 from . import oracle as orc
 from ._json import read
-from .graph import GrowthCertificate, InteractionGraph, build_graph, verify_growth
+from .graph import GrowthCertificate, InteractionGraph, verify_growth
 from .hierarchy import SparseParams, SubsetFunction, certified_entropy_curve
 from .potential import gaussian_potential
 from .sampler import DivergenceError, SamplerConfig, marginal_samples, run_chain
@@ -241,6 +241,12 @@ def _target_from_options(n: int, config: ExperimentConfig) -> orc.GaussianTarget
     return orc.GaussianTarget(A)
 
 
+def _precision_graph(tgt: orc.GaussianTarget) -> InteractionGraph:
+    """The interaction graph of x'Ax/2: an edge i - j wherever A_ij != 0."""
+    rows, cols = sparse.triu(tgt.precision, 1).nonzero()
+    return InteractionGraph.from_edges(tgt.dim, zip(rows.tolist(), cols.tolist()))
+
+
 def _single(config: ExperimentConfig, name: str, default):
     """The one entry of config.dims or config.h_values, or the default when empty."""
     values = getattr(config, name)
@@ -321,7 +327,7 @@ def _sparse_poly_setup(config: ExperimentConfig, gamma: float, p: float):
     (n, target, graph, panel, sparse-poly report); invalid constants raise."""
     n = _single(config, "dims", 8)
     tgt = _target_from_options(n, config)
-    graph = build_graph(gaussian_potential(tgt.precision))
+    graph = _precision_graph(tgt)
     cert = GrowthCertificate("polynomial", _option(config, "c"), p)
     growth = verify_growth(graph, cert)
     yield ReportRow(
@@ -412,7 +418,7 @@ def _exp_continuous_time(config: ExperimentConfig) -> Iterator[ReportRow]:
     if config.h_values:
         raise ValueError(f"continuous-time takes no h_values, got {list(config.h_values)}")
     tgt = _target_from_options(n, config)
-    graph = build_graph(gaussian_potential(tgt.precision))
+    graph = _precision_graph(tgt)
     alpha, beta, gamma = tgt.alpha, tgt.beta, _option(config, "gamma")
     law = tgt.law()
     law0 = orc.GaussianLaw(np.zeros(n), _option(config, "cov0_scale") * law.cov)

@@ -367,8 +367,10 @@ def _sparse_operators(params: SparseParams, graph: InteractionGraph, eps, h, u):
     alpha, beta = params.alpha, params.beta
     lam = SparseGenerator.from_params(graph, alpha, beta, params.gamma, eps).rate
     m = as_mask(u, graph.n)
-    J = graph.stabilization_index(m)
+    if m == 0:
+        raise ValueError("subset must be nonempty")
     chain = graph.chain(m)
+    J = len(chain) - 1
     K = shift_kernel(lam * h, J)
     shift = np.minimum(np.arange(J + 1) + 1, J)
     N = lambda v: v[shift]
@@ -382,7 +384,7 @@ def _weak_operators(params: WeakParams, weights, M0, eps, h, u):
     """The reachable lattice of u and the supports; e^{hA} by uniformization,
     (N F)(v) = sum_{w cap v != 0} L_w F(w) as one CSR row per state."""
     alpha = params.alpha
-    gen = WeakGenerator(weights, params.gamma * M0 / (alpha * eps))
+    gen = WeakGenerator.from_params(weights, alpha, params.gamma, eps)
     m = as_mask(u)
     states, index, pairs, expm_h = _weak_expm(gen, m, h, seed_supports=True)
     nstates = len(states)

@@ -4,8 +4,8 @@ For a Gaussian target pi = N(0, A^{-1}) the LMC chain
 x_{k+1} = (I - hA) x_k + sqrt(2h) xi is itself Gaussian, and its stationary
 covariance S = (I - hA) S (I - hA) + 2h I has the closed form
 S = (A (I - hA/2))^{-1}; Smith's doubling iteration is kept as an independent
-oracle for it.  One reader, _precision, checks every A that comes in, dense or
-scipy.sparse.
+oracle for it.  Every A that comes in, dense or scipy.sparse, is read by the
+one symmetric-matrix rule (_json._symmetric, to PRECISION_TOL).
 
 Every law here lives in A's eigenbasis Q.  A stationary covariance is
 Q diag(1/d) Q' with the divisor d = lambda for pi and lambda (1 - h lambda/2)
@@ -43,7 +43,7 @@ import scipy.fft
 from scipy import sparse
 from scipy.linalg import solve_triangular
 
-from ._json import _check
+from ._json import MATRIX_TOL, PRECISION_TOL, _check, _symmetric
 from .subsets import sorted_indices
 
 __all__ = [
@@ -64,9 +64,9 @@ LYAPUNOV_MAX_ITER = 200_000  # or raises after this many doubling steps
 
 
 class GaussianLaw:
-    """N(mean, cov), immutable.  GaussianLaw(mean, cov) requires a finite mean and
-    a finite, symmetric positive-definite cov, and takes `chol`, its lower
-    Cholesky factor, on construction; W2, KL and sample reuse it.
+    """N(mean, cov), immutable.  GaussianLaw(mean, cov) requires a finite mean and a
+    positive-definite cov, symmetric to MATRIX_TOL (kept as (cov + cov')/2), and takes
+    `chol`, its lower Cholesky factor, on construction; W2, KL and sample reuse it.
 
     A law built from a GaussianTarget is spectral: N(0, Q diag(1/d) Q') with the
     target's eigenbasis Q (a _DenseBasis, or a closed-form _SineBasis,
@@ -77,13 +77,11 @@ class GaussianLaw:
 
     def __init__(self, mean, cov):
         mean = np.atleast_1d(np.asarray(mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(cov, dtype=float))
-        if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
+        cov = _symmetric(cov, "covariance", MATRIX_TOL)
+        if mean.shape != cov.shape[:1]:
             raise ValueError(f"need mean (n,) and cov (n, n), got shapes {mean.shape}, {cov.shape}")
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-            raise ValueError("mean and covariance must be finite")
-        if not np.allclose(cov, cov.T, atol=1e-12, rtol=0):
-            raise ValueError("covariance must be symmetric (tol 1e-12)")
+        if not np.isfinite(mean).all():
+            raise ValueError("mean must be finite")
         vars(self).update(mean=mean, cov=cov, chol=_cholesky(cov), _basis=None, _divisor=None)
 
     @classmethod
@@ -92,7 +90,7 @@ class GaussianLaw:
             raise ValueError("covariance must be positive definite")
         with np.errstate(over="ignore"):  # 1/d of a subnormal d
             if not np.isfinite(1.0 / divisor).all():
-                raise ValueError("mean and covariance must be finite")
+                raise ValueError("covariance must be finite")
         law = cls.__new__(cls)
         vars(law).update(mean=np.zeros(basis.n), _basis=basis, _divisor=divisor)
         return law
@@ -264,25 +262,6 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def _precision(A):
-    """A read as a precision matrix: a non-empty square, finite matrix that is
-    symmetric to 1e-10, returned exactly symmetric; a scipy.sparse A as CSR."""
-    if sparse.issparse(A):
-        A = sparse.csr_array(A, dtype=float)
-        values, shape = A.data, A.shape
-    else:
-        raw = np.asarray(A, dtype=float)
-        A = values = np.atleast_2d(raw)
-        shape = raw.shape
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
-        raise ValueError(f"precision must be a non-empty square matrix, got shape {shape}")
-    if not np.isfinite(values).all():
-        raise ValueError("precision must be finite")
-    if abs(A - A.T).max() > 1e-10:
-        raise ValueError("precision matrix must be symmetric")
-    return _sym(A)
-
-
 def _dense(A) -> np.ndarray:
     """A checked precision as an array: a sparse one densified."""
     return A.toarray() if sparse.issparse(A) else A
@@ -299,7 +278,7 @@ class GaussianTarget:
     precision: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "precision", _precision(self.precision))
+        object.__setattr__(self, "precision", _symmetric(self.precision, "precision", PRECISION_TOL))
         if self.alpha <= 0:
             raise ValueError("precision must be positive definite")
 
@@ -363,7 +342,7 @@ def lyapunov_fixed_point(A, h: float) -> np.ndarray:
     M = I - hA, by Smith's doubling iteration: S <- S + M S M', M <- M^2, so
     step j adds the next 2^j terms.  LYAPUNOV_TOL and LYAPUNOV_MAX_ITER,
     read at call time, stop it."""
-    A = _dense(_precision(A))
+    A = _dense(_symmetric(A, "precision", PRECISION_TOL))
     n = A.shape[0]
     M = np.eye(n) - h * A
     if np.max(np.abs(np.linalg.eigvalsh(M))) >= 1.0:
@@ -410,10 +389,10 @@ def marginal(law: GaussianLaw, u) -> GaussianLaw:
 
 
 def w2sq_gaussian(law1: GaussianLaw, law2: GaussianLaw) -> float:
-    """Squared 2-Wasserstein distance (Bures):
-    |m1 - m2|^2 + tr(S1 + S2 - 2 (S2^{1/2} S1 S2^{1/2})^{1/2}); the last
-    matrix is similar to L2' S1 L2 (S2 = L2 L2'), whose eigenvalues are used.
-    Two laws on the same eigenbasis object commute, and the trace term is
+    """Squared 2-Wasserstein distance (Bures) in Procrustes form (Bhatia, Jain & Lim,
+    Expo. Math. 37, 2019): |m1 - m2|^2 + min over orthogonal R of ||L1 - L2 R||_F^2,
+    S = L L', at the polar factor R = U V' of L2' L1 = U diag(s) V'; no O(1) traces
+    cancel.  Two laws on the same eigenbasis object commute, and the term is
     sum_i (s1_i^{1/2} - s2_i^{1/2})^2 over their eigenvalues s = 1/d."""
     if law1.dim != law2.dim:
         raise ValueError(f"dimension mismatch: {law1.dim} vs {law2.dim}")
@@ -421,12 +400,9 @@ def w2sq_gaussian(law1: GaussianLaw, law2: GaussianLaw) -> float:
     if law1._basis is not None and law1._basis is law2._basis:
         gap = np.sqrt(1.0 / law1._divisor) - np.sqrt(1.0 / law2._divisor)
         return d2 + float(np.sum(gap**2))
-    L2 = law2.chol
-    inner = _sym(L2.T @ law1.cov @ L2)
-    lam = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
-    cross = float(np.sum(np.sqrt(lam)))
-    val = d2 + float(np.trace(law1.cov) + np.trace(law2.cov)) - 2.0 * cross
-    return max(val, 0.0)
+    L1, L2 = law1.chol, law2.chol
+    U, _, Vt = np.linalg.svd(L2.T @ L1)
+    return d2 + float(np.sum((L1 - L2 @ (U @ Vt)) ** 2))
 
 
 def kl_gaussian(law1: GaussianLaw, law2: GaussianLaw) -> float:

@@ -16,8 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._json import _check, load, read
-from .oracle import _dense, _precision
+from ._json import MATRIX_TOL, PRECISION_TOL, _check, _symmetric, load, read
+from .oracle import _dense
 
 __all__ = [
     "FactorTerm",
@@ -37,7 +37,6 @@ __all__ = [
     "potential_from_dict",
 ]
 
-_SYM_TOL = 1e-12
 _LIPSCHITZ_TOL = 1e-10
 
 
@@ -92,13 +91,10 @@ def quadratic_term(support: Sequence[int], matrix, lipschitz: float | None = Non
     If `lipschitz` is given it must agree with the operator norm to 1e-10.
     """
     support = tuple(sorted(support))
-    M = np.asarray(matrix, dtype=float)
+    M = _symmetric(matrix, "quadratic factor matrix", MATRIX_TOL)
     if M.shape != (len(support), len(support)):
         raise ValueError(f"matrix shape {M.shape} does not match support size {len(support)}")
-    if not np.allclose(M, M.T, atol=_SYM_TOL, rtol=0):
-        raise ValueError("quadratic factor matrix must be symmetric")
-    M = 0.5 * (M + M.T)
-    opnorm = float(np.max(np.abs(np.linalg.eigvalsh(M)))) if len(support) else 0.0
+    opnorm = float(np.max(np.abs(np.linalg.eigvalsh(M))))
     if lipschitz is not None and abs(lipschitz - opnorm) > _LIPSCHITZ_TOL * max(1.0, opnorm):
         raise ValueError(
             f"declared lipschitz {lipschitz} inconsistent with operator norm {opnorm}"
@@ -284,23 +280,22 @@ class PairwiseSpec:
 
     def __post_init__(self):
         cb = np.asarray(self.confine_bounds, dtype=float)
-        ib = np.asarray(self.interaction_bounds, dtype=float)
         if cb.shape != (self.n,):
             raise ValueError(f"confine_bounds shape {cb.shape}, expected ({self.n},)")
+        _check(cb, ["non-negative"], "confine_bounds")
+        ib = _symmetric(self.interaction_bounds, "interaction_bounds", MATRIX_TOL)
         if ib.shape != (self.n, self.n):
-            raise ValueError(f"interaction_bounds shape {ib.shape}, expected square")
-        if not np.allclose(ib, ib.T, atol=_SYM_TOL, rtol=0):
-            raise ValueError("interaction_bounds must be symmetric")
+            raise ValueError(f"interaction_bounds shape {ib.shape}, expected ({self.n}, {self.n})")
         if np.any(np.diag(ib) != 0):
             raise ValueError("interaction_bounds diagonal must be zero")
-        if np.any(cb < 0) or np.any(ib < 0):
-            raise ValueError("curvature bounds must be >= 0")
+        if np.any(ib < 0):
+            raise ValueError("interaction_bounds must be >= 0")
         for i, j in self.interaction_fns or {}:
             # v_ij takes x_i - x_j, and the term's support is sorted
             if not 0 <= i < j < self.n:
                 raise ValueError(f"interaction key {(i, j)} needs 0 <= i < j < n={self.n}")
         object.__setattr__(self, "confine_bounds", cb)
-        object.__setattr__(self, "interaction_bounds", 0.5 * (ib + ib.T))
+        object.__setattr__(self, "interaction_bounds", ib)
 
     def to_structured(self, smoothness: SmoothnessParams) -> StructuredPotential:
         if self.confine_fns is None:
@@ -407,7 +402,7 @@ def gaussian_potential(A) -> StructuredPotential:
     alpha = lambda_min(A) (exact log-Sobolev constant), beta = lambda_max(A).
     A may be an array or a scipy.sparse matrix.
     """
-    A = _dense(_precision(A))
+    A = _dense(_symmetric(A, "precision", PRECISION_TOL))
     return _quadratic_potential(A.shape[0], _gaussian_terms(A))
 
 
@@ -455,7 +450,7 @@ def _builtin_terms(name: str, k: int, params: dict) -> list[FactorTerm]:
             A = tridiagonal_precision(k, diag, read(td, "off", td_where, "number", -0.5))
         if A.shape != (k, k):
             raise ValueError(f"precision shape {A.shape} does not match support size {k}")
-        return _gaussian_terms(_precision(A))
+        return _gaussian_terms(_symmetric(A, "precision", PRECISION_TOL))
     if name == "chain-pairwise":
         pairs = _chain_pairs(k, read(params, "couple", where, "number", 0.5))
     elif name == "grid-pairwise":

@@ -20,13 +20,12 @@ def mask_from(indices: Iterable[int]) -> int:
 
 
 def indices_from(mask: int) -> tuple[int, ...]:
+    """The set bits of mask, lowest first, one step per bit: m & -m is the lowest."""
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 

@@ -27,6 +27,17 @@ def test_from_edges_and_adjacency():
     assert indices_from(g.adj_masks[3]) == (2,)
 
 
+def test_indices_from_reads_every_set_bit_lowest_first():
+    rng = np.random.default_rng(7)
+    for bits in (1, 2, 63, 64, 65, 1000, 3000):
+        for density in (0.01, 0.5, 0.99):
+            mask = int("".join("1" if b else "0" for b in rng.random(bits) < density) or "0", 2)
+            want = tuple(i for i, c in enumerate(reversed(bin(mask)[2:])) if c == "1")
+            assert indices_from(mask) == want
+    assert indices_from(0) == ()
+    assert indices_from(1 << 2999) == (2999,)
+
+
 def test_rejects_self_loops():
     with pytest.raises(ValueError):
         InteractionGraph.from_edges(3, [(0, 0)])

@@ -22,7 +22,9 @@ from deloc.harness import (
     ExperimentConfig,
     ExperimentReport,
     ReportRow,
+    _precision_graph,
     _rotated_precision,
+    _target_from_options,
     config_from_dict,
     delocalization_failure_demo,
     fit_scaling,
@@ -371,6 +373,27 @@ def test_certified_trajectory_rows_start_and_h_star(tmp_path, capsys):
     assert rc == 2 and payload["valid"] is False and "exceeds h*" in payload["reason"]
 
 
+def _pattern_precision(n: int) -> list:
+    """Tridiagonal, with the pair (1, 2) zero and a far pair (0, n - 1) coupled."""
+    A = tridiagonal_precision(n)
+    A[1, 2] = A[2, 1] = 0.0
+    A[0, n - 1] = A[n - 1, 0] = 0.1
+    return A.tolist()
+
+
+@pytest.mark.parametrize("n", [8, 70])
+@pytest.mark.parametrize("user", [False, True], ids=["default CSR", "dense user precision"])
+def test_experiment_graph_is_the_precision_pattern(n, user):
+    """The graph the experiments read, from A's nonzero strict upper triangle, is
+    the graph of the potential gaussian_potential(A) builds."""
+    options = {"precision": _pattern_precision(n)} if user else {}
+    tgt = _target_from_options(n, ExperimentConfig("bound-vs-truth", dims=(n,), options=options))
+    assert sparse.issparse(tgt.precision) is not user
+    got = _precision_graph(tgt)
+    assert got.adj_masks == build_graph(gaussian_potential(tgt.precision)).adj_masks
+    assert ((1, 2) in got.edges()) is not user and ((0, n - 1) in got.edges()) is user
+
+
 def test_bound_vs_truth_no_violations_at_smoke_scale():
     rep = run_experiment(
         ExperimentConfig(
@@ -713,7 +736,7 @@ def test_cli_run_reports_domain_errors_with_exit_2(spec, reason, tmp_path, capsy
          "unknown config 'subsets' keys ['draw']"),
         # finite and positive, but its inverse, the covariance, overflows to inf
         ({"experiment": "gaussian-scaling", "dims": [1], "options": {"precision": [[1e-310]]}},
-         "mean and covariance must be finite"),
+         "covariance must be finite"),
     ],
 )
 def test_cli_run_reports_mistyped_config_with_exit_2(spec, reason, tmp_path, capsys):
@@ -788,7 +811,7 @@ UNLOADABLE_POTENTIALS = [
     ({"n": 2, "smoothness": {"alpha": 0.5},
       "terms": [{"kind": "builtin:gaussian", "support": [0, 1],
                  "params": {"precision": [[2.0, 0.5], [0.0, 2.0]]}}]},
-     "precision matrix must be symmetric"),
+     "precision must be symmetric to 1e-10"),
     ({"n": 3, "smoothness": {"alpha": 0.5, "beta": 2.0},
       "terms": [{"kind": "builtin:chain-pairwise", "support": []}]},
      "factor support must be nonempty"),

@@ -441,6 +441,8 @@ def test_certified_curve_argument_errors():
         certified_entropy_curve("generic", params, g, H0, 0.01, 5, (1,))
     with pytest.raises(ValueError):
         certified_entropy_curve("weak", WeakParams(2.0, 1.0), (), H0, 0.01, 5, (1,))
+    with pytest.raises(ValueError, match="subset must be nonempty"):
+        certified_entropy_curve("sparse", params, g, H0, 0.01, 5, ())
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,8 @@ from deloc.oracle import (
 )
 from deloc.harness import _rotated_precision
 from deloc.potential import (
-    chain_pairwise, gaussian_potential, mean_field, potential_from_dict, tridiagonal_precision,
+    PairwiseSpec, chain_pairwise, gaussian_potential, mean_field, potential_from_dict,
+    quadratic_term, tridiagonal_precision,
 )
 
 from conftest import random_spd
@@ -305,6 +306,31 @@ def test_kl_gaussian_of_marginals_matches_mpmath(h):
             assert abs(got - want) <= 1e-12 * want, (u, got, want)
 
 
+@pytest.mark.parametrize("h", [1e-3, 1e-2])
+def test_w2sq_gaussian_of_marginals_matches_mpmath(h):
+    """The dense Bures W2^2 of a marginal of the LMC law against the target's: a bias
+    of 1e-7 or less, which tr S1 + tr S2 - 2 tr(...)^{1/2} would cancel to 1e-9.  The
+    bound is 2e-12: the exact Bures W2^2 of the float64 marginal covariances is itself
+    up to 1.2e-12 off (u = (0, 7), h = 1e-3), and the Procrustes sum is within 1.1e-12."""
+    mpmath = pytest.importorskip("mpmath")
+    n = 8
+    A = tridiagonal_precision(n)
+    tgt = GaussianTarget(sparse.csr_array(A))
+    law, law_h = tgt.law(), lmc_stationary_law(tgt, h)
+    with mpmath.workdps(50):
+        Am, hh = mpmath.matrix(A.tolist()), mpmath.mpf(h)
+        S = Am**-1
+        S_h = (Am * (mpmath.eye(n) - hh / 2 * Am)) ** -1
+        for u in [(3,), (3, 4), (0, 7), (0, 3, 4, 7)]:
+            S1 = mpmath.matrix([[S_h[i, j] for j in u] for i in u])
+            S2 = mpmath.matrix([[S[i, j] for j in u] for i in u])
+            R2 = mpmath.sqrtm(S2)
+            cross = mpmath.sqrtm(R2 * S1 * R2)
+            want = sum(S1[i, i] + S2[i, i] - 2 * cross[i, i] for i in range(len(u)))
+            got = w2sq_gaussian(marginal(law_h, u), marginal(law, u))
+            assert abs(got - want) <= 2e-12 * want, (u, got, want)
+
+
 def test_kl_gaussian_of_a_narrow_law_matches_mpmath():
     """Covariance ratios down to 1e-8: eigvalsh knows the smallest only to 1e-8
     relative, so the log-determinants come from the Cholesky factors."""
@@ -499,12 +525,15 @@ def test_laws_reject_a_covariance_that_overflows():
         GaussianLaw(np.zeros(1), [[np.inf]])
 
 
-def _builtin_gaussian(A):
-    """A through a JSON potential file's builtin:gaussian term."""
+def _json_term(kind: str, key: str, A):
+    """A through a JSON potential file's `kind` term, its matrix under params[key]."""
     k = max(len(A), 1)
-    term = {"kind": "builtin:gaussian", "support": list(range(k)),
-            "params": {"precision": np.asarray(A).tolist()}}
+    term = {"kind": kind, "support": list(range(k)), "params": {key: np.asarray(A).tolist()}}
     return potential_from_dict({"n": k, "smoothness": {"alpha": 1.0}, "terms": [term]})
+
+
+def _builtin_gaussian(A):
+    return _json_term("builtin:gaussian", "precision", A)
 
 
 _START = GaussianLaw(np.zeros(2), np.eye(2))
@@ -517,36 +546,104 @@ PRECISION_ENTRY_POINTS = {
     "gaussian_potential": gaussian_potential,
     "builtin:gaussian": _builtin_gaussian,
 }
-PRECISION_FAULTS = {
-    "non-square": (np.ones((1, 3)), r"non-empty square matrix, got shape \(1, 3\)"),
-    "empty": (np.ones((0, 0)), r"non-empty square matrix, got shape \(0, 0\)"),
-    "non-finite": ([[np.inf]], "precision must be finite"),
-    "asymmetric": ([[1.0, 0.5], [0.0, 1.0]], "precision matrix must be symmetric"),
-    "not positive definite": (-np.eye(2), "positive definite"),
-    "sparse non-finite": (sparse.csr_array([[np.nan, 0.0], [0.0, 1.0]]),
-                          "precision must be finite"),
-    "sparse asymmetric": (sparse.csr_array([[1.0, 0.5], [0.0, 1.0]]),
-                          "precision matrix must be symmetric"),
+# every entry point the symmetric-matrix rule reads: (call, what it names, tol)
+MATRIX_ENTRY_POINTS = {
+    **{e: (call, "precision", 1e-10) for e, call in PRECISION_ENTRY_POINTS.items()},
+    "quadratic_term": (lambda M: quadratic_term(range(len(M)), M),
+                       "quadratic factor matrix", 1e-12),
+    "JSON quadratic": (lambda M: _json_term("quadratic", "matrix", M),
+                       "quadratic factor matrix", 1e-12),
+    "PairwiseSpec": (lambda M: PairwiseSpec(len(M), np.zeros(len(M)), M),
+                     "interaction_bounds", 1e-12),
+    "GaussianLaw": (lambda M: GaussianLaw(np.zeros(len(M)), M), "covariance", 1e-12),
+}
+# fault: (the matrix, given the entry's tolerance; the end of the message after "<what> must be ")
+MATRIX_FAULTS = {
+    "non-square": (lambda tol: np.ones((1, 3)), r"a non-empty square matrix, got shape \(1, 3\)"),
+    "empty": (lambda tol: np.ones((0, 0)), r"a non-empty square matrix, got shape \(0, 0\)"),
+    "nan": (lambda tol: [[1.0, np.nan], [np.nan, 1.0]], "finite"),
+    "+inf": (lambda tol: [[np.inf]], "finite"),
+    "-inf": (lambda tol: [[1.0, -np.inf], [-np.inf, 1.0]], "finite"),
+    "asymmetric": (lambda tol: [[1.0, 0.5], [0.0, 1.0]], "symmetric to "),
+    "asymmetric beyond the tolerance": (lambda tol: [[1.0, 0.5 + 2 * tol], [0.5, 1.0]],
+                                        "symmetric to "),
+    "not positive definite": (lambda tol: -np.eye(2), None),
+    "sparse non-finite": (lambda tol: sparse.csr_array([[np.nan, 0.0], [0.0, 1.0]]), "finite"),
+    "sparse asymmetric": (lambda tol: sparse.csr_array([[1.0, 0.5], [0.0, 1.0]]), "symmetric to "),
     # constant tridiagonal, so the sine spectrum finds lambda_min < 0
-    "sparse not positive definite": (sparse.csr_array(tridiagonal_precision(8, 1.0, -0.6)),
-                                     "positive definite"),
+    "sparse not positive definite": (
+        lambda tol: sparse.csr_array(tridiagonal_precision(8, 1.0, -0.6)), None),
 }
 
 
+def _faulted(entry: str, fault: str) -> bool:
+    """Whether the entry point reads this fault: only a precision must be positive
+    definite (lyapunov_fixed_point reads A alone, and a builtin term is one factor
+    of a sum), only a precision may be sparse, and a JSON file holds no sparse matrix."""
+    precision = entry in PRECISION_ENTRY_POINTS and entry != "builtin:gaussian"
+    if fault.endswith("not positive definite"):
+        return precision and entry != "lyapunov_fixed_point"
+    return precision or "sparse" not in fault
+
+
 @pytest.mark.parametrize(
-    "entry, fault",
-    [(e, f) for e in PRECISION_ENTRY_POINTS for f in PRECISION_FAULTS
-     # only a target is positive definite: lyapunov_fixed_point reads A alone, and a
-     # builtin term is one factor of a sum; a JSON file holds no sparse matrix
-     if not (f.endswith("not positive definite") and e == "lyapunov_fixed_point")
-     and not (e == "builtin:gaussian" and (f == "not positive definite" or "sparse" in f))],
+    "entry, fault", [(e, f) for e in MATRIX_ENTRY_POINTS for f in MATRIX_FAULTS if _faulted(e, f)]
 )
 def test_every_entry_point_rejects_each_precision_fault(entry, fault):
-    A, message = PRECISION_FAULTS[fault]
-    if entry == "builtin:gaussian" and fault != "asymmetric":
+    call, what, tol = MATRIX_ENTRY_POINTS[entry]
+    make, end = MATRIX_FAULTS[fault]
+    message = "positive definite" if end is None else f"{what} must be {end}"
+    if entry in ("builtin:gaussian", "JSON quadratic") and "asymmetric" not in fault:
         message = "must be a square list of number lists"  # the JSON reader's rule comes first
+    if "asymmetric" in fault:
+        message += f"{tol:g}"
     with pytest.raises(ValueError, match=message):
-        PRECISION_ENTRY_POINTS[entry](A)
+        call(make(tol))
+
+
+# entry: what it keeps of the matrix it read (the law functions keep none)
+_READ_BACK = {
+    "GaussianTarget": lambda tgt: tgt.precision,
+    "gaussian_potential": lambda pot: pot.quadratic_matrix,
+    "builtin:gaussian": lambda pot: pot.quadratic_matrix,
+    "quadratic_term": lambda term: term.matrix,
+    "JSON quadratic": lambda pot: pot.terms[0].matrix,
+    "PairwiseSpec": lambda spec: spec.interaction_bounds,
+    "GaussianLaw": lambda law: law.cov,
+}
+
+
+@pytest.mark.parametrize("entry", MATRIX_ENTRY_POINTS)
+def test_every_entry_point_takes_a_matrix_asymmetric_within_its_tolerance(entry):
+    call, _, tol = MATRIX_ENTRY_POINTS[entry]
+    diag = 0.0 if entry == "PairwiseSpec" else 2.0  # pairwise bounds have a zero diagonal
+    M = np.array([[diag, 0.5 + 0.75 * tol], [0.5, diag]])
+    got = call(M)
+    if entry in _READ_BACK:
+        read = _READ_BACK[entry](got)
+        assert read.tobytes() == (0.5 * (M + M.T)).tobytes()
+        assert read[0, 1] == read[1, 0]
+
+
+def test_the_symmetric_reader_averages_strip_by_strip():
+    """Past 64 rows the rule reads M in strips; it must give (M + M')/2 bit for bit,
+    and M itself where M is symmetric, so an entry near the overflow stays finite."""
+    from deloc._json import _symmetric
+
+    rng = np.random.default_rng(5)
+    for n in (1, 63, 64, 65, 200):
+        S = rng.standard_normal((n, n))
+        S = S + S.T
+        M = S + 1e-13 * rng.uniform(-1.0, 1.0, (n, n))
+        for A in (S, M, sparse.csr_array(M)):
+            got = _symmetric(A, "m", 1e-12)
+            want = 0.5 * (A + A.T)
+            assert type(got) is type(want)
+            got, want = (sparse.csr_array(got).toarray(), sparse.csr_array(want).toarray())
+            assert got.tobytes() == want.tobytes()
+            np.testing.assert_array_equal(got, got.T)
+    huge = np.full((70, 70), 1.5e308)
+    np.testing.assert_array_equal(_symmetric(huge, "m", 1e-12), huge)
 
 
 # -- closed-form eigenbases ----------------------------------------------------------

@@ -281,6 +281,24 @@ def test_pairwise_to_structured_matches_quadratic(rng):
     )
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+def test_pairwise_spec_rejects_a_bound_outside_its_domain(bad):
+    # NaN and infinities break the number rule that ">= 0" extends
+    message = "numbers >= 0" if bad == -1.0 else "numbers, got"
+    with pytest.raises(ValueError, match=f"confine_bounds entries must be {message}"):
+        PairwiseSpec(2, [bad, 1.0], np.zeros((2, 2)))
+    bounds = np.array([[0.0, bad], [bad, 0.0]])
+    message = "interaction_bounds must be >= 0" if bad == -1.0 else "interaction_bounds must be finite"
+    with pytest.raises(ValueError, match=message):
+        PairwiseSpec(2, [1.0, 1.0], bounds)
+
+
+def test_a_non_finite_quadratic_block_is_named_as_such():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="quadratic factor matrix must be finite"):
+            quadratic_term((0,), [[bad]])
+
+
 def test_pairwise_rejects_interaction_keys_outside_i_lt_j():
     # v(x_i - x_j) is asymmetric, so a key (j, i) would evaluate v at the
     # negated difference on the sorted support
@@ -554,9 +572,9 @@ def test_builtin_gaussian_rejects_asymmetric_precision():
         "terms": [{"kind": "builtin:gaussian", "support": [0, 1],
                    "params": {"precision": [[2.0, 0.5], [0.0, 2.0]]}}],
     }
-    with pytest.raises(ValueError, match="precision matrix must be symmetric"):
+    with pytest.raises(ValueError, match="precision must be symmetric to 1e-10"):
         potential_from_dict(spec)
-    with pytest.raises(ValueError, match="precision matrix must be symmetric"):
+    with pytest.raises(ValueError, match="precision must be symmetric to 1e-10"):
         gaussian_potential(spec["terms"][0]["params"]["precision"])
 
 
