@@ -15,7 +15,7 @@ import numbers
 import numpy as np
 
 _REQUIRED = object()  # the default of a key that must be present
-_SEQUENCE = (list, tuple, np.ndarray)  # a JSON list, or what a library caller passes for one
+_SEQUENCE = (list, tuple, range, np.ndarray)  # a JSON list, or what a library caller passes for one
 
 
 def load(path, what: str = "JSON file"):
@@ -44,8 +44,9 @@ def _is_number(v) -> bool:
 
 
 def _is_indices(v) -> bool:
+    # a plain int skips the count rule's slower checks: a factor support is read this way
     return isinstance(v, _SEQUENCE) and all(
-        _failed(i, "count") is None for i in v
+        i >= 0 if type(i) is int else _failed(i, "count") is None for i in v
     ) and len(set(v)) == len(v)
 
 
@@ -57,7 +58,7 @@ def _is_matrix(v) -> bool:
 
 # kind: (the rule it extends, test, cast, noun, plural noun).  A number is a
 # finite JSON int or float, so true, false and strings are not numbers, and an
-# integer is a whole number; a matrix is a square, nonempty list of number lists.
+# integer is a whole number; a matrix is a square, non-empty list of number lists.
 _RULES = {
     "number": (None, _is_number, float, "a number", "numbers"),
     "integer": (
@@ -114,6 +115,11 @@ def _symmetric(value, what: str, tol: float):
     if gap > tol:
         raise ValueError(f"{what} must be symmetric to {tol:g}, got |M - M'| up to {gap:.3g}")
     return out
+
+
+def _dense(M) -> np.ndarray:
+    """A matrix that _symmetric returned, as an array: a CSR one densified."""
+    return M if isinstance(M, np.ndarray) else M.toarray()
 
 
 def _failed(value, kind: str) -> str | None:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from ._json import _check, _flaw
 from ._poisson import chain_mean
 from .graph import InteractionGraph
-from .subsets import as_mask, size
+from .subsets import size
 
 __all__ = [
     "BoundReport",
@@ -265,17 +265,14 @@ def continuous_time_bound(
     """
     _check(eps, "fraction", "eps")
     _check(t, "non-negative", "t")
-    u_mask = as_mask(u, graph.n)
-    if size(u_mask) == 0:
-        raise ValueError("subset must be nonempty")
+    chain = graph.chain(u)
     if H0 is None:  # the size-linear default needs C0
         _check(C0, "non-negative", "C0")
         H0 = lambda w: C0 * size(w)
-    inputs = dict(u=u_mask, t=t, eps=eps, alpha=alpha, beta=beta, gamma=gamma, n=graph.n)
+    inputs = dict(u=chain[0], t=t, eps=eps, alpha=alpha, beta=beta, gamma=gamma, n=graph.n)
     reason = _flaw(inputs, alpha="positive", beta="positive", gamma="positive")
     if reason:
         return BoundReport("continuous-time", inputs, {}, False, reason)
-    chain = graph.chain(u_mask)
     try:
         rate = gamma * beta**2 / (2.0 * alpha)
         series = chain_mean(chain, rate * t / eps, H0)

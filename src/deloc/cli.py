@@ -210,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     # the flags that bounds and hierarchy share, with the same defaults
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--subset", type=int, nargs="+", default=[0])
+    # each index is read as JSON, so the subset rule judges 2.0, 0.7, -1 and true itself
+    shared.add_argument("--subset", type=partial(_usage, json.loads), nargs="+", default=[0])
     shared.add_argument("--t", type=_number, default=1.0)
     shared.add_argument("--h", type=_number, default=0.01)
     shared.add_argument("--k", type=int, default=100)

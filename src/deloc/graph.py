@@ -64,7 +64,7 @@ class InteractionGraph:
     # -- neighbourhoods ------------------------------------------------------
 
     def chain(self, u) -> tuple[int, ...]:
-        """Masks (N_0(u), N_1(u), ..., N_J(u)) up to stabilization, cached."""
+        """Masks (N_0(u), ..., N_J(u)), J the first with N_J(u) = N_{J+1}(u); cached."""
         u_mask = as_mask(u, self.n)
         cached = self._chains.get(u_mask)
         if cached is not None:
@@ -82,13 +82,6 @@ class InteractionGraph:
             cur, rest = nxt, nxt & ~cur
         self._chains[u_mask] = chain = tuple(chain)
         return chain
-
-    def stabilization_index(self, u) -> int:
-        """Smallest J with N_J(u) = N_{J+1}(u) (component closure reached)."""
-        m = as_mask(u, self.n)
-        if m == 0:
-            raise ValueError("stabilization index of the empty set is undefined")
-        return len(self.chain(m)) - 1
 
 
 def build_graph(pot: StructuredPotential) -> InteractionGraph:
@@ -126,7 +119,6 @@ class GrowthReport:
     passed: bool
     first_violation: tuple[int, int] | None  # (vertex, k)
     checked_up_to: int  # largest stabilization index, the k range checked
-    certificate: GrowthCertificate
 
 
 def verify_growth(g: InteractionGraph, cert: GrowthCertificate) -> GrowthReport:
@@ -143,6 +135,6 @@ def verify_growth(g: InteractionGraph, cert: GrowthCertificate) -> GrowthReport:
         for k in range(J + 1):
             got = size(chain[min(k + 1, J)])
             if got > cert.vertex_bound(k) + 1e-12:
-                return GrowthReport(False, (i, k), checked, cert)
-    return GrowthReport(True, None, checked, cert)
+                return GrowthReport(False, (i, k), checked)
+    return GrowthReport(True, None, checked)
 

@@ -25,12 +25,12 @@ from scipy import sparse
 from . import bounds as bnd
 from . import metrics as mtr
 from . import oracle as orc
-from ._json import read
+from ._json import _dense, read
 from .graph import GrowthCertificate, InteractionGraph, verify_growth
 from .hierarchy import SparseParams, SubsetFunction, certified_entropy_curve
 from .potential import gaussian_potential
 from .sampler import DivergenceError, SamplerConfig, marginal_samples, run_chain
-from .subsets import indices_from, mask_from, size
+from .subsets import indices_from, size, sorted_indices
 
 __all__ = [
     "ExperimentConfig",
@@ -188,7 +188,7 @@ def resolve_panel(graph: InteractionGraph, spec) -> list[tuple[int, ...]]:
     """Expand a panel spec into subsets: "singletons", "pairs" (graph
     edges), "all-pairs", combinations via "+", an explicit list, or
     {"random": {"size": k, "count": c}} using a fixed draw.  An empty
-    panel is a ValueError."""
+    panel, or an entry that is no subset of range(graph.n), is a ValueError."""
     if isinstance(spec, str):
         panel: list[tuple[int, ...]] = []
         for part in spec.split("+"):
@@ -206,13 +206,12 @@ def resolve_panel(graph: InteractionGraph, spec) -> list[tuple[int, ...]]:
         where = "subsets 'random'"
         k, count = (read(draw, key, where, "integer") for key in ("size", "count"))
         rng = np.random.default_rng(read(draw, "seed", where, "integer", 0))
-        draws = (rng.choice(graph.n, size=k, replace=False).tolist() for _ in range(count))
-        panel = [tuple(sorted(u)) for u in draws]
+        panel = [rng.choice(graph.n, size=k, replace=False).tolist() for _ in range(count)]
     else:
-        panel = [tuple(sorted(u)) for u in read(spec, None, "subsets", ["indices"])]
+        panel = read(spec, None, "subsets", "list")
     if not panel:
         raise ValueError(f"subset panel {spec!r} is empty")
-    return panel
+    return [tuple(sorted_indices(u, graph.n, "subsets entry")) for u in panel]
 
 
 def _subset_label(u) -> str:
@@ -373,7 +372,7 @@ def _exp_certified_trajectory(config: ExperimentConfig) -> Iterator[ReportRow]:
     law = tgt.law()
     law0 = orc.GaussianLaw(np.zeros(n), _option(config, "cov0_scale") * law.cov)
     # H0(w) = C0 |w| dominates the start's marginal KL on every w a curve reads
-    chains = {w for u in panel for w in graph.chain(mask_from(u))}
+    chains = {w for u in panel for w in graph.chain(u)}
     C0 = max(_marginal_kl(law0, law, indices_from(w)) / size(w) for w in chains)
     H0 = SubsetFunction(lambda m: C0 * size(m), "c0-size")
     for h in config.h_values or (consts["h_star"] / 2.0,):
@@ -429,9 +428,7 @@ def _exp_continuous_time(config: ExperimentConfig) -> Iterator[ReportRow]:
         for t, law_t in laws:
             for u in panel:
                 exact = _marginal_kl(law_t, law, u)
-                rep = bnd.continuous_time_bound(
-                    graph, mask_from(u), t, eps, alpha, beta, gamma, H0=H0
-                )
+                rep = bnd.continuous_time_bound(graph, u, t, eps, alpha, beta, gamma, H0=H0)
                 if not rep.valid:
                     raise ValueError(rep.reason)
                 yield ReportRow(
@@ -454,7 +451,7 @@ def _exp_onestep_linf(config: ExperimentConfig) -> Iterator[ReportRow]:
     counter = 0
     for n in config.dims or (4, 8):
         tgt = _target_from_options(n, config)
-        A = orc._dense(tgt.precision)
+        A = _dense(tgt.precision)
         alpha0 = float(np.max(np.sum(np.abs(A - np.diag(np.diag(A))), axis=1)))
         alpha, beta = tgt.alpha, tgt.beta
         h = _single(config, "h_values", 1.0 / (2.0 * beta))

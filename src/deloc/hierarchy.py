@@ -51,8 +51,8 @@ from ._poisson import chain_mean, shift_kernel, truncated_pmf
 from ._json import _check, read
 from .bounds import BoundReport, _above_h_star, theorem_constants
 from .graph import InteractionGraph
-from .potential import InteractionConstants, StructuredPotential, interaction_constants
-from .subsets import as_mask, indices_from, size
+from .potential import StructuredPotential, interaction_constants
+from .subsets import as_mask, indices_from, mask_from, size
 
 __all__ = [
     "SubsetFunction",
@@ -112,16 +112,15 @@ class WeakGenerator:
 
     def __post_init__(self):
         _check(self.rate_factor, "non-negative", "rate factor")
-        for w, L in self.weights:
-            if w == 0:
-                raise ValueError("empty support in weight list")
-            _check(L, "positive", "weight")
+        weights = tuple((as_mask(w, None, "weight support"), _check(L, "positive", "weight"))
+                        for w, L in self.weights)
+        object.__setattr__(self, "weights", weights)
 
     @classmethod
     def from_params(cls, structure, alpha, gamma, eps) -> "WeakGenerator":
         """structure is a StructuredPotential or a weight list; M0 comes from it."""
         _read_rate(eps, alpha=alpha, gamma=gamma)
-        weights, consts = _weak_structure(structure)
+        weights, consts, _ = _weak_structure(structure)
         return cls(weights, gamma * consts.M0 / (alpha * eps))
 
 
@@ -132,16 +131,15 @@ def _read_rate(eps, **positive) -> None:
     _check(eps, "fraction", "eps")
 
 
-def _weak_structure(structure) -> tuple[tuple[tuple[int, float], ...], InteractionConstants]:
-    """(weights, constants) of a StructuredPotential (its factors with L > 0)
-    or of a weight list ((support_mask, L_w), ...)."""
+def _weak_structure(structure):
+    """(weights, constants, n) of a StructuredPotential (its factors with L > 0)
+    or of a weight list ((support_mask, L_w), ...), whose n is None."""
     if isinstance(structure, StructuredPotential):
-        weights = tuple((as_mask(t.support), t.lipschitz) for t in structure.active_terms)
-        return weights, structure.interaction_constants
-    weights = tuple(structure)
-    return weights, interaction_constants(
-        [indices_from(w) for w, _ in weights], [L for _, L in weights]
-    )
+        weights = tuple((mask_from(t.support), t.lipschitz) for t in structure.active_terms)
+        return weights, structure.interaction_constants, structure.n
+    weights = tuple((as_mask(w, None, "weight support"), L) for w, L in structure)
+    supports = [indices_from(w) for w, _ in weights]
+    return weights, interaction_constants(supports, [L for _, L in weights]), None
 
 
 # -- semigroups ----------------------------------------------------------------
@@ -151,10 +149,7 @@ def semigroup_sparse(gen: SparseGenerator, t: float, F, u) -> float:
     """e^{tA}F(u) = E F(N_{Lambda(t)}(u)) as an exact finite series:
     sum_{j<J} pmf(j; rate t) F(N_j(u)) + P(Lambda >= J) F(N_J(u))."""
     _check(t, "non-negative", "t")
-    m = as_mask(u, gen.graph.n)
-    if m == 0:
-        raise ValueError("subset must be nonempty")
-    return chain_mean(gen.graph.chain(m), gen.rate * t, F)
+    return chain_mean(gen.graph.chain(u), gen.rate * t, F)
 
 
 def _weak_lattice(gen: WeakGenerator, u_mask: int, seed_supports: bool):
@@ -228,7 +223,7 @@ def _weak_expm(gen: WeakGenerator, u_mask: int, t: float, seed_supports: bool):
 
 def semigroup_weak(gen: WeakGenerator, t: float, F, u) -> float:
     """e^{tA}F(u) for the weak generator by uniformization over the
-    reachable growing-subset lattice."""
+    reachable growing-subset lattice; the generator knows no n to bound u by."""
     _check(t, "non-negative", "t")
     m = as_mask(u)
     states, index, _, expm = _weak_expm(gen, m, t, seed_supports=False)
@@ -314,7 +309,8 @@ def certified_entropy_curve(case: str, params, structure, H0, h: float, k_max: i
     case "sparse": structure is an InteractionGraph, params a SparseParams.
     case "weak":   structure is a weight list ((mask, L), ...) or a
                    StructuredPotential, params a WeakParams.
-    H0 is a callable on subset bitmasks (monotone under inclusion).
+    H0 is a callable on subset bitmasks (monotone under inclusion).  u is a
+    subset of the structure's coordinates (any, for a weight list).
     Requires h <= h* of the invoked theorem.
     """
     k_max = _check(k_max, "count", "k_max")
@@ -326,9 +322,9 @@ def certified_entropy_curve(case: str, params, structure, H0, h: float, k_max: i
         report = params.constants()
         build = lambda eps: _sparse_operators(params, structure, eps, h, u)
     elif case == "weak":
-        weights, c = _weak_structure(structure)
+        weights, c, n = _weak_structure(structure)
         report = params.constants(c.M0, c.M1, c.R1)
-        build = lambda eps: _weak_operators(params, weights, c.M0, eps, h, u)
+        build = lambda eps: _weak_operators(params, weights, c.M0, eps, h, u, n)
     else:
         raise ValueError(f"unknown case {case!r} (use 'sparse' or 'weak')")
     h_star, eps = _resolve(report, params.epsilon)
@@ -366,10 +362,7 @@ def _sparse_operators(params: SparseParams, graph: InteractionGraph, eps, h, u):
     (Poisson tail absorbed at the stabilized end), N the 0/1 shift by one."""
     alpha, beta = params.alpha, params.beta
     lam = SparseGenerator.from_params(graph, alpha, beta, params.gamma, eps).rate
-    m = as_mask(u, graph.n)
-    if m == 0:
-        raise ValueError("subset must be nonempty")
-    chain = graph.chain(m)
+    chain = graph.chain(u)
     J = len(chain) - 1
     K = shift_kernel(lam * h, J)
     shift = np.minimum(np.arange(J + 1) + 1, J)
@@ -380,12 +373,12 @@ def _sparse_operators(params: SparseParams, graph: InteractionGraph, eps, h, u):
     return chain, 0, lambda v: K @ v, N, g, q
 
 
-def _weak_operators(params: WeakParams, weights, M0, eps, h, u):
+def _weak_operators(params: WeakParams, weights, M0, eps, h, u, n=None):
     """The reachable lattice of u and the supports; e^{hA} by uniformization,
     (N F)(v) = sum_{w cap v != 0} L_w F(w) as one CSR row per state."""
     alpha = params.alpha
     gen = WeakGenerator.from_params(weights, alpha, params.gamma, eps)
-    m = as_mask(u)
+    m = as_mask(u, n)
     states, index, pairs, expm_h = _weak_expm(gen, m, h, seed_supports=True)
     nstates = len(states)
 

@@ -43,7 +43,7 @@ import scipy.fft
 from scipy import sparse
 from scipy.linalg import solve_triangular
 
-from ._json import MATRIX_TOL, PRECISION_TOL, _check, _symmetric
+from ._json import MATRIX_TOL, PRECISION_TOL, _check, _dense, _symmetric
 from .subsets import sorted_indices
 
 __all__ = [
@@ -65,7 +65,8 @@ LYAPUNOV_MAX_ITER = 200_000  # or raises after this many doubling steps
 
 class GaussianLaw:
     """N(mean, cov), immutable.  GaussianLaw(mean, cov) requires a finite mean and a
-    positive-definite cov, symmetric to MATRIX_TOL (kept as (cov + cov')/2), and takes
+    positive-definite cov, dense or scipy.sparse, symmetric to MATRIX_TOL (kept as the
+    array (cov + cov')/2), and takes
     `chol`, its lower Cholesky factor, on construction; W2, KL and sample reuse it.
 
     A law built from a GaussianTarget is spectral: N(0, Q diag(1/d) Q') with the
@@ -77,7 +78,7 @@ class GaussianLaw:
 
     def __init__(self, mean, cov):
         mean = np.atleast_1d(np.asarray(mean, dtype=float))
-        cov = _symmetric(cov, "covariance", MATRIX_TOL)
+        cov = _dense(_symmetric(cov, "covariance", MATRIX_TOL))
         if mean.shape != cov.shape[:1]:
             raise ValueError(f"need mean (n,) and cov (n, n), got shapes {mean.shape}, {cov.shape}")
         if not np.isfinite(mean).all():
@@ -260,11 +261,6 @@ def _cholesky(cov: np.ndarray) -> np.ndarray:
 
 def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
-
-
-def _dense(A) -> np.ndarray:
-    """A checked precision as an array: a sparse one densified."""
-    return A.toarray() if sparse.issparse(A) else A
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,8 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._json import MATRIX_TOL, PRECISION_TOL, _check, _symmetric, load, read
-from .oracle import _dense
+from ._json import MATRIX_TOL, PRECISION_TOL, _check, _dense, _symmetric, load, read
+from .subsets import sorted_indices
 
 __all__ = [
     "FactorTerm",
@@ -60,12 +60,10 @@ class FactorTerm:
     kind: str = field(init=False)
 
     def __post_init__(self):
-        if len(self.support) == 0:
-            raise ValueError("factor support must be nonempty")
-        if list(self.support) != sorted(set(self.support)):
-            raise ValueError(f"support must be sorted and duplicate-free, got {self.support}")
-        if self.support[0] < 0:
-            raise ValueError(f"support indices must be >= 0, got {self.support}")
+        support = sorted_indices(self.support, None, "factor support")
+        if support != list(self.support):  # the matrix's rows follow the support's order
+            raise ValueError(f"factor support must be sorted, got {self.support}")
+        object.__setattr__(self, "support", tuple(support))
         object.__setattr__(self, "lipschitz", _check(self.lipschitz, "non-negative", "lipschitz"))
         fns = (self.value_fn, self.grad_fn)
         if self.matrix is not None and fns != (None, None):
@@ -90,8 +88,8 @@ def quadratic_term(support: Sequence[int], matrix, lipschitz: float | None = Non
 
     If `lipschitz` is given it must agree with the operator norm to 1e-10.
     """
-    support = tuple(sorted(support))
-    M = _symmetric(matrix, "quadratic factor matrix", MATRIX_TOL)
+    M = _dense(_symmetric(matrix, "quadratic factor matrix", MATRIX_TOL))
+    support = tuple(sorted_indices(support, None, "factor support"))
     if M.shape != (len(support), len(support)):
         raise ValueError(f"matrix shape {M.shape} does not match support size {len(support)}")
     opnorm = float(np.max(np.abs(np.linalg.eigvalsh(M))))
@@ -104,7 +102,7 @@ def quadratic_term(support: Sequence[int], matrix, lipschitz: float | None = Non
 
 def callable_term(support, value_fn, grad_fn, lipschitz: float, label: str = "") -> FactorTerm:
     return FactorTerm(
-        support=tuple(sorted(support)),
+        support=tuple(sorted_indices(support, None, "factor support")),
         lipschitz=lipschitz,
         value_fn=value_fn,
         grad_fn=grad_fn,
@@ -180,8 +178,7 @@ class StructuredPotential:
         _check(self.n, "positive-integer", "n")
         object.__setattr__(self, "terms", tuple(self.terms))
         for t in self.terms:
-            if t.support[-1] >= self.n:
-                raise ValueError(f"support {t.support} out of range for n={self.n}")
+            sorted_indices(t.support, self.n, "factor support")
         if self.smoothness.beta is None:
             m0 = self.interaction_constants.M0
             if m0 < self.smoothness.alpha:
@@ -201,8 +198,6 @@ class StructuredPotential:
 
     def gradient(self, x) -> np.ndarray:
         x = self._check_point(x)
-        if self.quadratic_matrix is not None:
-            return self.quadratic_matrix @ x
         # one gather of every term's support, one scatter-add in term order:
         # the same sums as out[support] += grad term by term
         idx, bounds = self._flat_supports
@@ -283,7 +278,7 @@ class PairwiseSpec:
         if cb.shape != (self.n,):
             raise ValueError(f"confine_bounds shape {cb.shape}, expected ({self.n},)")
         _check(cb, ["non-negative"], "confine_bounds")
-        ib = _symmetric(self.interaction_bounds, "interaction_bounds", MATRIX_TOL)
+        ib = _dense(_symmetric(self.interaction_bounds, "interaction_bounds", MATRIX_TOL))
         if ib.shape != (self.n, self.n):
             raise ValueError(f"interaction_bounds shape {ib.shape}, expected ({self.n}, {self.n})")
         if np.any(np.diag(ib) != 0):
@@ -476,9 +471,7 @@ def potential_from_dict(spec: dict) -> StructuredPotential:
     terms: list[FactorTerm] = []
     for entry in read(spec, "terms", "potential spec", "list"):
         # the support is checked first: an empty one is the error whatever the kind
-        support = sorted(read(entry, "support", "term", "indices"))
-        if not support:
-            raise ValueError("factor support must be nonempty")
+        support = sorted_indices(read(entry, "support", "term"), None, "term 'support'")
         kind = read(entry, "kind", "term", "string")
         if kind not in _PARAM_KEYS:
             raise ValueError(f"unknown term kind {kind!r}")

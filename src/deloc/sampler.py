@@ -17,7 +17,7 @@ its path from the potential:
 
 Each path does the same arithmetic on a chain whatever the number of
 chains C.  The block's sup-norm is checked after every recorded step, and
-a chain that reaches DIVERGENCE_LIMIT stops the run.
+a chain that reaches DIVERGENCE_LIMIT or turns non-finite stops the run.
 
 Noise stream layout (documented so composed-map tests can replay it):
 each chain owns an independent generator spawned from the config seed;
@@ -119,22 +119,10 @@ class SampleStore:
     def n(self) -> int:
         return self.samples.shape[2]
 
-    @property
-    def num_chains(self) -> int:
-        return self.samples.shape[0]
-
     def rows(self) -> np.ndarray:
         """(num_chains * kept, n) view, chains concatenated in order."""
         c, t, n = self.samples.shape
         return self.samples.reshape(c * t, n)
-
-
-def _descent(pot: StructuredPotential, x: np.ndarray, h: float) -> np.ndarray:
-    """x - h grad V(x), with a finiteness guard on the gradient."""
-    g = pot.gradient(x)
-    if not np.all(np.isfinite(g)):
-        raise FloatingPointError(f"non-finite gradient at x with |x|_inf={np.max(np.abs(x)):.3e}")
-    return x - h * g
 
 
 def _step_matrix(A: np.ndarray, h: float):
@@ -152,7 +140,7 @@ def _block_drift(pot: StructuredPotential, h: float):
     """The map from a (C, n) block of chains X to X - h grad V(X), chain by chain."""
     A = pot.quadratic_matrix
     if A is None:
-        return lambda X: np.array([_descent(pot, x, h) for x in X])
+        return lambda X: np.array([x - h * pot.gradient(x) for x in X])
     M = _step_matrix(A, h)
     if sparse.issparse(M):
         # CSR times a dense block: every column gets the matvec's arithmetic

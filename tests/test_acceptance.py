@@ -24,7 +24,7 @@ from deloc.harness import (
     run_experiment,
 )
 from deloc.potential import gaussian_potential, tridiagonal_precision
-from deloc.subsets import as_mask, indices_from, mask_from, size
+from deloc.subsets import indices_from, mask_from, size
 
 from conftest import (
     bfs_neighborhood,
@@ -190,7 +190,7 @@ def test_acceptance_operator_hierarchy(rng):
     sgen = hie.SparseGenerator.from_params(g, 1.0, 1.2, 0.8, 0.5)
     u, t = (1,), 0.5
     out = hie.semigroup_sparse(sgen, t, hie.SubsetFunction.size(), u)
-    J = g.stabilization_index(as_mask(u, 6))
+    J = len(g.chain(u)) - 1
     sizes = np.array(
         [len(bfs_neighborhood(edges, 6, u, j)) for j in range(J + 1)], dtype=float
     )
@@ -307,7 +307,7 @@ def test_acceptance_certified_trajectory_sandwich():
     m = mask_from(u)
     chain = [
         neighborhood_mask(graph, m, j)
-        for j in range(graph.stabilization_index(m) + 1)
+        for j in range(len(graph.chain(m)))
     ]
     kl0 = {
         w: orc.kl_gaussian(

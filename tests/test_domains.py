@@ -1,8 +1,14 @@
 """Every scalar input is read by a domain rule of deloc._json: NaN, the
 infinities, a bool, a value outside the domain and, where a count is read,
-a fractional number each raise ValueError or give a valid=False report."""
+a fractional number each raise ValueError or give a valid=False report.
+Every coordinate subset is read by the one subset rule of deloc.subsets."""
 
+import contextlib
+import io
+import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -10,6 +16,7 @@ import pytest
 from deloc import bounds as bnd
 from deloc import hierarchy as hie
 from deloc import oracle as orc
+from deloc.cli import main
 from deloc.graph import GrowthCertificate, build_graph, verify_growth
 from deloc.harness import ExperimentConfig
 from deloc.metrics import subadditivity_check, w2sq_1d, w2sq_assignment
@@ -19,9 +26,12 @@ from deloc.potential import (
     StructuredPotential,
     callable_term,
     chain_pairwise,
+    mean_field,
+    potential_from_dict,
+    quadratic_term,
     tridiagonal_precision,
 )
-from deloc.sampler import SamplerConfig
+from deloc.sampler import SampleStore, SamplerConfig, marginal_samples
 
 POT = chain_pairwise(4)
 GRAPH = build_graph(POT)
@@ -274,3 +284,161 @@ def test_onestep_without_a_gap_has_no_bound():
     assert rep.outputs == {"bound_value": None, "full_linf": None, "marginal": None}
     rep = bnd.onestep_linf_bound(1.0, 0.5, 2.0, 0.1, 4, usize=2)
     assert rep.valid and rep["marginal"] == rep["bound_value"] == 2 * rep["full_linf"]
+
+
+# -- one rule for every coordinate subset ---------------------------------------------
+
+MF = mean_field(4, strength=0.1)
+MF_WEAK = hie.WeakParams(MF.smoothness.alpha, 1.0)
+MF_H = MF_WEAK.h_star(MF.interaction_constants.M0, MF.interaction_constants.M1,
+                      MF.interaction_constants.R1) / 2.0
+WEIGHTS_H = 1e-3  # below h* of WEAK on WEIGHTS
+STORE = SampleStore(np.arange(24.0).reshape(1, 6, 4), SamplerConfig(h=0.1, iterations=10))
+CHAIN4 = {"n": 4, "smoothness": {"alpha": 0.5, "beta": 2.0},
+          "terms": [{"kind": "builtin:chain-pairwise", "support": [0, 1, 2, 3]}]}
+
+
+def _zero(z):
+    return 0.0 * z
+
+
+def _reported(argv, files):
+    """deloc's payload for argv after writing files {name: document} to a fresh
+    directory ({dir} in argv names it); a ValueError with its reason on exit 2."""
+    with tempfile.TemporaryDirectory() as d:
+        for name, doc in files.items():
+            with open(os.path.join(d, name), "w") as f:
+                json.dump(doc, f)
+        out = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                rc = main([a.format(dir=d) for a in argv])
+        except SystemExit as e:  # argparse's own usage error
+            rc, out = e.code, None
+    payload = json.loads(out.getvalue()) if out else {"reason": "usage error"}
+    if rc == 2:
+        raise ValueError(payload.get("reason", payload))
+    assert rc == 0
+    return payload
+
+
+def _panel(u):
+    config = {"experiment": "continuous-time", "dims": [3], "subsets": [u],
+              "options": {"eps": [0.5], "times": [0.5]}}
+    return _reported(["run", "{dir}/cfg.json"], {"cfg.json": config})
+
+
+def _hierarchy(u):
+    return _reported(["hierarchy", "{dir}/pot.json", "--subset", *map(json.dumps, u)],
+                     {"pot.json": CHAIN4})
+
+
+# name: (call with a subset u, the n it knows (None: none), whether it takes a
+# bitmask, whether u reaches it as JSON)
+SUBSET_ENTRY_POINTS = {
+    "FactorTerm": (lambda u: FactorTerm(u, 1.0, value_fn=_zero, grad_fn=_zero), None, False, False),
+    "quadratic_term": (lambda u: quadratic_term(u, np.eye(max(len(u), 1))), None, False, False),
+    "callable_term": (lambda u: callable_term(u, _zero, _zero, 1.0), None, False, False),
+    "JSON term support": (
+        lambda u: potential_from_dict({**CHAIN4, "terms": [{**CHAIN4["terms"][0], "support": u}]}),
+        4, False, False,
+    ),
+    "StructuredPotential": (
+        lambda u: StructuredPotential(4, (callable_term(u, _zero, _zero, 1.0),),
+                                      SmoothnessParams(0.5, 2.0)),
+        4, False, False,
+    ),
+    "graph.chain": (GRAPH.chain, 4, True, False),
+    "continuous_time_bound": (
+        lambda u: bnd.continuous_time_bound(GRAPH, u, 0.5, 0.5, 1.0, 2.0, 1.0, C0=1.0),
+        4, True, False,
+    ),
+    "semigroup_sparse": (
+        lambda u: hie.semigroup_sparse(hie.SparseGenerator(GRAPH, 1.0), 0.5, H0, u), 4, True, False
+    ),
+    "semigroup_weak": (
+        lambda u: hie.semigroup_weak(hie.WeakGenerator(WEIGHTS, 1.0), 0.5, H0, u), None, True, False
+    ),
+    "sparse curve": (
+        lambda u: hie.certified_entropy_curve("sparse", SPARSE, GRAPH, H0, SPARSE.h_star() / 2, 2, u),
+        4, True, False,
+    ),
+    "weak curve on a potential": (
+        lambda u: hie.certified_entropy_curve("weak", MF_WEAK, MF, H0, MF_H, 2, u), 4, True, False
+    ),
+    "weak curve on a weight list": (
+        lambda u: hie.certified_entropy_curve("weak", WEAK, WEIGHTS, H0, WEIGHTS_H, 2, u),
+        None, True, False,
+    ),
+    "marginal": (lambda u: orc.marginal(LAW0, u), 3, False, False),
+    "marginal_samples": (lambda u: marginal_samples(STORE, u), 4, False, False),
+    "harness panel": (_panel, 3, False, True),
+    "deloc hierarchy --subset": (_hierarchy, 4, False, True),
+}
+# the indices rule of deloc._json, under the subset rule and the run config's panel alike
+_RULE = "integers, distinct and non-negative"
+# fault: (the subset, a part of the message)
+INDEX_FAULTS = {
+    "empty": ([], "must be nonempty"),
+    "0.7": ([0.7], _RULE),
+    "True": ([True], _RULE),
+    "-1": ([-1], _RULE),
+    "duplicate": ([1, 1], _RULE),
+    "string": (["1"], _RULE),
+    "out of range": ([9], "(9,) not contained in range("),
+}
+MASK_FAULTS = {
+    "empty mask": (0, "must be nonempty"),
+    "True mask": (True, _RULE),
+    "-1 mask": (-1, "bitmask must be >= 0, got -1"),
+    "0.7 mask": (0.7, _RULE),
+    "string mask": ("1", _RULE),
+    "out-of-range mask": (1 << 9, "(9,) not contained in range("),
+}
+
+
+def _subset_faults():
+    for name, (call, n, masks, _) in SUBSET_ENTRY_POINTS.items():
+        faults = {**INDEX_FAULTS, **(MASK_FAULTS if masks else {})}
+        for label, (u, part) in faults.items():
+            if n is None and "range" in part:
+                continue  # nothing to bound u by
+            if name == "deloc hierarchy --subset" and label == "empty":
+                part = "usage error"  # argparse needs a value after --subset
+            yield pytest.param(call, u, part, id=f"{name}-{label}")
+
+
+@pytest.mark.parametrize("call, u, part", _subset_faults())
+def test_every_subset_entry_point_rejects_each_fault(call, u, part):
+    """A ValueError, a valid=False report or exit 2, naming the fault."""
+    try:
+        result = call(u)
+    except ValueError as e:
+        message = str(e)
+    else:
+        assert result.valid is False
+        message = result.reason
+    assert part in message
+
+
+def _subset_inputs():
+    for name, (call, _, masks, from_json) in SUBSET_ENTRY_POINTS.items():
+        inputs = {"2.0": [2.0]}
+        if not from_json:  # JSON has no numpy integers
+            inputs["np.int64"] = [np.int64(2)]
+            if masks:
+                inputs["np.int64 mask"] = np.int64(0b100)
+        for label, u in inputs.items():
+            yield pytest.param(call, u, id=f"{name}-{label}")
+
+
+@pytest.mark.parametrize("call, u", _subset_inputs())
+def test_every_subset_entry_point_reads_a_whole_number_as_its_integer(call, u):
+    assert getattr(call(u), "valid", True) is True
+
+
+def test_a_subset_reads_the_same_in_each_of_its_forms():
+    assert GRAPH.chain(np.int64(0b100)) == GRAPH.chain([2.0]) == GRAPH.chain((2,))
+    assert quadratic_term([np.int64(2), 0.0], np.eye(2)).support == (0, 2)
+    np.testing.assert_array_equal(orc.marginal(LAW0, [2.0, 0]).cov, orc.marginal(LAW0, (0, 2)).cov)
+    np.testing.assert_array_equal(marginal_samples(STORE, [np.int64(3)]), STORE.samples[0, :, 3:])

@@ -73,17 +73,18 @@ def test_neighborhood_nested_and_monotone():
 def test_stabilization_index_path():
     g = path_graph(5)
     # from an endpoint the frontier needs n-1 hops
-    assert g.stabilization_index(mask_from((0,))) == 4
+    assert len(g.chain(mask_from((0,)))) - 1 == 4
     # from the middle, 2 hops reach both ends
-    assert g.stabilization_index(mask_from((2,))) == 2
+    assert len(g.chain(mask_from((2,)))) - 1 == 2
     after = neighborhood_mask(g, mask_from((0,)), 4)
     assert indices_from(after) == tuple(range(5))
 
 
-def test_stabilization_empty_set_rejected():
+def test_chain_of_the_empty_set_rejected():
     g = path_graph(3)
-    with pytest.raises(ValueError):
-        g.stabilization_index(0)
+    for empty in (0, ()):
+        with pytest.raises(ValueError, match="subset must be nonempty"):
+            g.chain(empty)
 
 
 def test_growth_certificate_path_polynomial():
@@ -148,7 +149,7 @@ def test_property_stabilization_is_fixed_point(n, seed):
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.25]
     g = InteractionGraph.from_edges(n, edges)
     u = mask_from((int(rng.integers(n)),))
-    J = g.stabilization_index(u)
+    J = len(g.chain(u)) - 1
     assert neighborhood_mask(g, u, J) == neighborhood_mask(g, u, J + 1)
     if J > 0:
         assert neighborhood_mask(g, u, J - 1) != neighborhood_mask(g, u, J)
@@ -160,7 +161,6 @@ def test_chain_is_cached_tuple_of_nested_masks():
     assert chain == (0b001, 0b011, 0b111)
     assert g.chain(0b001) is chain
     assert g.chain((3,)) == (0b01000, 0b11000)
-    assert g.chain(()) == (0,)
     with pytest.raises(ValueError):
         g.chain((5,))
 

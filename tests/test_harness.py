@@ -814,7 +814,7 @@ UNLOADABLE_POTENTIALS = [
      "precision must be symmetric to 1e-10"),
     ({"n": 3, "smoothness": {"alpha": 0.5, "beta": 2.0},
       "terms": [{"kind": "builtin:chain-pairwise", "support": []}]},
-     "factor support must be nonempty"),
+     "term 'support' must be nonempty"),
     ({"n": 3, "terms": [], "smoothness": {}}, "missing required key 'alpha'"),
     ({"n": 3, "smoothness": {"alpha": 0.5}, "terms": [{"kind": "quadratic"}]},
      "missing required key 'support'"),

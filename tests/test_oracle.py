@@ -625,6 +625,20 @@ def test_every_entry_point_takes_a_matrix_asymmetric_within_its_tolerance(entry)
         assert read[0, 1] == read[1, 0]
 
 
+def test_a_sparse_factor_block_covariance_or_pairwise_bound_reads_as_its_dense_form():
+    M, B = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([[0.0, 0.5], [0.5, 0.0]])
+    term, law = quadratic_term((0, 1), M), GaussianLaw(np.zeros(2), M)
+    for to_sparse in (sparse.csr_array, sparse.coo_matrix):
+        got = quadratic_term((0, 1), to_sparse(M))
+        assert type(got.matrix) is np.ndarray and got.matrix.tobytes() == term.matrix.tobytes()
+        assert got.lipschitz == term.lipschitz
+        got = GaussianLaw(np.zeros(2), to_sparse(M))
+        assert type(got.cov) is np.ndarray and got.cov.tobytes() == law.cov.tobytes()
+        assert got.chol.tobytes() == law.chol.tobytes()
+        got = PairwiseSpec(2, np.zeros(2), to_sparse(B)).interaction_bounds
+        assert type(got) is np.ndarray and got.tobytes() == B.tobytes()
+
+
 def test_the_symmetric_reader_averages_strip_by_strip():
     """Past 64 rows the rule reads M in strips; it must give (M + M')/2 bit for bit,
     and M itself where M is symmetric, so an entry near the overflow stays finite."""
@@ -694,7 +708,9 @@ def _quantities(tgt: GaussianTarget, n: int, blocks_of_cov: bool = False, h=SINE
         "variances": law.variances, "variances_h": law_h.variances,
         "w2sq": w2sq_gaussian(law_h, law), "kl": kl_gaussian(law_h, law),
     }
-    for u in {(0,), (n - 1,), (n // 2, min(n // 2 + 1, n - 1)), (0, n // 3, n - 1)}:
+    # as sets, so a small n gives each subset's distinct members once
+    for u in {tuple(sorted(set(u))) for u in ((0,), (n - 1,), (n // 2, min(n // 2 + 1, n - 1)),
+                                              (0, n // 3, n - 1))}:
         out[f"marginal {u}"] = marginal(dense(law), u).cov
         out[f"marginal_h {u}"] = marginal(dense(law_h), u).cov
     if n <= 256:  # the evolved laws and the samples form dense n x n products

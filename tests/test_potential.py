@@ -54,9 +54,9 @@ def test_factor_support_must_be_sorted_unique():
 
     with pytest.raises(ValueError, match="sorted"):
         FactorTerm(support=(1, 0), lipschitz=0.0, matrix=np.zeros((2, 2)))
-    with pytest.raises(ValueError, match="sorted"):
+    with pytest.raises(ValueError, match="distinct and non-negative"):
         callable_term((0, 0), lambda z: 0.0, lambda z: z * 0, 1.0)
-    with pytest.raises(ValueError, match=">= 0"):
+    with pytest.raises(ValueError, match="distinct and non-negative"):
         quadratic_term((-1, 0), np.eye(2))
     # the convenience constructor sorts on its own
     t = quadratic_term((1, 0), np.zeros((2, 2)))
@@ -428,7 +428,7 @@ def test_potential_from_dict_names_missing_or_mistyped_keys(spec, message):
 def test_potential_from_dict_rejects_empty_support_for_every_kind(kind):
     spec = {"n": 2, "smoothness": {"alpha": 0.5, "beta": 1.0},
             "terms": [{"kind": kind, "support": [], "params": {"matrix": []}}]}
-    with pytest.raises(ValueError, match="factor support must be nonempty"):
+    with pytest.raises(ValueError, match="term 'support' must be nonempty"):
         potential_from_dict(spec)
 
 

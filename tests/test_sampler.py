@@ -180,6 +180,21 @@ def test_divergence_raises():
     assert 4 <= err.value.step <= 8
 
 
+def test_a_non_finite_gradient_is_a_divergence_of_its_chain():
+    # the gradient is NaN beyond |x| = 1.5, which the chain reaches from x0 = 1 at h = 0.5;
+    # x - h grad V(x) is then NaN, and the per-step check names the chain
+    def grad(z):
+        return np.where(np.abs(z) > 1.5, np.nan, z)
+
+    pot = StructuredPotential(
+        1, (callable_term((0,), lambda z: 0.5 * z[0] ** 2, grad, 1.0),),
+        SmoothnessParams(alpha=1.0, beta=1.0),
+    )
+    with pytest.raises(DivergenceError, match="chain 0 diverged") as err:
+        run_chain(pot, SamplerConfig(h=0.5, iterations=2000, seed=0), np.array([1.0]))
+    assert err.value.chain == 0 and math.isnan(err.value.sup)
+
+
 def test_burn_in_and_thinning_recording(small_pot):
     # with burn b and thinning t, recorded iterates are b+1, b+1+t, ...
     cfg = SamplerConfig(h=0.05, iterations=20, burn_in=4, thinning=5, seed=2)
