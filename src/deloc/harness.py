@@ -67,11 +67,14 @@ class ExperimentConfig:
         for name, kind in kinds.items():
             value = read(vars(self), name, "config", kind)
             object.__setattr__(self, name, tuple(value) if isinstance(kind, list) else value)
+        if not isinstance(self.subsets, (str, dict)):  # a list: read as resolve_panel reads it
+            for u in self.subsets:
+                sorted_indices(u, None, "subsets entry")
         read(vars(self), "output", "config", "string", None)
 
 
 # a subset panel: a name, a list of subsets or a {"random": ...} draw (see resolve_panel)
-_PANEL = ("string", ["indices"], {"random"})
+_PANEL = ("string", "list", {"random"})
 
 
 def config_from_dict(spec: dict) -> ExperimentConfig:

@@ -10,7 +10,7 @@ callables with an analytic gradient.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -42,34 +42,46 @@ _LIPSCHITZ_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class FactorTerm:
-    """A single factor V_u acting on the coordinates in `support`.
+    """A single factor V_u acting on the coordinates in `support`, in ascending order.
 
     The payload is either a matrix M (V_u(z) = z' M z / 2, gradient M z) or
     the pair value_fn, grad_fn (user-supplied value and gradient on the
     support coordinates); kind, "quadratic" or "callable", is set from it.
-    L_u = 0 is permitted only for factors with constant gradient; for
-    quadratic terms this is automatic since L_u equals the operator norm of M.
+    A quadratic factor's L_u is ||M||_op, which a declared lipschitz (None
+    declares none) must match to 1e-10; a callable factor's L_u >= 0 is
+    declared, and may be 0 only for a constant gradient.
     """
 
     support: tuple[int, ...]
-    lipschitz: float
+    lipschitz: float | None
     matrix: np.ndarray | None = None
     value_fn: Callable[[np.ndarray], float] | None = None
     grad_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    label: str = ""
     kind: str = field(init=False)
 
     def __post_init__(self):
-        support = sorted_indices(self.support, None, "factor support")
-        if support != list(self.support):  # the matrix's rows follow the support's order
+        support = tuple(sorted_indices(self.support, None, "factor support"))
+        if list(support) != list(self.support):  # the matrix's rows follow the support's order
             raise ValueError(f"factor support must be sorted, got {self.support}")
-        object.__setattr__(self, "support", tuple(support))
-        object.__setattr__(self, "lipschitz", _check(self.lipschitz, "non-negative", "lipschitz"))
         fns = (self.value_fn, self.grad_fn)
         if self.matrix is not None and fns != (None, None):
             raise ValueError("a factor takes a matrix or callables, not both")
         if self.matrix is None and None in fns:
             raise ValueError("a factor needs a matrix or both value_fn and grad_fn")
+        L = self.lipschitz
+        if L is not None or self.matrix is None:
+            L = _check(L, "non-negative", "lipschitz")
+        if self.matrix is not None:
+            M = _dense(_symmetric(self.matrix, "quadratic factor matrix", MATRIX_TOL))
+            if M.shape != (len(support), len(support)):
+                raise ValueError(f"matrix shape {M.shape} does not match support size {len(support)}")
+            opnorm = float(np.max(np.abs(np.linalg.eigvalsh(M))))
+            if L is not None and abs(L - opnorm) > _LIPSCHITZ_TOL * max(1.0, opnorm):
+                raise ValueError(f"declared lipschitz {L} inconsistent with operator norm {opnorm}")
+            object.__setattr__(self, "matrix", M)
+            L = opnorm
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "lipschitz", L)
         object.__setattr__(self, "kind", "callable" if self.matrix is None else "quadratic")
 
     def value(self, x_u: np.ndarray) -> float:
@@ -84,30 +96,13 @@ class FactorTerm:
 
 
 def quadratic_term(support: Sequence[int], matrix, lipschitz: float | None = None) -> FactorTerm:
-    """Quadratic factor V_u(z) = z' M z / 2 with L_u = ||M||_op.
-
-    If `lipschitz` is given it must agree with the operator norm to 1e-10.
-    """
-    M = _dense(_symmetric(matrix, "quadratic factor matrix", MATRIX_TOL))
-    support = tuple(sorted_indices(support, None, "factor support"))
-    if M.shape != (len(support), len(support)):
-        raise ValueError(f"matrix shape {M.shape} does not match support size {len(support)}")
-    opnorm = float(np.max(np.abs(np.linalg.eigvalsh(M))))
-    if lipschitz is not None and abs(lipschitz - opnorm) > _LIPSCHITZ_TOL * max(1.0, opnorm):
-        raise ValueError(
-            f"declared lipschitz {lipschitz} inconsistent with operator norm {opnorm}"
-        )
-    return FactorTerm(support=support, lipschitz=opnorm, matrix=M)
+    """Quadratic factor V_u(z) = z' M z / 2 with L_u = ||M||_op, which a given
+    lipschitz must match to 1e-10."""
+    return FactorTerm(support, lipschitz, matrix=matrix)
 
 
-def callable_term(support, value_fn, grad_fn, lipschitz: float, label: str = "") -> FactorTerm:
-    return FactorTerm(
-        support=tuple(sorted_indices(support, None, "factor support")),
-        lipschitz=lipschitz,
-        value_fn=value_fn,
-        grad_fn=grad_fn,
-        label=label,
-    )
+def callable_term(support, value_fn, grad_fn, lipschitz: float) -> FactorTerm:
+    return FactorTerm(support, lipschitz, value_fn=value_fn, grad_fn=grad_fn)
 
 
 @dataclass(frozen=True)
@@ -159,13 +154,31 @@ def interaction_constants(
     )
 
 
-def _assemble(n: int, terms: Sequence[FactorTerm]) -> np.ndarray:
-    """The n-by-n matrix A with x'Ax/2 = sum of the quadratic terms, summed in term order."""
-    A = np.zeros((n, n))
-    for t in terms:
-        idx = np.asarray(t.support)
-        A[np.ix_(idx, idx)] += t.matrix
-    return A
+def _flatten(terms: Sequence[FactorTerm]) -> tuple[np.ndarray, list[int]]:
+    """Every term's support in one index array, and term t's slice
+    bounds[t]:bounds[t + 1] in it."""
+    sizes = [len(t.support) for t in terms]
+    idx = np.fromiter((i for t in terms for i in t.support), np.intp, sum(sizes))
+    return idx, list(itertools.accumulate(sizes, initial=0))
+
+
+def _assemble(n: int, terms: Sequence[FactorTerm]):
+    """The n-by-n CSR matrix A with x'Ax/2 = sum of the quadratic terms and no stored
+    zeros; each entry sums its parts in term order, as A[ix_(u, u)] += M on a dense A does."""
+    from scipy import sparse  # on first use, as _json._symmetric imports it
+    if not terms:
+        return sparse.csr_array((n, n))
+    idx, bounds = _flatten(terms)
+    sizes = np.diff(bounds)
+    area = sizes * sizes
+    # entry e = a |u| + b of the row-major block of a term on u = idx[start:start + |u|]
+    # is (u[a], u[b]), and bincount adds the parts of each key row n + col in input order
+    k, start = np.repeat(sizes, area), np.repeat(bounds[:-1], area)
+    e = np.arange(k.size) - np.repeat(np.cumsum(area) - area, area)
+    flat = np.bincount(idx[start + e // k] * n + idx[start + e % k],
+                       np.concatenate([t.matrix for t in terms], axis=None), minlength=n * n)
+    keys = np.flatnonzero(flat)
+    return sparse.csr_array((flat[keys], np.divmod(keys, n)), shape=(n, n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,8 +190,10 @@ class StructuredPotential:
     def __post_init__(self):
         _check(self.n, "positive-integer", "n")
         object.__setattr__(self, "terms", tuple(self.terms))
-        for t in self.terms:
-            sorted_indices(t.support, self.n, "factor support")
+        idx = self._flat_supports[0]
+        if idx.size and idx.max() >= self.n:  # each factor read its support when it was built
+            t = next(t for t in self.terms if t.support[-1] >= self.n)
+            raise ValueError(f"factor support {t.support} not contained in range({self.n})")
         if self.smoothness.beta is None:
             m0 = self.interaction_constants.M0
             if m0 < self.smoothness.alpha:
@@ -191,10 +206,7 @@ class StructuredPotential:
 
     def value(self, x) -> float:
         x = self._check_point(x)
-        total = 0.0
-        for t in self.terms:
-            total += t.value(x[list(t.support)])
-        return total
+        return sum((t.value(x[list(t.support)]) for t in self.terms), 0.0)
 
     def gradient(self, x) -> np.ndarray:
         x = self._check_point(x)
@@ -218,11 +230,7 @@ class StructuredPotential:
 
     @cached_property
     def _flat_supports(self) -> tuple[np.ndarray, list[int]]:
-        """Every term's support in one index array, and term t's slice
-        bounds[t]:bounds[t + 1] in it."""
-        sizes = [len(t.support) for t in self.terms]
-        idx = np.fromiter((i for t in self.terms for i in t.support), np.intp, sum(sizes))
-        return idx, list(itertools.accumulate(sizes, initial=0))
+        return _flatten(self.terms)
 
     @cached_property
     def active_terms(self) -> tuple[FactorTerm, ...]:
@@ -242,9 +250,9 @@ class StructuredPotential:
         return self.interaction_constants.M0
 
     @cached_property
-    def quadratic_matrix(self) -> np.ndarray | None:
-        """Assembled n-by-n matrix A with V(x) = x'Ax/2 when every factor is
-        quadratic, else None.  Lets samplers and oracles take the fast path."""
+    def quadratic_matrix(self):
+        """The n-by-n matrix A with V(x) = x'Ax/2, a CSR array without stored zeros,
+        when every factor is quadratic, else None: the samplers' fast path."""
         if any(t.kind != "quadratic" for t in self.terms):
             return None
         return _assemble(self.n, self.terms)
@@ -295,27 +303,16 @@ class PairwiseSpec:
     def to_structured(self, smoothness: SmoothnessParams) -> StructuredPotential:
         if self.confine_fns is None:
             raise ValueError("scalar callables required to build an evaluable potential")
-        terms = []
-        for i, (v, dv) in enumerate(self.confine_fns):
-            terms.append(
-                callable_term(
-                    (i,),
-                    lambda z, v=v: v(z[0]),
-                    lambda z, dv=dv: np.array([dv(z[0])]),
-                    lipschitz=float(self.confine_bounds[i]),
-                    label=f"confine:{i}",
-                )
-            )
-        for (i, j), (v, dv) in sorted((self.interaction_fns or {}).items()):
-            terms.append(
-                callable_term(
-                    (i, j),
-                    lambda z, v=v: v(z[0] - z[1]),
-                    _pair_grad(dv),
-                    lipschitz=float(self.interaction_bounds[i, j]),
-                    label=f"pair:{i}-{j}",
-                )
-            )
+        terms = [
+            callable_term((i,), lambda z, v=v: v(z[0]), lambda z, dv=dv: np.array([dv(z[0])]),
+                          float(self.confine_bounds[i]))
+            for i, (v, dv) in enumerate(self.confine_fns)
+        ]
+        terms += [
+            callable_term((i, j), lambda z, v=v: v(z[0] - z[1]), _pair_grad(dv),
+                          float(self.interaction_bounds[i, j]))
+            for (i, j), (v, dv) in sorted((self.interaction_fns or {}).items())
+        ]
         return StructuredPotential(n=self.n, terms=tuple(terms), smoothness=smoothness)
 
 
@@ -341,24 +338,26 @@ def tridiagonal_precision(n: int, diag: float = 2.0, off: float = -0.5) -> np.nd
     return A
 
 
-def _gaussian_terms(A: np.ndarray) -> list[FactorTerm]:
+def _gaussian_terms(A: np.ndarray, coords) -> list[FactorTerm]:
     """Decompose x'Ax/2 into singleton terms A_ii x_i^2/2 (ascending i) and
-    pair terms A_ij x_i x_j (upper triangle, row by row), so the interaction
-    graph has an edge exactly where A_ij != 0."""
+    pair terms A_ij x_i x_j (upper triangle, row by row), on the ascending
+    coordinates coords, so the interaction graph has an edge exactly where A_ij != 0."""
     d = np.diag(A)
-    singles = [quadratic_term((i,), [[d[i]]]) for i in np.flatnonzero(d).tolist()]
+    singles = [quadratic_term((coords[i],), [[d[i]]]) for i in np.flatnonzero(d).tolist()]
     rows, cols = np.nonzero(np.triu(A, 1))
     pairs = [
-        quadratic_term((i, j), [[0.0, A[i, j]], [A[i, j], 0.0]])
+        quadratic_term((coords[i], coords[j]), [[0.0, A[i, j]], [A[i, j], 0.0]])
         for i, j in zip(rows.tolist(), cols.tolist())
     ]
     return singles + pairs
 
 
-def _pair_terms(n: int, confine: float, pairs) -> list[FactorTerm]:
-    """Terms of sum_i confine x_i^2/2 + sum_{((i, j), c) in pairs} c (x_i - x_j)^2/2."""
-    terms = [quadratic_term((i,), [[confine]]) for i in range(n) if confine != 0.0]
-    return terms + [quadratic_term(ij, [[c, -c], [-c, c]]) for ij, c in pairs if c != 0.0]
+def _pair_terms(coords, confine: float, pairs) -> list[FactorTerm]:
+    """Terms of sum_i confine x_i^2/2 + sum_{((i, j), c) in pairs} c (x_i - x_j)^2/2,
+    i < j, with x_i the i-th of the ascending coordinates coords."""
+    terms = [quadratic_term((i,), [[confine]]) for i in coords if confine != 0.0]
+    pairs = [((coords[i], coords[j]), c) for (i, j), c in pairs if c != 0.0]
+    return terms + [quadratic_term(ij, [[c, -c], [-c, c]]) for ij, c in pairs]
 
 
 def _chain_pairs(n: int, couple: float) -> list:
@@ -384,11 +383,14 @@ def _quadratic_potential(n: int, terms: list[FactorTerm]) -> StructuredPotential
     """The potential with these quadratic terms; alpha and beta are the extreme
     eigenvalues of the assembled matrix, which must be positive definite, and
     gamma is 1 (dataclasses.replace on the smoothness, or a JSON file, sets another)."""
-    eigs = np.linalg.eigvalsh(_assemble(n, terms))
+    A = _assemble(n, terms)
+    eigs = np.linalg.eigvalsh(A.toarray())
     if eigs[0] <= 0:
         raise ValueError(f"precision matrix must be positive definite, lambda_min={eigs[0]}")
     smoothness = SmoothnessParams(alpha=float(eigs[0]), beta=float(eigs[-1]))
-    return StructuredPotential(n=n, terms=tuple(terms), smoothness=smoothness)
+    pot = StructuredPotential(n=n, terms=tuple(terms), smoothness=smoothness)
+    pot.__dict__["quadratic_matrix"] = A  # the cached property's value: assembled once
+    return pot
 
 
 def gaussian_potential(A) -> StructuredPotential:
@@ -398,12 +400,12 @@ def gaussian_potential(A) -> StructuredPotential:
     A may be an array or a scipy.sparse matrix.
     """
     A = _dense(_symmetric(A, "precision", PRECISION_TOL))
-    return _quadratic_potential(A.shape[0], _gaussian_terms(A))
+    return _quadratic_potential(A.shape[0], _gaussian_terms(A, range(A.shape[0])))
 
 
 def chain_pairwise(n: int, confine: float = 1.0, couple: float = 0.5) -> StructuredPotential:
     """V(x) = sum_i confine x_i^2/2 + sum_i couple (x_i - x_{i+1})^2/2."""
-    return _quadratic_potential(n, _pair_terms(n, confine, _chain_pairs(n, couple)))
+    return _quadratic_potential(n, _pair_terms(range(n), confine, _chain_pairs(n, couple)))
 
 
 def grid_pairwise(
@@ -411,13 +413,13 @@ def grid_pairwise(
 ) -> StructuredPotential:
     """Nearest-neighbour coupling on a rows-by-cols grid (row-major labels)."""
     n = rows * cols
-    return _quadratic_potential(n, _pair_terms(n, confine, _grid_pairs(rows, cols, couple)))
+    return _quadratic_potential(n, _pair_terms(range(n), confine, _grid_pairs(rows, cols, couple)))
 
 
 def mean_field(n: int, confine: float = 1.0, strength: float = 1.0) -> StructuredPotential:
     """All-pairs coupling with 1/n scaling:
     V(x) = sum_i confine x_i^2/2 + (strength/n) sum_{i<j} (x_i - x_j)^2/2."""
-    return _quadratic_potential(n, _pair_terms(n, confine, _mean_field_pairs(n, strength)))
+    return _quadratic_potential(n, _pair_terms(range(n), confine, _mean_field_pairs(n, strength)))
 
 
 # -- JSON reading ------------------------------------------------------------
@@ -430,9 +432,9 @@ _PARAM_KEYS = {  # the params keys of each term kind
 }
 
 
-def _builtin_terms(name: str, k: int, params: dict) -> list[FactorTerm]:
-    """The terms of builtin `name` on the local coordinates 0..k-1."""
-    where = f"builtin:{name} params"
+def _builtin_terms(name: str, support: list[int], params: dict) -> list[FactorTerm]:
+    """The terms of builtin `name` on the ascending coordinates support."""
+    where, k = f"builtin:{name} params", len(support)
     if name == "gaussian":
         if ("precision" in params) == ("tridiagonal" in params):
             raise ValueError("builtin:gaussian needs 'precision' or 'tridiagonal' params, not both")
@@ -445,7 +447,7 @@ def _builtin_terms(name: str, k: int, params: dict) -> list[FactorTerm]:
             A = tridiagonal_precision(k, diag, read(td, "off", td_where, "number", -0.5))
         if A.shape != (k, k):
             raise ValueError(f"precision shape {A.shape} does not match support size {k}")
-        return _gaussian_terms(_symmetric(A, "precision", PRECISION_TOL))
+        return _gaussian_terms(_symmetric(A, "precision", PRECISION_TOL), support)
     if name == "chain-pairwise":
         pairs = _chain_pairs(k, read(params, "couple", where, "number", 0.5))
     elif name == "grid-pairwise":
@@ -455,7 +457,7 @@ def _builtin_terms(name: str, k: int, params: dict) -> list[FactorTerm]:
         pairs = _grid_pairs(rows, cols, read(params, "couple", where, "number", 0.25))
     else:  # mean-field
         pairs = _mean_field_pairs(k, read(params, "strength", where, "number", 1.0))
-    return _pair_terms(k, read(params, "confine", where, "number", 1.0), pairs)
+    return _pair_terms(support, read(params, "confine", where, "number", 1.0), pairs)
 
 
 def potential_from_dict(spec: dict) -> StructuredPotential:
@@ -471,7 +473,8 @@ def potential_from_dict(spec: dict) -> StructuredPotential:
     terms: list[FactorTerm] = []
     for entry in read(spec, "terms", "potential spec", "list"):
         # the support is checked first: an empty one is the error whatever the kind
-        support = sorted_indices(read(entry, "support", "term"), None, "term 'support'")
+        declared = read(entry, "support", "term")
+        support = sorted_indices(declared, None, "term 'support'")
         kind = read(entry, "kind", "term", "string")
         if kind not in _PARAM_KEYS:
             raise ValueError(f"unknown term kind {kind!r}")
@@ -482,13 +485,10 @@ def potential_from_dict(spec: dict) -> StructuredPotential:
         if kind == "quadratic":
             matrix = read(params, "matrix", "quadratic term params", "matrix")
             lip = read(entry, "lipschitz", "term", "number", None)
-            terms.append(quadratic_term(support, matrix, lipschitz=lip))
+            # in the declared order, which the matrix's rows follow
+            terms.append(quadratic_term(declared, matrix, lipschitz=lip))
         else:
-            # local coordinate i of the builtin is support[i]
-            local = _builtin_terms(kind.split(":", 1)[1], len(support), params)
-            terms.extend(
-                replace(t, support=tuple(support[i] for i in t.support)) for t in local
-            )
+            terms.extend(_builtin_terms(kind.split(":", 1)[1], support, params))
     return StructuredPotential(n=n, terms=tuple(terms), smoothness=smoothness)
 
 

@@ -63,13 +63,9 @@ _SPARSE_RATIO = 16
 
 class DivergenceError(RuntimeError):
     def __init__(self, chain: int, step: int, sup: float):
-        self.chain = chain
-        self.step = step
-        self.sup = sup
-        super().__init__(
-            f"chain {chain} diverged at iterate {step}: "
-            f"|x|_inf = {sup:.3e} exceeds {DIVERGENCE_LIMIT:.0e}"
-        )
+        self.chain, self.step, self.sup = chain, step, sup
+        why = f"exceeds {DIVERGENCE_LIMIT:.0e}" if math.isfinite(sup) else "is not finite"
+        super().__init__(f"chain {chain} diverged at iterate {step}: |x|_inf = {sup:.3e} {why}")
 
 
 @dataclass(frozen=True)
@@ -125,15 +121,15 @@ class SampleStore:
         return self.samples.reshape(c * t, n)
 
 
-def _step_matrix(A: np.ndarray, h: float):
-    """I - hA with the entries of the dense np.eye(n) - h * A bit for bit,
-    in CSR when A is sparse enough.  The CSR form is built from the
-    nonzeros of A, without a dense n-by-n temporary."""
+def _step_matrix(A, h: float):
+    """I - hA for the CSR matrix A, with the entries of the dense
+    np.eye(n) - h * A.toarray() bit for bit: in CSR when A is sparse enough,
+    without any n-by-n array, else dense."""
     n = A.shape[0]
-    if (np.count_nonzero(A) + n) * _SPARSE_RATIO > n * n:
-        return np.eye(n) - h * A
+    if (A.count_nonzero() + n) * _SPARSE_RATIO > n * n:
+        return np.eye(n) - h * A.toarray()
     i = np.arange(n)
-    return sparse.csr_array((np.ones(n), (i, i)), shape=(n, n)) - h * sparse.csr_array(A)
+    return sparse.csr_array((np.ones(n), (i, i)), shape=(n, n)) - h * A
 
 
 def _block_drift(pot: StructuredPotential, h: float):

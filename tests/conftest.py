@@ -31,6 +31,16 @@ def brute_force_gradient(pot, x):
     return g
 
 
+def dense_term_order_sum(n, terms):
+    """x'Ax/2 = sum of the quadratic terms as a dense array, each block added
+    in term order: the loop that quadratic_matrix must match bit for bit."""
+    A = np.zeros((n, n))
+    for t in terms:
+        idx = np.asarray(t.support)
+        A[np.ix_(idx, idx)] += t.matrix
+    return A
+
+
 def bfs_neighborhood(edges, n, u, k):
     """Reference k-step neighborhood via an adjacency-set BFS."""
     adj = {i: set() for i in range(n)}

@@ -18,7 +18,7 @@ from deloc import hierarchy as hie
 from deloc import oracle as orc
 from deloc.cli import main
 from deloc.graph import GrowthCertificate, build_graph, verify_growth
-from deloc.harness import ExperimentConfig
+from deloc.harness import ExperimentConfig, resolve_panel
 from deloc.metrics import subadditivity_check, w2sq_1d, w2sq_assignment
 from deloc.potential import (
     FactorTerm,
@@ -162,8 +162,8 @@ ENTRY_POINTS = [
      lambda v: hie.certified_entropy_curve("weak", WEAK, WEIGHTS, H0, v, 5, (0,)), 1e-3, 0.0, 0),
     ("GrowthCertificate c", lambda v: GrowthCertificate("polynomial", v, 1.0), 1.2, 0.5, 0),
     ("GrowthCertificate exponent", lambda v: GrowthCertificate("exponential", 1.0, v), 1.2, 0.9, 0),
-    ("FactorTerm lipschitz",
-     lambda v: FactorTerm(support=(0,), lipschitz=v, matrix=np.eye(1)), 1.2, -1.0, 0),
+    ("FactorTerm lipschitz",  # a callable factor's own; a quadratic one's is ||M||_op
+     lambda v: FactorTerm(support=(0,), lipschitz=v, value_fn=_zero, grad_fn=_zero), 1.2, -1.0, 0),
     ("SmoothnessParams alpha", lambda v: SmoothnessParams(alpha=v), 1.2, 0.0, 0),
     ("SmoothnessParams beta", lambda v: SmoothnessParams(alpha=1.0, beta=v), 1.5, 0.5, 0),
     ("SmoothnessParams gamma", lambda v: SmoothnessParams(alpha=1.0, gamma=v), 1.2, 0.0, 0),
@@ -373,6 +373,7 @@ SUBSET_ENTRY_POINTS = {
     "marginal": (lambda u: orc.marginal(LAW0, u), 3, False, False),
     "marginal_samples": (lambda u: marginal_samples(STORE, u), 4, False, False),
     "harness panel": (_panel, 3, False, True),
+    "resolve_panel": (lambda u: resolve_panel(GRAPH, [u]), 4, False, False),
     "deloc hierarchy --subset": (_hierarchy, 4, False, True),
 }
 # the indices rule of deloc._json, under the subset rule and the run config's panel alike
@@ -432,6 +433,20 @@ def _subset_inputs():
             yield pytest.param(call, u, id=f"{name}-{label}")
 
 
+@pytest.mark.parametrize("fault", [f for f in INDEX_FAULTS if f != "out of range"])
+def test_a_panel_entry_reads_the_same_when_the_config_or_the_run_sees_it(fault):
+    # a config knows no n, so it reads every fault but the range; [[]] used to pass it
+    u, part = INDEX_FAULTS[fault]
+    messages = []
+    for read in (lambda: ExperimentConfig("continuous-time", dims=(3,), subsets=[u]),
+                 lambda: resolve_panel(GRAPH, [u])):
+        with pytest.raises(ValueError) as e:
+            read()
+        messages.append(str(e.value))
+    assert messages[0] == messages[1] and messages[0].startswith("subsets entry ")
+    assert part in messages[0]
+
+
 @pytest.mark.parametrize("call, u", _subset_inputs())
 def test_every_subset_entry_point_reads_a_whole_number_as_its_integer(call, u):
     assert getattr(call(u), "valid", True) is True
@@ -439,6 +454,6 @@ def test_every_subset_entry_point_reads_a_whole_number_as_its_integer(call, u):
 
 def test_a_subset_reads_the_same_in_each_of_its_forms():
     assert GRAPH.chain(np.int64(0b100)) == GRAPH.chain([2.0]) == GRAPH.chain((2,))
-    assert quadratic_term([np.int64(2), 0.0], np.eye(2)).support == (0, 2)
+    assert quadratic_term([0.0, np.int64(2)], np.eye(2)).support == (0, 2)
     np.testing.assert_array_equal(orc.marginal(LAW0, [2.0, 0]).cov, orc.marginal(LAW0, (0, 2)).cov)
     np.testing.assert_array_equal(marginal_samples(STORE, [np.int64(3)]), STORE.samples[0, :, 3:])

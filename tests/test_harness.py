@@ -714,7 +714,7 @@ def test_cli_run_reports_domain_errors_with_exit_2(spec, reason, tmp_path, capsy
         ({"experiment": "bound-vs-truth", "subsets": {"random": 3}},
          "subsets 'random' must be a JSON object"),
         ({"experiment": "bound-vs-truth", "dims": [3], "subsets": [0, 1]},
-         "'subsets' entries must be lists of integers"),
+         "subsets entry must be a list of integers, distinct and non-negative, got 0"),
         ({"experiment": "gaussian-scaling", "dims": [3.5]}, "'dims' entries must be whole numbers"),
         ({"experiment": "subadditivity", "dims": [3], "output": 1}, "'output' must be a string"),
         ({"experiment": "subadditivity", "dims": [3], "seed": True}, "'seed' must be an integer"),
@@ -731,7 +731,7 @@ def test_cli_run_reports_domain_errors_with_exit_2(spec, reason, tmp_path, capsy
         # |u| would count the repeated index, and the kl-marginal bound double
         ({"experiment": "bound-vs-truth", "dims": [3], "h_values": [0.01],
           "subsets": [[0, 0], [0]]},
-         "'subsets' entries must be lists of integers, distinct and non-negative"),
+         "subsets entry must be a list of integers, distinct and non-negative, got [0, 0]"),
         ({"experiment": "bound-vs-truth", "dims": [3], "subsets": {"draw": 3}},
          "unknown config 'subsets' keys ['draw']"),
         # finite and positive, but its inverse, the covariance, overflows to inf

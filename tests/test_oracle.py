@@ -549,7 +549,7 @@ PRECISION_ENTRY_POINTS = {
 # every entry point the symmetric-matrix rule reads: (call, what it names, tol)
 MATRIX_ENTRY_POINTS = {
     **{e: (call, "precision", 1e-10) for e, call in PRECISION_ENTRY_POINTS.items()},
-    "quadratic_term": (lambda M: quadratic_term(range(len(M)), M),
+    "quadratic_term": (lambda M: quadratic_term(range(max(len(M), 1)), M),
                        "quadratic factor matrix", 1e-12),
     "JSON quadratic": (lambda M: _json_term("quadratic", "matrix", M),
                        "quadratic factor matrix", 1e-12),
@@ -604,8 +604,8 @@ def test_every_entry_point_rejects_each_precision_fault(entry, fault):
 # entry: what it keeps of the matrix it read (the law functions keep none)
 _READ_BACK = {
     "GaussianTarget": lambda tgt: tgt.precision,
-    "gaussian_potential": lambda pot: pot.quadratic_matrix,
-    "builtin:gaussian": lambda pot: pot.quadratic_matrix,
+    "gaussian_potential": lambda pot: pot.quadratic_matrix.toarray(),
+    "builtin:gaussian": lambda pot: pot.quadratic_matrix.toarray(),
     "quadratic_term": lambda term: term.matrix,
     "JSON quadratic": lambda pot: pot.terms[0].matrix,
     "PairwiseSpec": lambda spec: spec.interaction_bounds,
@@ -781,7 +781,7 @@ def test_cosine_variances_are_exact_where_eigh_drifts():
 @pytest.mark.parametrize("confine, strength", [(1.0, 1.0), (0.5, 3.0)])
 @pytest.mark.parametrize("n", (2, 3, 8, 17, 64))
 def test_mean_field_target_is_exact_on_the_cosine_basis(n, confine, strength):
-    A = mean_field(n, confine, strength).quadratic_matrix
+    A = mean_field(n, confine, strength).quadratic_matrix.toarray()
     off = A[~np.eye(n, dtype=bool)]
     assert np.all(off == off[0]) and np.all(np.diag(A) == A[0, 0])  # two-level to the bit
     tgt = _closed_form_target(A, oracle._CosineBasis)
@@ -792,7 +792,7 @@ def test_mean_field_target_is_exact_on_the_cosine_basis(n, confine, strength):
     _assert_paths_agree(_quantities(tgt, n), _quantities(_dense_target(A), n, blocks_of_cov=True))
 
 
-_CHAIN = chain_pairwise(6).quadratic_matrix  # end entries 1.5, inner 2.0
+_CHAIN = chain_pairwise(6).quadratic_matrix.toarray()  # end entries 1.5, inner 2.0
 _PENTADIAGONAL = sparse.diags_array([0.1, -0.5, 2.0, -0.5, 0.1], offsets=(-2, -1, 0, 1, 2),
                                     shape=(6, 6), format="csr")
 _ALMOST_TWO_LEVEL = _two_level(6, 2.0, -0.1)
@@ -811,7 +811,7 @@ EIGH_SKIPS = {  # precision -> the basis it takes, None for the dense eigh
     "two-level": (_two_level(6, 2.0, -0.1), oracle._CosineBasis),
     "sparse two-level": (sparse.csr_array(_two_level(6, 2.0, 0.1)), oracle._CosineBasis),
     "rotated": (_rotated_precision(6, 1.0, 50.0), oracle._CosineBasis),
-    "mean field": (mean_field(6).quadratic_matrix, oracle._CosineBasis),
+    "mean field": (mean_field(6).quadratic_matrix.toarray(), oracle._CosineBasis),
     "constant off-diagonal, varying diagonal": (
         _two_level(4, 2.0, 0.1) + np.diag([0.0, 0.0, 0.0, 1.0]), None),
     "one off-diagonal pair apart": (_ALMOST_TWO_LEVEL, None),

@@ -25,6 +25,7 @@ from conftest import (
     assert_same_potential,
     brute_force_gradient,
     brute_force_value,
+    dense_term_order_sum,
     finite_difference_gradient,
 )
 
@@ -58,9 +59,45 @@ def test_factor_support_must_be_sorted_unique():
         callable_term((0, 0), lambda z: 0.0, lambda z: z * 0, 1.0)
     with pytest.raises(ValueError, match="distinct and non-negative"):
         quadratic_term((-1, 0), np.eye(2))
-    # the convenience constructor sorts on its own
-    t = quadratic_term((1, 0), np.zeros((2, 2)))
-    assert t.support == (0, 1)
+
+
+def test_an_unsorted_support_is_refused_not_reordered():
+    # the block's rows follow the support as written: sorting (2, 0) without
+    # permuting diag(4, 1) would put 4 on x_0, so V(e_0) would read 2, not 0.5
+    message = r"factor support must be sorted, got \(2, 0\)"
+    with pytest.raises(ValueError, match=message):
+        quadratic_term((2, 0), np.diag([4.0, 1.0]))
+    with pytest.raises(ValueError, match=message):
+        callable_term((2, 0), lambda z: 0.0, lambda z: z * 0, 1.0)
+    spec = {"n": 3, "smoothness": {"alpha": 1.0, "beta": 4.0},
+            "terms": [{"kind": "quadratic", "support": [2, 0],
+                       "params": {"matrix": [[4.0, 0.0], [0.0, 1.0]]}}]}
+    with pytest.raises(ValueError, match=r"factor support must be sorted, got \[2, 0\]"):
+        potential_from_dict(spec)
+    spec["terms"][0]["support"] = [0, 2]
+    assert potential_from_dict(spec).value(np.array([1.0, 0.0, 0.0])) == 2.0
+
+
+def test_a_factor_block_must_match_its_support():
+    from deloc.potential import FactorTerm
+
+    with pytest.raises(ValueError, match=r"matrix shape \(3, 3\) does not match support size 2"):
+        FactorTerm((0, 1), 1.0, np.eye(3))
+    with pytest.raises(ValueError, match=r"matrix shape \(1, 1\) does not match support size 2"):
+        quadratic_term((0, 1), [[1.0]])
+
+
+def test_a_quadratic_factor_takes_its_weight_from_the_operator_norm():
+    from deloc.potential import FactorTerm
+
+    M = np.diag([3.0, 1.0])
+    with pytest.raises(ValueError, match="lipschitz 0.5 inconsistent with operator norm 3.0"):
+        FactorTerm((0, 1), 0.5, M)
+    with pytest.raises(ValueError, match="inconsistent"):
+        FactorTerm((0, 1), 4.0, M)
+    assert FactorTerm((0, 1), None, M).lipschitz == FactorTerm((0, 1), 3.0, M).lipschitz == 3.0
+    with pytest.raises(ValueError, match="lipschitz must be a number >= 0, got None"):
+        FactorTerm((0,), None, value_fn=lambda z: 0.0, grad_fn=lambda z: z * 0)
 
 
 def test_factor_kind_is_set_from_a_single_payload():
@@ -145,7 +182,63 @@ def test_gradient_takes_a_scalar_for_a_one_coordinate_factor():
 def test_quadratic_matrix_assembles_precision():
     A = tridiagonal_precision(5, 2.0, -0.5)
     pot = gaussian_potential(A)
-    np.testing.assert_allclose(pot.quadratic_matrix, A, atol=1e-12)
+    np.testing.assert_allclose(pot.quadratic_matrix.toarray(), A, atol=1e-12)
+
+
+def _random_overlapping_terms(rng, n, count):
+    terms = []
+    for k in range(count):
+        u = tuple(sorted(rng.choice(n, size=1 + k % 4, replace=False).tolist()))
+        B = rng.standard_normal((len(u), len(u)))
+        terms.append(quadratic_term(u, B + B.T))
+    return terms
+
+
+@pytest.mark.parametrize("build", [
+    lambda: chain_pairwise(1024),
+    lambda: grid_pairwise(9, 13),
+    lambda: mean_field(64),
+    lambda: gaussian_potential(tridiagonal_precision(40, 2.0, -0.5)),
+    lambda: potential_from_dict({"n": 8, "smoothness": {"alpha": 0.1}, "terms": [
+        {"kind": "builtin:mean-field", "support": [7, 1, 3, 5]},
+        {"kind": "builtin:chain-pairwise", "support": [0, 1, 2, 3]},
+        # its zero off-diagonal entries are not stored
+        {"kind": "quadratic", "support": [3, 6], "params": {"matrix": [[1.0, 0.0], [0.0, 2.0]]}},
+    ]}),
+    lambda: StructuredPotential(
+        30, tuple(_random_overlapping_terms(np.random.default_rng(7), 30, 240)),
+        SmoothnessParams(alpha=0.1, beta=100.0)),
+], ids=["chain-1024", "grid-9x13", "mean-field-64", "gaussian-40", "json", "random-240"])
+def test_quadratic_matrix_is_the_term_order_dense_sum_bit_for_bit(build):
+    pot = build()
+    A = pot.quadratic_matrix
+    assert A.format == "csr" and A.shape == (pot.n, pot.n)
+    assert np.all(A.data != 0)  # no stored zeros
+    assert A.toarray().tobytes() == dense_term_order_sum(pot.n, pot.terms).tobytes()
+
+
+def test_each_support_is_read_once_and_the_matrix_assembled_once(monkeypatch):
+    import deloc.potential as potential
+    import deloc.subsets as subsets
+    from deloc.sampler import SamplerConfig, run_chain
+
+    reads, assemblies = [], []
+    read, assemble = subsets._subset, potential._assemble
+    monkeypatch.setattr(subsets, "_subset", lambda u, *a, **k: reads.append(u) or read(u, *a, **k))
+    monkeypatch.setattr(potential, "_assemble", lambda *a: assemblies.append(1) or assemble(*a))
+    pot = chain_pairwise(40)
+    assert (len(reads), len(assemblies)) == (len(pot.terms), 1)
+    assert pot.quadratic_matrix is pot.quadratic_matrix
+    run_chain(pot, SamplerConfig(h=0.1, iterations=3), np.zeros(40))
+    assert (len(reads), len(assemblies)) == (len(pot.terms), 1)
+    # a builtin entry: its support once, then each of its factors' once
+    reads.clear()
+    pot = potential_from_dict({"n": 6, "smoothness": {"alpha": 0.5}, "terms": [
+        {"kind": "builtin:chain-pairwise", "support": [5, 0, 1, 2, 3, 4]}]})
+    assert len(reads) == 1 + len(pot.terms)
+    assert len(assemblies) == 1  # a file's potential assembles when the matrix is asked for
+    run_chain(pot, SamplerConfig(h=0.1, iterations=3), np.zeros(6))
+    assert len(assemblies) == 2
 
 
 def test_gaussian_potential_gradient_is_Ax(rng):
@@ -501,7 +594,7 @@ def test_builtin_json_forms(tmp_path):
         ],
     }
     pot = potential_from_dict(spec)
-    np.testing.assert_allclose(pot.quadratic_matrix, tridiagonal_precision(4), atol=1e-12)
+    np.testing.assert_allclose(pot.quadratic_matrix.toarray(), tridiagonal_precision(4), atol=1e-12)
 
 
 def test_builtin_support_remap(rng):
@@ -561,7 +654,7 @@ def test_builtin_on_shifted_support_equals_builder_terms(kind, params, build):
     for g, w in zip(got, want):
         assert g.support == tuple(support[i] for i in w.support)
         assert all(type(i) is int for i in g.support)
-        assert (g.kind, g.lipschitz, g.label) == (w.kind, w.lipschitz, w.label)
+        assert (g.kind, g.lipschitz) == (w.kind, w.lipschitz)
         assert g.matrix.tobytes() == w.matrix.tobytes()
 
 

@@ -67,7 +67,7 @@ def _cos_ring(n):
         n,
         tuple(
             callable_term(
-                (i, (i + 1) % n),
+                tuple(sorted((i, (i + 1) % n))),  # the ring's closing pair is (0, n - 1)
                 lambda z: 0.5 * (z[0] ** 2 + z[1] ** 2) + 0.1 * np.cos(z[0] - z[1]),
                 lambda z: np.array(
                     [z[0] - 0.1 * np.sin(z[0] - z[1]), z[1] + 0.1 * np.sin(z[0] - z[1])]
@@ -92,7 +92,7 @@ def _replay_substep(pot, h):
     """One substep of a single chain with the arithmetic of pot's drift path."""
     if pot.quadratic_matrix is None:
         return lambda x, z: x - h * pot.gradient(x) + math.sqrt(2.0 * h) * z
-    M = np.eye(pot.n) - h * pot.quadratic_matrix
+    M = np.eye(pot.n) - h * pot.quadratic_matrix.toarray()
     if sparse.issparse(_step_matrix(pot.quadratic_matrix, h)):
         M = sparse.csr_array(M)
     return lambda x, z: M @ x + math.sqrt(2.0 * h) * z
@@ -190,9 +190,10 @@ def test_a_non_finite_gradient_is_a_divergence_of_its_chain():
         1, (callable_term((0,), lambda z: 0.5 * z[0] ** 2, grad, 1.0),),
         SmoothnessParams(alpha=1.0, beta=1.0),
     )
-    with pytest.raises(DivergenceError, match="chain 0 diverged") as err:
+    with pytest.raises(DivergenceError, match=r"chain 0 diverged at iterate \d+: ") as err:
         run_chain(pot, SamplerConfig(h=0.5, iterations=2000, seed=0), np.array([1.0]))
     assert err.value.chain == 0 and math.isnan(err.value.sup)
+    assert str(err.value).endswith("|x|_inf = nan is not finite")
 
 
 def test_burn_in_and_thinning_recording(small_pot):
@@ -250,7 +251,7 @@ def test_csr_path_matches_dense_loop():
     cfg = SamplerConfig(h=h, iterations=200, burn_in=0, num_chains=2, seed=8)
     x0 = np.random.default_rng(0).standard_normal((2, 1024))
     store = run_chain(pot, cfg, x0)
-    M = np.eye(1024) - h * pot.quadratic_matrix
+    M = np.eye(1024) - h * pot.quadratic_matrix.toarray()
     for c, seq in enumerate(np.random.SeedSequence(8).spawn(2)):
         rng = np.random.default_rng(seq)
         x = x0[c]
@@ -275,13 +276,13 @@ def test_divergence_reports_the_chain_that_diverged(path):
     while np.abs(x).max() < 1e8:
         x, step = substep(x, rng.standard_normal((1, pot.n))[0]), step + 1
     assert (err.value.chain, err.value.step) == (1, step)
-    assert err.value.sup >= 1e8
+    assert err.value.sup >= 1e8 and str(err.value).endswith("exceeds 1e+08")
 
 
 def test_langevin_reference_substeps_reduce_bias(small_pot):
     # finer substeps track the continuous flow: empirical variance moves
     # from the h-biased stationary value toward the target value
-    tgt = GaussianTarget(small_pot.quadratic_matrix)
+    tgt = GaussianTarget(small_pot.quadratic_matrix.toarray())
     h = 0.4
     var_h = lmc_stationary_law(tgt, h).cov[1, 1]
     var_0 = tgt.law().cov[1, 1]
@@ -314,7 +315,7 @@ def test_stationary_variance_agrees_with_oracle(small_pot):
     cfg = SamplerConfig(h=0.1, iterations=200_000, seed=13)
     store = run_chain(small_pot, cfg, np.zeros(3))
     emp = np.cov(store.rows().T)
-    oracle_cov = lmc_stationary_law(GaussianTarget(small_pot.quadratic_matrix), 0.1).cov
+    oracle_cov = lmc_stationary_law(GaussianTarget(small_pot.quadratic_matrix.toarray()), 0.1).cov
     np.testing.assert_allclose(emp, oracle_cov, atol=0.03)
 
 
