@@ -40,6 +40,18 @@ __all__ = [
 _LIPSCHITZ_TOL = 1e-10
 
 
+class _Support(tuple):
+    """A factor support that the subset rule has read and found declared in ascending order."""
+
+
+def _ascending(read: list[int], declared) -> _Support:
+    """The support `read` by the subset rule from `declared`, which must list it in
+    ascending order: a factor's matrix rows follow its support as declared."""
+    if read != list(declared):
+        raise ValueError(f"factor support must be sorted, got {declared}")
+    return _Support(read)
+
+
 @dataclass(frozen=True, eq=False)
 class FactorTerm:
     """A single factor V_u acting on the coordinates in `support`, in ascending order.
@@ -60,9 +72,9 @@ class FactorTerm:
     kind: str = field(init=False)
 
     def __post_init__(self):
-        support = tuple(sorted_indices(self.support, None, "factor support"))
-        if list(support) != list(self.support):  # the matrix's rows follow the support's order
-            raise ValueError(f"factor support must be sorted, got {self.support}")
+        support = self.support
+        if type(support) is not _Support:  # a JSON term's support comes read
+            support = _ascending(sorted_indices(support, None, "factor support"), support)
         fns = (self.value_fn, self.grad_fn)
         if self.matrix is not None and fns != (None, None):
             raise ValueError("a factor takes a matrix or callables, not both")
@@ -80,7 +92,7 @@ class FactorTerm:
                 raise ValueError(f"declared lipschitz {L} inconsistent with operator norm {opnorm}")
             object.__setattr__(self, "matrix", M)
             L = opnorm
-        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "support", tuple(support))
         object.__setattr__(self, "lipschitz", L)
         object.__setattr__(self, "kind", "callable" if self.matrix is None else "quadratic")
 
@@ -172,13 +184,42 @@ def _assemble(n: int, terms: Sequence[FactorTerm]):
     sizes = np.diff(bounds)
     area = sizes * sizes
     # entry e = a |u| + b of the row-major block of a term on u = idx[start:start + |u|]
-    # is (u[a], u[b]), and bincount adds the parts of each key row n + col in input order
+    # is (u[a], u[b]); unique lists each key row n + col once, ascending, and bincount
+    # adds its parts in input order
     k, start = np.repeat(sizes, area), np.repeat(bounds[:-1], area)
     e = np.arange(k.size) - np.repeat(np.cumsum(area) - area, area)
-    flat = np.bincount(idx[start + e // k] * n + idx[start + e % k],
-                       np.concatenate([t.matrix for t in terms], axis=None), minlength=n * n)
-    keys = np.flatnonzero(flat)
-    return sparse.csr_array((flat[keys], np.divmod(keys, n)), shape=(n, n))
+    keys, at = np.unique(idx[start + e // k] * n + idx[start + e % k], return_inverse=True)
+    sums = np.bincount(at, np.concatenate([t.matrix for t in terms], axis=None), keys.size)
+    keep = sums != 0
+    return sparse.csr_array((sums[keep], np.divmod(keys[keep], n)), shape=(n, n))
+
+
+# A band of width b (A_ij = 0 for |i - j| > b) is narrow when (b + 1) * _NARROW <= n.
+# LAPACK's banded solver reduces A to tridiagonal form in O(n) for b = 1 and in O(n^2 b)
+# otherwise, against O(n^3) for the dense one; on one core of a 2-core x86 box they
+# cost the same near b = n/32 (94 against 99 ms at n = 1024, b = 32).
+_NARROW = 32
+
+
+def _extremes(A) -> tuple[float, float]:
+    """lambda_min and lambda_max of the symmetric CSR matrix A.  A narrow band goes
+    to two index-selected calls of LAPACK's banded solver (dsbevx, through
+    scipy.linalg.eig_banded) on its lower band, anything else to a dense eigvalsh."""
+    n = A.shape[0]
+    lag = np.repeat(np.arange(n), np.diff(A.indptr)) - A.indices  # row - col of each entry
+    b = int(lag.max(initial=0))
+    if (b + 1) * _NARROW > n:
+        eigs = np.linalg.eigvalsh(A.toarray())
+        return float(eigs[0]), float(eigs[-1])
+    from scipy.linalg import eig_banded  # on first use, as _assemble imports scipy.sparse
+    lower = lag >= 0
+    band = np.zeros((b + 1, n))  # band[i - j, j] = A_ij for j <= i <= j + b
+    band[lag[lower], A.indices[lower]] = A.data[lower]
+    return tuple(
+        float(eig_banded(band, lower=True, eigvals_only=True, select="i", select_range=(i, i),
+                         check_finite=False)[0])
+        for i in (0, n - 1)
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,16 +379,22 @@ def tridiagonal_precision(n: int, diag: float = 2.0, off: float = -0.5) -> np.nd
     return A
 
 
-def _gaussian_terms(A: np.ndarray, coords) -> list[FactorTerm]:
-    """Decompose x'Ax/2 into singleton terms A_ii x_i^2/2 (ascending i) and
-    pair terms A_ij x_i x_j (upper triangle, row by row), on the ascending
-    coordinates coords, so the interaction graph has an edge exactly where A_ij != 0."""
-    d = np.diag(A)
-    singles = [quadratic_term((coords[i],), [[d[i]]]) for i in np.flatnonzero(d).tolist()]
-    rows, cols = np.nonzero(np.triu(A, 1))
+def _gaussian_terms(A, coords) -> list[FactorTerm]:
+    """Decompose x'Ax/2, A an array or a CSR matrix read by its nonzeros, into
+    singleton terms A_ii x_i^2/2 (ascending i) and pair terms A_ij x_i x_j (upper
+    triangle, row by row), on the ascending coordinates coords, so the interaction
+    graph has an edge exactly where A_ij != 0 (a stored zero is no entry)."""
+    from scipy import sparse  # on first use, as _assemble imports it
+    A = sparse.coo_array(A)
+    A.sum_duplicates()  # row by row, each row by column
+    nonzero = A.data != 0
+    rows, cols, vals = A.row[nonzero], A.col[nonzero], A.data[nonzero]
+    on, above = rows == cols, rows < cols
+    singles = [quadratic_term((coords[i],), [[a]])
+               for i, a in zip(rows[on].tolist(), vals[on].tolist())]
     pairs = [
-        quadratic_term((coords[i], coords[j]), [[0.0, A[i, j]], [A[i, j], 0.0]])
-        for i, j in zip(rows.tolist(), cols.tolist())
+        quadratic_term((coords[i], coords[j]), [[0.0, a], [a, 0.0]])
+        for i, j, a in zip(rows[above].tolist(), cols[above].tolist(), vals[above].tolist())
     ]
     return singles + pairs
 
@@ -381,13 +428,13 @@ def _mean_field_pairs(n: int, strength: float) -> list:
 
 def _quadratic_potential(n: int, terms: list[FactorTerm]) -> StructuredPotential:
     """The potential with these quadratic terms; alpha and beta are the extreme
-    eigenvalues of the assembled matrix, which must be positive definite, and
-    gamma is 1 (dataclasses.replace on the smoothness, or a JSON file, sets another)."""
+    eigenvalues of the assembled matrix (`_extremes`), which must be positive definite,
+    and gamma is 1 (dataclasses.replace on the smoothness, or a JSON file, sets another)."""
     A = _assemble(n, terms)
-    eigs = np.linalg.eigvalsh(A.toarray())
-    if eigs[0] <= 0:
-        raise ValueError(f"precision matrix must be positive definite, lambda_min={eigs[0]}")
-    smoothness = SmoothnessParams(alpha=float(eigs[0]), beta=float(eigs[-1]))
+    alpha, beta = _extremes(A)
+    if alpha <= 0:
+        raise ValueError(f"precision matrix must be positive definite, lambda_min={alpha}")
+    smoothness = SmoothnessParams(alpha=alpha, beta=beta)
     pot = StructuredPotential(n=n, terms=tuple(terms), smoothness=smoothness)
     pot.__dict__["quadratic_matrix"] = A  # the cached property's value: assembled once
     return pot
@@ -397,9 +444,9 @@ def gaussian_potential(A) -> StructuredPotential:
     """Gaussian target N(0, A^{-1}) as a structured potential.
 
     alpha = lambda_min(A) (exact log-Sobolev constant), beta = lambda_max(A).
-    A may be an array or a scipy.sparse matrix.
+    A may be an array or a scipy.sparse matrix, which is read as CSR.
     """
-    A = _dense(_symmetric(A, "precision", PRECISION_TOL))
+    A = _symmetric(A, "precision", PRECISION_TOL)
     return _quadratic_potential(A.shape[0], _gaussian_terms(A, range(A.shape[0])))
 
 
@@ -438,13 +485,15 @@ def _builtin_terms(name: str, support: list[int], params: dict) -> list[FactorTe
     if name == "gaussian":
         if ("precision" in params) == ("tridiagonal" in params):
             raise ValueError("builtin:gaussian needs 'precision' or 'tridiagonal' params, not both")
-        if "precision" in params:
-            A = read(params, "precision", where, "matrix")
-        else:
+        if "tridiagonal" in params:  # symmetric as built, and kept as CSR
+            from scipy import sparse
             td = read(params, "tridiagonal", where, {"diag", "off"})
             td_where = f"{where} 'tridiagonal'"
             diag = read(td, "diag", td_where, "number", 2.0)
-            A = tridiagonal_precision(k, diag, read(td, "off", td_where, "number", -0.5))
+            off = read(td, "off", td_where, "number", -0.5)
+            A = sparse.diags_array([off, diag, off], offsets=(-1, 0, 1), shape=(k, k), format="csr")
+            return _gaussian_terms(A, support)
+        A = read(params, "precision", where, "matrix")
         if A.shape != (k, k):
             raise ValueError(f"precision shape {A.shape} does not match support size {k}")
         return _gaussian_terms(_symmetric(A, "precision", PRECISION_TOL), support)
@@ -485,8 +534,8 @@ def potential_from_dict(spec: dict) -> StructuredPotential:
         if kind == "quadratic":
             matrix = read(params, "matrix", "quadratic term params", "matrix")
             lip = read(entry, "lipschitz", "term", "number", None)
-            # in the declared order, which the matrix's rows follow
-            terms.append(quadratic_term(declared, matrix, lipschitz=lip))
+            # its factor takes the support read above, declared in the order of the matrix's rows
+            terms.append(quadratic_term(_ascending(support, declared), matrix, lipschitz=lip))
         else:
             terms.extend(_builtin_terms(kind.split(":", 1)[1], support, params))
     return StructuredPotential(n=n, terms=tuple(terms), smoothness=smoothness)

@@ -239,6 +239,210 @@ def test_each_support_is_read_once_and_the_matrix_assembled_once(monkeypatch):
     assert len(assemblies) == 1  # a file's potential assembles when the matrix is asked for
     run_chain(pot, SamplerConfig(h=0.1, iterations=3), np.zeros(6))
     assert len(assemblies) == 2
+    # a quadratic entry: its support once, by the entry reader, and its factor takes it read
+    reads.clear()
+    pot = potential_from_dict({"n": 3, "smoothness": {"alpha": 0.5}, "terms": [
+        {"kind": "quadratic", "support": [0, 2], "params": {"matrix": [[2.0, 0.5], [0.5, 1.0]]}}]})
+    assert len(reads) == 1 and pot.terms[0].support == (0, 2)
+    assert type(pot.terms[0].support) is tuple
+
+
+# -- alpha and beta: the band solver against the dense spectrum ---------------
+
+
+def _dense_ends(A) -> tuple[float, float]:
+    eigs = np.linalg.eigvalsh(A.toarray())
+    return float(eigs[0]), float(eigs[-1])
+
+
+def _banded_spd(seed: int, n: int, b: int):
+    """A seeded random symmetric CSR matrix of bandwidth b, shifted to be positive definite."""
+    from scipy import sparse
+
+    rng = np.random.default_rng(seed)
+    A = sparse.diags_array(rng.uniform(2.0 * b, 2.0 * b + 1.0, n))
+    for k in range(1, b + 1):
+        off = rng.uniform(-1.0, 1.0, n - k)
+        A = A + sparse.diags_array([off, off], offsets=(k, -k), shape=(n, n))
+    return sparse.csr_array(A)
+
+
+@pytest.fixture
+def band_calls(monkeypatch):
+    """The index-selected eig_banded calls made while the test runs."""
+    import scipy.linalg
+
+    calls, eig_banded = [], scipy.linalg.eig_banded
+    monkeypatch.setattr(scipy.linalg, "eig_banded",
+                        lambda *a, **k: calls.append(k["select_range"]) or eig_banded(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("build", [
+    lambda: chain_pairwise(64),
+    lambda: chain_pairwise(1024, 1.5, 0.7),
+    lambda: gaussian_potential(_banded_spd(1, 64, 1)),
+    lambda: gaussian_potential(_banded_spd(2, 200, 2)),
+    lambda: gaussian_potential(_banded_spd(3, 1024, 3)),
+    lambda: gaussian_potential(_banded_spd(4, 128, 3).toarray()),
+    lambda: grid_pairwise(40, 5),
+], ids=["chain-64", "chain-1024", "band1-64", "band2-200", "band3-1024", "band3-128-dense",
+        "grid-40x5"])
+def test_a_narrow_band_takes_alpha_and_beta_from_the_band_solver(build, band_calls):
+    pot = build()
+    assert band_calls == [(0, 0), (pot.n - 1, pot.n - 1)]
+    alpha, beta = _dense_ends(pot.quadratic_matrix)
+    assert abs(pot.smoothness.alpha - alpha) <= 1e-13 * beta
+    assert abs(pot.smoothness.beta - beta) <= 1e-13 * beta
+
+
+@pytest.mark.parametrize("build", [
+    lambda: chain_pairwise(63),
+    lambda: grid_pairwise(32, 32),
+    lambda: mean_field(64),
+    lambda: gaussian_potential(_banded_spd(5, 96, 3)),
+    lambda: gaussian_potential([[2.5]]),
+], ids=["chain-63", "grid-32x32", "mean-field-64", "band3-96", "n-1"])
+def test_a_wide_band_keeps_the_dense_spectrum(build, band_calls):
+    pot = build()
+    assert band_calls == []
+    assert (pot.smoothness.alpha, pot.smoothness.beta) == _dense_ends(pot.quadratic_matrix)
+
+
+def test_the_band_solver_on_one_coordinate_and_on_every_width(monkeypatch):
+    import deloc.potential as potential
+
+    monkeypatch.setattr(potential, "_NARROW", 1)  # every band is narrow
+    for A in (_banded_spd(6, 1, 0), _banded_spd(7, 2, 1), _banded_spd(8, 12, 3),
+              grid_pairwise(4, 4).quadratic_matrix, mean_field(8).quadratic_matrix):
+        alpha, beta = _dense_ends(A)
+        got = potential._extremes(A)
+        assert abs(got[0] - alpha) <= 1e-13 * beta and abs(got[1] - beta) <= 1e-13 * beta
+
+
+def test_the_band_solver_refuses_a_precision_that_is_not_positive_definite(band_calls):
+    from scipy import sparse
+
+    A = sparse.diags_array([-0.6, 1.0, -0.6], offsets=(-1, 0, 1), shape=(256, 256))
+    with pytest.raises(ValueError, match="precision matrix must be positive definite"):
+        gaussian_potential(A)
+    assert len(band_calls) == 2
+    # no terms: a CSR with no nonzeros, on the band path and on the dense one
+    for n in (64, 4):
+        with pytest.raises(ValueError, match="precision matrix must be positive definite"):
+            chain_pairwise(n, 0.0, 0.0)
+    assert len(band_calls) == 4
+
+
+def test_a_chain_builds_at_a_size_no_dense_spectrum_reaches(monkeypatch):
+    from scipy import sparse
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an n x n array was asked for")
+
+    eigvalsh = np.linalg.eigvalsh
+
+    def small_eigvalsh(M):
+        if M.shape[0] > 64:
+            refuse()
+        return eigvalsh(M)
+
+    monkeypatch.setattr(sparse.csr_array, "toarray", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", small_eigvalsh)
+    n, confine, couple = 8192, 1.0, 0.5
+    pot = chain_pairwise(n, confine, couple)
+    # the free-end path Laplacian has eigenvalues 2 - 2 cos(pi k / n), k = 0, ..., n - 1
+    for got, k in ((pot.smoothness.alpha, 0), (pot.smoothness.beta, n - 1)):
+        want = confine + couple * (2.0 - 2.0 * np.cos(np.pi * k / n))
+        assert abs(got - want) <= 1e-12 * want
+
+
+# -- O(nnz) assembly and CSR precisions ---------------------------------------
+
+
+def test_assembly_drops_the_entries_whose_parts_cancel():
+    import deloc.potential as potential
+
+    M = np.array([[1.0, 0.1], [0.1, 0.2]])
+    terms = [quadratic_term((0, 1), M), quadratic_term((1, 2), M), quadratic_term((0, 1), -M),
+             quadratic_term((2,), [[0.3]]), quadratic_term((1, 2), [[0.0, -0.1], [-0.1, 0.0]])]
+    A = potential._assemble(3, terms)
+    assert A.toarray().tobytes() == dense_term_order_sum(3, terms).tobytes()
+    assert np.all(A.data != 0)
+    # only (1, 1) and (2, 2) are left: 0.2 and 1.0 + 0.3
+    assert list(zip(*A.nonzero())) == [(1, 1), (2, 2)]
+    assert potential._assemble(3, terms[2:3] + terms[:1]).nnz == 0
+
+
+def test_a_stored_zero_of_a_csr_precision_is_no_term():
+    from scipy import sparse
+    import deloc.potential as potential
+    from deloc.graph import build_graph
+
+    A = tridiagonal_precision(6, 2.0, -0.5)
+    A[1, 4] = A[4, 1] = 0.25
+    stored = sparse.csr_array(A)
+    stored.data[stored.data == 0.25] = 0.0  # (1, 4) and (4, 1) kept as explicit zeros
+    dense = stored.toarray()
+    assert stored.nnz == np.count_nonzero(dense) + 2
+    a, b = gaussian_potential(stored), gaussian_potential(dense)
+    assert (1, 4) not in [t.support for t in a.terms]
+    assert_same_potential(a, b)
+    assert build_graph(a).edges() == build_graph(b).edges()
+    stored.data[0] = 0.0  # and a stored zero on the diagonal
+    got, want = (potential._gaussian_terms(M, range(6)) for M in (stored, stored.toarray()))
+    assert (0,) not in [t.support for t in got]
+    assert [(t.support, t.matrix.tobytes()) for t in got] == \
+        [(t.support, t.matrix.tobytes()) for t in want]
+
+
+def test_a_csr_with_unsorted_and_repeated_entries_gives_the_terms_of_its_dense_form():
+    from scipy import sparse
+    import deloc.potential as potential
+
+    # [[2, 1, 0], [1, 5, 1], [0, 1, 3]], row 1 unsorted and its A_11 stored as 2 + 3
+    M = sparse.csr_array((np.array([1.0, 2.0, 1.0, 2.0, 1.0, 3.0, 3.0, 1.0]),
+                          np.array([1, 0, 2, 1, 0, 1, 2, 1]), np.array([0, 2, 6, 8])), shape=(3, 3))
+    got, want = (potential._gaussian_terms(A, range(3)) for A in (M, M.toarray()))
+    assert [(t.support, t.matrix.tobytes()) for t in got] == \
+        [(t.support, t.matrix.tobytes()) for t in want]
+
+
+def test_a_csr_precision_is_read_without_a_dense_copy(monkeypatch):
+    from scipy import sparse
+    import deloc.potential as potential
+
+    A = _banded_spd(9, 300, 2)
+    want = gaussian_potential(A.toarray())
+    spec = {"n": 300, "smoothness": {"alpha": 0.5}, "terms": [{
+        "kind": "builtin:gaussian", "support": list(range(300)),
+        "params": {"precision": tridiagonal_precision(300, 2.5, 0.3).tolist()}}]}
+    dense_builtin = potential_from_dict(spec)
+    spec["terms"][0]["params"] = {"tridiagonal": {"diag": 2.5, "off": 0.3}}
+    refuse = lambda *a, **k: pytest.fail("a dense precision was built")  # noqa: E731
+    monkeypatch.setattr(sparse.csr_array, "toarray", refuse)
+    monkeypatch.setattr(potential, "tridiagonal_precision", refuse)
+    assert_same_potential(gaussian_potential(A), want)
+    assert_same_potential(potential_from_dict(spec), dense_builtin)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: chain_pairwise(1024),
+    lambda: grid_pairwise(9, 13),
+    lambda: mean_field(64),
+    lambda: gaussian_potential(_banded_spd(10, 512, 3)),
+], ids=["chain-1024", "grid-9x13", "mean-field-64", "band3-512"])
+def test_a_run_chain_store_is_that_of_the_term_order_dense_sum(build):
+    from scipy import sparse
+    from deloc.sampler import SamplerConfig, run_chain
+
+    pot = build()
+    ref = StructuredPotential(pot.n, pot.terms, pot.smoothness)
+    ref.__dict__["quadratic_matrix"] = sparse.csr_array(dense_term_order_sum(pot.n, pot.terms))
+    config = SamplerConfig(h=0.05, iterations=20, num_chains=2, seed=11)
+    x0 = np.linspace(-1.0, 1.0, pot.n)
+    got, want = run_chain(pot, config, x0), run_chain(ref, config, x0)
+    assert got.samples.tobytes() == want.samples.tobytes()
 
 
 def test_gaussian_potential_gradient_is_Ax(rng):
