@@ -1,10 +1,9 @@
 """The one rule for every value deloc takes, from a JSON file or a Python call.
 `load` parses a file; `read` checks one value against one rule, its kind: a
 name in _RULES; a set of names, for a JSON object with no other keys; [kind],
-for a list of kind entries; a tuple of kinds, for the one whose JSON type the
-value has; or None, for any value.  `_check` checks a bare value and `_flaw`
-reports instead of raising.  A domain kind (positive, count, ...) extends
-number or integer, so NaN, infinities, bools and strings break it."""
+for a list of kind entries; or None, for any value.  `_check` checks a bare
+value and `_flaw` reports instead of raising.  A domain kind (positive, count,
+...) extends number or integer, so NaN, infinities, bools and strings break it."""
 
 from __future__ import annotations
 
@@ -71,6 +70,8 @@ _RULES = {
     "fraction": ("number", lambda v: 0 < v < 1, float, "a number in (0, 1)", "numbers in (0, 1)"),
     "count": ("integer", lambda v: v >= 0, int, "an integer >= 0", "integers >= 0"),
     "positive-integer": ("integer", lambda v: v >= 1, int, "an integer >= 1", "integers >= 1"),
+    "replicates": (  # a bootstrap's: one replicate has no spread
+        "integer", lambda v: v >= 2, int, "an integer >= 2 for a bootstrap SE", "integers >= 2"),
     "indices": (
         None, _is_indices, lambda v: [int(i) for i in v],
         "a list of integers, distinct and non-negative",
@@ -100,15 +101,22 @@ def _symmetric(value, what: str, tol: float):
         raise ValueError(f"{what} must be a non-empty square matrix, got shape {M.shape}")
     if not np.isfinite(M.data if is_sparse else M).all():
         raise ValueError(f"{what} must be finite")
-    if is_sparse:
-        gap, out = abs(M - M.T).max(), 0.5 * (M + M.T)
+    if is_sparse:  # M + M' holds no stored zero, and sum_duplicates sorts its rows
+        gap, out = abs(M - M.T).max(), M + M.T
+        out.sum_duplicates()
+        big = np.isinf(out.data).nonzero()[0]  # as in the dense path below
+        out.data *= 0.5
+        if big.size:  # (an empty index would give back a sparse array)
+            out.data[big] = M[np.searchsorted(out.indptr, big, "right") - 1, out.indices[big]]
     else:  # 64 rows of M against 64 columns, so M' is read in cache-sized strips
         gap, out = 0.0, np.empty_like(M)
         for i in range(0, len(M), 64):
             rows, cols, strip = M[i:i + 64], M[:, i:i + 64].T, out[i:i + 64]
             strip_gap = np.abs(np.subtract(rows, cols, out=strip), out=strip).max()
-            if strip_gap:
-                np.multiply(np.add(rows, cols, out=strip), 0.5, out=strip)
+            if strip_gap:  # M + M' overflows only where M' = M: M is the mean there
+                with np.errstate(over="ignore"):
+                    np.multiply(np.add(rows, cols, out=strip), 0.5, out=strip)
+                np.copyto(strip, rows, where=np.isinf(strip))
             else:  # (M + M')/2 is M here, and M + M' could overflow
                 strip[...] = rows
             gap = max(gap, strip_gap)
@@ -133,13 +141,6 @@ def _check(value, kind, label: str):
     """value cast by kind; a ValueError naming label if it breaks the rule."""
     if kind is None:
         return value
-    if isinstance(kind, tuple):  # the alternative of the value's JSON type
-        names = ["object" if isinstance(k, set) else "list" if isinstance(k, list) else k
-                 for k in kind]
-        for alt, name in zip(kind, names):
-            if _failed(value, name) is None:
-                return _check(value, alt, label)
-        raise ValueError(f"{label} must be a {', '.join(names[:-1])} or {names[-1]}, got {value!r}")
     if isinstance(kind, set):
         extra = set(_check(value, "object", label)) - kind
         if extra:

@@ -19,7 +19,7 @@ from typing import Iterable
 
 from ._json import _check
 from .potential import StructuredPotential
-from .subsets import as_mask, indices_from, size
+from .subsets import _pair, as_mask, indices_from, size
 
 __all__ = [
     "InteractionGraph",
@@ -31,35 +31,21 @@ __all__ = [
 
 
 class InteractionGraph:
-    """Undirected simple graph on [n] with bitmask adjacency."""
+    """Undirected simple graph on [n].  Each edge is two distinct indices in range(n),
+    read by the subset rule; the adjacency, one bitmask per vertex, is private."""
 
-    def __init__(self, n: int, adj_masks: Iterable[int]):
-        self.n = n
-        self.adj_masks = tuple(adj_masks)
-        if len(self.adj_masks) != n:
-            raise ValueError(f"expected {n} adjacency masks, got {len(self.adj_masks)}")
-        for i, m in enumerate(self.adj_masks):
-            if m >> n:
-                raise ValueError(f"adjacency of vertex {i} leaves range({n})")
-            if m & (1 << i):
-                raise ValueError(f"self-loop at vertex {i}")
-            for j in indices_from(m):
-                if not self.adj_masks[j] & (1 << i):
-                    raise ValueError(f"asymmetric adjacency between {i} and {j}")
-        self._chains: dict[int, tuple[int, ...]] = {}
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "InteractionGraph":
-        adj = [0] * n
-        for i, j in edges:
-            if i == j:
-                raise ValueError(f"self-loop at vertex {i}")
+    def __init__(self, n: int, edges: Iterable):
+        self.n = _check(n, "positive-integer", "n")
+        adj = [0] * self.n
+        for edge in edges:
+            i, j = _pair(edge, self.n, "edge")
             adj[i] |= 1 << j
             adj[j] |= 1 << i
-        return cls(n, adj)
+        self._adj = tuple(adj)
+        self._chains: dict[int, tuple[int, ...]] = {}
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(i, j) for i, m in enumerate(self.adj_masks) for j in indices_from(m) if i < j]
+        return [(i, j) for i, m in enumerate(self._adj) for j in indices_from(m) if i < j]
 
     # -- neighbourhoods ------------------------------------------------------
 
@@ -75,7 +61,7 @@ class InteractionGraph:
             # adj(N_{k-1}) lies in N_k, so only the frontier N_k \ N_{k-1} can grow it
             nxt = cur
             for i in indices_from(rest):
-                nxt |= self.adj_masks[i]
+                nxt |= self._adj[i]
             if nxt == cur:
                 break
             chain.append(nxt)
@@ -86,7 +72,7 @@ class InteractionGraph:
 
 def build_graph(pot: StructuredPotential) -> InteractionGraph:
     pairs = (ij for t in pot.active_terms for ij in itertools.combinations(t.support, 2))
-    return InteractionGraph.from_edges(pot.n, pairs)
+    return InteractionGraph(pot.n, pairs)
 
 
 # -- growth certificates -------------------------------------------------------

@@ -25,7 +25,7 @@ from scipy import sparse
 from . import bounds as bnd
 from . import metrics as mtr
 from . import oracle as orc
-from ._json import _dense, read
+from ._json import _SEQUENCE, _dense, read
 from .graph import GrowthCertificate, InteractionGraph, verify_growth
 from .hierarchy import SparseParams, SubsetFunction, certified_entropy_curve
 from .potential import gaussian_potential
@@ -62,19 +62,16 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; known: {sorted(EXPERIMENTS)}"
             )
-        kinds = {"dims": ["positive-integer"], "h_values": ["positive"], "seed": "integer",
-                 "subsets": _PANEL, "options": set(_OPTIONS[self.experiment])}
-        for name, kind in kinds.items():
-            value = read(vars(self), name, "config", kind)
-            object.__setattr__(self, name, tuple(value) if isinstance(kind, list) else value)
-        if not isinstance(self.subsets, (str, dict)):  # a list: read as resolve_panel reads it
-            for u in self.subsets:
-                sorted_indices(u, None, "subsets entry")
+        for name, kind in (("dims", ["positive-integer"]), ("h_values", ["positive"])):
+            object.__setattr__(self, name, tuple(read(vars(self), name, "config", kind)))
+        object.__setattr__(self, "seed", read(vars(self), "seed", "config", "integer"))
+        _read_panel(self.subsets)
+        # every option, given or not, read once by its rule; the experiments look them up here
+        table = _OPTIONS[self.experiment]
+        given = {**table, **read(vars(self), "options", "config", set(table))}
+        values = {key: read(given, key, "option", _kind(key, d), d) for key, d in table.items()}
+        object.__setattr__(self, "_options", values)
         read(vars(self), "output", "config", "string", None)
-
-
-# a subset panel: a name, a list of subsets or a {"random": ...} draw (see resolve_panel)
-_PANEL = ("string", "list", {"random"})
 
 
 def config_from_dict(spec: dict) -> ExperimentConfig:
@@ -118,12 +115,8 @@ class ExperimentReport:
         return [r for r in self.rows if r.valid is False]
 
     def select(self, metric: str | None = None, n: int | None = None) -> list[ReportRow]:
-        out = self.rows
-        if metric is not None:
-            out = [r for r in out if r.metric == metric]
-        if n is not None:
-            out = [r for r in out if r.n == n]
-        return out
+        """The rows of this metric and this n; None matches any."""
+        return [r for r in self.rows if metric in (None, r.metric) and n in (None, r.n)]
 
     def to_csv(self, path) -> None:
         with open(path, "w") as f:
@@ -133,7 +126,7 @@ class ExperimentReport:
 
     def to_json_sidecar(self, path) -> None:
         payload = {
-            "config": {k: v for k, v in vars(self.config).items() if k != "output"},
+            "config": {k: v for k, v in vars(self.config).items() if k not in ("output", "_options")},
             "metadata": self.metadata,
             "num_rows": len(self.rows),
             "num_failures": len(self.failures()),
@@ -187,34 +180,53 @@ def fit_scaling(x, y) -> ScalingFit:
 # -- subset panels -------------------------------------------------------------
 
 
+_PARTS = {  # the named parts of a panel, each expanded against the graph
+    "singletons": lambda graph: [(i,) for i in range(graph.n)],
+    "pairs": lambda graph: graph.edges(),
+    "all-pairs": lambda graph: list(itertools.combinations(range(graph.n), 2)),
+}
+
+
+def _read_panel(spec, n: int | None = None):
+    """A panel spec read in full, each subset by the subset rule with n: the part
+    names of a string, the (size, count, seed) of a random draw, or the subsets of a list."""
+    if isinstance(spec, str):
+        parts = [part.strip() for part in spec.split("+")]
+        for part in parts:
+            if part not in _PARTS:
+                raise ValueError(f"unknown panel spec {part!r}")
+        return parts
+    if isinstance(spec, dict):
+        draw = read(read(spec, None, "config 'subsets'", {"random"}), "random", "subsets",
+                    {"size", "count", "seed"})
+        where = "subsets 'random'"
+        size, count = (read(draw, key, where, "positive-integer") for key in ("size", "count"))
+        if n is not None and size > n:
+            raise ValueError(f"{where} 'size' must be at most n={n}, got {size}")
+        return size, count, read(draw, "seed", where, "integer", 0)
+    if not isinstance(spec, _SEQUENCE):
+        raise ValueError(f"config 'subsets' must be a string, list or object, got {spec!r}")
+    if not len(spec):
+        raise ValueError(f"subset panel {spec!r} is empty")
+    return [tuple(sorted_indices(u, n, "subsets entry")) for u in spec]
+
+
 def resolve_panel(graph: InteractionGraph, spec) -> list[tuple[int, ...]]:
     """Expand a panel spec into subsets: "singletons", "pairs" (graph
     edges), "all-pairs", combinations via "+", an explicit list, or
-    {"random": {"size": k, "count": c}} using a fixed draw.  An empty
-    panel, or an entry that is no subset of range(graph.n), is a ValueError."""
+    {"random": {"size": k, "count": c}} using a fixed draw.  The spec is read
+    as the config reads it, with n = graph.n; an empty panel is a ValueError."""
+    panel = _read_panel(spec, graph.n)
     if isinstance(spec, str):
-        panel: list[tuple[int, ...]] = []
-        for part in spec.split("+"):
-            part = part.strip()
-            if part == "singletons":
-                panel.extend((i,) for i in range(graph.n))
-            elif part == "pairs":
-                panel.extend(graph.edges())
-            elif part == "all-pairs":
-                panel.extend(itertools.combinations(range(graph.n), 2))
-            else:
-                raise ValueError(f"unknown panel spec {part!r}")
+        panel = [u for part in panel for u in _PARTS[part](graph)]
     elif isinstance(spec, dict):
-        draw = read(spec, "random", "subsets", {"size", "count", "seed"})
-        where = "subsets 'random'"
-        k, count = (read(draw, key, where, "integer") for key in ("size", "count"))
-        rng = np.random.default_rng(read(draw, "seed", where, "integer", 0))
-        panel = [rng.choice(graph.n, size=k, replace=False).tolist() for _ in range(count)]
-    else:
-        panel = read(spec, None, "subsets", "list")
+        size, count, seed = panel
+        rng = np.random.default_rng(seed)
+        panel = [tuple(sorted(rng.choice(graph.n, size=size, replace=False).tolist()))
+                 for _ in range(count)]
     if not panel:
         raise ValueError(f"subset panel {spec!r} is empty")
-    return [tuple(sorted_indices(u, graph.n, "subsets entry")) for u in panel]
+    return panel
 
 
 def _subset_label(u) -> str:
@@ -224,19 +236,18 @@ def _subset_label(u) -> str:
 # -- experiments ---------------------------------------------------------------
 
 
-def _option(config: ExperimentConfig, key: str):
-    """config.options[key], or its _OPTIONS default when absent, read by the rule of the
-    default's type: a matrix for None, numbers for a tuple, an integer for an int, else a number."""
-    default = _OPTIONS[config.experiment][key]
-    kind = "matrix" if default is None else "integer" if isinstance(default, int) else "number"
-    kind = [kind] if isinstance(default, tuple) else kind
-    return read(config.options, key, "option", kind, default)
+def _kind(key: str, default):
+    """The rule of an option, by its default's type: a matrix for None, numbers for a
+    tuple, a number for a float, and for an int a count: >= 1, but k >= 0 and n_boot >= 2."""
+    if isinstance(default, int):
+        return {"k": "count", "n_boot": "replicates"}.get(key, "positive-integer")
+    return "matrix" if default is None else ["number"] if isinstance(default, tuple) else "number"
 
 
 def _target_from_options(n: int, config: ExperimentConfig) -> orc.GaussianTarget:
-    A = _option(config, "precision")
+    A = config._options["precision"]
     if A is None:  # CSR, so the target takes the sine basis and forms no n x n array
-        diag, off = _option(config, "diag"), _option(config, "off")
+        diag, off = config._options["diag"], config._options["off"]
         A = sparse.diags_array([off, diag, off], offsets=(-1, 0, 1), shape=(n, n), format="csr")
     elif A.shape != (n, n):
         raise ValueError(f"precision shape {A.shape} does not match n={n}")
@@ -246,7 +257,7 @@ def _target_from_options(n: int, config: ExperimentConfig) -> orc.GaussianTarget
 def _precision_graph(tgt: orc.GaussianTarget) -> InteractionGraph:
     """The interaction graph of x'Ax/2: an edge i - j wherever A_ij != 0."""
     rows, cols = sparse.triu(tgt.precision, 1).nonzero()
-    return InteractionGraph.from_edges(tgt.dim, zip(rows.tolist(), cols.tolist()))
+    return InteractionGraph(tgt.dim, zip(rows.tolist(), cols.tolist()))
 
 
 def _single(config: ExperimentConfig, name: str, default):
@@ -330,7 +341,7 @@ def _sparse_poly_setup(config: ExperimentConfig, gamma: float, p: float):
     n = _single(config, "dims", 8)
     tgt = _target_from_options(n, config)
     graph = _precision_graph(tgt)
-    cert = GrowthCertificate("polynomial", _option(config, "c"), p)
+    cert = GrowthCertificate("polynomial", config._options["c"], p)
     growth = verify_growth(graph, cert)
     yield ReportRow(
         config.experiment, n, None, "vertices", "growth-certificate",
@@ -343,7 +354,7 @@ def _sparse_poly_setup(config: ExperimentConfig, gamma: float, p: float):
 
 
 def _exp_bound_vs_truth(config: ExperimentConfig) -> Iterator[ReportRow]:
-    setup = _sparse_poly_setup(config, _option(config, "gamma"), _option(config, "p"))
+    setup = _sparse_poly_setup(config, config._options["gamma"], config._options["p"])
     n, tgt, graph, panel, consts = yield from setup
     C, h_star = consts["C"], consts["h_star"]
     law = tgt.law()
@@ -369,11 +380,11 @@ def _exp_bound_vs_truth(config: ExperimentConfig) -> Iterator[ReportRow]:
 def _exp_certified_trajectory(config: ExperimentConfig) -> Iterator[ReportRow]:
     """Exact transient KL <= certified curve <= dynamic envelope, with p = gamma = 1."""
     n, tgt, graph, panel, consts = yield from _sparse_poly_setup(config, 1.0, 1.0)
-    c, k_max = _option(config, "c"), _option(config, "k")
+    c, k_max = config._options["c"], config._options["k"]
     params = SparseParams(tgt.alpha, tgt.beta, 1.0, c, p=1.0)
     envelope = dict(alpha=tgt.alpha, beta=tgt.beta, gamma=1.0, c=c, p=1.0)
     law = tgt.law()
-    law0 = orc.GaussianLaw(np.zeros(n), _option(config, "cov0_scale") * law.cov)
+    law0 = orc.GaussianLaw(np.zeros(n), config._options["cov0_scale"] * law.cov)
     # H0(w) = C0 |w| dominates the start's marginal KL on every w a curve reads
     chains = {w for u in panel for w in graph.chain(u)}
     C0 = max(_marginal_kl(law0, law, indices_from(w)) / size(w) for w in chains)
@@ -407,11 +418,10 @@ def _exp_subadditivity(config: ExperimentConfig) -> Iterator[ReportRow]:
     law_h = orc.lmc_stationary_law(tgt, h)
     law = tgt.law()
     for k in range(1, n + 1):
-        rep = mtr.subadditivity_check(law_h, law, k, tol=_option(config, "tol"))
+        rep = mtr.subadditivity_check(law_h, law, k, tol=config._options["tol"])
         yield ReportRow(
             config.experiment, n, h, f"k={k}", "subadditivity-lhs",
-            rep.lhs_average, bound=rep.rhs_share, theorem="subadditivity",
-            valid=rep.passed,
+            rep.lhs_average, bound=rep.rhs_share, theorem="subadditivity", valid=rep.passed,
         )
 
 
@@ -421,13 +431,13 @@ def _exp_continuous_time(config: ExperimentConfig) -> Iterator[ReportRow]:
         raise ValueError(f"continuous-time takes no h_values, got {list(config.h_values)}")
     tgt = _target_from_options(n, config)
     graph = _precision_graph(tgt)
-    alpha, beta, gamma = tgt.alpha, tgt.beta, _option(config, "gamma")
+    alpha, beta, gamma = tgt.alpha, tgt.beta, config._options["gamma"]
     law = tgt.law()
-    law0 = orc.GaussianLaw(np.zeros(n), _option(config, "cov0_scale") * law.cov)
+    law0 = orc.GaussianLaw(np.zeros(n), config._options["cov0_scale"] * law.cov)
     H0 = SubsetFunction(lambda m: _marginal_kl(law0, law, indices_from(m)), "initial-kl")
     panel = resolve_panel(graph, config.subsets)
-    laws = [(t, orc.ou_law(tgt, t, law0)) for t in _option(config, "times")]
-    for eps in _option(config, "eps"):
+    laws = [(t, orc.ou_law(tgt, t, law0)) for t in config._options["times"]]
+    for eps in config._options["eps"]:
         for t, law_t in laws:
             for u in panel:
                 exact = _marginal_kl(law_t, law, u)
@@ -442,15 +452,10 @@ def _exp_continuous_time(config: ExperimentConfig) -> Iterator[ReportRow]:
 
 
 def _exp_onestep_linf(config: ExperimentConfig) -> Iterator[ReportRow]:
-    m = _option(config, "samples")
     # each bootstrap replicate re-solves a full m x m assignment (~0.65 s at
     # m = 2048; a call with 10 replicates takes 4.5-6.2 s on 2 CPUs), so the
     # default replicate count stays small
-    n_boot = _option(config, "n_boot")
-    if n_boot < 2:
-        raise ValueError(
-            f"option 'n_boot' must be an integer >= 2 for a bootstrap SE, got {n_boot}"
-        )
+    m, n_boot = config._options["samples"], config._options["n_boot"]
     counter = 0
     for n in config.dims or (4, 8):
         tgt = _target_from_options(n, config)
@@ -496,8 +501,8 @@ def _exp_sampler_vs_oracle(config: ExperimentConfig) -> Iterator[ReportRow]:
     h = _single(config, "h_values", 0.05)
     scfg = SamplerConfig(
         h=h,
-        iterations=_option(config, "iterations"),
-        num_chains=_option(config, "chains"),
+        iterations=config._options["iterations"],
+        num_chains=config._options["chains"],
         seed=config.seed,
     )
     try:
@@ -513,20 +518,18 @@ def _exp_sampler_vs_oracle(config: ExperimentConfig) -> Iterator[ReportRow]:
     law = tgt.law()
     kept = store.rows()
     centered = kept - kept.mean(axis=0)
-    nb = _option(config, "batches")
     for i in range(n):
         for j in range(i, n):
             series = centered[:, i] * centered[:, j]
             emp = float(series.mean())
-            se = _batch_mean_se(series, nb)
+            se = _batch_mean_se(series, config._options["batches"])
             ref = float(law_h.cov[i, j])
             yield ReportRow(
                 config.experiment, n, h, _subset_label((i, j)), "cov-entry",
                 emp, se=se, bound=ref, theorem="lyapunov",
                 valid=abs(emp - ref) <= 4.0 * se,
             )
-    thin = _option(config, "thin")
-    m_cmp = _option(config, "marginal_samples")
+    thin, m_cmp = config._options["thin"], config._options["marginal_samples"]
     rng = np.random.default_rng([config.seed, 1])
     for i, ref in enumerate(_singleton_w2(law_h, law)):
         lmc_i = marginal_samples(store, (i,))[::thin, 0][:m_cmp]
@@ -547,8 +550,7 @@ def _rotated_precision(n: int, soft: float, stiff: float) -> np.ndarray:
 
 def _exp_delocalization_failure(config: ExperimentConfig) -> Iterator[ReportRow]:
     h = _single(config, "h_values", 0.02)
-    soft = _option(config, "soft")
-    stiff = _option(config, "stiff")
+    soft, stiff = config._options["soft"], config._options["stiff"]
     dims = config.dims or (8, 32, 128)
     rot_max, prod_max = [], []
     for n in dims:
@@ -605,7 +607,7 @@ EXPERIMENTS = {
 }
 
 _TARGET = {"precision": None, "diag": 2.0, "off": -0.5}
-_OPTIONS = {  # each experiment's option keys and their defaults, read by _option
+_OPTIONS = {  # each experiment's option keys and their defaults, read by _kind's rules
     "gaussian-scaling": _TARGET,
     "bound-vs-truth": {**_TARGET, "c": 3.0, "p": 1.0, "gamma": 1.0},
     "certified-trajectory": {**_TARGET, "c": 3.0, "cov0_scale": 2.0, "k": 200},

@@ -70,9 +70,9 @@ def w2sq_1d(a, b, n_boot: int = DEFAULT_BOOTSTRAP, rng=None) -> DistanceEstimate
     """Squared W2 between two scalar sample sets via the quantile coupling.
 
     Unequal sizes are handled by evenly spaced order-statistic subsampling
-    of the larger set.  Needs at least 2 samples per side.
+    of the larger set.  Needs at least 2 samples per side; n_boot = 0 gives no SE (NaN).
     """
-    n_boot = _check(n_boot, "count", "n_boot")
+    n_boot = _check(n_boot, "count" if n_boot == 0 else "replicates", "n_boot")
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
     if a.shape[0] < 2 or b.shape[0] < 2:
@@ -122,9 +122,10 @@ def w2sq_assignment(
 
     Both clouds must have shape (m, k) with k <= 8 and m <= 4096 (subsample
     first if over the caps; the cubic assignment solve dominates otherwise).
-    Unequal m: the larger cloud is randomly subsampled without replacement.
+    Unequal m: the larger cloud is randomly subsampled without replacement;
+    n_boot = 0 gives no SE (NaN).
     """
-    n_boot = _check(n_boot, "count", "n_boot")
+    n_boot = _check(n_boot, "count" if n_boot == 0 else "replicates", "n_boot")
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.shape[1] != b.shape[1]:
@@ -252,4 +253,5 @@ def subadditivity_check(
         raise ValueError("sample arrays must share a dimension")
     if k > a.shape[1]:
         raise ValueError(f"k={k} exceeds dimension {a.shape[1]}")
+    n_boot = _check(n_boot, "replicates", "n_boot")  # its tolerance is in standard errors
     return _empirical_subadditivity(a, b, k, n_boot, rng)

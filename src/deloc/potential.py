@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._json import MATRIX_TOL, PRECISION_TOL, _check, _dense, _symmetric, load, read
-from .subsets import sorted_indices
+from .subsets import _pair, sorted_indices
 
 __all__ = [
     "FactorTerm",
@@ -44,11 +44,11 @@ class _Support(tuple):
     """A factor support that the subset rule has read and found declared in ascending order."""
 
 
-def _ascending(read: list[int], declared) -> _Support:
+def _ascending(read: list[int], declared, what: str = "factor support") -> _Support:
     """The support `read` by the subset rule from `declared`, which must list it in
     ascending order: a factor's matrix rows follow its support as declared."""
     if read != list(declared):
-        raise ValueError(f"factor support must be sorted, got {declared}")
+        raise ValueError(f"{what} must be sorted, got {declared}")
     return _Support(read)
 
 
@@ -334,10 +334,10 @@ class PairwiseSpec:
             raise ValueError("interaction_bounds diagonal must be zero")
         if np.any(ib < 0):
             raise ValueError("interaction_bounds must be >= 0")
-        for i, j in self.interaction_fns or {}:
-            # v_ij takes x_i - x_j, and the term's support is sorted
-            if not 0 <= i < j < self.n:
-                raise ValueError(f"interaction key {(i, j)} needs 0 <= i < j < n={self.n}")
+        if self.interaction_fns is not None:  # v_ij takes x_i - x_j: a key is read ascending
+            fns = {_ascending(_pair(ij, self.n, "interaction key"), ij, "interaction key"): fn
+                   for ij, fn in self.interaction_fns.items()}
+            object.__setattr__(self, "interaction_fns", fns)
         object.__setattr__(self, "confine_bounds", cb)
         object.__setattr__(self, "interaction_bounds", ib)
 
@@ -350,9 +350,9 @@ class PairwiseSpec:
             for i, (v, dv) in enumerate(self.confine_fns)
         ]
         terms += [
-            callable_term((i, j), lambda z, v=v: v(z[0] - z[1]), _pair_grad(dv),
-                          float(self.interaction_bounds[i, j]))
-            for (i, j), (v, dv) in sorted((self.interaction_fns or {}).items())
+            callable_term(ij, lambda z, v=v: v(z[0] - z[1]), _pair_grad(dv),
+                          float(self.interaction_bounds[ij]))
+            for ij, (v, dv) in sorted((self.interaction_fns or {}).items())
         ]
         return StructuredPotential(n=self.n, terms=tuple(terms), smoothness=smoothness)
 

@@ -53,6 +53,14 @@ def sorted_indices(u, n: int | None = None, what: str = "subset") -> list[int]:
     return _subset(u, n, what, masks=False)
 
 
+def _pair(u, n: int, what: str) -> list[int]:
+    """The members of u, two distinct indices in range(n) by the subset rule, ascending."""
+    pair = sorted_indices(u, n, what)
+    if len(pair) != 2:
+        raise ValueError(f"{what} must be two distinct indices, got {u!r}")
+    return pair
+
+
 def mask_from(indices: Iterable[int]) -> int:
     """The bitmask of indices that the subset rule has read."""
     m = 0

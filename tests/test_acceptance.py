@@ -176,7 +176,7 @@ def test_acceptance_operator_hierarchy(rng):
         edges = [
             (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3
         ]
-        g = InteractionGraph.from_edges(n, edges)
+        g = InteractionGraph(n, edges)
         gen = hie.SparseGenerator(g, float(rng.uniform(0.1, 3.0)))
         vals = rng.normal(size=1 << n)
         F = hie.SubsetFunction(lambda m, v=vals: float(v[m]))
@@ -186,7 +186,7 @@ def test_acceptance_operator_hierarchy(rng):
     ok_commute = worst_res <= 1e-12
 
     edges = [(i, i + 1) for i in range(5)]
-    g = InteractionGraph.from_edges(6, edges)
+    g = InteractionGraph(6, edges)
     sgen = hie.SparseGenerator.from_params(g, 1.0, 1.2, 0.8, 0.5)
     u, t = (1,), 0.5
     out = hie.semigroup_sparse(sgen, t, hie.SubsetFunction.size(), u)

@@ -181,7 +181,7 @@ def test_continuous_time_series_against_direct_sum():
     # independent reference: truncate E H0(N_Lambda(u)) as a plain Poisson sum
     # over BFS neighbourhoods, no stabilization bookkeeping
     edges = star_edges()
-    g = InteractionGraph.from_edges(5, edges)  # vertex 4 isolated
+    g = InteractionGraph(5, edges)  # vertex 4 isolated
     u = (0,)
     alpha, beta, gamma, eps, t = 0.7, 1.3, 0.9, 0.25, 1.7
     rep = continuous_time_bound(
@@ -202,7 +202,7 @@ def test_continuous_time_series_against_direct_sum():
 
 def test_continuous_time_matches_monte_carlo(rng):
     edges = [(i, i + 1) for i in range(5)]
-    g = InteractionGraph.from_edges(6, edges)
+    g = InteractionGraph(6, edges)
     u = (1,)
     alpha, beta, gamma, eps, t, C0 = 1.0, 2.0, 0.5, 0.5, 0.8, 1.0
     rep = continuous_time_bound(g, u, t, eps, alpha, beta, gamma, C0=C0)
@@ -218,20 +218,20 @@ def test_continuous_time_matches_monte_carlo(rng):
 
 
 def test_continuous_time_at_zero_time_is_initial_entropy():
-    g = InteractionGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    g = InteractionGraph(4, [(0, 1), (1, 2), (2, 3)])
     rep = continuous_time_bound(g, (1, 2), 0.0, 0.5, 1.0, 2.0, 1.0, C0=0.3)
     assert rep["bound_value"] == pytest.approx(0.6, rel=1e-14)  # C0 |u|
 
 
 def test_continuous_time_isolated_vertex_never_grows():
-    g = InteractionGraph.from_edges(5, star_edges())
+    g = InteractionGraph(5, star_edges())
     rep = continuous_time_bound(g, (4,), 2.0, 0.5, 1.0, 1.0, 1.0, C0=1.0)
     assert rep["stabilization"] == 0
     assert rep["bound_value"] == pytest.approx(math.exp(-2.0 * 0.5 * 2.0), rel=1e-12)
 
 
 def test_continuous_time_argument_errors():
-    g = InteractionGraph.from_edges(3, [(0, 1), (1, 2)])
+    g = InteractionGraph(3, [(0, 1), (1, 2)])
     for eps in (0.0, 1.0, 1.5, -0.2):
         with pytest.raises(ValueError):
             continuous_time_bound(g, (0,), 1.0, eps, 1.0, 1.0, 1.0, C0=1.0)

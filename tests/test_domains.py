@@ -1,13 +1,16 @@
 """Every scalar input is read by a domain rule of deloc._json: NaN, the
 infinities, a bool, a value outside the domain and, where a count is read,
 a fractional number each raise ValueError or give a valid=False report.
-Every coordinate subset is read by the one subset rule of deloc.subsets."""
+Every coordinate subset is read by the one subset rule of deloc.subsets, a
+graph edge and a pairwise key by it too, and a run config is read in full
+when it is built."""
 
 import contextlib
 import io
 import json
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -17,11 +20,12 @@ from deloc import bounds as bnd
 from deloc import hierarchy as hie
 from deloc import oracle as orc
 from deloc.cli import main
-from deloc.graph import GrowthCertificate, build_graph, verify_growth
-from deloc.harness import ExperimentConfig, resolve_panel
+from deloc.graph import GrowthCertificate, InteractionGraph, build_graph, verify_growth
+from deloc.harness import ExperimentConfig, config_from_dict, resolve_panel, run_experiment
 from deloc.metrics import subadditivity_check, w2sq_1d, w2sq_assignment
 from deloc.potential import (
     FactorTerm,
+    PairwiseSpec,
     SmoothnessParams,
     StructuredPotential,
     callable_term,
@@ -457,3 +461,126 @@ def test_a_subset_reads_the_same_in_each_of_its_forms():
     assert quadratic_term([0.0, np.int64(2)], np.eye(2)).support == (0, 2)
     np.testing.assert_array_equal(orc.marginal(LAW0, [2.0, 0]).cov, orc.marginal(LAW0, (0, 2)).cov)
     np.testing.assert_array_equal(marginal_samples(STORE, [np.int64(3)]), STORE.samples[0, :, 3:])
+
+
+# -- each input read once, where it enters ------------------------------------------
+
+_RULE_GOT = "must be a list of integers, distinct and non-negative, got"
+# fault: (an edge or a pairwise key on n = 3, the end of its message)
+PAIR_FAULTS = {
+    "True": ((True, 2), f"{_RULE_GOT} (True, 2)"),
+    "-1": ((-1, 0), f"{_RULE_GOT} (-1, 0)"),
+    "1.5": ((0, 1.5), f"{_RULE_GOT} (0, 1.5)"),
+    "n": ((0, 3), "(0, 3) not contained in range(3)"),
+    "self-loop": ((1, 1), f"{_RULE_GOT} (1, 1)"),
+    "3-tuple": ((0, 1, 2), "must be two distinct indices, got (0, 1, 2)"),
+}
+# what names the pair: a call with it
+PAIR_ENTRY_POINTS = {
+    "edge": lambda e: InteractionGraph(3, [(0, 1), e]),
+    "interaction key": lambda key: PairwiseSpec(
+        3, np.zeros(3), np.zeros((3, 3)), interaction_fns={(0, 1): None, key: None}
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", PAIR_ENTRY_POINTS)
+@pytest.mark.parametrize("fault", PAIR_FAULTS)
+def test_every_edge_and_pairwise_key_is_read_by_the_subset_rule(entry, fault):
+    pair, end = PAIR_FAULTS[fault]
+    with pytest.raises(ValueError, match=re.escape(f"{entry} {end}")):
+        PAIR_ENTRY_POINTS[entry](pair)
+
+
+def test_an_edge_or_pairwise_key_reads_a_whole_number_as_its_integer():
+    assert InteractionGraph(3, [(0, 2.0), [np.int64(1), 2]]).edges() == [(0, 2), (1, 2)]
+    spec = PairwiseSpec(3, np.zeros(3), np.zeros((3, 3)), interaction_fns={(0.0, np.int64(2)): 1})
+    assert list(spec.interaction_fns) == [(0, 2)]
+
+
+# the integer options of each experiment: each is a count, >= 1 unless its floor is named
+COUNT_OPTIONS = {
+    "certified-trajectory": {"k": 0},
+    "onestep-linf": {"samples": 1, "n_boot": 2},
+    "sampler-vs-oracle": {"iterations": 1, "chains": 1, "batches": 1, "thin": 1,
+                          "marginal_samples": 1},
+}
+
+
+def _count_faults():
+    for experiment, floors in COUNT_OPTIONS.items():
+        for key, floor in floors.items():
+            for value in sorted({floor - 1, -1}):
+                yield pytest.param(experiment, key, floor, value, id=f"{experiment}-{key}-{value}")
+
+
+@pytest.mark.parametrize("experiment, key, floor, value", _count_faults())
+def test_every_count_option_is_refused_below_its_floor_when_the_config_is_built(
+    experiment, key, floor, value
+):
+    with pytest.raises(ValueError) as e:
+        config_from_dict({"experiment": experiment, "options": {key: value}})
+    assert str(e.value).startswith(f"option {key!r} must be an integer >= {floor}")
+    assert str(e.value).endswith(f"got {value}")
+    config_from_dict({"experiment": experiment, "options": {key: floor}})
+
+
+def test_a_certified_trajectory_of_no_steps_runs():
+    rep = run_experiment(ExperimentConfig("certified-trajectory", dims=(3,), options={"k": 0}))
+    assert rep.failures() == [] and {r.metric for r in rep.rows} >= {"kl-transient"}
+
+
+_RANDOM = "subsets 'random'"
+# fault: (a panel spec, the end of its message); the config and the run read each alike
+PANEL_FAULTS = {
+    "unknown part": ("singletons+singleton", "unknown panel spec 'singleton'"),
+    **{f"{key} {value}": ({"random": {"size": 2, "count": 2, key: value}},
+                          f"{_RANDOM} {key!r} must be an integer >= 1, got {value}")
+       for key in ("size", "count") for value in (0, -1, 1.5)},
+    "seed 0.5": ({"random": {"size": 2, "count": 2, "seed": 0.5}},
+                 f"{_RANDOM} 'seed' must be an integer, got 0.5"),
+}
+
+
+@pytest.mark.parametrize("fault", PANEL_FAULTS)
+def test_a_panel_is_read_in_full_when_the_config_is_built(fault):
+    spec, end = PANEL_FAULTS[fault]
+    for read in (lambda: ExperimentConfig("bound-vs-truth", subsets=spec),
+                 lambda: resolve_panel(GRAPH, spec)):
+        with pytest.raises(ValueError, match=re.escape(end)):
+            read()
+
+
+def test_a_random_panel_larger_than_n_is_refused_naming_its_size():
+    with pytest.raises(ValueError, match=re.escape(f"{_RANDOM} 'size' must be at most n=4, got 5")):
+        resolve_panel(GRAPH, {"random": {"size": 5, "count": 1}})
+    draw = {"random": {"size": 4, "count": 1}}
+    config = {"experiment": "bound-vs-truth", "dims": [3], "subsets": draw}
+    with pytest.raises(ValueError, match=re.escape(f"{_RANDOM} 'size' must be at most n=3, got 4")):
+        _reported(["run", "{dir}/cfg.json"], {"cfg.json": config})
+    assert resolve_panel(GRAPH, draw) == [(0, 1, 2, 3)]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"experiment": "sampler-vs-oracle", "options": {"batches": 0}},
+        {"experiment": "sampler-vs-oracle", "options": {"thin": -1}},
+        {"experiment": "sampler-vs-oracle", "options": {"marginal_samples": -5}},
+        {"experiment": "onestep-linf", "options": {"n_boot": 1}},
+        {"experiment": "certified-trajectory", "options": {"k": -1}},
+        {"experiment": "bound-vs-truth", "subsets": "singleton"},
+        {"experiment": "bound-vs-truth", "subsets": {"random": {"size": -1, "count": 2}}},
+        {"experiment": "continuous-time", "subsets": []},
+    ],
+)
+def test_a_bad_option_or_panel_is_refused_before_any_target_is_built(config, monkeypatch):
+    built = []
+    init = orc.GaussianTarget.__post_init__
+    monkeypatch.setattr(orc.GaussianTarget, "__post_init__",
+                        lambda self: built.append(self) or init(self))
+    _reported(["run", "{dir}/cfg.json"], {"cfg.json": {"experiment": "subadditivity", "dims": [3]}})
+    assert len(built) == 1  # the count sees the target a run builds
+    with pytest.raises(ValueError):
+        _reported(["run", "{dir}/cfg.json"], {"cfg.json": config})
+    assert len(built) == 1

@@ -17,14 +17,14 @@ from conftest import bfs_neighborhood, neighborhood_mask
 
 
 def path_graph(n):
-    return InteractionGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return InteractionGraph(n, [(i, i + 1) for i in range(n - 1)])
 
 
-def test_from_edges_and_adjacency():
-    g = path_graph(4)
+def test_edges_and_adjacency():
+    g = InteractionGraph(4, [(1, 2), [3, 2], (0, 1), (2, 1)])  # either order, repeats merge
     assert g.edges() == [(0, 1), (1, 2), (2, 3)]
-    assert indices_from(g.adj_masks[1]) == (0, 2)
-    assert indices_from(g.adj_masks[3]) == (2,)
+    assert indices_from(g.chain((1,))[1]) == (0, 1, 2)
+    assert indices_from(g.chain((3,))[1]) == (2, 3)
 
 
 def test_indices_from_reads_every_set_bit_lowest_first():
@@ -39,8 +39,10 @@ def test_indices_from_reads_every_set_bit_lowest_first():
 
 
 def test_rejects_self_loops():
-    with pytest.raises(ValueError):
-        InteractionGraph.from_edges(3, [(0, 0)])
+    # a self-loop repeats an index, which the subset rule refuses
+    with pytest.raises(ValueError, match=r"edge must be a list of integers, distinct and non-nega"
+                                         r"tive, got \(0, 0\)"):
+        InteractionGraph(3, [(0, 0)])
 
 
 def test_build_graph_from_potential_edges_match_offdiagonal():
@@ -53,7 +55,7 @@ def test_build_graph_from_potential_edges_match_offdiagonal():
 
 def test_neighborhood_against_bfs_reference():
     edges = [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5)]
-    g = InteractionGraph.from_edges(6, edges)
+    g = InteractionGraph(6, edges)
     for u in [(0,), (2,), (0, 5), (4,)]:
         for k in range(4):
             got = frozenset(indices_from(neighborhood_mask(g, u, k)))
@@ -99,7 +101,7 @@ def test_growth_certificate_path_polynomial():
 def test_growth_certificate_violation_detected():
     # the claim is |N_{k+1}(i)| <= c(1 + k^p); the star center has
     # |N_1(0)| = 8 against c(1 + 0) = 1
-    g = InteractionGraph.from_edges(8, [(0, i) for i in range(1, 8)])
+    g = InteractionGraph(8, [(0, i) for i in range(1, 8)])
     report = verify_growth(g, GrowthCertificate("polynomial", 1.0, 1.0))
     assert not report.passed
     vertex, k = report.first_violation
@@ -132,7 +134,7 @@ def test_certificate_validation():
 def test_property_neighborhoods_match_bfs(n, seed):
     rng = np.random.default_rng(seed)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
-    g = InteractionGraph.from_edges(n, edges)
+    g = InteractionGraph(n, edges)
     u = (int(rng.integers(n)),)
     for k in range(n):
         got = frozenset(indices_from(neighborhood_mask(g, u, k)))
@@ -147,7 +149,7 @@ def test_property_neighborhoods_match_bfs(n, seed):
 def test_property_stabilization_is_fixed_point(n, seed):
     rng = np.random.default_rng(seed)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.25]
-    g = InteractionGraph.from_edges(n, edges)
+    g = InteractionGraph(n, edges)
     u = mask_from((int(rng.integers(n)),))
     J = len(g.chain(u)) - 1
     assert neighborhood_mask(g, u, J) == neighborhood_mask(g, u, J + 1)
@@ -156,7 +158,7 @@ def test_property_stabilization_is_fixed_point(n, seed):
 
 
 def test_chain_is_cached_tuple_of_nested_masks():
-    g = InteractionGraph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
+    g = InteractionGraph(5, [(0, 1), (1, 2), (3, 4)])
     chain = g.chain((0,))
     assert chain == (0b001, 0b011, 0b111)
     assert g.chain(0b001) is chain
@@ -177,7 +179,7 @@ def test_chain_matches_bfs_up_to_stabilization(seed):
         for j in range(i + 1, hi)
         if rng.random() < 0.2
     ]
-    g = InteractionGraph.from_edges(n, edges)
+    g = InteractionGraph(n, edges)
     three = tuple(int(i) for i in rng.choice(n, 3, replace=False))
     for u in [(int(rng.integers(n)),), three, (3, 15, 22)]:
         chain = g.chain(u)

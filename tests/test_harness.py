@@ -49,7 +49,7 @@ from deloc.subsets import indices_from, mask_from, size
 
 
 def path_graph(n):
-    return InteractionGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return InteractionGraph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def write_potential(path, n=6, alpha=1.0):
@@ -390,7 +390,7 @@ def test_experiment_graph_is_the_precision_pattern(n, user):
     tgt = _target_from_options(n, ExperimentConfig("bound-vs-truth", dims=(n,), options=options))
     assert sparse.issparse(tgt.precision) is not user
     got = _precision_graph(tgt)
-    assert got.adj_masks == build_graph(gaussian_potential(tgt.precision)).adj_masks
+    assert got.edges() == build_graph(gaussian_potential(tgt.precision)).edges()
     assert ((1, 2) in got.edges()) is not user and ((0, n - 1) in got.edges()) is user
 
 

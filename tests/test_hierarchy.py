@@ -52,7 +52,7 @@ ONE = SubsetFunction(lambda m: 1.0)
 
 
 def path_graph(n):
-    return InteractionGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return InteractionGraph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def bfs_mask(edges, n, u_mask, k):
@@ -144,7 +144,7 @@ def test_sparse_operators_commute_on_random_instances(rng):
         edges = [
             (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3
         ]
-        g = InteractionGraph.from_edges(n, edges)
+        g = InteractionGraph(n, edges)
         gen = SparseGenerator(g, float(rng.uniform(0.1, 3.0)))
         vals = rng.normal(size=1 << n)
         F = SubsetFunction(lambda m, v=vals: float(v[m]))
@@ -165,7 +165,7 @@ def test_weak_operators_do_not_commute():
 def test_array_operators_match_pointwise_reference():
     # N of each curve builder, state by state, and A as the slope of e^{tA} at t = 0
     F = SubsetFunction(lambda m: float(size(m)) ** 2 + 0.25 * m)
-    g = InteractionGraph.from_edges(6, [(i, i + 1) for i in range(5)] + [(0, 3)])
+    g = InteractionGraph(6, [(i, i + 1) for i in range(5)] + [(0, 3)])
     sp = SparseParams(1.0, 1.2, 0.8, 3.0, p=1.0)
     chain, _, _, N, _, _ = hierarchy._sparse_operators(sp, g, 0.5, 0.01, (1,))
     Nf = N(np.array([F(s) for s in chain]))
@@ -312,7 +312,7 @@ def test_sparse_semigroup_at_zero_time_and_conservation():
 
 def test_sparse_semigroup_matches_monte_carlo(rng):
     edges = [(i, i + 1) for i in range(5)]
-    g = InteractionGraph.from_edges(6, edges)
+    g = InteractionGraph(6, edges)
     gen = SparseGenerator.from_params(g, 1.0, 1.2, 0.8, 0.5)
     u, t = (1,), 0.5
     F = SubsetFunction.size()
@@ -455,7 +455,7 @@ def test_certified_sparse_matches_dense_operator_reference(params):
     # checks the (B e^{hA})^k = B^k e^{khA} commutation collapse
     n = 4
     edges = [(0, 1), (1, 2), (2, 3)]
-    g = InteractionGraph.from_edges(n, edges)
+    g = InteractionGraph(n, edges)
     alpha, beta, gamma = params.alpha, params.beta, params.gamma
     h = params.h_star() / 2.0
     C0, u, k_max = 0.8, (1,), 15
@@ -551,7 +551,7 @@ def test_certified_weak_accepts_potential_or_weights():
 def test_sparse_semigroup_stays_in_chain_range(seed, t):
     rng = np.random.default_rng(seed)
     n = 6
-    g = InteractionGraph.from_edges(n, [(i, i + 1) for i in range(5)] + [(0, 3)])
+    g = InteractionGraph(n, [(i, i + 1) for i in range(5)] + [(0, 3)])
     gen = SparseGenerator(g, 1.7)
     vals = rng.normal(size=1 << n)
     F = SubsetFunction(lambda m: float(vals[m]))
@@ -582,7 +582,7 @@ def test_weak_semigroup_conserves_constants_property(t, vertex):
 # builders were made to share one chain series and one uniformization
 # builder; every value must stay bit for bit.
 
-GOLDEN_GRAPH = InteractionGraph.from_edges(6, [(i, i + 1) for i in range(5)] + [(0, 3)])
+GOLDEN_GRAPH = InteractionGraph(6, [(i, i + 1) for i in range(5)] + [(0, 3)])
 GOLDEN_WEIGHTS = (
     (mask_from((0, 1)), 0.7),
     (mask_from((1, 2)), 0.4),

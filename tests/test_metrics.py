@@ -1,6 +1,5 @@
 import math
 import threading
-from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -149,18 +148,16 @@ def test_assignment_unequal_sizes_subsample(rng):
 
 
 @pytest.mark.parametrize("norm", ["l2", "linf"])
-@pytest.mark.parametrize("n_boot", [0, 1, 5])
+@pytest.mark.parametrize("n_boot", [0, 2, 5])
 def test_assignment_matches_the_serial_reference_bit_for_bit(norm, n_boot):
     # unequal sizes, so the subsampling draws come before the replicates' draws
     x = np.random.default_rng(1).standard_normal((70, 3))
     y = np.random.default_rng(2).standard_normal((90, 3))
     rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
-    # one replicate has no SE: numpy warns on both paths and gives NaN
-    with pytest.warns(RuntimeWarning) if n_boot == 1 else nullcontext():
-        est = w2sq_assignment(x, y, norm=norm, n_boot=n_boot, rng=rng)
-        value, se = serial_w2sq_assignment(x, y, norm, n_boot, ref_rng)
+    est = w2sq_assignment(x, y, norm=norm, n_boot=n_boot, rng=rng)
+    value, se = serial_w2sq_assignment(x, y, norm, n_boot, ref_rng)
     assert est.value == value
-    assert est.standard_error == se or math.isnan(est.standard_error) and math.isnan(se)
+    assert est.standard_error == se or n_boot == 0 and math.isnan(est.standard_error)
     # the generator is left where the serial loop leaves it
     assert rng.random() == ref_rng.random()
 
@@ -209,6 +206,26 @@ def test_subadditivity_empirical(rng):
     assert not rep.exact
     assert rep.num_subsets == 4
     assert rep.passed  # statistical tolerance absorbs sampling noise
+
+
+@pytest.mark.parametrize("n_boot", [0, 1])
+def test_the_empirical_subadditivity_check_needs_a_bootstrap_se(n_boot):
+    """Its tolerance is 3 combined SEs, so with no SE it used to fail (tolerance NaN)
+    although lhs 0.0947 is below rhs 0.2009."""
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((300, 3)), rng.standard_normal((300, 3))
+    with pytest.raises(ValueError, match=f"n_boot must be an integer >= 2 for a bootstrap SE, got {n_boot}"):
+        subadditivity_check(a, b, 2, n_boot=n_boot, rng=np.random.default_rng(1))
+    rep = subadditivity_check(a, b, 2, n_boot=2, rng=np.random.default_rng(1))
+    assert rep.passed and math.isfinite(rep.tolerance) and rep.lhs_average < rep.rhs_share
+
+
+def test_one_bootstrap_replicate_is_refused_and_none_gives_no_se():
+    x = np.random.default_rng(3).standard_normal((40, 2))
+    for estimate in (w2sq_1d, w2sq_assignment):
+        with pytest.raises(ValueError, match="n_boot must be an integer >= 2 for a bootstrap SE, got 1"):
+            estimate(x[:, :1], x[:, 1:], n_boot=1)
+        assert math.isnan(estimate(x[:, :1], x[:, 1:], n_boot=0).standard_error)
 
 
 def test_subadditivity_rejects_bad_k():

@@ -660,6 +660,30 @@ def test_the_symmetric_reader_averages_strip_by_strip():
     np.testing.assert_array_equal(_symmetric(huge, "m", 1e-12), huge)
 
 
+def test_a_matrix_near_the_overflow_reads_finite_in_either_form():
+    """(M + M')/2 overflows only where M' = M, and M is kept there: a CSR read comes
+    back finite, canonical and with no stored zero, and gives the dense form's alpha
+    and beta; a dense strip with a small asymmetry keeps its huge entries too."""
+    from deloc._json import _symmetric
+
+    huge = np.diag([1e308, 1e308])
+    for read in (lambda A: gaussian_potential(A).smoothness, GaussianTarget):
+        dense, csr = read(huge), read(sparse.csr_array(huge))
+        assert (csr.alpha, csr.beta) == (dense.alpha, dense.beta) == (1e308, 1e308)
+    M = np.array([[1.7e308, 0.5 + 1e-13, 0.0], [0.5, 0.0, 1.0], [0.0, 1.0, -1.7e308]])
+    want = M.copy()
+    want[0, 1] = want[1, 0] = 0.5 * (M[0, 1] + M[1, 0])
+    # rows unsorted, with duplicate entries and a stored zero
+    vals = [M[0, 1], M[0, 0], 0.5, 0.5, 0.5, 0.0, -0.85e308, 1.0, -0.85e308]
+    cols, starts = [1, 0, 0, 2, 2, 1, 2, 1, 2], [0, 2, 6, 9]
+    for A in (M, sparse.csr_array((vals, cols, starts), shape=(3, 3))):
+        got = _symmetric(A, "m", 1e-12)
+        if sparse.issparse(got):
+            assert got.has_canonical_format and np.all(got.data != 0)
+            got = got.toarray()
+        assert got.tobytes() == want.tobytes()
+
+
 # -- closed-form eigenbases ----------------------------------------------------------
 #
 # A sparse constant tridiagonal precision takes the sine basis, a diagonal one the

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -607,8 +608,11 @@ def test_pairwise_rejects_interaction_keys_outside_i_lt_j():
             confine_fns=((lambda s: 0.0, lambda s: 0.0),) * n, interaction_fns={key: v},
         )
 
-    for key in ((1, 0), (0, 0), (-1, 1), (0, 2)):
-        with pytest.raises(ValueError, match="needs 0 <= i < j < n"):
+    rule = "must be a list of integers, distinct and non-negative, got"
+    faults = {(1, 0): "must be sorted, got (1, 0)", (0, 0): f"{rule} (0, 0)",
+              (-1, 1): f"{rule} (-1, 1)", (0, 2): "(0, 2) not contained in range(2)"}
+    for key, message in faults.items():
+        with pytest.raises(ValueError, match=re.escape(f"interaction key {message}")):
             spec(key)
     pot = spec((0, 1)).to_structured(SmoothnessParams(alpha=0.1, beta=1.0))
     assert pot.value([0.3, 1.2]) == pytest.approx(v[0](0.3 - 1.2))
