@@ -72,6 +72,8 @@ _RULES = {
     "positive-integer": ("integer", lambda v: v >= 1, int, "an integer >= 1", "integers >= 1"),
     "replicates": (  # a bootstrap's: one replicate has no spread
         "integer", lambda v: v >= 2, int, "an integer >= 2 for a bootstrap SE", "integers >= 2"),
+    "batch-count": (  # batch means': one batch has no spread
+        "integer", lambda v: v >= 2, int, "an integer >= 2 for a batch-means SE", "integers >= 2"),
     "indices": (
         None, _is_indices, lambda v: [int(i) for i in v],
         "a list of integers, distinct and non-negative",

@@ -71,6 +71,13 @@ class ExperimentConfig:
         given = {**table, **read(vars(self), "options", "config", set(table))}
         values = {key: read(given, key, "option", _kind(key, d), d) for key, d in table.items()}
         object.__setattr__(self, "_options", values)
+        if self.experiment == "sampler-vs-oracle":  # each batch mean needs a kept row
+            kept = values["chains"] * _sampler_config(self).kept_per_chain
+            if values["batches"] > kept:
+                raise ValueError(
+                    f"option 'batches' must be at most the {kept} rows the chains keep, "
+                    f"got {values['batches']}"
+                )
         read(vars(self), "output", "config", "string", None)
 
 
@@ -238,9 +245,11 @@ def _subset_label(u) -> str:
 
 def _kind(key: str, default):
     """The rule of an option, by its default's type: a matrix for None, numbers for a
-    tuple, a number for a float, and for an int a count: >= 1, but k >= 0 and n_boot >= 2."""
+    tuple, a number for a float, and for an int a count: >= 1, but k >= 0 and n_boot and
+    batches >= 2 (a standard error needs two replicates or two batches)."""
     if isinstance(default, int):
-        return {"k": "count", "n_boot": "replicates"}.get(key, "positive-integer")
+        kinds = {"k": "count", "n_boot": "replicates", "batches": "batch-count"}
+        return kinds.get(key, "positive-integer")
     return "matrix" if default is None else ["number"] if isinstance(default, tuple) else "number"
 
 
@@ -452,25 +461,25 @@ def _exp_continuous_time(config: ExperimentConfig) -> Iterator[ReportRow]:
 
 
 def _exp_onestep_linf(config: ExperimentConfig) -> Iterator[ReportRow]:
-    # each bootstrap replicate re-solves a full m x m assignment (~0.65 s at
-    # m = 2048; a call with 10 replicates takes 4.5-6.2 s on 2 CPUs), so the
-    # default replicate count stays small
+    # every estimate of the run is one assignment batch: the full sample and
+    # n_boot replicates at m, and the half sample at m/2, per dim.  At the
+    # default m = 2048, n_boot = 10 and dims (4, 8), the run takes about 8 s
+    # on 2 CPUs, so the default replicate count stays small
     m, n_boot = config._options["samples"], config._options["n_boot"]
-    counter = 0
-    for n in config.dims or (4, 8):
+    cases, problems = [], []
+    for counter, n in enumerate(config.dims or (4, 8)):
         tgt = _target_from_options(n, config)
         A = _dense(tgt.precision)
         alpha0 = float(np.max(np.sum(np.abs(A - np.diag(np.diag(A))), axis=1)))
-        alpha, beta = tgt.alpha, tgt.beta
-        h = _single(config, "h_values", 1.0 / (2.0 * beta))
-        law_h = orc.lmc_stationary_law(tgt, h)
-        law = tgt.law()
+        h = _single(config, "h_values", 1.0 / (2.0 * tgt.beta))
         rng = np.random.default_rng([config.seed, counter])
-        counter += 1
-        a = orc.sample(law_h, m, rng)
-        b = orc.sample(law, m, rng)
-        est = mtr.w2sq_assignment(a, b, norm="linf", n_boot=n_boot, rng=rng)
-        rep = bnd.onestep_linf_bound(alpha, alpha0, beta, h, n)
+        a = orc.sample(orc.lmc_stationary_law(tgt, h), m, rng)
+        b = orc.sample(tgt.law(), m, rng)
+        cases.append((n, h, bnd.onestep_linf_bound(tgt.alpha, alpha0, tgt.beta, h, n)))
+        # the half sample is the bias-corrected variant's second point; it needs no SE
+        problems += [(a, b, "linf", n_boot, rng), (a[: m // 2], b[: m // 2], "linf", 0, rng)]
+    ests = mtr._assignment_batch(problems)
+    for (n, h, rep), est, half in zip(cases, ests[::2], ests[1::2]):
         ok = rep.valid and est.value <= rep["full_linf"] + 3.0 * est.standard_error
         yield ReportRow(
             config.experiment, n, h, "full", "w2sq-linf-full",
@@ -479,7 +488,6 @@ def _exp_onestep_linf(config: ExperimentConfig) -> Iterator[ReportRow]:
         )
         # bias-corrected variant: Richardson step from m/2 to m assuming
         # O(m^{-1/2}) estimator bias; no SE of it is computed
-        half = mtr.w2sq_assignment(a[: m // 2], b[: m // 2], norm="linf", n_boot=0, rng=rng)
         extrap = est.value + (est.value - half.value) / (math.sqrt(2.0) - 1.0)
         yield ReportRow(
             config.experiment, n, h, "full", "w2sq-linf-full-extrap",
@@ -494,17 +502,22 @@ def _batch_mean_se(x: np.ndarray, batches: int) -> float:
     return float(bm.std(ddof=1) / math.sqrt(batches))
 
 
-def _exp_sampler_vs_oracle(config: ExperimentConfig) -> Iterator[ReportRow]:
-    n = _single(config, "dims", 2)
-    tgt = _target_from_options(n, config)
-    pot = gaussian_potential(tgt.precision)
-    h = _single(config, "h_values", 0.05)
-    scfg = SamplerConfig(
-        h=h,
+def _sampler_config(config: ExperimentConfig) -> SamplerConfig:
+    """The chains of a sampler-vs-oracle run."""
+    return SamplerConfig(
+        h=_single(config, "h_values", 0.05),
         iterations=config._options["iterations"],
         num_chains=config._options["chains"],
         seed=config.seed,
     )
+
+
+def _exp_sampler_vs_oracle(config: ExperimentConfig) -> Iterator[ReportRow]:
+    n = _single(config, "dims", 2)
+    tgt = _target_from_options(n, config)
+    pot = gaussian_potential(tgt.precision)
+    scfg = _sampler_config(config)
+    h = scfg.h
     try:
         store = run_chain(pot, scfg, np.zeros(n))
     except DivergenceError as e:

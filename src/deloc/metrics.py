@@ -8,11 +8,23 @@ equal-size clouds, under squared-l2 or squared-linf ground cost.
 Standard errors come from a bootstrap (default 200 resamples): the 1D
 estimator resamples both sides and re-sorts, so the variability of the
 coupling itself is captured; the assignment estimator re-solves on
-index-resampled clouds.  Its replicate indices are drawn serially from the
-caller's generator, in one fixed order, and the full-sample assignment and
-every replicate are then solved concurrently on the CPUs the process may
-use; the solver releases the GIL, and the values do not depend on the
-number of CPUs.
+index-resampled clouds.  Both refuse a cloud with a NaN or infinite entry.
+
+Assignment estimates are solved in batches: `w2sq_assignment` is a batch
+of one, the empirical subadditivity check (k >= 2) one batch of every
+subset and the full cloud, and the `onestep-linf` experiment one batch of
+every estimate of a run.  A batch first makes every draw from the callers'
+generators, problem by problem in the serial order (the larger cloud's
+subsample, then each replicate's row indices), so the values and the
+generators' states do not depend on the order of the solves.  Then every
+solve runs on one thread pool with a worker per CPU the process may use,
+largest clouds first; the solver releases the GIL.  A worker writes each
+cost matrix, cdist of the (resampled) rows, into its own buffer, so no
+matrix outlives its solve.  It subtracts the column and then the row
+minima before solving (the reduction of Jonker & Volgenant, 1987), which
+moves every assignment's cost by the same amount, then refills the buffer
+and takes the mean matched cost with math.fsum: equal-cost optimal
+matchings, which bootstrap duplicates create, give the same value.
 """
 
 from __future__ import annotations
@@ -20,6 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -56,6 +69,12 @@ class DistanceEstimate:
     method: str  # "quantile" | "assignment"
 
 
+def _finite(x: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(x).all():
+        raise ValueError(f"sample cloud {what} must be finite, got a NaN or infinite entry")
+    return x
+
+
 def _subsample_sorted(x: np.ndarray, m: int) -> np.ndarray:
     """Evenly spaced order statistics of x; deterministic size reduction
     that preserves the quantile structure."""
@@ -73,8 +92,8 @@ def w2sq_1d(a, b, n_boot: int = DEFAULT_BOOTSTRAP, rng=None) -> DistanceEstimate
     of the larger set.  Needs at least 2 samples per side; n_boot = 0 gives no SE (NaN).
     """
     n_boot = _check(n_boot, "count" if n_boot == 0 else "replicates", "n_boot")
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
+    a = _finite(np.asarray(a, dtype=float).ravel(), "a")
+    b = _finite(np.asarray(b, dtype=float).ravel(), "b")
     if a.shape[0] < 2 or b.shape[0] < 2:
         raise ValueError(f"need >= 2 samples per side, got {a.shape[0]} and {b.shape[0]}")
     m = min(a.shape[0], b.shape[0])
@@ -101,31 +120,13 @@ def w2sq_1d(a, b, n_boot: int = DEFAULT_BOOTSTRAP, rng=None) -> DistanceEstimate
     return DistanceEstimate(value, "w2sq", (a.shape[0], b.shape[0]), se, "quantile")
 
 
-def _cost_matrix(a: np.ndarray, b: np.ndarray, norm: str) -> np.ndarray:
-    if norm == "l2":
-        return cdist(a, b, "sqeuclidean")
-    if norm == "linf":
-        return cdist(a, b, "chebyshev") ** 2
-    raise ValueError(f"unknown ground norm {norm!r} (use 'l2' or 'linf')")
+_METRICS = {"l2": "sqeuclidean", "linf": "chebyshev"}  # linf's is squared after cdist
 
 
-def _assignment_cost(cost: np.ndarray) -> float:
-    """Mean matched cost of the optimal assignment on a square cost matrix."""
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].mean())
-
-
-def w2sq_assignment(
-    a, b, norm: str = "l2", n_boot: int = DEFAULT_BOOTSTRAP, rng=None
-) -> DistanceEstimate:
-    """Exact empirical squared W2 (or squared W2,linf) via optimal assignment.
-
-    Both clouds must have shape (m, k) with k <= 8 and m <= 4096 (subsample
-    first if over the caps; the cubic assignment solve dominates otherwise).
-    Unequal m: the larger cloud is randomly subsampled without replacement;
-    n_boot = 0 gives no SE (NaN).
-    """
-    n_boot = _check(n_boot, "count" if n_boot == 0 else "replicates", "n_boot")
+def _clouds(a, b, norm: str) -> tuple[np.ndarray, np.ndarray, int]:
+    """The two clouds of an assignment estimate as (m, k) arrays, and m."""
+    if norm not in _METRICS:
+        raise ValueError(f"unknown ground norm {norm!r} (use 'l2' or 'linf')")
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.shape[1] != b.shape[1]:
@@ -136,8 +137,6 @@ def w2sq_assignment(
             f"k={k} exceeds the assignment cap {MAX_ASSIGNMENT_DIM}; "
             "project or split the coordinates first"
         )
-    if rng is None:
-        rng = np.random.default_rng(0)
     m = min(a.shape[0], b.shape[0])
     if m > MAX_ASSIGNMENT_SAMPLES:
         raise ValueError(
@@ -145,25 +144,83 @@ def w2sq_assignment(
         )
     if m < 1:
         raise ValueError("need at least one sample per side")
-    if a.shape[0] > m:
-        a = a[rng.choice(a.shape[0], size=m, replace=False)]
-    if b.shape[0] > m:
-        b = b[rng.choice(b.shape[0], size=m, replace=False)]
-    metric = "w2sq" if norm == "l2" else "w2sq-linf"
-    cost = _cost_matrix(a, b, norm)
-    # every replicate's indices first, in the serial order (ia, then ib), so
-    # the estimates and the generator's state do not depend on the solve order
-    draws = [(rng.integers(0, m, size=m), rng.integers(0, m, size=m)) for _ in range(n_boot)]
+    return _finite(a, "a"), _finite(b, "b"), m
 
-    def solve(draw):
-        # a replicate's submatrix is built in its worker: at most one per worker is alive
-        return _assignment_cost(cost if draw is None else cost[np.ix_(*draw)])
 
-    with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
-        entries = list(pool.map(solve, [None, *draws]))
-    value = entries[0]
-    se = float(np.std(entries[1:], ddof=1)) if n_boot > 0 else float("nan")
-    return DistanceEstimate(value, metric, (a.shape[0], b.shape[0]), se, "assignment")
+def _fill_cost(x: np.ndarray, y: np.ndarray, norm: str, out: np.ndarray) -> np.ndarray:
+    cdist(x, y, _METRICS[norm], out=out)
+    return np.square(out, out=out) if norm == "linf" else out
+
+
+def _assignment_batch(problems) -> list[DistanceEstimate]:
+    """One estimate per (a, b, norm, n_boot, rng) problem, n_boot already read.
+
+    Every problem is checked, then every draw is made, problem by problem in
+    the serial order: the larger cloud's subsample, then ia and ib for each
+    replicate.  So each generator ends where one call per problem leaves it.
+    Then every solve of every problem runs on one pool, largest m first."""
+    clouds = [_clouds(a, b, norm) for a, b, norm, _, _ in problems]
+    tasks = []  # (problem, slot: 0 for the full sample, r for replicate r, x, y, norm, draw)
+    for p, ((a, b, m), (_, _, norm, n_boot, rng)) in enumerate(zip(clouds, problems)):
+        if a.shape[0] > m:
+            a = a[rng.choice(a.shape[0], size=m, replace=False)]
+        if b.shape[0] > m:
+            b = b[rng.choice(b.shape[0], size=m, replace=False)]
+        draws = [(rng.integers(0, m, size=m), rng.integers(0, m, size=m)) for _ in range(n_boot)]
+        tasks += [(p, r, a, b, norm, draw) for r, draw in enumerate([None, *draws])]
+    tasks.sort(key=lambda t: -t[2].shape[0])
+    m_max = tasks[0][2].shape[0]
+    # a cost buffer per worker, made here: no more solves run at once than there are buffers
+    workers = min(len(os.sched_getaffinity(0)), len(tasks))
+    buffers = queue.SimpleQueue()
+    for _ in range(workers):
+        buffers.put(np.empty(m_max * m_max))
+
+    def solve(task):
+        _, _, x, y, norm, draw = task
+        if draw is not None:  # cdist of the resampled rows: the full matrix's submatrix
+            x, y = x[draw[0]], y[draw[1]]
+        m = x.shape[0]
+        buf = buffers.get_nowait()
+        try:
+            cost = _fill_cost(x, y, norm, buf[: m * m].reshape(m, m))
+            # reduced costs (Jonker & Volgenant): every assignment's total moves by the same amount
+            cost -= cost.min(axis=0)
+            cost -= cost.min(axis=1, keepdims=True)
+            rows, cols = linear_sum_assignment(cost)
+            # the matched entries of the unreduced costs, summed in no order: equal-cost
+            # optimal matchings (bootstrap duplicates tie) give the same value
+            return math.fsum(_fill_cost(x, y, norm, cost)[rows, cols]) / m
+        finally:
+            buffers.put(buf)
+
+    entries = [np.empty(1 + n_boot) for *_, n_boot, _ in problems]
+    with ThreadPoolExecutor(workers) as pool:
+        for (p, r, *_), value in zip(tasks, pool.map(solve, tasks)):
+            entries[p][r] = value
+    return [
+        DistanceEstimate(
+            float(values[0]), "w2sq" if norm == "l2" else "w2sq-linf", (m, m),
+            float(np.std(values[1:], ddof=1)) if n_boot > 0 else float("nan"), "assignment",
+        )
+        for (_, _, m), (_, _, norm, n_boot, _), values in zip(clouds, problems, entries)
+    ]
+
+
+def w2sq_assignment(
+    a, b, norm: str = "l2", n_boot: int = DEFAULT_BOOTSTRAP, rng=None
+) -> DistanceEstimate:
+    """Exact empirical squared W2 (or squared W2,linf) via optimal assignment.
+
+    Both clouds must be finite with shape (m, k), k <= 8 and m <= 4096
+    (subsample first if over the caps; the cubic assignment solve dominates
+    otherwise).  Unequal m: the larger cloud is randomly subsampled without
+    replacement; n_boot = 0 gives no SE (NaN).
+    """
+    n_boot = _check(n_boot, "count" if n_boot == 0 else "replicates", "n_boot")
+    if rng is None:
+        rng = np.random.default_rng(0)
+    return _assignment_batch([(a, b, norm, n_boot, rng)])[0]
 
 
 @dataclass(frozen=True)
@@ -214,17 +271,15 @@ def _empirical_subadditivity(a: np.ndarray, b: np.ndarray, k: int, n_boot, rng):
     if len(combos) > 64:
         pick = rng.choice(len(combos), size=64, replace=False)
         combos = [combos[i] for i in sorted(pick)]
-    vals, ses = [], []
-    for u in combos:
-        if k == 1:
-            est = w2sq_1d(a[:, u[0]], b[:, u[0]], n_boot=n_boot, rng=rng)
-        else:
-            est = w2sq_assignment(a[:, u], b[:, u], n_boot=n_boot, rng=rng)
-        vals.append(est.value)
-        ses.append(est.standard_error)
+    if k == 1:  # quantile couplings, then the full cloud's assignment
+        ests, pairs = [w2sq_1d(a[:, u[0]], b[:, u[0]], n_boot=n_boot, rng=rng) for u in combos], []
+    else:  # every subset's assignment and the full cloud's, as one batch
+        ests, pairs = [], [(a[:, u], b[:, u]) for u in combos]
+    *ests, full = ests + _assignment_batch([(x, y, "l2", n_boot, rng) for x, y in [*pairs, (a, b)]])
+    vals = [est.value for est in ests]
+    ses = [est.standard_error for est in ests]
     lhs = float(np.mean(vals))
     lhs_se = float(np.sqrt(np.sum(np.square(ses))) / len(vals))
-    full = w2sq_assignment(a, b, n_boot=n_boot, rng=rng)
     rhs = (k / n) * full.value
     rhs_se = (k / n) * full.standard_error
     tol = _SUBADDITIVITY_SE * math.hypot(lhs_se, rhs_se)

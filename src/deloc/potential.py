@@ -324,10 +324,11 @@ class PairwiseSpec:
 
     def __post_init__(self):
         cb = np.asarray(self.confine_bounds, dtype=float)
-        if cb.shape != (self.n,):
-            raise ValueError(f"confine_bounds shape {cb.shape}, expected ({self.n},)")
         _check(cb, ["non-negative"], "confine_bounds")
         ib = _dense(_symmetric(self.interaction_bounds, "interaction_bounds", MATRIX_TOL))
+        object.__setattr__(self, "n", _check(self.n, "positive-integer", "n"))
+        if cb.shape != (self.n,):
+            raise ValueError(f"confine_bounds shape {cb.shape}, expected ({self.n},)")
         if ib.shape != (self.n, self.n):
             raise ValueError(f"interaction_bounds shape {ib.shape}, expected ({self.n}, {self.n})")
         if np.any(np.diag(ib) != 0):

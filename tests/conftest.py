@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -148,18 +150,22 @@ def serial_w2sq_assignment(a, b, norm, n_boot, rng):
     if b.shape[0] > m:
         b = b[rng.choice(b.shape[0], size=m, replace=False)]
     cost = cdist(a, b, "sqeuclidean") if norm == "l2" else cdist(a, b, "chebyshev") ** 2
-    rows, cols = linear_sum_assignment(cost)
-    value = float(cost[rows, cols].mean())
+    value = plain_assignment_value(cost)
     if n_boot == 0:
         return value, float("nan")
     boots = np.empty(n_boot)
     for t in range(n_boot):
         ia = rng.integers(0, m, size=m)
         ib = rng.integers(0, m, size=m)
-        sub = cost[np.ix_(ia, ib)]
-        r, c = linear_sum_assignment(sub)
-        boots[t] = sub[r, c].mean()
+        boots[t] = plain_assignment_value(cost[np.ix_(ia, ib)])
     return value, float(boots.std(ddof=1))
+
+
+def plain_assignment_value(cost):
+    """Mean matched cost of linear_sum_assignment on the unreduced costs, summed
+    with math.fsum, so any of several equal-cost optimal matchings gives it."""
+    rows, cols = linear_sum_assignment(cost)
+    return math.fsum(cost[rows, cols]) / cost.shape[0]
 
 
 def random_spd(rng, n, cond_max=50.0):

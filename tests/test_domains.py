@@ -498,13 +498,30 @@ def test_an_edge_or_pairwise_key_reads_a_whole_number_as_its_integer():
     assert list(spec.interaction_fns) == [(0, 2)]
 
 
+@pytest.mark.parametrize("n", [0, -1, 2.5, "2", True, np.nan])
+def test_pairwise_spec_reads_n_as_a_positive_integer(n):
+    with pytest.raises(ValueError, match=re.escape(f"n must be an integer >= 1, got {n!r}")):
+        PairwiseSpec(n, np.zeros(2), np.zeros((2, 2)))
+
+
+def test_pairwise_spec_reads_a_whole_number_n_as_its_integer():
+    """n = 2.0 used to build and then fail in gradient with a TypeError."""
+    fns = ((lambda s: 0.5 * s * s, lambda s: s),) * 2
+    spec = PairwiseSpec(2.0, np.ones(2), np.zeros((2, 2)), confine_fns=fns)
+    assert type(spec.n) is int
+    pot = spec.to_structured(SmoothnessParams(alpha=1.0))
+    assert pot.gradient(np.array([1.0, -2.0])).tolist() == [1.0, -2.0]
+
+
 # the integer options of each experiment: each is a count, >= 1 unless its floor is named
 COUNT_OPTIONS = {
     "certified-trajectory": {"k": 0},
     "onestep-linf": {"samples": 1, "n_boot": 2},
-    "sampler-vs-oracle": {"iterations": 1, "chains": 1, "batches": 1, "thin": 1,
+    "sampler-vs-oracle": {"iterations": 1, "chains": 1, "batches": 2, "thin": 1,
                           "marginal_samples": 1},
 }
+# a floor that a rule across options refuses: one iteration keeps no row after burn-in
+FLOOR_REFUSED = {("sampler-vs-oracle", "iterations"): "burn_in=1 leaves no samples from 1 iterations"}
 
 
 def _count_faults():
@@ -522,7 +539,25 @@ def test_every_count_option_is_refused_below_its_floor_when_the_config_is_built(
         config_from_dict({"experiment": experiment, "options": {key: value}})
     assert str(e.value).startswith(f"option {key!r} must be an integer >= {floor}")
     assert str(e.value).endswith(f"got {value}")
-    config_from_dict({"experiment": experiment, "options": {key: floor}})
+    at_floor = {"experiment": experiment, "options": {key: floor}}
+    if (experiment, key) in FLOOR_REFUSED:
+        with pytest.raises(ValueError, match=FLOOR_REFUSED[experiment, key]):
+            config_from_dict(at_floor)
+    else:
+        config_from_dict(at_floor)
+
+
+# two chains keep iterations - ceil(iterations / 10) rows each
+@pytest.mark.parametrize("iterations, batches, kept", [(2000, 5000, 3600), (112, 201, 200)])
+def test_sampler_vs_oracle_refuses_more_batches_than_kept_rows_when_the_config_is_built(
+    iterations, batches, kept
+):
+    """Every cov-entry row used to read valid=false: a batch with no row has an empty mean."""
+    options = {"iterations": iterations, "chains": 2, "batches": batches}
+    with pytest.raises(ValueError, match=f"option 'batches' must be at most the {kept} rows "
+                                         f"the chains keep, got {batches}"):
+        config_from_dict({"experiment": "sampler-vs-oracle", "options": options})
+    config_from_dict({"experiment": "sampler-vs-oracle", "options": {**options, "batches": kept}})
 
 
 def test_a_certified_trajectory_of_no_steps_runs():

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import astuple
 from pathlib import Path
 
@@ -46,6 +47,8 @@ from deloc.potential import (
     tridiagonal_precision,
 )
 from deloc.subsets import indices_from, mask_from, size
+
+from conftest import serial_w2sq_assignment
 
 
 def path_graph(n):
@@ -454,6 +457,27 @@ def test_onestep_experiment_is_deterministic():
     assert metrics == ["w2sq-linf-full", "w2sq-linf-full-extrap"]
     # the extrapolated value comes without an SE of its own
     assert a.rows[0].se > 0 and a.rows[1].se is None
+
+
+def test_onestep_rows_equal_a_serial_computation_dim_by_dim():
+    """The run solves every estimate as one batch; each dim's generator still
+    draws its samples, then the full sample's replicates, as a dim-by-dim loop does."""
+    cfg = ExperimentConfig("onestep-linf", dims=(2, 3), seed=4, options={"samples": 96, "n_boot": 3})
+    before = threading.active_count()
+    rows = run_experiment(cfg).rows
+    assert threading.active_count() == before  # the batch's pool is gone
+    assert len(rows) == 4
+    for counter, n in enumerate(cfg.dims):
+        tgt = _target_from_options(n, cfg)
+        h = 1.0 / (2.0 * tgt.beta)
+        rng = np.random.default_rng([cfg.seed, counter])
+        a = orc.sample(orc.lmc_stationary_law(tgt, h), 96, rng)
+        b = orc.sample(tgt.law(), 96, rng)
+        value, se = serial_w2sq_assignment(a, b, "linf", 3, rng)
+        half, _ = serial_w2sq_assignment(a[:48], b[:48], "linf", 0, rng)
+        full, extrap = rows[2 * counter : 2 * counter + 2]
+        assert (full.n, full.h, full.value, full.se) == (n, h, value, se)
+        assert (extrap.n, extrap.value) == (n, value + (value - half) / (math.sqrt(2.0) - 1.0))
 
 
 def test_sampler_vs_oracle_smoke():

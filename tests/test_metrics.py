@@ -1,9 +1,11 @@
+import itertools
 import math
 import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import cdist
 
 from deloc.metrics import (
     MAX_ASSIGNMENT_DIM,
@@ -22,7 +24,7 @@ from deloc.oracle import (
 )
 from deloc.potential import tridiagonal_precision
 
-from conftest import serial_w2sq_assignment
+from conftest import plain_assignment_value, serial_w2sq_assignment
 
 
 def test_w2sq_1d_identical_samples_zero(rng):
@@ -162,17 +164,82 @@ def test_assignment_matches_the_serial_reference_bit_for_bit(norm, n_boot):
     assert rng.random() == ref_rng.random()
 
 
-def test_assignment_reports_a_nan_in_a_cloud_through_the_pool(rng):
-    x = rng.standard_normal((20, 2))
-    x[3, 1] = np.nan
-    with pytest.raises(ValueError, match="invalid numeric entries"):
-        w2sq_assignment(x, rng.standard_normal((20, 2)), n_boot=4, rng=rng)
+@pytest.mark.parametrize("norm", ["l2", "linf"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_assignment_refuses_a_non_finite_cloud_up_front(norm, bad, rng):
+    """scipy's chebyshev distance skips a NaN coordinate, so under linf a NaN cloud
+    used to get a finite estimate; an inf gave "cost matrix is infeasible"."""
+    x, y = rng.standard_normal((20, 2)), rng.standard_normal((20, 2))
+    x[3, 1] = bad
+    for a, b, name in ((x, y, "a"), (y, x, "b")):
+        with pytest.raises(ValueError, match=f"sample cloud {name} must be finite, got a NaN or infinite"):
+            w2sq_assignment(a, b, norm=norm, n_boot=4, rng=rng)
 
 
-def test_assignment_leaves_no_worker_thread_behind(rng):
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_the_1d_estimate_and_the_empirical_check_refuse_a_non_finite_cloud(bad, rng):
+    x, y = rng.standard_normal((50, 3)), rng.standard_normal((50, 3))
+    y[7, 2] = bad
+    with pytest.raises(ValueError, match="sample cloud b must be finite"):
+        w2sq_1d(x[:, 2], y[:, 2], rng=rng)
+    for k in (1, 2, 3):
+        with pytest.raises(ValueError, match="sample cloud b must be finite"):
+            subadditivity_check(x, y, k, n_boot=2, rng=rng)
+
+
+@pytest.mark.parametrize(
+    "batch",
+    [
+        lambda x, y, rng: w2sq_assignment(x, y, n_boot=6, rng=rng),
+        lambda x, y, rng: subadditivity_check(x, y, 2, n_boot=3, rng=rng),
+    ],
+    ids=["w2sq_assignment", "subadditivity_check"],
+)
+def test_assignment_leaves_no_worker_thread_behind(batch, rng):
     before = threading.active_count()
-    w2sq_assignment(rng.standard_normal((30, 2)), rng.standard_normal((30, 2)), n_boot=6, rng=rng)
+    batch(rng.standard_normal((30, 3)), rng.standard_normal((40, 3)), rng)
     assert threading.active_count() == before
+
+
+def serial_subadditivity(a, b, k, n_boot, rng):
+    """(lhs, rhs, tolerance, subsets) of the empirical check with every estimate
+    solved in turn by the serial reference: each subset's, then the full cloud's."""
+    n = a.shape[1]
+    if a.shape[0] > 512:
+        a = a[rng.choice(a.shape[0], 512, replace=False)]
+    if b.shape[0] > 512:
+        b = b[rng.choice(b.shape[0], 512, replace=False)]
+    combos = list(itertools.combinations(range(n), k))
+    ests = [serial_w2sq_assignment(a[:, u], b[:, u], "l2", n_boot, rng) for u in combos]
+    value, se = serial_w2sq_assignment(a, b, "l2", n_boot, rng)
+    lhs_se = float(np.sqrt(np.sum(np.square([s for _, s in ests]))) / len(ests))
+    tol = 3.0 * math.hypot(lhs_se, (k / n) * se)
+    return float(np.mean([v for v, _ in ests])), (k / n) * value, tol, len(combos)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_the_empirical_check_equals_a_serial_loop_bit_for_bit(k):
+    # unequal sizes, so every subset's estimate subsamples the larger cloud from rng
+    a = np.random.default_rng(1).standard_normal((520, 4))
+    b = 1.2 * np.random.default_rng(2).standard_normal((150, 4))
+    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    rep = subadditivity_check(a, b, k, n_boot=3, rng=rng)
+    assert (rep.lhs_average, rep.rhs_share, rep.tolerance, rep.num_subsets) == serial_subadditivity(
+        a, b, k, 3, ref_rng
+    )
+    assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("norm", ["l2", "linf"])
+@pytest.mark.parametrize("d", range(1, MAX_ASSIGNMENT_DIM + 1))
+def test_the_reduced_solve_equals_a_plain_solve_on_clouds_with_duplicates(norm, d):
+    """Bootstrap duplicates make several optimal matchings of equal cost; the value is
+    the fsum mean of the unreduced matched costs, whichever one the solver returns."""
+    gen = np.random.default_rng(d)
+    x, y = gen.standard_normal((60, d)), gen.standard_normal((60, d))
+    x, y = x[gen.integers(0, 60, 60)], y[gen.integers(0, 60, 60)]
+    cost = cdist(x, y, "sqeuclidean") if norm == "l2" else cdist(x, y, "chebyshev") ** 2
+    assert w2sq_assignment(x, y, norm=norm, n_boot=0).value == plain_assignment_value(cost)
 
 
 def test_assignment_consistent_with_gaussian_truth(rng):
