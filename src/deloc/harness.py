@@ -30,7 +30,7 @@ from .graph import GrowthCertificate, InteractionGraph, verify_growth
 from .hierarchy import SparseParams, SubsetFunction, certified_entropy_curve
 from .potential import gaussian_potential
 from .sampler import DivergenceError, SamplerConfig, marginal_samples, run_chain
-from .subsets import indices_from, size, sorted_indices
+from .subsets import size, sorted_indices
 
 __all__ = [
     "ExperimentConfig",
@@ -281,6 +281,13 @@ def _marginal_kl(law_a: orc.GaussianLaw, law: orc.GaussianLaw, u) -> float:
     return orc.kl_gaussian(orc.marginal(law_a, u), orc.marginal(law, u))
 
 
+def _start_law(config: ExperimentConfig, tgt: orc.GaussianTarget):
+    """The target law N(0, Sigma), the start law N(0, c Sigma) with c = cov0_scale, and
+    C0 = (c - 1 - log c)/2: the start's KL on every marginal w is exactly C0 |w|."""
+    law, c = tgt.law(), config._options["cov0_scale"]
+    return law, orc.GaussianLaw(np.zeros(tgt.dim), c * law.cov), 0.5 * (c - 1.0 - math.log(c))
+
+
 def _singleton_w2(law_h: orc.GaussianLaw, law: orc.GaussianLaw) -> list[float]:
     """Exact W2^2 between the coordinate marginals of law_h and law, one per
     coordinate: in one dimension (mean difference)^2 + (sd difference)^2."""
@@ -392,11 +399,7 @@ def _exp_certified_trajectory(config: ExperimentConfig) -> Iterator[ReportRow]:
     c, k_max = config._options["c"], config._options["k"]
     params = SparseParams(tgt.alpha, tgt.beta, 1.0, c, p=1.0)
     envelope = dict(alpha=tgt.alpha, beta=tgt.beta, gamma=1.0, c=c, p=1.0)
-    law = tgt.law()
-    law0 = orc.GaussianLaw(np.zeros(n), config._options["cov0_scale"] * law.cov)
-    # H0(w) = C0 |w| dominates the start's marginal KL on every w a curve reads
-    chains = {w for u in panel for w in graph.chain(u)}
-    C0 = max(_marginal_kl(law0, law, indices_from(w)) / size(w) for w in chains)
+    law, law0, C0 = _start_law(config, tgt)
     H0 = SubsetFunction(lambda m: C0 * size(m), "c0-size")
     for h in config.h_values or (consts["h_star"] / 2.0,):
         curves = [certified_entropy_curve("sparse", params, graph, H0, h, k_max, u) for u in panel]
@@ -441,16 +444,14 @@ def _exp_continuous_time(config: ExperimentConfig) -> Iterator[ReportRow]:
     tgt = _target_from_options(n, config)
     graph = _precision_graph(tgt)
     alpha, beta, gamma = tgt.alpha, tgt.beta, config._options["gamma"]
-    law = tgt.law()
-    law0 = orc.GaussianLaw(np.zeros(n), config._options["cov0_scale"] * law.cov)
-    H0 = SubsetFunction(lambda m: _marginal_kl(law0, law, indices_from(m)), "initial-kl")
+    law, law0, C0 = _start_law(config, tgt)
     panel = resolve_panel(graph, config.subsets)
     laws = [(t, orc.ou_law(tgt, t, law0)) for t in config._options["times"]]
     for eps in config._options["eps"]:
         for t, law_t in laws:
             for u in panel:
                 exact = _marginal_kl(law_t, law, u)
-                rep = bnd.continuous_time_bound(graph, u, t, eps, alpha, beta, gamma, H0=H0)
+                rep = bnd.continuous_time_bound(graph, u, t, eps, alpha, beta, gamma, C0=C0)
                 if not rep.valid:
                     raise ValueError(rep.reason)
                 yield ReportRow(
@@ -580,14 +581,17 @@ def _exp_delocalization_failure(config: ExperimentConfig) -> Iterator[ReportRow]
                 config.experiment, n, h, "singletons", f"w2sq-marginal-max-{label}",
                 top, theorem="oracle",
             )
-    ratio = rot_max[-1] / rot_max[0]
+    if len(set(dims)) < 2:
+        return
+    small, large = dims.index(min(dims)), dims.index(max(dims))
+    ratio = rot_max[large] / rot_max[small]
     yield ReportRow(
-        config.experiment, dims[-1], h, "singletons", "rotated-bias-growth",
+        config.experiment, dims[large], h, "singletons", "rotated-bias-growth",
         ratio, bound=2.0, theorem="counterexample", valid=ratio >= 2.0,
     )
     spread = (max(prod_max) - min(prod_max)) / min(prod_max)
     yield ReportRow(
-        config.experiment, dims[-1], h, "singletons", "product-bias-variation",
+        config.experiment, dims[large], h, "singletons", "product-bias-variation",
         spread, bound=0.05, theorem="counterexample", valid=spread < 0.05,
     )
 

@@ -105,16 +105,18 @@ class SparseGenerator:
 
 @dataclass(frozen=True)
 class WeakGenerator:
-    """weights = ((support_mask, L_w), ...) over factors with L_w > 0."""
+    """weights = ((support_mask, L_w), ...) over factors with L_w > 0, the one reader
+    of a weight list: each support by the subset rule, each L_w > 0."""
 
     weights: tuple[tuple[int, float], ...]
     rate_factor: float
 
     def __post_init__(self):
         _check(self.rate_factor, "non-negative", "rate factor")
-        weights = tuple((as_mask(w, None, "weight support"), _check(L, "positive", "weight"))
-                        for w, L in self.weights)
-        object.__setattr__(self, "weights", weights)
+        if type(self.weights) is not _Weights:  # weights read once already are not read again
+            weights = ((as_mask(w, None, "weight support"), _check(L, "positive", "weight"))
+                       for w, L in self.weights)
+            object.__setattr__(self, "weights", _Weights(weights))
 
     @classmethod
     def from_params(cls, structure, alpha, gamma, eps) -> "WeakGenerator":
@@ -131,13 +133,17 @@ def _read_rate(eps, **positive) -> None:
     _check(eps, "fraction", "eps")
 
 
+class _Weights(tuple):
+    """A weight list ((support_mask, L_w), ...) that has been read."""
+
+
 def _weak_structure(structure):
-    """(weights, constants, n) of a StructuredPotential (its factors with L > 0)
-    or of a weight list ((support_mask, L_w), ...), whose n is None."""
+    """(read weights, constants, n) of a StructuredPotential (its factors with L > 0,
+    whose supports each factor read) or of a weight list, whose n is None."""
     if isinstance(structure, StructuredPotential):
-        weights = tuple((mask_from(t.support), t.lipschitz) for t in structure.active_terms)
+        weights = _Weights((mask_from(t.support), t.lipschitz) for t in structure.active_terms)
         return weights, structure.interaction_constants, structure.n
-    weights = tuple((as_mask(w, None, "weight support"), L) for w, L in structure)
+    weights = WeakGenerator(structure, 0.0).weights  # read once, by the generator's rule
     supports = [indices_from(w) for w, _ in weights]
     return weights, interaction_constants(supports, [L for _, L in weights]), None
 
@@ -157,17 +163,10 @@ def _weak_lattice(gen: WeakGenerator, u_mask: int, seed_supports: bool):
     v -> v | w for intersecting supports w.  Returns (states, index, pairs):
     pairs holds one row (state, factor, index of v | w) per intersecting
     (state, factor) pair, ordered by state and then by factor."""
-    seeds = [u_mask]
-    if seed_supports:
-        seeds.extend(w for w, _ in gen.weights)
-    states: list[int] = []
-    index: dict[int, int] = {}
-    stack = []
-    for s in seeds:
-        if s not in index:
-            index[s] = len(states)
-            states.append(s)
-            stack.append(s)
+    seeds = [u_mask, *(w for w, _ in gen.weights)] if seed_supports else [u_mask]
+    states = list(dict.fromkeys(seeds))  # the distinct seeds, in order
+    index = {s: i for i, s in enumerate(states)}
+    stack = states.copy()
     pairs = []
     while stack:
         v = stack.pop()
@@ -377,14 +376,14 @@ def _weak_operators(params: WeakParams, weights, M0, eps, h, u, n=None):
     """The reachable lattice of u and the supports; e^{hA} by uniformization,
     (N F)(v) = sum_{w cap v != 0} L_w F(w) as one CSR row per state."""
     alpha = params.alpha
-    gen = WeakGenerator.from_params(weights, alpha, params.gamma, eps)
+    gen = WeakGenerator(weights, params.gamma * M0 / (alpha * eps))
     m = as_mask(u, n)
     states, index, pairs, expm_h = _weak_expm(gen, m, h, seed_supports=True)
     nstates = len(states)
 
     src, fac = pairs[:, 0], pairs[:, 1]
-    support_index = np.array([index[w] for w, _ in weights], dtype=np.intp)
-    lip = np.array([L for _, L in weights])
+    support_index = np.array([index[w] for w, _ in gen.weights], dtype=np.intp)
+    lip = np.array([L for _, L in gen.weights])
     N = sparse.csr_array((lip[fac], (src, support_index[fac])), shape=(nstates, nstates))
 
     sizes = np.array([float(size(s)) for s in states])

@@ -8,7 +8,10 @@ equal-size clouds, under squared-l2 or squared-linf ground cost.
 Standard errors come from a bootstrap (default 200 resamples): the 1D
 estimator resamples both sides and re-sorts, so the variability of the
 coupling itself is captured; the assignment estimator re-solves on
-index-resampled clouds.  Both refuse a cloud with a NaN or infinite entry.
+index-resampled clouds.  Every sample cloud is read by one rule: a numeric
+array, 1-D for m samples of one coordinate or 2-D of shape (m, k); any other
+shape, an empty cloud or a NaN or infinite entry is a ValueError that names
+the cloud.  The 1D estimator takes k = 1 only.
 
 Assignment estimates are solved in batches: `w2sq_assignment` is a batch
 of one, the empirical subadditivity check (k >= 2) one batch of every
@@ -69,10 +72,22 @@ class DistanceEstimate:
     method: str  # "quantile" | "assignment"
 
 
-def _finite(x: np.ndarray, what: str) -> np.ndarray:
+def _cloud(x, what: str) -> np.ndarray:
+    """Sample cloud `what` read by the cloud rule, as an (m, k) array."""
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"sample cloud {what} must be numeric, got {type(x).__name__}") from None
+    if x.ndim not in (1, 2) or x.size == 0:
+        raise ValueError(f"sample cloud {what} must be (m,) or (m, k) with m, k > 0, got {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError(f"sample cloud {what} must be finite, got a NaN or infinite entry")
-    return x
+    return x[:, None] if x.ndim == 1 else x
+
+
+def _rows(x: np.ndarray, m: int, rng) -> np.ndarray:
+    """x, or m of its rows drawn from rng without replacement when it has more."""
+    return x if x.shape[0] <= m else x[rng.choice(x.shape[0], size=m, replace=False)]
 
 
 def _subsample_sorted(x: np.ndarray, m: int) -> np.ndarray:
@@ -86,37 +101,34 @@ def _subsample_sorted(x: np.ndarray, m: int) -> np.ndarray:
 
 
 def w2sq_1d(a, b, n_boot: int = DEFAULT_BOOTSTRAP, rng=None) -> DistanceEstimate:
-    """Squared W2 between two scalar sample sets via the quantile coupling.
-
-    Unequal sizes are handled by evenly spaced order-statistic subsampling
-    of the larger set.  Needs at least 2 samples per side; n_boot = 0 gives no SE (NaN).
-    """
+    """Squared W2 between two clouds of one coordinate, (m,) or (m, 1), via the
+    quantile coupling.  Unequal sizes are handled by evenly spaced order-statistic
+    subsampling of the larger set.  Needs at least 2 samples per side; n_boot = 0
+    gives no SE (NaN)."""
     n_boot = _check(n_boot, "count" if n_boot == 0 else "replicates", "n_boot")
-    a = _finite(np.asarray(a, dtype=float).ravel(), "a")
-    b = _finite(np.asarray(b, dtype=float).ravel(), "b")
+    a, b = _cloud(a, "a"), _cloud(b, "b")
+    if a.shape[1] != 1 or b.shape[1] != 1:
+        raise ValueError(f"need clouds of one coordinate, got k={a.shape[1]} and k={b.shape[1]}")
+    a, b = a[:, 0], b[:, 0]
     if a.shape[0] < 2 or b.shape[0] < 2:
         raise ValueError(f"need >= 2 samples per side, got {a.shape[0]} and {b.shape[0]}")
     m = min(a.shape[0], b.shape[0])
     av = _subsample_sorted(a, m)
     bv = _subsample_sorted(b, m)
     value = float(((av - bv) ** 2).mean())
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng = np.random.default_rng(0) if rng is None else rng
+    se = float("nan")
     if n_boot > 0:
         # resample both sides and re-sort, so the standard error includes
         # the fluctuation of the quantile coupling, not just of the costs
         vals = np.empty(n_boot)
         chunk = max(1, int(2_000_000 // m))
-        done = 0
-        while done < n_boot:
+        for done in range(0, n_boot, chunk):
             c = min(chunk, n_boot - done)
             ra = np.sort(av[rng.integers(0, m, size=(c, m))], axis=1)
             rb = np.sort(bv[rng.integers(0, m, size=(c, m))], axis=1)
             vals[done : done + c] = ((ra - rb) ** 2).mean(axis=1)
-            done += c
         se = float(vals.std(ddof=1))
-    else:
-        se = float("nan")
     return DistanceEstimate(value, "w2sq", (a.shape[0], b.shape[0]), se, "quantile")
 
 
@@ -127,8 +139,7 @@ def _clouds(a, b, norm: str) -> tuple[np.ndarray, np.ndarray, int]:
     """The two clouds of an assignment estimate as (m, k) arrays, and m."""
     if norm not in _METRICS:
         raise ValueError(f"unknown ground norm {norm!r} (use 'l2' or 'linf')")
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
+    a, b = _cloud(a, "a"), _cloud(b, "b")
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     k = a.shape[1]
@@ -142,9 +153,7 @@ def _clouds(a, b, norm: str) -> tuple[np.ndarray, np.ndarray, int]:
         raise ValueError(
             f"m={m} exceeds the assignment cap {MAX_ASSIGNMENT_SAMPLES}; subsample first"
         )
-    if m < 1:
-        raise ValueError("need at least one sample per side")
-    return _finite(a, "a"), _finite(b, "b"), m
+    return a, b, m
 
 
 def _fill_cost(x: np.ndarray, y: np.ndarray, norm: str, out: np.ndarray) -> np.ndarray:
@@ -162,10 +171,7 @@ def _assignment_batch(problems) -> list[DistanceEstimate]:
     clouds = [_clouds(a, b, norm) for a, b, norm, _, _ in problems]
     tasks = []  # (problem, slot: 0 for the full sample, r for replicate r, x, y, norm, draw)
     for p, ((a, b, m), (_, _, norm, n_boot, rng)) in enumerate(zip(clouds, problems)):
-        if a.shape[0] > m:
-            a = a[rng.choice(a.shape[0], size=m, replace=False)]
-        if b.shape[0] > m:
-            b = b[rng.choice(b.shape[0], size=m, replace=False)]
+        a, b = _rows(a, m, rng), _rows(b, m, rng)
         draws = [(rng.integers(0, m, size=m), rng.integers(0, m, size=m)) for _ in range(n_boot)]
         tasks += [(p, r, a, b, norm, draw) for r, draw in enumerate([None, *draws])]
     tasks.sort(key=lambda t: -t[2].shape[0])
@@ -212,14 +218,13 @@ def w2sq_assignment(
 ) -> DistanceEstimate:
     """Exact empirical squared W2 (or squared W2,linf) via optimal assignment.
 
-    Both clouds must be finite with shape (m, k), k <= 8 and m <= 4096
-    (subsample first if over the caps; the cubic assignment solve dominates
-    otherwise).  Unequal m: the larger cloud is randomly subsampled without
-    replacement; n_boot = 0 gives no SE (NaN).
+    Both clouds must be finite with shape (m, k), or (m,) for k = 1, with
+    k <= 8 and m <= 4096 (subsample first if over the caps; the cubic
+    assignment solve dominates otherwise).  Unequal m: the larger cloud is
+    randomly subsampled without replacement; n_boot = 0 gives no SE (NaN).
     """
     n_boot = _check(n_boot, "count" if n_boot == 0 else "replicates", "n_boot")
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng = np.random.default_rng(0) if rng is None else rng
     return _assignment_batch([(a, b, norm, n_boot, rng)])[0]
 
 
@@ -247,10 +252,8 @@ def _exact_subadditivity(law_a: GaussianLaw, law_b: GaussianLaw, k: int, tol: fl
     n = law_a.dim
     if n > 10:
         raise ValueError(f"exact enumeration capped at n=10, got n={n}")
-    vals = [
-        w2sq_gaussian(law_marginal(law_a, u), law_marginal(law_b, u))
-        for u in itertools.combinations(range(n), k)
-    ]
+    subsets = itertools.combinations(range(n), k)
+    vals = [w2sq_gaussian(law_marginal(law_a, u), law_marginal(law_b, u)) for u in subsets]
     lhs = float(np.mean(vals))
     rhs = (k / n) * w2sq_gaussian(law_a, law_b)
     return SubadditivityReport(n, k, lhs, rhs, tolerance=tol, num_subsets=len(vals), exact=True)
@@ -258,14 +261,10 @@ def _exact_subadditivity(law_a: GaussianLaw, law_b: GaussianLaw, k: int, tol: fl
 
 def _empirical_subadditivity(a: np.ndarray, b: np.ndarray, k: int, n_boot, rng):
     n = a.shape[1]
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng = np.random.default_rng(0) if rng is None else rng
     # this is a sanity check, not a precision instrument: every estimate
     # involves assignment re-solves, so work at a fixed modest resolution
-    if a.shape[0] > SUBADDITIVITY_MAX_SAMPLES:
-        a = a[rng.choice(a.shape[0], SUBADDITIVITY_MAX_SAMPLES, replace=False)]
-    if b.shape[0] > SUBADDITIVITY_MAX_SAMPLES:
-        b = b[rng.choice(b.shape[0], SUBADDITIVITY_MAX_SAMPLES, replace=False)]
+    a, b = _rows(a, SUBADDITIVITY_MAX_SAMPLES, rng), _rows(b, SUBADDITIVITY_MAX_SAMPLES, rng)
     n_boot = min(n_boot, 32)
     combos = list(itertools.combinations(range(n), k))
     if len(combos) > 64:
@@ -291,22 +290,19 @@ def subadditivity_check(
 ) -> SubadditivityReport:
     """Exact path for a pair of GaussianLaw (all (n choose k) subsets,
     n <= 10, slack tolerance `tol`); empirical path for a pair of sample
-    arrays (all subsets, or 64 of them drawn from rng; 3-combined-SE
+    clouds (all subsets, or 64 of them drawn from rng; 3-combined-SE
     tolerance).  The empirical path subsamples to 512 points per side and
     at most 32 bootstrap replicates: it flags gross violations, nothing
     finer."""
     k = _check(k, "positive-integer", "k")
-    if isinstance(full_a, GaussianLaw) and isinstance(full_b, GaussianLaw):
-        if full_a.dim != full_b.dim:
-            raise ValueError("laws must share a dimension")
-        if k > full_a.dim:
-            raise ValueError(f"k={k} exceeds dimension {full_a.dim}")
-        return _exact_subadditivity(full_a, full_b, k, tol)
-    a = np.atleast_2d(np.asarray(full_a, dtype=float))
-    b = np.atleast_2d(np.asarray(full_b, dtype=float))
-    if a.shape[1] != b.shape[1]:
-        raise ValueError("sample arrays must share a dimension")
-    if k > a.shape[1]:
-        raise ValueError(f"k={k} exceeds dimension {a.shape[1]}")
+    exact = isinstance(full_a, GaussianLaw) and isinstance(full_b, GaussianLaw)
+    a, b = (full_a, full_b) if exact else (_cloud(full_a, "a"), _cloud(full_b, "b"))
+    n, n_b = (a.dim, b.dim) if exact else (a.shape[1], b.shape[1])
+    if n != n_b:
+        raise ValueError(f"both sides must share a dimension, got {n} and {n_b}")
+    if k > n:
+        raise ValueError(f"k={k} exceeds dimension {n}")
+    if exact:
+        return _exact_subadditivity(a, b, k, tol)
     n_boot = _check(n_boot, "replicates", "n_boot")  # its tolerance is in standard errors
     return _empirical_subadditivity(a, b, k, n_boot, rng)

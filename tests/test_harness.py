@@ -46,7 +46,7 @@ from deloc.potential import (
     potential_from_dict,
     tridiagonal_precision,
 )
-from deloc.subsets import indices_from, mask_from, size
+from deloc.subsets import mask_from
 
 from conftest import serial_w2sq_assignment
 
@@ -356,13 +356,10 @@ def test_certified_trajectory_rows_start_and_h_star(tmp_path, capsys):
     tgt = orc.GaussianTarget(sparse.csr_array(tridiagonal_precision(n)))  # as the harness's
     law = tgt.law()
     law0 = orc.GaussianLaw(np.zeros(n), 3.0 * law.cov)
-    graph = build_graph(gaussian_potential(tgt.precision))
-    chains = {w for u in panel for w in graph.chain(mask_from(u))}
-    C0 = max(
-        orc.kl_gaussian(orc.marginal(law0, indices_from(w)), orc.marginal(law, indices_from(w)))
-        / size(w)
-        for w in chains
-    )
+    C0 = (3.0 - 1.0 - math.log(3.0)) / 2.0  # the start law is 3 Sigma: C0 in closed form
+    for w in ([2], [1, 2], list(range(n))):  # the oracle's marginal KL, |w| = 1, 2 and n
+        kl = orc.kl_gaussian(orc.marginal(law0, w), orc.marginal(law, w))
+        assert kl == pytest.approx(C0 * len(w), rel=1e-13, abs=0)
     starts = rep.select(metric="kl-transient")[:: k + 1]
     assert [r.subset for r in starts] == ["0", "2", "1|2"] * 2
     for r, u in zip(starts, panel * 2):
@@ -551,6 +548,19 @@ def test_delocalization_demo_small():
     assert rep.failures() == []
 
 
+def test_delocalization_compares_the_largest_n_with_the_smallest():
+    """The growth used to be the last n's bias over the first's: 1.0 for one dim
+    and below 1 for descending dims, both a false counterexample."""
+    across = ("rotated-bias-growth", "product-bias-variation")
+    rows = lambda dims: delocalization_failure_demo(dims=dims).rows
+    ascending, shuffled = rows((16, 32, 64)), rows((32, 64, 16))
+    claims = lambda rows: [r for r in rows if r.metric in across]
+    assert claims(shuffled) == claims(ascending) and [r.n for r in claims(shuffled)] == [64, 64]
+    single = rows((16,))
+    assert [r.metric for r in single] == ["w2sq-marginal-max-product", "w2sq-marginal-max-rotated"]
+    assert not any(r.valid is False for r in shuffled + single)
+
+
 def _householder_to_ones(n):
     """The reflection H = I - 2ww'/|w|^2 with w = e_1 - (1,...,1)/sqrt(n), so
     H e_1 = (1,...,1)/sqrt(n); the identity when that is e_1 already."""
@@ -632,15 +642,21 @@ def test_cli_run_reports_divergence_with_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("experiment", ["continuous-time", "certified-trajectory"])
 def test_cli_run_reports_an_overflowing_start_law_kl(experiment, tmp_path, capsys):
-    # a start law so wide that its KL to the target overflows: a ValueError, no numpy warning
+    """A start law so wide that its KL C0 |w| = 5e307 |w| overflows on a neighbourhood
+    of 4 coordinates, or the envelope 2 c C0 built on it does: a ValueError, no numpy
+    warning.  C0 itself, in closed form, stays finite for every finite cov0_scale."""
+    n, says = {
+        "continuous-time": (4, "the bound overflows at "),
+        "certified-trajectory": (3, "transient must be a number, got inf at theorem="),
+    }[experiment]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(
-        {"experiment": experiment, "dims": [3], "options": {"cov0_scale": 1e308}}
+        {"experiment": experiment, "dims": [n], "options": {"cov0_scale": 1e308}}
     ))
     rc = main(["run", str(cfg)])
     payload = cli_json(capsys)
     assert rc == 2 and payload["valid"] is False
-    assert payload["reason"].startswith("the KL divergence of two 2-dim Gaussian laws overflows")
+    assert payload["reason"].startswith(says) and payload["reason"].endswith("C0=5e+307")
 
 
 TINY_CONFIGS = {

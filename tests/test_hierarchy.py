@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import linalg, stats
 
 import deloc
-from deloc import _poisson, hierarchy
+from deloc import _poisson, hierarchy, subsets
 
 from deloc.bounds import sparse_exp_constants, sparse_poly_constants, weak_constants
 from deloc.graph import InteractionGraph
@@ -639,14 +639,37 @@ def test_certified_curves_are_bit_identical_to_recorded_values():
     c = pot.interaction_constants
     h = wp.h_star(c.M0, c.M1, c.R1) / 2
     curve = certified_entropy_curve("weak", wp, pot, golden_f(), h, 8, (1,))
-    assert curve.tolist() == [
-        1.5,
-        1.5011301645039632,
-        1.501649847801716,
-        1.5015840765715505,
-        1.5009571000741135,
-        1.499792411721072,
-        1.4981127700774866,
-        1.495940219312422,
-        1.4932961091119508,
-    ]
+    assert curve.tolist() == GOLDEN_WEAK_CURVE
+
+
+GOLDEN_WEAK_CURVE = [
+    1.5,
+    1.5011301645039632,
+    1.501649847801716,
+    1.5015840765715505,
+    1.5009571000741135,
+    1.499792411721072,
+    1.4981127700774866,
+    1.495940219312422,
+    1.4932961091119508,
+]
+
+
+def test_a_weak_curve_reads_a_weight_list_once_and_a_potential_not_at_all(monkeypatch):
+    """A weight support is read by the subset rule once, where the list enters, and
+    u once; a potential's factors read their supports when they were built.  The
+    curve used to read a list three times (7 reads for two weights) and a potential's
+    supports twice (111 reads for mean_field(10))."""
+    pot = gaussian_potential(tridiagonal_precision(5, 2.0, -0.5))
+    weights = [(list(t.support), t.lipschitz) for t in pot.active_terms]
+    wp = WeakParams(2.0, 0.3)
+    c = pot.interaction_constants
+    h = wp.h_star(c.M0, c.M1, c.R1) / 2
+    reads = []
+    read = subsets._subset
+    monkeypatch.setattr(subsets, "_subset", lambda u, *a, **k: reads.append(u) or read(u, *a, **k))
+    for structure, count in ((weights, len(weights) + 1), (pot, 1)):
+        reads.clear()
+        curve = certified_entropy_curve("weak", wp, structure, golden_f(), h, 8, (1,))
+        assert curve.tolist() == GOLDEN_WEAK_CURVE
+        assert len(reads) == count

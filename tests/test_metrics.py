@@ -164,27 +164,91 @@ def test_assignment_matches_the_serial_reference_bit_for_bit(norm, n_boot):
     assert rng.random() == ref_rng.random()
 
 
+@pytest.mark.parametrize("ndim", [1, 2])
 @pytest.mark.parametrize("norm", ["l2", "linf"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_assignment_refuses_a_non_finite_cloud_up_front(norm, bad, rng):
+def test_assignment_refuses_a_non_finite_cloud_up_front(ndim, norm, bad, rng):
     """scipy's chebyshev distance skips a NaN coordinate, so under linf a NaN cloud
     used to get a finite estimate; an inf gave "cost matrix is infeasible"."""
     x, y = rng.standard_normal((20, 2)), rng.standard_normal((20, 2))
     x[3, 1] = bad
+    if ndim == 1:
+        x, y = x[:, 1], y[:, 1]
     for a, b, name in ((x, y, "a"), (y, x, "b")):
         with pytest.raises(ValueError, match=f"sample cloud {name} must be finite, got a NaN or infinite"):
             w2sq_assignment(a, b, norm=norm, n_boot=4, rng=rng)
 
 
+@pytest.mark.parametrize("ndim", [1, 2])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_the_1d_estimate_and_the_empirical_check_refuse_a_non_finite_cloud(bad, rng):
+def test_the_1d_estimate_and_the_empirical_check_refuse_a_non_finite_cloud(ndim, bad, rng):
     x, y = rng.standard_normal((50, 3)), rng.standard_normal((50, 3))
     y[7, 2] = bad
+    if ndim == 1:
+        x, y = x[:, 2], y[:, 2]
     with pytest.raises(ValueError, match="sample cloud b must be finite"):
-        w2sq_1d(x[:, 2], y[:, 2], rng=rng)
-    for k in (1, 2, 3):
+        w2sq_1d(x if ndim == 1 else x[:, 2:], y if ndim == 1 else y[:, 2:], rng=rng)
+    for k in range(1, 4 if ndim == 2 else 2):
         with pytest.raises(ValueError, match="sample cloud b must be finite"):
             subadditivity_check(x, y, k, n_boot=2, rng=rng)
+
+
+@pytest.mark.parametrize("norm", ["l2", "linf"])
+def test_a_1d_cloud_is_m_samples_of_one_coordinate_in_every_estimate(norm):
+    """A 1-D list used to be one sample of dimension 3 to the assignment estimate
+    (27.0 from sample sizes (1, 1)); the quantile coupling read it as 3 samples."""
+    a, b = [1.0, 2.0, 3.0], [4.0, 5.0, 6.0]
+    est = w2sq_assignment(a, b, norm=norm, n_boot=2)
+    assert (est.value, est.sample_sizes) == (9.0, (3, 3))
+    assert w2sq_1d(a, b, n_boot=2).value == 9.0
+    col = w2sq_assignment(np.array(a)[:, None], np.array(b)[:, None], norm=norm, n_boot=2)
+    assert est == col
+
+
+def test_the_1d_estimate_refuses_a_cloud_of_several_coordinates():
+    """An (m, 3) cloud used to be flattened to 3m scalars without a word."""
+    with pytest.raises(ValueError, match="need clouds of one coordinate, got k=3 and k=3"):
+        w2sq_1d(np.ones((10, 3)), np.zeros((10, 3)))
+    with pytest.raises(ValueError, match="need clouds of one coordinate, got k=1 and k=2"):
+        w2sq_1d(np.ones(10), np.zeros((10, 2)))
+
+
+def test_the_empirical_check_reads_1d_clouds_as_one_coordinate():
+    x = np.random.default_rng(4).standard_normal((50, 2))
+    y = 1.2 * np.random.default_rng(5).standard_normal((50, 2))
+    flat = subadditivity_check(x[:, 0], y[:, 0], 1, n_boot=4, rng=np.random.default_rng(1))
+    col = subadditivity_check(x[:, :1], y[:, :1], 1, n_boot=4, rng=np.random.default_rng(1))
+    assert flat == col and (flat.n, flat.num_subsets) == (1, 1)
+    assert flat.lhs_average == flat.rhs_share  # one coordinate: both sides are one estimate
+
+
+@pytest.mark.parametrize(
+    "cloud, says",
+    [
+        ([], r"must be \(m,\) or \(m, k\) with m, k > 0, got \(0,\)"),
+        (np.zeros((4, 0)), r"got \(4, 0\)"),
+        (np.zeros((4, 2, 2)), r"got \(4, 2, 2\)"),
+        ([[1.0, 2.0], [3.0]], "must be numeric, got list"),
+        ("abc", "must be numeric, got str"),
+    ],
+    ids=["empty", "no-coordinate", "3-d", "ragged", "text"],
+)
+def test_every_estimate_refuses_a_cloud_that_breaks_the_rule(cloud, says):
+    good = np.zeros((4, 2))
+    for estimate in (w2sq_1d, w2sq_assignment):
+        with pytest.raises(ValueError, match="sample cloud b .*" + says):
+            estimate(good[:, 0] if estimate is w2sq_1d else good, cloud, n_boot=0)
+    with pytest.raises(ValueError, match="sample cloud a .*" + says):
+        subadditivity_check(cloud, good, 1, n_boot=2)
+
+
+def test_a_law_paired_with_a_cloud_is_a_value_error():
+    law = GaussianLaw(np.zeros(2), np.eye(2))
+    cloud = np.random.default_rng(0).standard_normal((20, 2))
+    with pytest.raises(ValueError, match="sample cloud a must be numeric, got GaussianLaw"):
+        subadditivity_check(law, cloud, 1, n_boot=2)
+    with pytest.raises(ValueError, match="sample cloud b must be numeric, got GaussianLaw"):
+        subadditivity_check(cloud, law, 1, n_boot=2)
 
 
 @pytest.mark.parametrize(
