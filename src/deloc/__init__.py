@@ -22,7 +22,6 @@ from .potential import (
     mean_field,
     potential_from_dict,
     quadratic_term,
-    tridiagonal_precision,
 )
 from .graph import (
     GrowthCertificate,

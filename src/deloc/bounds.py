@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from ._json import _check, _flaw
 from ._poisson import chain_mean
 from .graph import InteractionGraph
-from .subsets import size
+from .subsets import indices_from, size
 
 __all__ = [
     "BoundReport",
@@ -269,7 +269,8 @@ def continuous_time_bound(
     if H0 is None:  # the size-linear default needs C0
         _check(C0, "non-negative", "C0")
         H0 = lambda w: C0 * size(w)
-    inputs = dict(u=chain[0], t=t, eps=eps, alpha=alpha, beta=beta, gamma=gamma, n=graph.n)
+    inputs = dict(u=list(indices_from(chain[0])), t=t, eps=eps, alpha=alpha, beta=beta,
+                  gamma=gamma, n=graph.n)
     reason = _flaw(inputs, alpha="positive", beta="positive", gamma="positive")
     if reason:
         return BoundReport("continuous-time", inputs, {}, False, reason)

@@ -26,7 +26,7 @@ import numpy as np
 from . import bounds as bnd
 from . import hierarchy as hie
 from ._json import _check, load
-from .graph import build_graph
+from .graph import _least_c, build_graph
 from .harness import config_from_dict, run_experiment
 from .potential import load_potential
 from .subsets import as_mask, size
@@ -121,16 +121,13 @@ def _cmd_hierarchy(args) -> dict:
             consts = pot.interaction_constants
             h_star = params.h_star(consts.M0, consts.M1, consts.R1)
             curve = hie.certified_entropy_curve("weak", params, pot, H0, args.h, args.k, u)
-        else:
-            growth = {"r": args.r} if args.case == "sparse-exp" else {"p": args.p}
-            params = hie.SparseParams(
-                sm.alpha, pot.beta, sm.gamma, args.c, epsilon=args.eps, **growth
-            )
-            h_star = params.h_star()
-            curve = hie.certified_entropy_curve(
-                "sparse", params, build_graph(pot), H0, args.h, args.k, u
-            )
-        return {**args.head(args), "h_star": h_star, "curve": curve.tolist()}
+            return {**args.head(args), "h_star": h_star, "curve": curve.tolist()}
+        growth = {"r": args.r} if args.case == "sparse-exp" else {"p": args.p}
+        graph = build_graph(pot)
+        c = _least_c(graph, "exponential" if "r" in growth else "polynomial", *growth.values())
+        params = hie.SparseParams(sm.alpha, pot.beta, sm.gamma, c, epsilon=args.eps, **growth)
+        curve = hie.certified_entropy_curve("sparse", params, graph, H0, args.h, args.k, u)
+        return {**args.head(args), "c": c, "h_star": params.h_star(), "curve": curve.tolist()}
     F = hie.SubsetFunction.size()
     eps = 0.5 if args.eps is None else args.eps
     if args.case == "weak":
@@ -215,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--t", type=_number, default=1.0)
     shared.add_argument("--h", type=_number, default=0.01)
     shared.add_argument("--k", type=int, default=100)
-    shared.add_argument("--c", type=_number, default=1.0)
     shared.add_argument("--p", type=_number, default=1.0)
     shared.add_argument("--r", type=_number, default=1.5)
     shared.add_argument("--C0", type=_number, default=1.0)
@@ -229,6 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
             "onestep-linf", "continuous-time", "poisson-moment", "subgaussian-linf",
         ],
     )
+    p_b.add_argument("--c", type=_number, default=1.0)
     p_b.add_argument("--alpha", type=_number, default=1.0)
     p_b.add_argument("--alpha0", type=_number, default=0.0)
     p_b.add_argument("--beta", type=_number, default=1.0)

@@ -14,6 +14,7 @@ memoized up to their stabilization index (InteractionGraph.chain).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -95,9 +96,11 @@ class GrowthCertificate:
         _check(self.exponent, "at-least-1", "growth certificate exponent")
 
     def vertex_bound(self, k: int) -> float:
-        if self.mode == "polynomial":
-            return self.c * (1.0 + float(k) ** self.exponent)
-        return self.c * self.exponent**k
+        poly = self.mode == "polynomial"
+        try:
+            return self.c * ((1.0 + float(k) ** self.exponent) if poly else self.exponent**k)
+        except OverflowError:  # k^p or r^k above every float: no size reaches the bound
+            return math.inf
 
 
 @dataclass(frozen=True)
@@ -111,8 +114,7 @@ def verify_growth(g: InteractionGraph, cert: GrowthCertificate) -> GrowthReport:
     """Exhaustively check the certificate for every vertex, for k from 0 up
     to each vertex's stabilization index.  Beyond stabilization the
     neighbourhood size is constant while the bound is nondecreasing, so
-    this range is exhaustive.  Certificates are verified, never fitted.
-    """
+    this range is exhaustive."""
     checked = 0
     for i in range(g.n):
         chain = g.chain(1 << i)
@@ -124,3 +126,18 @@ def verify_growth(g: InteractionGraph, cert: GrowthCertificate) -> GrowthReport:
                 return GrowthReport(False, (i, k), checked)
     return GrowthReport(True, None, checked)
 
+
+def _least_c(g: InteractionGraph, mode: str, exponent: float) -> float:
+    """The least c for which GrowthCertificate(mode, c, exponent) holds on g: the largest
+    |N_{k+1}(i)| / vertex_bound(k) at c = 1 over the range verify_growth checks, each
+    ratio stepped up one ulp where its product with vertex_bound(k) falls short."""
+    unit = GrowthCertificate(mode, 1.0, exponent)
+    c = 1.0  # |N_1(i)| >= 1 = vertex_bound(0) at c = 1
+    for i in range(g.n):
+        chain = g.chain(1 << i)
+        J = len(chain) - 1
+        for k in range(J + 1):
+            got, bound = size(chain[min(k + 1, J)]), unit.vertex_bound(k)
+            ratio = got / bound
+            c = max(c, ratio if ratio * bound >= got else math.nextafter(ratio, math.inf))
+    return c

@@ -26,9 +26,9 @@ from . import bounds as bnd
 from . import metrics as mtr
 from . import oracle as orc
 from ._json import _SEQUENCE, _dense, read
-from .graph import GrowthCertificate, InteractionGraph, verify_growth
+from .graph import GrowthCertificate, InteractionGraph, _least_c, verify_growth
 from .hierarchy import SparseParams, SubsetFunction, certified_entropy_curve
-from .potential import gaussian_potential
+from .potential import _tridiagonal, gaussian_potential
 from .sampler import DivergenceError, SamplerConfig, marginal_samples, run_chain
 from .subsets import size, sorted_indices
 
@@ -65,7 +65,7 @@ class ExperimentConfig:
         for name, kind in (("dims", ["positive-integer"]), ("h_values", ["positive"])):
             object.__setattr__(self, name, tuple(read(vars(self), name, "config", kind)))
         object.__setattr__(self, "seed", read(vars(self), "seed", "config", "integer"))
-        _read_panel(self.subsets)
+        resolve_panel(None, self.subsets)
         # every option, given or not, read once by its rule; the experiments look them up here
         table = _OPTIONS[self.experiment]
         given = {**table, **read(vars(self), "options", "config", set(table))}
@@ -194,44 +194,34 @@ _PARTS = {  # the named parts of a panel, each expanded against the graph
 }
 
 
-def _read_panel(spec, n: int | None = None):
-    """A panel spec read in full, each subset by the subset rule with n: the part
-    names of a string, the (size, count, seed) of a random draw, or the subsets of a list."""
+def resolve_panel(graph: InteractionGraph | None, spec) -> list[tuple[int, ...]] | None:
+    """The subsets of a panel spec: "singletons", "pairs" (graph edges), "all-pairs", parts
+    joined by "+", a list, or {"random": {"size": k, "count": c, "seed": s}}, a fixed draw.
+    Each subset is read by the subset rule with n = graph.n, and an empty panel is a
+    ValueError.  With graph None, as when a config is built, the spec is only read."""
+    n = None if graph is None else graph.n
     if isinstance(spec, str):
         parts = [part.strip() for part in spec.split("+")]
         for part in parts:
             if part not in _PARTS:
                 raise ValueError(f"unknown panel spec {part!r}")
-        return parts
-    if isinstance(spec, dict):
+        panel = None if graph is None else [u for part in parts for u in _PARTS[part](graph)]
+    elif isinstance(spec, dict):
         draw = read(read(spec, None, "config 'subsets'", {"random"}), "random", "subsets",
                     {"size", "count", "seed"})
         where = "subsets 'random'"
         size, count = (read(draw, key, where, "positive-integer") for key in ("size", "count"))
         if n is not None and size > n:
             raise ValueError(f"{where} 'size' must be at most n={n}, got {size}")
-        return size, count, read(draw, "seed", where, "integer", 0)
-    if not isinstance(spec, _SEQUENCE):
+        rng = np.random.default_rng(read(draw, "seed", where, "integer", 0))
+        panel = None if graph is None else [
+            tuple(sorted(rng.choice(n, size=size, replace=False).tolist())) for _ in range(count)
+        ]
+    elif isinstance(spec, _SEQUENCE):
+        panel = [tuple(sorted_indices(u, n, "subsets entry")) for u in spec]
+    else:
         raise ValueError(f"config 'subsets' must be a string, list or object, got {spec!r}")
-    if not len(spec):
-        raise ValueError(f"subset panel {spec!r} is empty")
-    return [tuple(sorted_indices(u, n, "subsets entry")) for u in spec]
-
-
-def resolve_panel(graph: InteractionGraph, spec) -> list[tuple[int, ...]]:
-    """Expand a panel spec into subsets: "singletons", "pairs" (graph
-    edges), "all-pairs", combinations via "+", an explicit list, or
-    {"random": {"size": k, "count": c}} using a fixed draw.  The spec is read
-    as the config reads it, with n = graph.n; an empty panel is a ValueError."""
-    panel = _read_panel(spec, graph.n)
-    if isinstance(spec, str):
-        panel = [u for part in panel for u in _PARTS[part](graph)]
-    elif isinstance(spec, dict):
-        size, count, seed = panel
-        rng = np.random.default_rng(seed)
-        panel = [tuple(sorted(rng.choice(graph.n, size=size, replace=False).tolist()))
-                 for _ in range(count)]
-    if not panel:
+    if panel == []:
         raise ValueError(f"subset panel {spec!r} is empty")
     return panel
 
@@ -256,8 +246,7 @@ def _kind(key: str, default):
 def _target_from_options(n: int, config: ExperimentConfig) -> orc.GaussianTarget:
     A = config._options["precision"]
     if A is None:  # CSR, so the target takes the sine basis and forms no n x n array
-        diag, off = config._options["diag"], config._options["off"]
-        A = sparse.diags_array([off, diag, off], offsets=(-1, 0, 1), shape=(n, n), format="csr")
+        A = _tridiagonal(n, config._options["diag"], config._options["off"])
     elif A.shape != (n, n):
         raise ValueError(f"precision shape {A.shape} does not match n={n}")
     return orc.GaussianTarget(A)
@@ -351,27 +340,28 @@ def _exp_gaussian_scaling(config: ExperimentConfig) -> Iterator[ReportRow]:
 
 
 def _sparse_poly_setup(config: ExperimentConfig, gamma: float, p: float):
-    """Build the target on one n (8 by default) and its graph, and yield the row of
-    the polynomial growth certificate (c from the options, exponent p).  Returns
-    (n, target, graph, panel, sparse-poly report); invalid constants raise."""
+    """Build the target on one n (8 by default) and its graph, and yield the row of the
+    polynomial growth certificate: exponent p, c measured on the graph.  Returns (n, target,
+    graph, panel, SparseParams at that c, its sparse-poly report); invalid constants raise."""
     n = _single(config, "dims", 8)
     tgt = _target_from_options(n, config)
     graph = _precision_graph(tgt)
-    cert = GrowthCertificate("polynomial", config._options["c"], p)
+    cert = GrowthCertificate("polynomial", _least_c(graph, "polynomial", p), p)
     growth = verify_growth(graph, cert)
     yield ReportRow(
         config.experiment, n, None, "vertices", "growth-certificate",
         float(growth.passed), theorem="polynomial", valid=growth.passed,
     )
-    consts = bnd.sparse_poly_constants(tgt.alpha, tgt.beta, gamma, cert.c, cert.exponent)
+    params = SparseParams(tgt.alpha, tgt.beta, gamma, cert.c, p=p)
+    consts = params.constants()
     if not consts.valid:
         raise ValueError(f"constants invalid: {consts.reason}")
-    return n, tgt, graph, resolve_panel(graph, config.subsets), consts
+    return n, tgt, graph, resolve_panel(graph, config.subsets), params, consts
 
 
 def _exp_bound_vs_truth(config: ExperimentConfig) -> Iterator[ReportRow]:
     setup = _sparse_poly_setup(config, config._options["gamma"], config._options["p"])
-    n, tgt, graph, panel, consts = yield from setup
+    n, tgt, graph, panel, _, consts = yield from setup
     C, h_star = consts["C"], consts["h_star"]
     law = tgt.law()
     h_grid = config.h_values or tuple(h_star * i / 20.0 for i in range(1, 21))
@@ -395,10 +385,8 @@ def _exp_bound_vs_truth(config: ExperimentConfig) -> Iterator[ReportRow]:
 
 def _exp_certified_trajectory(config: ExperimentConfig) -> Iterator[ReportRow]:
     """Exact transient KL <= certified curve <= dynamic envelope, with p = gamma = 1."""
-    n, tgt, graph, panel, consts = yield from _sparse_poly_setup(config, 1.0, 1.0)
-    c, k_max = config._options["c"], config._options["k"]
-    params = SparseParams(tgt.alpha, tgt.beta, 1.0, c, p=1.0)
-    envelope = dict(alpha=tgt.alpha, beta=tgt.beta, gamma=1.0, c=c, p=1.0)
+    n, tgt, graph, panel, params, consts = yield from _sparse_poly_setup(config, 1.0, 1.0)
+    k_max = config._options["k"]
     law, law0, C0 = _start_law(config, tgt)
     H0 = SubsetFunction(lambda m: C0 * size(m), "c0-size")
     for h in config.h_values or (consts["h_star"] / 2.0,):
@@ -408,7 +396,7 @@ def _exp_certified_trajectory(config: ExperimentConfig) -> Iterator[ReportRow]:
         exact = [[_marginal_kl(law_k, law, u) for u in panel] for law_k in laws]
         for i, (u, curve) in enumerate(zip(panel, curves)):
             for k, bound in enumerate(curve.tolist()):
-                dyn = bnd.dynamic_bound("sparse-dyn-poly", envelope, k, h, len(u), C0)
+                dyn = bnd.dynamic_bound("sparse-dyn-poly", vars(params), k, h, len(u), C0)
                 if not dyn.valid:
                     raise ValueError(dyn.reason)
                 yield ReportRow(
@@ -626,8 +614,8 @@ EXPERIMENTS = {
 _TARGET = {"precision": None, "diag": 2.0, "off": -0.5}
 _OPTIONS = {  # each experiment's option keys and their defaults, read by _kind's rules
     "gaussian-scaling": _TARGET,
-    "bound-vs-truth": {**_TARGET, "c": 3.0, "p": 1.0, "gamma": 1.0},
-    "certified-trajectory": {**_TARGET, "c": 3.0, "cov0_scale": 2.0, "k": 200},
+    "bound-vs-truth": {**_TARGET, "p": 1.0, "gamma": 1.0},
+    "certified-trajectory": {**_TARGET, "cov0_scale": 2.0, "k": 200},
     "subadditivity": {**_TARGET, "tol": 1e-9},
     "continuous-time": {**_TARGET, "gamma": 1.0, "cov0_scale": 2.0, "eps": (0.25, 0.5, 0.9),
                         "times": (0.1, 0.5, 1.0, 2.0)},

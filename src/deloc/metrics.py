@@ -109,14 +109,17 @@ def w2sq_1d(a, b, n_boot: int = DEFAULT_BOOTSTRAP, rng=None) -> DistanceEstimate
     a, b = _cloud(a, "a"), _cloud(b, "b")
     if a.shape[1] != 1 or b.shape[1] != 1:
         raise ValueError(f"need clouds of one coordinate, got k={a.shape[1]} and k={b.shape[1]}")
-    a, b = a[:, 0], b[:, 0]
+    return _quantile(a[:, 0], b[:, 0], n_boot, np.random.default_rng(0) if rng is None else rng)
+
+
+def _quantile(a: np.ndarray, b: np.ndarray, n_boot: int, rng) -> DistanceEstimate:
+    """The quantile-coupling estimate of w2sq_1d between two read clouds of shape (m,)."""
     if a.shape[0] < 2 or b.shape[0] < 2:
         raise ValueError(f"need >= 2 samples per side, got {a.shape[0]} and {b.shape[0]}")
     m = min(a.shape[0], b.shape[0])
     av = _subsample_sorted(a, m)
     bv = _subsample_sorted(b, m)
     value = float(((av - bv) ** 2).mean())
-    rng = np.random.default_rng(0) if rng is None else rng
     se = float("nan")
     if n_boot > 0:
         # resample both sides and re-sort, so the standard error includes
@@ -135,13 +138,10 @@ def w2sq_1d(a, b, n_boot: int = DEFAULT_BOOTSTRAP, rng=None) -> DistanceEstimate
 _METRICS = {"l2": "sqeuclidean", "linf": "chebyshev"}  # linf's is squared after cdist
 
 
-def _clouds(a, b, norm: str) -> tuple[np.ndarray, np.ndarray, int]:
-    """The two clouds of an assignment estimate as (m, k) arrays, and m."""
+def _assignment_size(a: np.ndarray, b: np.ndarray, norm: str) -> int:
+    """m of an assignment estimate between two read clouds of one k, by the norm and caps."""
     if norm not in _METRICS:
         raise ValueError(f"unknown ground norm {norm!r} (use 'l2' or 'linf')")
-    a, b = _cloud(a, "a"), _cloud(b, "b")
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     k = a.shape[1]
     if k > MAX_ASSIGNMENT_DIM:
         raise ValueError(
@@ -153,7 +153,7 @@ def _clouds(a, b, norm: str) -> tuple[np.ndarray, np.ndarray, int]:
         raise ValueError(
             f"m={m} exceeds the assignment cap {MAX_ASSIGNMENT_SAMPLES}; subsample first"
         )
-    return a, b, m
+    return m
 
 
 def _fill_cost(x: np.ndarray, y: np.ndarray, norm: str, out: np.ndarray) -> np.ndarray:
@@ -162,15 +162,15 @@ def _fill_cost(x: np.ndarray, y: np.ndarray, norm: str, out: np.ndarray) -> np.n
 
 
 def _assignment_batch(problems) -> list[DistanceEstimate]:
-    """One estimate per (a, b, norm, n_boot, rng) problem, n_boot already read.
+    """One estimate per (a, b, norm, n_boot, rng) problem, its clouds and n_boot read.
 
     Every problem is checked, then every draw is made, problem by problem in
     the serial order: the larger cloud's subsample, then ia and ib for each
     replicate.  So each generator ends where one call per problem leaves it.
     Then every solve of every problem runs on one pool, largest m first."""
-    clouds = [_clouds(a, b, norm) for a, b, norm, _, _ in problems]
+    sizes = [_assignment_size(a, b, norm) for a, b, norm, _, _ in problems]
     tasks = []  # (problem, slot: 0 for the full sample, r for replicate r, x, y, norm, draw)
-    for p, ((a, b, m), (_, _, norm, n_boot, rng)) in enumerate(zip(clouds, problems)):
+    for p, (m, (a, b, norm, n_boot, rng)) in enumerate(zip(sizes, problems)):
         a, b = _rows(a, m, rng), _rows(b, m, rng)
         draws = [(rng.integers(0, m, size=m), rng.integers(0, m, size=m)) for _ in range(n_boot)]
         tasks += [(p, r, a, b, norm, draw) for r, draw in enumerate([None, *draws])]
@@ -209,7 +209,7 @@ def _assignment_batch(problems) -> list[DistanceEstimate]:
             float(values[0]), "w2sq" if norm == "l2" else "w2sq-linf", (m, m),
             float(np.std(values[1:], ddof=1)) if n_boot > 0 else float("nan"), "assignment",
         )
-        for (_, _, m), (_, _, norm, n_boot, _), values in zip(clouds, problems, entries)
+        for m, (_, _, norm, n_boot, _), values in zip(sizes, problems, entries)
     ]
 
 
@@ -224,6 +224,9 @@ def w2sq_assignment(
     randomly subsampled without replacement; n_boot = 0 gives no SE (NaN).
     """
     n_boot = _check(n_boot, "count" if n_boot == 0 else "replicates", "n_boot")
+    a, b = _cloud(a, "a"), _cloud(b, "b")
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     rng = np.random.default_rng(0) if rng is None else rng
     return _assignment_batch([(a, b, norm, n_boot, rng)])[0]
 
@@ -271,7 +274,7 @@ def _empirical_subadditivity(a: np.ndarray, b: np.ndarray, k: int, n_boot, rng):
         pick = rng.choice(len(combos), size=64, replace=False)
         combos = [combos[i] for i in sorted(pick)]
     if k == 1:  # quantile couplings, then the full cloud's assignment
-        ests, pairs = [w2sq_1d(a[:, u[0]], b[:, u[0]], n_boot=n_boot, rng=rng) for u in combos], []
+        ests, pairs = [_quantile(a[:, u[0]], b[:, u[0]], n_boot, rng) for u in combos], []
     else:  # every subset's assignment and the full cloud's, as one batch
         ests, pairs = [], [(a[:, u], b[:, u]) for u in combos]
     *ests, full = ests + _assignment_batch([(x, y, "l2", n_boot, rng) for x, y in [*pairs, (a, b)]])

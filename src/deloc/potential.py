@@ -32,7 +32,6 @@ __all__ = [
     "chain_pairwise",
     "grid_pairwise",
     "mean_field",
-    "tridiagonal_precision",
     "load_potential",
     "potential_from_dict",
 ]
@@ -371,13 +370,10 @@ def _pair_grad(dv):
 # -- builders ----------------------------------------------------------------
 
 
-def tridiagonal_precision(n: int, diag: float = 2.0, off: float = -0.5) -> np.ndarray:
-    A = np.zeros((n, n))
-    np.fill_diagonal(A, diag)
-    idx = np.arange(n - 1)
-    A[idx, idx + 1] = off
-    A[idx + 1, idx] = off
-    return A
+def _tridiagonal(n: int, diag: float, off: float):
+    """The n x n matrix with diag on the diagonal and off beside it, as CSR: no n x n array."""
+    from scipy import sparse  # on first use, as _assemble imports it
+    return sparse.diags_array([off, diag, off], offsets=(-1, 0, 1), shape=(n, n), format="csr")
 
 
 def _gaussian_terms(A, coords) -> list[FactorTerm]:
@@ -486,14 +482,12 @@ def _builtin_terms(name: str, support: list[int], params: dict) -> list[FactorTe
     if name == "gaussian":
         if ("precision" in params) == ("tridiagonal" in params):
             raise ValueError("builtin:gaussian needs 'precision' or 'tridiagonal' params, not both")
-        if "tridiagonal" in params:  # symmetric as built, and kept as CSR
-            from scipy import sparse
+        if "tridiagonal" in params:
             td = read(params, "tridiagonal", where, {"diag", "off"})
             td_where = f"{where} 'tridiagonal'"
             diag = read(td, "diag", td_where, "number", 2.0)
             off = read(td, "off", td_where, "number", -0.5)
-            A = sparse.diags_array([off, diag, off], offsets=(-1, 0, 1), shape=(k, k), format="csr")
-            return _gaussian_terms(A, support)
+            return _gaussian_terms(_tridiagonal(k, diag, off), support)
         A = read(params, "precision", where, "matrix")
         if A.shape != (k, k):
             raise ValueError(f"precision shape {A.shape} does not match support size {k}")

@@ -33,6 +33,16 @@ def brute_force_gradient(pot, x):
     return g
 
 
+def tridiagonal_precision(n, diag=2.0, off=-0.5):
+    """The dense n x n matrix with diag on the diagonal and off beside it."""
+    A = np.zeros((n, n))
+    np.fill_diagonal(A, diag)
+    idx = np.arange(n - 1)
+    A[idx, idx + 1] = off
+    A[idx + 1, idx] = off
+    return A
+
+
 def dense_term_order_sum(n, terms):
     """x'Ax/2 = sum of the quadratic terms as a dense array, each block added
     in term order: the loop that quadratic_matrix must match bit for bit."""

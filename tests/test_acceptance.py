@@ -23,7 +23,7 @@ from deloc.harness import (
     fit_scaling,
     run_experiment,
 )
-from deloc.potential import gaussian_potential, tridiagonal_precision
+from deloc.potential import gaussian_potential
 from deloc.subsets import indices_from, mask_from, size
 
 from conftest import (
@@ -31,6 +31,7 @@ from conftest import (
     commutation_residual_sparse,
     neighborhood_mask,
     random_spd,
+    tridiagonal_precision,
     weak_lattice_reference,
 )
 

@@ -33,9 +33,10 @@ from deloc.potential import (
     mean_field,
     potential_from_dict,
     quadratic_term,
-    tridiagonal_precision,
 )
 from deloc.sampler import SampleStore, SamplerConfig, marginal_samples
+
+from conftest import tridiagonal_precision
 
 POT = chain_pairwise(4)
 GRAPH = build_graph(POT)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,13 +8,14 @@ from hypothesis import given, settings, strategies as st
 from deloc.graph import (
     GrowthCertificate,
     InteractionGraph,
+    _least_c,
     build_graph,
     verify_growth,
 )
-from deloc.potential import gaussian_potential, mean_field, tridiagonal_precision
+from deloc.potential import gaussian_potential, grid_pairwise, mean_field
 from deloc.subsets import indices_from, mask_from
 
-from conftest import bfs_neighborhood, neighborhood_mask
+from conftest import bfs_neighborhood, neighborhood_mask, tridiagonal_precision
 
 
 def path_graph(n):
@@ -115,6 +117,54 @@ def test_growth_exponential_mode():
     assert report.passed
     tight = verify_growth(g, GrowthCertificate("exponential", 1.0, 1.0))
     assert not tight.passed  # |N_1| = 3 > 1 already at k = 0
+
+
+def binary_tree(n):
+    """The complete binary tree on n vertices, vertex i the parent of 2i + 1 and 2i + 2."""
+    return InteractionGraph(n, [(i, (i - 1) // 2) for i in range(1, n)])
+
+
+P_SHORT = 1.0 + 6.0 / 97.0
+
+
+@pytest.mark.parametrize("graph,mode,exponent,c", [
+    (path_graph(1), "polynomial", 1.0, 1.0),
+    (path_graph(2), "polynomial", 1.0, 2.0),
+    (path_graph(3), "polynomial", 1.0, 3.0),
+    (path_graph(8), "polynomial", 1.0, 3.0),
+    (path_graph(257), "polynomial", 1.0, 3.0),
+    (build_graph(grid_pairwise(8, 8)), "polynomial", 2.0, 6.5),  # |N_2| = 13 at k = 1
+    (build_graph(mean_field(4)), "polynomial", 1.0, 4.0),
+    (build_graph(mean_field(8)), "polynomial", 1.0, 8.0),
+    (build_graph(mean_field(6)), "exponential", 1.05, 6.0),
+    (binary_tree(63), "polynomial", 1.0, 12.6),  # |N_5(root)| = 63 at k = 4
+    # 63 / vertex_bound(4) rounds to a c whose product with it falls short of 63
+    (binary_tree(63), "polynomial", P_SHORT, math.nextafter(63.0 / (1.0 + 4.0**P_SHORT), 64.0)),
+], ids=["path-1", "path-2", "path-3", "path-8", "path-257", "grid-8x8", "mean-field-4",
+        "mean-field-8", "mean-field-6-exp", "tree-63", "tree-63-ulp"])
+def test_the_least_c_is_the_largest_ratio_and_holds_exactly(graph, mode, exponent, c):
+    assert _least_c(graph, mode, exponent) == c
+    assert verify_growth(graph, GrowthCertificate(mode, c, exponent)).passed
+    at_c, below = GrowthCertificate(mode, c, exponent), GrowthCertificate(mode, 1.0, exponent)
+    short = False
+    for i in range(graph.n):
+        chain = graph.chain(1 << i)
+        J = len(chain) - 1
+        for k in range(J + 1):
+            got = chain[min(k + 1, J)].bit_count()
+            assert at_c.vertex_bound(k) >= got  # no slack
+            short |= math.nextafter(c, 0.0) * below.vertex_bound(k) < got
+    assert short  # and no smaller c holds
+
+
+def test_a_bound_that_overflows_is_infinite():
+    """k^p or r^k beyond the largest float bounds every size; the least c ignores it."""
+    assert GrowthCertificate("polynomial", 1.0, 1e300).vertex_bound(2) == math.inf
+    assert GrowthCertificate("exponential", 1.0, 1e300).vertex_bound(2) == math.inf
+    g = path_graph(6)
+    assert verify_growth(g, GrowthCertificate("polynomial", 3.0, 1e300)).passed
+    assert _least_c(g, "polynomial", 1e300) == 3.0
+    assert _least_c(g, "exponential", 1e300) == 3.0
 
 
 def test_certificate_validation():

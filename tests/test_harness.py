@@ -13,7 +13,7 @@ import pytest
 from scipy import sparse
 
 import deloc
-from deloc.bounds import dynamic_bound, weak_constants
+from deloc.bounds import dynamic_bound, sparse_poly_constants, weak_constants
 from deloc import oracle as orc
 from deloc.cli import _emit, main
 from deloc.graph import InteractionGraph, build_graph
@@ -43,12 +43,12 @@ from deloc.hierarchy import (
 from deloc.potential import (
     gaussian_potential,
     load_potential,
+    mean_field,
     potential_from_dict,
-    tridiagonal_precision,
 )
 from deloc.subsets import mask_from
 
-from conftest import serial_w2sq_assignment
+from conftest import serial_w2sq_assignment, tridiagonal_precision
 
 
 def path_graph(n):
@@ -417,6 +417,22 @@ def test_bound_vs_truth_no_violations_at_smoke_scale():
     assert wide.failures() == []
 
 
+def test_bound_vs_truth_measures_c_on_the_graph():
+    """On mean_field(8) every vertex has |N_1(i)| = 8: the growth row holds at c = 8, and
+    the default h grid steps by h*/20 with h* = alpha / (4 c beta^2) from that c."""
+    A = mean_field(8).quadratic_matrix.toarray()
+    rep = run_experiment(ExperimentConfig("bound-vs-truth", options={"precision": A.tolist()}))
+    assert rep.rows[0].metric == "growth-certificate" and rep.rows[0].valid is True
+    tgt = orc.GaussianTarget(A)
+    consts = sparse_poly_constants(tgt.alpha, tgt.beta, 1.0, 8.0, 1.0)
+    hs = sorted({r.h for r in rep.rows[1:]})
+    assert hs == [consts["h_star"] * i / 20.0 for i in range(1, 21)]
+    assert {r.bound for r in rep.select(metric="kl-marginal", n=8) if r.h == hs[-1]} == {
+        consts["C"] * hs[-1]
+    }
+    assert not rep.failures()
+
+
 def test_subadditivity_experiment_equality_at_full_size():
     rep = run_experiment(ExperimentConfig(experiment="subadditivity", dims=(4,)))
     assert len(rep.rows) == 4
@@ -657,6 +673,8 @@ def test_cli_run_reports_an_overflowing_start_law_kl(experiment, tmp_path, capsy
     payload = cli_json(capsys)
     assert rc == 2 and payload["valid"] is False
     assert payload["reason"].startswith(says) and payload["reason"].endswith("C0=5e+307")
+    if experiment == "continuous-time":  # the subset is named by its indices
+        assert payload["reason"].startswith("the bound overflows at u=[0], t=")
 
 
 TINY_CONFIGS = {
@@ -691,7 +709,7 @@ def test_cli_run_every_experiment_prints_json(experiment, tmp_path, capsys):
     [
         ({"experiment": "gaussian-scaling", "dims": [4], "h_values": [1.5]}, "stability region"),
         ({"experiment": "subadditivity", "dims": [12]}, "capped at n=10"),
-        ({"experiment": "bound-vs-truth", "dims": [4], "options": {"c": 0.5}},
+        ({"experiment": "bound-vs-truth", "dims": [4], "options": {"p": 0.5}},
          "growth certificate"),
         ({"experiment": "bound-vs-truth", "dims": [4, 64]}, "takes one entry in dims"),
         ({"experiment": "subadditivity", "h_values": [0.1, 0.2]}, "takes one entry in h_values"),
@@ -711,7 +729,7 @@ def test_cli_run_every_experiment_prints_json(experiment, tmp_path, capsys):
         ({"experiment": "continuous-time", "dims": [3], "h_values": [0.01]},
          "continuous-time takes no h_values, got [0.01]"),
         ({"experiment": "certified-trajectory", "dims": [3],
-          "options": {"c": 10.0, "cov0_scale": 5e307, "k": 1}},
+          "options": {"cov0_scale": 1e308, "k": 1}},
          "transient must be a number, got inf"),
         ({"experiment": "certified-trajectory", "h_values": [0.1]}, "exceeds h*"),
         ({"experiment": "gaussian-scaling", "dims": [0]}, "'dims' entries must be integers >= 1"),
@@ -725,6 +743,13 @@ def test_cli_run_every_experiment_prints_json(experiment, tmp_path, capsys):
         # the default sparse target: its sine spectrum has lambda_min < 0 at n = 8
         ({"experiment": "gaussian-scaling", "dims": [8], "options": {"diag": 1.0, "off": -0.6}},
          "precision must be positive definite"),
+        # c is measured on the graph, so no run takes it
+        ({"experiment": "bound-vs-truth", "options": {"c": 3.0}},
+         "unknown config 'options' keys ['c']"),
+        ({"experiment": "certified-trajectory", "options": {"c": 3.0}},
+         "unknown config 'options' keys ['c']"),
+        # k^p overflows in the growth check: the bound is inf there, and the constant overflows
+        ({"experiment": "bound-vs-truth", "options": {"p": 1e300}}, "a constant overflows at"),
     ],
 )
 def test_cli_run_reports_domain_errors_with_exit_2(spec, reason, tmp_path, capsys):
@@ -944,6 +969,9 @@ def test_cli_bounds_continuous_time_with_potential(tmp_path, capsys):
     assert exc.value.code == 2
     capsys.readouterr()
 
+    rc = main(["bounds", "continuous-time", "--potential", pot, "--subset", "2", "1"])
+    assert rc == 0 and cli_json(capsys)["inputs"]["u"] == [1, 2]
+
     rc = main(["bounds", "continuous-time", "--potential", pot, "--subset", "1", "--eps", "1.5"])
     payload = cli_json(capsys)
     assert rc == 2
@@ -1014,12 +1042,44 @@ def test_cli_hierarchy_semigroup_and_certify(tmp_path, capsys):
     assert 1.0 <= payload["value"] <= 6.0  # mean neighbourhood size on 6 vertices
 
     rc = main(["hierarchy", pot, "--case", "sparse-poly", "--certify",
-               "--c", "3", "--p", "1", "--h", "0.005", "--k", "10", "--subset", "1"])
+               "--p", "1", "--h", "0.005", "--k", "10", "--subset", "1"])
     payload = cli_json(capsys)
     assert rc == 0
     assert len(payload["curve"]) == 11
     assert payload["curve"][0] == 1.0  # default C0 |u|
+    assert payload["c"] == 3.0  # measured on the path
     assert payload["h_star"] == pytest.approx(1.0 / 108.0)
+
+
+def test_cli_hierarchy_certifies_with_the_growth_constant_of_the_graph(tmp_path, capsys):
+    """A 6-vertex path with alpha = 0.5 and beta = 2 has c = 3, so h* = 1/96: an h of
+    0.02, below the h* = 1/32 of c = 1, is refused, and 0.005 is certified."""
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({
+        "n": 6, "smoothness": {"alpha": 0.5, "beta": 2.0},
+        "terms": [{"kind": "builtin:chain-pairwise", "support": list(range(6))}],
+    }))
+    rc = main(["hierarchy", str(path), "--certify", "--subset", "2", "--h", "0.02"])
+    payload = cli_json(capsys)
+    assert rc == 2 and payload["valid"] is False
+    assert "h=0.02 exceeds h* = 0.010416666666666666" in payload["reason"]
+
+    rc = main(["hierarchy", str(path), "--certify", "--subset", "2", "--h", "0.005", "--k", "4"])
+    payload = cli_json(capsys)
+    params = SparseParams(0.5, 2.0, 1.0, 3.0, p=1.0)
+    H0 = SubsetFunction.size()
+    graph = build_graph(load_potential(str(path)))
+    assert rc == 0
+    assert (payload["c"], payload["h_star"]) == (3.0, 1.0 / 96.0)
+    assert payload["curve"] == certified_entropy_curve(
+        "sparse", params, graph, H0, 0.005, 4, (2,)
+    ).tolist()
+
+    # an exponent whose k^p overflows bounds every size: c is still measured, and the
+    # theorem's constant that overflows is the reason
+    rc = main(["hierarchy", str(path), "--certify", "--p", "1e300"])
+    payload = cli_json(capsys)
+    assert rc == 2 and "a constant overflows at" in payload["reason"]
 
 
 BOUNDS_ARGS = ["--alpha", "0.8", "--beta", "1.7", "--gamma", "0.4", "--c", "2", "--r", "1.2",
@@ -1081,12 +1141,12 @@ def test_cli_hierarchy_matches_direct_calls(tmp_path, capsys):
         "weak", params, weights, H0, 0.01, 8, (0,)
     ).tolist()
 
-    rc = main(["hierarchy", path, "--case", "sparse-exp", "--certify", "--c", "2",
+    rc = main(["hierarchy", path, "--case", "sparse-exp", "--certify",
                "--r", "1.05", "--h", "0.001", "--k", "8"])
-    params = SparseParams(sm.alpha, pot.beta, sm.gamma, 2.0, r=1.05)
+    params = SparseParams(sm.alpha, pot.beta, sm.gamma, 6.0, r=1.05)  # |N_1(i)| = 6
     payload = cli_json(capsys)
     assert rc == 0
-    assert payload["h_star"] == params.h_star()
+    assert (payload["c"], payload["h_star"]) == (6.0, params.h_star())
     assert payload["curve"] == certified_entropy_curve(
         "sparse", params, build_graph(pot), H0, 0.001, 8, (0,)
     ).tolist()

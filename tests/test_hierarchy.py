@@ -32,7 +32,6 @@ from deloc.potential import (
     chain_pairwise,
     gaussian_potential,
     interaction_constants,
-    tridiagonal_precision,
 )
 from deloc.subsets import as_mask, indices_from, mask_from, size
 
@@ -45,6 +44,7 @@ from conftest import (
     commutation_residual_sparse,
     commutation_residual_weak,
     neighborhood_mask,
+    tridiagonal_precision,
     weak_lattice_reference,
 )
 

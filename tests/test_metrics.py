@@ -22,9 +22,8 @@ from deloc.oracle import (
     sample,
     w2sq_gaussian,
 )
-from deloc.potential import tridiagonal_precision
 
-from conftest import plain_assignment_value, serial_w2sq_assignment
+from conftest import plain_assignment_value, serial_w2sq_assignment, tridiagonal_precision
 
 
 def test_w2sq_1d_identical_samples_zero(rng):
@@ -211,6 +210,23 @@ def test_the_1d_estimate_refuses_a_cloud_of_several_coordinates():
         w2sq_1d(np.ones((10, 3)), np.zeros((10, 3)))
     with pytest.raises(ValueError, match="need clouds of one coordinate, got k=1 and k=2"):
         w2sq_1d(np.ones(10), np.zeros((10, 2)))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_every_estimate_reads_each_cloud_once(k, monkeypatch):
+    """Each cloud is read once, where it enters: the empirical check's subsets and full
+    pair, the assignment batch and the quantile coupling read none again."""
+    import deloc.metrics as metrics
+
+    reads = []
+    read = metrics._cloud
+    monkeypatch.setattr(metrics, "_cloud", lambda x, what: reads.append(what) or read(x, what))
+    a = np.random.default_rng(1).standard_normal((100, 4))
+    b = 1.1 * np.random.default_rng(2).standard_normal((100, 4))
+    subadditivity_check(a, b, k, n_boot=2, rng=np.random.default_rng(3))
+    w2sq_assignment(a[:, :k], b[:, :k], n_boot=2)
+    w2sq_1d(a[:, 0], b[:, 0], n_boot=2)
+    assert reads == ["a", "b"] * 3
 
 
 def test_the_empirical_check_reads_1d_clouds_as_one_coordinate():

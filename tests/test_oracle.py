@@ -20,10 +20,10 @@ from deloc.oracle import (
 from deloc.harness import _rotated_precision
 from deloc.potential import (
     PairwiseSpec, chain_pairwise, gaussian_potential, mean_field, potential_from_dict,
-    quadratic_term, tridiagonal_precision,
+    quadratic_term,
 )
 
-from conftest import random_spd
+from conftest import random_spd, tridiagonal_precision
 
 
 def test_law_validation():

@@ -19,7 +19,6 @@ from deloc.potential import (
     mean_field,
     potential_from_dict,
     quadratic_term,
-    tridiagonal_precision,
 )
 
 from conftest import (
@@ -28,6 +27,7 @@ from conftest import (
     brute_force_value,
     dense_term_order_sum,
     finite_difference_gradient,
+    tridiagonal_precision,
 )
 
 
@@ -411,7 +411,6 @@ def test_a_csr_with_unsorted_and_repeated_entries_gives_the_terms_of_its_dense_f
 
 def test_a_csr_precision_is_read_without_a_dense_copy(monkeypatch):
     from scipy import sparse
-    import deloc.potential as potential
 
     A = _banded_spd(9, 300, 2)
     want = gaussian_potential(A.toarray())
@@ -422,7 +421,6 @@ def test_a_csr_precision_is_read_without_a_dense_copy(monkeypatch):
     spec["terms"][0]["params"] = {"tridiagonal": {"diag": 2.5, "off": 0.3}}
     refuse = lambda *a, **k: pytest.fail("a dense precision was built")  # noqa: E731
     monkeypatch.setattr(sparse.csr_array, "toarray", refuse)
-    monkeypatch.setattr(potential, "tridiagonal_precision", refuse)
     assert_same_potential(gaussian_potential(A), want)
     assert_same_potential(potential_from_dict(spec), dense_builtin)
 

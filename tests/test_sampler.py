@@ -12,7 +12,6 @@ from deloc.potential import (
     callable_term,
     chain_pairwise,
     gaussian_potential,
-    tridiagonal_precision,
 )
 from deloc.sampler import (
     DivergenceError,
@@ -21,6 +20,8 @@ from deloc.sampler import (
     marginal_samples,
     run_chain,
 )
+
+from conftest import tridiagonal_precision
 
 
 @pytest.fixture
