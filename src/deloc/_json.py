@@ -3,7 +3,8 @@
 name in _RULES; a set of names, for a JSON object with no other keys; [kind],
 for a list of kind entries; or None, for any value.  `_check` checks a bare
 value and `_flaw` reports instead of raising.  A domain kind (positive, count,
-...) extends number or integer, so NaN, infinities, bools and strings break it."""
+...) extends number or integer, so NaN, infinities, bools and strings break it.
+`_ordered` is the alpha <= beta rule of the smoothness constants and sparse theorems."""
 
 from __future__ import annotations
 
@@ -160,6 +161,11 @@ def _check(value, kind, label: str):
         raise ValueError(f"{label} must be {_RULES[kind][3]}, got {value!r}")
     cast = _RULES[kind][2]
     return value if cast is None else cast(value)
+
+
+def _ordered(alpha, beta) -> str:
+    """The reason alpha <= beta fails; "" if it holds."""
+    return f"need alpha <= beta, got alpha={alpha} > beta={beta}" if alpha > beta else ""
 
 
 def _flaw(values: dict, **kinds) -> str:

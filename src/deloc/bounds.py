@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._json import _check, _flaw
+from ._json import _check, _flaw, _ordered
 from ._poisson import chain_mean
 from .graph import InteractionGraph
 from .subsets import indices_from, size
@@ -94,10 +94,6 @@ def _report(theorem: str, inputs: dict, reason: str, formula) -> BoundReport:
         if flaw:
             outputs, reason = {}, reason or f"{flaw} at {_at(inputs)}"
     return BoundReport(theorem, inputs, outputs, not reason, reason)
-
-
-def _ordered(alpha: float, beta: float) -> str:
-    return f"need alpha <= beta, got alpha={alpha} > beta={beta}" if alpha > beta else ""
 
 
 def sparse_poly_constants(
@@ -178,6 +174,8 @@ def onestep_linf_bound(
     precisely beta > alpha > alpha0 >= 0 and ||M||_{inf->inf} <= alpha0,
     for h <= 1/beta.  Marginals of size |u| carry the extra |u| factor."""
     _check(n, "positive-integer", "n")
+    if usize is not None:
+        _check(usize, "positive-integer", "usize")
     inputs = dict(alpha=alpha, alpha0=alpha0, beta=beta, h=h, n=n, usize=usize)
     reason = _flaw(inputs, alpha="positive", alpha0="non-negative", beta="positive", h="positive")
     if not reason and not beta > alpha > alpha0:

@@ -7,8 +7,9 @@ Subcommands:
   deloc hierarchy ...          semigroup evaluation and certified curves
   deloc validate <pot.json>    sanity-check a potential file
 
-Each subcommand returns its report and `main` prints it as one strict JSON
-document.  Input outside a theorem's or an experiment's domain, or a
+Each theorem of bounds and each mode of hierarchy takes the flags it reads
+(_READS) and no others; another flag is a usage error.  Each subcommand
+returns its report and `main` prints it as one strict JSON document.  Input outside a theorem's or an experiment's domain, or a
 result holding NaN or an infinity (a ValueError), is reported as the
 command's head plus valid=false and the reason.  Exit status is 0 on success
 and 2 if any check failed (a report with valid=false or a run with failed rows)."""
@@ -59,6 +60,43 @@ def _usage(read, text: str):
 
 _number = partial(_usage, lambda text: _check(float(text), "number", "value"))
 
+# every flag of bounds and hierarchy: how it is parsed, and its default
+_FLAGS = {
+    **{name: dict(type=_number, default=d) for name, d in dict(
+        t=1.0, h=0.01, p=1.0, r=1.5, C0=1.0, eps=0.5, c=1.0, alpha=1.0, alpha0=0.0, beta=1.0,
+        gamma=1.0, M0=1.0, M1=1.0, R1=0.0, rate=1.0).items()},
+    **{name: dict(type=int, default=d) for name, d in dict(k=100, n=2, usize=1).items()},
+    # each index is read as JSON, so the subset rule judges 2.0, 0.7, -1 and true itself
+    "subset": dict(type=partial(_usage, json.loads), nargs="+", default=[0]),
+    "potential": dict(required=True, default=None, help="potential JSON"),
+}
+
+
+def _reads(*names, **defaults) -> dict:
+    """A mode's {flag: default}: names at their _FLAGS default, and the keyword defaults."""
+    return {**{name: _FLAGS[name]["default"] for name in names}, **defaults}
+
+
+# the flags each mode reads, with their defaults: each theorem of bounds, and
+# hierarchy --certify for each --case (where eps None is 1 - eta/2) or without it
+_READS = {
+    "bounds": {
+        **{t: _reads(*names) for t, (_, names) in bnd.THEOREMS.items()},
+        **{t: _reads(*bnd.THEOREMS[t.replace("-dyn", "")][1], "k", "h", "usize", "C0")
+           for t in bnd.DYNAMIC_THEOREMS},
+        "onestep-linf": _reads("alpha", "alpha0", "beta", "h", "n", "usize"),
+        "continuous-time": _reads("potential", "subset", "t", "eps", "C0"),
+        "poisson-moment": _reads("rate", "t", "p"),
+        "subgaussian-linf": _reads("beta", "n"),
+    },
+    "hierarchy": {
+        **{f"--certify --case {case}": _reads("subset", "h", "k", "C0", *growth, eps=None)
+           for case, growth in (("sparse-poly", ["p"]), ("sparse-exp", ["r"]), ("weak", []))},
+        "without --certify": _reads("subset", "eps", "t"),
+    },
+}
+_HIERARCHY_FLAGS = dict.fromkeys(name for mode in _READS["hierarchy"].values() for name in mode)
+
 
 def _cmd_run(args) -> dict:
     cfg = config_from_dict(args.config)
@@ -97,8 +135,6 @@ def _cmd_bounds(args) -> dict:
     elif t in bnd.DYNAMIC_THEOREMS:
         rep = bnd.dynamic_bound(t, vars(args), args.k, args.h, args.usize, args.C0)
     else:  # continuous-time over the loaded potential
-        if args.potential is None:
-            args.usage_error("continuous-time needs --potential")
         pot = load_potential(args.potential)
         sm = pot.smoothness
         rep = bnd.continuous_time_bound(
@@ -129,12 +165,13 @@ def _cmd_hierarchy(args) -> dict:
         curve = hie.certified_entropy_curve("sparse", params, graph, H0, args.h, args.k, u)
         return {**args.head(args), "c": c, "h_star": params.h_star(), "curve": curve.tolist()}
     F = hie.SubsetFunction.size()
-    eps = 0.5 if args.eps is None else args.eps
     if args.case == "weak":
-        gen = hie.WeakGenerator.from_params(pot, sm.alpha, sm.gamma, eps)
+        gen = hie.WeakGenerator.from_params(pot, sm.alpha, sm.gamma, args.eps)
         value = hie.semigroup_weak(gen, args.t, F, u)
     else:
-        gen = hie.SparseGenerator.from_params(build_graph(pot), sm.alpha, pot.beta, sm.gamma, eps)
+        gen = hie.SparseGenerator.from_params(
+            build_graph(pot), sm.alpha, pot.beta, sm.gamma, args.eps
+        )
         value = hie.semigroup_sparse(gen, args.t, F, u)
     return {**args.head(args), "value": value}
 
@@ -152,9 +189,7 @@ def _cmd_validate(args) -> dict:
 
     check("loads", True)
     sm = pot.smoothness
-    check("alpha-positive", sm.alpha > 0, f"alpha={sm.alpha}")
     check("beta-defined", True, f"beta={pot.beta}")
-    check("alpha-le-beta", sm.alpha <= pot.beta + 1e-12)
 
     consts = pot.interaction_constants
     check("constants-finite", all(np.isfinite([consts.M0, consts.M1, consts.R0, consts.R1])))
@@ -205,50 +240,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--gnuplot", action="store_true", help="also write per-metric .dat files")
     p_run.set_defaults(func=_cmd_run, head=_run_head)
 
-    # the flags that bounds and hierarchy share, with the same defaults
-    shared = argparse.ArgumentParser(add_help=False)
-    # each index is read as JSON, so the subset rule judges 2.0, 0.7, -1 and true itself
-    shared.add_argument("--subset", type=partial(_usage, json.loads), nargs="+", default=[0])
-    shared.add_argument("--t", type=_number, default=1.0)
-    shared.add_argument("--h", type=_number, default=0.01)
-    shared.add_argument("--k", type=int, default=100)
-    shared.add_argument("--p", type=_number, default=1.0)
-    shared.add_argument("--r", type=_number, default=1.5)
-    shared.add_argument("--C0", type=_number, default=1.0)
-
-    p_b = sub.add_parser("bounds", parents=[shared], help="evaluate theorem constants and bounds")
-    p_b.add_argument(
-        "theorem",
-        choices=[
-            "sparse-poly", "sparse-exp", "weak",
-            "sparse-dyn-poly", "sparse-dyn-exp", "weak-dyn",
-            "onestep-linf", "continuous-time", "poisson-moment", "subgaussian-linf",
-        ],
-    )
-    p_b.add_argument("--c", type=_number, default=1.0)
-    p_b.add_argument("--alpha", type=_number, default=1.0)
-    p_b.add_argument("--alpha0", type=_number, default=0.0)
-    p_b.add_argument("--beta", type=_number, default=1.0)
-    p_b.add_argument("--gamma", type=_number, default=1.0)
-    p_b.add_argument("--M0", type=_number, default=1.0)
-    p_b.add_argument("--M1", type=_number, default=1.0)
-    p_b.add_argument("--R1", type=_number, default=0.0)
-    p_b.add_argument("--n", type=int, default=2)
-    p_b.add_argument("--eps", type=_number, default=0.5)
-    p_b.add_argument("--usize", type=int, default=1)
-    p_b.add_argument("--rate", type=_number, default=1.0)
-    p_b.add_argument("--potential", help="potential JSON (continuous-time only)")
-    p_b.set_defaults(
-        func=_cmd_bounds, head=lambda a: {"theorem": a.theorem}, usage_error=p_b.error
-    )
+    # no prefix matching where modes declare flags: --h would be --help, --p --potential
+    p_b = sub.add_parser("bounds", help="evaluate theorem constants and bounds", allow_abbrev=False)
+    theorems = p_b.add_subparsers(dest="theorem", required=True)
+    for theorem, reads in _READS["bounds"].items():
+        p_t = theorems.add_parser(theorem, allow_abbrev=False)
+        for name, default in reads.items():
+            p_t.add_argument(f"--{name}", **{**_FLAGS[name], "default": default})
+    p_b.set_defaults(func=_cmd_bounds, head=lambda a: {"theorem": a.theorem})
 
     p_h = sub.add_parser(
-        "hierarchy", parents=[shared], help="semigroup values and certified curves"
+        "hierarchy", help="semigroup values and certified curves", allow_abbrev=False
     )
     p_h.add_argument("potential")
     p_h.add_argument("--case", choices=["sparse-poly", "sparse-exp", "weak"], default="sparse-poly")
-    p_h.add_argument("--eps", type=_number, default=None)
     p_h.add_argument("--certify", action="store_true", help="certified entropy curve instead")
+    # with no default, a flag shows only when given: main refuses one its mode does not read
+    for name in _HIERARCHY_FLAGS:
+        p_h.add_argument(f"--{name}", **{**_FLAGS[name], "default": argparse.SUPPRESS})
     p_h.set_defaults(func=_cmd_hierarchy, head=_hierarchy_head)
 
     p_v = sub.add_parser("validate", help="check a potential JSON file")
@@ -257,8 +266,21 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _hierarchy_mode(args, usage_error) -> argparse.Namespace:
+    """args with its hierarchy mode's defaults; a flag the mode does not read is a usage error."""
+    mode = f"--certify --case {args.case}" if args.certify else "without --certify"
+    reads = _READS["hierarchy"][mode]
+    unread = [f"--{name}" for name in _HIERARCHY_FLAGS if name in vars(args) and name not in reads]
+    if unread:
+        usage_error(f"hierarchy {mode} does not read {', '.join(unread)}")
+    return argparse.Namespace(**{**reads, **vars(args)})
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "hierarchy":
+        args = _hierarchy_mode(args, parser.error)
     try:
         _emit(payload := args.func(args))
     except ValueError as e:

@@ -48,7 +48,7 @@ import numpy as np
 from scipy import sparse
 
 from ._poisson import chain_mean, shift_kernel, truncated_pmf
-from ._json import _check, read
+from ._json import _check, _ordered, read
 from .bounds import BoundReport, _above_h_star, theorem_constants
 from .graph import InteractionGraph
 from .potential import StructuredPotential, interaction_constants
@@ -249,8 +249,8 @@ class SparseParams:
         if (self.p is None) == (self.r is None):
             raise ValueError("set exactly one of p (polynomial) or r (exponential)")
         _read_params(self, c="at-least-1", beta="positive", p="at-least-1", r="at-least-1")
-        if self.beta < self.alpha:
-            raise ValueError(f"need alpha <= beta, got alpha={self.alpha} > beta={self.beta}")
+        if reason := _ordered(self.alpha, self.beta):
+            raise ValueError(reason)
 
     @property
     def mode(self) -> str:

@@ -448,4 +448,4 @@ def kl_gaussian(law1: GaussianLaw, law2: GaussianLaw) -> float:
 
 def sample(law: GaussianLaw, m: int, rng: np.random.Generator) -> np.ndarray:
     """m exact draws, shape (m, dim): mean + z L' with the stored Cholesky factor."""
-    return law.mean + rng.standard_normal((m, law.dim)) @ law.chol.T
+    return law.mean + rng.standard_normal((_check(m, "count", "m"), law.dim)) @ law.chol.T

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._json import MATRIX_TOL, PRECISION_TOL, _check, _dense, _symmetric, load, read
+from ._json import MATRIX_TOL, PRECISION_TOL, _check, _dense, _ordered, _symmetric, load, read
 from .subsets import _pair, sorted_indices
 
 __all__ = [
@@ -129,8 +129,8 @@ class SmoothnessParams:
         read(vars(self), "alpha", "smoothness", "positive")
         read(vars(self), "gamma", "smoothness", "positive")
         read(vars(self), "beta", "smoothness", "positive", None)
-        if self.beta is not None and self.beta < self.alpha:
-            raise ValueError(f"need alpha <= beta, got alpha={self.alpha}, beta={self.beta}")
+        if self.beta is not None and (reason := _ordered(self.alpha, self.beta)):
+            raise ValueError(reason)
 
 
 @dataclass(frozen=True)

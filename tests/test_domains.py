@@ -104,6 +104,8 @@ ENTRY_POINTS = [
      lambda v: bnd.onestep_linf_bound(1.0, 0.5, v, 0.1, 4), 2.0, 0.0, 0),
     ("onestep_linf_bound h", lambda v: bnd.onestep_linf_bound(1.0, 0.5, 2.0, v, 4), 0.1, 0.0, 0),
     ("onestep_linf_bound n", lambda v: bnd.onestep_linf_bound(1.0, 0.5, 2.0, 0.1, v), 2, 0, 1),
+    ("onestep_linf_bound usize",
+     lambda v: bnd.onestep_linf_bound(1.0, 0.5, 2.0, 0.1, 4, usize=v), 2, 0, 1),
     ("dynamic_bound k",
      lambda v: bnd.dynamic_bound("weak-dyn", WEAK_DYN, v, 1e-3, 1, 1.0), 2, -1, 1),
     ("dynamic_bound h",
@@ -183,6 +185,7 @@ ENTRY_POINTS = [
     ("SamplerConfig thinning", lambda v: SamplerConfig(h=0.1, iterations=10, thinning=v), 2, -1, 1),
     ("lmc_transient_law k", lambda v: orc.lmc_transient_law(A, 0.1, v, LAW0), 2, -2, 1),
     ("ou_law t", lambda v: orc.ou_law(A, v, LAW0), 1.2, -0.5, 0),
+    ("sample m", lambda v: orc.sample(LAW0, v, np.random.default_rng(0)), 2, -1, 1),
     ("subadditivity_check k", lambda v: subadditivity_check(LAW0, LAW0, v), 2, 0, 1),
     ("w2sq_1d n_boot", lambda v: w2sq_1d(CLOUD[:, 0], CLOUD[:, 1], n_boot=v), 2, -1, 1),
     ("w2sq_assignment n_boot", lambda v: w2sq_assignment(CLOUD, CLOUD, n_boot=v), 2, -1, 1),

@@ -1082,13 +1082,17 @@ def test_cli_hierarchy_certifies_with_the_growth_constant_of_the_graph(tmp_path,
     assert rc == 2 and "a constant overflows at" in payload["reason"]
 
 
-BOUNDS_ARGS = ["--alpha", "0.8", "--beta", "1.7", "--gamma", "0.4", "--c", "2", "--r", "1.2",
-               "--M0", "1.2", "--M1", "2.0", "--R1", "0.3", "--h", "0.001", "--k", "50",
-               "--usize", "2", "--C0", "1.5"]
+BOUNDS_VALUES = dict(alpha="0.8", beta="1.7", gamma="0.4", c="2", r="1.2", M0="1.2", M1="2.0",
+                     R1="0.3", h="0.001", k="50", usize="2", C0="1.5")
+
+
+def bounds_args(*names):
+    """The flags names with their BOUNDS_VALUES, as an argv."""
+    return [arg for name in names for arg in (f"--{name}", BOUNDS_VALUES[name])]
 
 
 def test_cli_bounds_match_direct_calls(capsys):
-    rc = main(["bounds", "weak", *BOUNDS_ARGS])
+    rc = main(["bounds", "weak", *bounds_args("alpha", "gamma", "M0", "M1", "R1")])
     payload = cli_json(capsys)
     rep = weak_constants(0.8, 0.4, 1.2, 2.0, 0.3)
     assert rc == 0
@@ -1099,7 +1103,7 @@ def test_cli_bounds_match_direct_calls(capsys):
         ("sparse-dyn-exp", dict(alpha=0.8, beta=1.7, gamma=0.4, c=2.0, r=1.2)),
         ("weak-dyn", dict(alpha=0.8, gamma=0.4, M0=1.2, M1=2.0, R1=0.3)),
     ):
-        rc = main(["bounds", theorem, *BOUNDS_ARGS])
+        rc = main(["bounds", theorem, *bounds_args(*params, "h", "k", "usize", "C0")])
         payload = cli_json(capsys)
         rep = dynamic_bound(theorem, params, 50, 0.001, 2, 1.5)
         assert rc == 0
@@ -1189,6 +1193,86 @@ def test_cli_hierarchy_certify_reports_domain_violation(tmp_path, capsys):
         assert reason in payload["reason"]
 
 
+# the flags each mode reads, 84 in all; {pot} is a potential file
+MODE_READS = {
+    "bounds sparse-poly": "alpha beta gamma c p",
+    "bounds sparse-exp": "alpha beta gamma c r",
+    "bounds weak": "alpha gamma M0 M1 R1",
+    "bounds sparse-dyn-poly": "alpha beta gamma c p k h usize C0",
+    "bounds sparse-dyn-exp": "alpha beta gamma c r k h usize C0",
+    "bounds weak-dyn": "alpha gamma M0 M1 R1 k h usize C0",
+    "bounds onestep-linf": "alpha alpha0 beta h n usize",
+    "bounds continuous-time --potential {pot}": "potential subset t eps C0",
+    "bounds poisson-moment": "rate t p",
+    "bounds subgaussian-linf": "beta n",
+    "hierarchy {pot} --certify --case sparse-poly": "subset eps h k C0 p",
+    "hierarchy {pot} --certify --case sparse-exp": "subset eps h k C0 r",
+    "hierarchy {pot} --certify --case weak": "subset eps h k C0",
+    "hierarchy {pot} --case sparse-poly": "subset eps t",
+    "hierarchy {pot} --case sparse-exp": "subset eps t",
+    "hierarchy {pot} --case weak": "subset eps t",
+}
+# a value for each of the 20 flags that every mode of bounds and hierarchy once took
+FLAG_VALUES = dict(
+    subset="1", t="0.5", h="0.001", k="3", p="1", r="1.2", C0="1", eps="0.5", c="1", alpha="0.5",
+    alpha0="0", beta="2", gamma="1", M0="1", M1="1", R1="0", n="2", usize="1", rate="1",
+    potential="{pot}",
+)
+
+
+def assert_usage_error(argv, flags, capsys):
+    """main(argv) is an argparse usage error whose message names each of flags."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    named = err.split("error: ", 1)[1].replace(",", " ").split()
+    assert all(flag in named for flag in flags), err
+
+
+@pytest.mark.parametrize("mode", MODE_READS)
+def test_cli_mode_accepts_exactly_the_flags_it_reads(mode, tmp_path, capsys):
+    pot = write_potential(tmp_path / "pot.json")
+    base = mode.format(pot=pot).split()
+    reads = MODE_READS[mode].split()
+    for flag, value in FLAG_VALUES.items():
+        argv = [*base, f"--{flag}", value.format(pot=pot)]
+        if flag in reads:
+            assert main(argv) in (0, 2), argv  # a payload, valid or not
+            capsys.readouterr()
+        else:
+            assert_usage_error(argv, [f"--{flag}"], capsys)
+
+
+def test_cli_refuses_a_flag_its_mode_does_not_read(tmp_path, capsys):
+    """Each of these ran with exit 0 and dropped the flags it did not read."""
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({
+        "n": 6, "smoothness": {"alpha": 0.5, "beta": 2.0},
+        "terms": [{"kind": "builtin:chain-pairwise", "support": list(range(6))}],
+    }))
+    pot = write_potential(tmp_path / "pot.json")
+    for argv, flags in (
+        # no prefix matching: --h is not --help, --r not --rate, --p not --potential
+        (["bounds", "weak", "--h", "0.001"], ["--h"]),
+        (["bounds", "poisson-moment", "--r", "2"], ["--r"]),
+        (["bounds", "continuous-time", "--potential", pot, "--p", "2"], ["--p"]),
+        (["hierarchy", str(chain), "--certify", "--subset", "2", "--h", "0.005", "--k", "3",
+          "--r", "7", "--t", "9"], ["--r", "--t"]),
+        (["hierarchy", str(chain), "--subset", "2", "--t", "0.5", "--h", "5", "--k", "3",
+          "--C0", "9", "--p", "4"], ["--h", "--k", "--C0", "--p"]),
+        (["bounds", "poisson-moment", "--rate", "2", "--t", "3", "--p", "2", "--alpha", "-1",
+          "--beta", "0", "--potential", "x.json", "--subset", "99"],
+         ["--alpha", "--beta", "--potential", "--subset"]),
+        # a flag before the theorem name is the bounds command's, which takes none
+        (["bounds", "--alpha=2", "sparse-poly"], ["--alpha=2"]),
+    ):
+        assert_usage_error(argv, flags, capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--alpha", "2", "sparse-poly"])  # 2 is read as the theorem
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
+
+
 def test_cli_validate(tmp_path, capsys):
     good = write_potential(tmp_path / "good.json")
     rc = main(["validate", good])
@@ -1196,6 +1280,10 @@ def test_cli_validate(tmp_path, capsys):
     assert rc == 0
     assert payload["valid"] is True
     assert all(c["ok"] for c in payload["checks"])
+    assert [c["name"] for c in payload["checks"]] == [
+        "loads", "beta-defined", "constants-finite", "gradient-finite", "gradient-matches-value",
+        "graph-buildable", "weak-condition",
+    ]
 
     bad = write_potential(tmp_path / "bad.json", alpha=100.0)  # alpha above beta
     rc = main(["validate", bad])

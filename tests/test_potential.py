@@ -120,7 +120,7 @@ def test_factor_kind_is_set_from_a_single_payload():
 def test_smoothness_validation():
     with pytest.raises(ValueError):
         SmoothnessParams(alpha=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need alpha <= beta, got alpha=2.0 > beta=1.0$"):
         SmoothnessParams(alpha=2.0, beta=1.0)
     with pytest.raises(ValueError):
         SmoothnessParams(alpha=1.0, gamma=0.0)
