@@ -8,7 +8,8 @@ Subcommands:
   deloc validate <pot.json>    sanity-check a potential file
 
 Each theorem of bounds and each mode of hierarchy takes the flags it reads
-(_READS) and no others; another flag is a usage error.  Each subcommand
+(_READS) and no others; another flag is a usage error, and so is a bounds
+flag before the theorem name.  Each subcommand
 returns its report and `main` prints it as one strict JSON document.  Input outside a theorem's or an experiment's domain, or a
 result holding NaN or an infinity (a ValueError), is reported as the
 command's head plus valid=false and the reason.  Exit status is 0 on success
@@ -17,6 +18,7 @@ and 2 if any check failed (a report with valid=false or a run with failed rows).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import replace
@@ -109,7 +111,7 @@ def _cmd_run(args) -> dict:
     failures = report.failures()
     return {
         "experiment": cfg.experiment,
-        "rows": len(report.rows),
+        "rows": report.metadata["rows"],
         "failures": len(failures),
         "failed_metrics": sorted({r.metric for r in failures}),
         "files": written,
@@ -276,8 +278,21 @@ def _hierarchy_mode(args, usage_error) -> argparse.Namespace:
     return argparse.Namespace(**{**reads, **vars(args)})
 
 
+def _flags_before_theorem(argv: list[str], usage_error) -> None:
+    """A flag given before the bounds theorem is a usage error that names it: bounds
+    itself takes none, and argparse would read its value as the theorem."""
+    if argv[:1] == ["bounds"]:
+        head = itertools.takewhile(lambda a: a not in _READS["bounds"], argv[1:])
+        early = [a for a in head if a.startswith("--") and a != "--help"]
+        if early:
+            usage_error(f"{', '.join(early)} must follow the theorem name: "
+                        f"deloc bounds <theorem> --flag value")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    _flags_before_theorem(argv, parser.error)
     args = parser.parse_args(argv)
     if args.command == "hierarchy":
         args = _hierarchy_mode(args, parser.error)

@@ -1,13 +1,18 @@
 """Experiment harness: named experiments over (dimension, step-size, subset)
-grids, emitting flat report rows with a fixed CSV schema
+grids, emitting report rows with a fixed CSV schema
 
     experiment,n,h,subset,metric,value,se,bound,theorem,valid
 
 Every experiment that computes an empirical value also emits the matching
 oracle value or theorem bound in the same row, so a report is
-self-contained.  Rows are generated sequentially but carry per-row seeds
-derived from (master seed, row counter), so any future parallel dispatch
-cannot change results.  Reports are deterministic given (config, seed).
+self-contained.  A report holds blocks: a per-coordinate series (one row per
+coordinate, subsets "0" .. "n-1", sharing experiment, n, h, metric and
+theorem) is one block of values, and every other row is a ReportRow, a block
+of one.  The writers, `select`, `failures` and the row count read the blocks;
+`rows` builds a ReportRow per row each time it is read.  Rows are generated
+sequentially but carry per-row seeds derived from (master seed, row
+counter), so any future parallel dispatch cannot change results.  Reports
+are deterministic given (config, seed).
 """
 
 from __future__ import annotations
@@ -101,6 +106,61 @@ class ReportRow:
     theorem: str = ""
     valid: bool | None = None
 
+    # a row is a block of one; _Series is the other kind of block
+    _size = 1
+
+    def _rows(self) -> tuple[ReportRow]:
+        return (self,)
+
+    def _csv(self) -> tuple[str]:
+        return (",".join(_fmt(getattr(self, c)) for c in CSV_COLUMNS) + "\n",)
+
+    def _dat(self) -> tuple[str]:
+        return (f"{self.n} {_fmt(self.h) or 'nan'} {_fmt(self.value)} "
+                f"{_fmt(self.se) or 'nan'} {_fmt(self.bound) or 'nan'}\n",)
+
+
+_CHUNK = 1 << 16  # rows of a series formatted at a time, so its text is never held whole
+
+
+@dataclass(frozen=True, eq=False)
+class _Series:
+    """A block of rows, one per coordinate: row i has subset str(i) and value
+    values[i], and shares experiment, n, h, metric and theorem; its se, bound
+    and valid are empty."""
+
+    experiment: str
+    n: int
+    h: float
+    metric: str
+    theorem: str
+    values: np.ndarray
+
+    @property
+    def _size(self) -> int:
+        return len(self.values)
+
+    def _rows(self) -> list[ReportRow]:
+        head = (self.experiment, self.n, self.h)
+        return [ReportRow(*head, str(i), self.metric, v, theorem=self.theorem)
+                for i, v in enumerate(self.values.tolist())]
+
+    def _chunks(self) -> Iterator[tuple[int, list[float]]]:
+        for start in range(0, len(self.values), _CHUNK):
+            yield start, self.values[start:start + _CHUNK].tolist()
+
+    def _csv(self) -> Iterator[str]:
+        # _fmt of a float is repr(float(v)), which !r gives for the floats of tolist
+        head = f"{self.experiment},{_fmt(self.n)},{_fmt(self.h)},"
+        mid, tail = f",{self.metric},", f",,,{self.theorem},\n"
+        for start, values in self._chunks():
+            yield "".join(f"{head}{i}{mid}{v!r}{tail}" for i, v in enumerate(values, start))
+
+    def _dat(self) -> Iterator[str]:
+        head = f"{_fmt(self.n)} {_fmt(self.h) or 'nan'} "
+        for _, values in self._chunks():
+            yield "".join(f"{head}{v!r} nan nan\n" for v in values)
+
 
 def _fmt(v) -> str:
     if v is None:
@@ -112,30 +172,41 @@ def _fmt(v) -> str:
     return str(v)
 
 
-@dataclass
 class ExperimentReport:
-    config: ExperimentConfig
-    rows: list[ReportRow]
-    metadata: dict
+    """A run's config, its metadata and its rows, held as blocks (ReportRows and
+    per-coordinate series); `rows` builds every ReportRow on each read."""
+
+    def __init__(self, config: ExperimentConfig, rows, metadata: dict):
+        self.config, self.metadata = config, metadata
+        self._blocks = list(rows)
+
+    @property
+    def rows(self) -> list[ReportRow]:
+        return [r for b in self._blocks for r in b._rows()]
+
+    def _num_rows(self) -> int:
+        return sum(b._size for b in self._blocks)
 
     def failures(self) -> list[ReportRow]:
-        return [r for r in self.rows if r.valid is False]
+        # a series has no valid column, so no failed row
+        return [b for b in self._blocks if isinstance(b, ReportRow) and b.valid is False]
 
     def select(self, metric: str | None = None, n: int | None = None) -> list[ReportRow]:
         """The rows of this metric and this n; None matches any."""
-        return [r for r in self.rows if metric in (None, r.metric) and n in (None, r.n)]
+        return [r for b in self._blocks if metric in (None, b.metric) and n in (None, b.n)
+                for r in b._rows()]
 
     def to_csv(self, path) -> None:
         with open(path, "w") as f:
             f.write(",".join(CSV_COLUMNS) + "\n")
-            for r in self.rows:
-                f.write(",".join(_fmt(getattr(r, c)) for c in CSV_COLUMNS) + "\n")
+            for b in self._blocks:
+                f.writelines(b._csv())
 
     def to_json_sidecar(self, path) -> None:
         payload = {
             "config": {k: v for k, v in vars(self.config).items() if k not in ("output", "_options")},
             "metadata": self.metadata,
-            "num_rows": len(self.rows),
+            "num_rows": self._num_rows(),
             "num_failures": len(self.failures()),
         }
         with open(path, "w") as f:
@@ -144,18 +215,15 @@ class ExperimentReport:
     def to_gnuplot(self, prefix) -> list[str]:
         """One whitespace-separated file per metric: n h value se bound."""
         written = []
-        by_metric: dict[str, list[ReportRow]] = {}
-        for r in self.rows:
-            by_metric.setdefault(r.metric, []).append(r)
-        for metric, rows in sorted(by_metric.items()):
+        by_metric: dict[str, list] = {}
+        for b in self._blocks:
+            by_metric.setdefault(b.metric, []).append(b)
+        for metric, blocks in sorted(by_metric.items()):
             path = f"{prefix}.{metric}.dat"
             with open(path, "w") as f:
                 f.write("# n h value se bound\n")
-                for r in rows:
-                    f.write(
-                        f"{r.n} {_fmt(r.h) or 'nan'} {_fmt(r.value)} "
-                        f"{_fmt(r.se) or 'nan'} {_fmt(r.bound) or 'nan'}\n"
-                    )
+                for b in blocks:
+                    f.writelines(b._dat())
             written.append(path)
         return written
 
@@ -277,11 +345,11 @@ def _start_law(config: ExperimentConfig, tgt: orc.GaussianTarget):
     return law, orc.GaussianLaw(np.zeros(tgt.dim), c * law.cov), 0.5 * (c - 1.0 - math.log(c))
 
 
-def _singleton_w2(law_h: orc.GaussianLaw, law: orc.GaussianLaw) -> list[float]:
+def _singleton_w2(law_h: orc.GaussianLaw, law: orc.GaussianLaw) -> np.ndarray:
     """Exact W2^2 between the coordinate marginals of law_h and law, one per
     coordinate: in one dimension (mean difference)^2 + (sd difference)^2."""
     sd_h, sd = np.sqrt(law_h.variances), np.sqrt(law.variances)
-    return ((law_h.mean - law.mean) ** 2 + (sd_h - sd) ** 2).tolist()
+    return (law_h.mean - law.mean) ** 2 + (sd_h - sd) ** 2
 
 
 def _singleton_kl(law_h: orc.GaussianLaw, law: orc.GaussianLaw) -> np.ndarray:
@@ -292,7 +360,7 @@ def _singleton_kl(law_h: orc.GaussianLaw, law: orc.GaussianLaw) -> np.ndarray:
     return 0.5 * (x - np.log1p(x) + (law_h.mean - law.mean) ** 2 / var)
 
 
-def _exp_gaussian_scaling(config: ExperimentConfig) -> Iterator[ReportRow]:
+def _exp_gaussian_scaling(config: ExperimentConfig) -> Iterator[ReportRow | _Series]:
     dims, h_values = config.dims or (16, 64, 256), config.h_values or (0.01,)
     # per h and metric: the per-n max single-coordinate bias and full-vector bias
     series = [{"w2sq": ([], []), "kl": ([], [])} for _ in h_values]
@@ -302,10 +370,7 @@ def _exp_gaussian_scaling(config: ExperimentConfig) -> Iterator[ReportRow]:
         for j, h in enumerate(h_values):
             law_h = orc.lmc_stationary_law(tgt, h)
             per_coord = _singleton_w2(law_h, law)
-            for i, v in enumerate(per_coord):
-                yield ReportRow(
-                    config.experiment, n, h, str(i), "w2sq-marginal", v, theorem="oracle"
-                )
+            yield _Series(config.experiment, n, h, "w2sq-marginal", "oracle", per_coord)
             biases = {
                 "w2sq": (float(np.max(per_coord)), orc.w2sq_gaussian(law_h, law)),
                 "kl": (float(np.max(_singleton_kl(law_h, law))), orc.kl_gaussian(law_h, law)),
@@ -533,7 +598,7 @@ def _exp_sampler_vs_oracle(config: ExperimentConfig) -> Iterator[ReportRow]:
             )
     thin, m_cmp = config._options["thin"], config._options["marginal_samples"]
     rng = np.random.default_rng([config.seed, 1])
-    for i, ref in enumerate(_singleton_w2(law_h, law)):
+    for i, ref in enumerate(_singleton_w2(law_h, law).tolist()):
         lmc_i = marginal_samples(store, (i,))[::thin, 0][:m_cmp]
         exact_i = orc.sample(orc.marginal(law, (i,)), lmc_i.shape[0], rng)[:, 0]
         est = mtr.w2sq_1d(lmc_i, exact_i, rng=rng)
@@ -558,7 +623,8 @@ def _exp_delocalization_failure(config: ExperimentConfig) -> Iterator[ReportRow]
     for n in dims:
         d = np.full(n, stiff)
         d[0] = soft
-        for label, A in (("product", np.diag(d)), ("rotated", _rotated_precision(n, soft, stiff))):
+        product = sparse.diags_array(d, format="csr")  # so the target reads no n x n array
+        for label, A in (("product", product), ("rotated", _rotated_precision(n, soft, stiff))):
             tgt = orc.GaussianTarget(A)
             law_h = orc.lmc_stationary_law(tgt, h)
             law = tgt.law()
@@ -628,9 +694,9 @@ _OPTIONS = {  # each experiment's option keys and their defaults, read by _kind'
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     t0 = time.time()
-    rows = list(EXPERIMENTS[config.experiment](config))
-    meta = {"seed": config.seed, "elapsed_seconds": round(time.time() - t0, 3), "rows": len(rows)}
-    report = ExperimentReport(config=config, rows=rows, metadata=meta)
+    report = ExperimentReport(config, EXPERIMENTS[config.experiment](config), {})
+    elapsed = round(time.time() - t0, 3)
+    report.metadata.update(seed=config.seed, elapsed_seconds=elapsed, rows=report._num_rows())
     if config.output:
         report.to_csv(config.output)
         report.to_json_sidecar(str(config.output) + ".json")

@@ -223,18 +223,22 @@ def _closed_form(A):
     the basis's column order; None when A needs a dense eigh.
 
     A sparse A with a on its diagonal, b on the two beside it and zeros elsewhere
-    takes the sine basis.  Otherwise A, densified, is read for off-diagonal entries
-    all equal to one q: q = 0 is a diagonal A on the identity basis, and q != 0 with
-    p on the whole diagonal is p I + q (11' - I) on the cosine basis, with
-    lambda = (p + (n-1) q, p - q, ..., p - q)."""
+    takes the sine basis, and any other sparse A with no nonzero off its diagonal
+    the identity basis, both read in O(nnz).  Otherwise A, densified, is read for
+    off-diagonal entries all equal to one q: q = 0 is a diagonal A on the identity
+    basis, and q != 0 with p on the whole diagonal is p I + q (11' - I) on the
+    cosine basis, with lambda = (p + (n-1) q, p - q, ..., p - q)."""
     n = A.shape[0]
     if sparse.issparse(A):
         coo = A.tocoo()
         diag, off = A.diagonal(), A.diagonal(1)
-        banded = not np.any(coo.data[np.abs(coo.row - coo.col) > 1])
+        gap = np.abs(coo.row - coo.col)
+        banded = not np.any(coo.data[gap > 1])
         if banded and np.all(diag == diag[0]) and np.all(off == off[:1]):
             a, b = float(diag[0]), float(off[0]) if off.size else 0.0
             return a + 2.0 * b * np.cos(np.arange(1, n + 1) * (np.pi / (n + 1))), _SineBasis(n)
+        if not np.any(coo.data[gap > 0]):
+            return diag, _IdentityBasis(n)
         A = A.toarray()
     # the flat entries between two diagonal ones, n - 1 runs of n
     off = A.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]

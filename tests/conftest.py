@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -185,6 +186,51 @@ def random_spd(rng, n, cond_max=50.0):
     lam[0] = 1.0 / cond_max
     lam[-1] = 1.0
     return (Q * lam) @ Q.T
+
+
+# Report files formatted one row at a time from rep.rows: the reference that the
+# harness writers, which read row blocks, must match byte for byte.
+
+
+def _reference_field(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
+_REPORT_COLUMNS = ("experiment", "n", "h", "subset", "metric", "value", "se", "bound", "theorem",
+                   "valid")
+
+
+def reference_csv(rows) -> str:
+    lines = [",".join(_REPORT_COLUMNS)]
+    lines += [",".join(_reference_field(getattr(r, c)) for c in _REPORT_COLUMNS) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+def reference_gnuplot(rows) -> dict:
+    """{metric: the text of its .dat file}."""
+    files = {}
+    for r in rows:
+        fields = (r.n, _reference_field(r.h) or "nan", _reference_field(r.value),
+                  _reference_field(r.se) or "nan", _reference_field(r.bound) or "nan")
+        files.setdefault(r.metric, ["# n h value se bound\n"]).append(" ".join(map(str, fields)) + "\n")
+    return {metric: "".join(lines) for metric, lines in files.items()}
+
+
+def reference_sidecar(rep) -> str:
+    rows = rep.rows
+    payload = {
+        "config": {k: v for k, v in vars(rep.config).items() if k not in ("output", "_options")},
+        "metadata": rep.metadata,
+        "num_rows": len(rows),
+        "num_failures": sum(r.valid is False for r in rows),
+    }
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ from scipy import sparse
 
 import deloc
 from deloc.bounds import dynamic_bound, sparse_poly_constants, weak_constants
-from deloc import oracle as orc
+from deloc import harness, oracle as orc
 from deloc.cli import _emit, main
 from deloc.graph import InteractionGraph, build_graph
 from deloc.harness import (
@@ -23,6 +23,7 @@ from deloc.harness import (
     ExperimentConfig,
     ExperimentReport,
     ReportRow,
+    _Series,
     _precision_graph,
     _rotated_precision,
     _target_from_options,
@@ -48,7 +49,13 @@ from deloc.potential import (
 )
 from deloc.subsets import mask_from
 
-from conftest import serial_w2sq_assignment, tridiagonal_precision
+from conftest import (
+    reference_csv,
+    reference_gnuplot,
+    reference_sidecar,
+    serial_w2sq_assignment,
+    tridiagonal_precision,
+)
 
 
 def path_graph(n):
@@ -239,6 +246,24 @@ def test_failures_and_select_filters():
     assert rep.select(metric="m1") == rows[:2]
     assert rep.select(n=4) == [rows[2]]
     assert rep.select(metric="m1", n=3) == rows[:2]
+    # a per-coordinate series between single rows: one block, expanded on reading rows
+    values = [0.5, 0.25, 0.125]
+    series = _Series("subadditivity", 3, 0.1, "m1", "oracle", np.array(values))
+    mixed = ExperimentReport(cfg, [rows[0], series, rows[1], rows[2]], {})
+    expanded = [
+        rows[0],
+        *(ReportRow("subadditivity", 3, 0.1, str(i), "m1", v, theorem="oracle")
+          for i, v in enumerate(values)),
+        rows[1],
+        rows[2],
+    ]
+    assert mixed.rows == expanded
+    assert all(type(r.value) is float for r in mixed.rows)
+    assert mixed.select(metric="m1") == mixed.select(metric="m1", n=3) == expanded[:5]
+    assert mixed.select(n=4) == [rows[2]]
+    assert mixed.select(metric="m2", n=3) == []
+    assert mixed.failures() == [rows[1]]
+    assert mixed._num_rows() == 6
 
 
 # --------------------------------------------------------------- experiments
@@ -691,6 +716,32 @@ TINY_CONFIGS = {
     },
     "delocalization-failure": {"dims": [4, 8]},
 }
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_report_files_match_a_row_by_row_formatter(experiment, tmp_path, monkeypatch):
+    """The writers read row blocks; their files are those of the rows, byte for byte,
+    also when a series is formatted in chunks of 2 rows."""
+    spec = {"experiment": experiment, **TINY_CONFIGS[experiment]}
+    rep = run_experiment(config_from_dict(spec))
+    rows = rep.rows
+    for chunk in (harness._CHUNK, 2):
+        monkeypatch.setattr(harness, "_CHUNK", chunk)
+        rep.to_csv(tmp_path / "rep.csv")
+        assert (tmp_path / "rep.csv").read_text() == reference_csv(rows)
+        rep.to_json_sidecar(tmp_path / "rep.json")
+        assert (tmp_path / "rep.json").read_text() == reference_sidecar(rep)
+        written = rep.to_gnuplot(str(tmp_path / "plot"))
+        want = reference_gnuplot(rows)
+        assert written == [str(tmp_path / f"plot.{metric}.dat") for metric in sorted(want)]
+        assert [Path(path).read_text() for path in written] == [want[m] for m in sorted(want)]
+    # and the writers, the count, failures and select build no row of a series
+    monkeypatch.setattr(_Series, "_rows", None)
+    rep.to_csv(tmp_path / "again.csv")
+    rep.to_gnuplot(str(tmp_path / "again"))
+    assert rep._num_rows() == rep.metadata["rows"] == len(rows)
+    assert rep.failures() == [r for r in rows if r.valid is False]
+    assert rep.select(metric="w2sq-full") == [r for r in rows if r.metric == "w2sq-full"]
 
 
 @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
@@ -1264,13 +1315,17 @@ def test_cli_refuses_a_flag_its_mode_does_not_read(tmp_path, capsys):
         (["bounds", "poisson-moment", "--rate", "2", "--t", "3", "--p", "2", "--alpha", "-1",
           "--beta", "0", "--potential", "x.json", "--subset", "99"],
          ["--alpha", "--beta", "--potential", "--subset"]),
-        # a flag before the theorem name is the bounds command's, which takes none
+        # a flag before the theorem name is the bounds command's, which takes none; its
+        # value would be read as the theorem ("invalid choice: '2'")
         (["bounds", "--alpha=2", "sparse-poly"], ["--alpha=2"]),
+        (["bounds", "--alpha", "2", "sparse-poly"], ["--alpha"]),
+        (["bounds", "--alpha", "2", "--beta", "3", "weak"], ["--alpha", "--beta"]),
+        (["bounds", "--alpha", "2"], ["--alpha"]),
     ):
         assert_usage_error(argv, flags, capsys)
-    with pytest.raises(SystemExit) as exc:
-        main(["bounds", "--alpha", "2", "sparse-poly"])  # 2 is read as the theorem
-    assert exc.value.code == 2 and capsys.readouterr().out == ""
+    with pytest.raises(SystemExit):
+        main(["bounds", "--alpha", "2", "sparse-poly"])
+    assert "must follow the theorem name" in capsys.readouterr().err
 
 
 def test_cli_validate(tmp_path, capsys):

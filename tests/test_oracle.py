@@ -701,6 +701,10 @@ def _refuse_eigh(*args, **kwargs):
     raise AssertionError("np.linalg.eigh called on a closed-form path")
 
 
+def _refuse_toarray(*args, **kwargs):
+    raise AssertionError("a sparse precision densified")
+
+
 def _dense_target(A) -> GaussianTarget:
     """GaussianTarget(A) through the dense eigh, whatever A's structure."""
     with pytest.MonkeyPatch.context() as m:
@@ -832,6 +836,7 @@ EIGH_SKIPS = {  # precision -> the basis it takes, None for the dense eigh
     "1 x 1": (np.array([[2.5]]), oracle._IdentityBasis),
     "diagonal": (np.diag([1.0, 50.0, 50.0, 3.0]), oracle._IdentityBasis),
     "sparse diagonal": (sparse.diags_array([1.0, 2.0, 3.0], format="csr"), oracle._IdentityBasis),
+    "sparse product": (sparse.diags_array([1.0] + [50.0] * 7, format="csr"), oracle._IdentityBasis),
     "two-level": (_two_level(6, 2.0, -0.1), oracle._CosineBasis),
     "sparse two-level": (sparse.csr_array(_two_level(6, 2.0, 0.1)), oracle._CosineBasis),
     "rotated": (_rotated_precision(6, 1.0, 50.0), oracle._CosineBasis),
@@ -845,6 +850,9 @@ EIGH_SKIPS = {  # precision -> the basis it takes, None for the dense eigh
 @pytest.mark.parametrize("name", EIGH_SKIPS)
 def test_which_precisions_skip_eigh(name, monkeypatch):
     A, basis = EIGH_SKIPS[name]
+    if sparse.issparse(A) and basis in (oracle._SineBasis, oracle._IdentityBasis):
+        # read in O(nnz): no n x n array is formed
+        monkeypatch.setattr(sparse.csr_array, "toarray", _refuse_toarray)
     if basis is not None:
         _closed_form_target(A, basis)
     else:
@@ -854,7 +862,8 @@ def test_which_precisions_skip_eigh(name, monkeypatch):
 
 
 def test_a_sparse_precision_off_the_sine_path_is_densified():
-    """The same structure reader and the same eigh as its dense form: the same laws."""
+    """The same structure reader and the same eigh as its dense form: the same laws.
+    (A sparse diagonal is read on the identity basis, and gives them too.)"""
     for sparse_A in (sparse.csr_array(_CHAIN), _PENTADIAGONAL,
                      sparse.diags_array([1.0, 2.0, 3.0], format="csr")):
         np.testing.assert_array_equal(
