@@ -3,6 +3,8 @@ grids, emitting report rows with a fixed CSV schema
 
     experiment,n,h,subset,metric,value,se,bound,theorem,valid
 
+`run_experiment` runs an experiment over config.dims (or its default dims in
+`EXPERIMENTS`), then adds the rows that check a claim across n (`_ACROSS_N`).
 Every experiment that computes an empirical value also emits the matching
 oracle value or theorem bound in the same row, so a report is
 self-contained.  A report holds blocks: a per-coordinate series (one row per
@@ -326,12 +328,12 @@ def _precision_graph(tgt: orc.GaussianTarget) -> InteractionGraph:
     return InteractionGraph(tgt.dim, zip(rows.tolist(), cols.tolist()))
 
 
-def _single(config: ExperimentConfig, name: str, default):
-    """The one entry of config.dims or config.h_values, or the default when empty."""
-    values = getattr(config, name)
-    if len(values) > 1:
-        raise ValueError(f"{config.experiment} takes one entry in {name}, got {list(values)}")
-    return values[0] if values else default
+def _single_h(config: ExperimentConfig, default: float) -> float:
+    """The one entry of config.h_values, or the default when empty."""
+    hs = config.h_values
+    if len(hs) > 1:
+        raise ValueError(f"{config.experiment} takes one entry in h_values, got {list(hs)}")
+    return hs[0] if hs else default
 
 
 def _marginal_kl(law_a: orc.GaussianLaw, law: orc.GaussianLaw, u) -> float:
@@ -360,55 +362,31 @@ def _singleton_kl(law_h: orc.GaussianLaw, law: orc.GaussianLaw) -> np.ndarray:
     return 0.5 * (x - np.log1p(x) + (law_h.mean - law.mean) ** 2 / var)
 
 
-def _exp_gaussian_scaling(config: ExperimentConfig) -> Iterator[ReportRow | _Series]:
-    dims, h_values = config.dims or (16, 64, 256), config.h_values or (0.01,)
-    # per h and metric: the per-n max single-coordinate bias and full-vector bias
-    series = [{"w2sq": ([], []), "kl": ([], [])} for _ in h_values]
-    for n in dims:
-        tgt = _target_from_options(n, config)
-        law = tgt.law()
-        for j, h in enumerate(h_values):
-            law_h = orc.lmc_stationary_law(tgt, h)
-            per_coord = _singleton_w2(law_h, law)
-            yield _Series(config.experiment, n, h, "w2sq-marginal", "oracle", per_coord)
-            biases = {
-                "w2sq": (float(np.max(per_coord)), orc.w2sq_gaussian(law_h, law)),
-                "kl": (float(np.max(_singleton_kl(law_h, law))), orc.kl_gaussian(law_h, law)),
-            }
-            for metric, (top, full) in biases.items():
-                series[j][metric][0].append(top)
-                series[j][metric][1].append(full)
-                yield ReportRow(
-                    config.experiment, n, h, "singletons", f"{metric}-marginal-max",
-                    top, theorem="oracle",
-                )
-                yield ReportRow(
-                    config.experiment, n, h, "full", f"{metric}-full", full, theorem="oracle"
-                )
-    if len(set(dims)) < 2:
-        return
-    # the claim over n, per h: the max marginal bias is flat, the full bias grows like n
-    for h, by_metric in zip(h_values, series):
-        for metric, (top, full) in by_metric.items():
-            if min(top) <= 0.0 or min(full) <= 0.0:
-                raise ValueError(f"the bias at h={h} underflows to 0: no scaling in n to check")
-            spread = (max(top) - min(top)) / min(top)
-            slope = fit_scaling(dims, full).slope
+def _exp_gaussian_scaling(config: ExperimentConfig, n: int) -> Iterator[ReportRow | _Series]:
+    tgt = _target_from_options(n, config)
+    law = tgt.law()
+    for h in config.h_values or (0.01,):
+        law_h = orc.lmc_stationary_law(tgt, h)
+        per_coord = _singleton_w2(law_h, law)
+        yield _Series(config.experiment, n, h, "w2sq-marginal", "oracle", per_coord)
+        # the max single-coordinate bias and the full-vector bias, in W2^2 and in KL
+        for metric, top, full in (
+            ("w2sq", float(np.max(per_coord)), orc.w2sq_gaussian(law_h, law)),
+            ("kl", float(np.max(_singleton_kl(law_h, law))), orc.kl_gaussian(law_h, law)),
+        ):
             yield ReportRow(
-                config.experiment, dims[-1], h, "singletons", f"{metric}-marginal-max-spread",
-                spread, bound=0.05, theorem="dimension-free", valid=spread < 0.05,
+                config.experiment, n, h, "singletons", f"{metric}-marginal-max",
+                top, theorem="oracle",
             )
             yield ReportRow(
-                config.experiment, dims[-1], h, "full", f"{metric}-full-slope",
-                slope, bound=1.0, theorem="dimension-free", valid=abs(slope - 1.0) <= 0.05,
+                config.experiment, n, h, "full", f"{metric}-full", full, theorem="oracle"
             )
 
 
-def _sparse_poly_setup(config: ExperimentConfig, gamma: float, p: float):
-    """Build the target on one n (8 by default) and its graph, and yield the row of the
-    polynomial growth certificate: exponent p, c measured on the graph.  Returns (n, target,
-    graph, panel, SparseParams at that c, its sparse-poly report); invalid constants raise."""
-    n = _single(config, "dims", 8)
+def _sparse_poly_setup(config: ExperimentConfig, n: int, gamma: float, p: float):
+    """Build the target on n and its graph, and yield the row of the polynomial growth
+    certificate: exponent p, c measured on the graph.  Returns (target, graph, panel,
+    SparseParams at that c, its sparse-poly report); invalid constants raise."""
     tgt = _target_from_options(n, config)
     graph = _precision_graph(tgt)
     cert = GrowthCertificate("polynomial", _least_c(graph, "polynomial", p), p)
@@ -421,12 +399,12 @@ def _sparse_poly_setup(config: ExperimentConfig, gamma: float, p: float):
     consts = params.constants()
     if not consts.valid:
         raise ValueError(f"constants invalid: {consts.reason}")
-    return n, tgt, graph, resolve_panel(graph, config.subsets), params, consts
+    return tgt, graph, resolve_panel(graph, config.subsets), params, consts
 
 
-def _exp_bound_vs_truth(config: ExperimentConfig) -> Iterator[ReportRow]:
-    setup = _sparse_poly_setup(config, config._options["gamma"], config._options["p"])
-    n, tgt, graph, panel, _, consts = yield from setup
+def _exp_bound_vs_truth(config: ExperimentConfig, n: int) -> Iterator[ReportRow]:
+    setup = _sparse_poly_setup(config, n, config._options["gamma"], config._options["p"])
+    tgt, graph, panel, _, consts = yield from setup
     C, h_star = consts["C"], consts["h_star"]
     law = tgt.law()
     h_grid = config.h_values or tuple(h_star * i / 20.0 for i in range(1, 21))
@@ -448,9 +426,9 @@ def _exp_bound_vs_truth(config: ExperimentConfig) -> Iterator[ReportRow]:
             )
 
 
-def _exp_certified_trajectory(config: ExperimentConfig) -> Iterator[ReportRow]:
+def _exp_certified_trajectory(config: ExperimentConfig, n: int) -> Iterator[ReportRow]:
     """Exact transient KL <= certified curve <= dynamic envelope, with p = gamma = 1."""
-    n, tgt, graph, panel, params, consts = yield from _sparse_poly_setup(config, 1.0, 1.0)
+    tgt, graph, panel, params, consts = yield from _sparse_poly_setup(config, n, 1.0, 1.0)
     k_max = config._options["k"]
     law, law0, C0 = _start_law(config, tgt)
     H0 = SubsetFunction(lambda m: C0 * size(m), "c0-size")
@@ -476,10 +454,9 @@ def _exp_certified_trajectory(config: ExperimentConfig) -> Iterator[ReportRow]:
                 )
 
 
-def _exp_subadditivity(config: ExperimentConfig) -> Iterator[ReportRow]:
-    n = _single(config, "dims", 8)
+def _exp_subadditivity(config: ExperimentConfig, n: int) -> Iterator[ReportRow]:
     tgt = _target_from_options(n, config)
-    h = _single(config, "h_values", 1.0 / tgt.beta)
+    h = _single_h(config, 1.0 / tgt.beta)
     law_h = orc.lmc_stationary_law(tgt, h)
     law = tgt.law()
     for k in range(1, n + 1):
@@ -490,8 +467,7 @@ def _exp_subadditivity(config: ExperimentConfig) -> Iterator[ReportRow]:
         )
 
 
-def _exp_continuous_time(config: ExperimentConfig) -> Iterator[ReportRow]:
-    n = _single(config, "dims", 6)
+def _exp_continuous_time(config: ExperimentConfig, n: int) -> Iterator[ReportRow]:
     if config.h_values:
         raise ValueError(f"continuous-time takes no h_values, got {list(config.h_values)}")
     tgt = _target_from_options(n, config)
@@ -514,18 +490,18 @@ def _exp_continuous_time(config: ExperimentConfig) -> Iterator[ReportRow]:
                 )
 
 
-def _exp_onestep_linf(config: ExperimentConfig) -> Iterator[ReportRow]:
+def _exp_onestep_linf(config: ExperimentConfig, dims: tuple[int, ...]) -> Iterator[ReportRow]:
     # every estimate of the run is one assignment batch: the full sample and
     # n_boot replicates at m, and the half sample at m/2, per dim.  At the
     # default m = 2048, n_boot = 10 and dims (4, 8), the run takes about 8 s
     # on 2 CPUs, so the default replicate count stays small
     m, n_boot = config._options["samples"], config._options["n_boot"]
     cases, problems = [], []
-    for counter, n in enumerate(config.dims or (4, 8)):
+    for counter, n in enumerate(dims):
         tgt = _target_from_options(n, config)
         A = _dense(tgt.precision)
         alpha0 = float(np.max(np.sum(np.abs(A - np.diag(np.diag(A))), axis=1)))
-        h = _single(config, "h_values", 1.0 / (2.0 * tgt.beta))
+        h = _single_h(config, 1.0 / (2.0 * tgt.beta))
         rng = np.random.default_rng([config.seed, counter])
         a = orc.sample(orc.lmc_stationary_law(tgt, h), m, rng)
         b = orc.sample(tgt.law(), m, rng)
@@ -559,15 +535,14 @@ def _batch_mean_se(x: np.ndarray, batches: int) -> float:
 def _sampler_config(config: ExperimentConfig) -> SamplerConfig:
     """The chains of a sampler-vs-oracle run."""
     return SamplerConfig(
-        h=_single(config, "h_values", 0.05),
+        h=_single_h(config, 0.05),
         iterations=config._options["iterations"],
         num_chains=config._options["chains"],
         seed=config.seed,
     )
 
 
-def _exp_sampler_vs_oracle(config: ExperimentConfig) -> Iterator[ReportRow]:
-    n = _single(config, "dims", 2)
+def _exp_sampler_vs_oracle(config: ExperimentConfig, n: int) -> Iterator[ReportRow]:
     tgt = _target_from_options(n, config)
     pot = gaussian_potential(tgt.precision)
     scfg = _sampler_config(config)
@@ -615,66 +590,43 @@ def _rotated_precision(n: int, soft: float, stiff: float) -> np.ndarray:
     return stiff * np.eye(n) + (soft - stiff) / n
 
 
-def _exp_delocalization_failure(config: ExperimentConfig) -> Iterator[ReportRow]:
-    h = _single(config, "h_values", 0.02)
+def _exp_delocalization_failure(config: ExperimentConfig, n: int) -> Iterator[ReportRow]:
+    h = _single_h(config, 0.02)
     soft, stiff = config._options["soft"], config._options["stiff"]
-    dims = config.dims or (8, 32, 128)
-    rot_max, prod_max = [], []
-    for n in dims:
-        d = np.full(n, stiff)
-        d[0] = soft
-        product = sparse.diags_array(d, format="csr")  # so the target reads no n x n array
-        for label, A in (("product", product), ("rotated", _rotated_precision(n, soft, stiff))):
-            tgt = orc.GaussianTarget(A)
-            law_h = orc.lmc_stationary_law(tgt, h)
-            law = tgt.law()
-            per = _singleton_w2(law_h, law)
-            top = float(np.max(per))
-            (rot_max if label == "rotated" else prod_max).append(top)
-            yield ReportRow(
-                config.experiment, n, h, "singletons", f"w2sq-marginal-max-{label}",
-                top, theorem="oracle",
-            )
-    if len(set(dims)) < 2:
-        return
-    small, large = dims.index(min(dims)), dims.index(max(dims))
-    ratio = rot_max[large] / rot_max[small]
-    yield ReportRow(
-        config.experiment, dims[large], h, "singletons", "rotated-bias-growth",
-        ratio, bound=2.0, theorem="counterexample", valid=ratio >= 2.0,
-    )
-    spread = (max(prod_max) - min(prod_max)) / min(prod_max)
-    yield ReportRow(
-        config.experiment, dims[large], h, "singletons", "product-bias-variation",
-        spread, bound=0.05, theorem="counterexample", valid=spread < 0.05,
-    )
+    # CSR, so the target reads no n x n array
+    product = sparse.diags_array(np.r_[soft, np.full(n - 1, stiff)], format="csr")
+    for label, A in (("product", product), ("rotated", _rotated_precision(n, soft, stiff))):
+        tgt = orc.GaussianTarget(A)
+        top = float(np.max(_singleton_w2(orc.lmc_stationary_law(tgt, h), tgt.law())))
+        yield ReportRow(config.experiment, n, h, "singletons", f"w2sq-marginal-max-{label}",
+                        top, theorem="oracle")
 
 
 def delocalization_failure_demo(
     dims=(8, 32, 128), h: float = 0.02, soft: float = 1.0, stiff: float = 50.0, seed: int = 0
 ) -> ExperimentReport:
-    """Rotated anisotropic product: max single-coordinate W2^2 LMC bias grows
-    with n, while the unrotated product stays flat.  Rotation mixes
-    coordinate 1 into the all-ones direction."""
-    cfg = ExperimentConfig(
-        experiment="delocalization-failure",
-        dims=tuple(dims),
-        h_values=(h,),
-        seed=seed,
-        options={"soft": soft, "stiff": stiff},
-    )
+    """Rotated anisotropic product: its max single-coordinate W2^2 LMC bias rises with n
+    toward the stiff product's and stops there, while the unrotated product stays flat.
+    Rotation mixes coordinate 1 into the all-ones direction."""
+    cfg = ExperimentConfig("delocalization-failure", dims=tuple(dims), h_values=(h,), seed=seed,
+                           options={"soft": soft, "stiff": stiff})
     return run_experiment(cfg)
 
 
-EXPERIMENTS = {
-    "gaussian-scaling": _exp_gaussian_scaling,
-    "bound-vs-truth": _exp_bound_vs_truth,
-    "certified-trajectory": _exp_certified_trajectory,
-    "subadditivity": _exp_subadditivity,
-    "continuous-time": _exp_continuous_time,
-    "onestep-linf": _exp_onestep_linf,
-    "sampler-vs-oracle": _exp_sampler_vs_oracle,
-    "delocalization-failure": _exp_delocalization_failure,
+def _per_n(step):
+    """The experiment that runs step(config, n) for each n of dims in turn."""
+    return lambda config, dims: (block for n in dims for block in step(config, n))
+
+
+EXPERIMENTS = {  # name -> (the run over a dims tuple, its default dims)
+    "gaussian-scaling": (_per_n(_exp_gaussian_scaling), (16, 64, 256)),
+    "bound-vs-truth": (_per_n(_exp_bound_vs_truth), (8,)),
+    "certified-trajectory": (_per_n(_exp_certified_trajectory), (8,)),
+    "subadditivity": (_per_n(_exp_subadditivity), (8,)),
+    "continuous-time": (_per_n(_exp_continuous_time), (6,)),
+    "onestep-linf": (_exp_onestep_linf, (4, 8)),  # one assignment batch over every dim
+    "sampler-vs-oracle": (_per_n(_exp_sampler_vs_oracle), (2,)),
+    "delocalization-failure": (_per_n(_exp_delocalization_failure), (8, 32, 128)),
 }
 
 _TARGET = {"precision": None, "diag": 2.0, "off": -0.5}
@@ -692,10 +644,56 @@ _OPTIONS = {  # each experiment's option keys and their defaults, read by _kind'
 }
 
 
+_RULES = {  # rule -> (its value on the per-n values in ascending n, its bound, a pass test)
+    "spread": (lambda ns, v: (max(v) - min(v)) / min(v), 0.05, lambda x: x < 0.05),
+    "slope": (lambda ns, v: fit_scaling(ns, v).slope, 1.0, lambda x: abs(x - 1.0) <= 0.05),
+    "growth": (lambda ns, v: v[-1] / v[0], 2.0, lambda x: x >= 2.0),
+}
+_ACROSS_N = {  # experiment -> (theorem, [(per-n metric, rule, row metric)]), rows in this order
+    "gaussian-scaling": ("dimension-free", [
+        ("w2sq-marginal-max", "spread", "w2sq-marginal-max-spread"),
+        ("w2sq-full", "slope", "w2sq-full-slope"),
+        ("kl-marginal-max", "spread", "kl-marginal-max-spread"),
+        ("kl-full", "slope", "kl-full-slope"),
+    ]),
+    "delocalization-failure": ("counterexample", [
+        ("w2sq-marginal-max-rotated", "growth", "rotated-bias-growth"),
+        ("w2sq-marginal-max-product", "spread", "product-bias-variation"),
+    ]),
+}
+
+
+def _across_n(experiment: str, dims: tuple[int, ...], blocks: list) -> Iterator[ReportRow]:
+    """The rows that check a claim over n, at the largest n, none below two distinct dims:
+    for each h in the order the run gave it, each check of _ACROSS_N[experiment], its rule
+    on the per-n values of its metric taken in ascending n."""
+    theorem, checks = _ACROSS_N.get(experiment, ("", []))
+    if not checks or len(set(dims)) < 2:
+        return
+    by_n = sorted(range(len(dims)), key=dims.__getitem__)
+    rows = {metric: [b for b in blocks if b.metric == metric] for metric, _, _ in checks}
+    per_entry = len(rows[checks[0][0]]) // len(dims)  # a metric's rows per n, one per h
+    for j in range(per_entry):
+        for metric, rule, name in checks:
+            series = [rows[metric][i * per_entry + j] for i in by_n]  # row j of each n, ascending
+            last, values = series[-1], [r.value for r in series]
+            if min(values) <= 0.0:
+                raise ValueError(f"the bias at h={last.h} underflows to 0: "
+                                 "no scaling in n to check")
+            value_of, bound, passes = _RULES[rule]
+            value = value_of([r.n for r in series], values)
+            yield ReportRow(experiment, last.n, last.h, last.subset, name, value,
+                            bound=bound, theorem=theorem, valid=passes(value))
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    t0 = time.time()
-    report = ExperimentReport(config, EXPERIMENTS[config.experiment](config), {})
-    elapsed = round(time.time() - t0, 3)
+    """The experiment's blocks over config.dims (default when empty), then its rows across n."""
+    t0 = time.perf_counter()
+    run, default_dims = EXPERIMENTS[config.experiment]
+    dims = config.dims or default_dims
+    blocks = list(run(config, dims))
+    report = ExperimentReport(config, [*blocks, *_across_n(config.experiment, dims, blocks)], {})
+    elapsed = round(time.perf_counter() - t0, 3)
     report.metadata.update(seed=config.seed, elapsed_seconds=elapsed, rows=report._num_rows())
     if config.output:
         report.to_csv(config.output)

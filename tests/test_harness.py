@@ -718,6 +718,45 @@ TINY_CONFIGS = {
 }
 
 
+@pytest.mark.parametrize(
+    "experiment",
+    ["bound-vs-truth", "certified-trajectory", "subadditivity", "continuous-time",
+     "sampler-vs-oracle"],
+)
+def test_a_dims_list_runs_each_n_in_turn(experiment):
+    """Each n of dims runs as a run of that n alone: the rows are the single-n runs'
+    rows in dims order, with the same values and Python types."""
+    spec = {"experiment": experiment, **TINY_CONFIGS[experiment]}
+    dims = [4, 3]
+    typed = lambda rows: [[(type(v), v) for v in astuple(r)] for r in rows]
+    rows = run_experiment(config_from_dict({**spec, "dims": dims})).rows
+    alone = [run_experiment(config_from_dict({**spec, "dims": [n]})).rows for n in dims]
+    assert [r.n for r in rows] == [n for n, part in zip(dims, alone) for _ in part]
+    assert typed(rows) == typed([r for part in alone for r in part])
+
+
+def test_across_n_rows_sit_at_the_largest_n_once_per_h_entry():
+    """The rows across n take the per-n values in ascending n, so dims in any order give
+    the same rows at the largest n; a repeated h gives its rows once per entry, and one
+    distinct n gives none."""
+    run = lambda dims, hs=(0.01,): run_experiment(
+        ExperimentConfig("gaussian-scaling", dims=dims, h_values=hs)
+    ).rows
+    ascending, shuffled = run((16, 64, 256)), run((256, 16, 64))
+    assert shuffled[-4:] == ascending[-4:] and {r.n for r in shuffled[-4:]} == {256}
+    assert run((16, 64), (0.01, 0.01))[-8:] == run((16, 64))[-4:] * 2
+    assert [r.metric for r in run((16, 16))[-2:]] == ["kl-marginal-max", "kl-full"]
+
+
+def test_delocalization_growth_fails_where_the_bias_has_saturated():
+    """A negative control of the growth rule: the rotated bias rises toward the stiff
+    product's value and stops there, so from n = 1000 to 4000 it grows by 2.6% only."""
+    rep = run_experiment(ExperimentConfig("delocalization-failure", dims=(1000, 4000)))
+    (growth,) = rep.select(metric="rotated-bias-growth")
+    assert round(growth.value, 3) == 1.026 and growth.valid is False
+    assert [r.metric for r in rep.failures()] == ["rotated-bias-growth"]
+
+
 @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
 def test_report_files_match_a_row_by_row_formatter(experiment, tmp_path, monkeypatch):
     """The writers read row blocks; their files are those of the rows, byte for byte,
@@ -762,8 +801,10 @@ def test_cli_run_every_experiment_prints_json(experiment, tmp_path, capsys):
         ({"experiment": "subadditivity", "dims": [12]}, "capped at n=10"),
         ({"experiment": "bound-vs-truth", "dims": [4], "options": {"p": 0.5}},
          "growth certificate"),
-        ({"experiment": "bound-vs-truth", "dims": [4, 64]}, "takes one entry in dims"),
         ({"experiment": "subadditivity", "h_values": [0.1, 0.2]}, "takes one entry in h_values"),
+        # a rotated bias of 0 has no growth to check: a domain error, not a ZeroDivisionError
+        ({"experiment": "delocalization-failure", "dims": [4, 8], "h_values": [1e-17]},
+         "the bias at h=1e-17 underflows to 0"),
         ({"experiment": "delocalization-failure", "h_values": [0.01, 0.02]},
          "takes one entry in h_values"),
         ({"experiment": "sampler-vs-oracle", "dims": [4],
