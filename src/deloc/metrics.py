@@ -6,12 +6,16 @@ multivariate estimator solves the exact assignment problem between two
 equal-size clouds, under squared-l2 or squared-linf ground cost.
 
 Standard errors come from a bootstrap (default 200 resamples): the 1D
-estimator resamples both sides and re-sorts, so the variability of the
-coupling itself is captured; the assignment estimator re-solves on
-index-resampled clouds.  Every sample cloud is read by one rule: a numeric
-array, 1-D for m samples of one coordinate or 2-D of shape (m, k); any other
-shape, an empty cloud or a NaN or infinite entry is a ValueError that names
-the cloud.  The 1D estimator takes k = 1 only.
+estimator resamples both sides and couples the sorted resamples, so the
+variability of the coupling itself is captured; the assignment estimator
+re-solves on index-resampled clouds.  Both sides of the 1D estimator are
+sorted, so a sorted resample is the side at its sorted drawn indices: the
+draws are made in order, block by block, and each block's indices are
+sorted as small integers and costed on a thread pool with a worker per CPU.
+Every sample cloud is read by one rule: a numeric array, 1-D for m samples
+of one coordinate or 2-D of shape (m, k); any other shape, an empty cloud
+or a NaN or infinite entry is a ValueError that names the cloud.  The 1D
+estimator takes k = 1 only.
 
 Assignment estimates are solved in batches: `w2sq_assignment` is a batch
 of one, the empirical subadditivity check (k >= 2) one batch of every
@@ -32,6 +36,7 @@ matchings, which bootstrap duplicates create, give the same value.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import os
@@ -61,6 +66,10 @@ MAX_ASSIGNMENT_DIM = 8
 DEFAULT_BOOTSTRAP = 200
 SUBADDITIVITY_MAX_SAMPLES = 512
 _SUBADDITIVITY_SE = 3.0  # empirical check's tolerance, in combined standard errors
+# The quantile bootstrap draws at most this many indices per rng.integers call, and
+# gathers rows this many samples at a time, so each gathered slice is 512 KB.
+_DRAW_ELEMENTS = 2_000_000
+_SLICE_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -120,19 +129,59 @@ def _quantile(a: np.ndarray, b: np.ndarray, n_boot: int, rng) -> DistanceEstimat
     av = _subsample_sorted(a, m)
     bv = _subsample_sorted(b, m)
     value = float(((av - bv) ** 2).mean())
-    se = float("nan")
-    if n_boot > 0:
-        # resample both sides and re-sort, so the standard error includes
-        # the fluctuation of the quantile coupling, not just of the costs
-        vals = np.empty(n_boot)
-        chunk = max(1, int(2_000_000 // m))
-        for done in range(0, n_boot, chunk):
-            c = min(chunk, n_boot - done)
-            ra = np.sort(av[rng.integers(0, m, size=(c, m))], axis=1)
-            rb = np.sort(bv[rng.integers(0, m, size=(c, m))], axis=1)
-            vals[done : done + c] = ((ra - rb) ** 2).mean(axis=1)
-        se = float(vals.std(ddof=1))
+    se = float("nan") if n_boot == 0 else float(_bootstrap_costs(av, bv, n_boot, rng).std(ddof=1))
     return DistanceEstimate(value, "w2sq", (a.shape[0], b.shape[0]), se, "quantile")
+
+
+def _workers(tasks: int) -> int:
+    """Threads for `tasks` independent tasks: one per CPU the process may use, at most."""
+    return min(len(os.sched_getaffinity(0)), tasks)
+
+
+def _bootstrap_costs(av: np.ndarray, bv: np.ndarray, n_boot: int, rng) -> np.ndarray:
+    """The coupling's cost on each of n_boot resamples of both sorted sides, re-sorted,
+    so the standard error includes the fluctuation of the coupling, not just of the costs.
+
+    The draws are serial: blocks of up to _DRAW_ELEMENTS indices per side, a then b.  A
+    side is sorted, so its resample sorted is the side at the sorted drawn indices; a
+    block's indices are sorted in the narrowest integer type that holds them.  The blocks
+    are costed on a pool with a worker per CPU, at most that many blocks ahead of the
+    draws; with one worker they are costed on the calling thread."""
+    m = av.shape[0]
+    index = np.min_scalar_type(m - 1)
+    step = max(1, _SLICE_ELEMENTS // m)  # rows gathered at once
+
+    def costs(ia, ib, out):
+        ia.sort(axis=1)
+        ib.sort(axis=1)
+        for r in range(0, out.shape[0], step):
+            d = av.take(ia[r : r + step])  # from small integers, take gathers faster than av[...]
+            d -= bv.take(ib[r : r + step])
+            d *= d
+            out[r : r + step] = d.mean(axis=1)
+
+    vals = np.empty(n_boot)
+    rows = max(1, _DRAW_ELEMENTS // m)
+    blocks = [vals[done : done + rows] for done in range(0, n_boot, rows)]
+
+    def draw(out):  # a's indices, then b's
+        return [rng.integers(0, m, size=(out.shape[0], m)).astype(index) for _ in "ab"]
+
+    workers = _workers(len(blocks))
+    if workers == 1:
+        for out in blocks:
+            costs(*draw(out), out)
+        return vals
+    with ThreadPoolExecutor(workers) as pool:
+        running = collections.deque()
+        for out in blocks:
+            ia, ib = draw(out)
+            if len(running) == workers:
+                running.popleft().result()
+            running.append(pool.submit(costs, ia, ib, out))
+        for task in running:
+            task.result()
+    return vals
 
 
 _METRICS = {"l2": "sqeuclidean", "linf": "chebyshev"}  # linf's is squared after cdist
@@ -177,7 +226,7 @@ def _assignment_batch(problems) -> list[DistanceEstimate]:
     tasks.sort(key=lambda t: -t[2].shape[0])
     m_max = tasks[0][2].shape[0]
     # a cost buffer per worker, made here: no more solves run at once than there are buffers
-    workers = min(len(os.sched_getaffinity(0)), len(tasks))
+    workers = _workers(len(tasks))
     buffers = queue.SimpleQueue()
     for _ in range(workers):
         buffers.put(np.empty(m_max * m_max))

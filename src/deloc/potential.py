@@ -69,6 +69,7 @@ class FactorTerm:
     value_fn: Callable[[np.ndarray], float] | None = None
     grad_fn: Callable[[np.ndarray], np.ndarray] | None = None
     kind: str = field(init=False)
+    _grad: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)  # M @ or grad_fn
 
     def __post_init__(self):
         support = self.support
@@ -94,6 +95,8 @@ class FactorTerm:
         object.__setattr__(self, "support", tuple(support))
         object.__setattr__(self, "lipschitz", L)
         object.__setattr__(self, "kind", "callable" if self.matrix is None else "quadratic")
+        grad = self.grad_fn if self.matrix is None else self.matrix.__matmul__
+        object.__setattr__(self, "_grad", grad)
 
     def value(self, x_u: np.ndarray) -> float:
         if self.kind == "quadratic":
@@ -101,9 +104,7 @@ class FactorTerm:
         return float(self.value_fn(x_u))
 
     def grad(self, x_u: np.ndarray) -> np.ndarray:
-        if self.kind == "quadratic":
-            return self.matrix @ x_u
-        return np.asarray(self.grad_fn(x_u), dtype=float)
+        return np.asarray(self._grad(x_u), dtype=float)
 
 
 def quadratic_term(support: Sequence[int], matrix, lipschitz: float | None = None) -> FactorTerm:
@@ -252,13 +253,15 @@ class StructuredPotential:
         x = self._check_point(x)
         # one gather of every term's support, one scatter-add in term order:
         # the same sums as out[support] += grad term by term
-        idx, bounds = self._flat_supports
+        idx = self._flat_supports[0]
+        grads, sizes = self._term_gradients
         z = x[idx]
-        parts = [t.grad(z[a:b]) for t, a, b in zip(self.terms, bounds[:-1], bounds[1:])]
-        if list(itertools.accumulate([g.size for g in parts], initial=0)) != bounds:
+        parts = [grad(z[u]) for grad, u in grads]
+        # np.size and axis=None take a one-coordinate factor's scalar gradient as well
+        if list(map(np.size, parts)) != sizes:
             raise ValueError("a factor gradient must have one entry per support coordinate")
-        # axis=None takes a one-coordinate factor's scalar gradient as well
-        return np.bincount(idx, weights=np.concatenate(parts, axis=None), minlength=self.n)
+        weights = np.concatenate(parts, axis=None, dtype=float)
+        return np.bincount(idx, weights=weights, minlength=self.n)
 
     def _check_point(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -271,6 +274,14 @@ class StructuredPotential:
     @cached_property
     def _flat_supports(self) -> tuple[np.ndarray, list[int]]:
         return _flatten(self.terms)
+
+    @cached_property
+    def _term_gradients(self) -> tuple[list, list[int]]:
+        """Each term's gradient callable with the slice of its support in the flat
+        support index, and the support sizes, in term order."""
+        bounds = self._flat_supports[1]
+        grads = [(t._grad, slice(a, b)) for t, a, b in zip(self.terms, bounds[:-1], bounds[1:])]
+        return grads, [len(t.support) for t in self.terms]
 
     @cached_property
     def active_terms(self) -> tuple[FactorTerm, ...]:

@@ -6,8 +6,9 @@ Euler substeps of size h/m, approximating the continuous-time flow at
 matched wall-clock time; lmc is its m = 1 case, and both run the same step
 loop.
 
-All chains step together as one (C, n) block, one chain per row.  The
-drift x - (h/m) grad V(x) is applied to the whole block at once and picks
+All chains step together as one (C, n, 1) stack of columns, one chain per
+column.  The drift x - (h/m) grad V(x) is applied to the whole stack at
+once, written straight into the buffer slot of the next state, and picks
 its path from the potential:
 
   dense quadratic   I - (h/m) A times each chain, by a stacked matmul
@@ -16,8 +17,15 @@ its path from the potential:
   callable          the gradient, chain by chain
 
 Each path does the same arithmetic on a chain whatever the number of
-chains C.  The block's sup-norm is checked after every recorded step, and
-a chain that reaches DIVERGENCE_LIMIT or turns non-finite stops the run.
+chains C.  A chain that reaches DIVERGENCE_LIMIT or turns non-finite stops
+the run, which names the first recorded step at which any chain did and
+the lowest such chain.  The states of a noise chunk are kept in one buffer;
+on the quadratic paths the buffer's sup-norm is checked once per chunk,
+and a chain past the limit steps on, with numpy's overflow and invalid
+warnings silenced, to the end of the chunk.  A gradient's chains are
+checked after every recorded step, so no gradient sees a state past the
+limit, and gradients run under the caller's numpy error state.  Kept
+states are copied out of the buffer once per chunk.
 
 Noise stream layout (documented so composed-map tests can replay it):
 each chain owns an independent generator spawned from the config seed;
@@ -30,6 +38,8 @@ successive (m, n) draws.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -133,16 +143,33 @@ def _step_matrix(A, h: float):
 
 
 def _block_drift(pot: StructuredPotential, h: float):
-    """The map from a (C, n) block of chains X to X - h grad V(X), chain by chain."""
+    """The map drift(X, out) that writes X - h grad V(X) into out, chain by chain, for
+    (C, n, 1) stacks X and out of chains; out may be X."""
     A = pot.quadratic_matrix
     if A is None:
-        return lambda X: np.array([x - h * pot.gradient(x) for x in X])
+        def drift(X, out):
+            out[:, :, 0] = [x - h * pot.gradient(x) for x in X[:, :, 0]]
+        return drift
     M = _step_matrix(A, h)
     if sparse.issparse(M):
-        # CSR times a dense block: every column gets the matvec's arithmetic
-        return lambda X: (M @ X.T).T
-    # a stacked matmul, unlike X @ M.T, computes each row as M @ x does
-    return lambda X: np.matmul(M, X[:, :, None])[:, :, 0]
+        def drift(X, out):
+            # CSR times a dense block: every column gets the matvec's arithmetic
+            out[:, :, 0] = (M @ X[:, :, 0].T).T
+        return drift
+    # a stacked matmul, unlike X @ M.T, computes each chain as M @ x does
+    return functools.partial(np.matmul, M)
+
+
+def _check_divergence(states: np.ndarray, k0: int) -> None:
+    """Raise DivergenceError at the first of the (s, C, n, 1) states, those of steps
+    k0 + 1, ..., k0 + s, at which a chain reached the limit, naming the lowest such chain."""
+    if float(np.abs(states).max()) < DIVERGENCE_LIMIT:
+        return
+    sups = np.abs(states).max(axis=(2, 3))
+    bad = ~(sups < DIVERGENCE_LIMIT)
+    i = int(np.flatnonzero(bad.any(axis=1))[0])
+    c = int(np.flatnonzero(bad[i])[0])
+    raise DivergenceError(c, k0 + i + 1, float(sups[i, c]))
 
 
 def _simulate(pot: StructuredPotential, config: SamplerConfig, starts: np.ndarray) -> np.ndarray:
@@ -157,24 +184,34 @@ def _simulate(pot: StructuredPotential, config: SamplerConfig, starts: np.ndarra
     kept = np.empty((C, config.kept_per_chain, n))
     burn = config.effective_burn_in
     thin = config.thinning
-    X = np.array(starts, dtype=float)
+    X = np.array(starts, dtype=float)[:, :, None]
     chunk = max(1, _NOISE_CHUNK // (C * m * n))
-    for k0 in range(0, config.iterations, chunk):
-        # sigma z for the next t recorded steps, chain by chain: (C, t, m, n)
-        sz = np.empty((C, min(chunk, config.iterations - k0), m, n))
-        for c, rng in enumerate(rngs):
-            rng.standard_normal(out=sz[c])
-        sz *= sigma
-        for i in range(sz.shape[1]):
-            k = k0 + i + 1
-            for j in range(m):
-                X = drift(X) + sz[:, i, j]
-            if not float(np.abs(X).max()) < DIVERGENCE_LIMIT:
-                sups = np.abs(X).max(axis=1)
-                c = int(np.flatnonzero(~(sups < DIVERGENCE_LIMIT))[0])
-                raise DivergenceError(c, k, float(sups[c]))
-            if k > burn and (k - burn - 1) % thin == 0:
-                kept[:, (k - burn - 1) // thin] = X
+    # a quadratic's chains are checked once per chunk, a gradient's after every step
+    quadratic = pot.quadratic_matrix is not None
+    stride = chunk if quadratic else 1
+    with np.errstate(over="ignore", invalid="ignore") if quadratic else contextlib.nullcontext():
+        for k0 in range(0, config.iterations, chunk):
+            t = min(chunk, config.iterations - k0)
+            # z for the next t recorded steps, chain by chain: (C, t, m, n)
+            z = np.empty((C, t, m, n))
+            for c, rng in enumerate(rngs):
+                rng.standard_normal(out=z[c])
+            # sigma z of substep j of step i as one (C, n, 1) stack: noise[i, j]
+            noise = np.ascontiguousarray(z.transpose(1, 2, 0, 3))[..., None]
+            noise *= sigma
+            states = np.empty((t, C, n, 1))  # the chains after each of the t steps
+            for s0 in range(0, t, stride):
+                for i in range(s0, min(s0 + stride, t)):
+                    out = states[i]
+                    for j in range(m):
+                        drift(X, out)
+                        out += noise[i, j]
+                        X = out
+                _check_divergence(states[s0 : s0 + stride], k0 + s0)
+            # kept steps k > burn with (k - burn - 1) % thin == 0, those of this chunk at once
+            first = max(0, -((burn - k0) // thin))  # the first kept index at a step > k0
+            block = states[burn + first * thin - k0 :: thin, :, :, 0]
+            kept[:, first : first + block.shape[0]] = block.swapaxes(0, 1)
     return kept
 
 

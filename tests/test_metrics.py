@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import threading
 
 import numpy as np
@@ -23,7 +24,12 @@ from deloc.oracle import (
     w2sq_gaussian,
 )
 
-from conftest import plain_assignment_value, serial_w2sq_assignment, tridiagonal_precision
+from conftest import (
+    plain_assignment_value,
+    serial_w2sq_assignment,
+    sorted_values_w2sq_1d,
+    tridiagonal_precision,
+)
 
 
 def test_w2sq_1d_identical_samples_zero(rng):
@@ -80,6 +86,45 @@ def test_w2sq_1d_unequal_sizes(rng):
     est = w2sq_1d(x, y)
     assert est.sample_sizes == (1000, 3001)
     assert np.isfinite(est.value)
+
+
+@pytest.mark.parametrize(
+    "m, m_b, n_boot",
+    # one draw block; one block with ties of 0.0 and -0.0 and an unequal side; two blocks
+    # of 100 rows; and blocks of 100, 100 and 50 rows
+    [(2, 2, 200), (7, 9, 200), (20000, 20000, 200), (20000, 20000, 250)],
+)
+def test_w2sq_1d_matches_the_sorted_values_bootstrap_bit_for_bit(m, m_b, n_boot):
+    x = np.random.default_rng(m).standard_normal(m)
+    x[: m // 2] = np.where(np.arange(m // 2) % 2, 0.0, -0.0)
+    y = 1.1 * np.random.default_rng(m_b + 1).standard_normal(m_b) + 0.1
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    est = w2sq_1d(x, y, n_boot=n_boot, rng=rng)
+    assert (est.value, est.standard_error) == sorted_values_w2sq_1d(x, y, n_boot, ref_rng)
+    # the generator is left where the sorted-values bootstrap leaves it
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_w2sq_1d_gives_the_same_bootstrap_on_more_workers_than_cores(monkeypatch):
+    # 40 draw blocks of 5 rows each, costed by 8 workers while the interpreter switches
+    # threads often, against the same blocks costed on the calling thread
+    import deloc.metrics as metrics
+
+    monkeypatch.setattr(metrics, "_DRAW_ELEMENTS", 1000)
+    x = np.random.default_rng(1).standard_normal(200)
+    y = 1.3 * np.random.default_rng(2).standard_normal(200)
+    serial_rng, pooled_rng = np.random.default_rng(4), np.random.default_rng(4)
+    monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: {0})
+    serial = w2sq_1d(x, y, rng=serial_rng)
+    monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: set(range(8)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = w2sq_1d(x, y, rng=pooled_rng)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pooled == serial
+    assert pooled_rng.bit_generator.state == serial_rng.bit_generator.state
 
 
 def test_w2sq_1d_needs_two_samples():
@@ -272,8 +317,10 @@ def test_a_law_paired_with_a_cloud_is_a_value_error():
     [
         lambda x, y, rng: w2sq_assignment(x, y, n_boot=6, rng=rng),
         lambda x, y, rng: subadditivity_check(x, y, 2, n_boot=3, rng=rng),
+        # two draw blocks of the quantile bootstrap, each costed on the pool
+        lambda x, y, rng: w2sq_1d(np.resize(x[:, 0], 20000), np.resize(y[:, 0], 20000), rng=rng),
     ],
-    ids=["w2sq_assignment", "subadditivity_check"],
+    ids=["w2sq_assignment", "subadditivity_check", "w2sq_1d"],
 )
 def test_assignment_leaves_no_worker_thread_behind(batch, rng):
     before = threading.active_count()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from deloc.potential import (
     gaussian_potential,
 )
 from deloc.sampler import (
+    _NOISE_CHUNK,
     DivergenceError,
     SamplerConfig,
     _step_matrix,
@@ -215,22 +217,14 @@ def test_mode_is_derived_from_substeps():
         assert SamplerConfig(h=0.05, iterations=200, substeps=m).mode == "langevin-reference"
 
 
-@pytest.mark.parametrize("m", [1, 3])
-@pytest.mark.parametrize("path", DRIFT_PATHS)
-def test_noise_layout_replays_bit_for_bit(path, m):
-    # the documented layout: chain c draws from SeedSequence(seed).spawn(C)[c],
-    # one (m, n) block per recorded step, substep j of size h/m using row j
-    pot = DRIFT_PATHS[path]()
-    n = pot.n
-    cfg = SamplerConfig(
-        h=0.07, iterations=23, burn_in=5, thinning=4, num_chains=2, seed=31, substeps=m
-    )
-    x0 = np.linspace(-1.0, 1.0, n)
-    store = run_chain(pot, cfg, x0)
-
+def _replay(pot, cfg, x0):
+    """The kept states of a run replayed chain by chain and step by step in the
+    documented layout: chain c draws from SeedSequence(seed).spawn(C)[c], one (m, n)
+    block per recorded step, substep j of size h/m using row j."""
+    m, n = cfg.substeps, pot.n
     substep = _replay_substep(pot, cfg.h / m)
     expected = []
-    for seq in np.random.SeedSequence(31).spawn(2):
+    for seq in np.random.SeedSequence(cfg.seed).spawn(cfg.num_chains):
         rng = np.random.default_rng(seq)
         x, kept = x0.copy(), []
         for k in range(1, cfg.iterations + 1):
@@ -240,7 +234,30 @@ def test_noise_layout_replays_bit_for_bit(path, m):
             if k > cfg.effective_burn_in and (k - cfg.effective_burn_in - 1) % cfg.thinning == 0:
                 kept.append(x)
         expected.append(kept)
-    np.testing.assert_array_equal(store.samples, np.array(expected))
+    return np.array(expected)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("path", DRIFT_PATHS)
+def test_noise_layout_replays_bit_for_bit(path, m):
+    pot = DRIFT_PATHS[path]()
+    cfg = SamplerConfig(
+        h=0.07, iterations=23, burn_in=5, thinning=4, num_chains=2, seed=31, substeps=m
+    )
+    x0 = np.linspace(-1.0, 1.0, pot.n)
+    np.testing.assert_array_equal(run_chain(pot, cfg, x0).samples, _replay(pot, cfg, x0))
+
+
+@pytest.mark.parametrize("path", DRIFT_PATHS)
+def test_burn_in_and_thinning_across_noise_chunks_replay_bit_for_bit(path):
+    # 4 chains step 8192 / (4 n) steps per noise chunk: 682, 32 and 512 on the three
+    # paths, so the 2500 steps span several chunks, and the kept steps 8, 11, ... fall
+    # at every offset in them
+    pot = DRIFT_PATHS[path]()
+    cfg = SamplerConfig(h=0.07, iterations=2500, burn_in=7, thinning=3, num_chains=4, seed=2)
+    assert cfg.iterations > 3 * _NOISE_CHUNK // (cfg.num_chains * pot.n)
+    x0 = np.linspace(-1.0, 1.0, pot.n)
+    np.testing.assert_array_equal(run_chain(pot, cfg, x0).samples, _replay(pot, cfg, x0))
 
 
 def test_csr_path_matches_dense_loop():
@@ -278,6 +295,76 @@ def test_divergence_reports_the_chain_that_diverged(path):
         x, step = substep(x, rng.standard_normal((1, pot.n))[0]), step + 1
     assert (err.value.chain, err.value.step) == (1, step)
     assert err.value.sup >= 1e8 and str(err.value).endswith("exceeds 1e+08")
+
+
+@pytest.mark.parametrize("path", DRIFT_PATHS)
+def test_chains_that_diverge_at_one_iterate_name_the_lowest(path):
+    # chains 1 and 2 start far out and both reach the limit at iterate 1
+    pot = DRIFT_PATHS[path]()
+    cfg = SamplerConfig(h=1.5, iterations=1000, num_chains=3, seed=4)
+    x0 = np.zeros((3, pot.n))
+    x0[1:] = 1e9 * np.random.default_rng(2).standard_normal((2, pot.n))
+    with pytest.raises(DivergenceError) as err:
+        run_chain(pot, cfg, x0)
+
+    substep = _replay_substep(pot, cfg.h)
+    sups = [
+        float(np.abs(substep(x, np.random.default_rng(seq).standard_normal((1, pot.n))[0])).max())
+        for x, seq in zip(x0, np.random.SeedSequence(cfg.seed).spawn(3))
+    ]
+    assert sups[0] < 1e8 <= min(sups[1:])
+    assert (err.value.step, err.value.chain, err.value.sup) == (1, 1, sups[1])
+
+
+# an h per drift path at which its potential's chains diverge slowly from 0: past the
+# first noise chunk of 4 chains, and inside a chunk
+SLOW_DIVERGENCE_H = {"dense": 0.7425, "csr": 0.67, "callable": 1.01}
+
+
+@pytest.mark.parametrize("path", DRIFT_PATHS)
+def test_divergence_in_a_later_chunk_matches_the_per_step_replay(path):
+    pot = DRIFT_PATHS[path]()
+    cfg = SamplerConfig(h=SLOW_DIVERGENCE_H[path], iterations=20_000, num_chains=4, seed=4)
+    with warnings.catch_warnings():
+        # a quadratic chain steps past the limit to the end of its chunk, silently
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as err:
+            run_chain(pot, cfg, np.zeros(pot.n))
+
+    # each chain replayed to its first iterate at the limit: the run names the earliest
+    # such iterate and the lowest chain that reaches the limit there
+    substep = _replay_substep(pot, cfg.h)
+    first = (cfg.iterations + 1, 0, 0.0)  # (step, chain, sup)
+    for c, seq in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.num_chains)):
+        rng, x = np.random.default_rng(seq), np.zeros(pot.n)
+        for k in range(1, first[0] + 1):
+            x = substep(x, rng.standard_normal((1, pot.n))[0])
+            if not np.abs(x).max() < 1e8:
+                first = min(first, (k, c, float(np.abs(x).max())))
+                break
+    step, chain, sup = first
+    chunk = _NOISE_CHUNK // (cfg.num_chains * pot.n)
+    assert step > chunk and step % chunk != 0
+    assert (err.value.step, err.value.chain, err.value.sup) == (step, chain, sup)
+
+
+def test_a_gradient_that_warns_at_a_finite_state_still_warns():
+    # the gradient's log warns once a coordinate passes 4.5, at a finite state, and its
+    # NaN then stops the chain: the gradient runs under the caller's error state
+    def grad(z):
+        return z + 0.0 * np.log(4.5 - np.abs(z))
+
+    pot = StructuredPotential(
+        2, (callable_term((0, 1), lambda z: 0.5 * z @ z, grad, 1.0),),
+        SmoothnessParams(alpha=1.0, beta=1.0),
+    )
+    cfg = SamplerConfig(h=0.5, iterations=5000, num_chains=4, seed=4)
+    with pytest.warns(RuntimeWarning, match="invalid value encountered in log"):
+        with pytest.raises(DivergenceError) as err:
+            run_chain(pot, cfg, np.zeros(2))
+    assert err.value.step > _NOISE_CHUNK // (cfg.num_chains * pot.n)
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        run_chain(pot, cfg, np.zeros(2))
 
 
 def test_langevin_reference_substeps_reduce_bias(small_pot):
