@@ -6,8 +6,8 @@ mass P(Lambda >= J) multiplies F(N_J(u)).  chain_mean is that series, read
 by the sparse semigroup and the continuous-time bound; shift_kernel holds
 it for every start index of the chain at once, for the certified curve.
 The weak semigroup uses the same weights, truncated at a tail tolerance,
-for uniformization.  Every array is built once per argument tuple, cached
-and returned read-only.
+for uniformization.  The weights are built once per argument tuple, cached
+and returned read-only; the kernel, (J+1)^2 floats, is not cached.
 
 pmf and tail come from scipy.special, the same expressions scipy's
 Poisson distribution evaluates, so importing deloc does not load scipy's
@@ -48,14 +48,13 @@ def chain_mean(chain, mu: float, F) -> float:
     return float(stopped_weights(mu, len(chain) - 1) @ np.array([F(m) for m in chain]))
 
 
-@lru_cache(maxsize=16)
 def shift_kernel(mu: float, J: int) -> np.ndarray:
     """(J+1) x (J+1) upper-triangular K with (K v)[m] = E v[min(m + Lambda, J)]:
-    K[m, m+j] = pmf(j) for j < J-m and K[m, J] = P(Lambda >= J-m)."""
+    K[m, m+j] = pmf(j) for j < J-m and K[m, J] = P(Lambda >= J-m); built on each call."""
     K = np.zeros((J + 1, J + 1))
     for m in range(J + 1):
         K[m, m:] = stopped_weights(mu, J - m)
-    return _frozen(K)
+    return K
 
 
 @lru_cache(maxsize=64)

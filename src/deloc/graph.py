@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from ._json import _check
 from .potential import StructuredPotential
@@ -110,20 +110,28 @@ class GrowthReport:
     checked_up_to: int  # largest stabilization index, the k range checked
 
 
+def _growth(g: InteractionGraph, unit: GrowthCertificate) -> Iterator[tuple]:
+    """(i, J, k, |N_{k+1}(i)|, unit.vertex_bound(k)) for each vertex i and k from 0 up
+    to J, its stabilization index; vertex_bound is evaluated once per k."""
+    bounds: list[float] = []
+    for i in range(g.n):
+        chain = g.chain(1 << i)
+        J = len(chain) - 1
+        bounds += [unit.vertex_bound(k) for k in range(len(bounds), J + 1)]
+        for k in range(J + 1):
+            yield i, J, k, size(chain[min(k + 1, J)]), bounds[k]
+
+
 def verify_growth(g: InteractionGraph, cert: GrowthCertificate) -> GrowthReport:
     """Exhaustively check the certificate for every vertex, for k from 0 up
     to each vertex's stabilization index.  Beyond stabilization the
     neighbourhood size is constant while the bound is nondecreasing, so
     this range is exhaustive."""
     checked = 0
-    for i in range(g.n):
-        chain = g.chain(1 << i)
-        J = len(chain) - 1
+    for i, J, k, got, bound in _growth(g, cert):
         checked = max(checked, J)
-        for k in range(J + 1):
-            got = size(chain[min(k + 1, J)])
-            if got > cert.vertex_bound(k) + 1e-12:
-                return GrowthReport(False, (i, k), checked)
+        if got > bound + 1e-12:
+            return GrowthReport(False, (i, k), checked)
     return GrowthReport(True, None, checked)
 
 
@@ -131,13 +139,8 @@ def _least_c(g: InteractionGraph, mode: str, exponent: float) -> float:
     """The least c for which GrowthCertificate(mode, c, exponent) holds on g: the largest
     |N_{k+1}(i)| / vertex_bound(k) at c = 1 over the range verify_growth checks, each
     ratio stepped up one ulp where its product with vertex_bound(k) falls short."""
-    unit = GrowthCertificate(mode, 1.0, exponent)
     c = 1.0  # |N_1(i)| >= 1 = vertex_bound(0) at c = 1
-    for i in range(g.n):
-        chain = g.chain(1 << i)
-        J = len(chain) - 1
-        for k in range(J + 1):
-            got, bound = size(chain[min(k + 1, J)]), unit.vertex_bound(k)
-            ratio = got / bound
-            c = max(c, ratio if ratio * bound >= got else math.nextafter(ratio, math.inf))
+    for _, _, _, got, bound in _growth(g, GrowthCertificate(mode, 1.0, exponent)):
+        ratio = got / bound
+        c = max(c, ratio if ratio * bound >= got else math.nextafter(ratio, math.inf))
     return c

@@ -60,7 +60,7 @@ class ExperimentConfig:
     dims: tuple[int, ...] = ()
     h_values: tuple[float, ...] = ()
     seed: int = 0
-    subsets: object = "singletons"
+    subsets: object = None
     options: dict = field(default_factory=dict)
     output: str | None = None
 
@@ -72,7 +72,16 @@ class ExperimentConfig:
         for name, kind in (("dims", ["positive-integer"]), ("h_values", ["positive"])):
             object.__setattr__(self, name, tuple(read(vars(self), name, "config", kind)))
         object.__setattr__(self, "seed", read(vars(self), "seed", "config", "integer"))
-        resolve_panel(None, self.subsets)
+        _, _, most_h, panel = EXPERIMENTS[self.experiment]
+        if len(self.h_values) > most_h:
+            takes = "one entry in" if most_h else "no"
+            raise ValueError(f"{self.experiment} takes {takes} h_values, got {list(self.h_values)}")
+        if panel:  # a panel experiment reads None as "singletons"
+            if self.subsets is None:
+                object.__setattr__(self, "subsets", "singletons")
+            resolve_panel(None, self.subsets)
+        elif self.subsets is not None:
+            raise ValueError(f"{self.experiment} takes no subsets, got {self.subsets!r}")
         # every option, given or not, read once by its rule; the experiments look them up here
         table = _OPTIONS[self.experiment]
         given = {**table, **read(vars(self), "options", "config", set(table))}
@@ -330,10 +339,7 @@ def _precision_graph(tgt: orc.GaussianTarget) -> InteractionGraph:
 
 def _single_h(config: ExperimentConfig, default: float) -> float:
     """The one entry of config.h_values, or the default when empty."""
-    hs = config.h_values
-    if len(hs) > 1:
-        raise ValueError(f"{config.experiment} takes one entry in h_values, got {list(hs)}")
-    return hs[0] if hs else default
+    return config.h_values[0] if config.h_values else default
 
 
 def _marginal_kl(law_a: orc.GaussianLaw, law: orc.GaussianLaw, u) -> float:
@@ -468,8 +474,6 @@ def _exp_subadditivity(config: ExperimentConfig, n: int) -> Iterator[ReportRow]:
 
 
 def _exp_continuous_time(config: ExperimentConfig, n: int) -> Iterator[ReportRow]:
-    if config.h_values:
-        raise ValueError(f"continuous-time takes no h_values, got {list(config.h_values)}")
     tgt = _target_from_options(n, config)
     graph = _precision_graph(tgt)
     alpha, beta, gamma = tgt.alpha, tgt.beta, config._options["gamma"]
@@ -618,15 +622,16 @@ def _per_n(step):
     return lambda config, dims: (block for n in dims for block in step(config, n))
 
 
-EXPERIMENTS = {  # name -> (the run over a dims tuple, its default dims)
-    "gaussian-scaling": (_per_n(_exp_gaussian_scaling), (16, 64, 256)),
-    "bound-vs-truth": (_per_n(_exp_bound_vs_truth), (8,)),
-    "certified-trajectory": (_per_n(_exp_certified_trajectory), (8,)),
-    "subadditivity": (_per_n(_exp_subadditivity), (8,)),
-    "continuous-time": (_per_n(_exp_continuous_time), (6,)),
-    "onestep-linf": (_exp_onestep_linf, (4, 8)),  # one assignment batch over every dim
-    "sampler-vs-oracle": (_per_n(_exp_sampler_vs_oracle), (2,)),
-    "delocalization-failure": (_per_n(_exp_delocalization_failure), (8, 32, 128)),
+EXPERIMENTS = {  # name -> (the run over a dims tuple, its default dims,
+    # the most h_values entries it takes, whether it reads a subsets panel)
+    "gaussian-scaling": (_per_n(_exp_gaussian_scaling), (16, 64, 256), math.inf, False),
+    "bound-vs-truth": (_per_n(_exp_bound_vs_truth), (8,), math.inf, True),
+    "certified-trajectory": (_per_n(_exp_certified_trajectory), (8,), math.inf, True),
+    "subadditivity": (_per_n(_exp_subadditivity), (8,), 1, False),
+    "continuous-time": (_per_n(_exp_continuous_time), (6,), 0, True),
+    "onestep-linf": (_exp_onestep_linf, (4, 8), 1, False),  # one assignment batch over every dim
+    "sampler-vs-oracle": (_per_n(_exp_sampler_vs_oracle), (2,), 1, False),
+    "delocalization-failure": (_per_n(_exp_delocalization_failure), (8, 32, 128), 1, False),
 }
 
 _TARGET = {"precision": None, "diag": 2.0, "off": -0.5}
@@ -689,7 +694,7 @@ def _across_n(experiment: str, dims: tuple[int, ...], blocks: list) -> Iterator[
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """The experiment's blocks over config.dims (default when empty), then its rows across n."""
     t0 = time.perf_counter()
-    run, default_dims = EXPERIMENTS[config.experiment]
+    run, default_dims, _, _ = EXPERIMENTS[config.experiment]
     dims = config.dims or default_dims
     blocks = list(run(config, dims))
     report = ExperimentReport(config, [*blocks, *_across_n(config.experiment, dims, blocks)], {})

@@ -357,8 +357,8 @@ def certified_entropy_curve(case: str, params, structure, H0, h: float, k_max: i
 
 
 def _sparse_operators(params: SparseParams, graph: InteractionGraph, eps, h, u):
-    """The chain N_0(u) .. N_J(u); e^{hA} is the cached index-shift kernel
-    (Poisson tail absorbed at the stabilized end), N the 0/1 shift by one."""
+    """The chain N_0(u) .. N_J(u); e^{hA} is the index-shift kernel, built from the cached
+    weights (Poisson tail absorbed at the stabilized end), N the 0/1 shift by one."""
     alpha, beta = params.alpha, params.beta
     lam = SparseGenerator.from_params(graph, alpha, beta, params.gamma, eps).rate
     chain = graph.chain(u)

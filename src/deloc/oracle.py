@@ -139,12 +139,20 @@ class _DenseBasis:
         return np.square(self.Q) @ w
 
 
-class _IdentityBasis:
-    """Q = I: the eigenbasis of every diagonal matrix of order n, formed only when
-    Q is read."""
+class _ClosedFormBasis:
+    """An orthonormal basis of order n whose rows have a closed form: `rows(idx)` forms
+    those of the coordinates idx, and Q, all n of them, is formed only when read."""
 
     def __init__(self, n: int):
         self.n = n
+
+    @cached_property
+    def Q(self) -> np.ndarray:
+        return self.rows(np.arange(self.n))
+
+
+class _IdentityBasis(_ClosedFormBasis):
+    """Q = I: the eigenbasis of every diagonal matrix of order n."""
 
     def rows(self, idx) -> np.ndarray:
         idx = np.asarray(idx)
@@ -152,23 +160,16 @@ class _IdentityBasis:
         Q_u[np.arange(idx.size), idx] = 1.0
         return Q_u
 
-    @cached_property
-    def Q(self) -> np.ndarray:
-        return np.eye(self.n)
-
     def variances(self, w: np.ndarray) -> np.ndarray:
         """diag(Q diag(w) Q') = w."""
         return w
 
 
-class _CosineBasis:
+class _CosineBasis(_ClosedFormBasis):
     """Q_ik = c_k cos(pi (2i+1) k/(2n)), i, k = 0..n-1, c_0 = sqrt(1/n) and
     c_k = sqrt(2/n) otherwise (the orthonormal DCT-II): its first column is
     1/sqrt(n) and the rest span the complement of 11', so it is the eigenbasis of
-    every p I + q (11' - I) of order n.  Formed only when Q is read."""
-
-    def __init__(self, n: int):
-        self.n = n
+    every p I + q (11' - I) of order n."""
 
     def rows(self, idx) -> np.ndarray:
         n = self.n
@@ -177,10 +178,6 @@ class _CosineBasis:
         Q_u = math.sqrt(2.0 / n) * np.cos(ik * (np.pi / (2 * n)))
         Q_u[:, 0] = math.sqrt(1.0 / n)
         return Q_u
-
-    @cached_property
-    def Q(self) -> np.ndarray:
-        return self.rows(np.arange(self.n))
 
     def variances(self, w: np.ndarray) -> np.ndarray:
         """diag(Q diag(w) Q')_i = (w_0 + sum_{k>0} w_k (1 + cos(pi (2i+1) k/n))) / n:
@@ -192,22 +189,15 @@ class _CosineBasis:
         return (w[0] + re[0] + re[np.minimum(m, 2 * n - m)]) / n
 
 
-class _SineBasis:
+class _SineBasis(_ClosedFormBasis):
     """Q_ik = sqrt(2/(n+1)) sin(pi i k/(n+1)), i, k = 1..n: the eigenbasis of every
-    constant tridiagonal matrix of order n, formed only when Q is read."""
-
-    def __init__(self, n: int):
-        self.n = n
+    constant tridiagonal matrix of order n."""
 
     def rows(self, idx) -> np.ndarray:
         N = self.n + 1
         # i k reduced mod 2N in integers keeps the sine's argument in [0, 2 pi)
         ik = np.outer(np.asarray(idx) + 1, np.arange(1, N)) % (2 * N)
         return math.sqrt(2.0 / N) * np.sin(ik * (np.pi / N))
-
-    @cached_property
-    def Q(self) -> np.ndarray:
-        return self.rows(np.arange(self.n))
 
     def variances(self, w: np.ndarray) -> np.ndarray:
         """diag(Q diag(w) Q')_i = sum_k w_k (1 - cos(2 pi i k/N)) / N, N = n + 1: the

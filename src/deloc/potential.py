@@ -229,7 +229,7 @@ class StructuredPotential:
     smoothness: SmoothnessParams
 
     def __post_init__(self):
-        _check(self.n, "positive-integer", "n")
+        object.__setattr__(self, "n", _check(self.n, "positive-integer", "n"))
         object.__setattr__(self, "terms", tuple(self.terms))
         idx = self._flat_supports[0]
         if idx.size and idx.max() >= self.n:  # each factor read its support when it was built

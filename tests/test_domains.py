@@ -34,7 +34,7 @@ from deloc.potential import (
     potential_from_dict,
     quadratic_term,
 )
-from deloc.sampler import SampleStore, SamplerConfig, marginal_samples
+from deloc.sampler import SampleStore, SamplerConfig, marginal_samples, run_chain
 
 from conftest import tridiagonal_precision
 
@@ -517,6 +517,18 @@ def test_pairwise_spec_reads_a_whole_number_n_as_its_integer():
     assert pot.gradient(np.array([1.0, -2.0])).tolist() == [1.0, -2.0]
 
 
+def test_structured_potential_reads_a_whole_number_n_as_its_integer():
+    """n = 3.0 used to pass the integer rule, be kept as 3.0, and then fail in gradient,
+    quadratic_matrix and run_chain with numpy's TypeError."""
+    terms = [quadratic_term((i,), [[2.0]]) for i in range(3)]
+    pot = StructuredPotential(3.0, terms, SmoothnessParams(alpha=2.0, beta=2.0))
+    assert type(pot.n) is int
+    assert pot.gradient(np.array([1.0, -2.0, 0.5])).tolist() == [2.0, -4.0, 1.0]
+    assert pot.quadratic_matrix.toarray().tolist() == (2.0 * np.eye(3)).tolist()
+    store = run_chain(pot, SamplerConfig(h=0.1, iterations=5), np.zeros(3))
+    assert store.rows().shape[1] == 3
+
+
 # the integer options of each experiment: each is a count, >= 1 unless its floor is named
 COUNT_OPTIONS = {
     "certified-trajectory": {"k": 0},
@@ -611,6 +623,14 @@ def test_a_random_panel_larger_than_n_is_refused_naming_its_size():
         {"experiment": "bound-vs-truth", "subsets": "singleton"},
         {"experiment": "bound-vs-truth", "subsets": {"random": {"size": -1, "count": 2}}},
         {"experiment": "continuous-time", "subsets": []},
+        # a second step for an experiment that takes one, and a panel for one that reads none
+        {"experiment": "subadditivity", "h_values": [0.1, 0.2]},
+        {"experiment": "onestep-linf", "h_values": [0.1, 0.2]},
+        {"experiment": "gaussian-scaling", "dims": [16], "subsets": [[0, 99]]},
+        {"experiment": "subadditivity", "subsets": "singletons"},
+        {"experiment": "onestep-linf", "subsets": "pairs"},
+        {"experiment": "sampler-vs-oracle", "subsets": [[0]]},
+        {"experiment": "delocalization-failure", "subsets": {"random": {"size": 1, "count": 1}}},
     ],
 )
 def test_a_bad_option_or_panel_is_refused_before_any_target_is_built(config, monkeypatch):

@@ -110,6 +110,15 @@ def test_growth_certificate_violation_detected():
     assert vertex == 0 and k == 0
 
 
+def test_a_violation_reports_the_range_walked_up_to_its_vertex():
+    """Vertex 1 reaches |N_2(1)| = |{1, 4, 5, 6, 7}| = 5 > 2 (1 + 1) and stabilizes at
+    J = 3; vertex 2, not walked, would have J = 4."""
+    g = InteractionGraph(9, [(1, 4), (2, 5), (2, 6), (3, 7), (4, 5), (4, 6), (4, 7)])
+    report = verify_growth(g, GrowthCertificate("polynomial", 2.0, 1.0))
+    assert (report.passed, report.first_violation, report.checked_up_to) == (False, (1, 1), 3)
+    assert len(g.chain(1 << 2)) - 1 == 4
+
+
 def test_growth_exponential_mode():
     g = path_graph(6)
     # |N_{k+1}(i)| <= 3 + 2k <= 3 * 3^k on a path

@@ -116,7 +116,7 @@ def test_config_from_dict_rejects_unknown_keys():
     cfg = config_from_dict({"experiment": "subadditivity", "dims": [4], "seed": 7})
     assert cfg.dims == (4,)
     assert cfg.seed == 7
-    assert cfg.subsets == "singletons"
+    assert cfg.subsets is None  # subadditivity reads no panel
     assert cfg.options == {}
 
 
@@ -1119,11 +1119,14 @@ def test_printer_refuses_nan_and_infinity(capsys):
 
 
 def test_experiment_ignores_the_config_fields_it_does_not_read():
-    """seed and subsets are config fields, not options: gaussian-scaling takes them."""
-    cfg = ExperimentConfig("gaussian-scaling", dims=(4,), seed=5, subsets="pairs")
+    """seed is a config field, not an option: gaussian-scaling takes it and draws
+    nothing with it.  A subsets panel it would not read is refused."""
+    cfg = ExperimentConfig("gaussian-scaling", dims=(4,), seed=5)
     plain = ExperimentConfig("gaussian-scaling", dims=(4,))
     rows, plain_rows = run_experiment(cfg).rows, run_experiment(plain).rows
     assert [astuple(r) for r in rows] == [astuple(r) for r in plain_rows]
+    with pytest.raises(ValueError, match="^gaussian-scaling takes no subsets, got 'pairs'$"):
+        ExperimentConfig("gaussian-scaling", dims=(4,), subsets="pairs")
 
 
 def test_cli_hierarchy_semigroup_and_certify(tmp_path, capsys):

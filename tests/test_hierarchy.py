@@ -4,6 +4,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -241,11 +242,31 @@ def test_shift_kernel_matches_per_row_series(rng):
 
 
 def test_poisson_kernel_is_cached_and_read_only():
-    K = _poisson.shift_kernel(2.5, 7)
-    assert _poisson.shift_kernel(2.5, 7) is K
-    for a in (K, _poisson.stopped_weights(2.5, 7), _poisson.truncated_pmf(2.5, 1e-12)):
+    """The Poisson weights are cached and read-only; the shift kernel is not cached."""
+    for weights in (lambda: _poisson.stopped_weights(2.5, 7),
+                    lambda: _poisson.truncated_pmf(2.5, 1e-12)):
+        a = weights()
+        assert weights() is a
         with pytest.raises(ValueError):
             a[0] = 0.0
+
+
+def test_sparse_curves_leave_no_kernel_allocated():
+    """A curve holds its (J+1) x (J+1) kernel for its k steps only: three curves on a
+    512-vertex path, J = 511, 411 and 311, leave no block of a kernel's size behind."""
+    n = 512
+    graph = InteractionGraph(n, [(i, i + 1) for i in range(n - 1)])
+    params = SparseParams(1.0, 1.5, 1.0, 3.0, p=1.0)
+    h = params.h_star() / 2.0
+    tracemalloc.start()
+    try:
+        curves = [certified_entropy_curve("sparse", params, graph, SubsetFunction.size(), h, 3,
+                                          (v,)) for v in (0, 100, 200)]
+        largest = max(t.size for t in tracemalloc.take_snapshot().traces)
+    finally:
+        tracemalloc.stop()
+    assert all(curve.shape == (4,) for curve in curves)
+    assert largest < 8 * 312**2  # the smallest kernel, J = 311
 
 
 def test_import_leaves_scipy_stats_unloaded():

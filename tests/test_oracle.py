@@ -861,6 +861,12 @@ def test_which_precisions_skip_eigh(name, monkeypatch):
             GaussianTarget(A)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_the_identity_basis_forms_q_from_its_rows_as_the_identity(n):
+    Q, eye = oracle._IdentityBasis(n).Q, np.eye(n)
+    assert (Q.dtype, Q.shape, Q.tobytes()) == (eye.dtype, eye.shape, eye.tobytes())
+
+
 def test_a_sparse_precision_off_the_sine_path_is_densified():
     """The same structure reader and the same eigh as its dense form: the same laws.
     (A sparse diagonal is read on the identity basis, and gives them too.)"""
