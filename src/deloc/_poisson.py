@@ -7,7 +7,9 @@ by the sparse semigroup and the continuous-time bound; shift_kernel holds
 it for every start index of the chain at once, for the certified curve.
 The weak semigroup uses the same weights, truncated at a tail tolerance,
 for uniformization.  The weights are built once per argument tuple, cached
-and returned read-only; the kernel, (J+1)^2 floats, is not cached.
+and returned read-only.  A kernel reads one cached law, that for its J, and
+one tail vector P(Lambda >= s), s = 1 .. J; neither the tails nor the
+kernel, (J+1)^2 floats, is cached.
 
 pmf and tail come from scipy.special, the same expressions scipy's
 Poisson distribution evaluates, so importing deloc does not load scipy's
@@ -50,10 +52,14 @@ def chain_mean(chain, mu: float, F) -> float:
 
 def shift_kernel(mu: float, J: int) -> np.ndarray:
     """(J+1) x (J+1) upper-triangular K with (K v)[m] = E v[min(m + Lambda, J)]:
-    K[m, m+j] = pmf(j) for j < J-m and K[m, J] = P(Lambda >= J-m); built on each call."""
+    K[m, m+j] = pmf(j) for j < J-m and K[m, J] = P(Lambda >= J-m).  Row m is the law
+    of min(Lambda, J-m), so every row takes its pmf from the one cached law
+    stopped_weights(mu, J) and its tail from one pdtrc vector; built on each call."""
+    pmf = stopped_weights(mu, J)[:J]
     K = np.zeros((J + 1, J + 1))
-    for m in range(J + 1):
-        K[m, m:] = stopped_weights(mu, J - m)
+    for m in range(J):
+        K[m, m:J] = pmf[: J - m]
+    K[:, J] = np.append(1.0, pdtrc(np.arange(J), mu))[::-1]  # pdtrc(J-m-1, mu), 1 at m = J
     return K
 
 

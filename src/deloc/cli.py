@@ -179,47 +179,35 @@ def _cmd_hierarchy(args) -> dict:
 
 
 def _cmd_validate(args) -> dict:
-    checks: list[tuple[str, bool, str]] = []
-
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        checks.append((name, bool(ok), detail))
-
     try:
         pot = load_potential(args.potential)
     except Exception as e:  # noqa: BLE001 - report, don't crash
         return {"valid": False, "error": f"{type(e).__name__}: {e}"}
 
-    check("loads", True)
-    sm = pot.smoothness
-    check("beta-defined", True, f"beta={pot.beta}")
-
-    consts = pot.interaction_constants
-    check("constants-finite", all(np.isfinite([consts.M0, consts.M1, consts.R0, consts.R1])))
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(pot.n)
+    consts, sm = pot.interaction_constants, pot.smoothness
+    x = np.random.default_rng(0).standard_normal(pot.n)
     g = pot.gradient(x)
-    check("gradient-finite", bool(np.all(np.isfinite(g))))
     # finite-difference spot check of the gradient at one point
-    eps = 1e-6
-    fd_ok = True
-    for i in range(min(pot.n, 4)):
-        e = np.zeros(pot.n)
-        e[i] = eps
-        fd = (pot.value(x + e) - pot.value(x - e)) / (2 * eps)
-        if abs(fd - g[i]) > 1e-4 * max(1.0, abs(fd)):
-            fd_ok = False
-    check("gradient-matches-value", fd_ok)
-    graph = build_graph(pot)
-    check("graph-buildable", True, f"edges={len(graph.edges())}")
+    steps = [np.where(np.arange(pot.n) == i, 1e-6, 0.0) for i in range(min(pot.n, 4))]
+    fd = [(pot.value(x + e) - pot.value(x - e)) / 2e-6 for e in steps]
+    checks = {
+        "constants-finite": bool(np.all(np.isfinite([consts.M0, consts.M1, consts.R0, consts.R1]))),
+        "gradient-finite": bool(np.all(np.isfinite(g))),
+        "gradient-matches-value": not any(
+            abs(d - gi) > 1e-4 * max(1.0, abs(d)) for d, gi in zip(fd, g)
+        ),
+    }
     weak = bnd.theorem_constants("weak", {"alpha": sm.alpha, "gamma": sm.gamma, **vars(consts)})
-    eta = weak.outputs.get("eta", float("nan"))
-    check("weak-condition", True, f"holds={weak.valid} eta={eta:.6g}")
-
+    # beta, the graph and the weak condition are facts of a potential that loads, not checks:
+    # one that fails the weak condition may still meet a sparse theorem
     return {
-        "valid": all(ok for _, ok, _ in checks),
+        "valid": all(checks.values()),
         "n": pot.n,
         "terms": len(pot.terms),
-        "checks": [{"name": n, "ok": ok, "detail": d} for n, ok, d in checks],
+        "beta": pot.beta,
+        "edges": len(build_graph(pot).edges()),
+        "weak_condition": {"holds": weak.valid, "eta": weak.outputs.get("eta")},
+        "checks": [{"name": name, "ok": ok} for name, ok in checks.items()],
     }
 
 

@@ -146,7 +146,7 @@ def _bootstrap_costs(av: np.ndarray, bv: np.ndarray, n_boot: int, rng) -> np.nda
     side is sorted, so its resample sorted is the side at the sorted drawn indices; a
     block's indices are sorted in the narrowest integer type that holds them.  The blocks
     are costed on a pool with a worker per CPU, at most that many blocks ahead of the
-    draws; with one worker they are costed on the calling thread."""
+    draws."""
     m = av.shape[0]
     index = np.min_scalar_type(m - 1)
     step = max(1, _SLICE_ELEMENTS // m)  # rows gathered at once
@@ -164,18 +164,11 @@ def _bootstrap_costs(av: np.ndarray, bv: np.ndarray, n_boot: int, rng) -> np.nda
     rows = max(1, _DRAW_ELEMENTS // m)
     blocks = [vals[done : done + rows] for done in range(0, n_boot, rows)]
 
-    def draw(out):  # a's indices, then b's
-        return [rng.integers(0, m, size=(out.shape[0], m)).astype(index) for _ in "ab"]
-
     workers = _workers(len(blocks))
-    if workers == 1:
-        for out in blocks:
-            costs(*draw(out), out)
-        return vals
     with ThreadPoolExecutor(workers) as pool:
         running = collections.deque()
         for out in blocks:
-            ia, ib = draw(out)
+            ia, ib = (rng.integers(0, m, size=(out.shape[0], m)).astype(index) for _ in "ab")
             if len(running) == workers:
                 running.popleft().result()
             running.append(pool.submit(costs, ia, ib, out))

@@ -6,6 +6,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
+from deloc import _poisson
 from deloc.subsets import as_mask
 
 
@@ -70,6 +71,15 @@ def neighborhood_mask(graph, u, k):
     """N_k(u) as a bitmask, read off the graph's stabilizing chain."""
     chain = graph.chain(u)
     return chain[min(k, len(chain) - 1)]
+
+
+def shift_kernel_rows(mu, J):
+    """The rows of the Poisson shift kernel, one at a time: row m is zero before m and
+    the law of min(Lambda, J - m), stopped_weights(mu, J - m), from m on."""
+    for m in range(J + 1):
+        row = np.zeros(J + 1)
+        row[m:] = _poisson.stopped_weights(mu, J - m)
+        yield row
 
 
 # Pointwise forms of the subset generators, the reference that the array

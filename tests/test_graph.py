@@ -216,6 +216,23 @@ def test_property_stabilization_is_fixed_point(n, seed):
         assert neighborhood_mask(g, u, J - 1) != neighborhood_mask(g, u, J)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=14),
+    density=st.floats(min_value=0.0, max_value=0.6),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    mode=st.sampled_from(["polynomial", "exponential"]),
+    exponent=st.floats(min_value=1.0, max_value=3.0),
+)
+def test_property_the_least_c_passes_verify_growth(n, density, seed, mode, exponent):
+    """The experiments take the certificate at the least c as holding without walking
+    it again: verify_growth confirms it on random graphs in both modes."""
+    rng = np.random.default_rng(seed)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+    g = InteractionGraph(n, edges)
+    assert verify_growth(g, GrowthCertificate(mode, _least_c(g, mode, exponent), exponent)).passed
+
+
 def test_chain_is_cached_tuple_of_nested_masks():
     g = InteractionGraph(5, [(0, 1), (1, 2), (3, 4)])
     chain = g.chain((0,))

@@ -735,6 +735,36 @@ def test_a_dims_list_runs_each_n_in_turn(experiment):
     assert typed(rows) == typed([r for part in alone for r in part])
 
 
+@pytest.mark.parametrize("experiment", ["bound-vs-truth", "certified-trajectory"])
+def test_a_sparse_setup_walks_the_growth_chains_once(experiment, monkeypatch):
+    """c is measured by one walk over every vertex's chain; the certificate at c holds
+    by construction, so no second walk confirms it."""
+    walks = []
+    walk = deloc.graph._growth
+    monkeypatch.setattr(deloc.graph, "_growth", lambda g, unit: walks.append(g.n) or walk(g, unit))
+    spec = {"experiment": experiment, **TINY_CONFIGS[experiment], "dims": [3, 4]}
+    rows = run_experiment(config_from_dict(spec)).select(metric="growth-certificate")
+    assert walks == [3, 4]
+    assert [(r.value, r.valid) for r in rows] == [(1.0, True)] * 2
+
+
+@pytest.mark.parametrize("experiment,fields", [
+    ("bound-vs-truth", {"h_values": [0.01, 0.02]}),
+    ("certified-trajectory", {}),
+    ("continuous-time", {"options": {"eps": [0.5, 0.8], "times": [0.5, 1.0]}}),
+])
+def test_each_marginal_of_a_law_is_formed_once(experiment, fields, monkeypatch):
+    """The target's marginal on a subset is formed once and reused for every h, step k
+    or (eps, t); no other law's marginal on a subset is formed twice either."""
+    calls = []
+    marginal = orc.marginal
+    monkeypatch.setattr(orc, "marginal", lambda law, u: calls.append((law, u)) or marginal(law, u))
+    spec = {"experiment": experiment, **TINY_CONFIGS[experiment], **fields, "subsets": "pairs"}
+    run_experiment(config_from_dict(spec))
+    formed = [(id(law), tuple(u)) for law, u in calls]  # calls holds every law alive
+    assert len(formed) == len(set(formed)) > 3
+
+
 def test_across_n_rows_sit_at_the_largest_n_once_per_h_entry():
     """The rows across n take the per-n values in ascending n, so dims in any order give
     the same rows at the largest n; a repeated h gives its rows once per entry, and one
@@ -1378,11 +1408,28 @@ def test_cli_validate(tmp_path, capsys):
     payload = cli_json(capsys)
     assert rc == 0
     assert payload["valid"] is True
-    assert all(c["ok"] for c in payload["checks"])
-    assert [c["name"] for c in payload["checks"]] == [
-        "loads", "beta-defined", "constants-finite", "gradient-finite", "gradient-matches-value",
-        "graph-buildable", "weak-condition",
+    # only the checks that can fail; beta, the edges and the weak condition are facts
+    assert payload["checks"] == [
+        {"name": name, "ok": True}
+        for name in ("constants-finite", "gradient-finite", "gradient-matches-value")
     ]
+    assert (payload["beta"], payload["edges"]) == (3.0, 5)
+    assert payload["weak_condition"] == {"holds": False, "eta": -2.0}
+
+    # the weak condition is reported, not checked: a strongly coupled mean field fails it
+    for strength, holds in ((0.1, True), (8.0, False)):
+        mean_field = tmp_path / "mean-field.json"
+        mean_field.write_text(json.dumps({
+            "n": 4,
+            "smoothness": {"alpha": 0.9, "gamma": 1.0},
+            "terms": [{"kind": "builtin:mean-field", "support": [0, 1, 2, 3],
+                       "params": {"strength": strength}}],
+        }))
+        rc = main(["validate", str(mean_field)])
+        payload = cli_json(capsys)
+        assert rc == 0 and payload["valid"] is True and payload["edges"] == 6
+        assert payload["weak_condition"]["holds"] is holds
+        assert (payload["weak_condition"]["eta"] > 0) is holds
 
     bad = write_potential(tmp_path / "bad.json", alpha=100.0)  # alpha above beta
     rc = main(["validate", bad])

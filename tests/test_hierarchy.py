@@ -45,6 +45,7 @@ from conftest import (
     commutation_residual_sparse,
     commutation_residual_weak,
     neighborhood_mask,
+    shift_kernel_rows,
     tridiagonal_precision,
     weak_lattice_reference,
 )
@@ -239,6 +240,22 @@ def test_shift_kernel_matches_per_row_series(rng):
         np.testing.assert_allclose(K @ v, want, rtol=1e-14)
         np.testing.assert_allclose(K.sum(axis=1), 1.0, rtol=1e-14)
         assert np.all(np.tril(K, -1) == 0.0)
+
+
+@pytest.mark.parametrize("mu", (0.0, 0.05, 0.17, 1.3, 7.0))
+def test_shift_kernel_equals_its_per_row_laws_bit_for_bit(mu):
+    """One law and one tail vector give every row as each row's own stopped law does."""
+    for J in (0, 1, 5, 31, 4095):
+        K = _poisson.shift_kernel(mu, J)
+        rows = shift_kernel_rows(mu, J)
+        assert all(K[m].tobytes() == row.tobytes() for m, row in enumerate(rows))
+
+
+def test_a_shift_kernel_reads_one_law():
+    """A J = 4095 kernel adds one entry to the weights' cache, not one per row."""
+    misses = _poisson.stopped_weights.cache_info().misses
+    _poisson.shift_kernel(0.83, 4095)
+    assert _poisson.stopped_weights.cache_info().misses - misses <= 1
 
 
 def test_poisson_kernel_is_cached_and_read_only():

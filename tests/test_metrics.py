@@ -105,9 +105,10 @@ def test_w2sq_1d_matches_the_sorted_values_bootstrap_bit_for_bit(m, m_b, n_boot)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def test_w2sq_1d_gives_the_same_bootstrap_on_more_workers_than_cores(monkeypatch):
-    # 40 draw blocks of 5 rows each, costed by 8 workers while the interpreter switches
-    # threads often, against the same blocks costed on the calling thread
+@pytest.mark.parametrize("workers", [2, 8])
+def test_w2sq_1d_gives_the_same_bootstrap_on_any_number_of_workers(workers, monkeypatch):
+    # 40 draw blocks of 5 rows each, costed by 2 or 8 workers while the interpreter
+    # switches threads often, against the same blocks costed by one worker
     import deloc.metrics as metrics
 
     monkeypatch.setattr(metrics, "_DRAW_ELEMENTS", 1000)
@@ -116,7 +117,7 @@ def test_w2sq_1d_gives_the_same_bootstrap_on_more_workers_than_cores(monkeypatch
     serial_rng, pooled_rng = np.random.default_rng(4), np.random.default_rng(4)
     monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: {0})
     serial = w2sq_1d(x, y, rng=serial_rng)
-    monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: set(range(8)))
+    monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: set(range(workers)))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
