@@ -9,11 +9,12 @@ Subcommands:
 
 Each theorem of bounds and each mode of hierarchy takes the flags it reads
 (_READS) and no others; another flag is a usage error, and so is a bounds
-flag before the theorem name.  Each subcommand
-returns its report and `main` prints it as one strict JSON document.  Input outside a theorem's or an experiment's domain, or a
-result holding NaN or an infinity (a ValueError), is reported as the
-command's head plus valid=false and the reason.  Exit status is 0 on success
-and 2 if any check failed (a report with valid=false or a run with failed rows)."""
+flag before the theorem name.  Each subcommand returns its report and `main`
+prints it as one strict JSON document.  Input outside a theorem's or an
+experiment's domain, a result holding NaN or an infinity (a ValueError), or a
+report file of a run that cannot be written, is reported as the command's head
+plus valid=false and the reason.  Exit status is 0 on success and 2 if any
+check failed (a report with valid=false or a run with failed rows)."""
 
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -102,12 +102,15 @@ _HIERARCHY_FLAGS = dict.fromkeys(name for mode in _READS["hierarchy"].values() f
 
 def _cmd_run(args) -> dict:
     cfg = config_from_dict(args.config)
-    if args.output:
-        cfg = replace(cfg, output=args.output)
     report = run_experiment(cfg)
-    written = [cfg.output, cfg.output + ".json"] if cfg.output else []
-    if args.gnuplot:
-        written += report.to_gnuplot(cfg.output or cfg.experiment)
+    written = [args.output, args.output + ".json"] if args.output else []
+    try:  # a path that cannot be written fails the command, not with a traceback
+        if args.output:
+            report.to_csv(args.output)
+            report.to_json_sidecar(written[1])
+        written += report.to_gnuplot(args.output or cfg.experiment) if args.gnuplot else []
+    except OSError as e:
+        raise ValueError(f"cannot write the report: {e}") from None
     failures = report.failures()
     return {
         "experiment": cfg.experiment,
@@ -226,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run an experiment from a JSON config")
     p_run.add_argument("config", type=partial(_usage, load))
-    p_run.add_argument("--output", help="CSV path (overrides config)")
+    p_run.add_argument("--output", help="CSV path; its JSON sidecar is <path>.json")
     p_run.add_argument("--gnuplot", action="store_true", help="also write per-metric .dat files")
     p_run.set_defaults(func=_cmd_run, head=_run_head)
 

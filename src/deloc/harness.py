@@ -62,7 +62,6 @@ class ExperimentConfig:
     seed: int = 0
     subsets: object = None
     options: dict = field(default_factory=dict)
-    output: str | None = None
 
     def __post_init__(self):
         if not isinstance(self.experiment, str) or self.experiment not in EXPERIMENTS:
@@ -94,7 +93,6 @@ class ExperimentConfig:
                     f"option 'batches' must be at most the {kept} rows the chains keep, "
                     f"got {values['batches']}"
                 )
-        read(vars(self), "output", "config", "string", None)
 
 
 def config_from_dict(spec: dict) -> ExperimentConfig:
@@ -215,7 +213,7 @@ class ExperimentReport:
 
     def to_json_sidecar(self, path) -> None:
         payload = {
-            "config": {k: v for k, v in vars(self.config).items() if k not in ("output", "_options")},
+            "config": {k: v for k, v in vars(self.config).items() if k != "_options"},
             "metadata": self.metadata,
             "num_rows": self._num_rows(),
             "num_failures": len(self.failures()),
@@ -313,13 +311,13 @@ def _subset_label(u) -> str:
 
 
 def _kind(key: str, default):
-    """The rule of an option, by its default's type: a matrix for None, numbers for a
-    tuple, a number for a float, and for an int a count: >= 1, but k >= 0 and n_boot and
-    batches >= 2 (a standard error needs two replicates or two batches)."""
+    """The rule of an option, by its default's type: a matrix for None, a number for a
+    float, and for an int a count: >= 1, but k >= 0 and n_boot and batches >= 2 (a
+    standard error needs two replicates or two batches)."""
     if isinstance(default, int):
         kinds = {"k": "count", "n_boot": "replicates", "batches": "batch-count"}
         return kinds.get(key, "positive-integer")
-    return "matrix" if default is None else ["number"] if isinstance(default, tuple) else "number"
+    return "matrix" if default is None else "number"
 
 
 def _target_from_options(n: int, config: ExperimentConfig) -> orc.GaussianTarget:
@@ -347,11 +345,11 @@ def _panel_kl(law_a: orc.GaussianLaw, panel, targets) -> list[float]:
     return [orc.kl_gaussian(orc.marginal(law_a, u), target) for u, target in zip(panel, targets)]
 
 
-def _start_law(config: ExperimentConfig, tgt: orc.GaussianTarget):
-    """The target law N(0, Sigma), the start law N(0, c Sigma) with c = cov0_scale, and
-    C0 = (c - 1 - log c)/2: the start's KL on every marginal w is exactly C0 |w|."""
-    law, c = tgt.law(), config._options["cov0_scale"]
-    return law, orc.GaussianLaw(np.zeros(tgt.dim), c * law.cov), 0.5 * (c - 1.0 - math.log(c))
+def _start_law(tgt: orc.GaussianTarget):
+    """The target law N(0, Sigma), the start law N(0, 2 Sigma), and C0 = (1 - log 2)/2:
+    the start's KL on every marginal w is exactly C0 |w|."""
+    law = tgt.law()
+    return law, orc.GaussianLaw(np.zeros(tgt.dim), 2.0 * law.cov), 0.5 * (1.0 - math.log(2.0))
 
 
 def _singleton_w2(law_h: orc.GaussianLaw, law: orc.GaussianLaw) -> np.ndarray:
@@ -390,19 +388,19 @@ def _exp_gaussian_scaling(config: ExperimentConfig, n: int) -> Iterator[ReportRo
             )
 
 
-def _sparse_poly_setup(config: ExperimentConfig, n: int, gamma: float, p: float):
+def _sparse_poly_setup(config: ExperimentConfig, n: int):
     """Build the target on n and its graph, and yield the row of the polynomial growth
-    certificate: exponent p, c measured on the graph.  Returns (target, graph, panel,
-    SparseParams at that c, its sparse-poly report); invalid constants raise.  The
-    certificate holds at c by construction (test_graph checks that it does)."""
+    certificate: exponent p = 1, c measured on the graph.  Returns (target, graph, panel,
+    SparseParams at that c and gamma = 1, its sparse-poly report); invalid constants
+    raise.  The certificate holds at c by construction (test_graph checks that it does)."""
     tgt = _target_from_options(n, config)
     graph = _precision_graph(tgt)
-    c = _least_c(graph, "polynomial", p)
+    c = _least_c(graph, "polynomial", 1.0)
     yield ReportRow(
         config.experiment, n, None, "vertices", "growth-certificate",
         1.0, theorem="polynomial", valid=True,
     )
-    params = SparseParams(tgt.alpha, tgt.beta, gamma, c, p=p)
+    params = SparseParams(tgt.alpha, tgt.beta, 1.0, c, p=1.0)
     consts = params.constants()
     if not consts.valid:
         raise ValueError(f"constants invalid: {consts.reason}")
@@ -410,8 +408,7 @@ def _sparse_poly_setup(config: ExperimentConfig, n: int, gamma: float, p: float)
 
 
 def _exp_bound_vs_truth(config: ExperimentConfig, n: int) -> Iterator[ReportRow]:
-    setup = _sparse_poly_setup(config, n, config._options["gamma"], config._options["p"])
-    tgt, graph, panel, _, consts = yield from setup
+    tgt, graph, panel, _, consts = yield from _sparse_poly_setup(config, n)
     C, h_star = consts["C"], consts["h_star"]
     law = tgt.law()
     targets = [orc.marginal(law, u) for u in panel]
@@ -436,9 +433,9 @@ def _exp_bound_vs_truth(config: ExperimentConfig, n: int) -> Iterator[ReportRow]
 
 def _exp_certified_trajectory(config: ExperimentConfig, n: int) -> Iterator[ReportRow]:
     """Exact transient KL <= certified curve <= dynamic envelope, with p = gamma = 1."""
-    tgt, graph, panel, params, consts = yield from _sparse_poly_setup(config, n, 1.0, 1.0)
+    tgt, graph, panel, params, consts = yield from _sparse_poly_setup(config, n)
     k_max = config._options["k"]
-    law, law0, C0 = _start_law(config, tgt)
+    law, law0, C0 = _start_law(tgt)
     H0 = SubsetFunction(lambda m: C0 * size(m), "c0-size")
     targets = [orc.marginal(law, u) for u in panel]
     for h in config.h_values or (consts["h_star"] / 2.0,):
@@ -446,9 +443,11 @@ def _exp_certified_trajectory(config: ExperimentConfig, n: int) -> Iterator[Repo
         laws = (law0 if k == 0 else orc.lmc_transient_law(tgt, h, k, law0)
                 for k in range(k_max + 1))
         exact = [_panel_kl(law_k, panel, targets) for law_k in laws]
+        # the envelope depends on u only through |u|: one per subset size
+        envelopes = {s: [bnd.dynamic_bound("sparse-dyn-poly", vars(params), k, h, s, C0)
+                         for k in range(k_max + 1)] for s in dict.fromkeys(map(len, panel))}
         for i, (u, curve) in enumerate(zip(panel, curves)):
-            for k, bound in enumerate(curve.tolist()):
-                dyn = bnd.dynamic_bound("sparse-dyn-poly", vars(params), k, h, len(u), C0)
+            for k, (bound, dyn) in enumerate(zip(curve.tolist(), envelopes[len(u)])):
                 if not dyn.valid:
                     raise ValueError(dyn.reason)
                 yield ReportRow(
@@ -469,7 +468,7 @@ def _exp_subadditivity(config: ExperimentConfig, n: int) -> Iterator[ReportRow]:
     law_h = orc.lmc_stationary_law(tgt, h)
     law = tgt.law()
     for k in range(1, n + 1):
-        rep = mtr.subadditivity_check(law_h, law, k, tol=config._options["tol"])
+        rep = mtr.subadditivity_check(law_h, law, k)
         yield ReportRow(
             config.experiment, n, h, f"k={k}", "subadditivity-lhs",
             rep.lhs_average, bound=rep.rhs_share, theorem="subadditivity", valid=rep.passed,
@@ -479,16 +478,15 @@ def _exp_subadditivity(config: ExperimentConfig, n: int) -> Iterator[ReportRow]:
 def _exp_continuous_time(config: ExperimentConfig, n: int) -> Iterator[ReportRow]:
     tgt = _target_from_options(n, config)
     graph = _precision_graph(tgt)
-    alpha, beta, gamma = tgt.alpha, tgt.beta, config._options["gamma"]
-    law, law0, C0 = _start_law(config, tgt)
+    law, law0, C0 = _start_law(tgt)
     panel = resolve_panel(graph, config.subsets)
-    times = config._options["times"]
+    times = (0.1, 0.5, 1.0, 2.0)
     targets = [orc.marginal(law, u) for u in panel]
     exact = [_panel_kl(orc.ou_law(tgt, t, law0), panel, targets) for t in times]
-    for eps in config._options["eps"]:
+    for eps in (0.25, 0.5, 0.9):
         for t, kls in zip(times, exact):
             for u, kl in zip(panel, kls):
-                rep = bnd.continuous_time_bound(graph, u, t, eps, alpha, beta, gamma, C0=C0)
+                rep = bnd.continuous_time_bound(graph, u, t, eps, tgt.alpha, tgt.beta, 1.0, C0=C0)
                 if not rep.valid:
                     raise ValueError(rep.reason)
                 yield ReportRow(
@@ -600,7 +598,7 @@ def _rotated_precision(n: int, soft: float, stiff: float) -> np.ndarray:
 
 def _exp_delocalization_failure(config: ExperimentConfig, n: int) -> Iterator[ReportRow]:
     h = _single_h(config, 0.02)
-    soft, stiff = config._options["soft"], config._options["stiff"]
+    soft, stiff = 1.0, 50.0  # the precision's eigenvalues
     # CSR, so the target reads no n x n array
     product = sparse.diags_array(np.r_[soft, np.full(n - 1, stiff)], format="csr")
     for label, A in (("product", product), ("rotated", _rotated_precision(n, soft, stiff))):
@@ -611,13 +609,12 @@ def _exp_delocalization_failure(config: ExperimentConfig, n: int) -> Iterator[Re
 
 
 def delocalization_failure_demo(
-    dims=(8, 32, 128), h: float = 0.02, soft: float = 1.0, stiff: float = 50.0, seed: int = 0
+    dims=(8, 32, 128), h: float = 0.02, seed: int = 0
 ) -> ExperimentReport:
-    """Rotated anisotropic product: its max single-coordinate W2^2 LMC bias rises with n
-    toward the stiff product's and stops there, while the unrotated product stays flat.
-    Rotation mixes coordinate 1 into the all-ones direction."""
-    cfg = ExperimentConfig("delocalization-failure", dims=tuple(dims), h_values=(h,), seed=seed,
-                           options={"soft": soft, "stiff": stiff})
+    """Rotated anisotropic product, precision eigenvalues 1 and 50: its max single-coordinate
+    W2^2 LMC bias rises with n toward the stiff product's and stops there, while the
+    unrotated product stays flat.  Rotation mixes coordinate 1 into the all-ones direction."""
+    cfg = ExperimentConfig("delocalization-failure", dims=tuple(dims), h_values=(h,), seed=seed)
     return run_experiment(cfg)
 
 
@@ -641,15 +638,14 @@ EXPERIMENTS = {  # name -> (the run over a dims tuple, its default dims,
 _TARGET = {"precision": None, "diag": 2.0, "off": -0.5}
 _OPTIONS = {  # each experiment's option keys and their defaults, read by _kind's rules
     "gaussian-scaling": _TARGET,
-    "bound-vs-truth": {**_TARGET, "p": 1.0, "gamma": 1.0},
-    "certified-trajectory": {**_TARGET, "cov0_scale": 2.0, "k": 200},
-    "subadditivity": {**_TARGET, "tol": 1e-9},
-    "continuous-time": {**_TARGET, "gamma": 1.0, "cov0_scale": 2.0, "eps": (0.25, 0.5, 0.9),
-                        "times": (0.1, 0.5, 1.0, 2.0)},
+    "bound-vs-truth": _TARGET,
+    "certified-trajectory": {**_TARGET, "k": 200},
+    "subadditivity": _TARGET,
+    "continuous-time": _TARGET,
     "onestep-linf": {**_TARGET, "off": -0.3, "samples": 2048, "n_boot": 10},
     "sampler-vs-oracle": {**_TARGET, "diag": 3.0, "off": 0.5, "iterations": 500_000, "chains": 4,
                           "batches": 200, "thin": 20, "marginal_samples": 100_000},
-    "delocalization-failure": {"soft": 1.0, "stiff": 50.0},
+    "delocalization-failure": {},
 }
 
 
@@ -704,7 +700,4 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     report = ExperimentReport(config, [*blocks, *_across_n(config.experiment, dims, blocks)], {})
     elapsed = round(time.perf_counter() - t0, 3)
     report.metadata.update(seed=config.seed, elapsed_seconds=elapsed, rows=report._num_rows())
-    if config.output:
-        report.to_csv(config.output)
-        report.to_json_sidecar(str(config.output) + ".json")
     return report

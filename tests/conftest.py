@@ -256,7 +256,7 @@ def reference_gnuplot(rows) -> dict:
 def reference_sidecar(rep) -> str:
     rows = rep.rows
     payload = {
-        "config": {k: v for k, v in vars(rep.config).items() if k not in ("output", "_options")},
+        "config": {k: v for k, v in vars(rep.config).items() if k != "_options"},
         "metadata": rep.metadata,
         "num_rows": len(rows),
         "num_failures": sum(r.valid is False for r in rows),

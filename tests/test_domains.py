@@ -331,8 +331,7 @@ def _reported(argv, files):
 
 
 def _panel(u):
-    config = {"experiment": "continuous-time", "dims": [3], "subsets": [u],
-              "options": {"eps": [0.5], "times": [0.5]}}
+    config = {"experiment": "continuous-time", "dims": [3], "subsets": [u]}
     return _reported(["run", "{dir}/cfg.json"], {"cfg.json": config})
 
 

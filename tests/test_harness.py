@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -13,7 +14,7 @@ import pytest
 from scipy import sparse
 
 import deloc
-from deloc.bounds import dynamic_bound, sparse_poly_constants, weak_constants
+from deloc.bounds import continuous_time_bound, dynamic_bound, sparse_poly_constants, weak_constants
 from deloc import harness, oracle as orc
 from deloc.cli import _emit, main
 from deloc.graph import InteractionGraph, build_graph
@@ -223,15 +224,12 @@ def test_gnuplot_files(tmp_path):
     assert fields[3] == "nan" and fields[4] == "nan"  # no se/bound on oracle rows
 
 
-def test_run_experiment_writes_output_files(tmp_path):
-    out = tmp_path / "auto.csv"
-    run_experiment(
-        ExperimentConfig(
-            experiment="subadditivity", dims=(3,), output=str(out)
-        )
-    )
-    assert out.exists()
-    assert (tmp_path / "auto.csv.json").exists()
+def test_run_experiment_writes_no_file(tmp_path, monkeypatch):
+    """The CSV path has one home, `deloc run --output`; a config with an `output` key is
+    refused (test_cli_run_reports_mistyped_config_with_exit_2)."""
+    monkeypatch.chdir(tmp_path)
+    run_experiment(ExperimentConfig(experiment="subadditivity", dims=(3,)))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_failures_and_select_filters():
@@ -372,7 +370,7 @@ def test_certified_trajectory_rows_start_and_h_star(tmp_path, capsys):
     n, k = 5, 4
     panel = [[0], [2], [1, 2]]
     cfg = ExperimentConfig("certified-trajectory", dims=(n,), h_values=(0.002, 0.004),
-                           subsets=panel, options={"k": k, "cov0_scale": 3.0})
+                           subsets=panel, options={"k": k})
     rep = run_experiment(cfg)
     assert len(rep.rows) == 2 * len(panel) * 2 * (k + 1) + 1
     assert rep.rows[0].metric == "growth-certificate" and not rep.failures()
@@ -380,8 +378,8 @@ def test_certified_trajectory_rows_start_and_h_star(tmp_path, capsys):
 
     tgt = orc.GaussianTarget(sparse.csr_array(tridiagonal_precision(n)))  # as the harness's
     law = tgt.law()
-    law0 = orc.GaussianLaw(np.zeros(n), 3.0 * law.cov)
-    C0 = (3.0 - 1.0 - math.log(3.0)) / 2.0  # the start law is 3 Sigma: C0 in closed form
+    law0 = orc.GaussianLaw(np.zeros(n), 2.0 * law.cov)
+    C0 = (2.0 - 1.0 - math.log(2.0)) / 2.0  # the start law is 2 Sigma: C0 in closed form
     for w in ([2], [1, 2], list(range(n))):  # the oracle's marginal KL, |w| = 1, 2 and n
         kl = orc.kl_gaussian(orc.marginal(law0, w), orc.marginal(law, w))
         assert kl == pytest.approx(C0 * len(w), rel=1e-13, abs=0)
@@ -469,14 +467,10 @@ def test_subadditivity_experiment_equality_at_full_size():
 
 def test_continuous_time_experiment_smoke():
     rep = run_experiment(
-        ExperimentConfig(
-            experiment="continuous-time",
-            dims=(3,),
-            subsets="singletons",
-            options={"eps": [0.5], "times": [0.5]},
-        )
+        ExperimentConfig(experiment="continuous-time", dims=(3,), subsets="singletons")
     )
-    assert len(rep.rows) == 3
+    assert len(rep.rows) == 3 * 3 * 4  # each singleton at eps in (0.25, 0.5, 0.9), 4 times
+    assert [r.metric for r in rep.rows[:4:3]] == ["kl-t=0.1-eps=0.25", "kl-t=0.5-eps=0.25"]
     assert rep.failures() == []
     assert all(r.theorem == "continuous-time" for r in rep.rows)
 
@@ -681,25 +675,20 @@ def test_cli_run_reports_divergence_with_exit_2(tmp_path, capsys):
     assert float(row[5]) >= 1 and row[-1] == "false"
 
 
-@pytest.mark.parametrize("experiment", ["continuous-time", "certified-trajectory"])
-def test_cli_run_reports_an_overflowing_start_law_kl(experiment, tmp_path, capsys):
-    """A start law so wide that its KL C0 |w| = 5e307 |w| overflows on a neighbourhood
-    of 4 coordinates, or the envelope 2 c C0 built on it does: a ValueError, no numpy
-    warning.  C0 itself, in closed form, stays finite for every finite cov0_scale."""
-    n, says = {
-        "continuous-time": (4, "the bound overflows at "),
-        "certified-trajectory": (3, "transient must be a number, got inf at theorem="),
-    }[experiment]
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(
-        {"experiment": experiment, "dims": [n], "options": {"cov0_scale": 1e308}}
-    ))
-    rc = main(["run", str(cfg)])
-    payload = cli_json(capsys)
-    assert rc == 2 and payload["valid"] is False
-    assert payload["reason"].startswith(says) and payload["reason"].endswith("C0=5e+307")
-    if experiment == "continuous-time":  # the subset is named by its indices
-        assert payload["reason"].startswith("the bound overflows at u=[0], t=")
+@pytest.mark.parametrize("theorem", ["continuous-time", "sparse-dyn-poly"])
+def test_an_overflowing_start_kl_is_a_reason_not_a_warning(theorem):
+    """A start KL C0 |w| = 5e307 |w| overflows on a neighbourhood of 4 coordinates, or the
+    envelope 2 c C0 built on it does: valid=False and the reason, no numpy warning."""
+    if theorem == "continuous-time":
+        path = InteractionGraph(4, [(0, 1), (1, 2), (2, 3)])
+        rep = continuous_time_bound(path, [0], 0.1, 0.25, 1.0, 2.0, 1.0, C0=5e307)
+        says = "the bound overflows at u=[0], t="  # the subset is named by its indices
+    else:
+        params = dict(alpha=1.0, beta=2.0, gamma=1.0, c=3.0, p=1.0)
+        rep = dynamic_bound(theorem, params, 0, 0.01, 1, 5e307)
+        says = "transient must be a number, got inf at theorem="
+    assert rep.valid is False
+    assert rep.reason.startswith(says) and rep.reason.endswith("C0=5e+307")
 
 
 TINY_CONFIGS = {
@@ -707,9 +696,7 @@ TINY_CONFIGS = {
     "bound-vs-truth": {"dims": [3], "h_values": [0.01], "subsets": "singletons"},
     "certified-trajectory": {"dims": [3], "options": {"k": 3}},
     "subadditivity": {"dims": [3]},
-    "continuous-time": {
-        "dims": [3], "subsets": "singletons", "options": {"eps": [0.5], "times": [0.5]}
-    },
+    "continuous-time": {"dims": [3], "subsets": "singletons"},
     "onestep-linf": {"dims": [2], "options": {"samples": 64, "n_boot": 2}},
     "sampler-vs-oracle": {
         "options": {"iterations": 2000, "chains": 2, "batches": 10, "marginal_samples": 200}
@@ -751,7 +738,7 @@ def test_a_sparse_setup_walks_the_growth_chains_once(experiment, monkeypatch):
 @pytest.mark.parametrize("experiment,fields", [
     ("bound-vs-truth", {"h_values": [0.01, 0.02]}),
     ("certified-trajectory", {}),
-    ("continuous-time", {"options": {"eps": [0.5, 0.8], "times": [0.5, 1.0]}}),
+    ("continuous-time", {}),
 ])
 def test_each_marginal_of_a_law_is_formed_once(experiment, fields, monkeypatch):
     """The target's marginal on a subset is formed once and reused for every h, step k
@@ -829,8 +816,6 @@ def test_cli_run_every_experiment_prints_json(experiment, tmp_path, capsys):
     [
         ({"experiment": "gaussian-scaling", "dims": [4], "h_values": [1.5]}, "stability region"),
         ({"experiment": "subadditivity", "dims": [12]}, "capped at n=10"),
-        ({"experiment": "bound-vs-truth", "dims": [4], "options": {"p": 0.5}},
-         "growth certificate"),
         ({"experiment": "subadditivity", "h_values": [0.1, 0.2]}, "takes one entry in h_values"),
         # a rotated bias of 0 has no growth to check: a domain error, not a ZeroDivisionError
         ({"experiment": "delocalization-failure", "dims": [4, 8], "h_values": [1e-17]},
@@ -850,9 +835,6 @@ def test_cli_run_every_experiment_prints_json(experiment, tmp_path, capsys):
          "unknown config 'options' keys ['soft']"),
         ({"experiment": "continuous-time", "dims": [3], "h_values": [0.01]},
          "continuous-time takes no h_values, got [0.01]"),
-        ({"experiment": "certified-trajectory", "dims": [3],
-          "options": {"cov0_scale": 1e308, "k": 1}},
-         "transient must be a number, got inf"),
         ({"experiment": "certified-trajectory", "h_values": [0.1]}, "exceeds h*"),
         ({"experiment": "gaussian-scaling", "dims": [0]}, "'dims' entries must be integers >= 1"),
         ({"experiment": "gaussian-scaling", "h_values": [-0.1]},
@@ -870,8 +852,6 @@ def test_cli_run_every_experiment_prints_json(experiment, tmp_path, capsys):
          "unknown config 'options' keys ['c']"),
         ({"experiment": "certified-trajectory", "options": {"c": 3.0}},
          "unknown config 'options' keys ['c']"),
-        # k^p overflows in the growth check: the bound is inf there, and the constant overflows
-        ({"experiment": "bound-vs-truth", "options": {"p": 1e300}}, "a constant overflows at"),
     ],
 )
 def test_cli_run_reports_domain_errors_with_exit_2(spec, reason, tmp_path, capsys):
@@ -883,6 +863,66 @@ def test_cli_run_reports_domain_errors_with_exit_2(spec, reason, tmp_path, capsy
     assert set(payload) == {"experiment", "valid", "reason"}
     assert (payload["experiment"], payload["valid"]) == (spec.get("experiment"), False)
     assert reason in payload["reason"]
+
+
+# the theorem parameters each experiment holds as constants: no config sets them
+REMOVED_OPTIONS = [
+    ("bound-vs-truth", "p", 1.0),
+    ("bound-vs-truth", "gamma", 1.0),
+    ("certified-trajectory", "cov0_scale", 2.0),
+    ("subadditivity", "tol", 1e-9),
+    ("continuous-time", "gamma", 1.0),
+    ("continuous-time", "cov0_scale", 2.0),
+    ("continuous-time", "eps", [0.5]),
+    ("continuous-time", "times", [0.5]),
+    ("delocalization-failure", "soft", 1.0),
+    ("delocalization-failure", "stiff", 50.0),
+]
+
+
+@pytest.mark.parametrize("experiment, key, value", REMOVED_OPTIONS)
+def test_cli_run_refuses_a_theorem_parameter_as_an_option(experiment, key, value, tmp_path,
+                                                         capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": experiment, "dims": [4], "options": {key: value}}))
+    rc = main(["run", str(cfg)])
+    payload = cli_json(capsys)
+    assert rc == 2 and payload == {
+        "experiment": experiment, "valid": False,
+        "reason": f"unknown config 'options' keys ['{key}']",
+    }
+
+
+@pytest.mark.parametrize("blocked", ["csv", "sidecar"])
+def test_cli_run_reports_an_unwritable_output(blocked, tmp_path, capsys):
+    """A report file that cannot be written (a directory that does not exist, a sidecar
+    path that is a directory) is the command's head plus valid=false and the OS reason."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "subadditivity", "dims": [3]}))
+    out = tmp_path / "missing" / "rep.csv" if blocked == "csv" else tmp_path / "rep.csv"
+    if blocked == "sidecar":
+        (tmp_path / "rep.csv.json").mkdir()
+    rc = main(["run", str(cfg), "--output", str(out)])
+    payload = cli_json(capsys)
+    assert rc == 2 and set(payload) == {"experiment", "valid", "reason"}
+    assert (payload["experiment"], payload["valid"]) == ("subadditivity", False)
+    assert payload["reason"].startswith("cannot write the report: [Errno ")
+    assert str(out) + ("" if blocked == "csv" else ".json") in payload["reason"]
+
+
+def test_certified_trajectory_builds_each_envelope_once(monkeypatch):
+    """The envelope depends on u only through |u|: one dynamic_bound call per (h, k, |u|)."""
+    calls = []
+    envelope = deloc.bounds.dynamic_bound
+    monkeypatch.setattr(deloc.bounds, "dynamic_bound",
+                        lambda *args: calls.append(args[2:5]) or envelope(*args))
+    hs, k = (0.002, 0.004), 3
+    cfg = ExperimentConfig("certified-trajectory", dims=(5,), h_values=hs,
+                           subsets=[[0], [1, 2], [3], [2, 4]], options={"k": k})
+    rep = run_experiment(cfg)
+    assert sorted(calls) == sorted((j, h, s) for h in hs for j in range(k + 1) for s in (1, 2))
+    assert len(rep.select(metric="certified-curve")) == len(hs) * 4 * (k + 1)
+    assert not rep.failures()
 
 
 @pytest.mark.parametrize(
@@ -903,10 +943,10 @@ def test_cli_run_reports_domain_errors_with_exit_2(spec, reason, tmp_path, capsy
         ({"experiment": "bound-vs-truth", "dims": [3], "subsets": [0, 1]},
          "subsets entry must be a list of integers, distinct and non-negative, got 0"),
         ({"experiment": "gaussian-scaling", "dims": [3.5]}, "'dims' entries must be whole numbers"),
-        ({"experiment": "subadditivity", "dims": [3], "output": 1}, "'output' must be a string"),
+        # the CSV path is `deloc run --output`, no config field
+        ({"experiment": "subadditivity", "dims": [3], "output": "x.csv"},
+         "unknown config keys ['output']"),
         ({"experiment": "subadditivity", "dims": [3], "seed": True}, "'seed' must be an integer"),
-        ({"experiment": "continuous-time", "dims": [3], "options": {"eps": 0.5, "times": [0.5]}},
-         "option 'eps' must be a list of numbers"),
         ({"experiment": "onestep-linf", "dims": [4], "options": {"samples": 64.7}},
          "option 'samples' must be an integer"),
         ({"experiment": "gaussian-scaling", "dims": ["8"]}, "'dims' entries must be numbers"),
@@ -992,6 +1032,19 @@ def test_readme_studies_run_clean(tmp_path, capsys):
         rc = main(["run", str(path)])
         payload = cli_json(capsys)
         assert (rc, payload["failures"]) == (0, 0), payload
+
+
+def test_readme_options_table_names_each_experiments_options():
+    """The README's options table names, in backticks, exactly the option keys of each
+    experiment, so the table cannot drift from the code."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| name | options (default) |", 1)[1].split("\n\n", 1)[0]
+    named = {}
+    for line in table.strip().splitlines()[1:]:
+        _, name, cell, _ = line.split("|")
+        named[name.strip().strip("`")] = set(re.findall(r"`([^`]+)`", cell))
+    assert named == {experiment: set(keys) for experiment, keys in harness._OPTIONS.items()}
+    assert sum(map(len, named.values())) == 29
 
 
 UNLOADABLE_POTENTIALS = [
@@ -1205,6 +1258,11 @@ def test_cli_hierarchy_certifies_with_the_growth_constant_of_the_graph(tmp_path,
     rc = main(["hierarchy", str(path), "--certify", "--p", "1e300"])
     payload = cli_json(capsys)
     assert rc == 2 and "a constant overflows at" in payload["reason"]
+    # an exponent below 1 is no growth certificate, so c is not measured
+    rc = main(["hierarchy", str(path), "--certify", "--p", "0.5"])
+    payload = cli_json(capsys)
+    assert rc == 2
+    assert payload["reason"] == "growth certificate exponent must be a number >= 1, got 0.5"
 
 
 BOUNDS_VALUES = dict(alpha="0.8", beta="1.7", gamma="0.4", c="2", r="1.2", M0="1.2", M1="2.0",
