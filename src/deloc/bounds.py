@@ -1,8 +1,7 @@
 """Closed-form bound evaluation: stationary-bias constants, dynamic decay
 envelopes, the continuous-time Poisson-series bound, and the one-step
-l_inf contraction bound.  The Poisson series over the neighbourhood chain
-is the one the sparse semigroup of the hierarchy module evaluates
-(_poisson.chain_mean).
+l_inf contraction bound.  The continuous-time series over ball sizes takes
+the weights of the sparse semigroup (_poisson.stopped_weights).
 
 Every scalar input is read by a rule of _json, which NaN, infinities and
 bools break.  A theorem's parameters, h and a cross-parameter rule (alpha <=
@@ -33,10 +32,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._json import _check, _flaw, _ordered
-from ._poisson import chain_mean
+from ._poisson import stopped_weights
 from .graph import InteractionGraph
-from .subsets import indices_from, size
+from .subsets import as_mask, indices_from
 
 __all__ = [
     "BoundReport",
@@ -247,42 +248,37 @@ def continuous_time_bound(
     alpha: float,
     beta: float,
     gamma: float,
-    H0=None,
-    C0: float | None = None,
+    C0: float,
 ) -> BoundReport:
     """Continuous-time marginal bound
 
         H_t(u) <= exp(-2 alpha (1-eps) t) * E H_0(N_{Lambda(t/eps)}(u)),
 
-    with Lambda Poisson of rate gamma beta^2 / (2 alpha).  The expectation
-    is an exact finite series: neighbourhoods stabilize at index J, so the
-    Poisson tail mass P(Lambda >= J) multiplies H_0(N_J(u)).
-
-    H0 is a callable on subset bitmasks, monotone under set inclusion;
-    when omitted, the size-linear default H0(w) = C0 |w| is used.
+    with Lambda Poisson of rate gamma beta^2 / (2 alpha) and H_0(w) = C0 |w|.  The
+    expectation is an exact finite series: neighbourhoods stabilize at index J, so
+    the Poisson tail mass P(Lambda >= J) multiplies H_0(N_J(u)).
     """
     _check(eps, "fraction", "eps")
     _check(t, "non-negative", "t")
-    chain = graph.chain(u)
-    if H0 is None:  # the size-linear default needs C0
-        _check(C0, "non-negative", "C0")
-        H0 = lambda w: C0 * size(w)
-    inputs = dict(u=list(indices_from(chain[0])), t=t, eps=eps, alpha=alpha, beta=beta,
+    sizes = graph._rings(u)[1].cumsum()  # |N_0(u)| .. |N_J(u)|
+    _check(C0, "non-negative", "C0")
+    inputs = dict(u=list(indices_from(as_mask(u))), t=t, eps=eps, alpha=alpha, beta=beta,
                   gamma=gamma, n=graph.n)
     reason = _flaw(inputs, alpha="positive", beta="positive", gamma="positive")
     if reason:
         return BoundReport("continuous-time", inputs, {}, False, reason)
     try:
         rate = gamma * beta**2 / (2.0 * alpha)
-        series = chain_mean(chain, rate * t / eps, H0)
+        with np.errstate(over="ignore"):  # an infinite series is reported below
+            series = float(stopped_weights(rate * t / eps, len(sizes) - 1) @ (C0 * sizes))
         value = math.exp(-2.0 * alpha * (1.0 - eps) * t) * series
     except OverflowError:
         rate = value = math.inf
     if not (math.isfinite(value) and math.isfinite(rate)):  # a finite value has a finite series
-        at = _at({**inputs, "C0": C0} if C0 is not None else inputs)
+        at = _at({**inputs, "C0": C0})
         return BoundReport("continuous-time", inputs, {}, False, f"the bound overflows at {at}")
     outputs = {"bound_value": value, "poisson_rate": rate, "series": series,
-               "stabilization": len(chain) - 1}
+               "stabilization": len(sizes) - 1}
     return BoundReport("continuous-time", inputs, outputs, True)
 
 

@@ -19,8 +19,10 @@ check failed (a report with valid=false or a run with failed rows)."""
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import json
+import os
 import sys
 from functools import partial
 
@@ -102,13 +104,20 @@ _HIERARCHY_FLAGS = dict.fromkeys(name for mode in _READS["hierarchy"].values() f
 
 def _cmd_run(args) -> dict:
     cfg = config_from_dict(args.config)
-    report = run_experiment(cfg)
     written = [args.output, args.output + ".json"] if args.output else []
-    try:  # a path that cannot be written fails the command, not with a traceback
+    prefix = args.output or cfg.experiment
+    for path in written + ([f"{prefix}.<metric>.dat"] if args.gnuplot else []):
+        folder = os.path.dirname(path) or "."
+        code = (errno.EISDIR if os.path.isdir(path) else errno.ENOENT if not os.path.isdir(folder)
+                else errno.EACCES if not os.access(folder, os.W_OK) else 0)
+        if code:  # before the run, the error that writing the file would meet; no traceback
+            raise ValueError(f"cannot write the report: {OSError(code, os.strerror(code), path)}")
+    report = run_experiment(cfg)
+    try:
         if args.output:
             report.to_csv(args.output)
             report.to_json_sidecar(written[1])
-        written += report.to_gnuplot(args.output or cfg.experiment) if args.gnuplot else []
+        written += report.to_gnuplot(prefix) if args.gnuplot else []
     except OSError as e:
         raise ValueError(f"cannot write the report: {e}") from None
     failures = report.failures()

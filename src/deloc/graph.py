@@ -5,10 +5,10 @@ positive Lipschitz weight has both in its support.  That is a conservative
 superset of {mixed second derivative not identically zero}, and it is the
 graph all bound machinery consumes.
 
-Neighbourhoods N_k(u) expand along edges: N_0(u) = u and N_{k+1}(u) is
-N_k(u) together with everything adjacent to it.  Subsets travel as
-bitmasks (see subsets.py), and per-subset neighbourhood chains are
-memoized up to their stabilization index (InteractionGraph.chain).
+Neighbourhoods N_k(u) expand along edges: N_0(u) = u and N_{k+1}(u) adds
+everything adjacent to N_k(u), so N_k(u) holds the vertices within k hops of
+u, read from hop distances over one CSR adjacency (scipy.sparse.csgraph,
+imported on first use).  Subsets travel as bitmasks (see subsets.py).
 """
 
 from __future__ import annotations
@@ -18,9 +18,12 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+from scipy import sparse
+
 from ._json import _check
 from .potential import StructuredPotential
-from .subsets import _pair, as_mask, indices_from, size
+from .subsets import _pair, as_mask, indices_from, mask_from
 
 __all__ = [
     "InteractionGraph",
@@ -33,42 +36,36 @@ __all__ = [
 
 class InteractionGraph:
     """Undirected simple graph on [n].  Each edge is two distinct indices in range(n),
-    read by the subset rule; the adjacency, one bitmask per vertex, is private."""
+    read by the subset rule; the adjacency, one symmetric CSR array, is private."""
 
     def __init__(self, n: int, edges: Iterable):
         self.n = _check(n, "positive-integer", "n")
-        adj = [0] * self.n
-        for edge in edges:
-            i, j = _pair(edge, self.n, "edge")
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-        self._adj = tuple(adj)
-        self._chains: dict[int, tuple[int, ...]] = {}
+        ij = np.array([_pair(e, self.n, "edge") for e in edges], dtype=np.intp).reshape(-1, 2)
+        rows, cols = np.concatenate([ij, ij[:, ::-1]]).T  # from COO: repeats merge, rows sort
+        self._adj = sparse.csr_array((np.ones(rows.size), (rows, cols)), shape=(self.n, self.n))
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(i, j) for i, m in enumerate(self._adj) for j in indices_from(m) if i < j]
+        upper = sparse.triu(self._adj, 1, format="coo")  # row by row, each row by column
+        return list(zip(upper.row.tolist(), upper.col.tolist()))
+
+    def _hops(self, sources, each: bool = False) -> np.ndarray:
+        """Hop distances, inf where unreachable, from the nearest source or (each) from each."""
+        from scipy.sparse.csgraph import dijkstra  # import deloc does not load csgraph
+        return dijkstra(self._adj, unweighted=True, indices=sources, min_only=not each)
 
     # -- neighbourhoods ------------------------------------------------------
 
+    def _rings(self, u) -> tuple[np.ndarray, np.ndarray]:
+        """(the vertices u reaches, nearest first, and how many lie k hops from u)."""
+        hops = self._hops(list(indices_from(as_mask(u, self.n))))
+        counts = np.bincount(hops[np.isfinite(hops)].astype(np.intp))
+        return np.argsort(hops, kind="stable")[: counts.sum()], counts
+
     def chain(self, u) -> tuple[int, ...]:
-        """Masks (N_0(u), ..., N_J(u)), J the first with N_J(u) = N_{J+1}(u); cached."""
-        u_mask = as_mask(u, self.n)
-        cached = self._chains.get(u_mask)
-        if cached is not None:
-            return cached
-        chain = [u_mask]
-        cur = rest = u_mask
-        while True:
-            # adj(N_{k-1}) lies in N_k, so only the frontier N_k \ N_{k-1} can grow it
-            nxt = cur
-            for i in indices_from(rest):
-                nxt |= self._adj[i]
-            if nxt == cur:
-                break
-            chain.append(nxt)
-            cur, rest = nxt, nxt & ~cur
-        self._chains[u_mask] = chain = tuple(chain)
-        return chain
+        """Masks (N_0(u), ..., N_J(u)), J the first with N_J(u) = N_{J+1}(u)."""
+        order, counts = self._rings(u)
+        rings = (mask_from(ring.tolist()) for ring in np.split(order, counts.cumsum()[:-1]))
+        return tuple(itertools.accumulate(rings))  # disjoint rings: N_k(u) is their sum
 
 
 def build_graph(pot: StructuredPotential) -> InteractionGraph:
@@ -111,27 +108,37 @@ class GrowthReport:
 
 
 def _growth(g: InteractionGraph, unit: GrowthCertificate) -> Iterator[tuple]:
-    """(i, J, k, |N_{k+1}(i)|, unit.vertex_bound(k)) for each vertex i and k from 0 up
-    to J, its stabilization index; vertex_bound is evaluated once per k."""
+    """(J, got, bound) for each block of vertices in order: J[r] is the stabilization
+    index of the block's r-th vertex i, got[r, k] = |N_{k+1}(i)| for k <= J[r] and 0
+    past it, up to the block's largest J, and bound[k] = unit.vertex_bound(k), evaluated
+    once per k.  Ball sizes come from hop distances; no mask is built, nothing kept."""
     bounds: list[float] = []
-    for i in range(g.n):
-        chain = g.chain(1 << i)
-        J = len(chain) - 1
-        bounds += [unit.vertex_bound(k) for k in range(len(bounds), J + 1)]
-        for k in range(J + 1):
-            yield i, J, k, size(chain[min(k + 1, J)]), bounds[k]
+    rows = max(1, (1 << 18) // g.n)  # a block holds rows x n hop distances
+    for first in range(0, g.n, rows):
+        hops = g._hops(np.arange(first, min(first + rows, g.n)), each=True)
+        J = np.where(np.isfinite(hops), hops, 0.0).max(axis=1).astype(np.intp)
+        K = int(J.max()) + 1
+        # row r counts its vertices k hops away in column k (unreached: K + 1), summed up
+        cols = np.minimum(hops, K + 1).astype(np.intp) + (K + 2) * np.arange(len(J))[:, None]
+        rings = np.bincount(cols.ravel(), minlength=len(J) * (K + 2)).reshape(len(J), K + 2)
+        got = rings.cumsum(axis=1)[:, 1 : K + 1]
+        got[np.arange(K) > J[:, None]] = 0
+        bounds += [unit.vertex_bound(k) for k in range(len(bounds), K)]
+        yield J, got, np.array(bounds[:K])
 
 
 def verify_growth(g: InteractionGraph, cert: GrowthCertificate) -> GrowthReport:
-    """Exhaustively check the certificate for every vertex, for k from 0 up
-    to each vertex's stabilization index.  Beyond stabilization the
-    neighbourhood size is constant while the bound is nondecreasing, so
-    this range is exhaustive."""
-    checked = 0
-    for i, J, k, got, bound in _growth(g, cert):
-        checked = max(checked, J)
-        if got > bound + 1e-12:
-            return GrowthReport(False, (i, k), checked)
+    """Exhaustively check the certificate for every vertex, for k from 0 up to each
+    vertex's stabilization index.  Beyond stabilization the neighbourhood size is
+    constant while the bound is nondecreasing, so this range is exhaustive."""
+    checked = walked = 0
+    for J, got, bound in _growth(g, cert):
+        bad = got > bound + 1e-12
+        if bad.any():
+            r = int(bad.any(axis=1).argmax())
+            return GrowthReport(False, (walked + r, int(bad[r].argmax())),
+                                max(checked, int(J[: r + 1].max())))
+        checked, walked = max(checked, int(J.max())), walked + len(J)
     return GrowthReport(True, None, checked)
 
 
@@ -140,7 +147,8 @@ def _least_c(g: InteractionGraph, mode: str, exponent: float) -> float:
     |N_{k+1}(i)| / vertex_bound(k) at c = 1 over the range verify_growth checks, each
     ratio stepped up one ulp where its product with vertex_bound(k) falls short."""
     c = 1.0  # |N_1(i)| >= 1 = vertex_bound(0) at c = 1
-    for _, _, _, got, bound in _growth(g, GrowthCertificate(mode, 1.0, exponent)):
-        ratio = got / bound
-        c = max(c, ratio if ratio * bound >= got else math.nextafter(ratio, math.inf))
+    with np.errstate(invalid="ignore"):  # 0 * inf where vertex_bound overflows
+        for _, got, bound in _growth(g, GrowthCertificate(mode, 1.0, exponent)):
+            ratio, up = got / bound, np.nextafter(got / bound, np.inf)
+            c = max(c, float(np.where(ratio * bound >= got, ratio, up).max()))
     return c

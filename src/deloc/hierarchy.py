@@ -11,12 +11,12 @@ act on them:
 Each is defined once, as arrays over a finite set of subsets.  In the
 sparse case e^{tA}F(u) = E F(N_{Lambda(t)}(u)) collapses to an exact finite
 Poisson series over the chain N_0(u) .. N_J(u), because neighbourhoods
-stabilize: _poisson.chain_mean for one start (the semigroup, and the
-continuous-time bound in bounds), _poisson.shift_kernel for every start at
-once (the certified curve).  In the weak case e^{tA} is uniformization on
-the reachable lattice of growing subsets, built by _weak_expm for both the
-semigroup and the curve, with the jump matrix and N assembled once per
-lattice as sparse matrices.
+stabilize: weighted by _poisson.stopped_weights for one start (the
+semigroup, and the continuous-time bound in bounds over ball sizes), by
+_poisson.shift_kernel for every start at once (the certified curve).  In
+the weak case e^{tA} is uniformization on the reachable lattice of growing
+subsets, built by _weak_expm for both the semigroup and the curve, with the
+jump matrix and N assembled once per lattice as sparse matrices.
 
 certified_entropy_curve evaluates the exact discrete-step entropy recursion
 of both theorems as one iteration over a finite set of subsets,
@@ -47,7 +47,7 @@ from typing import Callable
 import numpy as np
 from scipy import sparse
 
-from ._poisson import chain_mean, shift_kernel, truncated_pmf
+from ._poisson import shift_kernel, stopped_weights, truncated_pmf
 from ._json import _check, _ordered, read
 from .bounds import BoundReport, _above_h_star, theorem_constants
 from .graph import InteractionGraph
@@ -70,19 +70,13 @@ POISSON_TAIL = 1e-12
 
 
 class SubsetFunction:
-    """Memoized real function on subset bitmasks."""
+    """Named real function on subset bitmasks; each call evaluates it."""
 
     def __init__(self, fn: Callable[[int], float], name: str = ""):
-        self._fn = fn
-        self.name = name
-        self._memo: dict[int, float] = {}
+        self._fn, self.name = fn, name
 
     def __call__(self, mask: int) -> float:
-        v = self._memo.get(mask)
-        if v is None:
-            v = float(self._fn(mask))
-            self._memo[mask] = v
-        return v
+        return float(self._fn(mask))
 
     @classmethod
     def size(cls) -> "SubsetFunction":
@@ -155,7 +149,8 @@ def semigroup_sparse(gen: SparseGenerator, t: float, F, u) -> float:
     """e^{tA}F(u) = E F(N_{Lambda(t)}(u)) as an exact finite series:
     sum_{j<J} pmf(j; rate t) F(N_j(u)) + P(Lambda >= J) F(N_J(u))."""
     _check(t, "non-negative", "t")
-    return chain_mean(gen.graph.chain(u), gen.rate * t, F)
+    chain = gen.graph.chain(u)
+    return float(stopped_weights(gen.rate * t, len(chain) - 1) @ np.array([F(m) for m in chain]))
 
 
 def _weak_lattice(gen: WeakGenerator, u_mask: int, seed_supports: bool):

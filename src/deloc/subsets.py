@@ -62,11 +62,8 @@ def _pair(u, n: int, what: str) -> list[int]:
 
 
 def mask_from(indices: Iterable[int]) -> int:
-    """The bitmask of indices that the subset rule has read."""
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
+    """The bitmask of indices that the subset rule has read: distinct, so their bits add."""
+    return sum(1 << i for i in indices)
 
 
 def indices_from(mask: int) -> tuple[int, ...]:

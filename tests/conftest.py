@@ -67,6 +67,49 @@ def bfs_neighborhood(edges, n, u, k):
     return frozenset(cur)
 
 
+def frontier_chain(edges, n, u):
+    """Reference chain (N_0(u), ..., N_J(u)) as bitmasks, by the frontier walk over one
+    bitmask of neighbours per vertex: adj(N_{k-1}) lies in N_k, so only the frontier
+    N_k minus N_{k-1} can grow it."""
+    adj = [0] * n
+    for i, j in edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    u_mask = as_mask(u, n)
+    chain = [u_mask]
+    cur = rest = u_mask
+    while True:
+        nxt = cur
+        while rest:  # each set bit of the frontier, lowest first
+            low = rest & -rest
+            nxt |= adj[low.bit_length() - 1]
+            rest ^= low
+        if nxt == cur:
+            return tuple(chain)
+        chain.append(nxt)
+        cur, rest = nxt, nxt & ~cur
+
+
+def frontier_growth(edges, n, cert):
+    """Reference growth walk over frontier chains: every vertex i and k from 0 up to its
+    stabilization index J, |N_{k+1}(i)| against cert.vertex_bound(k) one pair at a time.
+    Returns the fields of the GrowthReport of cert and the largest ratio of the two, each
+    stepped up one ulp where its product with the bound falls short: the least c when
+    cert.c = 1."""
+    checked, report, c = 0, None, 1.0
+    for i in range(n):
+        chain = frontier_chain(edges, n, (i,))
+        J = len(chain) - 1
+        checked = max(checked, J) if report is None else checked
+        for k in range(J + 1):
+            got, bound = chain[min(k + 1, J)].bit_count(), cert.vertex_bound(k)
+            if report is None and got > bound + 1e-12:
+                report = (False, (i, k), checked)
+            ratio = got / bound
+            c = max(c, ratio if ratio * bound >= got else math.nextafter(ratio, math.inf))
+    return report or (True, None, checked), c
+
+
 def neighborhood_mask(graph, u, k):
     """N_k(u) as a bitmask, read off the graph's stabilizing chain."""
     chain = graph.chain(u)

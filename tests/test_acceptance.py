@@ -16,7 +16,7 @@ from scipy import linalg
 from deloc import bounds as bnd
 from deloc import hierarchy as hie
 from deloc import oracle as orc
-from deloc.graph import InteractionGraph, build_graph
+from deloc.graph import InteractionGraph, _least_c, build_graph
 from deloc.harness import (
     ExperimentConfig,
     delocalization_failure_demo,
@@ -165,6 +165,46 @@ def test_acceptance_stationary_marginal_bounds_hold():
         "stationary marginal bounds",
         ok,
         f"KL <= C h |u| and W2^2 <= (2/alpha) KL on {cells} cells each, "
+        f"0 violations, {el:.1f}s",
+    )
+
+
+def test_acceptance_growth_constant_at_scale():
+    """c from hop distances: 3 on an 8192-vertex path, 6.5 on a 64 x 64 grid at p = 2
+    (|N_2| = 13 at k = 1).  The grid is built from its edges: grid_pairwise's band
+    solver alone takes 3 s.  The budgets are 3x or more the 2.7 s and 1.4 s measured on
+    a 2-core x86 box."""
+    times, cs = [], []
+    rows = cols = 64
+    grid = [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
+    grid += [(v, v + cols) for v in range(rows * cols - cols)]
+    for n, edges, p in ((8192, [(i, i + 1) for i in range(8191)], 1.0), (4096, grid, 2.0)):
+        t0 = time.monotonic()
+        cs.append(_least_c(InteractionGraph(n, edges), "polynomial", p))
+        times.append(time.monotonic() - t0)
+    ok = cs == [3.0, 6.5] and times[0] < 9.0 and times[1] < 5.0
+    gate(
+        "growth constant at scale",
+        ok,
+        f"c = {cs[0]} on an 8192-vertex path in {times[0]:.1f}s, "
+        f"c = {cs[1]} on a 64 x 64 grid (p = 2) in {times[1]:.1f}s",
+    )
+
+
+def test_acceptance_bound_vs_truth_at_4096():
+    """c measured on a 4096-vertex path, then the 20-point h grid on [0], [2048] and
+    [0, 1]: 0.7 s on a 2-core x86 box."""
+    t0 = time.monotonic()
+    rep = run_experiment(
+        ExperimentConfig("bound-vs-truth", dims=(4096,), subsets=[[0], [2048], [0, 1]])
+    )
+    el = time.monotonic() - t0
+    rows = rep.select(metric="kl-marginal")
+    ok = len(rows) == 20 * 3 and not rep.failures() and el < 5.0
+    gate(
+        "stationary marginal bounds at n = 4096",
+        ok,
+        f"KL <= C h |u| and W2^2 <= (2/alpha) KL on {len(rows)} cells each, "
         f"0 violations, {el:.1f}s",
     )
 

@@ -18,7 +18,6 @@ from deloc.bounds import (
     weak_constants,
 )
 from deloc.graph import InteractionGraph
-from deloc.subsets import size
 
 from conftest import bfs_neighborhood
 
@@ -178,26 +177,24 @@ def star_edges():
 
 
 def test_continuous_time_series_against_direct_sum():
-    # independent reference: truncate E H0(N_Lambda(u)) as a plain Poisson sum
-    # over BFS neighbourhoods, no stabilization bookkeeping
+    # independent reference: truncate E H0(N_Lambda(u)) = C0 E |N_Lambda(u)| as a plain
+    # Poisson sum over BFS neighbourhoods, no stabilization bookkeeping
     edges = star_edges()
     g = InteractionGraph(5, edges)  # vertex 4 isolated
-    u = (0,)
-    alpha, beta, gamma, eps, t = 0.7, 1.3, 0.9, 0.25, 1.7
-    rep = continuous_time_bound(
-        g, u, t, eps, alpha, beta, gamma, H0=lambda w: float(size(w)) ** 2
-    )
-    assert rep.valid
-    mu = gamma * beta**2 / (2.0 * alpha) * t / eps
-    assert rep["poisson_rate"] == pytest.approx(gamma * beta**2 / (2.0 * alpha))
-    J = rep["stabilization"]
-    ref = sum(
-        stats.poisson.pmf(j, mu) * len(bfs_neighborhood(edges, 5, u, min(j, J))) ** 2
-        for j in range(200)
-    )
-    assert rep["series"] == pytest.approx(ref, rel=1e-12)
-    value = math.exp(-2.0 * alpha * (1.0 - eps) * t) * ref
-    assert rep["bound_value"] == pytest.approx(value, rel=1e-12)
+    alpha, beta, gamma, eps, t, C0 = 0.7, 1.3, 0.9, 0.25, 1.7, 1.3
+    for u in [(0,), (3, 4)]:
+        rep = continuous_time_bound(g, u, t, eps, alpha, beta, gamma, C0=C0)
+        assert rep.valid
+        mu = gamma * beta**2 / (2.0 * alpha) * t / eps
+        assert rep["poisson_rate"] == pytest.approx(gamma * beta**2 / (2.0 * alpha))
+        J = rep["stabilization"]
+        ref = sum(
+            stats.poisson.pmf(j, mu) * C0 * len(bfs_neighborhood(edges, 5, u, min(j, J)))
+            for j in range(200)
+        )
+        assert rep["series"] == pytest.approx(ref, rel=1e-12)
+        value = math.exp(-2.0 * alpha * (1.0 - eps) * t) * ref
+        assert rep["bound_value"] == pytest.approx(value, rel=1e-12)
 
 
 def test_continuous_time_matches_monte_carlo(rng):
@@ -240,7 +237,9 @@ def test_continuous_time_argument_errors():
     with pytest.raises(ValueError):
         continuous_time_bound(g, (), 1.0, 0.5, 1.0, 1.0, 1.0, C0=1.0)
     with pytest.raises(ValueError):
-        continuous_time_bound(g, (0,), 1.0, 0.5, 1.0, 1.0, 1.0)  # no H0, no C0
+        continuous_time_bound(g, (0,), 1.0, 0.5, 1.0, 1.0, 1.0, C0=-1.0)
+    with pytest.raises(TypeError):
+        continuous_time_bound(g, (0,), 1.0, 0.5, 1.0, 1.0, 1.0)  # C0 is required
     rep = continuous_time_bound(g, (0,), 1.0, 0.5, -1.0, 1.0, 1.0, C0=1.0)
     assert not rep.valid  # bad smoothness constants report instead of raising
 

@@ -1,9 +1,15 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import deloc
 
 from deloc.graph import (
     GrowthCertificate,
@@ -15,7 +21,13 @@ from deloc.graph import (
 from deloc.potential import gaussian_potential, grid_pairwise, mean_field
 from deloc.subsets import indices_from, mask_from
 
-from conftest import bfs_neighborhood, neighborhood_mask, tridiagonal_precision
+from conftest import (
+    bfs_neighborhood,
+    frontier_chain,
+    frontier_growth,
+    neighborhood_mask,
+    tridiagonal_precision,
+)
 
 
 def path_graph(n):
@@ -233,11 +245,10 @@ def test_property_the_least_c_passes_verify_growth(n, density, seed, mode, expon
     assert verify_growth(g, GrowthCertificate(mode, _least_c(g, mode, exponent), exponent)).passed
 
 
-def test_chain_is_cached_tuple_of_nested_masks():
+def test_chain_is_tuple_of_nested_masks():
     g = InteractionGraph(5, [(0, 1), (1, 2), (3, 4)])
     chain = g.chain((0,))
     assert chain == (0b001, 0b011, 0b111)
-    assert g.chain(0b001) is chain
     assert g.chain((3,)) == (0b01000, 0b11000)
     with pytest.raises(ValueError):
         g.chain((5,))
@@ -263,3 +274,94 @@ def test_chain_matches_bfs_up_to_stabilization(seed):
         for k in range(J + 2):
             assert frozenset(indices_from(chain[min(k, J)])) == bfs_neighborhood(edges, n, u, k)
         assert all(a != b for a, b in zip(chain, chain[1:]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=60),
+    cut=st.integers(min_value=0, max_value=60),
+    density=st.floats(min_value=0.0, max_value=0.2),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    mode=st.sampled_from(["polynomial", "exponential"]),
+    exponent=st.floats(min_value=1.0, max_value=2.0),
+    c=st.floats(min_value=1.0, max_value=4.0),
+)
+def test_property_hop_distances_match_the_frontier_walk(n, cut, density, seed, mode,
+                                                         exponent, c):
+    """Chains, growth reports and the least c read from hop distances equal those of the
+    bitmask frontier walk.  No edge joins a vertex below cut to one at or above it, so
+    the graph is disconnected whenever 0 < cut < n."""
+    rng = np.random.default_rng(seed)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if (i < cut) == (j < cut) and rng.random() < density]
+    g = InteractionGraph(n, edges)
+    many = tuple(int(i) for i in rng.choice(n, int(rng.integers(1, n + 1)), replace=False))
+    for u in [(int(rng.integers(n)),), many]:
+        assert g.chain(u) == frontier_chain(edges, n, u)
+    _, least = frontier_growth(edges, n, GrowthCertificate(mode, 1.0, exponent))
+    assert _least_c(g, mode, exponent) == least
+    for at in (1.0, c, least):
+        cert = GrowthCertificate(mode, at, exponent)
+        report = verify_growth(g, cert)
+        want, _ = frontier_growth(edges, n, cert)
+        assert (report.passed, report.first_violation, report.checked_up_to) == want
+
+
+def test_the_growth_walk_spans_blocks_of_vertices():
+    """A 604-vertex graph is walked in blocks of 434 vertices.  Four leaves on vertex 500
+    of a 600-vertex path put the first violation of c = 3, p = 1 at (497, 3), in the
+    second block, and the walk reports the range of every vertex up to it."""
+    edges = [(i, i + 1) for i in range(599)] + [(500, leaf) for leaf in range(600, 604)]
+    g = InteractionGraph(604, edges)
+    for c in (3.0, 7.0):
+        cert = GrowthCertificate("polynomial", c, 1.0)
+        report = verify_growth(g, cert)
+        want, _ = frontier_growth(edges, 604, cert)
+        assert (report.passed, report.first_violation, report.checked_up_to) == want
+    assert verify_growth(g, GrowthCertificate("polynomial", 3.0, 1.0)).first_violation == (497, 3)
+    _, least = frontier_growth(edges, 604, GrowthCertificate("polynomial", 1.0, 1.0))
+    assert _least_c(g, "polynomial", 1.0) == least
+
+
+def test_the_growth_walk_stores_nothing_on_the_graph():
+    g = path_graph(40)
+    before = dict(vars(g))
+    verify_growth(g, GrowthCertificate("polynomial", 3.0, 1.0))
+    _least_c(g, "exponential", 1.5)
+    g.chain((3,))
+    assert vars(g).keys() == before.keys() == {"n", "_adj"}
+    assert all(vars(g)[key] is value for key, value in before.items())
+
+
+def _python(code: str) -> str:
+    """The stdout of code run by a fresh interpreter that imports this deloc."""
+    src = str(Path(deloc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    return proc.stdout.strip()
+
+
+def test_import_leaves_csgraph_unloaded():
+    """scipy.sparse.csgraph loads on the first hop distance, not with deloc."""
+    code = ("import sys, deloc; print('scipy.sparse.csgraph' in sys.modules); "
+            "deloc.InteractionGraph(3, [(0, 1)]).chain((0,)); "
+            "print('scipy.sparse.csgraph' in sys.modules)")
+    assert _python(code).split() == ["False", "True"]
+
+
+def test_a_65536_vertex_path_graph_stays_small():
+    """The CSR adjacency of a 65536-vertex path and its edge list raise the peak resident
+    memory by about 20 MB; one bitmask per vertex raised it by 285 MB (2-core x86 box,
+    numpy 2.4, scipy 1.17)."""
+    code = (
+        "import resource, deloc\n"
+        "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+        "base = peak()\n"
+        "g = deloc.InteractionGraph(65536, [(i, i + 1) for i in range(65535)])\n"
+        "print(len(g.edges()), peak() - base)"
+    )
+    edges, grown = _python(code).split()
+    assert int(edges) == 65535
+    assert float(grown) < 64.0

@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import math
 import os
@@ -908,6 +909,50 @@ def test_cli_run_reports_an_unwritable_output(blocked, tmp_path, capsys):
     assert (payload["experiment"], payload["valid"]) == ("subadditivity", False)
     assert payload["reason"].startswith("cannot write the report: [Errno ")
     assert str(out) + ("" if blocked == "csv" else ".json") in payload["reason"]
+
+
+@pytest.mark.parametrize("argv, path, errno_name", [
+    (["--output", "missing/s.csv"], "missing/s.csv", "No such file or directory"),
+    (["--output", "s.csv"], "s.csv.json", "Is a directory"),
+    (["--output", "missing/s.csv", "--gnuplot"], "missing/s.csv", "No such file or directory"),
+    (["--gnuplot"], "subadditivity.<metric>.dat", "Is a directory"),
+])
+def test_cli_run_checks_its_report_paths_before_the_run(argv, path, errno_name, tmp_path,
+                                                        capsys, monkeypatch):
+    """The CSV, its sidecar and the .dat files are checked before run_experiment, and no
+    file is created or truncated: a sidecar or .dat path that is a directory, or a
+    missing directory, ends the command with the OS error writing would meet."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"experiment": "subadditivity", "dims": [3]}))
+    (tmp_path / "s.csv").write_text("kept")
+    (tmp_path / "s.csv.json").mkdir()
+    (tmp_path / "subadditivity.<metric>.dat").mkdir()
+    before = sorted(p.name for p in tmp_path.iterdir())
+    monkeypatch.setattr(deloc.cli, "run_experiment", lambda cfg: pytest.fail("the run started"))
+    rc = main(["run", "cfg.json", *argv])
+    payload = cli_json(capsys)
+    assert rc == 2 and payload == {
+        "experiment": "subadditivity", "valid": False,
+        "reason": f"cannot write the report: [Errno {_ERRNO[errno_name]}] {errno_name}: '{path}'",
+    }
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert (tmp_path / "s.csv").read_text() == "kept"
+
+
+_ERRNO = {"No such file or directory": errno.ENOENT, "Is a directory": errno.EISDIR}
+
+
+def test_cli_run_writes_over_an_existing_report(tmp_path, capsys):
+    """Checking the paths first does not refuse a CSV or a .dat file that exists."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "subadditivity", "dims": [3]}))
+    out = tmp_path / "s.csv"
+    for path in (out, tmp_path / "s.csv.json", tmp_path / "s.csv.subadditivity-lhs.dat"):
+        path.write_text("old")
+    rc = main(["run", str(cfg), "--output", str(out), "--gnuplot"])
+    assert rc == 0 and len(cli_json(capsys)["files"]) == 3
+    assert out.read_text().startswith("experiment,n,h,subset")
+    assert (tmp_path / "s.csv.subadditivity-lhs.dat").read_text().startswith("# n h value")
 
 
 def test_certified_trajectory_builds_each_envelope_once(monkeypatch):

@@ -63,12 +63,13 @@ def bfs_mask(edges, n, u_mask, k):
 
 # ------------------------------------------------------------ subset functions
 
-def test_subset_function_memoizes():
+def test_subset_function_evaluates_on_every_call():
+    """No memo: a function keeps no mask it was called on."""
     calls = []
-    F = SubsetFunction(lambda m: calls.append(m) or float(m))
-    assert F(5) == 5.0
-    assert F(5) == 5.0
-    assert calls == [5]
+    F = SubsetFunction(lambda m: calls.append(m) or m, "identity")
+    assert F(5) == 5.0 and type(F(5)) is float
+    assert calls == [5, 5]
+    assert (F.name, vars(F).keys()) == ("identity", {"_fn", "name"})
 
 
 def test_subset_function_builders():
@@ -653,8 +654,12 @@ def test_continuous_time_series_is_bit_identical_to_recorded_values():
         for t in (0.0, 0.5, 2.0)
     ]
     assert series == [0.7, 1.9467479939178594, 4.601285156084521]
-    rep = continuous_time_bound(graph, (3, 4), 1.0, 0.4, 1.0, 1.5, 0.8, H0=golden_f())
-    assert rep["series"] == 76.32094243390344
+    # the series of another H0, recorded when the bound took one, is the sparse semigroup's
+    # at rate t gamma beta^2 / (2 alpha eps)
+    rate = 0.8 * 1.5**2 / (2.0 * 1.0) * 1.0 / 0.4
+    assert semigroup_sparse(SparseGenerator(graph, rate), 1.0, golden_f(), (3, 4)) == (
+        76.32094243390344
+    )
 
 
 def test_certified_curves_are_bit_identical_to_recorded_values():
