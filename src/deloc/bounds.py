@@ -37,7 +37,6 @@ import numpy as np
 from ._json import _check, _flaw, _ordered
 from ._poisson import stopped_weights
 from .graph import InteractionGraph
-from .subsets import as_mask, indices_from
 
 __all__ = [
     "BoundReport",
@@ -168,15 +167,14 @@ def theorem_constants(theorem: str, params) -> BoundReport:
 
 
 def onestep_linf_bound(
-    alpha: float, alpha0: float, beta: float, h: float, n: int, usize: int | None = None
+    alpha: float, alpha0: float, beta: float, h: float, n: int, usize: int = 1
 ) -> BoundReport:
     """W_{2,linf}^2(pi_h, pi) <= h log(2n) (4 beta / (alpha - alpha0))^2 under a
     Hessian decomposition D + M with diagonal D >= alpha - alpha0... more
     precisely beta > alpha > alpha0 >= 0 and ||M||_{inf->inf} <= alpha0,
-    for h <= 1/beta.  Marginals of size |u| carry the extra |u| factor."""
+    for h <= 1/beta.  Marginals of size |u| = usize carry the extra |u| factor."""
     _check(n, "positive-integer", "n")
-    if usize is not None:
-        _check(usize, "positive-integer", "usize")
+    _check(usize, "positive-integer", "usize")
     inputs = dict(alpha=alpha, alpha0=alpha0, beta=beta, h=h, n=n, usize=usize)
     reason = _flaw(inputs, alpha="positive", alpha0="non-negative", beta="positive", h="positive")
     if not reason and not beta > alpha > alpha0:
@@ -188,10 +186,8 @@ def onestep_linf_bound(
         # no bound without a gap alpha - alpha0 > 0, where the report is invalid
         gap = alpha > alpha0
         full = h * math.log(2.0 * n) * (4.0 * beta / (alpha - alpha0)) ** 2 if gap else None
-        outputs = {"bound_value": full, "full_linf": full}
-        if usize is not None:
-            outputs["bound_value"] = outputs["marginal"] = None if full is None else usize * full
-        return outputs, reason
+        marginal = None if full is None else usize * full
+        return {"bound_value": marginal, "full_linf": full, "marginal": marginal}, reason
 
     return _report("onestep-linf", inputs, "", bound)
 
@@ -260,10 +256,20 @@ def continuous_time_bound(
     """
     _check(eps, "fraction", "eps")
     _check(t, "non-negative", "t")
-    sizes = graph._rings(u)[1].cumsum()  # |N_0(u)| .. |N_J(u)|
+    return _continuous_time(graph.n, *_balls(graph, u), t, eps, alpha, beta, gamma, C0)
+
+
+def _balls(graph: InteractionGraph, u) -> tuple[list[int], np.ndarray]:
+    """(u's indices, ascending, and |N_0(u)| .. |N_J(u)|), reading u once by the subset rule."""
+    order, counts = graph._rings(u)
+    return order[: counts[0]].tolist(), counts.cumsum()
+
+
+def _continuous_time(n: int, u: list[int], sizes: np.ndarray, t: float, eps: float,
+                     alpha: float, beta: float, gamma: float, C0: float) -> BoundReport:
+    """continuous_time_bound over u's ball sizes (_balls), at a checked t and eps."""
     _check(C0, "non-negative", "C0")
-    inputs = dict(u=list(indices_from(as_mask(u))), t=t, eps=eps, alpha=alpha, beta=beta,
-                  gamma=gamma, n=graph.n)
+    inputs = dict(u=u, t=t, eps=eps, alpha=alpha, beta=beta, gamma=gamma, n=n)
     reason = _flaw(inputs, alpha="positive", beta="positive", gamma="positive")
     if reason:
         return BoundReport("continuous-time", inputs, {}, False, reason)

@@ -8,19 +8,18 @@ Subcommands:
   deloc validate <pot.json>    sanity-check a potential file
 
 Each theorem of bounds and each mode of hierarchy takes the flags it reads
-(_READS) and no others; another flag is a usage error, and so is a bounds
-flag before the theorem name.  Each subcommand returns its report and `main`
-prints it as one strict JSON document.  Input outside a theorem's or an
-experiment's domain, a result holding NaN or an infinity (a ValueError), or a
-report file of a run that cannot be written, is reported as the command's head
-plus valid=false and the reason.  Exit status is 0 on success and 2 if any
-check failed (a report with valid=false or a run with failed rows)."""
+(_READS) and no others, before or after the theorem name; another flag is a
+usage error that names it and the mode.  Each subcommand returns its report
+and `main` prints it as one strict JSON document.  Input outside a theorem's
+or an experiment's domain, a result holding NaN or an infinity (a ValueError),
+or a report file of a run that cannot be written, is reported as the command's
+head plus valid=false and the reason.  Exit status is 0 on success and 2 if
+any check failed (a report with valid=false or a run with failed rows)."""
 
 from __future__ import annotations
 
 import argparse
 import errno
-import itertools
 import json
 import os
 import sys
@@ -72,7 +71,7 @@ _FLAGS = {
     **{name: dict(type=int, default=d) for name, d in dict(k=100, n=2, usize=1).items()},
     # each index is read as JSON, so the subset rule judges 2.0, 0.7, -1 and true itself
     "subset": dict(type=partial(_usage, json.loads), nargs="+", default=[0]),
-    "potential": dict(required=True, default=None, help="potential JSON"),
+    "potential": dict(default=None, help="potential JSON"),
 }
 
 
@@ -99,7 +98,9 @@ _READS = {
         "without --certify": _reads("subset", "eps", "t"),
     },
 }
-_HIERARCHY_FLAGS = dict.fromkeys(name for mode in _READS["hierarchy"].values() for name in mode)
+# each command's flags: every flag some mode of it reads
+_COMMAND_FLAGS = {cmd: dict.fromkeys(f for reads in modes.values() for f in reads)
+                  for cmd, modes in _READS.items()}
 
 
 def _cmd_run(args) -> dict:
@@ -244,11 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # no prefix matching where modes declare flags: --h would be --help, --p --potential
     p_b = sub.add_parser("bounds", help="evaluate theorem constants and bounds", allow_abbrev=False)
-    theorems = p_b.add_subparsers(dest="theorem", required=True)
-    for theorem, reads in _READS["bounds"].items():
-        p_t = theorems.add_parser(theorem, allow_abbrev=False)
-        for name, default in reads.items():
-            p_t.add_argument(f"--{name}", **{**_FLAGS[name], "default": default})
+    p_b.add_argument("theorem", choices=_READS["bounds"])
     p_b.set_defaults(func=_cmd_bounds, head=lambda a: {"theorem": a.theorem})
 
     p_h = sub.add_parser(
@@ -257,10 +254,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_h.add_argument("potential")
     p_h.add_argument("--case", choices=["sparse-poly", "sparse-exp", "weak"], default="sparse-poly")
     p_h.add_argument("--certify", action="store_true", help="certified entropy curve instead")
-    # with no default, a flag shows only when given: main refuses one its mode does not read
-    for name in _HIERARCHY_FLAGS:
-        p_h.add_argument(f"--{name}", **{**_FLAGS[name], "default": argparse.SUPPRESS})
     p_h.set_defaults(func=_cmd_hierarchy, head=_hierarchy_head)
+    # with no default, a flag shows only when given: _mode refuses one its mode does not read
+    for command, p in (("bounds", p_b), ("hierarchy", p_h)):
+        for name in _COMMAND_FLAGS[command]:
+            p.add_argument(f"--{name}", **{**_FLAGS[name], "default": argparse.SUPPRESS})
 
     p_v = sub.add_parser("validate", help="check a potential JSON file")
     p_v.add_argument("potential")
@@ -268,34 +266,26 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _hierarchy_mode(args, usage_error) -> argparse.Namespace:
-    """args with its hierarchy mode's defaults; a flag the mode does not read is a usage error."""
-    mode = f"--certify --case {args.case}" if args.certify else "without --certify"
-    reads = _READS["hierarchy"][mode]
-    unread = [f"--{name}" for name in _HIERARCHY_FLAGS if name in vars(args) and name not in reads]
+def _mode(args, usage_error) -> argparse.Namespace:
+    """args with its mode's defaults; a flag the mode does not read, or continuous-time
+    without --potential, is a usage error that names the flag and the mode."""
+    mode = (args.theorem if args.command == "bounds" else
+            f"--certify --case {args.case}" if args.certify else "without --certify")
+    reads = _READS[args.command][mode]
+    given = [name for name in _COMMAND_FLAGS[args.command] if name in vars(args)]
+    unread = [f"--{name}" for name in given if name not in reads]
     if unread:
-        usage_error(f"hierarchy {mode} does not read {', '.join(unread)}")
+        usage_error(f"{args.command} {mode} does not read {', '.join(unread)}")
+    if "potential" in reads and "potential" not in vars(args):
+        usage_error(f"{args.command} {mode} requires --potential")
     return argparse.Namespace(**{**reads, **vars(args)})
-
-
-def _flags_before_theorem(argv: list[str], usage_error) -> None:
-    """A flag given before the bounds theorem is a usage error that names it: bounds
-    itself takes none, and argparse would read its value as the theorem."""
-    if argv[:1] == ["bounds"]:
-        head = itertools.takewhile(lambda a: a not in _READS["bounds"], argv[1:])
-        early = [a for a in head if a.startswith("--") and a != "--help"]
-        if early:
-            usage_error(f"{', '.join(early)} must follow the theorem name: "
-                        f"deloc bounds <theorem> --flag value")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    _flags_before_theorem(argv, parser.error)
     args = parser.parse_args(argv)
-    if args.command == "hierarchy":
-        args = _hierarchy_mode(args, parser.error)
+    if args.command in _READS:
+        args = _mode(args, parser.error)
     try:
         _emit(payload := args.func(args))
     except ValueError as e:

@@ -483,10 +483,11 @@ def _exp_continuous_time(config: ExperimentConfig, n: int) -> Iterator[ReportRow
     times = (0.1, 0.5, 1.0, 2.0)
     targets = [orc.marginal(law, u) for u in panel]
     exact = [_panel_kl(orc.ou_law(tgt, t, law0), panel, targets) for t in times]
+    balls = [bnd._balls(graph, u) for u in panel]  # each u's ball sizes, for every cell
     for eps in (0.25, 0.5, 0.9):
         for t, kls in zip(times, exact):
-            for u, kl in zip(panel, kls):
-                rep = bnd.continuous_time_bound(graph, u, t, eps, tgt.alpha, tgt.beta, 1.0, C0=C0)
+            for u, ball, kl in zip(panel, balls, kls):
+                rep = bnd._continuous_time(graph.n, *ball, t, eps, tgt.alpha, tgt.beta, 1.0, C0)
                 if not rep.valid:
                     raise ValueError(rep.reason)
                 yield ReportRow(

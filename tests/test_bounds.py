@@ -86,6 +86,14 @@ def test_onestep_formula():
     assert rep["bound_value"] == rep["full_linf"]
 
 
+def test_onestep_has_one_output_shape():
+    """usize defaults to 1, so every report holds the marginal bound, 1 * full = full."""
+    rep = onestep_linf_bound(2.0, 0.5, 3.0, 0.1, 4)
+    assert rep.outputs == onestep_linf_bound(2.0, 0.5, 3.0, 0.1, 4, usize=1).outputs
+    assert rep.outputs == dict.fromkeys(("bound_value", "full_linf", "marginal"), rep["full_linf"])
+    assert rep.inputs["usize"] == 1
+
+
 def test_onestep_marginal_scales_with_subset_size():
     full = onestep_linf_bound(2.0, 0.5, 3.0, 0.1, 4)
     rep = onestep_linf_bound(2.0, 0.5, 3.0, 0.1, 4, usize=3)
@@ -246,13 +254,31 @@ def test_continuous_time_argument_errors():
 
 # ------------------------------------------------- auxiliary scalar bounds
 
+def touchard_moment(mu: float, p: int) -> float:
+    """E L^p for L Poisson(mu): the Touchard polynomial sum_k S(p, k) mu^k, with the
+    Stirling numbers of the second kind from S(q, k) = k S(q-1, k) + S(q-1, k-1)."""
+    S = [1]  # S(0, k) for k = 0 .. 0
+    for q in range(1, p + 1):
+        S = [k * (S[k] if k < q else 0) + (S[k - 1] if k else 0) for k in range(q + 1)]
+    return sum(s * mu**k for k, s in enumerate(S))
+
+
+def test_touchard_moments_match_the_poisson_law():
+    # E L = mu, E L^2 = mu + mu^2, E L^3 = mu + 3 mu^2 + mu^3, and a direct pmf sum to p = 6
+    for mu in (0.5, 6.0, 7.0):
+        assert touchard_moment(mu, 1) == mu
+        assert touchard_moment(mu, 2) == pytest.approx(mu + mu**2, rel=1e-14)
+        assert touchard_moment(mu, 3) == pytest.approx(mu + 3.0 * mu**2 + mu**3, rel=1e-14)
+        j = np.arange(400)
+        for p in range(1, 7):
+            direct = float(np.sum(stats.poisson.pmf(j, mu) * j.astype(float) ** p))
+            assert touchard_moment(mu, p) == pytest.approx(direct, rel=1e-12)
+
+
 def test_poisson_moment_bound_dominates_exact_moments():
-    # exact Poisson moments: E L = mu, E L^2 = mu + mu^2, E L^3 = mu + 3 mu^2 + mu^3
     for lam, t in [(0.5, 1.0), (2.0, 3.0), (10.0, 0.7)]:
-        mu = lam * t
-        exact = {1: mu, 2: mu + mu**2, 3: mu + 3.0 * mu**2 + mu**3}
-        for p in (1, 2, 3):
-            assert poisson_moment_bound(lam, t, p) >= exact[p]
+        for p in range(1, 7):
+            assert poisson_moment_bound(lam, t, p) >= touchard_moment(lam * t, p)
     assert poisson_moment_bound(2.0, 3.0, 2) == 64.0
 
 

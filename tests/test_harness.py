@@ -476,6 +476,19 @@ def test_continuous_time_experiment_smoke():
     assert all(r.theorem == "continuous-time" for r in rep.rows)
 
 
+def test_continuous_time_experiment_reads_each_subsets_balls_once(monkeypatch):
+    """Every (eps, t) cell of a panel entry takes its series from one hop-distance read."""
+    calls = []
+    rings = InteractionGraph._rings
+    monkeypatch.setattr(InteractionGraph, "_rings", lambda g, u: calls.append(u) or rings(g, u))
+    cfg = ExperimentConfig(experiment="continuous-time", dims=(64,), subsets="singletons+pairs")
+    rep = run_experiment(cfg)
+    panel = list(dict.fromkeys(r.subset for r in rep.rows))  # 64 singletons, 63 path edges
+    assert len(panel) == 127 and len(rep.rows) == 12 * len(panel)
+    assert ["|".join(map(str, u)) for u in calls] == panel  # one call each, not one per cell
+    assert rep.failures() == []
+
+
 def test_onestep_experiment_is_deterministic():
     cfg = ExperimentConfig(
         experiment="onestep-linf",
@@ -1473,7 +1486,7 @@ def test_cli_mode_accepts_exactly_the_flags_it_reads(mode, tmp_path, capsys):
 
 
 def test_cli_refuses_a_flag_its_mode_does_not_read(tmp_path, capsys):
-    """Each of these ran with exit 0 and dropped the flags it did not read."""
+    """The first six once ran with exit 0 and dropped the flags they did not read."""
     chain = tmp_path / "chain.json"
     chain.write_text(json.dumps({
         "n": 6, "smoothness": {"alpha": 0.5, "beta": 2.0},
@@ -1492,17 +1505,39 @@ def test_cli_refuses_a_flag_its_mode_does_not_read(tmp_path, capsys):
         (["bounds", "poisson-moment", "--rate", "2", "--t", "3", "--p", "2", "--alpha", "-1",
           "--beta", "0", "--potential", "x.json", "--subset", "99"],
          ["--alpha", "--beta", "--potential", "--subset"]),
-        # a flag before the theorem name is the bounds command's, which takes none; its
-        # value would be read as the theorem ("invalid choice: '2'")
-        (["bounds", "--alpha=2", "sparse-poly"], ["--alpha=2"]),
-        (["bounds", "--alpha", "2", "sparse-poly"], ["--alpha"]),
-        (["bounds", "--alpha", "2", "--beta", "3", "weak"], ["--alpha", "--beta"]),
-        (["bounds", "--alpha", "2"], ["--alpha"]),
+        # before the theorem name too, where the refusal names the flag and the mode
+        (["bounds", "--h", "1", "weak"], ["--h", "weak"]),
+        (["bounds", "--alpha", "2", "--h", "1", "--rate", "3", "weak"], ["--h", "--rate", "weak"]),
+        # a theorem is still required, and continuous-time needs a potential
+        (["bounds", "--alpha", "2"], ["theorem"]),
+        (["bounds", "continuous-time", "--subset", "1"], ["continuous-time", "--potential"]),
     ):
         assert_usage_error(argv, flags, capsys)
-    with pytest.raises(SystemExit):
-        main(["bounds", "--alpha", "2", "sparse-poly"])
-    assert "must follow the theorem name" in capsys.readouterr().err
+
+
+def test_cli_list_flag_before_the_theorem_is_a_usage_error(tmp_path, capsys):
+    """--subset reads every value up to the next flag, so the theorem name after it is
+    read as an index and refused, not taken as the theorem or dropped."""
+    pot = write_potential(tmp_path / "pot.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--subset", "1", "continuous-time", "--potential", pot])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and "argument --subset" in err
+
+
+@pytest.mark.parametrize("mode", [m for m in MODE_READS if m.startswith("bounds ")])
+def test_cli_bounds_flags_parse_the_same_before_and_after_the_theorem(mode, tmp_path, capsys):
+    pot = write_potential(tmp_path / "pot.json")
+    _, theorem, *flags = mode.format(pot=pot).split()  # flags: --potential {pot} or none
+    for flag in MODE_READS[mode].split():
+        if flag == "subset":  # one value wherever it stands; spaced and last, it reads the theorem
+            flags.append(f"--subset={FLAG_VALUES[flag]}")
+        elif flag != "potential":
+            flags += [f"--{flag}", FLAG_VALUES[flag]]
+    after = main(["bounds", theorem, *flags]), capsys.readouterr()
+    before = main(["bounds", *flags, theorem]), capsys.readouterr()
+    assert after[0] == before[0] and after[1].out == before[1].out
+    assert json.loads(after[1].out)["theorem"] == theorem and after[1].err == before[1].err == ""
 
 
 def test_cli_validate(tmp_path, capsys):
