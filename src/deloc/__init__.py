@@ -34,7 +34,6 @@ from .sampler import (
     DivergenceError,
     SampleStore,
     SamplerConfig,
-    marginal_samples,
     run_chain,
 )
 from .oracle import (

@@ -169,10 +169,10 @@ def theorem_constants(theorem: str, params) -> BoundReport:
 def onestep_linf_bound(
     alpha: float, alpha0: float, beta: float, h: float, n: int, usize: int = 1
 ) -> BoundReport:
-    """W_{2,linf}^2(pi_h, pi) <= h log(2n) (4 beta / (alpha - alpha0))^2 under a
-    Hessian decomposition D + M with diagonal D >= alpha - alpha0... more
-    precisely beta > alpha > alpha0 >= 0 and ||M||_{inf->inf} <= alpha0,
-    for h <= 1/beta.  Marginals of size |u| = usize carry the extra |u| factor."""
+    """W_{2,linf}^2(pi_h, pi) <= h log(2n) (4 beta / (alpha - alpha0))^2 when
+    alpha I <= Hessian of V <= beta I, the Hessian is a diagonal plus an M
+    with ||M||_{inf->inf} <= alpha0, beta > alpha > alpha0 >= 0 and
+    h <= 1/beta.  Marginals of size |u| = usize carry the extra |u| factor."""
     _check(n, "positive-integer", "n")
     _check(usize, "positive-integer", "usize")
     inputs = dict(alpha=alpha, alpha0=alpha0, beta=beta, h=h, n=n, usize=usize)

@@ -63,14 +63,24 @@ def _usage(read, text: str):
 
 _number = partial(_usage, lambda text: _check(float(text), "number", "value"))
 
+
+def _index(text: str):
+    """One --subset word read as JSON, so the subset rule judges 2.0, 0.7, -1 and true itself."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        raise ValueError(f"cannot read {text!r} as an index: --subset takes every word up to the "
+                         "next flag, so before a positional argument write --subset=2, or put "
+                         "--subset after it") from None
+
+
 # every flag of bounds and hierarchy: how it is parsed, and its default
 _FLAGS = {
     **{name: dict(type=_number, default=d) for name, d in dict(
         t=1.0, h=0.01, p=1.0, r=1.5, C0=1.0, eps=0.5, c=1.0, alpha=1.0, alpha0=0.0, beta=1.0,
         gamma=1.0, M0=1.0, M1=1.0, R1=0.0, rate=1.0).items()},
     **{name: dict(type=int, default=d) for name, d in dict(k=100, n=2, usize=1).items()},
-    # each index is read as JSON, so the subset rule judges 2.0, 0.7, -1 and true itself
-    "subset": dict(type=partial(_usage, json.loads), nargs="+", default=[0]),
+    "subset": dict(type=partial(_usage, _index), nargs="+", default=[0]),
     "potential": dict(default=None, help="potential JSON"),
 }
 
@@ -106,8 +116,7 @@ _COMMAND_FLAGS = {cmd: dict.fromkeys(f for reads in modes.values() for f in read
 def _cmd_run(args) -> dict:
     cfg = config_from_dict(args.config)
     written = [args.output, args.output + ".json"] if args.output else []
-    prefix = args.output or cfg.experiment
-    for path in written + ([f"{prefix}.<metric>.dat"] if args.gnuplot else []):
+    for path in written:
         folder = os.path.dirname(path) or "."
         code = (errno.EISDIR if os.path.isdir(path) else errno.ENOENT if not os.path.isdir(folder)
                 else errno.EACCES if not os.access(folder, os.W_OK) else 0)
@@ -118,7 +127,6 @@ def _cmd_run(args) -> dict:
         if args.output:
             report.to_csv(args.output)
             report.to_json_sidecar(written[1])
-        written += report.to_gnuplot(prefix) if args.gnuplot else []
     except OSError as e:
         raise ValueError(f"cannot write the report: {e}") from None
     failures = report.failures()
@@ -204,7 +212,7 @@ def _cmd_validate(args) -> dict:
     steps = [np.where(np.arange(pot.n) == i, 1e-6, 0.0) for i in range(min(pot.n, 4))]
     fd = [(pot.value(x + e) - pot.value(x - e)) / 2e-6 for e in steps]
     checks = {
-        "constants-finite": bool(np.all(np.isfinite([consts.M0, consts.M1, consts.R0, consts.R1]))),
+        "constants-finite": bool(np.all(np.isfinite([consts.M0, consts.M1, consts.R1]))),
         "gradient-finite": bool(np.all(np.isfinite(g))),
         "gradient-matches-value": not any(
             abs(d - gi) > 1e-4 * max(1.0, abs(d)) for d, gi in zip(fd, g)
@@ -240,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run an experiment from a JSON config")
     p_run.add_argument("config", type=partial(_usage, load))
     p_run.add_argument("--output", help="CSV path; its JSON sidecar is <path>.json")
-    p_run.add_argument("--gnuplot", action="store_true", help="also write per-metric .dat files")
     p_run.set_defaults(func=_cmd_run, head=_run_head)
 
     # no prefix matching where modes declare flags: --h would be --help, --p --potential

@@ -36,7 +36,7 @@ from ._json import _SEQUENCE, _dense, read
 from .graph import InteractionGraph, _least_c
 from .hierarchy import SparseParams, SubsetFunction, certified_entropy_curve
 from .potential import _tridiagonal, gaussian_potential
-from .sampler import DivergenceError, SamplerConfig, marginal_samples, run_chain
+from .sampler import DivergenceError, SamplerConfig, run_chain
 from .subsets import size, sorted_indices
 
 __all__ = [
@@ -124,10 +124,6 @@ class ReportRow:
     def _csv(self) -> tuple[str]:
         return (",".join(_fmt(getattr(self, c)) for c in CSV_COLUMNS) + "\n",)
 
-    def _dat(self) -> tuple[str]:
-        return (f"{self.n} {_fmt(self.h) or 'nan'} {_fmt(self.value)} "
-                f"{_fmt(self.se) or 'nan'} {_fmt(self.bound) or 'nan'}\n",)
-
 
 _CHUNK = 1 << 16  # rows of a series formatted at a time, so its text is never held whole
 
@@ -154,21 +150,13 @@ class _Series:
         return [ReportRow(*head, str(i), self.metric, v, theorem=self.theorem)
                 for i, v in enumerate(self.values.tolist())]
 
-    def _chunks(self) -> Iterator[tuple[int, list[float]]]:
-        for start in range(0, len(self.values), _CHUNK):
-            yield start, self.values[start:start + _CHUNK].tolist()
-
     def _csv(self) -> Iterator[str]:
         # _fmt of a float is repr(float(v)), which !r gives for the floats of tolist
         head = f"{self.experiment},{_fmt(self.n)},{_fmt(self.h)},"
         mid, tail = f",{self.metric},", f",,,{self.theorem},\n"
-        for start, values in self._chunks():
+        for start in range(0, len(self.values), _CHUNK):
+            values = self.values[start:start + _CHUNK].tolist()
             yield "".join(f"{head}{i}{mid}{v!r}{tail}" for i, v in enumerate(values, start))
-
-    def _dat(self) -> Iterator[str]:
-        head = f"{_fmt(self.n)} {_fmt(self.h) or 'nan'} "
-        for _, values in self._chunks():
-            yield "".join(f"{head}{v!r} nan nan\n" for v in values)
 
 
 def _fmt(v) -> str:
@@ -220,21 +208,6 @@ class ExperimentReport:
         }
         with open(path, "w") as f:
             json.dump(payload, f, indent=2, sort_keys=True)
-
-    def to_gnuplot(self, prefix) -> list[str]:
-        """One whitespace-separated file per metric: n h value se bound."""
-        written = []
-        by_metric: dict[str, list] = {}
-        for b in self._blocks:
-            by_metric.setdefault(b.metric, []).append(b)
-        for metric, blocks in sorted(by_metric.items()):
-            path = f"{prefix}.{metric}.dat"
-            with open(path, "w") as f:
-                f.write("# n h value se bound\n")
-                for b in blocks:
-                    f.writelines(b._dat())
-            written.append(path)
-        return written
 
 
 @dataclass(frozen=True)
@@ -581,7 +554,7 @@ def _exp_sampler_vs_oracle(config: ExperimentConfig, n: int) -> Iterator[ReportR
     thin, m_cmp = config._options["thin"], config._options["marginal_samples"]
     rng = np.random.default_rng([config.seed, 1])
     for i, ref in enumerate(_singleton_w2(law_h, law).tolist()):
-        lmc_i = marginal_samples(store, (i,))[::thin, 0][:m_cmp]
+        lmc_i = kept[::thin, i][:m_cmp]
         exact_i = orc.sample(orc.marginal(law, (i,)), lmc_i.shape[0], rng)[:, 0]
         est = mtr.w2sq_1d(lmc_i, exact_i, rng=rng)
         yield ReportRow(

@@ -3,7 +3,10 @@
 Only W2-type distances are estimated from samples; KL never is.  The 1D
 estimator is the exact quantile coupling (sorted order statistics); the
 multivariate estimator solves the exact assignment problem between two
-equal-size clouds, under squared-l2 or squared-linf ground cost.
+equal-size clouds, under squared-l2 or squared-linf ground cost.  An
+estimate is its value and standard error; the subadditivity check reports
+its two sides, its tolerance, whether it passed and how many subsets it
+averaged.
 
 Standard errors come from a bootstrap (default 200 resamples): the 1D
 estimator resamples both sides and couples the sorted resamples, so the
@@ -65,6 +68,7 @@ MAX_ASSIGNMENT_SAMPLES = 4096
 MAX_ASSIGNMENT_DIM = 8
 DEFAULT_BOOTSTRAP = 200
 SUBADDITIVITY_MAX_SAMPLES = 512
+_EXACT_TOL = 1e-9  # exact check's tolerance
 _SUBADDITIVITY_SE = 3.0  # empirical check's tolerance, in combined standard errors
 # The quantile bootstrap draws at most this many indices per rng.integers call, and
 # gathers rows this many samples at a time, so each gathered slice is 512 KB.
@@ -75,10 +79,7 @@ _SLICE_ELEMENTS = 1 << 16
 @dataclass(frozen=True)
 class DistanceEstimate:
     value: float
-    metric: str  # "w2sq" | "w2sq-linf"
-    sample_sizes: tuple[int, int]
-    standard_error: float
-    method: str  # "quantile" | "assignment"
+    standard_error: float  # NaN without bootstrap replicates
 
 
 def _cloud(x, what: str) -> np.ndarray:
@@ -130,7 +131,7 @@ def _quantile(a: np.ndarray, b: np.ndarray, n_boot: int, rng) -> DistanceEstimat
     bv = _subsample_sorted(b, m)
     value = float(((av - bv) ** 2).mean())
     se = float("nan") if n_boot == 0 else float(_bootstrap_costs(av, bv, n_boot, rng).std(ddof=1))
-    return DistanceEstimate(value, "w2sq", (a.shape[0], b.shape[0]), se, "quantile")
+    return DistanceEstimate(value, se)
 
 
 def _workers(tasks: int) -> int:
@@ -247,11 +248,8 @@ def _assignment_batch(problems) -> list[DistanceEstimate]:
         for (p, r, *_), value in zip(tasks, pool.map(solve, tasks)):
             entries[p][r] = value
     return [
-        DistanceEstimate(
-            float(values[0]), "w2sq" if norm == "l2" else "w2sq-linf", (m, m),
-            float(np.std(values[1:], ddof=1)) if n_boot > 0 else float("nan"), "assignment",
-        )
-        for m, (_, _, norm, n_boot, _), values in zip(sizes, problems, entries)
+        DistanceEstimate(float(v[0]), float(np.std(v[1:], ddof=1)) if len(v) > 1 else float("nan"))
+        for v in entries
     ]
 
 
@@ -275,25 +273,20 @@ def w2sq_assignment(
 
 @dataclass(frozen=True)
 class SubadditivityReport:
-    """Check of  avg_{|u|=k} W2^2(mu^u, nu^u) <= (k/n) W2^2(mu, nu); slack
-    and passed are derived from the two sides and the tolerance."""
+    """Check of  avg_{|u|=k} W2^2(mu^u, nu^u) <= (k/n) W2^2(mu, nu); passed is
+    derived from the two sides and the tolerance."""
 
-    n: int
-    k: int
     lhs_average: float
     rhs_share: float
-    slack: float = field(init=False)  # rhs - lhs
     passed: bool = field(init=False)  # lhs <= rhs + tolerance
     tolerance: float
     num_subsets: int
-    exact: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "slack", self.rhs_share - self.lhs_average)
         object.__setattr__(self, "passed", self.lhs_average <= self.rhs_share + self.tolerance)
 
 
-def _exact_subadditivity(law_a: GaussianLaw, law_b: GaussianLaw, k: int, tol: float):
+def _exact_subadditivity(law_a: GaussianLaw, law_b: GaussianLaw, k: int):
     n = law_a.dim
     if n > 10:
         raise ValueError(f"exact enumeration capped at n=10, got n={n}")
@@ -301,7 +294,7 @@ def _exact_subadditivity(law_a: GaussianLaw, law_b: GaussianLaw, k: int, tol: fl
     vals = [w2sq_gaussian(law_marginal(law_a, u), law_marginal(law_b, u)) for u in subsets]
     lhs = float(np.mean(vals))
     rhs = (k / n) * w2sq_gaussian(law_a, law_b)
-    return SubadditivityReport(n, k, lhs, rhs, tolerance=tol, num_subsets=len(vals), exact=True)
+    return SubadditivityReport(lhs, rhs, tolerance=_EXACT_TOL, num_subsets=len(vals))
 
 
 def _empirical_subadditivity(a: np.ndarray, b: np.ndarray, k: int, n_boot, rng):
@@ -327,14 +320,14 @@ def _empirical_subadditivity(a: np.ndarray, b: np.ndarray, k: int, n_boot, rng):
     rhs = (k / n) * full.value
     rhs_se = (k / n) * full.standard_error
     tol = _SUBADDITIVITY_SE * math.hypot(lhs_se, rhs_se)
-    return SubadditivityReport(n, k, lhs, rhs, tolerance=tol, num_subsets=len(combos), exact=False)
+    return SubadditivityReport(lhs, rhs, tolerance=tol, num_subsets=len(combos))
 
 
 def subadditivity_check(
-    full_a, full_b, k: int, tol: float = 1e-9, n_boot: int = DEFAULT_BOOTSTRAP, rng=None
+    full_a, full_b, k: int, n_boot: int = DEFAULT_BOOTSTRAP, rng=None
 ) -> SubadditivityReport:
     """Exact path for a pair of GaussianLaw (all (n choose k) subsets,
-    n <= 10, slack tolerance `tol`); empirical path for a pair of sample
+    n <= 10, tolerance 1e-9); empirical path for a pair of sample
     clouds (all subsets, or 64 of them drawn from rng; 3-combined-SE
     tolerance).  The empirical path subsamples to 512 points per side and
     at most 32 bootstrap replicates: it flags gross violations, nothing
@@ -348,6 +341,6 @@ def subadditivity_check(
     if k > n:
         raise ValueError(f"k={k} exceeds dimension {n}")
     if exact:
-        return _exact_subadditivity(a, b, k, tol)
+        return _exact_subadditivity(a, b, k)
     n_boot = _check(n_boot, "replicates", "n_boot")  # its tolerance is in standard errors
     return _empirical_subadditivity(a, b, k, n_boot, rng)

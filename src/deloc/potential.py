@@ -136,24 +136,23 @@ class SmoothnessParams:
 
 @dataclass(frozen=True)
 class InteractionConstants:
-    """M_p = max_i sum_{w ni i} L_w |w|^p and
-    R_p = max_i sum_{w ni i, |w| >= 2} L_w (|w|-1)^p, for p in {0, 1}."""
+    """M_p = max_i sum_{w ni i} L_w |w|^p for p in {0, 1}, and
+    R1 = max_i sum_{w ni i} L_w (|w|-1)."""
 
     M0: float
     M1: float
-    R0: float
     R1: float
 
 
 def interaction_constants(
     supports: Sequence[Sequence[int]], weights: Sequence[float]
 ) -> InteractionConstants:
-    """M0, M1, R0, R1 of factors with the given supports and weights L_w.
+    """M0, M1, R1 of factors with the given supports and weights L_w.
     Coordinates no factor touches contribute 0; without factors all are 0.
     Each coordinate's sums run in factor order."""
     lengths = np.array([len(w) for w in supports], dtype=np.intp)
     if not lengths.size:
-        return InteractionConstants(0.0, 0.0, 0.0, 0.0)
+        return InteractionConstants(0.0, 0.0, 0.0)
     coords = np.concatenate([np.asarray(w, dtype=np.intp) for w in supports])
     L = np.repeat(np.asarray(weights, dtype=float), lengths)
     k = np.repeat(lengths, lengths)
@@ -161,9 +160,7 @@ def interaction_constants(
     def top(x: np.ndarray) -> float:
         return float(np.bincount(coords, weights=x).max())
 
-    return InteractionConstants(
-        M0=top(L), M1=top(L * k), R0=top(np.where(k >= 2, L, 0.0)), R1=top(L * (k - 1))
-    )
+    return InteractionConstants(M0=top(L), M1=top(L * k), R1=top(L * (k - 1)))
 
 
 def _flatten(terms: Sequence[FactorTerm]) -> tuple[np.ndarray, list[int]]:

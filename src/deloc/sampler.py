@@ -24,8 +24,9 @@ on the quadratic paths the buffer's sup-norm is checked once per chunk,
 and a chain past the limit steps on, with numpy's overflow and invalid
 warnings silenced, to the end of the chunk.  A gradient's chains are
 checked after every recorded step, so no gradient sees a state past the
-limit, and gradients run under the caller's numpy error state.  Kept
-states are copied out of the buffer once per chunk.
+limit, and gradients run under the caller's numpy error state.  Every
+state after burn-in is kept, copied out of the buffer as one slice per
+chunk; a caller that wants fewer thins the store.
 
 Noise stream layout (documented so composed-map tests can replay it):
 each chain owns an independent generator spawned from the config seed;
@@ -42,21 +43,18 @@ import contextlib
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 from scipy import sparse
 
 from ._json import read
 from .potential import StructuredPotential
-from .subsets import sorted_indices
 
 __all__ = [
     "SamplerConfig",
     "SampleStore",
     "DivergenceError",
     "run_chain",
-    "marginal_samples",
 ]
 
 
@@ -86,11 +84,10 @@ class SamplerConfig:
     num_chains: int = 1
     seed: int = 0
     substeps: int = 1  # Euler substeps per recorded step; m > 1 is langevin-reference
-    thinning: int = 1
 
     def __post_init__(self):
         read(vars(self), "h", "sampler config", "positive")
-        for name in ("iterations", "burn_in", "num_chains", "seed", "substeps", "thinning"):
+        for name in ("iterations", "burn_in", "num_chains", "seed", "substeps"):
             kind = {"burn_in": "count", "seed": "integer"}.get(name, "positive-integer")
             if name != "burn_in" or self.burn_in is not None:
                 object.__setattr__(self, name, read(vars(self), name, "sampler config", kind))
@@ -113,17 +110,12 @@ class SamplerConfig:
 
     @property
     def kept_per_chain(self) -> int:
-        return math.ceil((self.iterations - self.effective_burn_in) / self.thinning)
+        return self.iterations - self.effective_burn_in
 
 
 @dataclass(frozen=True, eq=False)
 class SampleStore:
     samples: np.ndarray  # (num_chains, kept, n)
-    config: SamplerConfig
-
-    @property
-    def n(self) -> int:
-        return self.samples.shape[2]
 
     def rows(self) -> np.ndarray:
         """(num_chains * kept, n) view, chains concatenated in order."""
@@ -183,7 +175,6 @@ def _simulate(pot: StructuredPotential, config: SamplerConfig, starts: np.ndarra
 
     kept = np.empty((C, config.kept_per_chain, n))
     burn = config.effective_burn_in
-    thin = config.thinning
     X = np.array(starts, dtype=float)[:, :, None]
     chunk = max(1, _NOISE_CHUNK // (C * m * n))
     # a quadratic's chains are checked once per chunk, a gradient's after every step
@@ -208,10 +199,9 @@ def _simulate(pot: StructuredPotential, config: SamplerConfig, starts: np.ndarra
                         out += noise[i, j]
                         X = out
                 _check_divergence(states[s0 : s0 + stride], k0 + s0)
-            # kept steps k > burn with (k - burn - 1) % thin == 0, those of this chunk at once
-            first = max(0, -((burn - k0) // thin))  # the first kept index at a step > k0
-            block = states[burn + first * thin - k0 :: thin, :, :, 0]
-            kept[:, first : first + block.shape[0]] = block.swapaxes(0, 1)
+            if k0 + t > burn:  # the kept steps k > burn of this chunk, at once
+                skip = max(0, burn - k0)
+                kept[:, k0 + skip - burn : k0 + t - burn] = states[skip:, :, :, 0].swapaxes(0, 1)
     return kept
 
 
@@ -233,11 +223,4 @@ def run_chain(pot: StructuredPotential, config: SamplerConfig, x0) -> SampleStor
         raise ValueError(
             f"x0 shape {x0.shape} matches neither ({pot.n},) nor ({config.num_chains}, {pot.n})"
         )
-    chains = _simulate(pot, config, starts)
-    return SampleStore(samples=chains, config=config)
-
-
-def marginal_samples(store: SampleStore, u: Iterable[int]) -> np.ndarray:
-    """Column-sliced copy of the retained states; sample order preserved."""
-    idx = sorted_indices(u, store.n)
-    return store.rows()[:, idx].copy()
+    return SampleStore(_simulate(pot, config, starts))

@@ -286,16 +286,6 @@ def reference_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def reference_gnuplot(rows) -> dict:
-    """{metric: the text of its .dat file}."""
-    files = {}
-    for r in rows:
-        fields = (r.n, _reference_field(r.h) or "nan", _reference_field(r.value),
-                  _reference_field(r.se) or "nan", _reference_field(r.bound) or "nan")
-        files.setdefault(r.metric, ["# n h value se bound\n"]).append(" ".join(map(str, fields)) + "\n")
-    return {metric: "".join(lines) for metric, lines in files.items()}
-
-
 def reference_sidecar(rep) -> str:
     rows = rep.rows
     payload = {

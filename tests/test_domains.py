@@ -34,7 +34,7 @@ from deloc.potential import (
     potential_from_dict,
     quadratic_term,
 )
-from deloc.sampler import SampleStore, SamplerConfig, marginal_samples, run_chain
+from deloc.sampler import SamplerConfig, run_chain
 
 from conftest import tridiagonal_precision
 
@@ -182,7 +182,6 @@ ENTRY_POINTS = [
     ("SamplerConfig num_chains",
      lambda v: SamplerConfig(h=0.1, iterations=10, num_chains=v), 2, 0, 1),
     ("SamplerConfig substeps", lambda v: SamplerConfig(h=0.1, iterations=10, substeps=v), 2, 0, 1),
-    ("SamplerConfig thinning", lambda v: SamplerConfig(h=0.1, iterations=10, thinning=v), 2, -1, 1),
     ("lmc_transient_law k", lambda v: orc.lmc_transient_law(A, 0.1, v, LAW0), 2, -2, 1),
     ("ou_law t", lambda v: orc.ou_law(A, v, LAW0), 1.2, -0.5, 0),
     ("sample m", lambda v: orc.sample(LAW0, v, np.random.default_rng(0)), 2, -1, 1),
@@ -301,7 +300,6 @@ MF_WEAK = hie.WeakParams(MF.smoothness.alpha, 1.0)
 MF_H = MF_WEAK.h_star(MF.interaction_constants.M0, MF.interaction_constants.M1,
                       MF.interaction_constants.R1) / 2.0
 WEIGHTS_H = 1e-3  # below h* of WEAK on WEIGHTS
-STORE = SampleStore(np.arange(24.0).reshape(1, 6, 4), SamplerConfig(h=0.1, iterations=10))
 CHAIN4 = {"n": 4, "smoothness": {"alpha": 0.5, "beta": 2.0},
           "terms": [{"kind": "builtin:chain-pairwise", "support": [0, 1, 2, 3]}]}
 
@@ -378,7 +376,6 @@ SUBSET_ENTRY_POINTS = {
         None, True, False,
     ),
     "marginal": (lambda u: orc.marginal(LAW0, u), 3, False, False),
-    "marginal_samples": (lambda u: marginal_samples(STORE, u), 4, False, False),
     "harness panel": (_panel, 3, False, True),
     "resolve_panel": (lambda u: resolve_panel(GRAPH, [u]), 4, False, False),
     "deloc hierarchy --subset": (_hierarchy, 4, False, True),
@@ -463,7 +460,6 @@ def test_a_subset_reads_the_same_in_each_of_its_forms():
     assert GRAPH.chain(np.int64(0b100)) == GRAPH.chain([2.0]) == GRAPH.chain((2,))
     assert quadratic_term([0.0, np.int64(2)], np.eye(2)).support == (0, 2)
     np.testing.assert_array_equal(orc.marginal(LAW0, [2.0, 0]).cov, orc.marginal(LAW0, (0, 2)).cov)
-    np.testing.assert_array_equal(marginal_samples(STORE, [np.int64(3)]), STORE.samples[0, :, 3:])
 
 
 # -- each input read once, where it enters ------------------------------------------

@@ -53,7 +53,6 @@ from deloc.subsets import mask_from
 
 from conftest import (
     reference_csv,
-    reference_gnuplot,
     reference_sidecar,
     serial_w2sq_assignment,
     tridiagonal_precision,
@@ -205,24 +204,6 @@ def test_json_sidecar(tmp_path):
     assert payload["num_rows"] == 7
     assert payload["num_failures"] == 0
     assert "elapsed_seconds" in payload["metadata"]
-
-
-def test_gnuplot_files(tmp_path):
-    rep = small_report()
-    written = rep.to_gnuplot(str(tmp_path / "plot"))
-    names = {p.rsplit("/", 1)[-1] for p in written}
-    assert names == {
-        "plot.w2sq-marginal.dat",
-        "plot.w2sq-marginal-max.dat",
-        "plot.w2sq-full.dat",
-        "plot.kl-marginal-max.dat",
-        "plot.kl-full.dat",
-    }
-    body = open(written[0]).read().splitlines()
-    assert body[0] == "# n h value se bound"
-    fields = body[1].split()
-    assert len(fields) == 5
-    assert fields[3] == "nan" and fields[4] == "nan"  # no se/bound on oracle rows
 
 
 def test_run_experiment_writes_no_file(tmp_path, monkeypatch):
@@ -648,14 +629,14 @@ def test_cli_run_ok(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"experiment": "subadditivity", "dims": [4]}))
     out = tmp_path / "rep.csv"
-    rc = main(["run", str(cfg), "--output", str(out), "--gnuplot"])
+    rc = main(["run", str(cfg), "--output", str(out)])
     payload = cli_json(capsys)
     assert rc == 0
     assert payload["failures"] == 0
     assert payload["rows"] == 4
-    assert str(out) in payload["files"]
-    assert out.exists() and (tmp_path / "rep.csv.json").exists()
-    assert any(p.endswith(".dat") for p in payload["files"])
+    # one report format: the CSV and its sidecar, and no other file
+    assert payload["files"] == [str(out), str(out) + ".json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "rep.csv", "rep.csv.json"]
 
 
 def test_cli_run_reports_failures_with_exit_2(tmp_path, capsys):
@@ -801,14 +782,10 @@ def test_report_files_match_a_row_by_row_formatter(experiment, tmp_path, monkeyp
         assert (tmp_path / "rep.csv").read_text() == reference_csv(rows)
         rep.to_json_sidecar(tmp_path / "rep.json")
         assert (tmp_path / "rep.json").read_text() == reference_sidecar(rep)
-        written = rep.to_gnuplot(str(tmp_path / "plot"))
-        want = reference_gnuplot(rows)
-        assert written == [str(tmp_path / f"plot.{metric}.dat") for metric in sorted(want)]
-        assert [Path(path).read_text() for path in written] == [want[m] for m in sorted(want)]
     # and the writers, the count, failures and select build no row of a series
     monkeypatch.setattr(_Series, "_rows", None)
     rep.to_csv(tmp_path / "again.csv")
-    rep.to_gnuplot(str(tmp_path / "again"))
+    assert (tmp_path / "again.csv").read_text() == reference_csv(rows)
     assert rep._num_rows() == rep.metadata["rows"] == len(rows)
     assert rep.failures() == [r for r in rows if r.valid is False]
     assert rep.select(metric="w2sq-full") == [r for r in rows if r.metric == "w2sq-full"]
@@ -927,19 +904,16 @@ def test_cli_run_reports_an_unwritable_output(blocked, tmp_path, capsys):
 @pytest.mark.parametrize("argv, path, errno_name", [
     (["--output", "missing/s.csv"], "missing/s.csv", "No such file or directory"),
     (["--output", "s.csv"], "s.csv.json", "Is a directory"),
-    (["--output", "missing/s.csv", "--gnuplot"], "missing/s.csv", "No such file or directory"),
-    (["--gnuplot"], "subadditivity.<metric>.dat", "Is a directory"),
 ])
 def test_cli_run_checks_its_report_paths_before_the_run(argv, path, errno_name, tmp_path,
                                                         capsys, monkeypatch):
-    """The CSV, its sidecar and the .dat files are checked before run_experiment, and no
-    file is created or truncated: a sidecar or .dat path that is a directory, or a
-    missing directory, ends the command with the OS error writing would meet."""
+    """The CSV and its sidecar are checked before run_experiment, and no file is created
+    or truncated: a sidecar path that is a directory, or a missing directory, ends the
+    command with the OS error writing would meet."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cfg.json").write_text(json.dumps({"experiment": "subadditivity", "dims": [3]}))
     (tmp_path / "s.csv").write_text("kept")
     (tmp_path / "s.csv.json").mkdir()
-    (tmp_path / "subadditivity.<metric>.dat").mkdir()
     before = sorted(p.name for p in tmp_path.iterdir())
     monkeypatch.setattr(deloc.cli, "run_experiment", lambda cfg: pytest.fail("the run started"))
     rc = main(["run", "cfg.json", *argv])
@@ -956,16 +930,16 @@ _ERRNO = {"No such file or directory": errno.ENOENT, "Is a directory": errno.EIS
 
 
 def test_cli_run_writes_over_an_existing_report(tmp_path, capsys):
-    """Checking the paths first does not refuse a CSV or a .dat file that exists."""
+    """Checking the paths first does not refuse a CSV or a sidecar that exists."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"experiment": "subadditivity", "dims": [3]}))
     out = tmp_path / "s.csv"
-    for path in (out, tmp_path / "s.csv.json", tmp_path / "s.csv.subadditivity-lhs.dat"):
+    for path in (out, tmp_path / "s.csv.json"):
         path.write_text("old")
-    rc = main(["run", str(cfg), "--output", str(out), "--gnuplot"])
-    assert rc == 0 and len(cli_json(capsys)["files"]) == 3
+    rc = main(["run", str(cfg), "--output", str(out)])
+    assert rc == 0 and len(cli_json(capsys)["files"]) == 2
     assert out.read_text().startswith("experiment,n,h,subset")
-    assert (tmp_path / "s.csv.subadditivity-lhs.dat").read_text().startswith("# n h value")
+    assert json.loads((tmp_path / "s.csv.json").read_text())["num_rows"] == 3
 
 
 def test_certified_trajectory_builds_each_envelope_once(monkeypatch):
@@ -1075,6 +1049,23 @@ def test_readme_potential_example_loads_and_validates(tmp_path, capsys):
     payload = cli_json(capsys)
     assert rc == 0 and payload["valid"] is True
     assert (payload["n"], payload["terms"]) == (pot.n, len(pot.terms))
+
+
+def test_readme_library_quick_start_runs_as_written(tmp_path, monkeypatch, capsys):
+    """Every python block of the README's library quick start runs, in order and in one
+    namespace as a reader would paste them, so a renamed or removed name breaks it here."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Quick start (library)", 1)[1].split("\n## ", 1)[0]
+    blocks = [b.split("```", 1)[0] for b in section.split("```python")[1:]]
+    assert len(blocks) == 3
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    first, second = capsys.readouterr().out.splitlines()
+    kl, bound = map(float, first.split(" <= "))
+    assert kl <= bound and second == "[]" and (tmp_path / "scaling.csv").exists()
+    assert namespace["x3"].shape == (4 * 45_000 // 10,)
 
 
 def test_readme_studies_run_clean(tmp_path, capsys):
@@ -1515,14 +1506,25 @@ def test_cli_refuses_a_flag_its_mode_does_not_read(tmp_path, capsys):
         assert_usage_error(argv, flags, capsys)
 
 
-def test_cli_list_flag_before_the_theorem_is_a_usage_error(tmp_path, capsys):
-    """--subset reads every value up to the next flag, so the theorem name after it is
-    read as an index and refused, not taken as the theorem or dropped."""
-    pot = write_potential(tmp_path / "pot.json")
-    with pytest.raises(SystemExit) as exc:
-        main(["bounds", "--subset", "1", "continuous-time", "--potential", pot])
-    out, err = capsys.readouterr()
-    assert exc.value.code == 2 and out == "" and "argument --subset" in err
+def test_cli_subset_before_a_positional_names_the_word_and_the_fix(tmp_path, capsys,
+                                                                   monkeypatch):
+    """--subset reads every word up to the next flag, so a positional after it is read
+    as an index and refused, not taken as the theorem or the potential file or dropped:
+    the usage error names the word and the fix.  Written as the fix says, both run."""
+    monkeypatch.chdir(tmp_path)
+    write_potential(tmp_path / "chain.json")
+    for argv, word in ((["hierarchy", "--subset", "2", "chain.json"], "chain.json"),
+                       (["bounds", "--subset", "1", "continuous-time", "--potential",
+                         "chain.json"], "continuous-time")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert f"argument --subset: cannot read '{word}' as an index" in err
+        assert "before a positional argument write --subset=2, or put --subset after it" in err
+        fixed = main([argv[0], f"--subset={argv[2]}", *argv[3:]]), capsys.readouterr().out
+        after = main([argv[0], *argv[3:], *argv[1:3]]), capsys.readouterr().out
+        assert fixed == after and after[0] == 0
 
 
 @pytest.mark.parametrize("mode", [m for m in MODE_READS if m.startswith("bounds ")])

@@ -36,7 +36,6 @@ def test_w2sq_1d_identical_samples_zero(rng):
     x = rng.standard_normal(500)
     est = w2sq_1d(x, x.copy())
     assert est.value == pytest.approx(0.0, abs=1e-15)
-    assert est.method == "quantile"
 
 
 def test_w2sq_1d_known_shift():
@@ -84,7 +83,6 @@ def test_w2sq_1d_unequal_sizes(rng):
     x = rng.standard_normal(1000)
     y = rng.standard_normal(3001)
     est = w2sq_1d(x, y)
-    assert est.sample_sizes == (1000, 3001)
     assert np.isfinite(est.value)
 
 
@@ -137,7 +135,6 @@ def test_assignment_identical_zero(rng):
     x = rng.standard_normal((64, 3))
     est = w2sq_assignment(x, x.copy(), n_boot=0)
     assert est.value == pytest.approx(0.0, abs=1e-15)
-    assert est.method == "assignment"
 
 
 def test_assignment_matches_1d_quantile(rng):
@@ -188,10 +185,10 @@ def test_assignment_caps():
 def test_assignment_unequal_sizes_subsample(rng):
     x = rng.standard_normal((200, 2))
     y = rng.standard_normal((300, 2))
-    est = w2sq_assignment(x, y, n_boot=0, rng=rng)
-    # sizes record what was actually matched after subsampling
-    assert est.sample_sizes == (200, 200)
-    assert np.isfinite(est.value)
+    est = w2sq_assignment(x, y, n_boot=0, rng=np.random.default_rng(9))
+    # the larger cloud is subsampled without replacement to the smaller one's 200 rows
+    kept = y[np.random.default_rng(9).choice(300, size=200, replace=False)]
+    assert np.isfinite(est.value) and est.value == w2sq_assignment(x, kept, n_boot=0).value
 
 
 @pytest.mark.parametrize("norm", ["l2", "linf"])
@@ -244,7 +241,7 @@ def test_a_1d_cloud_is_m_samples_of_one_coordinate_in_every_estimate(norm):
     (27.0 from sample sizes (1, 1)); the quantile coupling read it as 3 samples."""
     a, b = [1.0, 2.0, 3.0], [4.0, 5.0, 6.0]
     est = w2sq_assignment(a, b, norm=norm, n_boot=2)
-    assert (est.value, est.sample_sizes) == (9.0, (3, 3))
+    assert est.value == 9.0
     assert w2sq_1d(a, b, n_boot=2).value == 9.0
     col = w2sq_assignment(np.array(a)[:, None], np.array(b)[:, None], norm=norm, n_boot=2)
     assert est == col
@@ -280,7 +277,7 @@ def test_the_empirical_check_reads_1d_clouds_as_one_coordinate():
     y = 1.2 * np.random.default_rng(5).standard_normal((50, 2))
     flat = subadditivity_check(x[:, 0], y[:, 0], 1, n_boot=4, rng=np.random.default_rng(1))
     col = subadditivity_check(x[:, :1], y[:, :1], 1, n_boot=4, rng=np.random.default_rng(1))
-    assert flat == col and (flat.n, flat.num_subsets) == (1, 1)
+    assert flat == col and flat.num_subsets == 1
     assert flat.lhs_average == flat.rhs_share  # one coordinate: both sides are one estimate
 
 
@@ -385,8 +382,7 @@ def test_subadditivity_exact_gaussian():
     law_h = lmc_stationary_law(tgt, 0.05)
     for k in (1, 3, 6):
         rep = subadditivity_check(law_h, tgt.law(), k)
-        assert rep.exact
-        assert rep.passed
+        assert rep.passed and rep.tolerance == 1e-9
         assert rep.lhs_average <= rep.rhs_share + 1e-9
     full = subadditivity_check(law_h, tgt.law(), 6)
     assert full.lhs_average == pytest.approx(full.rhs_share, abs=1e-10)
@@ -398,7 +394,6 @@ def test_subadditivity_empirical(rng):
     x = sample(law_h, 4000, rng)
     y = sample(tgt.law(), 4000, rng)
     rep = subadditivity_check(x, y, 1, rng=rng)
-    assert not rep.exact
     assert rep.num_subsets == 4
     assert rep.passed  # statistical tolerance absorbs sampling noise
 

@@ -459,7 +459,6 @@ def test_interaction_constants_tridiagonal():
     c = pot.interaction_constants
     assert c.M0 == pytest.approx(3.0)
     assert c.M1 == pytest.approx(4.0)
-    assert c.R0 == pytest.approx(1.0)
     assert c.R1 == pytest.approx(1.0)
 
 
@@ -477,8 +476,6 @@ def test_interaction_constants_hand_example():
     assert c.M0 == pytest.approx(3.0)
     # M1: vertex0 = 1*1 + 2*2 = 5, vertex1 = 2*2 + 0.5*3 = 5.5 -> 5.5
     assert c.M1 == pytest.approx(5.5)
-    # R0: vertex1 = 2 + 0.5 -> 2.5
-    assert c.R0 == pytest.approx(2.5)
     # R1: vertex1 = 2*1 + 0.5*2 = 3 -> 3
     assert c.R1 == pytest.approx(3.0)
 
@@ -521,15 +518,14 @@ def test_pairwise_constants_match_display():
     assert c.M0 == pytest.approx(np.max(kappa + rows))
     assert c.M1 == pytest.approx(np.max(kappa + 2 * rows))
     assert c.R1 == pytest.approx(np.max(rows))
-    assert c.R0 == pytest.approx(np.max(rows))
 
 
 def test_interaction_constants_from_supports_and_weights():
     # the hand example above as raw (supports, weights); coordinate 4 is untouched
     c = interaction_constants([(0,), (0, 1), (1, 2, 3)], [1.0, 2.0, 0.5])
-    assert (c.M0, c.M1, c.R0, c.R1) == (3.0, 5.5, 2.5, 3.0)
+    assert (c.M0, c.M1, c.R1) == (3.0, 5.5, 3.0)
     assert interaction_constants([], []) == interaction_constants([(2,)], [0.0])
-    assert interaction_constants([(2,)], [4.0]) == type(c)(4.0, 4.0, 0.0, 0.0)
+    assert interaction_constants([(2,)], [4.0]) == type(c)(4.0, 4.0, 0.0)
 
 
 def test_pairwise_constants_match_structured_potential(rng):
@@ -555,7 +551,7 @@ def test_pairwise_constants_match_structured_potential(rng):
         singles + pairs, [*spec.confine_bounds, *(spec.interaction_bounds[p] for p in pairs)]
     )
     b = pot.interaction_constants
-    np.testing.assert_allclose([a.M0, a.M1, a.R0, a.R1], [b.M0, b.M1, b.R0, b.R1], rtol=1e-15)
+    np.testing.assert_allclose([a.M0, a.M1, a.R1], [b.M0, b.M1, b.R1], rtol=1e-15)
 
 
 def test_pairwise_to_structured_matches_quadratic(rng):
@@ -930,9 +926,8 @@ def test_property_gradient_consistency(n, diag, scale, seed):
     couple=st.floats(min_value=0.0, max_value=0.4),
 )
 def test_property_M_R_ordering(n, couple):
-    # M1 >= M0 >= R0 and R1 >= R0 always hold for pairwise chains
+    # M1 >= M0 >= R1 always holds for pairwise chains
     pot = chain_pairwise(n, confine=1.0, couple=couple)
     c = pot.interaction_constants
-    assert c.M1 >= c.M0 >= c.R0 - 1e-15
-    assert c.R1 >= c.R0 - 1e-15
+    assert c.M1 >= c.M0
     assert c.M0 >= c.R1  # singleton weights enter M0 but not R1

@@ -19,7 +19,6 @@ from deloc.sampler import (
     DivergenceError,
     SamplerConfig,
     _step_matrix,
-    marginal_samples,
     run_chain,
 )
 
@@ -43,17 +42,17 @@ def test_config_defaults_and_validation():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("iterations", 10.5), ("num_chains", 2.5), ("num_chains", True), ("thinning", 2.5),
-     ("substeps", 1.5), ("burn_in", 0.5), ("seed", 1.5)],
+    [("iterations", 10.5), ("num_chains", 2.5), ("num_chains", True), ("substeps", 1.5),
+     ("burn_in", 0.5), ("seed", 1.5)],
 )
 def test_config_rejects_counts_that_are_not_integers(field, value):
     with pytest.raises(ValueError, match=f"sampler config '{field}' must be an integer"):
         SamplerConfig(h=0.01, **{"iterations": 100, field: value})
 
 
-def test_config_thinning_kept_count():
-    cfg = SamplerConfig(h=0.01, iterations=105, burn_in=5, thinning=10)
-    assert cfg.kept_per_chain == 10
+def test_config_keeps_every_step_after_burn_in():
+    cfg = SamplerConfig(h=0.01, iterations=105, burn_in=5)
+    assert cfg.kept_per_chain == 100
 
 
 def test_run_chain_deterministic(small_pot):
@@ -199,15 +198,13 @@ def test_a_non_finite_gradient_is_a_divergence_of_its_chain():
     assert str(err.value).endswith("|x|_inf = nan is not finite")
 
 
-def test_burn_in_and_thinning_recording(small_pot):
-    # with burn b and thinning t, recorded iterates are b+1, b+1+t, ...
-    cfg = SamplerConfig(h=0.05, iterations=20, burn_in=4, thinning=5, seed=2)
+def test_burn_in_recording(small_pot):
+    # with burn b, recorded iterates are b+1, b+2, ...
+    cfg = SamplerConfig(h=0.05, iterations=20, burn_in=4, seed=2)
     store = run_chain(small_pot, cfg, np.zeros(3))
-    full = run_chain(
-        small_pot, SamplerConfig(h=0.05, iterations=20, burn_in=0, thinning=1, seed=2), np.zeros(3)
-    )
+    full = run_chain(small_pot, SamplerConfig(h=0.05, iterations=20, burn_in=0, seed=2), np.zeros(3))
     # full records iterates 1..20 at indices 0..19
-    np.testing.assert_array_equal(store.samples[0], full.samples[0][[4, 9, 14, 19]])
+    np.testing.assert_array_equal(store.samples[0], full.samples[0][4:])
 
 
 def test_mode_is_derived_from_substeps():
@@ -231,7 +228,7 @@ def _replay(pot, cfg, x0):
             z = rng.standard_normal((m, n))
             for j in range(m):
                 x = substep(x, z[j])
-            if k > cfg.effective_burn_in and (k - cfg.effective_burn_in - 1) % cfg.thinning == 0:
+            if k > cfg.effective_burn_in:
                 kept.append(x)
         expected.append(kept)
     return np.array(expected)
@@ -242,22 +239,27 @@ def _replay(pot, cfg, x0):
 def test_noise_layout_replays_bit_for_bit(path, m):
     pot = DRIFT_PATHS[path]()
     cfg = SamplerConfig(
-        h=0.07, iterations=23, burn_in=5, thinning=4, num_chains=2, seed=31, substeps=m
+        h=0.07, iterations=23, burn_in=5, num_chains=2, seed=31, substeps=m
     )
     x0 = np.linspace(-1.0, 1.0, pot.n)
     np.testing.assert_array_equal(run_chain(pot, cfg, x0).samples, _replay(pot, cfg, x0))
 
 
 @pytest.mark.parametrize("path", DRIFT_PATHS)
-def test_burn_in_and_thinning_across_noise_chunks_replay_bit_for_bit(path):
+def test_burn_in_across_noise_chunks_replays_bit_for_bit(path):
     # 4 chains step 8192 / (4 n) steps per noise chunk: 682, 32 and 512 on the three
-    # paths, so the 2500 steps span several chunks, and the kept steps 8, 11, ... fall
-    # at every offset in them
+    # paths, so the 2500 steps span several chunks; burn-in ends inside the first chunk,
+    # one step before, at and one step after its end, and after two whole chunks, which
+    # keep nothing
     pot = DRIFT_PATHS[path]()
-    cfg = SamplerConfig(h=0.07, iterations=2500, burn_in=7, thinning=3, num_chains=4, seed=2)
-    assert cfg.iterations > 3 * _NOISE_CHUNK // (cfg.num_chains * pot.n)
+    chunk = _NOISE_CHUNK // (4 * pot.n)
+    cfg = SamplerConfig(h=0.07, iterations=2500, burn_in=0, num_chains=4, seed=2)
+    assert cfg.iterations > 3 * chunk
     x0 = np.linspace(-1.0, 1.0, pot.n)
-    np.testing.assert_array_equal(run_chain(pot, cfg, x0).samples, _replay(pot, cfg, x0))
+    every = _replay(pot, cfg, x0)
+    for burn in (0, 7, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+        store = run_chain(pot, SamplerConfig(**{**vars(cfg), "burn_in": burn}), x0)
+        np.testing.assert_array_equal(store.samples, every[:, burn:])
 
 
 def test_csr_path_matches_dense_loop():
@@ -388,16 +390,6 @@ def test_langevin_reference_substeps_reduce_bias(small_pot):
     assert abs(v_fine - var_0) < abs(v_fine - var_h)
 
 
-def test_marginal_samples_slice(small_pot):
-    store = run_chain(small_pot, SamplerConfig(h=0.05, iterations=100, seed=0), np.zeros(3))
-    m = marginal_samples(store, (2, 0))
-    np.testing.assert_array_equal(m, store.rows()[:, [0, 2]])
-    with pytest.raises(ValueError):
-        marginal_samples(store, ())
-    with pytest.raises(ValueError):
-        marginal_samples(store, (3,))
-
-
 def test_stationary_variance_agrees_with_oracle(small_pot):
     # long single chain: empirical covariance close to Sigma_h
     cfg = SamplerConfig(h=0.1, iterations=200_000, seed=13)
@@ -411,13 +403,12 @@ def test_stationary_variance_agrees_with_oracle(small_pot):
 @given(
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     burn=st.integers(min_value=0, max_value=20),
-    thin=st.integers(min_value=1, max_value=7),
 )
-def test_property_recording_rule(seed, burn, thin):
-    # kept count always matches the config arithmetic, for any burn/thin
+def test_property_recording_rule(seed, burn):
+    # kept count always matches the config arithmetic, for any burn-in
     pot = gaussian_potential(tridiagonal_precision(2))
     iters = 50
-    cfg = SamplerConfig(h=0.05, iterations=iters, burn_in=burn, thinning=thin, seed=seed)
+    cfg = SamplerConfig(h=0.05, iterations=iters, burn_in=burn, seed=seed)
     store = run_chain(pot, cfg, np.zeros(2))
     assert store.samples.shape == (1, cfg.kept_per_chain, 2)
-    assert cfg.kept_per_chain == math.ceil((iters - burn) / thin)
+    assert cfg.kept_per_chain == iters - burn
