@@ -338,6 +338,11 @@ def _hierarchy(u):
                      {"pot.json": CHAIN4})
 
 
+def _bounds(u):
+    return _reported(["bounds", "continuous-time", "--potential", "{dir}/pot.json",
+                      "--subset", *map(json.dumps, u)], {"pot.json": CHAIN4})
+
+
 # name: (call with a subset u, the n it knows (None: none), whether it takes a
 # bitmask, whether u reaches it as JSON)
 SUBSET_ENTRY_POINTS = {
@@ -364,6 +369,9 @@ SUBSET_ENTRY_POINTS = {
     "semigroup_weak": (
         lambda u: hie.semigroup_weak(hie.WeakGenerator(WEIGHTS, 1.0), 0.5, H0, u), None, True, False
     ),
+    "WeakGenerator weight support": (
+        lambda u: hie.WeakGenerator(((u, 1.0),), 1.0), None, True, False
+    ),
     "sparse curve": (
         lambda u: hie.certified_entropy_curve("sparse", SPARSE, GRAPH, H0, SPARSE.h_star() / 2, 2, u),
         4, True, False,
@@ -379,6 +387,7 @@ SUBSET_ENTRY_POINTS = {
     "harness panel": (_panel, 3, False, True),
     "resolve_panel": (lambda u: resolve_panel(GRAPH, [u]), 4, False, False),
     "deloc hierarchy --subset": (_hierarchy, 4, False, True),
+    "deloc bounds --subset": (_bounds, 4, False, True),
 }
 # the indices rule of deloc._json, under the subset rule and the run config's panel alike
 _RULE = "integers, distinct and non-negative"
@@ -408,7 +417,7 @@ def _subset_faults():
         for label, (u, part) in faults.items():
             if n is None and "range" in part:
                 continue  # nothing to bound u by
-            if name == "deloc hierarchy --subset" and label == "empty":
+            if name.startswith("deloc ") and label == "empty":
                 part = "usage error"  # argparse needs a value after --subset
             yield pytest.param(call, u, part, id=f"{name}-{label}")
 

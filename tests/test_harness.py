@@ -904,12 +904,13 @@ def test_cli_run_reports_an_unwritable_output(blocked, tmp_path, capsys):
 @pytest.mark.parametrize("argv, path, errno_name", [
     (["--output", "missing/s.csv"], "missing/s.csv", "No such file or directory"),
     (["--output", "s.csv"], "s.csv.json", "Is a directory"),
+    (["--output", "s.csv.json"], "s.csv.json", "Is a directory"),
 ])
 def test_cli_run_checks_its_report_paths_before_the_run(argv, path, errno_name, tmp_path,
                                                         capsys, monkeypatch):
     """The CSV and its sidecar are checked before run_experiment, and no file is created
-    or truncated: a sidecar path that is a directory, or a missing directory, ends the
-    command with the OS error writing would meet."""
+    or truncated: a CSV or sidecar path that is a directory, or a missing directory, ends
+    the command with the OS error writing would meet."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cfg.json").write_text(json.dumps({"experiment": "subadditivity", "dims": [3]}))
     (tmp_path / "s.csv").write_text("kept")
@@ -1506,25 +1507,39 @@ def test_cli_refuses_a_flag_its_mode_does_not_read(tmp_path, capsys):
         assert_usage_error(argv, flags, capsys)
 
 
-def test_cli_subset_before_a_positional_names_the_word_and_the_fix(tmp_path, capsys,
-                                                                   monkeypatch):
-    """--subset reads every word up to the next flag, so a positional after it is read
-    as an index and refused, not taken as the theorem or the potential file or dropped:
-    the usage error names the word and the fix.  Written as the fix says, both run."""
+def _assert_subset_word_is_refused_with_the_fix(argv, word, capsys):
+    """argv has --subset and its value at argv[1:3], then a positional: the usage error
+    names the word and the fix, and written as the fix says, or with --subset moved after
+    the positional, argv runs."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert f"argument --subset: cannot read '{word}' as an index" in err
+    assert "before a positional argument write --subset=2, or put --subset after it" in err
+    fixed = main([argv[0], f"--subset={argv[2]}", *argv[3:]]), capsys.readouterr().out
+    after = main([argv[0], *argv[3:], *argv[1:3]]), capsys.readouterr().out
+    assert fixed == after and after[0] == 0
+
+
+def test_cli_list_flag_before_the_theorem_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    """--subset reads every value up to the next flag, so the theorem name after it is
+    read as an index and refused, not taken as the theorem or dropped."""
     monkeypatch.chdir(tmp_path)
     write_potential(tmp_path / "chain.json")
-    for argv, word in ((["hierarchy", "--subset", "2", "chain.json"], "chain.json"),
-                       (["bounds", "--subset", "1", "continuous-time", "--potential",
-                         "chain.json"], "continuous-time")):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        out, err = capsys.readouterr()
-        assert exc.value.code == 2 and out == ""
-        assert f"argument --subset: cannot read '{word}' as an index" in err
-        assert "before a positional argument write --subset=2, or put --subset after it" in err
-        fixed = main([argv[0], f"--subset={argv[2]}", *argv[3:]]), capsys.readouterr().out
-        after = main([argv[0], *argv[3:], *argv[1:3]]), capsys.readouterr().out
-        assert fixed == after and after[0] == 0
+    _assert_subset_word_is_refused_with_the_fix(
+        ["bounds", "--subset", "1", "continuous-time", "--potential", "chain.json"],
+        "continuous-time", capsys)
+
+
+def test_cli_subset_before_a_positional_names_the_word_and_the_fix(tmp_path, capsys,
+                                                                   monkeypatch):
+    """The potential file after --subset is read as an index and refused, not taken as
+    the potential or dropped."""
+    monkeypatch.chdir(tmp_path)
+    write_potential(tmp_path / "chain.json")
+    _assert_subset_word_is_refused_with_the_fix(
+        ["hierarchy", "--subset", "2", "chain.json"], "chain.json", capsys)
 
 
 @pytest.mark.parametrize("mode", [m for m in MODE_READS if m.startswith("bounds ")])
